@@ -26,7 +26,7 @@ let setting_name s =
    for any step count, so we use the real 1000. *)
 let steps = 1000
 
-(* The cross-cutting run flags ([--domains N], [--impl], [--mode],
+(* The cross-cutting run flags ([--domains N], [--mode],
    [--trace FILE], [--metrics], [--no-verify]), parsed off the harness
    command line by {!An5d_core.Run_args.parse} — the same parser the
    [an5d] CLI terms are built from. [main] applies the trace/metrics

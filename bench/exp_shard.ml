@@ -136,15 +136,14 @@ let throughput_case name cfg dims steps ~shards =
   let em = Execmodel.make p cfg dims in
   let g = Stencil.Grid.init_random dims in
   let cells = interior_volume dims p.Stencil.Pattern.radius * steps in
-  (* Both sides ride the Bigarray fast path and get [shards] worker
-     domains: the resident run parallelizes over thread blocks, the
-     sharded run over subgrids — same useful work, same lane count. *)
+  (* Both sides get [shards] worker domains: the resident run
+     parallelizes over thread blocks, the sharded run over subgrids —
+     same useful work, same lane count. *)
   let run ~n_shards () =
     let machine = Gpu.Machine.create Gpu.Device.v100 in
     let cfg_run =
       Run_config.with_shards n_shards
-        (Run_config.with_domains shards
-           (Run_config.with_impl Blocking.Bigarray !Exp_common.run_config))
+        (Run_config.with_domains shards !Exp_common.run_config)
     in
     ignore (Blocking.run_cfg cfg_run em ~machine ~steps g)
   in
@@ -225,8 +224,7 @@ let mp_case name cfg dims steps ~shards ~workers =
     Run_config.with_verify false
       (Run_config.with_domains 1
          (Run_config.with_workers workers
-            (Run_config.with_shards shards
-               (Run_config.with_impl Blocking.Bigarray !Exp_common.run_config))))
+            (Run_config.with_shards shards !Exp_common.run_config)))
   in
   let p = Framework.pattern job in
   let cells = interior_volume dims p.Stencil.Pattern.radius * steps in

@@ -1,16 +1,16 @@
-(* Simulator throughput: closure executor vs compiled plans vs the
-   unsafe-indexed bigarray fast path vs the sliding-window streaming
-   executor.
+(* Simulator throughput: the production streaming executor against the
+   checked compiled plan it falls back to, plus the CPU reference sweep.
 
-   Times the same runs under [impl = Closure], [Compiled], [Bigarray]
-   and [Streaming] in one process — blocked executor on a 2D and a 3D
-   benchmark in both precisions, plus the CPU reference on both — and
-   reports cells/s. Results land in BENCH_throughput.json so the
-   speedups are machine-checkable, and the blocked cases enforce two
-   floors: bigarray-over-compiled (f64) and streaming-over-bigarray
-   (both precisions) — the run *fails* if either fast path stops paying
-   for itself, or if a gated stencil silently dispatches to the generic
-   streaming kernel instead of its specialized one. *)
+   Times the blocked executor on a 2D and a 3D benchmark in both
+   precisions — once on the default path (the sliding-window streaming
+   kernels) and once forced onto the checked compiled plan
+   ([Blocking.run_cfg ~checked:true]) — and the reference sweep on both
+   benchmarks, and reports cells/s. Results land in
+   BENCH_throughput.json so the speedups are machine-checkable, and the
+   run *fails* if the streaming path drops below [streaming_floor] over
+   the checked plan on any blocked case, if its f32/f64 split drops
+   below [split_floor], or if a gated stencil silently dispatches to the
+   generic streaming kernel instead of its specialized one. *)
 
 open An5d_core
 
@@ -34,58 +34,53 @@ let time_run f =
   in
   go 1
 
-(* The bigarray-over-compiled floor on the gated blocked cases. Quick
-   mode runs tiny grids where fixed per-block overheads dominate and
-   timing noise is large, so CI gates a relaxed floor; the committed
+(* The streaming-over-checked-compiled floor on every blocked case, both
+   precisions: the sliding window, the unchecked flat-buffer access and
+   the fused/chunked kernels together are what the production path buys
+   over its fallback, so the gate catches any of them regressing. Quick
+   mode's tiny grids leave little to amortize and timing noise is
+   large, so CI only requires parity there; the committed
    BENCH_throughput.json is produced in full mode against the real
-   one. *)
-let bigarray_floor () = if !Exp_common.quick then 1.1 else 1.5
+   floor. *)
+let streaming_floor () = if !Exp_common.quick then 1.0 else 2.5
 
-(* The streaming-over-bigarray floor on the blocked cases, both
-   precisions. The sliding window removes the per-plane plane-pointer
-   refill and the per-term double indirection; the fused/chunked
-   kernels are what the reuse buys, so the gate catches either layer
-   regressing. Quick mode's tiny grids leave little for the window to
-   amortize, so CI only requires parity there. *)
-let streaming_floor () = if !Exp_common.quick then 1.0 else 1.3
-
-(* Floor on the per-case f32-over-f64 bigarray split. An F32 grid moves
-   half the bytes, but the simulator's compute is double-precision
-   either way and f32 pays a quantization fixup pass per plane, so the
-   split hovers around 1.0 rather than 2.0; the gate catches the
-   quantization path regressing into the per-cell reload stall again
-   (docs/SIMULATOR.md), which showed up as a ~0.8x split. Quick mode is
-   far noisier on its tiny grids. *)
+(* Floor on the per-case f32-over-f64 split of the streaming path. An
+   F32 grid moves half the bytes, but the simulator's compute is
+   double-precision either way and f32 pays a quantization fixup pass
+   per plane, so the split hovers around 1.0 rather than 2.0; the gate
+   catches the quantization path regressing into the per-cell reload
+   stall again (docs/SIMULATOR.md), which showed up as a ~0.8x split.
+   Quick mode is far noisier on its tiny grids. *)
 let split_floor () = if !Exp_common.quick then 0.40 else 0.75
+
+type kind =
+  | Blocked of (checked:bool -> unit)
+      (** gated: streaming floor, split pairing, no generic dispatch *)
+  | Reference of (unit -> unit)
 
 type case = {
   label : string;
   base : string;  (** benchmark name, for pairing the f32/f64 split *)
   prec : Stencil.Grid.precision;
-  gated : bool;  (** enforce the bigarray-over-compiled floor *)
-  sgated : bool;
-      (** enforce the streaming-over-bigarray floor and the
-          specialized-kernel dispatch (no silent generic fallback) *)
   kernel : string;  (** streaming kernel shape the lowering dispatches to *)
   dims : int array;
   steps : int;
   cells : int;  (** interior cells updated per run: volume x steps *)
-  run : Blocking.impl -> unit;
+  kind : kind;
 }
 
-(* Per-case measurements, in impl order closure/compiled/bigarray/streaming. *)
-type measured = {
-  case : case;
-  closure : float;
-  compiled : float;
-  bigarray : float;
-  streaming : float;
-}
+(* Per-case cells/s: [fast] is the streaming path of a blocked case or
+   the sweep of a reference case; [checked] is the checked compiled
+   plan, blocked cases only. *)
+type measured = { case : case; fast : float; checked : float option }
 
 let interior_volume dims rad =
   Array.fold_left (fun acc d -> acc * (d - (2 * rad))) 1 dims
 
-let blocked_case ?(prec = Stencil.Grid.F64) ?(gated = false) b cfg dims steps =
+let kernel_of p =
+  Stencil.Sexpr.kernel_shape_name (Stencil.Pattern.lower p).Stencil.Sexpr.low_kernel
+
+let blocked_case ?(prec = Stencil.Grid.F64) b cfg dims steps =
   let p = b.Bench_defs.Benchmarks.pattern in
   let em = Execmodel.make p cfg dims in
   let g = Stencil.Grid.init_random ~prec dims in
@@ -96,47 +91,30 @@ let blocked_case ?(prec = Stencil.Grid.F64) ?(gated = false) b cfg dims steps =
     label = b.Bench_defs.Benchmarks.name ^ " blocked" ^ suffix;
     base = b.Bench_defs.Benchmarks.name;
     prec;
-    gated;
-    sgated = true;
-    kernel =
-      Stencil.Sexpr.kernel_shape_name
-        (Stencil.Pattern.lower p).Stencil.Sexpr.low_kernel;
+    kernel = kernel_of p;
     dims;
     steps;
     cells = interior_volume dims p.Stencil.Pattern.radius * steps;
-    run =
-      (fun impl ->
-        let machine = Gpu.Machine.create Gpu.Device.v100 in
-        ignore
-          (Blocking.run_cfg
-             (Run_config.with_impl impl !Exp_common.run_config)
-             em ~machine ~steps g));
+    kind =
+      Blocked
+        (fun ~checked ->
+          let machine = Gpu.Machine.create Gpu.Device.v100 in
+          ignore
+            (Blocking.run_cfg ~checked !Exp_common.run_config em ~machine ~steps g));
   }
 
 let reference_case b dims steps =
   let p = b.Bench_defs.Benchmarks.pattern in
   let g = Stencil.Grid.init_random dims in
-  let impl_of = function
-    | Blocking.Compiled -> Stencil.Reference.Compiled
-    | Blocking.Closure -> Stencil.Reference.Closure
-    (* The reference has no sliding-window variant; [Streaming] times
-       its bigarray path so the column stays comparable. *)
-    | Blocking.Bigarray | Blocking.Streaming -> Stencil.Reference.Bigarray
-  in
   {
     label = b.Bench_defs.Benchmarks.name ^ " reference";
     base = b.Bench_defs.Benchmarks.name;
     prec = Stencil.Grid.F64;
-    gated = false;
-    sgated = false;
-    kernel =
-      Stencil.Sexpr.kernel_shape_name
-        (Stencil.Pattern.lower p).Stencil.Sexpr.low_kernel;
+    kernel = kernel_of p;
     dims;
     steps;
     cells = interior_volume dims p.Stencil.Pattern.radius * steps;
-    run =
-      (fun impl -> ignore (Stencil.Reference.run ~impl:(impl_of impl) p ~steps g));
+    kind = Reference (fun () -> ignore (Stencil.Reference.run p ~steps g));
   }
 
 let cases () =
@@ -147,155 +125,138 @@ let cases () =
   let cfg2 = Config.make ~bt:4 ~bs:[| 64 |] () in
   let cfg3 = Config.make ~bt:2 ~bs:[| 16; 16 |] () in
   [
-    blocked_case ~gated:true j2d cfg2 d2 8;
-    blocked_case ~gated:true j3d cfg3 d3 4;
+    blocked_case j2d cfg2 d2 8;
+    blocked_case j3d cfg3 d3 4;
     blocked_case ~prec:Stencil.Grid.F32 j2d cfg2 d2 8;
     blocked_case ~prec:Stencil.Grid.F32 j3d cfg3 d3 4;
     reference_case j2d d2 4;
     reference_case j3d d3 2;
   ]
 
-(* The f32-vs-f64 bigarray throughput split on the blocked pairs: with
+let is_blocked m = match m.case.kind with Blocked _ -> true | Reference _ -> false
+
+(* The f32-vs-f64 streaming throughput split on the blocked pairs: with
    genuine 32-bit storage, the f32 variant moves half the bytes. *)
 let split_of results =
   List.filter_map
     (fun m ->
-      if m.case.gated then
+      if is_blocked m && m.case.prec = Stencil.Grid.F64 then
         List.find_map
           (fun m32 ->
-            if
-              m32.case.base = m.case.base
-              && m32.case.prec = Stencil.Grid.F32
-              && m32.case.label <> m.case.label
-            then Some (m.case.base, m.bigarray, m32.bigarray)
+            if is_blocked m32 && m32.case.base = m.case.base
+               && m32.case.prec = Stencil.Grid.F32
+            then Some (m.case.base, m.fast, m32.fast)
             else None)
           results
       else None)
     results
 
-let json_of_results results =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"quick\": %b,\n  \"bigarray_floor\": %.2f,\n\
-       \  \"streaming_floor\": %.2f,\n  \"split_floor\": %.2f,\n\
-       \  \"gc_space_overhead\": %s,\n\
-       \  \"cases\": [\n"
-       !Exp_common.quick (bigarray_floor ()) (streaming_floor ())
-       (split_floor ())
-       (match !Exp_common.run_config.Run_config.gc_space_overhead with
-       | None -> "null"
-       | Some o -> string_of_int o));
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"dims\": [%s], \"steps\": %d, \"prec\": %S,\n\
-           \     \"kernel\": %S,\n\
-           \     \"closure_cells_per_s\": %.6e, \"compiled_cells_per_s\": %.6e,\n\
-           \     \"bigarray_cells_per_s\": %.6e, \"streaming_cells_per_s\": %.6e,\n\
-           \     \"speedup\": %.3f, \"speedup_bigarray_over_compiled\": %.3f,\n\
-           \     \"speedup_streaming_over_bigarray\": %.3f}%s\n"
-           m.case.label
-           (String.concat ", " (Array.to_list (Array.map string_of_int m.case.dims)))
-           m.case.steps
-           (Stencil.Grid.precision_to_string m.case.prec)
-           m.case.kernel m.closure m.compiled m.bigarray m.streaming
-           (m.compiled /. m.closure)
-           (m.bigarray /. m.compiled)
-           (m.streaming /. m.bigarray)
-           (if i = List.length results - 1 then "" else ","));
-    )
-    results;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"bigarray_f32_vs_f64\": [\n";
-  let split = split_of results in
-  List.iteri
-    (fun i (name, b64, b32) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"f64_cells_per_s\": %.6e, \"f32_cells_per_s\": %.6e, \
-            \"f32_over_f64\": %.3f}%s\n"
-           name b64 b32 (b32 /. b64)
-           (if i = List.length split - 1 then "" else ",")))
-    split;
-  Buffer.add_string buf "  ],\n";
-  (* Embed the metrics registry snapshot so the JSON records how much
-     simulated work produced these numbers (kernel launches, chunks,
-     global-memory traffic, per-shape streaming_dispatch_* counts)
-     alongside the cells/s themselves. *)
-  Buffer.add_string buf
-    (Printf.sprintf "  \"metrics\": %s\n"
-       (Obs.Export.metrics_json (Obs.Metrics.snapshot ())));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+let case_json m =
+  let c = m.case in
+  let rates =
+    match m.checked with
+    | Some compiled ->
+        Printf.sprintf
+          "\"streaming_cells_per_s\": %.6e, \"compiled_cells_per_s\": %.6e,\n\
+          \     \"speedup_streaming_over_compiled\": %.3f"
+          m.fast compiled (m.fast /. compiled)
+    | None -> Printf.sprintf "\"reference_cells_per_s\": %.6e" m.fast
+  in
+  Printf.sprintf
+    "    {\"name\": %S, \"dims\": [%s], \"steps\": %d, \"prec\": %S,\n\
+    \     \"kernel\": %S,\n\
+    \     %s}"
+    c.label
+    (String.concat ", " (Array.to_list (Array.map string_of_int c.dims)))
+    c.steps
+    (Stencil.Grid.precision_to_string c.prec)
+    c.kernel rates
 
-(* The machine-checked acceptance gates: blocked f64 cases must show
-   the bigarray path at least [bigarray_floor] times the compiled path,
-   every blocked case the streaming path at least [streaming_floor]
-   times the bigarray path on a *specialized* (non-generic) kernel, and
-   each blocked pair's f32 variant at least [split_floor] times its f64
-   throughput on the bigarray path. *)
+let json_of_results results =
+  let split =
+    List.map
+      (fun (name, s64, s32) ->
+        Printf.sprintf
+          "    {\"name\": %S, \"f64_cells_per_s\": %.6e, \"f32_cells_per_s\": %.6e, \
+           \"f32_over_f64\": %.3f}"
+          name s64 s32 (s32 /. s64))
+      (split_of results)
+  in
+  (* The metrics registry snapshot records how much simulated work
+     produced these numbers (kernel launches, chunks, global-memory
+     traffic, per-shape streaming_dispatch_* counts) alongside the
+     cells/s themselves. *)
+  Printf.sprintf
+    "{\n\
+    \  \"quick\": %b,\n\
+    \  \"streaming_floor\": %.2f,\n\
+    \  \"split_floor\": %.2f,\n\
+    \  \"gc_space_overhead\": %s,\n\
+    \  \"cases\": [\n%s\n  ],\n\
+    \  \"streaming_f32_vs_f64\": [\n%s\n  ],\n\
+    \  \"metrics\": %s\n\
+     }\n"
+    !Exp_common.quick (streaming_floor ()) (split_floor ())
+    (match !Exp_common.run_config.Run_config.gc_space_overhead with
+    | None -> "null"
+    | Some o -> string_of_int o)
+    (String.concat ",\n" (List.map case_json results))
+    (String.concat ",\n" split)
+    (Obs.Export.metrics_json (Obs.Metrics.snapshot ()))
+
+(* The machine-checked acceptance gates: every blocked case must run a
+   *specialized* (non-generic) streaming kernel at least
+   [streaming_floor] times the checked compiled plan, and each blocked
+   pair's f32 variant at least [split_floor] times its f64 throughput
+   on the streaming path. *)
 let enforce_floor results =
-  let floor = bigarray_floor () in
-  List.iter
-    (fun m ->
-      if m.case.gated then begin
-        let ratio = m.bigarray /. m.compiled in
-        if ratio < floor then
-          failwith
-            (Printf.sprintf
-               "throughput floor violated: %s bigarray/compiled = %.2fx < %.2fx"
-               m.case.label ratio floor)
-      end)
-    results;
   let sfloor = streaming_floor () in
   List.iter
     (fun m ->
-      if m.case.sgated then begin
-        (* A gated stencil regressing to the generic kernel means the
-           lowering lost its linear form — that must fail loudly, not
-           just run slower. *)
-        if m.case.kernel = "generic" then
-          failwith
-            (Printf.sprintf
-               "streaming dispatch violated: %s fell back to the generic kernel"
-               m.case.label);
-        let ratio = m.streaming /. m.bigarray in
-        if ratio < sfloor then
-          failwith
-            (Printf.sprintf
-               "throughput floor violated: %s streaming/bigarray = %.2fx < %.2fx"
-               m.case.label ratio sfloor)
-      end)
+      match m.checked with
+      | None -> ()
+      | Some compiled ->
+          (* A gated stencil regressing to the generic kernel means the
+             lowering lost its linear form — that must fail loudly, not
+             just run slower. *)
+          if m.case.kernel = "generic" then
+            failwith
+              (Printf.sprintf
+                 "streaming dispatch violated: %s fell back to the generic kernel"
+                 m.case.label);
+          let ratio = m.fast /. compiled in
+          if ratio < sfloor then
+            failwith
+              (Printf.sprintf
+                 "throughput floor violated: %s streaming/compiled = %.2fx < %.2fx"
+                 m.case.label ratio sfloor))
     results;
   let pfloor = split_floor () in
   List.iter
-    (fun (name, b64, b32) ->
-      let ratio = b32 /. b64 in
+    (fun (name, s64, s32) ->
+      let ratio = s32 /. s64 in
       if ratio < pfloor then
         failwith
           (Printf.sprintf
-             "f32/f64 split floor violated: %s bigarray f32/f64 = %.2fx < %.2fx"
+             "f32/f64 split floor violated: %s streaming f32/f64 = %.2fx < %.2fx"
              name ratio pfloor))
     (split_of results)
 
 let run () =
-  Output.section
-    "Throughput -- closure vs compiled vs bigarray vs streaming (cells/s)";
+  Output.section "Throughput -- streaming vs checked compiled plan vs reference (cells/s)";
   let results =
     List.map
       (fun c ->
-        let t_closure = time_run (fun () -> c.run Blocking.Closure) in
-        let t_compiled = time_run (fun () -> c.run Blocking.Compiled) in
-        let t_bigarray = time_run (fun () -> c.run Blocking.Bigarray) in
-        let t_streaming = time_run (fun () -> c.run Blocking.Streaming) in
         let cps t = float c.cells /. t in
-        { case = c; closure = cps t_closure; compiled = cps t_compiled;
-          bigarray = cps t_bigarray; streaming = cps t_streaming })
+        match c.kind with
+        | Blocked run ->
+            let fast = cps (time_run (fun () -> run ~checked:false)) in
+            let checked = cps (time_run (fun () -> run ~checked:true)) in
+            { case = c; fast; checked = Some checked }
+        | Reference run -> { case = c; fast = cps (time_run run); checked = None })
       (cases ())
   in
+  let rate = Printf.sprintf "%.2e" in
   let rows =
     List.map
       (fun m ->
@@ -303,27 +264,24 @@ let run () =
           m.case.label;
           Fmt.str "%a" Fmt.(array ~sep:(any "x") int) m.case.dims;
           m.case.kernel;
-          Printf.sprintf "%.2e" m.closure;
-          Printf.sprintf "%.2e" m.compiled;
-          Printf.sprintf "%.2e" m.bigarray;
-          Printf.sprintf "%.2e" m.streaming;
-          Printf.sprintf "%.2fx" (m.bigarray /. m.compiled);
-          Printf.sprintf "%.2fx" (m.streaming /. m.bigarray);
+          rate m.fast;
+          (match m.checked with Some c -> rate c | None -> "-");
+          (match m.checked with
+          | Some c -> Printf.sprintf "%.2fx" (m.fast /. c)
+          | None -> "-");
         ])
       results
   in
   Output.table
-    ~header:
-      [ "run"; "grid"; "kernel"; "closure c/s"; "compiled c/s"; "bigarray c/s";
-        "streaming c/s"; "ba/comp"; "stream/ba" ]
+    ~header:[ "run"; "grid"; "kernel"; "cells/s"; "compiled c/s"; "stream/comp" ]
     ~rows;
   List.iter
-    (fun (name, b64, b32) ->
-      Fmt.pr "bigarray f32/f64 split %s: %.2fx@." name (b32 /. b64))
+    (fun (name, s64, s32) ->
+      Fmt.pr "streaming f32/f64 split %s: %.2fx@." name (s32 /. s64))
     (split_of results);
-  let json = json_of_results results in
   let written =
-    Output.write_bench_json ~quick:!Exp_common.quick "BENCH_throughput.json" json
+    Output.write_bench_json ~quick:!Exp_common.quick "BENCH_throughput.json"
+      (json_of_results results)
   in
   Printf.printf "\nWrote %s\n" written;
   enforce_floor results

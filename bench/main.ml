@@ -23,7 +23,7 @@ let experiments =
     ("verify", Exp_verify.run, "blocked executor vs CPU reference");
     ("validate", Exp_validate.run, "model totals vs simulator counters, exact");
     ("scaling", Exp_scaling.run, "multicore block-parallel executor scaling");
-    ("throughput", Exp_throughput.run, "closure vs compiled vs bigarray kernels, cells/s");
+    ("throughput", Exp_throughput.run, "streaming vs checked compiled plan vs reference, cells/s");
     ("serve", Exp_serve.run, "batch serving layer: cold vs warm vs coalesced");
     ("shard", Exp_shard.run, "halo-exchange sharding: cadence and pool throughput");
     ("micro", Micro.run, "bechamel micro-benchmarks");

@@ -57,8 +57,8 @@ let verbose_arg =
   let doc = "Enable debug logging of detection, tuning and simulation." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-(* The cross-cutting run flags ([--domains], [--mode], [--impl],
-   [--trace], [--metrics], [--no-verify]) assemble into one
+(* The cross-cutting run flags ([--domains], [--mode], [--trace],
+   [--metrics], [--no-verify]) assemble into one
    [Run_config.t]. The doc strings come from [Run_args] so the manpage
    matches [bench/main --help] — both front ends share one flag
    vocabulary. *)
@@ -67,23 +67,12 @@ let mode_conv =
     ( (fun s -> Result.map_error (fun e -> `Msg e) (Run_config.mode_of_string s)),
       fun ppf m -> Fmt.string ppf (Run_config.mode_to_string m) )
 
-let impl_conv =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (Run_config.impl_of_string s)),
-      fun ppf i -> Fmt.string ppf (Run_config.impl_to_string i) )
-
 let run_config_term =
   let mode =
     Arg.(
       value
       & opt mode_conv Run_config.default.Run_config.mode
       & info [ "mode" ] ~docv:"MODE" ~doc:Run_args.mode_doc)
-  in
-  let impl =
-    Arg.(
-      value
-      & opt impl_conv Run_config.default.Run_config.impl
-      & info [ "impl" ] ~docv:"IMPL" ~doc:Run_args.impl_doc)
   in
   let domains =
     Arg.(
@@ -117,14 +106,13 @@ let run_config_term =
       & opt (some int) None
       & info [ "gc-space-overhead" ] ~docv:"N" ~doc:Run_args.gc_space_overhead_doc)
   in
-  let build mode impl domains shards workers trace metrics no_verify
-      gc_space_overhead =
-    Run_config.make ~mode ~impl ~domains ~shards ~workers
-      ~verify:(not no_verify) ~trace ~metrics ~gc_space_overhead ()
+  let build mode domains shards workers trace metrics no_verify gc_space_overhead =
+    Run_config.make ~mode ~domains ~shards ~workers ~verify:(not no_verify) ~trace
+      ~metrics ~gc_space_overhead ()
   in
   Term.(
-    const build $ mode $ impl $ domains $ shards $ workers $ trace $ metrics
-    $ no_verify $ gc_space_overhead)
+    const build $ mode $ domains $ shards $ workers $ trace $ metrics $ no_verify
+    $ gc_space_overhead)
 
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());

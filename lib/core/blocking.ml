@@ -16,16 +16,17 @@
     around the update, so boundary sub-planes propagate through the
     register pipeline without global memory re-loads.
 
-    Three implementations share the per-call {!Plan}: [Compiled] (the
-    default) drives the inner loops off the plan's flat tables with
-    analytic bulk counter updates; [Bigarray] additionally runs the
-    plan's unsafe-indexed monomorphic fast path ({!Plan.execute_block})
-    over the flat grid buffers where it applies, falling back to the
-    compiled path elsewhere; [Closure] is the legacy per-cell closure
-    path. The differential test suite proves them bit-identical — same
-    grids, field-for-field equal counters — in both execution modes.
-    The numerics are also bit-compared against {!Stencil.Reference},
-    and the traffic counters asserted against the §5 formulas. *)
+    Every kernel call runs off the per-call {!Plan}. Where
+    {!Plan.unsafe_capable} admits the plan ([Direct] mode, flat
+    weighted-sum form) the sliding-window {!Stream_exec} kernels run it;
+    everywhere else — [Partial_sums] and non-linear forms — the checked
+    compiled path below does, driving the inner loops off the plan's
+    flat tables with analytic bulk counter updates. The two are
+    bit-identical — same grids, field-for-field equal counters — and the
+    compiled path doubles as the oracle the differential tests force
+    with [~checked:true]. The numerics are also bit-compared against
+    {!Stencil.Reference}, and the traffic counters asserted against the
+    §5 formulas. *)
 
 (** How CALC evaluates the update:
     - [Direct]: the expression as written (bit-identical to the
@@ -39,14 +40,6 @@
     request API); re-exported here so executor call sites keep reading
     [Blocking.Direct]. *)
 type exec_mode = Run_config.exec_mode = Direct | Partial_sums
-
-(** Which executor implementation runs the kernel: the table-driven
-    [Compiled] plan path (default), the unsafe-indexed [Bigarray] fast
-    path, the sliding-window [Streaming] register-reuse path
-    ({!Stream_exec}) with shape-specialized fused kernels, or the legacy
-    per-cell [Closure] path they are all differentially tested against.
-    Re-export of {!Run_config.impl}. *)
-type impl = Run_config.impl = Compiled | Closure | Bigarray | Streaming
 
 type launch_stats = {
   n_tb : int;  (** thread blocks per kernel call (spatial) *)
@@ -75,12 +68,13 @@ let make_geometry = Plan.make_geometry
 let neighbor_thread = Plan.neighbor_thread
 
 (* ------------------------------------------------------------------ *)
-(* Per-block state shared by the implementations                       *)
+(* Per-block state shared by both executors                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Block-local scratch (spatial-block origin, per-thread membership
    flags, the fixed register file) lives in {!Plan} next to the unsafe
-   executor it also serves; aliased here for the local executors. *)
+   contract {!Stream_exec} also relies on; aliased here for the
+   compiled path. *)
 type block_state = Plan.block_state = {
   sb : int;  (** stream-block index *)
   gcoords : int array array;
@@ -96,138 +90,16 @@ type block_state = Plan.block_state = {
 let make_block_state = Plan.make_block_state
 
 (* ------------------------------------------------------------------ *)
-(* Legacy per-cell closure implementation                              *)
+(* The checked compiled path                                          *)
 (* ------------------------------------------------------------------ *)
 
-let closure_block (plan : Plan.t) ~mode ~degree:b ~(src : Stencil.Grid.t)
-    ~(dst : Stencil.Grid.t) ctx =
-  let geo = plan.Plan.geo in
-  let nb = plan.Plan.nb in
-  let n_thr = plan.Plan.n_thr in
-  let rad = plan.Plan.rad in
-  let p = plan.Plan.p in
-  let l = plan.Plan.l in
-  let slot j = ((j mod p) + p) mod p in
-  let round = Stencil.Grid.round_to_prec plan.Plan.prec in
-  let update = plan.Plan.update in
-  let partial = match mode with Direct -> None | Partial_sums -> plan.Plan.partial in
-  let ops = plan.Plan.ops in
-  let sm_writes_per_cell = plan.Plan.sm_writes_per_cell in
-  let sm_reads_per_cell = plan.Plan.sm_reads_per_cell in
-  let machine = ctx.Gpu.Machine.machine in
-  let counters = machine.Gpu.Machine.counters in
-  let idx_buf = Array.make (nb + 1) 0 in
-  let st = make_block_state plan ~degree:b ctx.Gpu.Machine.block_id in
-  let { gcoords; in_grid; inplane_interior; reg_file; _ } = st in
-  let s0, s1 = Execmodel.stream_range plan.Plan.em st.sb in
-  let load_plane i =
-    let dst_plane = reg_file.(0).(slot i) in
-    for t = 0 to n_thr - 1 do
-      if in_grid.(t) then begin
-        let g = gcoords.(t) in
-        idx_buf.(0) <- i;
-        for d = 0 to nb - 1 do
-          idx_buf.(d + 1) <- g.(d)
-        done;
-        dst_plane.(t) <- Gpu.Machine.gm_read machine src idx_buf
-      end
-      else dst_plane.(t) <- 0.0
-    done
-  in
-  let compute_plane tstep j =
-    let dst_plane = reg_file.(tstep).(slot j) in
-    let src_planes = reg_file.(tstep - 1) in
-    let stream_boundary = j < rad || j >= l - rad in
-    (* Shared memory protocol: every thread (including out-of-bound
-       ones, §5) stores its register value(s) to the tile; one barrier
-       with double buffering, two without (§4.2). *)
-    counters.Gpu.Counters.sm_writes <-
-      counters.Gpu.Counters.sm_writes + (n_thr * sm_writes_per_cell);
-    counters.Gpu.Counters.barriers <-
-      counters.Gpu.Counters.barriers
-      + (if plan.Plan.em.Execmodel.config.Config.double_buffer then 1 else 2);
-    for t = 0 to n_thr - 1 do
-      if (not stream_boundary) && inplane_interior.(t) then begin
-        (* Interior cell: genuine stencil update. *)
-        let read off =
-          src_planes.(slot (j + off.(0))).(neighbor_thread geo t off)
-        in
-        let value =
-          match partial with
-          | None -> update read
-          | Some (groups, post) ->
-              (* accumulate per-plane partial sums in ascending plane
-                 order, as the streaming CALC macros do *)
-              post
-                (List.fold_left
-                   (fun acc (_, group) -> acc +. round (group read))
-                   0.0 groups)
-        in
-        dst_plane.(t) <- round value;
-        Gpu.Counters.add_ops counters ops;
-        counters.Gpu.Counters.cells_updated <- counters.Gpu.Counters.cells_updated + 1;
-        counters.Gpu.Counters.sm_reads <-
-          counters.Gpu.Counters.sm_reads + sm_reads_per_cell
-      end
-      else begin
-        (* Halo/boundary/out-of-bound: overwrite with the previous
-           time-step's value (§4.1) — keeps boundary sub-planes flowing
-           through registers. *)
-        dst_plane.(t) <- src_planes.(slot j).(t);
-        if in_grid.(t) then
-          counters.Gpu.Counters.sm_reads <-
-            counters.Gpu.Counters.sm_reads + sm_reads_per_cell
-      end
-    done
-  in
-  let halo_w = plan.Plan.halo_w and compute_w = plan.Plan.compute_w in
-  let store_plane j =
-    let src_plane = reg_file.(b).(slot j) in
-    for t = 0 to n_thr - 1 do
-      if in_grid.(t) then begin
-        (* Only the compute region stores (block-local coordinate at
-           distance >= halo from the block edge). *)
-        let in_compute = ref true in
-        for d = 0 to nb - 1 do
-          let u = geo.coords.(t).(d) in
-          if u < halo_w || u >= halo_w + compute_w.(d) then in_compute := false
-        done;
-        if !in_compute then begin
-          let g = gcoords.(t) in
-          idx_buf.(0) <- j;
-          for d = 0 to nb - 1 do
-            idx_buf.(d + 1) <- g.(d)
-          done;
-          Gpu.Machine.gm_write machine dst idx_buf src_plane.(t)
-        end
-      end
-    done
-  in
-  let load_lo = s0 - (b * rad) and load_hi = s1 - 1 + (b * rad) in
-  for i = load_lo to load_hi do
-    if i >= 0 && i < l then load_plane i;
-    for tstep = 1 to b do
-      let j = i - (tstep * rad) in
-      let lo = s0 - ((b - tstep) * rad) and hi = s1 - 1 + ((b - tstep) * rad) in
-      if j >= lo && j <= hi && j >= 0 && j < l then begin
-        compute_plane tstep j;
-        if tstep = b && j >= s0 && j < s1 then store_plane j
-      end
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Compiled (table-driven) implementation                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Same schedule, same arithmetic, same totals as [closure_block] — but
-   the inner loops index the plan's flat tables instead of calling
-   closures over offset arrays, plane accesses go through unchecked
-   linear reads at precomputed base offsets, and the counters advance in
-   per-plane bulk increments (per-thread membership counts are
-   block-level constants, so a plane's traffic is known analytically).
-   Bit-identity and counter equality are proven by the differential
-   tests. *)
+(* The checked path: the inner loops index the plan's flat tables,
+   plane accesses go through the grid's bounds-checked linear accessors
+   at precomputed base offsets, and the counters advance in per-plane
+   bulk increments (per-thread membership counts are block-level
+   constants, so a plane's traffic is known analytically). Bit-identity
+   with {!Stream_exec} and counter equality are proven by the
+   differential tests. *)
 let compiled_block (plan : Plan.t) ~mode ~degree:b ~(src : Stencil.Grid.t)
     ~(dst : Stencil.Grid.t) ctx =
   let n_thr = plan.Plan.n_thr in
@@ -279,7 +151,7 @@ let compiled_block (plan : Plan.t) ~mode ~degree:b ~(src : Stencil.Grid.t)
     Gpu.Counters.add_sm_writes counters sm_writes_per_plane;
     Gpu.Counters.add_barriers counters barriers_per_plane;
     (* Every in-grid thread reads its column from the tile, interior or
-       not — same per-cell count on both branches of the closure path. *)
+       not. *)
     Gpu.Counters.add_sm_reads counters (sm_reads_per_cell * st.n_in_grid);
     if j < rad || j >= l - rad then begin
       (* Stream-boundary plane: every thread propagates the previous
@@ -410,7 +282,7 @@ let m_chunks_executed = Obs.Metrics.counter "chunks_executed"
    — docs/OBSERVABILITY.md lists the names. *)
 let m_streaming_fallback = Obs.Metrics.counter "streaming_dispatch_fallback"
 
-let kernel_call ?(mode = Direct) ?(impl = Compiled) ?pool (em : Execmodel.t)
+let kernel_call ?(mode = Direct) ?(checked = false) ?pool (em : Execmodel.t)
     ~(machine : Gpu.Machine.t) ~degree:b ~(src : Stencil.Grid.t)
     ~(dst : Stencil.Grid.t) =
   if
@@ -430,31 +302,22 @@ let kernel_call ?(mode = Direct) ?(impl = Compiled) ?pool (em : Execmodel.t)
       (Gpu.Machine.Launch_failure
          (Fmt.str "AN5D kernel needs %d registers per thread, limit is %d"
             plan.Plan.regs machine.Gpu.Machine.device.Gpu.Device.max_regs_per_thread));
+  (* The sliding-window path wherever the capability gate admits the
+     plan; the checked compiled path — bit-identical by construction —
+     everywhere else, or for every call when the caller asks for the
+     oracle. The dispatch is recorded per kernel shape so the bench and
+     CI can prove a gated stencil really took its specialized kernel. *)
   let block =
-    match impl with
-    | Compiled -> compiled_block plan ~mode ~degree:b ~src ~dst
-    | Closure -> closure_block plan ~mode ~degree:b ~src ~dst
-    | Bigarray ->
-        (* Unsafe monomorphic fast path where the plan supports it
-           (Direct mode, flat weighted-sum form); the checked compiled
-           path — bit-identical by construction — everywhere else. *)
-        if Plan.unsafe_capable plan ~mode then
-          Plan.execute_block plan ~degree:b ~src ~dst
-        else compiled_block plan ~mode ~degree:b ~src ~dst
-    | Streaming ->
-        (* Sliding-window register-reuse path, same capability gate as
-           [Bigarray]. The dispatch is recorded per kernel shape so the
-           bench and CI can prove a gated stencil really took its
-           specialized kernel. *)
-        if Plan.unsafe_capable plan ~mode then begin
-          Obs.Metrics.incr
-            (Obs.Metrics.counter ("streaming_dispatch_" ^ Plan.kernel_name plan));
-          Stream_exec.execute_block plan ~degree:b ~src ~dst
-        end
-        else begin
-          Obs.Metrics.incr m_streaming_fallback;
-          compiled_block plan ~mode ~degree:b ~src ~dst
-        end
+    if checked then compiled_block plan ~mode ~degree:b ~src ~dst
+    else if Plan.unsafe_capable plan ~mode then begin
+      Obs.Metrics.incr
+        (Obs.Metrics.counter ("streaming_dispatch_" ^ Plan.kernel_name plan));
+      Stream_exec.execute_block plan ~degree:b ~src ~dst
+    end
+    else begin
+      Obs.Metrics.incr m_streaming_fallback;
+      compiled_block plan ~mode ~degree:b ~src ~dst
+    end
   in
   let n_blocks = plan.Plan.n_sb * plan.Plan.spatial_blocks in
   Obs.Trace.with_span "kernel"
@@ -478,14 +341,14 @@ let kernel_call ?(mode = Direct) ?(impl = Compiled) ?pool (em : Execmodel.t)
     owned plane stays bit-correct until the next refresh.
 
     Result grids are bit-identical to the resident path in both modes
-    and all implementations (differentially fuzzed in
-    test/test_shard.ml). Counters are the merge of the per-shard
-    machines: for [shards = 1] they equal the resident run's exactly;
-    for [shards > 1] they are deterministic and impl-invariant but
-    include the redundant ghost-zone compute the decomposition trades
-    for fewer synchronizations. [stats] reports the per-chunk stream
-    blocks summed over shards and [kernel_calls = chunks * shards]. *)
-let run_sharded ?pool (cfg : Run_config.t) (em : Execmodel.t)
+    (differentially fuzzed in test/test_shard.ml). Counters are the
+    merge of the per-shard machines: for [shards = 1] they equal the
+    resident run's exactly; for [shards > 1] they are deterministic,
+    equal on the streaming and checked paths, but include the redundant
+    ghost-zone compute the decomposition trades for fewer
+    synchronizations. [stats] reports the per-chunk stream blocks summed
+    over shards and [kernel_calls = chunks * shards]. *)
+let run_sharded ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
     ~(machine : Gpu.Machine.t) ~steps (g : Stencil.Grid.t) =
   if g.Stencil.Grid.dims <> em.Execmodel.dims then
     invalid_arg "Blocking.run: grid dims do not match execution model";
@@ -494,7 +357,7 @@ let run_sharded ?pool (cfg : Run_config.t) (em : Execmodel.t)
   let bt = em.Execmodel.config.Config.bt in
   let decomp = Shard.make ~shards ~halo:(bt * rad) ~l:em.Execmodel.dims.(0) in
   let chunks = Execmodel.time_chunks ~bt ~it:steps in
-  let mode = cfg.Run_config.mode and impl = cfg.Run_config.impl in
+  let mode = cfg.Run_config.mode in
   (* Per-shard execution models over the extended subranges; extents of
      equal length share compiled plans through the process-wide memo
      cache. *)
@@ -514,8 +377,8 @@ let run_sharded ?pool (cfg : Run_config.t) (em : Execmodel.t)
           machine.Gpu.Machine.device)
   in
   let advance ~shard ~degree ~src ~dst =
-    kernel_call ~mode ~impl ems.(shard) ~machine:machines.(shard) ~degree ~src
-      ~dst
+    kernel_call ~mode ?checked ems.(shard) ~machine:machines.(shard) ~degree
+      ~src ~dst
   in
   let execute pool = Shard.run ?pool decomp ~chunks ~grid:g ~advance in
   let result =
@@ -559,21 +422,22 @@ let run_sharded ?pool (cfg : Run_config.t) (em : Execmodel.t)
     copies of [g], matching the double-buffered host initialization of
     the C pattern.
 
-    The unified-API entrypoint: [cfg] carries mode, impl and domains
+    The unified-API entrypoint: [cfg] carries mode, domains and shards
     ([cfg.verify]/[cfg.trace]/[cfg.metrics] are the caller's concern —
     this layer only executes). [cfg.domains > 1] fans the independent
     thread blocks of every kernel call out over that many domains (one
     pool, reused across the calls); passing an existing [pool] instead
     reuses it and takes precedence. Output grids and counters are
-    bit-identical to the sequential run in both execution modes and
-    both implementations. *)
-let run_cfg ?pool (cfg : Run_config.t) (em : Execmodel.t)
+    bit-identical to the sequential run in both execution modes, on the
+    streaming and the [checked] path alike. *)
+let run_cfg ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
     ~(machine : Gpu.Machine.t) ~steps (g : Stencil.Grid.t) =
-  if cfg.Run_config.shards <> 1 then run_sharded ?pool cfg em ~machine ~steps g
+  if cfg.Run_config.shards <> 1 then
+    run_sharded ?pool ?checked cfg em ~machine ~steps g
   else begin
   if g.Stencil.Grid.dims <> em.Execmodel.dims then
     invalid_arg "Blocking.run: grid dims do not match execution model";
-  let mode = cfg.Run_config.mode and impl = cfg.Run_config.impl in
+  let mode = cfg.Run_config.mode in
   let chunks = Execmodel.time_chunks ~bt:em.Execmodel.config.Config.bt ~it:steps in
   let a = Stencil.Grid.copy g and b = Stencil.Grid.copy g in
   let cur = ref a and nxt = ref b in
@@ -582,7 +446,8 @@ let run_cfg ?pool (cfg : Run_config.t) (em : Execmodel.t)
       (fun degree ->
         Obs.Trace.with_span "chunk" ~attrs:[ ("degree", Obs.Trace.Int degree) ]
           (fun () ->
-            kernel_call ~mode ~impl ?pool em ~machine ~degree ~src:!cur ~dst:!nxt);
+            kernel_call ~mode ?checked ?pool em ~machine ~degree ~src:!cur
+              ~dst:!nxt);
         Obs.Metrics.incr m_chunks_executed;
         let t = !cur in
         cur := !nxt;

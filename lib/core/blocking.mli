@@ -11,9 +11,12 @@
     the previous value instead of branching (§4.1).
 
     Kernel calls run off a memoized {!Plan} (compiled once per
-    [(pattern, config, dims, precision, degree)]) through one of two
-    implementations proven bit-identical by the differential test
-    suite. Numerics are also bit-compared against {!Stencil.Reference}
+    [(pattern, config, dims, precision, degree)]). The executor follows
+    from the plan: the sliding-window {!Stream_exec} kernels wherever
+    {!Plan.unsafe_capable} holds, the checked compiled path for
+    [Partial_sums] and non-linear forms. The two are proven
+    bit-identical — grids and counters — by the differential test
+    suite; numerics are also bit-compared against {!Stencil.Reference}
     and the traffic counters against the §5 closed forms. *)
 
 (** How CALC evaluates the update: [Direct] (the expression as written;
@@ -25,22 +28,6 @@
     to [Direct] for non-associative expressions. Canonically defined in
     {!Run_config}; re-exported here for executor call sites. *)
 type exec_mode = Run_config.exec_mode = Direct | Partial_sums
-
-(** Which executor implementation runs the kernel: [Compiled] (default)
-    drives the inner loops off the plan's flat tables — lowered
-    expression terms, neighbor-thread and store-mask tables, unchecked
-    linear plane access — with analytic per-plane bulk counter updates;
-    [Bigarray] runs the plan's unsafe-indexed monomorphic fast path
-    ({!Plan.execute_block}) over the flat grid buffers where it applies
-    (Direct mode, flat weighted-sum form) and the compiled path
-    elsewhere; [Streaming] is the sliding-window register-reuse path
-    ({!Stream_exec}) with shape-specialized fused kernels, under the
-    same capability gate (per-shape dispatch recorded in the
-    [streaming_dispatch_*] metrics); [Closure] is the legacy per-cell
-    closure path. Grids are bit-identical and counters field-for-field
-    equal between all four (differentially tested); they only differ in
-    speed. Re-export of {!Run_config.impl}. *)
-type impl = Run_config.impl = Compiled | Closure | Bigarray | Streaming
 
 (** Thread-block geometry: the mapping between flat thread ids and
     block-local coordinates along the blocked dimensions (defined in
@@ -72,7 +59,7 @@ val pp_launch_stats : Format.formatter -> launch_stats -> unit
 
 val kernel_call :
   ?mode:exec_mode ->
-  ?impl:impl ->
+  ?checked:bool ->
   ?pool:Gpu.Pool.t ->
   Execmodel.t ->
   machine:Gpu.Machine.t ->
@@ -83,15 +70,21 @@ val kernel_call :
 (** One temporal-blocking advancement of [degree] steps: reads [src],
     writes updated planes of [dst] (which must be pre-initialized with
     the boundary values, e.g. as a copy of the initial grid). The plan
-    is fetched from the memo cache (compiled on first use). A [pool]
-    fans the independent thread blocks out over its domains with
-    bit-identical results and counters.
+    is fetched from the memo cache (compiled on first use). The
+    sliding-window path runs wherever {!Plan.unsafe_capable} holds
+    (ticking [streaming_dispatch_<kernel>]), the checked compiled path
+    elsewhere (ticking [streaming_dispatch_fallback]); [checked]
+    (default [false]) forces the checked path without ticking either —
+    the bit-identical oracle for tests and the throughput bench. A
+    [pool] fans the independent thread blocks out over its domains
+    with bit-identical results and counters.
     @raise Gpu.Machine.Launch_failure when shared memory or registers
     exceed the device limits.
     @raise Invalid_argument when a grid does not match the model. *)
 
 val run_cfg :
   ?pool:Gpu.Pool.t ->
+  ?checked:bool ->
   Run_config.t ->
   Execmodel.t ->
   machine:Gpu.Machine.t ->
@@ -101,18 +94,22 @@ val run_cfg :
 (** Advance [steps] time-steps, chunked per §4.3's host logic; both
     internal buffers start as copies of the input (the double-buffered
     host initialization of the C pattern). All chunks of the run share
-    one memoized plan. The config's [mode], [impl], [domains] and
-    [shards] fields drive the executor ([verify]/[trace]/[metrics] are
-    the caller's concern). [domains > 1] runs the thread blocks of
-    every kernel call in parallel on a pool reused across the calls
-    (default: sequential); an explicit [pool] is reused instead and
-    takes precedence. Parallel runs are bit-identical to sequential
-    ones — same grids, same counters — in both execution modes and
-    both implementations. [shards <> 1] dispatches to {!run_sharded}.
+    one memoized plan. The config's [mode], [domains] and [shards]
+    fields drive the executor ([verify]/[trace]/[metrics] are the
+    caller's concern). [domains > 1] runs the thread blocks of every
+    kernel call in parallel on a pool reused across the calls (default:
+    sequential); an explicit [pool] is reused instead and takes
+    precedence. Parallel runs are bit-identical to sequential ones —
+    same grids, same counters — in both execution modes. [shards <> 1]
+    dispatches to {!run_sharded}. [checked] (default [false]) forces
+    the checked compiled path on every kernel call ({!kernel_call}); it
+    is an internal oracle switch for tests and benches, deliberately
+    not a {!Run_config} field.
     @raise Invalid_argument when the grid does not match the model. *)
 
 val run_sharded :
   ?pool:Gpu.Pool.t ->
+  ?checked:bool ->
   Run_config.t ->
   Execmodel.t ->
   machine:Gpu.Machine.t ->
@@ -129,13 +126,13 @@ val run_sharded :
     traffic scales as [steps / bt], not [steps].
 
     Result grids are bit-identical to {!run_cfg}'s resident path in
-    both modes and all implementations. Counters merge the per-shard
+    both modes. Counters merge the per-shard
     machines: with [shards = 1] they equal the resident run's
     field-for-field (the schedule degenerates to it exactly — the
     differential fuzz in test/test_shard.ml pins both claims); with
     [shards > 1] they additionally count the redundant ghost-zone
     compute traded for fewer synchronizations, deterministically and
-    impl-invariantly. [stats] sums per-chunk stream blocks over shards
+    equally on the streaming and [checked] paths. [stats] sums per-chunk stream blocks over shards
     and reports [kernel_calls = chunks * shards]. Normally reached via
     {!run_cfg}'s dispatch; exposed so tests and benches can force the
     shard machinery at [shards = 1].

@@ -108,9 +108,7 @@ type outcome = {
     CALC evaluation strategy (partial sums reassociate, so verification
     then reports a small nonzero error, as the real artifact does).
     [domains > 1] executes the independent thread blocks of each kernel
-    call in parallel, bit-identically to the sequential run. [impl]
-    selects the executor implementation (default: the compiled plan
-    path; [Closure] is the bit-identical legacy path). *)
+    call in parallel, bit-identically to the sequential run. *)
 let g_verify_deviation = Obs.Metrics.gauge "simulate_max_abs_deviation"
 
 let simulate_cfg ?(cfg = Run_config.default) ~device ~steps job grid =

@@ -66,8 +66,7 @@ val simulate_cfg :
     (§A.6); with [cfg.mode = Partial_sums] verification reports the
     small reassociation error the real artifact also sees;
     [cfg.domains > 1] runs the thread blocks of each kernel call in
-    parallel (results are bit-identical either way); [cfg.impl]
-    selects the executor implementation. [cfg.trace]/[cfg.metrics] are
+    parallel (results are bit-identical either way). [cfg.trace]/[cfg.metrics] are
     not acted on here — wrap the call in {!Run_config.with_obs} for
     that (the CLI does).
     @raise Invalid_argument when the grid does not match the job. *)

@@ -252,7 +252,7 @@ let kernel_call ?pool (sys : Stencil.System.t) (cfg : Config.t)
     [cfg.bt]; returns the final grids and launch statistics. The system
     is compiled once for the whole run (all chunks share one
     [prepared]). Of the {!Run_config} only [domains] matters to the
-    prototype ([mode]/[impl] have a single implementation here);
+    prototype ([mode] has a single implementation here);
     [domains > 1] runs thread blocks in parallel (one pool reused
     across the kernel calls), bit-identically to the sequential
     path. *)

@@ -20,9 +20,10 @@
     with [reg_limit] stripped from the config, since the register cap
     affects occupancy and spilling but not the executed schedule — so
     the chunks of one run, repeated runs, and the tuner's reg-limit
-    variants all share one compilation. Every plan-path evaluation is
-    bit-identical to the legacy closure path; the differential test
-    suite proves it. *)
+    variants all share one compilation. The two executors that run a
+    plan — {!Stream_exec} and the checked compiled path in {!Blocking} —
+    are bit-identical to each other and, in [Direct] mode, to
+    {!Stencil.Reference}; the differential test suite proves it. *)
 
 (* ------------------------------------------------------------------ *)
 (* Thread-block geometry                                               *)
@@ -92,10 +93,6 @@ type t = {
   t_plane2 : int array;  (** slot of the folded mirror read, [-1] unpaired *)
   t_nbr2 : int array array;  (** mirror neighbor rows; [[||]] when unpaired *)
   low : Stencil.Sexpr.lowered;
-  (* the legacy closure path, hoisted here so it too compiles once *)
-  update : (int array -> float) -> float;
-  partial :
-    ((int * ((int array -> float) -> float)) list * (float -> float)) option;
   (* per-cell traffic constants *)
   ops : Stencil.Sexpr.ops;
   sm_writes_per_cell : int;
@@ -184,11 +181,6 @@ let build (em : Execmodel.t) ~degree:b ~prec =
     t_plane2;
     t_nbr2;
     low;
-    update = Stencil.Pattern.compile pattern;
-    partial =
-      Stencil.Sexpr.compile_partial_sums
-        ~param:(Stencil.Pattern.param_value pattern)
-        pattern.Stencil.Pattern.expr;
     ops = Stencil.Pattern.ops_per_cell pattern;
     sm_writes_per_cell = Execmodel.smem_writes_per_cell em;
     sm_reads_per_cell = Execmodel.smem_reads_practical em;
@@ -211,7 +203,7 @@ let build (em : Execmodel.t) ~degree:b ~prec =
    per-thread global coordinates and membership flags, and the fixed
    register file. Blocks can run on different domains without sharing
    state; dst stores of distinct blocks are disjoint by construction.
-   Shared by every executor implementation ({!Blocking} re-exports). *)
+   Shared by both executors ({!Blocking} re-exports). *)
 type block_state = {
   sb : int;  (** stream-block index *)
   gcoords : int array array;
@@ -293,12 +285,12 @@ let make_block_state (plan : t) ~degree:b block_id =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Unsafe-indexed block executor (the [Bigarray] impl fast path)       *)
+(* The unsafe contract of the streaming path                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Whether {!execute_block} can run this plan: the unsafe fast path
-   covers the flat weighted-sum linear form in [Direct] mode — exactly
-   the shape of every paper benchmark. Everything else (partial-sums
+(* Whether the unsafe sliding-window path ({!Stream_exec}) can run this
+   plan: it covers the flat weighted-sum linear form in [Direct] mode —
+   exactly the shape of every paper benchmark. Everything else (partial-sums
    dataflow, non-linear expressions) takes the checked compiled path in
    {!Blocking}, which is bit-identical by construction. *)
 let unsafe_capable (plan : t) ~(mode : Run_config.exec_mode) =
@@ -331,7 +323,7 @@ let kernel_name (plan : t) =
    radius and neighbor ids are clamped), which the raise documents. *)
 let validate_unsafe_contract (plan : t) (lf : Stencil.Sexpr.linear_form)
     (st : block_state) =
-  let fail what = invalid_arg ("Plan.execute_block: " ^ what) in
+  let fail what = invalid_arg ("Plan.validate_unsafe_contract: " ^ what) in
   let n_off = plan.n_off and n_thr = plan.n_thr and p = plan.p in
   Array.iter
     (fun k -> if k < 0 || k >= n_off then fail "term offset index out of range")
@@ -382,8 +374,8 @@ let validate_unsafe_contract (plan : t) (lf : Stencil.Sexpr.linear_form)
    by the contract above) and [0 <= i < l] at every call site, so
    [base t + i*stride0] is in [0, size). Loads land in
    [reg_file.(0).(i mod p)], stores read [reg_file.(degree).(j mod p)];
-   counters tick the per-plane global-memory traffic. Shared by
-   {!execute_block} and the sliding-window {!Stream_exec}. *)
+   counters tick the per-plane global-memory traffic. Used by the
+   sliding-window {!Stream_exec}. *)
 let plane_io (plan : t) ~degree:b ~(src : Stencil.Grid.t) ~(dst : Stencil.Grid.t)
     (st : block_state) counters =
   let n_thr = plan.n_thr in
@@ -434,160 +426,7 @@ let plane_io (plan : t) ~degree:b ~(src : Stencil.Grid.t) ~(dst : Stencil.Grid.t
                 (Array.unsafe_get src_plane t)
           done;
           Gpu.Counters.add_gm_writes counters st.n_store )
-  | _ -> invalid_arg "Plan.execute_block: src/dst precision mismatch"
-
-(* The [Bigarray] implementation of one thread block: the same schedule,
-   arithmetic order and bulk counter updates as [Blocking.compiled_block]
-   (bit-identity and counter equality are proven by test/test_storage.ml
-   and test/test_plan.ml), but the hot loops are monomorphic by
-   precision — the grid buffer constructor is matched once per block —
-   and walk precomputed linear offsets with
-   [Bigarray.Array1.unsafe_get/unsafe_set] under the contract validated
-   above. F32 stores quantize through a one-element f32 scratch cell
-   (hardware double->single->double, bit-identical to
-   [Grid.round_to_prec F32]) instead of a per-cell closure call. *)
-let execute_block (plan : t) ~degree:b ~(src : Stencil.Grid.t)
-    ~(dst : Stencil.Grid.t) ctx =
-  let n_thr = plan.n_thr in
-  let rad = plan.rad in
-  let p = plan.p in
-  let l = plan.l in
-  let n_off = plan.n_off in
-  let plane_e = plan.plane_e in
-  let nbr = plan.nbr in
-  let lf =
-    match plan.low.Stencil.Sexpr.low_linear with
-    | Some lf -> lf
-    | None -> invalid_arg "Plan.execute_block: expression has no linear form"
-  in
-  let lt_off = lf.Stencil.Sexpr.lt_off in
-  let lt_off2 = lf.Stencil.Sexpr.lt_off2 in
-  let lt_coef = lf.Stencil.Sexpr.lt_coef in
-  let lt_scaled = lf.Stencil.Sexpr.lt_scaled in
-  let n_terms = Array.length lt_off in
-  let has_div, div =
-    match lf.Stencil.Sexpr.lt_post with
-    | Stencil.Sexpr.Post_none -> (false, 1.0)
-    | Stencil.Sexpr.Post_div d -> (true, d)
-  in
-  let ops = plan.ops in
-  let sm_writes_per_plane = n_thr * plan.sm_writes_per_cell in
-  let sm_reads_per_cell = plan.sm_reads_per_cell in
-  let barriers_per_plane =
-    if plan.em.Execmodel.config.Config.double_buffer then 1 else 2
-  in
-  let counters = ctx.Gpu.Machine.machine.Gpu.Machine.counters in
-  let st = make_block_state plan ~degree:b ctx.Gpu.Machine.block_id in
-  let { inplane_interior; reg_file; _ } = st in
-  validate_unsafe_contract plan lf st;
-  let s0, s1 = Execmodel.stream_range plan.em st.sb in
-  let plane_ptr = Array.make p reg_file.(0).(0) in
-  let is_f32 = plan.prec = Stencil.Grid.F32 in
-  (* Whole-plane f32 quantization scratch: interior values land here
-     first and are read back after the thread loop. Batching keeps the
-     hardware double->single->double round-trip (bit-identical to
-     [Grid.round_to_prec F32]) off the per-cell dependency chain, where
-     the immediate store->load reload stalled the 2D stencils whose
-     per-cell flop count is too small to hide it. *)
-  let q32 =
-    Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
-      (if is_f32 then n_thr else 1)
-  in
-  let load_plane, store_plane = plane_io plan ~degree:b ~src ~dst st counters in
-  (* Register-file compute plane: grid-free (float arrays only). Unsafe
-     register indexing is covered by the validated contract: [t < n_thr]
-     bounds every per-thread array, [plane_e]/[nbr]/[lt_off] entries are
-     range-checked above, and [row + k <= (n_thr-1)*n_off + (n_off-1)]
-     stays inside the [n_thr*n_off] neighbor table. *)
-  let compute_plane tstep j =
-    let dst_plane = reg_file.(tstep).(j mod p) in
-    let src_planes = reg_file.(tstep - 1) in
-    Gpu.Counters.add_sm_writes counters sm_writes_per_plane;
-    Gpu.Counters.add_barriers counters barriers_per_plane;
-    Gpu.Counters.add_sm_reads counters (sm_reads_per_cell * st.n_in_grid);
-    if j < rad || j >= l - rad then
-      (* Stream-boundary plane: propagate the previous time-step (§4.1). *)
-      Array.blit src_planes.(j mod p) 0 dst_plane 0 n_thr
-    else begin
-      let sb0 = (j - rad + p) mod p in
-      for e = 0 to p - 1 do
-        let s = sb0 + e in
-        plane_ptr.(e) <- src_planes.(if s >= p then s - p else s)
-      done;
-      let src_center = plane_ptr.(rad) in
-      for t = 0 to n_thr - 1 do
-        if Array.unsafe_get inplane_interior t then begin
-          let row = t * n_off in
-          let k0 = Array.unsafe_get lt_off 0 in
-          let v0 =
-            Array.unsafe_get
-              (Array.unsafe_get plane_ptr (Array.unsafe_get plane_e k0))
-              (Array.unsafe_get nbr (row + k0))
-          in
-          let k2 = Array.unsafe_get lt_off2 0 in
-          let v0 =
-            if k2 >= 0 then
-              v0
-              +. Array.unsafe_get
-                   (Array.unsafe_get plane_ptr (Array.unsafe_get plane_e k2))
-                   (Array.unsafe_get nbr (row + k2))
-            else v0
-          in
-          let acc =
-            ref
-              (if Array.unsafe_get lt_scaled 0 then
-                 Array.unsafe_get lt_coef 0 *. v0
-               else v0)
-          in
-          for q = 1 to n_terms - 1 do
-            let k = Array.unsafe_get lt_off q in
-            let v =
-              Array.unsafe_get
-                (Array.unsafe_get plane_ptr (Array.unsafe_get plane_e k))
-                (Array.unsafe_get nbr (row + k))
-            in
-            let k2 = Array.unsafe_get lt_off2 q in
-            let v =
-              if k2 >= 0 then
-                v
-                +. Array.unsafe_get
-                     (Array.unsafe_get plane_ptr (Array.unsafe_get plane_e k2))
-                     (Array.unsafe_get nbr (row + k2))
-              else v
-            in
-            acc :=
-              !acc
-              +.
-              if Array.unsafe_get lt_scaled q then Array.unsafe_get lt_coef q *. v
-              else v
-          done;
-          let value = if has_div then !acc /. div else !acc in
-          if is_f32 then Bigarray.Array1.unsafe_set q32 t value
-          else Array.unsafe_set dst_plane t value
-        end
-        else Array.unsafe_set dst_plane t (Array.unsafe_get src_center t)
-      done;
-      if is_f32 then
-        for t = 0 to n_thr - 1 do
-          if Array.unsafe_get inplane_interior t then
-            Array.unsafe_set dst_plane t (Bigarray.Array1.unsafe_get q32 t)
-        done;
-      Gpu.Counters.add_ops_n counters ops st.n_interior;
-      Gpu.Counters.add_cells_updated counters st.n_interior
-    end
-  in
-  let load_lo = s0 - (b * rad) and load_hi = s1 - 1 + (b * rad) in
-  for i = load_lo to load_hi do
-    if i >= 0 && i < l then load_plane i;
-    for tstep = 1 to b do
-      let j = i - (tstep * rad) in
-      let lo = s0 - ((b - tstep) * rad) and hi = s1 - 1 + ((b - tstep) * rad) in
-      if j >= lo && j <= hi && j >= 0 && j < l then begin
-        compute_plane tstep j;
-        if tstep = b && j >= s0 && j < s1 then store_plane j
-      end
-    done
-  done
+  | _ -> invalid_arg "Plan.plane_io: src/dst precision mismatch"
 
 (* ------------------------------------------------------------------ *)
 (* Memoization                                                         *)

@@ -8,9 +8,9 @@
     tables, row-major grid strides for unchecked linear plane access,
     and the launch/resource/traffic constants. The compiled executors
     ({!Blocking}, {!Stencil.Reference}) drive their inner loops off
-    these arrays; the differential test suite proves the results
-    bit-identical (and the counters field-for-field equal) to the
-    legacy closure path. *)
+    these arrays; the differential test suite proves the sliding-window
+    {!Stream_exec} path and the checked compiled path bit-identical
+    (and their counters field-for-field equal). *)
 
 (** Thread-block geometry: the mapping between flat thread ids and
     block-local coordinates along the blocked dimensions (re-exported
@@ -52,10 +52,6 @@ type t = {
   t_nbr2 : int array array;
       (** mirror neighbor rows of folded pairs; [[||]] when unpaired *)
   low : Stencil.Sexpr.lowered;
-  update : (int array -> float) -> float;
-      (** the legacy closure path, hoisted so it too compiles once *)
-  partial :
-    ((int * ((int array -> float) -> float)) list * (float -> float)) option;
   ops : Stencil.Sexpr.ops;
   sm_writes_per_cell : int;
   sm_reads_per_cell : int;
@@ -70,7 +66,7 @@ type t = {
   gstrides : int array;  (** row-major strides of the run grids *)
 }
 
-(** Block-local execution state shared by every executor implementation
+(** Block-local execution state shared by both executors
     (re-exported by {!Blocking}): the spatial-block origin, per-thread
     global coordinates and membership flags, per-thread in-plane linear
     base offsets, and the fixed register file. Blocks can run on
@@ -91,9 +87,10 @@ val make_block_state : t -> degree:int -> int -> block_state
 (** [make_block_state plan ~degree block_id]. *)
 
 val unsafe_capable : t -> mode:Run_config.exec_mode -> bool
-(** Whether {!execute_block} can run this plan: [Direct] mode and a flat
-    weighted-sum linear form (the shape of every paper benchmark). Other
-    plans take the checked compiled path in {!Blocking}. *)
+(** Whether the sliding-window {!Stream_exec} path can run this plan:
+    [Direct] mode and a flat weighted-sum linear form (the shape of
+    every paper benchmark). Other plans take the checked compiled path
+    in {!Blocking}. *)
 
 val kernel_name : t -> string
 (** Stable name of the streaming kernel this plan's lowering dispatches
@@ -129,26 +126,8 @@ val plane_io :
     [store_plane j] writes [reg_file.(degree).(j mod p)] back for
     storing threads and ticks the global-write counter. Callers must
     have validated the unsafe contract first and only pass
-    [0 <= i < l]. Shared by {!execute_block} and {!Stream_exec}.
+    [0 <= i < l]. Used by {!Stream_exec}.
     @raise Invalid_argument on a src/dst precision mismatch. *)
-
-val execute_block :
-  t ->
-  degree:int ->
-  src:Stencil.Grid.t ->
-  dst:Stencil.Grid.t ->
-  Gpu.Machine.block_ctx ->
-  unit
-(** The [Bigarray] implementation of one thread block: same schedule,
-    arithmetic order and counter totals as the compiled path, but with
-    monomorphic-by-precision inner loops over the flat grid buffers
-    using unchecked indexing. The unsafe-index contract (every table
-    entry in range, every in-grid base offset inside its plane — the
-    interior/boundary peeling invariant) is validated once per block
-    before any unchecked access and raises [Invalid_argument] on
-    violation instead of reading out of bounds. Requires
-    {!unsafe_capable}; raises [Invalid_argument] otherwise, or on a
-    src/dst precision mismatch. *)
 
 val get : Execmodel.t -> degree:int -> prec:Stencil.Grid.precision -> t
 (** The memoized plan for one kernel call. The cache key strips the

@@ -16,11 +16,6 @@ let workers_doc =
    1 to have an effect; grids and counters stay bit-identical to the \
    in-process run, see docs/SHARDING.md phase 2). 1 = in-process."
 
-let impl_doc =
-  "Executor implementation: compiled (default), closure, bigarray \
-   (unsafe-indexed fast path), or streaming (sliding-window register-reuse \
-   path with shape-specialized kernels)."
-
 let mode_doc = "CALC evaluation mode: direct (default) or partial-sums."
 
 let trace_doc =
@@ -72,7 +67,6 @@ let usage =
       "  --domains N     " ^ domains_doc;
       "  --shards N      " ^ shards_doc;
       "  --workers N     " ^ workers_doc;
-      "  --impl IMPL     " ^ impl_doc;
       "  --mode MODE     " ^ mode_doc;
       "  --trace FILE    " ^ trace_doc;
       "  --metrics       " ^ metrics_doc;
@@ -95,10 +89,6 @@ let parse ?(init = Run_config.default) args =
         match int_of_string_opt v with
         | Some w when w >= 1 -> go (Run_config.with_workers w cfg) rest tl
         | _ -> Error (Fmt.str "--workers expects a positive integer, got %s" v))
-    | "--impl" :: v :: tl -> (
-        match Run_config.impl_of_string v with
-        | Ok i -> go (Run_config.with_impl i cfg) rest tl
-        | Error e -> Error e)
     | "--mode" :: v :: tl -> (
         match Run_config.mode_of_string v with
         | Ok m -> go (Run_config.with_mode m cfg) rest tl
@@ -116,7 +106,7 @@ let parse ?(init = Run_config.default) args =
               (Fmt.str "--gc-space-overhead expects a positive integer, got %s" v))
     | [ flag ]
       when List.mem flag
-             [ "--domains"; "--shards"; "--workers"; "--impl"; "--mode"; "--trace";
+             [ "--domains"; "--shards"; "--workers"; "--mode"; "--trace";
                "--gc-space-overhead" ]
       ->
         Error (Fmt.str "%s expects an argument" flag)

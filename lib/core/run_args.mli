@@ -1,5 +1,5 @@
 (** Shared command-line handling for the cross-cutting run flags
-    ([--domains], [--shards], [--workers], [--impl], [--mode], [--trace],
+    ([--domains], [--shards], [--workers], [--mode], [--trace],
     [--metrics], [--no-verify], [--gc-space-overhead]) — one parser
     producing a {!Run_config.t}, used by both [bin/an5d] (behind its
     cmdliner terms) and [bench/main] (directly on its argv list), so
@@ -12,7 +12,6 @@ val parse :
     order. Recognized:
     [--domains N] (positive), [--shards N] (positive),
     [--workers N] (positive),
-    [--impl compiled|closure|bigarray|streaming],
     [--mode direct|partial-sums], [--trace FILE], [--metrics],
     [--no-verify], [--verify], [--gc-space-overhead N] (positive;
     applied by {!Run_config.with_obs}). Returns [Error] on a malformed
@@ -29,8 +28,6 @@ val domains_doc : string
 val shards_doc : string
 
 val workers_doc : string
-
-val impl_doc : string
 
 val mode_doc : string
 

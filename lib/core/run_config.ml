@@ -2,11 +2,8 @@
 
 type exec_mode = Direct | Partial_sums
 
-type impl = Compiled | Closure | Bigarray | Streaming
-
 type t = {
   mode : exec_mode;
-  impl : impl;
   domains : int;
   shards : int;
   workers : int;
@@ -17,20 +14,17 @@ type t = {
 }
 
 let default =
-  { mode = Direct; impl = Compiled; domains = 1; shards = 1; workers = 1;
-    verify = true; trace = None; metrics = false; gc_space_overhead = None }
+  { mode = Direct; domains = 1; shards = 1; workers = 1; verify = true;
+    trace = None; metrics = false; gc_space_overhead = None }
 
-let make ?(mode = default.mode) ?(impl = default.impl)
-    ?(domains = default.domains) ?(shards = default.shards)
-    ?(workers = default.workers) ?(verify = default.verify)
-    ?(trace = default.trace) ?(metrics = default.metrics)
+let make ?(mode = default.mode) ?(domains = default.domains)
+    ?(shards = default.shards) ?(workers = default.workers)
+    ?(verify = default.verify) ?(trace = default.trace)
+    ?(metrics = default.metrics)
     ?(gc_space_overhead = default.gc_space_overhead) () =
-  { mode; impl; domains; shards; workers; verify; trace; metrics;
-    gc_space_overhead }
+  { mode; domains; shards; workers; verify; trace; metrics; gc_space_overhead }
 
 let with_mode mode t = { t with mode }
-
-let with_impl impl t = { t with impl }
 
 let with_domains domains t = { t with domains }
 
@@ -53,30 +47,14 @@ let mode_of_string = function
   | "partial-sums" | "partial_sums" -> Ok Partial_sums
   | s -> Error (Fmt.str "unknown mode %s (expected direct or partial-sums)" s)
 
-let impl_to_string = function
-  | Compiled -> "compiled"
-  | Closure -> "closure"
-  | Bigarray -> "bigarray"
-  | Streaming -> "streaming"
-
-let impl_of_string = function
-  | "compiled" -> Ok Compiled
-  | "closure" -> Ok Closure
-  | "bigarray" -> Ok Bigarray
-  | "streaming" -> Ok Streaming
-  | s ->
-      Error
-        (Fmt.str "unknown impl %s (expected compiled, closure, bigarray or streaming)"
-           s)
-
 (* The semantic fields first, so [cache_key] is a prefix-style subset
    of [to_sexp] and both stay in sync by construction. [shards] is
    semantic — unlike [domains] — because a sharded outcome carries the
    per-shard launch statistics and merged counters, which differ from
    the resident run's even though the grids are bit-identical. *)
 let semantic_sexp t =
-  Fmt.str "(mode %s) (impl %s) (shards %d) (workers %d) (verify %b)"
-    (mode_to_string t.mode) (impl_to_string t.impl) t.shards t.workers t.verify
+  Fmt.str "(mode %s) (shards %d) (workers %d) (verify %b)"
+    (mode_to_string t.mode) t.shards t.workers t.verify
 
 let to_sexp t =
   Fmt.str "(run-config %s (domains %d) (trace %s) (metrics %b) (gc-space-overhead %s))"

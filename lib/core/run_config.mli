@@ -1,14 +1,14 @@
 (** The unified execution-request configuration — one record carrying
     every cross-cutting knob of a simulate/tune/compile run (CALC
-    evaluation mode, executor implementation, worker domains,
+    evaluation mode, worker domains, shards, worker processes,
     verification, trace sink, metrics flag).
 
-    Before this module the knobs sprawled as optional arguments
-    duplicated across {!Framework.simulate}, {!Blocking.run},
-    {!Multi_blocking.run}, [Tuner.tune], [bin/an5d] and [bench/main].
-    The [*_cfg] entrypoints of those modules now take a [Run_config.t];
-    the old optional-argument signatures remain as thin deprecated
-    wrappers (proven equivalent by [test/test_serve.ml]).
+    The [*_cfg] entrypoints ({!Blocking.run_cfg},
+    {!Framework.simulate_cfg}, {!Multi_blocking.run_cfg},
+    [Tuner.tune_cfg]) take a [Run_config.t] and are the only
+    entrypoints; [bin/an5d] and [bench/main] build one from their flags.
+    There is no executor knob: {!Blocking} picks the executor from the
+    plan it runs.
 
     A [Run_config.t] also renders to a stable s-expression
     ({!to_sexp}) and a semantic {!cache_key}, which is what makes the
@@ -21,22 +21,8 @@
     the real generated kernels. *)
 type exec_mode = Direct | Partial_sums
 
-(** Which executor implementation runs the kernels — canonical
-    definition, re-exported as {!Blocking.impl}. [Compiled] (default)
-    drives the inner loops off the memoized plan tables; [Closure] is
-    the bit-identical legacy per-cell path; [Bigarray] is the
-    unsafe-indexed monomorphic fast path over the flat grid buffers
-    ({!Plan.execute_block}), bit-identical again and gated by the
-    storage differential suite plus the BENCH_throughput floor;
-    [Streaming] is the sliding-window register-reuse executor
-    ({!Stream_exec}) with shape-specialized fused kernels, bit-identical
-    once more (grids and simulated counters) and gated by its own
-    differential suite plus a streaming-over-bigarray floor. *)
-type impl = Compiled | Closure | Bigarray | Streaming
-
 type t = {
   mode : exec_mode;
-  impl : impl;
   domains : int;  (** worker domains for block-parallel execution; 1 = sequential *)
   shards : int;
       (** halo-exchange domain decomposition along the streaming
@@ -68,13 +54,11 @@ type t = {
 }
 
 val default : t
-(** [Direct], [Compiled], 1 domain, 1 shard, verification on, no trace
-    sink, no metrics — exactly the historical defaults of the wrapped
-    optional arguments. *)
+(** [Direct], 1 domain, 1 shard, 1 worker, verification on, no trace
+    sink, no metrics, default GC pacing. *)
 
 val make :
   ?mode:exec_mode ->
-  ?impl:impl ->
   ?domains:int ->
   ?shards:int ->
   ?workers:int ->
@@ -90,8 +74,6 @@ val make :
     session default. *)
 
 val with_mode : exec_mode -> t -> t
-
-val with_impl : impl -> t -> t
 
 val with_domains : int -> t -> t
 
@@ -112,21 +94,15 @@ val mode_to_string : exec_mode -> string
 val mode_of_string : string -> (exec_mode, string) result
 (** ["direct"] and ["partial-sums"] (also ["partial_sums"]). *)
 
-val impl_to_string : impl -> string
-
-val impl_of_string : string -> (impl, string) result
-(** ["compiled"], ["closure"], ["bigarray"] and ["streaming"]. *)
-
 val to_sexp : t -> string
 (** Full stable rendering, e.g.
-    [(run-config (mode direct) (impl compiled) (shards 1) (workers 1)
-      (verify true) (domains 1) (trace ()) (metrics false)
-      (gc-space-overhead ()))]. *)
+    [(run-config (mode direct) (shards 1) (workers 1) (verify true)
+      (domains 1) (trace ()) (metrics false) (gc-space-overhead ()))]. *)
 
 val cache_key : t -> string
 (** The semantic part of {!to_sexp}: only the fields that can change a
-    served result or its execution placement — [mode], [impl],
-    [shards], [workers] and [verify]. [domains]
+    served result or its execution placement — [mode], [shards],
+    [workers] and [verify]. [domains]
     is excluded because parallel runs are proven bit-identical to
     sequential ones — grids {e and} counters; [shards] is included
     because a sharded outcome's launch statistics and merged counters

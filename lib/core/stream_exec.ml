@@ -1,4 +1,5 @@
-(** Sliding-window streaming executor — the [Streaming] impl.
+(** Sliding-window streaming executor — the production path of
+    {!Blocking.kernel_call}.
 
     AN5D's headline mechanism (§3–§4.2) is streaming-dimension register
     reuse: each loaded value shifts through a fixed register window so a
@@ -26,9 +27,9 @@
     ([t_plane]/[t_nbr]/[t_plane2]/[t_nbr2]) — one table per read instead
     of the [plane_e.(lt_off.(q))] / [nbr.(row + q)] double indirection.
 
-    Grids and simulated GPU counters are bit-identical to
-    {!Plan.execute_block} (and hence to every other impl): same
-    load/store/compute schedule, same left-to-right accumulation, same
+    Grids and simulated GPU counters are bit-identical to the checked
+    compiled path in {!Blocking}: same load/store/compute schedule, same
+    left-to-right accumulation, same
     bulk counter calls in the same order. Host-side register reuse is
     invisible to the modeled schedule, which is the correctness oracle —
     the differential suite (test/test_streaming.ml) proves it. *)
@@ -79,10 +80,10 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   Plan.validate_unsafe_contract plan lf st;
   let s0, s1 = Execmodel.stream_range plan.Plan.em st.Plan.sb in
   let is_f32 = plan.Plan.prec = Stencil.Grid.F32 in
-  (* Whole-plane f32 quantization scratch, exactly as in
-     [Plan.execute_block]: interior values land here first and are read
-     back after the kernel, keeping the double->single->double
-     round-trip off the per-cell dependency chain. *)
+  (* Whole-plane f32 quantization scratch: interior values land here
+     first and are read back after the kernel, keeping the hardware
+     double->single->double round-trip (bit-identical to
+     [Grid.round_to_prec F32]) off the per-cell dependency chain. *)
   let q32 =
     Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
       (if is_f32 then n_thr else 1)
@@ -94,7 +95,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
      kernel updates interior threads of one target plane (into [q32]
      for f32, [dst_plane] for f64) and copies the window center for
      non-interior threads. Accumulation is the same left-to-right chain
-     as every other impl, so bit-identical. *)
+     as the checked compiled path, so bit-identical. *)
   (* ---------------------------------------------------------------- *)
   let fused3 () =
     let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2) in
@@ -465,7 +466,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
       Gpu.Counters.add_cells_updated counters st.Plan.n_interior
     end
   in
-  (* The identical sweep schedule of every impl: load the incoming
+  (* The sweep schedule of the checked compiled path: load the incoming
      plane, run each lagged computational stream, store the deepest. *)
   let load_lo = s0 - (b * rad) and load_hi = s1 - 1 + (b * rad) in
   for i = load_lo to load_hi do

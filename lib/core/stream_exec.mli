@@ -1,4 +1,4 @@
-(** Sliding-window streaming executor — the [Streaming] impl behind
+(** Sliding-window streaming executor — the production path of
     {!Blocking.kernel_call}.
 
     The host-side realization of AN5D's streaming-dimension register
@@ -29,8 +29,9 @@
     the sweep; a malformed plan raises [Invalid_argument] there instead
     of reading out of bounds.
 
-    Grids {e and} simulated GPU counters are bit-identical to every
-    other impl: identical load/store/compute schedule, identical
+    Grids {e and} simulated GPU counters are bit-identical to the
+    checked compiled path in {!Blocking}: identical load/store/compute
+    schedule, identical
     left-to-right accumulation order, identical bulk counter calls in
     the same order (host-side register reuse is invisible to the
     modeled schedule). Proven by the differential suite in
@@ -44,8 +45,8 @@ val execute_block :
   dst:Stencil.Grid.t ->
   Gpu.Machine.block_ctx ->
   unit
-(** One thread block of the streaming implementation — same signature
-    and same observable behavior as {!Plan.execute_block}. Requires
+(** One thread block of the streaming path, with the same observable
+    behavior as the checked compiled path. Requires
     {!Plan.unsafe_capable}; raises [Invalid_argument] otherwise (no
     linear form), on a src/dst precision mismatch, or on a
     validate-then-unsafe contract violation. *)

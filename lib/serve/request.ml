@@ -168,7 +168,7 @@ let key_schema_digest =
 
 (* One shared encoding of the request spec over {!Json}, so worker
    frames and client payloads cannot drift from the line grammar: the
-   same fields, the same canonical spellings (mode/impl/prec strings,
+   same fields, the same canonical spellings (mode/prec strings,
    dims as arrays), round-tripped by test/test_workers.ml. *)
 
 let ( let* ) = Result.bind
@@ -203,7 +203,6 @@ let run_to_json (r : Run_config.t) =
   Json.Obj
     [
       ("mode", Json.Str (Run_config.mode_to_string r.Run_config.mode));
-      ("impl", Json.Str (Run_config.impl_to_string r.Run_config.impl));
       ("domains", Json.Int r.Run_config.domains);
       ("shards", Json.Int r.Run_config.shards);
       ("workers", Json.Int r.Run_config.workers);
@@ -215,12 +214,8 @@ let run_of_json j =
     Run_config.mode_of_string
       (Option.value (Json.str_field j "mode") ~default:"direct")
   in
-  let* impl =
-    Run_config.impl_of_string
-      (Option.value (Json.str_field j "impl") ~default:"compiled")
-  in
   Ok
-    (Run_config.make ~mode ~impl
+    (Run_config.make ~mode
        ~domains:(Option.value (Json.int_field j "domains") ~default:1)
        ~shards:(Option.value (Json.int_field j "shards") ~default:1)
        ~workers:(Option.value (Json.int_field j "workers") ~default:1)
@@ -396,9 +391,6 @@ let apply_opt o (k, v) =
   | "mode" ->
       let* m = Run_config.mode_of_string v in
       Ok { o with run = Run_config.with_mode m o.run }
-  | "impl" ->
-      let* i = Run_config.impl_of_string v in
-      Ok { o with run = Run_config.with_impl i o.run }
   | "shards" ->
       let* n = parse_int k v in
       if n >= 1 then Ok { o with run = Run_config.with_shards n o.run }

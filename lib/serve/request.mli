@@ -126,9 +126,9 @@ val kind : t -> string
     The request spec and run configuration over {!Json} — the encoding
     worker task descriptors ({!Workers}) ship over the versioned wire
     protocol, and the one clients receive in payloads. Shares the
-    canonical spellings of the line grammar (mode/impl/precision
-    strings, dims as arrays); round-tripping is pinned by
-    test/test_workers.ml. The [of_json] directions are total. *)
+    canonical spellings of the line grammar (mode/precision strings,
+    dims as arrays); round-tripping is pinned by test/test_workers.ml.
+    The [of_json] directions are total and ignore unknown fields. *)
 
 val config_to_json : Config.t -> Json.t
 
@@ -152,8 +152,7 @@ val of_line : string -> (t, string) result
     [simulate|tune|compile], STENCIL a benchmark name or C file path,
     and the options are [bt=4] [bs=32x16] [hs=256] [reg-limit=64]
     [dims=512x512] [prec=float|double] [device=v100|p100] [steps=100]
-    [seed=1] [k=5] [mode=direct|partial-sums] [impl=compiled|closure|bigarray]
-    [shards=N] [workers=N] [verify=true|false] [id=NAME]
+    [seed=1] [k=5] [mode=direct|partial-sums] [shards=N] [workers=N] [verify=true|false] [id=NAME]
     [deadline=SECONDS].
     Blank lines and [#] comments are the caller's concern. *)
 

@@ -176,7 +176,7 @@ let run_task ?chaos fd body =
     Array.init shards (fun _ ->
         Gpu.Machine.create ~prec:job.Framework.prec device)
   in
-  let mode = run.Run_config.mode and impl = run.Run_config.impl in
+  let mode = run.Run_config.mode in
   let advances = ref 0 in
   let advance ~shard ~degree ~src ~dst =
     (match chaos with
@@ -184,7 +184,7 @@ let run_task ?chaos fd body =
         incr advances;
         if !advances >= n then Unix._exit 9
     | _ -> ());
-    Blocking.kernel_call ~mode ~impl ems.(shard) ~machine:machines.(shard)
+    Blocking.kernel_call ~mode ems.(shard) ~machine:machines.(shard)
       ~degree ~src ~dst
   in
   let grid =
@@ -321,6 +321,12 @@ let try_spawn t i =
 
 let create ?(spawn = Fork) ?chaos ?(timeout = 30.0) ?(hello_timeout = 5.0) n =
   if n < 1 then invalid_arg "Workers.create: need at least one worker";
+  (* A worker dying mid-write must reach [Pipe.write_all] as [EPIPE] —
+     attributed, retried in-process — not as a SIGPIPE that kills the
+     parent. Set here, where the transport is born, so every entry mode
+     (socket, line-mode serve, batch, library callers) gets it. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   let t =
     {
       n;

@@ -57,7 +57,9 @@ val create :
     every later read from a worker. A worker that fails its handshake
     is counted crashed and left dead — {!simulate} re-attempts the
     spawn per request and falls back in-process while it keeps
-    failing.
+    failing. Sets the process-wide [SIGPIPE] disposition to ignore, so
+    a worker dying mid-write surfaces as an attributed transport
+    failure instead of killing the caller.
     @raise Invalid_argument when [n < 1]. *)
 
 val size : t -> int

@@ -6,16 +6,11 @@
     paper's artifact likewise verifies GPU output against CPU-only
     execution, §A.6).
 
-    Three sweep implementations produce bit-identical grids: [Compiled]
-    (default) walks the interior with linear indices and per-offset
-    linear deltas off the lowered expression ({!Pattern.lower}), through
-    bounds-checked monomorphic buffer access; [Bigarray] is the same
-    sweep with [Bigarray.Array1.unsafe_get/unsafe_set] once the peeling
-    invariant has been validated for the whole sweep (see below);
-    [Closure] is the legacy per-cell path through bounds-checked
-    multi-index reads. The differential tests compare all three. *)
-
-type impl = Compiled | Closure | Bigarray
+    One sweep implementation: the interior is walked with linear indices
+    and per-offset linear deltas off the lowered expression
+    ({!Pattern.lower}), in rows that are monomorphic by precision and
+    index the flat buffer without bounds checks, guarded by a
+    once-per-sweep proof of the peeling invariant (see [step_lowered]). *)
 
 (* One-entry lowering cache: verification loops call [step]/[run] many
    times with the same pattern value, and patterns are immutable, so
@@ -36,46 +31,28 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   if Array.length src.Grid.dims <> pattern.Pattern.dims then
     invalid_arg "Reference.step: grid rank does not match pattern"
 
-(* Legacy per-cell sweep: offset reads through bounds-checked
-   multi-index access, the update as a compiled closure. *)
-let step_closure pattern ~(src : Grid.t) ~(dst : Grid.t) =
-  let rad = pattern.Pattern.radius in
-  let update = Pattern.compile pattern in
-  let interior = Grid.interior ~rad src in
-  (* Copy first so halo cells are preserved; interior writes overwrite. *)
-  Grid.blit ~src ~dst;
-  let idx_buf = Array.make pattern.Pattern.dims 0 in
-  Poly.Box.iter
-    (fun idx ->
-      let read off =
-        Array.iteri (fun d i -> idx_buf.(d) <- i + off.(d)) idx;
-        Grid.get src idx_buf
-      in
-      Grid.set dst idx (update read))
-    interior
-
 (* Flat sweep: each stencil offset becomes one linear delta against the
    cell's row-major position, the interior is walked recursively with
    the innermost dimension contiguous, and the lowered expression is
    evaluated inline (flat weighted-sum terms when available, the indexed
-   closure otherwise). Reads the same values and performs the same
-   arithmetic in the same order as [step_closure], so bit-identical.
+   closure otherwise) — the same arithmetic in the same order as
+   {!Sexpr.compile} on the source expression, so bit-identical to it.
 
-   The inner rows are monomorphic per precision: the buffer constructor
+   The linear rows are monomorphic per precision: the buffer constructor
    is matched once per sweep, so inside each row the element kind is
    statically known and bigarray access compiles to direct loads.
 
-   [~unsafe:true] additionally switches the rows to unchecked indexing,
-   guarded by a once-per-sweep proof of the peeling invariant: every
-   interior linear position lies in [min_pos, max_pos] (strides are
-   positive and interior multi-indices are coordinate-wise between the
-   all-[rad] and all-[dim-rad-1] corners), so if [min_pos + delta] and
-   [max_pos + delta] are in range for every lowered offset, every
-   unsafe access of the sweep is in bounds. Boundary cells never enter
-   the sweep — they are blitted up front (checked path). If the proof
-   fails (it cannot for offsets within the pattern radius), the sweep
-   silently falls back to the checked rows. *)
-let step_lowered ~unsafe (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
+   Unchecked indexing is guarded by a once-per-sweep proof of the
+   peeling invariant: every interior linear position lies in
+   [min_pos, max_pos] (strides are positive and interior multi-indices
+   are coordinate-wise between the all-[rad] and all-[dim-rad-1]
+   corners), so if [min_pos + delta] and [max_pos + delta] are in range
+   for every lowered offset, every unchecked access of the sweep is in
+   bounds. Boundary cells never enter the sweep — they are blitted up
+   front. The proof cannot fail for offsets within the pattern radius;
+   if it does, the sweep raises instead of reading out of bounds (the
+   discipline of [Plan.validate_unsafe_contract]). *)
+let step_lowered (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
   let dims = src.Grid.dims in
   let strides = src.Grid.strides in
   let n = Array.length dims in
@@ -90,204 +67,141 @@ let step_lowered ~unsafe (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid
   in
   Grid.blit ~src ~dst;
   let last = dims.(n - 1) in
-  let interior_nonempty = Array.for_all (fun d -> d - (2 * rad) > 0) dims in
-  let unsafe_ok =
-    unsafe && interior_nonempty
-    &&
+  (* An empty interior sweeps nothing: every cell is boundary. *)
+  if Array.for_all (fun d -> d - (2 * rad) > 0) dims then begin
     let min_pos = ref 0 and max_pos = ref 0 in
     for d = 0 to n - 1 do
       min_pos := !min_pos + (rad * strides.(d));
       max_pos := !max_pos + ((dims.(d) - rad - 1) * strides.(d))
     done;
     let size = Grid.size src in
-    Array.for_all (fun dl -> !min_pos + dl >= 0 && !max_pos + dl < size) delta
-  in
-  let rec walk row d base =
-    if d = n - 1 then row base
-    else
-      for i = rad to dims.(d) - rad - 1 do
-        walk row (d + 1) (base + (i * strides.(d)))
-      done
-  in
-  match low.Sexpr.low_linear with
-  | Some lf ->
-      let lt_off = lf.Sexpr.lt_off in
-      let lt_off2 = lf.Sexpr.lt_off2 in
-      let lt_coef = lf.Sexpr.lt_coef in
-      let lt_scaled = lf.Sexpr.lt_scaled in
-      let n_terms = Array.length lt_off in
-      let has_div, div =
-        match lf.Sexpr.lt_post with
-        | Sexpr.Post_none -> (false, 1.0)
-        | Sexpr.Post_div dv -> (true, dv)
-      in
-      (* Folded-pair terms (lt_off2 >= 0) read the mirror cell and add it
-         before the optional scaling — same shape as the source tree. *)
-      let checked_row_f64 (s : Grid.f64buf) (d : Grid.f64buf) base =
-        for pos = base + rad to base + last - rad - 1 do
-          let k0 = lt_off.(0) in
-          let v0 = Bigarray.Array1.get s (pos + delta.(k0)) in
-          let k2 = lt_off2.(0) in
-          let v0 =
-            if k2 >= 0 then v0 +. Bigarray.Array1.get s (pos + delta.(k2)) else v0
-          in
-          let acc = ref (if lt_scaled.(0) then lt_coef.(0) *. v0 else v0) in
-          for q = 1 to n_terms - 1 do
-            let k = lt_off.(q) in
-            let v = Bigarray.Array1.get s (pos + delta.(k)) in
-            let k2 = lt_off2.(q) in
-            let v =
-              if k2 >= 0 then v +. Bigarray.Array1.get s (pos + delta.(k2)) else v
-            in
-            acc := !acc +. (if lt_scaled.(q) then lt_coef.(q) *. v else v)
-          done;
-          Bigarray.Array1.set d pos (if has_div then !acc /. div else !acc)
+    if not (Array.for_all (fun dl -> !min_pos + dl >= 0 && !max_pos + dl < size) delta)
+    then invalid_arg "Reference.step: a stencil offset leaves the grid from the interior";
+    let rec walk row d base =
+      if d = n - 1 then row base
+      else
+        for i = rad to dims.(d) - rad - 1 do
+          walk row (d + 1) (base + (i * strides.(d)))
         done
-      in
-      let checked_row_f32 (s : Grid.f32buf) (d : Grid.f32buf) base =
-        for pos = base + rad to base + last - rad - 1 do
-          let k0 = lt_off.(0) in
-          let v0 = Bigarray.Array1.get s (pos + delta.(k0)) in
-          let k2 = lt_off2.(0) in
-          let v0 =
-            if k2 >= 0 then v0 +. Bigarray.Array1.get s (pos + delta.(k2)) else v0
-          in
-          let acc = ref (if lt_scaled.(0) then lt_coef.(0) *. v0 else v0) in
-          for q = 1 to n_terms - 1 do
-            let k = lt_off.(q) in
-            let v = Bigarray.Array1.get s (pos + delta.(k)) in
-            let k2 = lt_off2.(q) in
-            let v =
-              if k2 >= 0 then v +. Bigarray.Array1.get s (pos + delta.(k2)) else v
-            in
-            acc := !acc +. (if lt_scaled.(q) then lt_coef.(q) *. v else v)
-          done;
-          Bigarray.Array1.set d pos (if has_div then !acc /. div else !acc)
-        done
-      in
-      let unsafe_row_f64 (s : Grid.f64buf) (d : Grid.f64buf) base =
-        for pos = base + rad to base + last - rad - 1 do
-          let k0 = Array.unsafe_get lt_off 0 in
-          let v0 = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k0) in
-          let k2 = Array.unsafe_get lt_off2 0 in
-          let v0 =
-            if k2 >= 0 then
-              v0 +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
-            else v0
-          in
-          let acc =
-            ref
-              (if Array.unsafe_get lt_scaled 0 then
-                 Array.unsafe_get lt_coef 0 *. v0
-               else v0)
-          in
-          for q = 1 to n_terms - 1 do
-            let k = Array.unsafe_get lt_off q in
-            let v = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k) in
-            let k2 = Array.unsafe_get lt_off2 q in
-            let v =
+    in
+    match low.Sexpr.low_linear with
+    | Some lf ->
+        let lt_off = lf.Sexpr.lt_off in
+        let lt_off2 = lf.Sexpr.lt_off2 in
+        let lt_coef = lf.Sexpr.lt_coef in
+        let lt_scaled = lf.Sexpr.lt_scaled in
+        let n_terms = Array.length lt_off in
+        let has_div, div =
+          match lf.Sexpr.lt_post with
+          | Sexpr.Post_none -> (false, 1.0)
+          | Sexpr.Post_div dv -> (true, dv)
+        in
+        (* Folded-pair terms (lt_off2 >= 0) read the mirror cell and add
+           it before the optional scaling — same shape as the source
+           tree. *)
+        let row_f64 (s : Grid.f64buf) (d : Grid.f64buf) base =
+          for pos = base + rad to base + last - rad - 1 do
+            let k0 = Array.unsafe_get lt_off 0 in
+            let v0 = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k0) in
+            let k2 = Array.unsafe_get lt_off2 0 in
+            let v0 =
               if k2 >= 0 then
-                v +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
-              else v
+                v0 +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
+              else v0
             in
-            acc :=
-              !acc
-              +. (if Array.unsafe_get lt_scaled q then Array.unsafe_get lt_coef q *. v
-                  else v)
-          done;
-          Bigarray.Array1.unsafe_set d pos (if has_div then !acc /. div else !acc)
-        done
-      in
-      let unsafe_row_f32 (s : Grid.f32buf) (d : Grid.f32buf) base =
-        for pos = base + rad to base + last - rad - 1 do
-          let k0 = Array.unsafe_get lt_off 0 in
-          let v0 = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k0) in
-          let k2 = Array.unsafe_get lt_off2 0 in
-          let v0 =
-            if k2 >= 0 then
-              v0 +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
-            else v0
-          in
-          let acc =
-            ref
-              (if Array.unsafe_get lt_scaled 0 then
-                 Array.unsafe_get lt_coef 0 *. v0
-               else v0)
-          in
-          for q = 1 to n_terms - 1 do
-            let k = Array.unsafe_get lt_off q in
-            let v = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k) in
-            let k2 = Array.unsafe_get lt_off2 q in
-            let v =
+            let acc =
+              ref
+                (if Array.unsafe_get lt_scaled 0 then
+                   Array.unsafe_get lt_coef 0 *. v0
+                 else v0)
+            in
+            for q = 1 to n_terms - 1 do
+              let k = Array.unsafe_get lt_off q in
+              let v = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k) in
+              let k2 = Array.unsafe_get lt_off2 q in
+              let v =
+                if k2 >= 0 then
+                  v +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
+                else v
+              in
+              acc :=
+                !acc
+                +. (if Array.unsafe_get lt_scaled q then Array.unsafe_get lt_coef q *. v
+                    else v)
+            done;
+            Bigarray.Array1.unsafe_set d pos (if has_div then !acc /. div else !acc)
+          done
+        in
+        let row_f32 (s : Grid.f32buf) (d : Grid.f32buf) base =
+          for pos = base + rad to base + last - rad - 1 do
+            let k0 = Array.unsafe_get lt_off 0 in
+            let v0 = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k0) in
+            let k2 = Array.unsafe_get lt_off2 0 in
+            let v0 =
               if k2 >= 0 then
-                v +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
-              else v
+                v0 +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
+              else v0
             in
-            acc :=
-              !acc
-              +. (if Array.unsafe_get lt_scaled q then Array.unsafe_get lt_coef q *. v
-                  else v)
-          done;
-          Bigarray.Array1.unsafe_set d pos (if has_div then !acc /. div else !acc)
-        done
-      in
-      (match (src.Grid.buf, dst.Grid.buf) with
-      | Grid.B64 s, Grid.B64 d ->
-          walk (if unsafe_ok then unsafe_row_f64 s d else checked_row_f64 s d) 0 0
-      | Grid.B32 s, Grid.B32 d ->
-          walk (if unsafe_ok then unsafe_row_f32 s d else checked_row_f32 s d) 0 0
-      | _ -> invalid_arg "Reference.step: src/dst precision mismatch")
-  | None ->
-      let eval = low.Sexpr.low_eval in
-      let pos_ref = ref 0 in
-      let read k = Grid.get_lin src (!pos_ref + delta.(k)) in
-      let row base =
-        for pos = base + rad to base + last - rad - 1 do
-          pos_ref := pos;
-          Grid.set_lin dst pos (eval read)
-        done
-      in
-      walk row 0 0
+            let acc =
+              ref
+                (if Array.unsafe_get lt_scaled 0 then
+                   Array.unsafe_get lt_coef 0 *. v0
+                 else v0)
+            in
+            for q = 1 to n_terms - 1 do
+              let k = Array.unsafe_get lt_off q in
+              let v = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k) in
+              let k2 = Array.unsafe_get lt_off2 q in
+              let v =
+                if k2 >= 0 then
+                  v +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
+                else v
+              in
+              acc :=
+                !acc
+                +. (if Array.unsafe_get lt_scaled q then Array.unsafe_get lt_coef q *. v
+                    else v)
+            done;
+            Bigarray.Array1.unsafe_set d pos (if has_div then !acc /. div else !acc)
+          done
+        in
+        (match (src.Grid.buf, dst.Grid.buf) with
+        | Grid.B64 s, Grid.B64 d -> walk (row_f64 s d) 0 0
+        | Grid.B32 s, Grid.B32 d -> walk (row_f32 s d) 0 0
+        | _ -> invalid_arg "Reference.step: src/dst precision mismatch")
+    | None ->
+        let eval = low.Sexpr.low_eval in
+        let pos_ref = ref 0 in
+        let read k = Grid.get_lin src (!pos_ref + delta.(k)) in
+        let row base =
+          for pos = base + rad to base + last - rad - 1 do
+            pos_ref := pos;
+            Grid.set_lin dst pos (eval read)
+          done
+        in
+        walk row 0 0
+  end
 
 (** Apply one time-step: reads [src], writes [dst]. Boundary cells (those
     whose neighborhood leaves the grid) are copied unchanged — they hold
     the boundary condition. *)
-let step ?(impl = Compiled) pattern ~(src : Grid.t) ~(dst : Grid.t) =
+let step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   check_step pattern ~src ~dst;
-  match impl with
-  | Closure -> step_closure pattern ~src ~dst
-  | Compiled ->
-      step_lowered ~unsafe:false (lowered_of pattern) ~rad:pattern.Pattern.radius
-        ~src ~dst
-  | Bigarray ->
-      step_lowered ~unsafe:true (lowered_of pattern) ~rad:pattern.Pattern.radius
-        ~src ~dst
+  step_lowered (lowered_of pattern) ~rad:pattern.Pattern.radius ~src ~dst
 
 (** Run [steps] time-steps starting from [g]; returns the final grid.
     Matches the C semantics: with double buffering the result of step [s]
     lands in buffer [s mod 2]; we return whichever buffer holds the final
     values. The lowering is hoisted out of the time loop. *)
-let run ?(impl = Compiled) pattern ~steps g =
+let run pattern ~steps g =
   if steps < 0 then invalid_arg "Reference.run: negative step count";
+  let low = lowered_of pattern and rad = pattern.Pattern.radius in
   let a = Grid.copy g in
   let b = Grid.copy g in
   let cur = ref a and nxt = ref b in
-  let do_step =
-    match impl with
-    | Closure ->
-        fun ~src ~dst ->
-          check_step pattern ~src ~dst;
-          step_closure pattern ~src ~dst
-    | Compiled | Bigarray ->
-        let unsafe = impl = Bigarray in
-        let low = lowered_of pattern in
-        let rad = pattern.Pattern.radius in
-        fun ~src ~dst ->
-          check_step pattern ~src ~dst;
-          step_lowered ~unsafe low ~rad ~src ~dst
-  in
   for _ = 1 to steps do
-    do_step ~src:!cur ~dst:!nxt;
+    check_step pattern ~src:!cur ~dst:!nxt;
+    step_lowered low ~rad ~src:!cur ~dst:!nxt;
     let t = !cur in
     cur := !nxt;
     nxt := t

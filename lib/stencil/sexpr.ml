@@ -249,33 +249,6 @@ let compile ~(param : string -> float) e : (int array -> float) -> float =
   in
   go e
 
-(** Compile the partial-summation evaluation of an associative
-    expression: per-plane compiled closures (ascending plane order) and
-    the numeric post-operation. The summation order — groups added in
-    ascending plane order — is exactly the order AN5D's generated CALC
-    macros accumulate partial sums as source sub-planes stream by
-    (§4.1), which differs from the source expression's order and hence
-    rounds differently; the artifact reports the same effect (§A.6). *)
-let compile_partial_sums ~(param : string -> float) e =
-  match partial_sums e with
-  | None -> None
-  | Some (groups, _post) ->
-      let post =
-        match e with
-        | Div (_, Param p) ->
-            let d = param p in
-            fun s -> s /. d
-        | Div (_, Const d) -> fun s -> s /. d
-        | Div (_, Coef o) ->
-            let d = coef_value o in
-            fun s -> s /. d
-        | _ -> Fun.id
-      in
-      let compiled =
-        List.map (fun (plane, g) -> (plane, compile ~param g)) groups
-      in
-      Some (compiled, post)
-
 (* ------------------------------------------------------------------ *)
 (* Flat lowering (the compiled-plan layer)                             *)
 (* ------------------------------------------------------------------ *)
@@ -387,7 +360,8 @@ let kernel_shape_name = function
     {!compile}, the flat linear form when the expression is a
     left-leaning weighted sum (with an optional invariant-divisor
     post-op), the streaming-kernel classification derived from it, and
-    the partial-summation groups mirroring {!compile_partial_sums}. *)
+    the per-plane groups of {!partial_sums} with their numeric
+    post-operation. *)
 type lowered = {
   low_offsets : int array array;
   low_eval : (int -> float) -> float;
@@ -488,7 +462,8 @@ let lower ~(param : string -> float) e =
     match partial_sums e with
     | None -> None
     | Some (groups, _sym_post) ->
-        (* the numeric post mirrors compile_partial_sums exactly *)
+        (* the numeric form of [partial_sums]'s symbolic post, with the
+           divisor resolved once *)
         let post =
           match e with
           | Div (_, Param p) ->

@@ -83,17 +83,6 @@ val compile : param:(string -> float) -> t -> (int array -> float) -> float
 (** Compile to a closure over an offset reader; parameters are resolved
     once. Keeps executor inner loops free of AST matching. *)
 
-val compile_partial_sums :
-  param:(string -> float) ->
-  t ->
-  (((int * ((int array -> float) -> float)) list * (float -> float)) option)
-(** Partial-summation evaluation of an associative expression: per-plane
-    compiled closures (ascending plane order) plus the numeric
-    post-operation. The accumulation order matches AN5D's streaming CALC
-    macros (§4.1), which reassociates the source expression — the
-    rounding therefore differs from {!compile}, exactly like the real
-    artifact's GPU-vs-CPU error (§A.6). [None] if not associative. *)
-
 val compile_indexed :
   param:(string -> float) ->
   index:(int array -> int) ->
@@ -156,8 +145,12 @@ val kernel_shape_name : kernel_shape -> string
     read index space), an indexed closure bit-identical to {!compile},
     the flat linear form when the expression is a left-leaning weighted
     sum with an optional invariant-divisor post-op, the streaming-kernel
-    classification derived from it, and partial-sum groups mirroring
-    {!compile_partial_sums}. *)
+    classification derived from it, and the per-plane groups of
+    {!partial_sums} with their numeric post-operation. Summing the
+    groups in ascending plane order is the accumulation order of AN5D's
+    streaming CALC macros (§4.1), which reassociates the source
+    expression — the rounding therefore differs from {!compile}, like
+    the real artifact's GPU-vs-CPU error (§A.6). *)
 type lowered = {
   low_offsets : int array array;
   low_eval : (int -> float) -> float;
@@ -173,10 +166,10 @@ val eval_linear : linear_form -> (int -> float) -> float
     the executors inline. *)
 
 val lower : param:(string -> float) -> t -> lowered
-(** Lower for table-driven execution; every evaluation path is
-    bit-identical to the corresponding closure path ({!compile} /
-    {!compile_partial_sums}), which the differential test suite
-    asserts. *)
+(** Lower for table-driven execution. The indexed closure and the
+    linear form are bit-identical to {!compile}; each partial-sum group
+    is bit-identical to {!compile} on the corresponding {!partial_sums}
+    group. test/test_plan.ml asserts both. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,10 +1,13 @@
 (* Differential harness for the compiled execution-plan layer: the
-   table-driven [Compiled] executor must be *bit-identical* to the
-   legacy per-cell [Closure] path — same output grid word for word,
-   same counter totals field for field — across patterns (flat weighted
+   checked compiled plan ([Blocking.run_cfg ~checked:true]) and the
+   default path (streaming where the capability gate admits the plan)
+   must be *bit-identical* — same output grid word for word, same
+   counter totals field for field — across patterns (flat weighted
    sums, division post-ops, sqrt and right-nested fallbacks), execution
-   modes, precisions, stream division, and pooled execution. Plus unit
-   tests for the expression lowering and the plan memo cache. *)
+   modes, precisions, stream division, and pooled execution; in
+   [Direct] mode both must also equal Stencil.Reference. Plus unit
+   tests for the expression lowering (including the partial-sum
+   groups) and the plan memo cache. *)
 
 open An5d_core
 
@@ -46,21 +49,28 @@ let right_nested_pattern =
 let counters_t =
   Alcotest.testable (fun ppf c -> Gpu.Counters.pp ppf c) Gpu.Counters.equal
 
-let run_impl ?mode ?domains ~impl ?prec pattern cfg dims ~steps g =
+let run_impl ?mode ?domains ?checked ?prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ?prec Gpu.Device.v100 in
-  let out, _ = Blocking.run_cfg (Run_config.make ?mode ~impl ?domains ()) em ~machine ~steps g in
+  let out, _ =
+    Blocking.run_cfg ?checked (Run_config.make ?mode ?domains ()) em ~machine ~steps g
+  in
   (out, machine.Gpu.Machine.counters)
 
-let check_impls ?mode ?domains ?prec name pattern cfg dims ~steps =
+let check_impls ?(mode = Blocking.Direct) ?domains ?prec name pattern cfg dims ~steps =
   let g = Stencil.Grid.init_random ?prec dims in
-  let com, com_c = run_impl ?mode ?domains ~impl:Blocking.Compiled ?prec pattern cfg dims ~steps g in
-  let clo, clo_c = run_impl ?mode ?domains ~impl:Blocking.Closure ?prec pattern cfg dims ~steps g in
+  let com, com_c = run_impl ~mode ?domains ~checked:true ?prec pattern cfg dims ~steps g in
+  let def, def_c = run_impl ~mode ?domains ?prec pattern cfg dims ~steps g in
   Alcotest.(check (float 0.0))
     (name ^ " grid bit-identical")
     0.0
-    (Stencil.Grid.max_abs_diff clo com);
-  Alcotest.check counters_t (name ^ " counters exact") clo_c com_c
+    (Stencil.Grid.max_abs_diff com def);
+  Alcotest.check counters_t (name ^ " counters exact") com_c def_c;
+  if mode = Blocking.Direct then
+    Alcotest.(check (float 0.0))
+      (name ^ " = reference")
+      0.0
+      (Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) com)
 
 (* --- fixed differential cases --- *)
 
@@ -116,7 +126,7 @@ let test_modes_and_switches () =
   check_impls ~prec:Stencil.Grid.F32 "f32" (star ~dims:2 1)
     (Config.make ~bt:3 ~bs:[| 16 |] ())
     [| 30; 40 |] ~steps:7;
-  check_impls ~domains:4 "pooled compiled vs pooled closure" (star ~dims:2 1)
+  check_impls ~domains:4 "pooled" (star ~dims:2 1)
     (Config.make ~hs:(Some 8) ~bt:3 ~bs:[| 16 |] ())
     [| 30; 40 |] ~steps:7
 
@@ -127,31 +137,10 @@ let test_compiled_vs_reference () =
   let dims = [| 26; 24 |] in
   let g = Stencil.Grid.init_random dims in
   let out, _ =
-    run_impl ~impl:Blocking.Compiled pattern (Config.make ~bt:2 ~bs:[| 16 |] ()) dims ~steps:6 g
+    run_impl ~checked:true pattern (Config.make ~bt:2 ~bs:[| 16 |] ()) dims ~steps:6 g
   in
   let r = Stencil.Reference.run pattern ~steps:6 g in
   Alcotest.(check (float 0.0)) "blocked = reference" 0.0 (Stencil.Grid.max_abs_diff r out)
-
-(* --- the reference executor's own compiled sweep --- *)
-
-let test_reference_impls () =
-  List.iter
-    (fun (name, pattern, dims) ->
-      let g = Stencil.Grid.init_random dims in
-      let a = Stencil.Reference.run ~impl:Stencil.Reference.Compiled pattern ~steps:4 g in
-      let b = Stencil.Reference.run ~impl:Stencil.Reference.Closure pattern ~steps:4 g in
-      Alcotest.(check (float 0.0))
-        (name ^ " reference impls bit-identical")
-        0.0
-        (Stencil.Grid.max_abs_diff a b))
-    [
-      ("star2d1r", star ~dims:2 1, [| 20; 24 |]);
-      ("j2d5pt", bench "j2d5pt", [| 20; 24 |]);
-      ("box3d1r", box ~dims:3 1, [| 10; 12; 11 |]);
-      ("sqrt", sqrt_pattern, [| 18; 16 |]);
-      ("right-nested", right_nested_pattern, [| 18; 16 |]);
-      ("gradient2d", bench "gradient2d", [| 20; 24 |]);
-    ]
 
 (* --- lowering unit tests --- *)
 
@@ -180,7 +169,12 @@ let test_lowering_forms () =
     (lows.Stencil.Sexpr.low_linear = None)
 
 (* low_eval (and eval_linear when present) replay the closure tree
-   bit-exactly for arbitrary read values. *)
+   bit-exactly for arbitrary read values; when the lowering carries
+   partial-sum groups, the grouped evaluation the compiled plan runs in
+   [Partial_sums] mode (each group rounded to the storage precision and
+   summed in ascending plane order, then the post-operation) equals the
+   same accumulation over [Sexpr.partial_sums] groups evaluated with
+   [Sexpr.compile], in both precisions. *)
 let prop_lowered_eval_matches_compile =
   QCheck.Test.make ~name:"lowered evaluation = compiled closure (bitwise)"
     ~count:100
@@ -207,13 +201,45 @@ let prop_lowered_eval_matches_compile =
       let read_idx k = value_at offs.(k) in
       let expect = update read_off in
       let got = low.Stencil.Sexpr.low_eval read_idx in
-      Int64.bits_of_float got = Int64.bits_of_float expect
-      &&
-      match low.Stencil.Sexpr.low_linear with
-      | None -> true
-      | Some lf ->
-          Int64.bits_of_float (Stencil.Sexpr.eval_linear lf read_idx)
-          = Int64.bits_of_float expect)
+      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let param = Stencil.Pattern.param_value pattern in
+      let grouped_matches prec =
+        let round = Stencil.Grid.round_to_prec prec in
+        match
+          (low.Stencil.Sexpr.low_partial,
+           Stencil.Sexpr.partial_sums pattern.Stencil.Pattern.expr)
+        with
+        | None, None -> true
+        | Some (groups, post), Some (sgroups, spost) ->
+            let lowered =
+              Array.fold_left
+                (fun acc g ->
+                  let gv =
+                    match g.Stencil.Sexpr.g_linear with
+                    | Some lf -> Stencil.Sexpr.eval_linear lf read_idx
+                    | None -> g.Stencil.Sexpr.g_eval read_idx
+                  in
+                  acc +. round gv)
+                0.0 groups
+            in
+            let compiled =
+              List.fold_left
+                (fun acc (_, g) -> acc +. round (Stencil.Sexpr.compile ~param g read_off))
+                0.0 sgroups
+            in
+            let compiled_post =
+              Stencil.Sexpr.compile ~param (spost (Stencil.Sexpr.Const compiled)) read_off
+            in
+            Array.length groups = List.length sgroups
+            && same (round (post lowered)) (round compiled_post)
+        | _ -> false
+      in
+      same got expect
+      && (match low.Stencil.Sexpr.low_linear with
+         | None -> true
+         | Some lf -> same (Stencil.Sexpr.eval_linear lf read_idx) expect)
+      && grouped_matches Stencil.Grid.F64
+      && grouped_matches Stencil.Grid.F32)
 
 (* --- plan memo cache --- *)
 
@@ -224,12 +250,12 @@ let test_cache_sharing () =
   let dims = [| 30; 40 |] in
   let g = Stencil.Grid.init_random dims in
   (* steps=6 -> chunks [3; 3]: one compilation, one hit *)
-  ignore (run_impl ~impl:Blocking.Compiled pattern cfg dims ~steps:6 g);
+  ignore (run_impl pattern cfg dims ~steps:6 g);
   let s1 = Plan.cache_stats () in
   Alcotest.(check int) "one miss for equal-degree chunks" 1 s1.Plan.cache_misses;
   Alcotest.(check bool) "chunks hit the cache" true (s1.Plan.cache_hits >= 1);
   (* a second identical run adds only hits *)
-  ignore (run_impl ~impl:Blocking.Compiled pattern cfg dims ~steps:6 g);
+  ignore (run_impl pattern cfg dims ~steps:6 g);
   let s2 = Plan.cache_stats () in
   Alcotest.(check int) "no recompilation across runs" s1.Plan.cache_misses
     s2.Plan.cache_misses;
@@ -315,8 +341,12 @@ let arb_case =
         domains)
     gen_case
 
-let prop_compiled_equals_closure =
-  QCheck.Test.make ~name:"compiled plan = closure path (grids and counters)"
+(* The default path (streaming wherever the gate admits the plan, run
+   over [domains]) against the sequential checked compiled plan; in
+   [Direct] mode both also equal the reference sweep. *)
+let prop_checked_equals_streaming =
+  QCheck.Test.make
+    ~name:"checked compiled plan = streaming path (grids and counters)"
     ~count:40 arb_case
     (fun ((dims_n, rad, bt, shape_star, with_div, bs, sizes), (steps, hs, mode, domains)) ->
       let base = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
@@ -332,28 +362,14 @@ let prop_compiled_equals_closure =
       if not (Config.valid ~rad ~max_threads:1024 cfg) then true
       else begin
         let g = Stencil.Grid.init_random sizes in
-        let com, com_c = run_impl ~mode ~domains ~impl:Blocking.Compiled pattern cfg sizes ~steps g in
-        let clo, clo_c = run_impl ~mode ~impl:Blocking.Closure pattern cfg sizes ~steps g in
-        Stencil.Grid.max_abs_diff clo com = 0.0 && Gpu.Counters.equal clo_c com_c
+        let def, def_c = run_impl ~mode ~domains pattern cfg sizes ~steps g in
+        let com, com_c = run_impl ~mode ~checked:true pattern cfg sizes ~steps g in
+        Stencil.Grid.max_abs_diff com def = 0.0
+        && Gpu.Counters.equal com_c def_c
+        && (mode = Blocking.Partial_sums
+           || Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) com
+              = 0.0)
       end)
-
-let prop_reference_compiled_equals_closure =
-  QCheck.Test.make ~name:"reference compiled sweep = closure sweep" ~count:30
-    arb_case
-    (fun ((dims_n, rad, _, shape_star, with_div, _, sizes), (steps, _, _, _)) ->
-      let base = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
-      let pattern =
-        if with_div then
-          Stencil.Pattern.make ~name:(base.Stencil.Pattern.name ^ "-div")
-            ~dims:dims_n
-            ~params:[ ("c0", 2.5) ]
-            (Stencil.Sexpr.Div (base.Stencil.Pattern.expr, Stencil.Sexpr.Param "c0"))
-        else base
-      in
-      let g = Stencil.Grid.init_random sizes in
-      let a = Stencil.Reference.run ~impl:Stencil.Reference.Compiled pattern ~steps g in
-      let b = Stencil.Reference.run ~impl:Stencil.Reference.Closure pattern ~steps g in
-      Stencil.Grid.max_abs_diff a b = 0.0)
 
 let () =
   Alcotest.run "plan"
@@ -365,7 +381,6 @@ let () =
           Alcotest.test_case "fallback paths" `Quick test_fallback_paths;
           Alcotest.test_case "modes and switches" `Quick test_modes_and_switches;
           Alcotest.test_case "compiled vs reference" `Quick test_compiled_vs_reference;
-          Alcotest.test_case "reference impls" `Quick test_reference_impls;
         ] );
       ( "lowering",
         [
@@ -380,7 +395,6 @@ let () =
       ( "tuner", [ Alcotest.test_case "verify hook" `Quick test_tuner_verify ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_compiled_equals_closure;
-          QCheck_alcotest.to_alcotest prop_reference_compiled_equals_closure;
+          QCheck_alcotest.to_alcotest prop_checked_equals_streaming;
         ] );
     ]

@@ -9,7 +9,7 @@
      degrade to a bt=1 run instead of failing, cancellation and
      failure isolation.
    - Run_config/Run_args: stable renderings, semantic cache keys, the
-     shared flag parser.
+     shared flag parser, and clean refusal of the retired executor key.
    - Run_config spelling equivalence: [Run_config.make] with labels
      and [with_*] builder chains drive the [*_cfg] entrypoints (the
      only entrypoints — the optional-argument wrappers are retired) to
@@ -153,20 +153,18 @@ let test_cache_unpoison () =
 let test_run_config_render () =
   Alcotest.(check string)
     "default sexp"
-    "(run-config (mode direct) (impl compiled) (shards 1) (workers 1) \
-     (verify true) (domains 1) (trace ()) (metrics false) \
-     (gc-space-overhead ()))"
+    "(run-config (mode direct) (shards 1) (workers 1) (verify true) \
+     (domains 1) (trace ()) (metrics false) (gc-space-overhead ()))"
     (Run_config.to_sexp Run_config.default);
   let t =
-    Run_config.make ~mode:Run_config.Partial_sums ~impl:Run_config.Closure
-      ~domains:4 ~shards:2 ~verify:false ~trace:(Some "t.json") ~metrics:true
+    Run_config.make ~mode:Run_config.Partial_sums ~domains:4 ~shards:2
+      ~verify:false ~trace:(Some "t.json") ~metrics:true
       ~gc_space_overhead:(Some 200) ()
   in
   Alcotest.(check string)
     "full sexp"
-    "(run-config (mode partial-sums) (impl closure) (shards 2) (workers 1) \
-     (verify false) (domains 4) (trace (t.json)) (metrics true) \
-     (gc-space-overhead (200)))"
+    "(run-config (mode partial-sums) (shards 2) (workers 1) (verify false) \
+     (domains 4) (trace (t.json)) (metrics true) (gc-space-overhead (200)))"
     (Run_config.to_sexp t)
 
 let test_run_config_cache_key () =
@@ -202,27 +200,21 @@ let test_run_config_strings () =
     && Run_config.mode_of_string "partial_sums" = Ok Run_config.Partial_sums
     && Run_config.mode_of_string "direct" = Ok Run_config.Direct);
   Alcotest.(check bool)
-    "impl round trip" true
-    (Run_config.impl_of_string "compiled" = Ok Run_config.Compiled
-    && Run_config.impl_of_string "closure" = Ok Run_config.Closure
-    && Run_config.impl_of_string "bigarray" = Ok Run_config.Bigarray
-    && Run_config.impl_of_string "streaming" = Ok Run_config.Streaming);
-  Alcotest.(check string)
-    "bigarray renders" "bigarray"
-    (Run_config.impl_to_string Run_config.Bigarray);
-  Alcotest.(check string)
-    "streaming renders" "streaming"
-    (Run_config.impl_to_string Run_config.Streaming);
-  Alcotest.(check bool)
     "bad values rejected" true
-    (Result.is_error (Run_config.mode_of_string "fast")
-    && Result.is_error (Run_config.impl_of_string "jit"))
+    (Result.is_error (Run_config.mode_of_string "fast"))
+
+(* The executor is not a request option: a serve line naming one gets
+   the parser's ordinary unknown-option error, not a crash. *)
+let test_retired_impl_key () =
+  Alcotest.(check (result reject string))
+    "impl= refused" (Error "unknown option impl")
+    (Result.map ignore (Request.of_line "simulate j2d5pt impl=streaming"))
 
 let test_run_args_parse () =
   match
     Run_args.parse
       [
-        "--domains"; "4"; "--impl"; "closure"; "--mode"; "partial-sums";
+        "--domains"; "4"; "--mode"; "partial-sums";
         "--trace"; "t.json"; "--metrics"; "--no-verify";
         "--gc-space-overhead"; "240"; "fig6"; "table5";
       ]
@@ -230,7 +222,6 @@ let test_run_args_parse () =
   | Error msg -> Alcotest.fail msg
   | Ok (cfg, rest) ->
       Alcotest.(check int) "domains" 4 cfg.Run_config.domains;
-      Alcotest.(check bool) "impl" true (cfg.Run_config.impl = Run_config.Closure);
       Alcotest.(check bool) "mode" true
         (cfg.Run_config.mode = Run_config.Partial_sums);
       Alcotest.(check (option string)) "trace" (Some "t.json") cfg.Run_config.trace;
@@ -245,7 +236,6 @@ let test_run_args_errors () =
   Alcotest.(check bool) "missing value" true (is_err [ "--domains" ]);
   Alcotest.(check bool) "non-positive" true (is_err [ "--domains"; "0" ]);
   Alcotest.(check bool) "not a number" true (is_err [ "--domains"; "x" ]);
-  Alcotest.(check bool) "bad impl" true (is_err [ "--impl"; "jit" ]);
   Alcotest.(check bool) "bad mode" true (is_err [ "--mode"; "fast" ]);
   Alcotest.(check bool)
     "gc overhead missing value" true
@@ -276,7 +266,7 @@ let star2d =
   Stencil.Pattern.make ~name:"star2d1r" ~dims:2 ~params:[]
     (Stencil.Sexpr.weighted_sum (Stencil.Shape.star_offsets ~dims:2 ~rad:1))
 
-let test_wrapper_blocking () =
+let test_cfg_blocking () =
   let dims = [| 30; 26 |] in
   let em = Execmodel.make star2d (Config.make ~bt:2 ~bs:[| 12 |] ()) dims in
   let g = Stencil.Grid.init_random dims in
@@ -288,19 +278,15 @@ let test_wrapper_blocking () =
   let chained =
     Run_config.default
     |> Run_config.with_mode Run_config.Partial_sums
-    |> Run_config.with_impl Run_config.Closure
     |> Run_config.with_domains 3
   in
-  let made =
-    Run_config.make ~mode:Run_config.Partial_sums ~impl:Run_config.Closure
-      ~domains:3 ()
-  in
+  let made = Run_config.make ~mode:Run_config.Partial_sums ~domains:3 () in
   let o1, s1, c1 = run_with chained and o2, s2, c2 = run_with made in
   Alcotest.(check (float 0.0)) "grids" 0.0 (Stencil.Grid.max_abs_diff o1 o2);
   Alcotest.(check bool) "stats" true (s1 = s2);
   Alcotest.check counters_t "counters" c1 c2
 
-let test_wrapper_framework () =
+let test_cfg_framework () =
   let job =
     Framework.compile ~config:(Config.make ~bt:2 ~bs:[| 16 |] ()) source
   in
@@ -326,7 +312,7 @@ let test_wrapper_framework () =
   Alcotest.(check bool) "verified" true
     (o1.Framework.verified = o2.Framework.verified)
 
-let test_wrapper_tuner () =
+let test_cfg_tuner () =
   let dims = [| 40; 40 |] in
   let r1 =
     Model.Tuner.tune_cfg ~k:2
@@ -368,7 +354,7 @@ let wave2d =
             Stencil.System.Mul (Stencil.System.Const c, laplacian) ) );
     ]
 
-let test_wrapper_multi_blocking () =
+let test_cfg_multi_blocking () =
   let dims = [| 20; 24 |] in
   let cfg = Config.make ~bt:2 ~bs:[| 12 |] () in
   let gs () = [ Stencil.Grid.init_random dims; Stencil.Grid.init_random ~seed:7 dims ] in
@@ -395,19 +381,17 @@ let test_wrapper_multi_blocking () =
 (* ------------------------------------------------------------------ *)
 
 let sim_req ?id ?deadline ?(seed = 1) ?(bt = 2) ?(bs = [| 16 |])
-    ?(dims = [| 40; 40 |]) ?(steps = 5) ?(impl = Run_config.Compiled) ?prec () =
-  Request.simulate ?id ?deadline ~dims ?prec ~seed
-    ~run:(Run_config.with_impl impl Run_config.default)
+    ?(dims = [| 40; 40 |]) ?(steps = 5) ?prec () =
+  Request.simulate ?id ?deadline ~dims ?prec ~seed ~run:Run_config.default
     ~config:(Config.make ~bt ~bs ())
     ~device:Gpu.Device.v100 ~steps source
 
 let direct_outcome ?(seed = 1) ?(bt = 2) ?(bs = [| 16 |]) ?(dims = [| 40; 40 |])
-    ?(steps = 5) ?(impl = Run_config.Compiled) ?prec () =
+    ?(steps = 5) ?prec () =
   let job = Framework.compile ~dims ?prec ~config:(Config.make ~bt ~bs ()) source in
   let g = Stencil.Grid.init_random ~prec:job.Framework.prec ~seed dims in
-  Framework.simulate_cfg
-    ~cfg:(Run_config.with_impl impl Run_config.default)
-    ~device:Gpu.Device.v100 ~steps job g
+  Framework.simulate_cfg ~cfg:Run_config.default ~device:Gpu.Device.v100 ~steps
+    job g
 
 let served_outcome name (r : Session.response) =
   match r.Session.status with
@@ -568,28 +552,6 @@ let test_session_compile () =
   let r2 = Session.submit s req in
   Alcotest.(check bool) "job cache warm" true (r2.Session.served = Session.Warm)
 
-(* Served bigarray-impl runs must be bit-identical to direct ones in
-   both storage precisions (the serve layer is a pure router). *)
-let test_session_bigarray_impl () =
-  with_session @@ fun s ->
-  List.iter
-    (fun (name, prec) ->
-      let r =
-        Session.submit s (sim_req ~impl:Run_config.Bigarray ?prec ~steps:6 ())
-      in
-      let o = served_outcome name r in
-      let d = direct_outcome ~impl:Run_config.Bigarray ?prec ~steps:6 () in
-      Alcotest.(check (float 0.0))
-        (name ^ " grid") 0.0
-        (Stencil.Grid.max_abs_diff o.Framework.result d.Framework.result);
-      Alcotest.check counters_t (name ^ " counters") d.Framework.counters
-        o.Framework.counters)
-    [
-      ("bigarray auto-prec", None);
-      ("bigarray f64", Some Stencil.Grid.F64);
-      ("bigarray f32", Some Stencil.Grid.F32);
-    ]
-
 (* Cache keys canonicalize the precision: a spec omitting [prec] must
    key identically to one spelling out what the source detects to
    (here: double), and differently from every other precision. *)
@@ -741,6 +703,11 @@ let test_persist_corrupt_byte () =
 (* A dump written under a different cache-key schema digest is refused
    with a reason naming both digests — never loaded, never an
    exception. *)
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_persist_stale_schema () =
   let path = temp_dump () in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -751,14 +718,32 @@ let test_persist_stale_schema () =
   with_session @@ fun s ->
   match Session.load s ~path with
   | Error msg ->
-      let contains s sub =
-        let n = String.length sub and m = String.length s in
-        let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "reason names the stale schema" true
         (contains msg "deadbeef")
   | Ok n -> Alcotest.failf "stale-schema dump must be refused, imported %d" n
+
+(* The key-schema digest of the build before the executor knob was
+   retired: its run keys carried an [(impl ...)] field. A dump written
+   by that build is refused as stale, never loaded. *)
+let pre_collapse_schema = "ea62b8ce1cfde4e8833fb1f5d20161f7"
+
+let test_persist_pre_collapse_dump () =
+  Alcotest.(check bool)
+    "schema digest moved with the key grammar" true
+    (Request.key_schema_digest <> pre_collapse_schema);
+  let path = temp_dump () in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (match An5d_serve.Persist.write ~path ~schema:pre_collapse_schema [ 1 ] with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("write: " ^ msg));
+  with_session @@ fun s ->
+  match Session.load s ~path with
+  | Error msg ->
+      Alcotest.(check bool)
+        "refused as a stale schema" true
+        (contains msg "stale cache-key schema")
+  | Ok n -> Alcotest.failf "pre-collapse dump must be refused, imported %d" n
 
 (* ------------------------------------------------------------------ *)
 (* Cross-device tune transfer                                          *)
@@ -847,23 +832,17 @@ let gen_case =
     let* b = int_range 12 26 in
     let* steps = int_range 0 7 in
     let* seed = int_range 0 5 in
-    let* impl =
-      oneofl
-        [ Run_config.Compiled; Run_config.Closure; Run_config.Bigarray;
-          Run_config.Streaming ]
-    in
     let* prec = oneofl [ None; Some Stencil.Grid.F64; Some Stencil.Grid.F32 ] in
-    return (bt, [| (2 * bt) + extra |], [| a; b |], steps, seed, impl, prec))
+    return (bt, [| (2 * bt) + extra |], [| a; b |], steps, seed, prec))
 
 let arb_case =
   QCheck.make
-    ~print:(fun (bt, bs, dims, steps, seed, impl, prec) ->
-      Fmt.str "bt=%d bs=%a dims=%a steps=%d seed=%d impl=%s prec=%s" bt
+    ~print:(fun (bt, bs, dims, steps, seed, prec) ->
+      Fmt.str "bt=%d bs=%a dims=%a steps=%d seed=%d prec=%s" bt
         Fmt.(array ~sep:(any ",") int)
         bs
         Fmt.(array ~sep:(any ",") int)
         dims steps seed
-        (Run_config.impl_to_string impl)
         (match prec with
         | None -> "auto"
         | Some p -> Stencil.Grid.precision_to_string p))
@@ -871,20 +850,19 @@ let arb_case =
 
 let prop_served_equals_direct =
   (* one session for all cases: repeats may be served warm, which must
-     not change the bits. The case matrix spans the full storage
-     dimension — implementation (closure/compiled/bigarray) crossed
-     with precision (auto/f64/f32). *)
+     not change the bits. The case matrix spans the storage precision
+     (auto/f64/f32). *)
   let session = Session.create () in
   QCheck.Test.make ~name:"served simulate = direct Framework.simulate_cfg"
-    ~count:24 arb_case (fun (bt, bs, dims, steps, seed, impl, prec) ->
+    ~count:24 arb_case (fun (bt, bs, dims, steps, seed, prec) ->
       let cfg = Config.make ~bt ~bs () in
       if not (Config.valid ~rad:1 ~max_threads:1024 cfg) then true
       else begin
         let r =
-          Session.submit session (sim_req ~seed ~bt ~bs ~dims ~steps ~impl ?prec ())
+          Session.submit session (sim_req ~seed ~bt ~bs ~dims ~steps ?prec ())
         in
         let o = served_outcome "qcheck" r in
-        let d = direct_outcome ~seed ~bt ~bs ~dims ~steps ~impl ?prec () in
+        let d = direct_outcome ~seed ~bt ~bs ~dims ~steps ?prec () in
         Stencil.Grid.max_abs_diff o.Framework.result d.Framework.result = 0.0
         && Gpu.Counters.equal o.Framework.counters d.Framework.counters
         && o.Framework.verified = d.Framework.verified
@@ -908,13 +886,14 @@ let () =
           Alcotest.test_case "string conversions" `Quick test_run_config_strings;
           Alcotest.test_case "shared flag parser" `Quick test_run_args_parse;
           Alcotest.test_case "flag parser errors" `Quick test_run_args_errors;
+          Alcotest.test_case "retired impl key refused" `Quick test_retired_impl_key;
         ] );
-      ( "wrappers",
+      ( "cfg entrypoints",
         [
-          Alcotest.test_case "Blocking.run" `Quick test_wrapper_blocking;
-          Alcotest.test_case "Framework.simulate" `Quick test_wrapper_framework;
-          Alcotest.test_case "Tuner.tune" `Quick test_wrapper_tuner;
-          Alcotest.test_case "Multi_blocking.run" `Quick test_wrapper_multi_blocking;
+          Alcotest.test_case "Blocking.run_cfg" `Quick test_cfg_blocking;
+          Alcotest.test_case "Framework.simulate_cfg" `Quick test_cfg_framework;
+          Alcotest.test_case "Tuner.tune_cfg" `Quick test_cfg_tuner;
+          Alcotest.test_case "Multi_blocking.run_cfg" `Quick test_cfg_multi_blocking;
         ] );
       ( "session",
         [
@@ -930,8 +909,6 @@ let () =
           Alcotest.test_case "tune served and cached" `Quick test_session_tune;
           Alcotest.test_case "compile served and cached" `Quick
             test_session_compile;
-          Alcotest.test_case "bigarray impl served" `Quick
-            test_session_bigarray_impl;
           Alcotest.test_case "spec_key precision canonical" `Quick
             test_spec_key_precision_canonical;
         ] );
@@ -942,6 +919,8 @@ let () =
             test_persist_corrupt_byte;
           Alcotest.test_case "stale schema refused" `Quick
             test_persist_stale_schema;
+          Alcotest.test_case "pre-collapse dump refused" `Quick
+            test_persist_pre_collapse_dump;
         ] );
       ( "transfer",
         [ Alcotest.test_case "cross-device seeding" `Quick test_session_transfer ]

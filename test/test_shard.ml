@@ -4,12 +4,12 @@
    must be *bit-identical* to the resident single-owner path: the same
    grid word for word across random stencils, shard counts (including
    shard counts that do not divide the stream dimension and shards
-   narrower than the halo), precisions, executor implementations and
-   both CALC modes. At [shards = 1] the schedule degenerates to the
-   resident one exactly, so the merged GPU counters must also match
-   field for field; at [shards > 1] the counters legitimately include
-   redundant ghost-zone compute but must stay deterministic and
-   implementation-invariant (Compiled = Bigarray). On top of the
+   narrower than the halo), precisions and both CALC modes. At
+   [shards = 1] the schedule degenerates to the resident one exactly,
+   so the merged GPU counters must also match field for field; at
+   [shards > 1] the counters legitimately include redundant ghost-zone
+   compute but must stay deterministic and equal on the streaming and
+   the checked compiled path. On top of the
    differentials: pure geometry properties of the decomposition, exact
    cadence/word-count/allocation accounting through the obs metrics
    (one exchange per temporal chunk, no grid allocation on the
@@ -107,23 +107,23 @@ let prop_extent_covers_halo =
 (* The sharded-vs-resident differential                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_resident ~mode ~impl ~prec pattern cfg dims ~steps g =
+let run_resident ~mode ~prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
   let out, stats =
-    Blocking.run_cfg (Run_config.make ~mode ~impl ()) em ~machine ~steps g
+    Blocking.run_cfg (Run_config.make ~mode ()) em ~machine ~steps g
   in
   (out, machine.Gpu.Machine.counters, stats)
 
 (* Always through [run_sharded], even at shards = 1 — that is exactly
    what its exposure in the .mli is for. *)
-let run_sharded ?(domains = 1) ~shards ~mode ~impl ~prec pattern cfg dims ~steps
-    g =
+let run_sharded ?(domains = 1) ?checked ~shards ~mode ~prec pattern cfg dims
+    ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
   let out, stats =
-    Blocking.run_sharded
-      (Run_config.make ~mode ~impl ~domains ~shards ())
+    Blocking.run_sharded ?checked
+      (Run_config.make ~mode ~domains ~shards ())
       em ~machine ~steps g
   in
   (out, machine.Gpu.Machine.counters, stats)
@@ -179,43 +179,34 @@ let arb_shard_case =
         (Run_config.mode_to_string mode))
     gen_shard_case
 
-let shard_prop ~shards ~impl (pattern, rad, bt, bs, sizes, prec, steps, hs, mode)
-    =
+let shard_prop ~shards (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) =
   let cfg = Config.make ~hs ~bt ~bs () in
   if not (Config.valid ~rad ~max_threads:1024 cfg) then true
   else begin
     let g = Stencil.Grid.init_random ~prec sizes in
-    let res, res_c, _ = run_resident ~mode ~impl ~prec pattern cfg sizes ~steps g in
-    let sh, sh_c, _ =
-      run_sharded ~shards ~mode ~impl ~prec pattern cfg sizes ~steps g
-    in
+    let res, res_c, _ = run_resident ~mode ~prec pattern cfg sizes ~steps g in
+    let sh, sh_c, _ = run_sharded ~shards ~mode ~prec pattern cfg sizes ~steps g in
     Stencil.Grid.max_abs_diff res sh = 0.0
     (* shards = 1 *is* the resident schedule, counters and all; at
        shards > 1 the counters include redundant ghost compute and are
-       checked for impl-invariance separately. *)
+       checked against the checked path separately. *)
     && (shards > 1 || Gpu.Counters.equal res_c sh_c)
   end
 
 let prop_matrix =
-  List.concat_map
+  List.map
     (fun shards ->
-      List.map
-        (fun (iname, impl) ->
-          QCheck.Test.make
-            ~name:
-              (Fmt.str "sharded = resident (bitwise), shards=%d impl=%s" shards
-                 iname)
-            ~count:200 arb_shard_case
-            (shard_prop ~shards ~impl))
-        [ ("compiled", Blocking.Compiled); ("bigarray", Blocking.Bigarray);
-          ("streaming", Blocking.Streaming) ])
+      QCheck.Test.make
+        ~name:(Fmt.str "sharded = resident (bitwise), shards=%d" shards)
+        ~count:200 arb_shard_case (shard_prop ~shards))
     [ 1; 2; 4 ]
 
-(* Counter impl-invariance at shards > 1: the redundant ghost compute
-   is deterministic, so Compiled and Bigarray agree field for field. *)
-let prop_counters_impl_invariant =
+(* Counters at shards > 1: the redundant ghost compute is
+   deterministic, so the streaming and the checked compiled path agree
+   field for field. *)
+let prop_counters_checked_equal =
   QCheck.Test.make
-    ~name:"shards=4: compiled and bigarray counters agree field for field"
+    ~name:"shards=4: checked and streaming counters agree field for field"
     ~count:200 arb_shard_case
     (fun (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) ->
       let cfg = Config.make ~hs ~bt ~bs () in
@@ -223,13 +214,10 @@ let prop_counters_impl_invariant =
       else begin
         let g = Stencil.Grid.init_random ~prec sizes in
         let a, a_c, _ =
-          run_sharded ~shards:4 ~mode ~impl:Blocking.Compiled ~prec pattern cfg
-            sizes ~steps g
+          run_sharded ~checked:true ~shards:4 ~mode ~prec pattern cfg sizes
+            ~steps g
         in
-        let b, b_c, _ =
-          run_sharded ~shards:4 ~mode ~impl:Blocking.Bigarray ~prec pattern cfg
-            sizes ~steps g
-        in
+        let b, b_c, _ = run_sharded ~shards:4 ~mode ~prec pattern cfg sizes ~steps g in
         Stencil.Grid.max_abs_diff a b = 0.0 && Gpu.Counters.equal a_c b_c
       end)
 
@@ -245,12 +233,10 @@ let prop_pool_invariant =
       else begin
         let g = Stencil.Grid.init_random ~prec sizes in
         let seq, seq_c, _ =
-          run_sharded ~shards:4 ~mode ~impl:Blocking.Compiled ~prec pattern cfg
-            sizes ~steps g
+          run_sharded ~shards:4 ~mode ~prec pattern cfg sizes ~steps g
         in
         let par, par_c, _ =
-          run_sharded ~domains:4 ~shards:4 ~mode ~impl:Blocking.Compiled ~prec
-            pattern cfg sizes ~steps g
+          run_sharded ~domains:4 ~shards:4 ~mode ~prec pattern cfg sizes ~steps g
         in
         Stencil.Grid.max_abs_diff seq par = 0.0 && Gpu.Counters.equal seq_c par_c
       end)
@@ -266,20 +252,17 @@ let test_fixed_cases () =
     (fun (name, mode, prec) ->
       let g = Stencil.Grid.init_random ~prec dims in
       let res, res_c, res_s =
-        run_resident ~mode ~impl:Blocking.Compiled ~prec pattern cfg dims
-          ~steps:7 g
+        run_resident ~mode ~prec pattern cfg dims ~steps:7 g
       in
       let one, one_c, one_s =
-        run_sharded ~shards:1 ~mode ~impl:Blocking.Compiled ~prec pattern cfg
-          dims ~steps:7 g
+        run_sharded ~shards:1 ~mode ~prec pattern cfg dims ~steps:7 g
       in
       Alcotest.(check (float 0.0)) (name ^ " shards=1 grid") 0.0
         (Stencil.Grid.max_abs_diff res one);
       Alcotest.check counters_t (name ^ " shards=1 counters") res_c one_c;
       Alcotest.(check bool) (name ^ " shards=1 stats") true (res_s = one_s);
       let four, _, four_s =
-        run_sharded ~shards:4 ~mode ~impl:Blocking.Compiled ~prec pattern cfg
-          dims ~steps:7 g
+        run_sharded ~shards:4 ~mode ~prec pattern cfg dims ~steps:7 g
       in
       Alcotest.(check (float 0.0)) (name ^ " shards=4 grid") 0.0
         (Stencil.Grid.max_abs_diff res four);
@@ -318,8 +301,8 @@ let cadence_run ~shards ~bt ~steps =
   let g = Stencil.Grid.init_random dims in
   let before = Obs.Metrics.snapshot () in
   let _ =
-    run_sharded ~shards ~mode:Blocking.Direct ~impl:Blocking.Compiled
-      ~prec:Stencil.Grid.F64 pattern cfg dims ~steps g
+    run_sharded ~shards ~mode:Blocking.Direct ~prec:Stencil.Grid.F64 pattern
+      cfg dims ~steps g
   in
   let after = Obs.Metrics.snapshot () in
   (delta "halo_exchanges" before after,
@@ -392,8 +375,8 @@ let test_rejection () =
   let g = Stencil.Grid.init_random dims in
   Alcotest.(check bool) "run_sharded rejects shards > dims.(0)" true
     (raises_invalid (fun () ->
-         run_sharded ~shards:4 ~mode:Blocking.Direct ~impl:Blocking.Compiled
-           ~prec:Stencil.Grid.F64 pattern cfg dims ~steps:2 g))
+         run_sharded ~shards:4 ~mode:Blocking.Direct ~prec:Stencil.Grid.F64
+           pattern cfg dims ~steps:2 g))
 
 (* ------------------------------------------------------------------ *)
 (* End to end: a sharded request through the serving layer             *)
@@ -433,7 +416,7 @@ let () =
       ( "differential",
         List.map QCheck_alcotest.to_alcotest prop_matrix
         @ [
-            QCheck_alcotest.to_alcotest prop_counters_impl_invariant;
+            QCheck_alcotest.to_alcotest prop_counters_checked_equal;
             QCheck_alcotest.to_alcotest prop_pool_invariant;
             Alcotest.test_case "fixed cases with counters" `Quick test_fixed_cases;
           ] );

@@ -1,16 +1,17 @@
-(* Storage differential harness for the bigarray grid backend.
+(* Storage harness for the bigarray grid backend.
 
-   The unsafe-indexed [Bigarray] executors (Stencil.Reference and the
-   blocked Plan.execute_block fast path) must be *bit-identical* to the
-   checked [Compiled] and [Closure] paths — same grid word for word,
-   same counters field for field — across random stencils, grid shapes
-   (including size-1 dims and radius-equal edges where the interior is
-   empty), precisions and execution modes. On top of the differentials:
-   property tests that the unsafe accessors agree with the checked ones
-   on every in-bounds index, an index-oracle fuzz proving the peeling
-   invariant (interior position + neighbor delta always lands in
-   range), f32 store-quantization regressions, pinned golden-seed grids
-   in both precisions, and unit tests for blit/sub/of_bigarray/digest.
+   The reference executor's unchecked sweep (Stencil.Reference) must be
+   *bit-identical* to a naive per-cell evaluation of the source
+   expression through checked multi-index reads — across random
+   stencils, grid shapes (including size-1 dims and radius-equal edges
+   where the interior is empty) and precisions. The blocked executors'
+   differentials live in test/test_streaming.ml; here the capability
+   gate that routes plans between them is pinned. On top: property
+   tests that the unsafe accessors agree with the checked ones on every
+   in-bounds index, an index-oracle fuzz proving the peeling invariant
+   (interior position + neighbor delta always lands in range), f32
+   store-quantization regressions, pinned golden-seed grids in both
+   precisions, and unit tests for blit/sub/of_bigarray/digest.
 
    Set AN5D_PREC=f32|f64 to pin every randomized case to one storage
    precision (CI runs the suite once per value). *)
@@ -52,7 +53,7 @@ let with_div pattern =
     ~params:[ ("c0", 2.5) ]
     (Stencil.Sexpr.Div (pattern.Stencil.Pattern.expr, Stencil.Sexpr.Param "c0"))
 
-(* Non-linear: exercises the eval fallback inside the Bigarray impls. *)
+(* Non-linear: exercises the indexed-closure branch of the sweep. *)
 let sqrt_pattern =
   Stencil.Pattern.make ~name:"sqrtish" ~dims:2 ~params:[]
     Stencil.Sexpr.(
@@ -60,12 +61,33 @@ let sqrt_pattern =
         ( Const 0.5,
           Add (Cell [| 0; 0 |], Sqrt (Add (Const 2.0, Cell [| 1; 0 |]))) ))
 
-let counters_t =
-  Alcotest.testable (fun ppf c -> Gpu.Counters.pp ppf c) Gpu.Counters.equal
+(* ------------------------------------------------------------------ *)
+(* Reference sweep vs a naive per-cell oracle                          *)
+(* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Reference-executor differential: Bigarray vs Closure vs Compiled    *)
-(* ------------------------------------------------------------------ *)
+(* The oracle: every interior cell evaluates the source expression
+   tree ({!Stencil.Pattern.compile}) through bounds-checked multi-index
+   reads; boundary cells keep their value. Independent of the lowering
+   the sweep runs on. *)
+let oracle_run pattern ~steps g =
+  let rad = pattern.Stencil.Pattern.radius in
+  let update = Stencil.Pattern.compile pattern in
+  let cur = ref (Stencil.Grid.copy g) in
+  for _ = 1 to steps do
+    let src = !cur in
+    let dst = Stencil.Grid.copy src in
+    let at = Array.make pattern.Stencil.Pattern.dims 0 in
+    Poly.Box.iter
+      (fun idx ->
+        let read off =
+          Array.iteri (fun d i -> at.(d) <- i + off.(d)) idx;
+          Stencil.Grid.get src at
+        in
+        Stencil.Grid.set dst idx (update read))
+      (Stencil.Grid.interior ~rad src);
+    cur := dst
+  done;
+  !cur
 
 (* Dims generator that deliberately includes degenerate shapes: size-1
    dimensions and edges exactly equal to the stencil diameter, so empty
@@ -102,39 +124,23 @@ let arb_ref_case =
         steps)
     gen_ref_case
 
-let ref_run impl (pattern, dims, prec, steps) =
-  let g = Stencil.Grid.init_random ~prec dims in
-  Stencil.Reference.run ~impl pattern ~steps g
+let prop_ref_equals_oracle =
+  QCheck.Test.make ~name:"reference: unchecked sweep = per-cell oracle (bitwise)"
+    ~count:200 arb_ref_case
+    (fun (pattern, dims, prec, steps) ->
+      let g = Stencil.Grid.init_random ~prec dims in
+      Stencil.Grid.digest (Stencil.Reference.run pattern ~steps g)
+      = Stencil.Grid.digest (oracle_run pattern ~steps g))
 
-let prop_ref_bigarray_equals_compiled =
-  QCheck.Test.make
-    ~name:"reference: bigarray sweep = compiled sweep (bitwise)" ~count:200
-    arb_ref_case
-    (fun case ->
-      Stencil.Grid.max_abs_diff
-        (ref_run Stencil.Reference.Compiled case)
-        (ref_run Stencil.Reference.Bigarray case)
-      = 0.0)
-
-let prop_ref_bigarray_equals_closure =
-  QCheck.Test.make
-    ~name:"reference: bigarray sweep = closure sweep (bitwise)" ~count:200
-    arb_ref_case
-    (fun case ->
-      Stencil.Grid.max_abs_diff
-        (ref_run Stencil.Reference.Closure case)
-        (ref_run Stencil.Reference.Bigarray case)
-      = 0.0)
-
-(* The non-linear fallback inside the Bigarray impl must also agree. *)
-let test_ref_bigarray_fallback () =
+(* The sweep's non-linear branch must agree as well. *)
+let test_ref_nonlinear () =
   List.iter
     (fun (name, prec) ->
       let g = Stencil.Grid.init_random ~prec [| 14; 12 |] in
-      let a = Stencil.Reference.run ~impl:Stencil.Reference.Closure sqrt_pattern ~steps:3 g in
-      let b = Stencil.Reference.run ~impl:Stencil.Reference.Bigarray sqrt_pattern ~steps:3 g in
+      let a = oracle_run sqrt_pattern ~steps:3 g in
+      let b = Stencil.Reference.run sqrt_pattern ~steps:3 g in
       Alcotest.(check (float 0.0)) name 0.0 (Stencil.Grid.max_abs_diff a b))
-    [ ("sqrt fallback f64", Stencil.Grid.F64); ("sqrt fallback f32", Stencil.Grid.F32) ]
+    [ ("sqrt f64", Stencil.Grid.F64); ("sqrt f32", Stencil.Grid.F32) ]
 
 (* Fixed degenerate shapes, checked explicitly so shrinkage in the fuzz
    generator can never silently stop covering them. *)
@@ -144,8 +150,8 @@ let test_ref_degenerate_shapes () =
       List.iter
         (fun prec ->
           let g = Stencil.Grid.init_random ~prec dims in
-          let a = Stencil.Reference.run ~impl:Stencil.Reference.Closure pattern ~steps:3 g in
-          let b = Stencil.Reference.run ~impl:Stencil.Reference.Bigarray pattern ~steps:3 g in
+          let a = oracle_run pattern ~steps:3 g in
+          let b = Stencil.Reference.run pattern ~steps:3 g in
           Alcotest.(check (float 0.0))
             (Fmt.str "%s %s" name (Stencil.Grid.precision_to_string prec))
             0.0 (Stencil.Grid.max_abs_diff a b))
@@ -159,128 +165,10 @@ let test_ref_degenerate_shapes () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Blocked-executor differential: Bigarray kernels vs compiled plans   *)
+(* The capability gate between the blocked executors                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_blocked ~mode ~impl ~prec pattern cfg dims ~steps g =
-  let em = Execmodel.make pattern cfg dims in
-  let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
-  let out, _ = Blocking.run_cfg (Run_config.make ~mode ~impl ()) em ~machine ~steps g in
-  (out, machine.Gpu.Machine.counters)
-
-let gen_blocked_case =
-  QCheck.Gen.(
-    let* dims_n = int_range 2 3 in
-    let* rad = int_range 1 (if dims_n = 2 then 3 else 2) in
-    let* bt = int_range 1 3 in
-    let* shape_star = bool in
-    let* divided = bool in
-    let* prec = gen_prec in
-    let* extra = int_range 1 6 in
-    let bs_edge = (2 * bt * rad) + extra in
-    let* sizes =
-      match dims_n with
-      | 2 ->
-          let* a = int_range (2 * rad) 30 in
-          let* b = int_range (2 * rad) 20 in
-          return [| a + 4; b + 4 |]
-      | _ ->
-          let* a = int_range (2 * rad) 12 in
-          let* b = int_range (2 * rad) 10 in
-          let* c = int_range (2 * rad) 10 in
-          return [| a + 4; b + 4; c + 4 |]
-    in
-    let* steps = int_range 0 6 in
-    let* divide = bool in
-    let* h = int_range 3 10 in
-    let bs = Array.make (dims_n - 1) bs_edge in
-    let base = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
-    let pattern = if divided then with_div base else base in
-    return (pattern, rad, bt, bs, sizes, prec, steps, (if divide then Some h else None)))
-
-let arb_blocked_case =
-  QCheck.make
-    ~print:(fun (p, rad, bt, bs, sizes, prec, steps, hs) ->
-      Fmt.str "%s rad=%d bt=%d bs=%a sizes=%a prec=%s steps=%d hs=%a"
-        p.Stencil.Pattern.name rad bt
-        Fmt.(array ~sep:(any ",") int)
-        bs
-        Fmt.(array ~sep:(any "x") int)
-        sizes
-        (Stencil.Grid.precision_to_string prec)
-        steps
-        Fmt.(option int)
-        hs)
-    gen_blocked_case
-
-let blocked_prop mode (pattern, rad, bt, bs, sizes, prec, steps, hs) =
-  let cfg = Config.make ~hs ~bt ~bs () in
-  if not (Config.valid ~rad ~max_threads:1024 cfg) then true
-  else begin
-    let g = Stencil.Grid.init_random ~prec sizes in
-    let big, big_c =
-      run_blocked ~mode ~impl:Blocking.Bigarray ~prec pattern cfg sizes ~steps g
-    in
-    let com, com_c =
-      run_blocked ~mode ~impl:Blocking.Compiled ~prec pattern cfg sizes ~steps g
-    in
-    Stencil.Grid.max_abs_diff com big = 0.0 && Gpu.Counters.equal com_c big_c
-  end
-
-let prop_blocked_bigarray_direct =
-  QCheck.Test.make
-    ~name:"blocked direct: bigarray kernels = compiled plans (grids and counters)"
-    ~count:200 arb_blocked_case
-    (blocked_prop Blocking.Direct)
-
-let prop_blocked_bigarray_psum =
-  QCheck.Test.make
-    ~name:"blocked partial-sums: bigarray impl = compiled plans (grids and counters)"
-    ~count:200 arb_blocked_case
-    (blocked_prop Blocking.Partial_sums)
-
-(* Closure is the slowest executor; a smaller sample still ties all
-   three implementations together through one shared oracle. *)
-let prop_blocked_bigarray_vs_closure =
-  QCheck.Test.make
-    ~name:"blocked: bigarray impl = closure path" ~count:60 arb_blocked_case
-    (fun (pattern, rad, bt, bs, sizes, prec, steps, hs) ->
-      let cfg = Config.make ~hs ~bt ~bs () in
-      if not (Config.valid ~rad ~max_threads:1024 cfg) then true
-      else begin
-        let g = Stencil.Grid.init_random ~prec sizes in
-        let big, big_c =
-          run_blocked ~mode:Blocking.Direct ~impl:Blocking.Bigarray ~prec pattern
-            cfg sizes ~steps g
-        in
-        let clo, clo_c =
-          run_blocked ~mode:Blocking.Direct ~impl:Blocking.Closure ~prec pattern
-            cfg sizes ~steps g
-        in
-        Stencil.Grid.max_abs_diff clo big = 0.0 && Gpu.Counters.equal clo_c big_c
-      end)
-
-(* Fixed case with counters spelled out via Alcotest, so a failure
-   prints the exact counter field that diverged. *)
-let test_blocked_fixed () =
-  List.iter
-    (fun (name, mode, prec) ->
-      let pattern = with_div (star ~dims:2 1) in
-      let cfg = Config.make ~bt:3 ~bs:[| 16 |] () in
-      let dims = [| 30; 40 |] in
-      let g = Stencil.Grid.init_random ~prec dims in
-      let big, big_c = run_blocked ~mode ~impl:Blocking.Bigarray ~prec pattern cfg dims ~steps:7 g in
-      let com, com_c = run_blocked ~mode ~impl:Blocking.Compiled ~prec pattern cfg dims ~steps:7 g in
-      Alcotest.(check (float 0.0)) (name ^ " grid") 0.0 (Stencil.Grid.max_abs_diff com big);
-      Alcotest.check counters_t (name ^ " counters") com_c big_c)
-    [
-      ("direct f64", Blocking.Direct, Stencil.Grid.F64);
-      ("direct f32", Blocking.Direct, Stencil.Grid.F32);
-      ("psum f64", Blocking.Partial_sums, Stencil.Grid.F64);
-      ("psum f32", Blocking.Partial_sums, Stencil.Grid.F32);
-    ]
-
-(* unsafe_capable gates the fast path: Partial_sums and non-linear
+(* unsafe_capable gates the streaming path: Partial_sums and non-linear
    lowerings must refuse (they fall back to the compiled plan). *)
 let test_unsafe_capable_gate () =
   let em = Execmodel.make (star ~dims:2 1) (Config.make ~bt:2 ~bs:[| 16 |] ()) [| 20; 24 |] in
@@ -634,19 +522,12 @@ let () =
     [
       ( "reference differential",
         [
-          QCheck_alcotest.to_alcotest prop_ref_bigarray_equals_compiled;
-          QCheck_alcotest.to_alcotest prop_ref_bigarray_equals_closure;
-          Alcotest.test_case "non-linear fallback" `Quick test_ref_bigarray_fallback;
+          QCheck_alcotest.to_alcotest prop_ref_equals_oracle;
+          Alcotest.test_case "non-linear branch" `Quick test_ref_nonlinear;
           Alcotest.test_case "degenerate shapes" `Quick test_ref_degenerate_shapes;
         ] );
-      ( "blocked differential",
-        [
-          QCheck_alcotest.to_alcotest prop_blocked_bigarray_direct;
-          QCheck_alcotest.to_alcotest prop_blocked_bigarray_psum;
-          QCheck_alcotest.to_alcotest prop_blocked_bigarray_vs_closure;
-          Alcotest.test_case "fixed cases with counters" `Quick test_blocked_fixed;
-          Alcotest.test_case "unsafe_capable gate" `Quick test_unsafe_capable_gate;
-        ] );
+      ( "capability gate",
+        [ Alcotest.test_case "unsafe_capable gate" `Quick test_unsafe_capable_gate ] );
       ( "unsafe accessors",
         [
           QCheck_alcotest.to_alcotest prop_unsafe_get_agrees;

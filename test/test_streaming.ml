@@ -1,15 +1,16 @@
 (* Differential harness for the sliding-window streaming executor.
 
-   The [Streaming] impl (Stream_exec) must be *bit-identical* to the
-   [Bigarray] and [Compiled] paths — same grid word for word, same
-   simulated counters field for field — across every kernel shape it
-   specializes (fused 3/5/7/9-point, chunked wide, folded symmetric
-   pairs, mixed scaled/bare terms), both precisions, and both the
-   resident and the sharded schedule. On top of the differentials:
-   unit tests pinning each pattern to the kernel shape its lowering
-   must classify to (a gated benchmark silently regressing to the
-   generic kernel is a failure, not a slowdown), reference-executor
-   equality for the symmetric-folded form, golden-bit regressions for
+   The production streaming path (Stream_exec) must be *bit-identical*
+   to the checked compiled plan ([Blocking.run_cfg ~checked:true]) —
+   same grid word for word, same simulated counters field for field —
+   across every kernel shape it specializes (fused 3/5/7/9-point,
+   chunked wide, folded symmetric pairs, mixed scaled/bare terms), both
+   precisions, and both the resident and the sharded schedule. On top
+   of the differentials: unit tests pinning each pattern to the kernel
+   shape its lowering must classify to (a gated benchmark silently
+   regressing to the generic kernel is a failure, not a slowdown),
+   reference-executor equality for the symmetric-folded form in
+   [Direct] mode, golden-bit regressions for
    a folded stencil in both precisions, and assertions on the
    streaming_dispatch_* counters and the plan_cache_size gauge.
 
@@ -68,7 +69,7 @@ let sym5 =
           Mul (Const 0.12, Add (Cell [| 0; -1 |], Cell [| 0; 1 |])) ))
 
 (* A folded pair with *no* scaling plus a scaled center: exercises the
-   bare-pair branch (pair read without coefficient) of every impl. *)
+   bare-pair branch (pair read without coefficient) of both paths. *)
 let sym3 =
   Stencil.Pattern.make ~name:"sym3pt" ~dims:2 ~params:[]
     Stencil.Sexpr.(
@@ -144,14 +145,14 @@ let test_no_spurious_folding () =
   Alcotest.(check string) "expanded stays unfolded" "fused3pt" (kname expanded)
 
 (* ------------------------------------------------------------------ *)
-(* Blocked differential: Streaming vs Bigarray vs Compiled             *)
+(* Blocked differential: streaming vs the checked compiled plan        *)
 (* ------------------------------------------------------------------ *)
 
-let run_blocked ~mode ~impl ~shards ~prec pattern cfg dims ~steps g =
+let run_blocked ?checked ~mode ~shards ~prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
-  let rc = Run_config.make ~mode ~impl ~shards () in
-  let out, _ = Blocking.run_cfg rc em ~machine ~steps g in
+  let rc = Run_config.make ~mode ~shards () in
+  let out, _ = Blocking.run_cfg ?checked rc em ~machine ~steps g in
   (out, machine.Gpu.Machine.counters)
 
 (* The shape matrix: fused star arities, chunked/term-major boxes,
@@ -208,58 +209,33 @@ let arb_stream_case =
         steps shards)
     gen_stream_case
 
-let stream_prop other (pattern, rad, bt, bs, sizes, prec, steps, shards) =
+let stream_prop mode (pattern, rad, bt, bs, sizes, prec, steps, shards) =
   let cfg = Config.make ~bt ~bs () in
   if not (Config.valid ~rad ~max_threads:1024 cfg) then true
   else begin
     let g = Stencil.Grid.init_random ~prec sizes in
-    let stm, stm_c =
-      run_blocked ~mode:Blocking.Direct ~impl:Blocking.Streaming ~shards ~prec
-        pattern cfg sizes ~steps g
+    let stm, stm_c = run_blocked ~mode ~shards ~prec pattern cfg sizes ~steps g in
+    let com, com_c =
+      run_blocked ~checked:true ~mode ~shards ~prec pattern cfg sizes ~steps g
     in
-    let oth, oth_c =
-      run_blocked ~mode:Blocking.Direct ~impl:other ~shards ~prec pattern cfg
-        sizes ~steps g
-    in
-    Stencil.Grid.digest stm = Stencil.Grid.digest oth
-    && Gpu.Counters.equal stm_c oth_c
+    Stencil.Grid.digest stm = Stencil.Grid.digest com
+    && Gpu.Counters.equal stm_c com_c
   end
-
-let prop_streaming_vs_bigarray =
-  QCheck.Test.make
-    ~name:"blocked: streaming = bigarray (grid digests and counters)" ~count:200
-    arb_stream_case
-    (stream_prop Blocking.Bigarray)
 
 let prop_streaming_vs_compiled =
   QCheck.Test.make
-    ~name:"blocked: streaming = compiled plans (grid digests and counters)"
+    ~name:"blocked: streaming = checked compiled plan (grid digests and counters)"
     ~count:200 arb_stream_case
-    (stream_prop Blocking.Compiled)
+    (stream_prop Blocking.Direct)
 
 (* Partial_sums reassociates, so the capability gate must route the
-   Streaming impl through the checked compiled path — results must
-   still match [impl = Compiled] exactly. *)
+   default path through the compiled plan — results must still match
+   the forced checked path exactly. *)
 let prop_streaming_psum_fallback =
   QCheck.Test.make
     ~name:"blocked partial-sums: streaming falls back = compiled" ~count:60
     arb_stream_case
-    (fun (pattern, rad, bt, bs, sizes, prec, steps, shards) ->
-      let cfg = Config.make ~bt ~bs () in
-      if not (Config.valid ~rad ~max_threads:1024 cfg) then true
-      else begin
-        let g = Stencil.Grid.init_random ~prec sizes in
-        let stm, stm_c =
-          run_blocked ~mode:Blocking.Partial_sums ~impl:Blocking.Streaming
-            ~shards ~prec pattern cfg sizes ~steps g
-        in
-        let com, com_c =
-          run_blocked ~mode:Blocking.Partial_sums ~impl:Blocking.Compiled
-            ~shards ~prec pattern cfg sizes ~steps g
-        in
-        Stencil.Grid.digest stm = Stencil.Grid.digest com
-        && Gpu.Counters.equal stm_c com_c
-      end)
+    (stream_prop Blocking.Partial_sums)
 
 (* Fixed cases through every specialized kernel, with counters spelled
    out via Alcotest so a failure names the diverging field. *)
@@ -281,16 +257,16 @@ let test_fixed_shapes () =
                 (Config.valid ~rad ~max_threads:1024 cfg);
               let g = Stencil.Grid.init_random ~prec dims in
               let stm, stm_c =
-                run_blocked ~mode:Blocking.Direct ~impl:Blocking.Streaming
-                  ~shards ~prec pattern cfg dims ~steps:5 g
+                run_blocked ~mode:Blocking.Direct ~shards ~prec pattern cfg dims
+                  ~steps:5 g
               in
-              let big, big_c =
-                run_blocked ~mode:Blocking.Direct ~impl:Blocking.Bigarray
-                  ~shards ~prec pattern cfg dims ~steps:5 g
+              let com, com_c =
+                run_blocked ~checked:true ~mode:Blocking.Direct ~shards ~prec
+                  pattern cfg dims ~steps:5 g
               in
-              Alcotest.(check string) (name ^ " grid") (Stencil.Grid.digest big)
+              Alcotest.(check string) (name ^ " grid") (Stencil.Grid.digest com)
                 (Stencil.Grid.digest stm);
-              Alcotest.check counters_t (name ^ " counters") big_c stm_c)
+              Alcotest.check counters_t (name ^ " counters") com_c stm_c)
             [ 1; 4 ])
         [ Stencil.Grid.F64; Stencil.Grid.F32 ])
     [
@@ -308,25 +284,30 @@ let test_fixed_shapes () =
 (* Reference executors on the folded form                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The symmetric fold extends into the CPU reference's linear rows
-   (checked and unsafe): all three reference impls must agree bitwise
-   on a folded stencil, or the fold changed the rounding. *)
+(* The symmetric fold extends into the CPU reference's linear rows: in
+   [Direct] mode the reference sweep, the streaming path and the
+   checked compiled plan must agree bitwise on a folded stencil, or the
+   fold changed the rounding somewhere. *)
 let test_reference_folded () =
+  let dims = [| 17; 13 |] in
+  let cfg = Config.make ~bt:2 ~bs:[| 8 |] () in
   List.iter
     (fun (pattern, prec) ->
-      let g = Stencil.Grid.init_random ~prec [| 17; 13 |] in
-      let r impl = Stencil.Reference.run ~impl pattern ~steps:4 g in
-      let clo = r Stencil.Reference.Closure in
-      let com = r Stencil.Reference.Compiled in
-      let big = r Stencil.Reference.Bigarray in
+      let g = Stencil.Grid.init_random ~prec dims in
+      let run ?checked () =
+        fst
+          (run_blocked ?checked ~mode:Blocking.Direct ~shards:1 ~prec pattern cfg
+             dims ~steps:4 g)
+      in
+      let ref_ = Stencil.Reference.run pattern ~steps:4 g in
       let name =
         Fmt.str "%s %s" pattern.Stencil.Pattern.name
           (Stencil.Grid.precision_to_string prec)
       in
-      Alcotest.(check string) (name ^ " compiled") (Stencil.Grid.digest clo)
-        (Stencil.Grid.digest com);
-      Alcotest.(check string) (name ^ " bigarray") (Stencil.Grid.digest clo)
-        (Stencil.Grid.digest big))
+      Alcotest.(check string) (name ^ " streaming") (Stencil.Grid.digest ref_)
+        (Stencil.Grid.digest (run ()));
+      Alcotest.(check string) (name ^ " checked") (Stencil.Grid.digest ref_)
+        (Stencil.Grid.digest (run ~checked:true ())))
     [
       (sym5, Stencil.Grid.F64);
       (sym5, Stencil.Grid.F32);
@@ -345,9 +326,7 @@ let golden_run prec =
   let em = Execmodel.make sym5 (Config.make ~bt:2 ~bs:[| 6 |] ()) dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
   let out, _ =
-    Blocking.run_cfg
-      (Run_config.make ~impl:Run_config.Streaming ())
-      em ~machine ~steps:5 g
+    Blocking.run_cfg Run_config.default em ~machine ~steps:5 g
   in
   out
 
@@ -402,8 +381,8 @@ let test_dispatch_counters () =
   let run ~mode pattern =
     let g = Stencil.Grid.init_random dims in
     ignore
-      (run_blocked ~mode ~impl:Blocking.Streaming ~shards:1
-         ~prec:Stencil.Grid.F64 pattern cfg dims ~steps:4 g)
+      (run_blocked ~mode ~shards:1 ~prec:Stencil.Grid.F64 pattern cfg dims
+         ~steps:4 g)
   in
   let before = counter_value "streaming_dispatch_fused5pt" in
   run ~mode:Blocking.Direct (star ~dims:2 1);
@@ -440,13 +419,12 @@ let () =
         ] );
       ( "differential",
         [
-          QCheck_alcotest.to_alcotest prop_streaming_vs_bigarray;
           QCheck_alcotest.to_alcotest prop_streaming_vs_compiled;
           QCheck_alcotest.to_alcotest prop_streaming_psum_fallback;
           Alcotest.test_case "fixed kernel matrix" `Quick test_fixed_shapes;
         ] );
       ( "reference folded",
-        [ Alcotest.test_case "three impls agree" `Quick test_reference_folded ] );
+        [ Alcotest.test_case "reference = both paths" `Quick test_reference_folded ] );
       ( "golden bits",
         [
           Alcotest.test_case "sym5pt f64" `Quick

@@ -1,6 +1,7 @@
 (* Multi-process shard workers (An5d_serve.Workers): the worker
    differential — {1,2,4}-worker runs bit-identical (grids, counters
-   and launch stats) to the in-process sharded path — plus halo-cadence
+   and launch stats) to the in-process sharded path, and in grids and
+   counters to the checked compiled plan — plus halo-cadence
    accounting, the task/counters JSON codecs, and the fault-injection
    matrix (mid-chunk SIGKILL death, handshake timeout, garbage halo
    frames) with exact spawn/crash/retry metric deltas
@@ -61,6 +62,20 @@ let in_process ~prec ~run =
   Framework.simulate_cfg ~cfg:(Run_config.with_workers 1 run) ~device ~steps
     job grid
 
+(* The oracle side of the differential: the same in-process sharded
+   run forced onto the checked compiled plan. *)
+let checked_in_process ~prec ~run =
+  let job = Framework.compile ~config ~prec source in
+  let grid =
+    Stencil.Grid.init_random ~prec:job.Framework.prec ~seed job.Framework.dims
+  in
+  let machine = Gpu.Machine.create ~prec:job.Framework.prec device in
+  let result, _ =
+    Blocking.run_cfg ~checked:true run (Framework.execmodel job) ~machine ~steps
+      grid
+  in
+  (result, machine.Gpu.Machine.counters)
+
 let check_outcome (base : Framework.outcome) (out : Framework.outcome) =
   Alcotest.(check string)
     "grid digest"
@@ -119,10 +134,7 @@ let test_spec_roundtrip () =
       (match Request.spec_of_json (Json.Int 3) with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "non-object spec must be rejected");
-      let r =
-        Run_config.make ~impl:Run_config.Streaming ~domains:2 ~shards:4
-          ~workers:3 ~verify:false ()
-      in
+      let r = Run_config.make ~domains:2 ~shards:4 ~workers:3 ~verify:false () in
       (match Request.run_of_json (Request.run_to_json r) with
       | Error e -> Alcotest.failf "run did not round-trip: %s" e
       | Ok r' ->
@@ -141,6 +153,27 @@ let test_spec_roundtrip () =
             (Fmt.str "%a" Config.pp c)
             (Fmt.str "%a" Config.pp c'))
 
+(* A run object from a build that still carried an executor field
+   decodes to the same config as one without it (the codec ignores
+   unknown fields), and is served to the same grid. *)
+let test_retired_impl_field () =
+  let run = Run_config.make ~shards ~verify:false () in
+  let fields = match Request.run_to_json run with Json.Obj f -> f | _ -> [] in
+  let decode j =
+    match Request.run_of_json j with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "run did not decode: %s" e
+  in
+  let plain = decode (Json.Obj fields) in
+  let legacy = decode (Json.Obj (("impl", Json.Str "bigarray") :: fields)) in
+  Alcotest.(check string)
+    "same cache key" (Run_config.cache_key plain) (Run_config.cache_key legacy);
+  let prec = List.hd precs in
+  Alcotest.(check string)
+    "same grid digest"
+    (Stencil.Grid.digest (in_process ~prec ~run:plain).Framework.result)
+    (Stencil.Grid.digest (in_process ~prec ~run:legacy).Framework.result)
+
 let test_workers_in_cache_key () =
   let req w =
     Request.simulate ~seed
@@ -155,11 +188,17 @@ let test_workers_in_cache_key () =
 (* Differential: multi-process == in-process sharded                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_differential nw impl () =
+let test_differential nw () =
   List.iter
     (fun prec ->
-      let run = Run_config.make ~impl ~shards ~workers:nw ~verify:true () in
+      let run = Run_config.make ~shards ~workers:nw ~verify:true () in
       let base = in_process ~prec ~run in
+      let oracle, oracle_c = checked_in_process ~prec ~run in
+      Alcotest.(check string)
+        "in-process grid = checked plan" (Stencil.Grid.digest oracle)
+        (Stencil.Grid.digest base.Framework.result);
+      Alcotest.check counters_t "in-process counters = checked plan" oracle_c
+        base.Framework.counters;
       with_registry nw @@ fun reg ->
       let before = Metrics.snapshot () in
       let out = multiproc reg ~prec ~run in
@@ -317,19 +356,18 @@ let test_sigkill_respawn () =
 let case name f = Alcotest.test_case name `Quick f
 
 let differential_cases =
-  List.concat_map
-    (fun (iname, impl) ->
-      List.map
-        (fun nw ->
-          case
-            (Fmt.str "%d-worker %s == in-process" nw iname)
-            (test_differential nw impl))
-        [ 1; 2; 4 ])
-    [
-      ("compiled", Run_config.Compiled);
-      ("bigarray", Run_config.Bigarray);
-      ("streaming", Run_config.Streaming);
-    ]
+  List.map
+    (fun nw ->
+      case (Fmt.str "%d-worker == in-process" nw) (test_differential nw))
+    [ 1; 2; 4 ]
+
+(* Every fault case starts from the default SIGPIPE disposition, so the
+   suite proves [Workers.create] installs the ignore itself instead of
+   depending on what the test runner inherited. *)
+let fault name f =
+  case name (fun () ->
+      Sys.set_signal Sys.sigpipe Sys.Signal_default;
+      f ())
 
 let () =
   Alcotest.run "workers"
@@ -338,6 +376,7 @@ let () =
         [
           case "counters round-trip" test_counters_roundtrip;
           case "spec/run/config round-trip" test_spec_roundtrip;
+          case "retired impl field ignored" test_retired_impl_field;
           case "workers in cache key" test_workers_in_cache_key;
         ] );
       ( "differential",
@@ -346,9 +385,9 @@ let () =
       ("cadence", [ case "one exchange per temporal chunk" test_cadence ]);
       ( "faults",
         [
-          case "die mid-chunk" test_die_mid_chunk;
-          case "handshake timeout" test_handshake_timeout;
-          case "garbage halo frames" test_garbage_planes;
-          case "sigkill between requests" test_sigkill_respawn;
+          fault "die mid-chunk" test_die_mid_chunk;
+          fault "handshake timeout" test_handshake_timeout;
+          fault "garbage halo frames" test_garbage_planes;
+          fault "sigkill between requests" test_sigkill_respawn;
         ] );
     ]
