@@ -142,6 +142,29 @@ let test_compiled_vs_reference () =
   let r = Stencil.Reference.run pattern ~steps:6 g in
   Alcotest.(check (float 0.0)) "blocked = reference" 0.0 (Stencil.Grid.max_abs_diff r out)
 
+(* --- the reference sweep on every lowering form --- *)
+
+(* Each lowering form (flat sum, division post-op, 3D box, sqrt and
+   right-nested fallbacks, gradient) in both precisions: the reference
+   sweep, the checked compiled plan and the default path agree. *)
+let test_reference_impls () =
+  List.iter
+    (fun (name, pattern, cfg, dims) ->
+      List.iter
+        (fun prec ->
+          check_impls ~prec
+            (Fmt.str "%s %s" name (Stencil.Grid.precision_to_string prec))
+            pattern cfg dims ~steps:4)
+        [ Stencil.Grid.F64; Stencil.Grid.F32 ])
+    [
+      ("star2d1r", star ~dims:2 1, Config.make ~bt:2 ~bs:[| 12 |] (), [| 20; 24 |]);
+      ("j2d5pt", bench "j2d5pt", Config.make ~bt:2 ~bs:[| 12 |] (), [| 20; 24 |]);
+      ("box3d1r", box ~dims:3 1, Config.make ~bt:1 ~bs:[| 8; 8 |] (), [| 10; 12; 11 |]);
+      ("sqrt", sqrt_pattern, Config.make ~bt:2 ~bs:[| 12 |] (), [| 18; 16 |]);
+      ("right-nested", right_nested_pattern, Config.make ~bt:2 ~bs:[| 12 |] (), [| 18; 16 |]);
+      ("gradient2d", bench "gradient2d", Config.make ~bt:2 ~bs:[| 12 |] (), [| 20; 24 |]);
+    ]
+
 (* --- lowering unit tests --- *)
 
 let test_lowering_forms () =
@@ -371,6 +394,38 @@ let prop_checked_equals_streaming =
               = 0.0)
       end)
 
+(* The checked compiled plan fanned over [domains] in [Direct] mode:
+   the same counters as its sequential run and the same grid as the
+   reference sweep. *)
+let prop_reference_equals_pooled_checked =
+  QCheck.Test.make ~name:"reference sweep = pooled checked plan" ~count:30
+    arb_case
+    (fun ((dims_n, rad, bt, shape_star, with_div, bs, sizes), (steps, hs, _, domains)) ->
+      let base = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
+      let pattern =
+        if with_div then
+          Stencil.Pattern.make ~name:(base.Stencil.Pattern.name ^ "-div")
+            ~dims:dims_n
+            ~params:[ ("c0", 2.5) ]
+            (Stencil.Sexpr.Div (base.Stencil.Pattern.expr, Stencil.Sexpr.Param "c0"))
+        else base
+      in
+      let cfg = Config.make ~hs ~bt ~bs () in
+      if not (Config.valid ~rad ~max_threads:1024 cfg) then true
+      else begin
+        let g = Stencil.Grid.init_random sizes in
+        let pooled, pooled_c =
+          run_impl ~mode:Blocking.Direct ~domains ~checked:true pattern cfg sizes
+            ~steps g
+        in
+        let _, seq_c =
+          run_impl ~mode:Blocking.Direct ~checked:true pattern cfg sizes ~steps g
+        in
+        Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) pooled
+        = 0.0
+        && Gpu.Counters.equal seq_c pooled_c
+      end)
+
 let () =
   Alcotest.run "plan"
     [
@@ -381,6 +436,7 @@ let () =
           Alcotest.test_case "fallback paths" `Quick test_fallback_paths;
           Alcotest.test_case "modes and switches" `Quick test_modes_and_switches;
           Alcotest.test_case "compiled vs reference" `Quick test_compiled_vs_reference;
+          Alcotest.test_case "reference impls" `Quick test_reference_impls;
         ] );
       ( "lowering",
         [
@@ -396,5 +452,6 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_checked_equals_streaming;
+          QCheck_alcotest.to_alcotest prop_reference_equals_pooled_checked;
         ] );
     ]

@@ -381,17 +381,16 @@ let test_cfg_multi_blocking () =
 (* ------------------------------------------------------------------ *)
 
 let sim_req ?id ?deadline ?(seed = 1) ?(bt = 2) ?(bs = [| 16 |])
-    ?(dims = [| 40; 40 |]) ?(steps = 5) ?prec () =
-  Request.simulate ?id ?deadline ~dims ?prec ~seed ~run:Run_config.default
+    ?(dims = [| 40; 40 |]) ?(steps = 5) ?(run = Run_config.default) ?prec () =
+  Request.simulate ?id ?deadline ~dims ?prec ~seed ~run
     ~config:(Config.make ~bt ~bs ())
     ~device:Gpu.Device.v100 ~steps source
 
 let direct_outcome ?(seed = 1) ?(bt = 2) ?(bs = [| 16 |]) ?(dims = [| 40; 40 |])
-    ?(steps = 5) ?prec () =
+    ?(steps = 5) ?(run = Run_config.default) ?prec () =
   let job = Framework.compile ~dims ?prec ~config:(Config.make ~bt ~bs ()) source in
   let g = Stencil.Grid.init_random ~prec:job.Framework.prec ~seed dims in
-  Framework.simulate_cfg ~cfg:Run_config.default ~device:Gpu.Device.v100 ~steps
-    job g
+  Framework.simulate_cfg ~cfg:run ~device:Gpu.Device.v100 ~steps job g
 
 let served_outcome name (r : Session.response) =
   match r.Session.status with
@@ -551,6 +550,28 @@ let test_session_compile () =
   | _ -> Alcotest.fail "expected Done Compiled");
   let r2 = Session.submit s req in
   Alcotest.(check bool) "job cache warm" true (r2.Session.served = Session.Warm)
+
+(* Served partial-sums runs (the checked compiled plan) must be
+   bit-identical to direct ones in every storage precision (the serve
+   layer is a pure router). *)
+let test_session_partial_sums () =
+  with_session @@ fun s ->
+  let run = Run_config.with_mode Run_config.Partial_sums Run_config.default in
+  List.iter
+    (fun (name, prec) ->
+      let r = Session.submit s (sim_req ~run ?prec ~steps:6 ()) in
+      let o = served_outcome name r in
+      let d = direct_outcome ~run ?prec ~steps:6 () in
+      Alcotest.(check (float 0.0))
+        (name ^ " grid") 0.0
+        (Stencil.Grid.max_abs_diff o.Framework.result d.Framework.result);
+      Alcotest.check counters_t (name ^ " counters") d.Framework.counters
+        o.Framework.counters)
+    [
+      ("partial-sums auto-prec", None);
+      ("partial-sums f64", Some Stencil.Grid.F64);
+      ("partial-sums f32", Some Stencil.Grid.F32);
+    ]
 
 (* Cache keys canonicalize the precision: a spec omitting [prec] must
    key identically to one spelling out what the source detects to
@@ -848,25 +869,34 @@ let arb_case =
         | Some p -> Stencil.Grid.precision_to_string p))
     gen_case
 
-let prop_served_equals_direct =
+let served_prop ~name run =
   (* one session for all cases: repeats may be served warm, which must
      not change the bits. The case matrix spans the storage precision
      (auto/f64/f32). *)
   let session = Session.create () in
-  QCheck.Test.make ~name:"served simulate = direct Framework.simulate_cfg"
-    ~count:24 arb_case (fun (bt, bs, dims, steps, seed, prec) ->
+  QCheck.Test.make ~name ~count:24 arb_case
+    (fun (bt, bs, dims, steps, seed, prec) ->
       let cfg = Config.make ~bt ~bs () in
       if not (Config.valid ~rad:1 ~max_threads:1024 cfg) then true
       else begin
         let r =
-          Session.submit session (sim_req ~seed ~bt ~bs ~dims ~steps ?prec ())
+          Session.submit session
+            (sim_req ~seed ~bt ~bs ~dims ~steps ~run ?prec ())
         in
         let o = served_outcome "qcheck" r in
-        let d = direct_outcome ~seed ~bt ~bs ~dims ~steps ?prec () in
+        let d = direct_outcome ~seed ~bt ~bs ~dims ~steps ~run ?prec () in
         Stencil.Grid.max_abs_diff o.Framework.result d.Framework.result = 0.0
         && Gpu.Counters.equal o.Framework.counters d.Framework.counters
         && o.Framework.verified = d.Framework.verified
       end)
+
+let prop_served_equals_direct =
+  served_prop ~name:"served simulate = direct Framework.simulate_cfg"
+    Run_config.default
+
+let prop_served_psum_equals_direct =
+  served_prop ~name:"served partial-sums simulate = direct"
+    (Run_config.with_mode Run_config.Partial_sums Run_config.default)
 
 let () =
   Alcotest.run "serve"
@@ -909,6 +939,8 @@ let () =
           Alcotest.test_case "tune served and cached" `Quick test_session_tune;
           Alcotest.test_case "compile served and cached" `Quick
             test_session_compile;
+          Alcotest.test_case "partial-sums served" `Quick
+            test_session_partial_sums;
           Alcotest.test_case "spec_key precision canonical" `Quick
             test_spec_key_precision_canonical;
         ] );
@@ -928,5 +960,8 @@ let () =
       ( "stats",
         [ Alcotest.test_case "pinned rendering" `Quick test_stats_format ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_served_equals_direct ] );
+        [
+          QCheck_alcotest.to_alcotest prop_served_equals_direct;
+          QCheck_alcotest.to_alcotest prop_served_psum_equals_direct;
+        ] );
     ]

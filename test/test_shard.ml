@@ -107,11 +107,11 @@ let prop_extent_covers_halo =
 (* The sharded-vs-resident differential                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_resident ~mode ~prec pattern cfg dims ~steps g =
+let run_resident ?checked ~mode ~prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
   let out, stats =
-    Blocking.run_cfg (Run_config.make ~mode ()) em ~machine ~steps g
+    Blocking.run_cfg ?checked (Run_config.make ~mode ()) em ~machine ~steps g
   in
   (out, machine.Gpu.Machine.counters, stats)
 
@@ -163,29 +163,45 @@ let gen_shard_case =
     let mode = if psum then Blocking.Partial_sums else Blocking.Direct in
     return (pattern, rad, bt, bs, sizes, prec, steps, (if divide then Some h else None), mode))
 
-let arb_shard_case =
-  QCheck.make
-    ~print:(fun (p, rad, bt, bs, sizes, prec, steps, hs, mode) ->
-      Fmt.str "%s rad=%d bt=%d bs=%a sizes=%a prec=%s steps=%d hs=%a mode=%s"
-        p.Stencil.Pattern.name rad bt
-        Fmt.(array ~sep:(any ",") int)
-        bs
-        Fmt.(array ~sep:(any "x") int)
-        sizes
-        (Stencil.Grid.precision_to_string prec)
-        steps
-        Fmt.(option int)
-        hs
-        (Run_config.mode_to_string mode))
-    gen_shard_case
+let print_shard_case (p, rad, bt, bs, sizes, prec, steps, hs, mode) =
+  Fmt.str "%s rad=%d bt=%d bs=%a sizes=%a prec=%s steps=%d hs=%a mode=%s"
+    p.Stencil.Pattern.name rad bt
+    Fmt.(array ~sep:(any ",") int)
+    bs
+    Fmt.(array ~sep:(any "x") int)
+    sizes
+    (Stencil.Grid.precision_to_string prec)
+    steps
+    Fmt.(option int)
+    hs
+    (Run_config.mode_to_string mode)
 
-let shard_prop ~shards (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) =
+let arb_shard_case = QCheck.make ~print:print_shard_case gen_shard_case
+
+(* The same cases with the mode pinned. *)
+let arb_shard_case_in mode =
+  QCheck.make ~print:print_shard_case
+    (QCheck.Gen.map
+       (fun (p, rad, bt, bs, sizes, prec, steps, hs, _) ->
+         (p, rad, bt, bs, sizes, prec, steps, hs, mode))
+       gen_shard_case)
+
+(* Each cell of the matrix pins the mode and the path on both sides:
+   [Direct] on the default (streaming) path, [Direct] forced onto the
+   checked compiled plan, and [Partial_sums], which the capability gate
+   routes to the compiled plan on its own. *)
+let shard_prop ~shards ~checked
+    (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) =
   let cfg = Config.make ~hs ~bt ~bs () in
   if not (Config.valid ~rad ~max_threads:1024 cfg) then true
   else begin
     let g = Stencil.Grid.init_random ~prec sizes in
-    let res, res_c, _ = run_resident ~mode ~prec pattern cfg sizes ~steps g in
-    let sh, sh_c, _ = run_sharded ~shards ~mode ~prec pattern cfg sizes ~steps g in
+    let res, res_c, _ =
+      run_resident ~checked ~mode ~prec pattern cfg sizes ~steps g
+    in
+    let sh, sh_c, _ =
+      run_sharded ~checked ~shards ~mode ~prec pattern cfg sizes ~steps g
+    in
     Stencil.Grid.max_abs_diff res sh = 0.0
     (* shards = 1 *is* the resident schedule, counters and all; at
        shards > 1 the counters include redundant ghost compute and are
@@ -194,11 +210,20 @@ let shard_prop ~shards (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) =
   end
 
 let prop_matrix =
-  List.map
+  List.concat_map
     (fun shards ->
-      QCheck.Test.make
-        ~name:(Fmt.str "sharded = resident (bitwise), shards=%d" shards)
-        ~count:200 arb_shard_case (shard_prop ~shards))
+      List.map
+        (fun (vname, mode, checked) ->
+          QCheck.Test.make
+            ~name:
+              (Fmt.str "sharded = resident (bitwise), shards=%d %s" shards vname)
+            ~count:200 (arb_shard_case_in mode)
+            (shard_prop ~shards ~checked))
+        [
+          ("direct", Blocking.Direct, false);
+          ("direct checked", Blocking.Direct, true);
+          ("partial-sums", Blocking.Partial_sums, false);
+        ])
     [ 1; 2; 4 ]
 
 (* Counters at shards > 1: the redundant ghost compute is

@@ -4,9 +4,13 @@
    *bit-identical* to a naive per-cell evaluation of the source
    expression through checked multi-index reads — across random
    stencils, grid shapes (including size-1 dims and radius-equal edges
-   where the interior is empty) and precisions. The blocked executors'
-   differentials live in test/test_streaming.ml; here the capability
-   gate that routes plans between them is pinned. On top: property
+   where the interior is empty) and precisions. The blocked streaming
+   path must likewise be bit-identical to the checked compiled plan
+   (grids and counters) and, in [Direct] mode, to the reference sweep
+   over stream-divided and division-post-op stencils in both
+   precisions; the capability gate that routes plans between the two
+   blocked paths is pinned. The kernel-shape matrix lives in
+   test/test_streaming.ml. On top: property
    tests that the unsafe accessors agree with the checked ones on every
    in-bounds index, an index-oracle fuzz proving the peeling invariant
    (interior position + neighbor delta always lands in range), f32
@@ -165,8 +169,132 @@ let test_ref_degenerate_shapes () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The capability gate between the blocked executors                   *)
+(* Blocked differential: streaming vs the checked compiled plan        *)
 (* ------------------------------------------------------------------ *)
+
+let counters_t =
+  Alcotest.testable (fun ppf c -> Gpu.Counters.pp ppf c) Gpu.Counters.equal
+
+let run_blocked ?checked ~mode ~prec pattern cfg dims ~steps g =
+  let em = Execmodel.make pattern cfg dims in
+  let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
+  let out, _ =
+    Blocking.run_cfg ?checked (Run_config.make ~mode ()) em ~machine ~steps g
+  in
+  (out, machine.Gpu.Machine.counters)
+
+(* Stream division and division post-ops over both storage
+   precisions: the flat-storage cases the shape matrix in
+   test/test_streaming.ml does not draw. *)
+let gen_blocked_case =
+  QCheck.Gen.(
+    let* dims_n = int_range 2 3 in
+    let* rad = int_range 1 (if dims_n = 2 then 3 else 2) in
+    let* bt = int_range 1 3 in
+    let* shape_star = bool in
+    let* divided = bool in
+    let* prec = gen_prec in
+    let* extra = int_range 1 6 in
+    let bs_edge = (2 * bt * rad) + extra in
+    let* sizes =
+      match dims_n with
+      | 2 ->
+          let* a = int_range (2 * rad) 30 in
+          let* b = int_range (2 * rad) 20 in
+          return [| a + 4; b + 4 |]
+      | _ ->
+          let* a = int_range (2 * rad) 12 in
+          let* b = int_range (2 * rad) 10 in
+          let* c = int_range (2 * rad) 10 in
+          return [| a + 4; b + 4; c + 4 |]
+    in
+    let* steps = int_range 0 6 in
+    let* divide = bool in
+    let* h = int_range 3 10 in
+    let bs = Array.make (dims_n - 1) bs_edge in
+    let base = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
+    let pattern = if divided then with_div base else base in
+    return (pattern, rad, bt, bs, sizes, prec, steps, (if divide then Some h else None)))
+
+let arb_blocked_case =
+  QCheck.make
+    ~print:(fun (p, rad, bt, bs, sizes, prec, steps, hs) ->
+      Fmt.str "%s rad=%d bt=%d bs=%a sizes=%a prec=%s steps=%d hs=%a"
+        p.Stencil.Pattern.name rad bt
+        Fmt.(array ~sep:(any ",") int)
+        bs
+        Fmt.(array ~sep:(any "x") int)
+        sizes
+        (Stencil.Grid.precision_to_string prec)
+        steps
+        Fmt.(option int)
+        hs)
+    gen_blocked_case
+
+let blocked_prop mode (pattern, rad, bt, bs, sizes, prec, steps, hs) =
+  let cfg = Config.make ~hs ~bt ~bs () in
+  if not (Config.valid ~rad ~max_threads:1024 cfg) then true
+  else begin
+    let g = Stencil.Grid.init_random ~prec sizes in
+    let def, def_c = run_blocked ~mode ~prec pattern cfg sizes ~steps g in
+    let com, com_c =
+      run_blocked ~checked:true ~mode ~prec pattern cfg sizes ~steps g
+    in
+    Stencil.Grid.max_abs_diff com def = 0.0 && Gpu.Counters.equal com_c def_c
+  end
+
+let prop_blocked_direct =
+  QCheck.Test.make
+    ~name:"blocked direct: streaming = checked compiled plan (grids and counters)"
+    ~count:200 arb_blocked_case
+    (blocked_prop Blocking.Direct)
+
+(* Partial_sums is refused by the gate, so the default path must take
+   the compiled plan itself — bit for bit the forced one. *)
+let prop_blocked_psum =
+  QCheck.Test.make
+    ~name:"blocked partial-sums: default path = checked compiled plan (grids and counters)"
+    ~count:200 arb_blocked_case
+    (blocked_prop Blocking.Partial_sums)
+
+(* The blocked schedule in [Direct] mode against the unchecked
+   reference sweep: ties both storage paths to one shared oracle. *)
+let prop_blocked_vs_reference =
+  QCheck.Test.make ~name:"blocked: streaming = reference sweep" ~count:60
+    arb_blocked_case
+    (fun (pattern, rad, bt, bs, sizes, prec, steps, hs) ->
+      let cfg = Config.make ~hs ~bt ~bs () in
+      if not (Config.valid ~rad ~max_threads:1024 cfg) then true
+      else begin
+        let g = Stencil.Grid.init_random ~prec sizes in
+        let out, _ =
+          run_blocked ~mode:Blocking.Direct ~prec pattern cfg sizes ~steps g
+        in
+        Stencil.Grid.digest (Stencil.Reference.run pattern ~steps g)
+        = Stencil.Grid.digest out
+      end)
+
+(* Fixed case with counters spelled out via Alcotest, so a failure
+   prints the exact counter field that diverged. *)
+let test_blocked_fixed () =
+  List.iter
+    (fun (name, mode, prec) ->
+      let pattern = with_div (star ~dims:2 1) in
+      let cfg = Config.make ~bt:3 ~bs:[| 16 |] () in
+      let dims = [| 30; 40 |] in
+      let g = Stencil.Grid.init_random ~prec dims in
+      let def, def_c = run_blocked ~mode ~prec pattern cfg dims ~steps:7 g in
+      let com, com_c =
+        run_blocked ~checked:true ~mode ~prec pattern cfg dims ~steps:7 g
+      in
+      Alcotest.(check (float 0.0)) (name ^ " grid") 0.0 (Stencil.Grid.max_abs_diff com def);
+      Alcotest.check counters_t (name ^ " counters") com_c def_c)
+    [
+      ("direct f64", Blocking.Direct, Stencil.Grid.F64);
+      ("direct f32", Blocking.Direct, Stencil.Grid.F32);
+      ("psum f64", Blocking.Partial_sums, Stencil.Grid.F64);
+      ("psum f32", Blocking.Partial_sums, Stencil.Grid.F32);
+    ]
 
 (* unsafe_capable gates the streaming path: Partial_sums and non-linear
    lowerings must refuse (they fall back to the compiled plan). *)
@@ -526,8 +654,14 @@ let () =
           Alcotest.test_case "non-linear branch" `Quick test_ref_nonlinear;
           Alcotest.test_case "degenerate shapes" `Quick test_ref_degenerate_shapes;
         ] );
-      ( "capability gate",
-        [ Alcotest.test_case "unsafe_capable gate" `Quick test_unsafe_capable_gate ] );
+      ( "blocked differential",
+        [
+          QCheck_alcotest.to_alcotest prop_blocked_direct;
+          QCheck_alcotest.to_alcotest prop_blocked_psum;
+          QCheck_alcotest.to_alcotest prop_blocked_vs_reference;
+          Alcotest.test_case "fixed cases with counters" `Quick test_blocked_fixed;
+          Alcotest.test_case "unsafe_capable gate" `Quick test_unsafe_capable_gate;
+        ] );
       ( "unsafe accessors",
         [
           QCheck_alcotest.to_alcotest prop_unsafe_get_agrees;

@@ -237,6 +237,24 @@ let prop_streaming_psum_fallback =
     arb_stream_case
     (stream_prop Blocking.Partial_sums)
 
+(* Every specialized kernel shape in [Direct] mode, resident and
+   sharded, against the unchecked reference sweep. *)
+let prop_streaming_vs_reference =
+  QCheck.Test.make ~name:"blocked: streaming = reference sweep (grid digests)"
+    ~count:100 arb_stream_case
+    (fun (pattern, rad, bt, bs, sizes, prec, steps, shards) ->
+      let cfg = Config.make ~bt ~bs () in
+      if not (Config.valid ~rad ~max_threads:1024 cfg) then true
+      else begin
+        let g = Stencil.Grid.init_random ~prec sizes in
+        let stm, _ =
+          run_blocked ~mode:Blocking.Direct ~shards ~prec pattern cfg sizes
+            ~steps g
+        in
+        Stencil.Grid.digest (Stencil.Reference.run pattern ~steps g)
+        = Stencil.Grid.digest stm
+      end)
+
 (* Fixed cases through every specialized kernel, with counters spelled
    out via Alcotest so a failure names the diverging field. *)
 let test_fixed_shapes () =
@@ -421,6 +439,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_streaming_vs_compiled;
           QCheck_alcotest.to_alcotest prop_streaming_psum_fallback;
+          QCheck_alcotest.to_alcotest prop_streaming_vs_reference;
           Alcotest.test_case "fixed kernel matrix" `Quick test_fixed_shapes;
         ] );
       ( "reference folded",

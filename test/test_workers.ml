@@ -1,5 +1,5 @@
 (* Multi-process shard workers (An5d_serve.Workers): the worker
-   differential — {1,2,4}-worker runs bit-identical (grids, counters
+   differential — {1,2,4}-worker runs in both modes bit-identical (grids, counters
    and launch stats) to the in-process sharded path, and in grids and
    counters to the checked compiled plan — plus halo-cadence
    accounting, the task/counters JSON codecs, and the fault-injection
@@ -188,10 +188,10 @@ let test_workers_in_cache_key () =
 (* Differential: multi-process == in-process sharded                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_differential nw () =
+let test_differential ~mode nw () =
   List.iter
     (fun prec ->
-      let run = Run_config.make ~shards ~workers:nw ~verify:true () in
+      let run = Run_config.make ~mode ~shards ~workers:nw ~verify:true () in
       let base = in_process ~prec ~run in
       let oracle, oracle_c = checked_in_process ~prec ~run in
       Alcotest.(check string)
@@ -355,11 +355,18 @@ let test_sigkill_respawn () =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* [Partial_sums] takes the checked compiled plan inside every worker,
+   so both kernel paths cross the process boundary. *)
 let differential_cases =
-  List.map
-    (fun nw ->
-      case (Fmt.str "%d-worker == in-process" nw) (test_differential nw))
-    [ 1; 2; 4 ]
+  List.concat_map
+    (fun (mname, mode) ->
+      List.map
+        (fun nw ->
+          case
+            (Fmt.str "%d-worker %s== in-process" nw mname)
+            (test_differential ~mode nw))
+        [ 1; 2; 4 ])
+    [ ("", Run_config.Direct); ("partial-sums ", Run_config.Partial_sums) ]
 
 (* Every fault case starts from the default SIGPIPE disposition, so the
    suite proves [Workers.create] installs the ignore itself instead of
