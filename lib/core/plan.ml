@@ -285,7 +285,7 @@ let make_block_state (plan : t) ~degree:b block_id =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The unsafe contract of the streaming path                          *)
+(* Streaming dispatch                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Whether the unsafe sliding-window path ({!Stream_exec}) can run this
@@ -301,132 +301,6 @@ let unsafe_capable (plan : t) ~(mode : Run_config.exec_mode) =
    bench JSON's kernel column. *)
 let kernel_name (plan : t) =
   Stencil.Sexpr.kernel_shape_name plan.low.Stencil.Sexpr.low_kernel
-
-(* Validate the unsafe-index contract once per block, before any
-   unchecked access (the production-side "index oracle"; the fuzz suite
-   re-proves the same bounds independently):
-
-   - every plan table entry indexes its target array in range
-     ([lt_off] into the offset tables, [lt_off2] likewise or [-1],
-     [plane_e] into the [p] register slots, [nbr] into the [n_thr]
-     threads, and the term-major hoisted tables [t_plane]/[t_nbr]/
-     [t_plane2]/[t_nbr2] consumed by the streaming window kernels with
-     one row of [n_thr] entries per term);
-   - every in-grid thread's in-plane base offset lies in [0, stride0),
-     so [base + i*stride0 < l*stride0 = size] for stream planes
-     [i < l] — loads and stores only happen for in-grid threads
-     (interior/boundary peeling: out-of-grid and halo threads never
-     touch global memory on this path).
-
-   A violation raises instead of reading out of bounds; it cannot occur
-   for plans built by {!build} (offsets are bounded by the pattern
-   radius and neighbor ids are clamped), which the raise documents. *)
-let validate_unsafe_contract (plan : t) (lf : Stencil.Sexpr.linear_form)
-    (st : block_state) =
-  let fail what = invalid_arg ("Plan.validate_unsafe_contract: " ^ what) in
-  let n_off = plan.n_off and n_thr = plan.n_thr and p = plan.p in
-  Array.iter
-    (fun k -> if k < 0 || k >= n_off then fail "term offset index out of range")
-    lf.Stencil.Sexpr.lt_off;
-  Array.iter
-    (fun k2 -> if k2 < -1 || k2 >= n_off then fail "pair offset index out of range")
-    lf.Stencil.Sexpr.lt_off2;
-  Array.iter
-    (fun e -> if e < 0 || e >= p then fail "plane slot out of range")
-    plan.plane_e;
-  Array.iter
-    (fun t -> if t < 0 || t >= n_thr then fail "neighbor thread out of range")
-    plan.nbr;
-  let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
-  if Array.length plan.t_plane <> n_terms || Array.length plan.t_nbr <> n_terms
-     || Array.length plan.t_plane2 <> n_terms
-     || Array.length plan.t_nbr2 <> n_terms
-  then fail "term-major table length mismatch";
-  Array.iter
-    (fun e -> if e < 0 || e >= p then fail "term plane slot out of range")
-    plan.t_plane;
-  Array.iter
-    (fun e -> if e < -1 || e >= p then fail "pair plane slot out of range")
-    plan.t_plane2;
-  let check_rows rows required =
-    Array.iteri
-      (fun q row ->
-        if Array.length row <> (if required || plan.t_plane2.(q) >= 0 then n_thr else 0)
-        then fail "term neighbor row length mismatch";
-        Array.iter
-          (fun t -> if t < 0 || t >= n_thr then fail "term neighbor out of range")
-          row)
-      rows
-  in
-  check_rows plan.t_nbr true;
-  check_rows plan.t_nbr2 false;
-  let stride0 = plan.gstrides.(0) in
-  if stride0 <= 0 then fail "non-positive plane stride";
-  for t = 0 to n_thr - 1 do
-    if st.in_grid.(t) && (st.base.(t) < 0 || st.base.(t) >= stride0) then
-      fail "in-grid thread base offset outside its plane"
-  done
-
-(* Plane load/store closures, monomorphic per precision: the buffer
-   constructor is matched once per block, so inside each closure the
-   element kind is statically known and bigarray access compiles to
-   direct loads. [0 <= base t < stride0] for in-grid threads (validated
-   by the contract above) and [0 <= i < l] at every call site, so
-   [base t + i*stride0] is in [0, size). Loads land in
-   [reg_file.(0).(i mod p)], stores read [reg_file.(degree).(j mod p)];
-   counters tick the per-plane global-memory traffic. Used by the
-   sliding-window {!Stream_exec}. *)
-let plane_io (plan : t) ~degree:b ~(src : Stencil.Grid.t) ~(dst : Stencil.Grid.t)
-    (st : block_state) counters =
-  let n_thr = plan.n_thr in
-  let p = plan.p in
-  let stride0 = plan.gstrides.(0) in
-  let store_ok = plan.store_ok in
-  let { in_grid; base; reg_file; _ } = st in
-  match (src.Stencil.Grid.buf, dst.Stencil.Grid.buf) with
-  | Stencil.Grid.B64 sba, Stencil.Grid.B64 dba ->
-      ( (fun i ->
-          let dst_plane = reg_file.(0).(i mod p) in
-          let poff = i * stride0 in
-          for t = 0 to n_thr - 1 do
-            Array.unsafe_set dst_plane t
-              (if Array.unsafe_get in_grid t then
-                 Bigarray.Array1.unsafe_get sba (Array.unsafe_get base t + poff)
-               else 0.0)
-          done;
-          Gpu.Counters.add_gm_reads counters st.n_in_grid),
-        fun j ->
-          let src_plane = reg_file.(b).(j mod p) in
-          let poff = j * stride0 in
-          for t = 0 to n_thr - 1 do
-            if Array.unsafe_get in_grid t && Array.unsafe_get store_ok t then
-              Bigarray.Array1.unsafe_set dba
-                (Array.unsafe_get base t + poff)
-                (Array.unsafe_get src_plane t)
-          done;
-          Gpu.Counters.add_gm_writes counters st.n_store )
-  | Stencil.Grid.B32 sba, Stencil.Grid.B32 dba ->
-      ( (fun i ->
-          let dst_plane = reg_file.(0).(i mod p) in
-          let poff = i * stride0 in
-          for t = 0 to n_thr - 1 do
-            Array.unsafe_set dst_plane t
-              (if Array.unsafe_get in_grid t then
-                 Bigarray.Array1.unsafe_get sba (Array.unsafe_get base t + poff)
-               else 0.0)
-          done;
-          Gpu.Counters.add_gm_reads counters st.n_in_grid),
-        fun j ->
-          let src_plane = reg_file.(b).(j mod p) in
-          let poff = j * stride0 in
-          for t = 0 to n_thr - 1 do
-            if Array.unsafe_get in_grid t && Array.unsafe_get store_ok t then
-              Bigarray.Array1.unsafe_set dba
-                (Array.unsafe_get base t + poff)
-                (Array.unsafe_get src_plane t)
-          done;
-          Gpu.Counters.add_gm_writes counters st.n_store )
-  | _ -> invalid_arg "Plan.plane_io: src/dst precision mismatch"
 
 (* ------------------------------------------------------------------ *)
 (* Memoization                                                         *)

@@ -6,9 +6,9 @@
     geometry, the update expression lowered to flat per-term tables
     ({!Stencil.Sexpr.lower}), per-thread neighbor-thread and store-mask
     tables, row-major grid strides for unchecked linear plane access,
-    and the launch/resource/traffic constants. The compiled executors
-    ({!Blocking}, {!Stencil.Reference}) drive their inner loops off
-    these arrays; the differential test suite proves the sliding-window
+    and the launch/resource/traffic constants. Both executors — the
+    checked compiled path in {!Blocking} and {!Stream_exec} — drive
+    their inner loops off these arrays; the differential test suite proves the sliding-window
     {!Stream_exec} path and the checked compiled path bit-identical
     (and their counters field-for-field equal). *)
 
@@ -97,37 +97,6 @@ val kernel_name : t -> string
     to ({!Stencil.Sexpr.kernel_shape_name}): ["fused5pt"], ["wide27pt"],
     ["folded5pt"], ["generic"], ... Used for the per-shape dispatch
     counters and bench JSON. *)
-
-val validate_unsafe_contract : t -> Stencil.Sexpr.linear_form -> block_state -> unit
-(** The validate-then-unsafe peeling contract, checked once per block
-    before any unchecked access (see [scripts/check_unsafe.sh]): every
-    plan table entry indexes its target in range — [lt_off]/[lt_off2]
-    into the offsets table, [plane_e] into the [p] register slots, [nbr]
-    and the term-major [t_plane]/[t_nbr]/[t_plane2]/[t_nbr2] rows used
-    by the sliding-window kernels into slots/threads — and every
-    in-grid thread's in-plane base offset lies in [0, stride0), so
-    [base + i*stride0] is in bounds for all stream planes [i < l].
-    Raises [Invalid_argument] on violation instead of reading out of
-    bounds. Exposed for {!Stream_exec}, which must establish the same
-    contract before its unsafe window-rotation loops. *)
-
-val plane_io :
-  t ->
-  degree:int ->
-  src:Stencil.Grid.t ->
-  dst:Stencil.Grid.t ->
-  block_state ->
-  Gpu.Counters.t ->
-  (int -> unit) * (int -> unit)
-(** [(load_plane, store_plane)] closures, monomorphic by precision
-    (the buffer constructor is matched once per block). [load_plane i]
-    fills [reg_file.(0).(i mod p)] from stream plane [i] (out-of-grid
-    threads read 0) and ticks the global-read counter;
-    [store_plane j] writes [reg_file.(degree).(j mod p)] back for
-    storing threads and ticks the global-write counter. Callers must
-    have validated the unsafe contract first and only pass
-    [0 <= i < l]. Used by {!Stream_exec}.
-    @raise Invalid_argument on a src/dst precision mismatch. *)
 
 val get : Execmodel.t -> degree:int -> prec:Stencil.Grid.precision -> t
 (** The memoized plan for one kernel call. The cache key strips the

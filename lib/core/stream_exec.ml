@@ -34,15 +34,142 @@
     invisible to the modeled schedule, which is the correctness oracle —
     the differential suite (test/test_streaming.ml) proves it. *)
 
+(* Validate the unsafe-index contract once per block, before any
+   unchecked access (the production-side "index oracle"; the fuzz suite
+   re-proves the same bounds independently):
+
+   - every plan table entry indexes its target array in range
+     ([lt_off] into the offset tables, [lt_off2] likewise or [-1],
+     [plane_e] into the [p] register slots, [nbr] into the [n_thr]
+     threads, and the term-major hoisted tables [t_plane]/[t_nbr]/
+     [t_plane2]/[t_nbr2] consumed by the window kernels with one row of
+     [n_thr] entries per term);
+   - every in-grid thread's in-plane base offset lies in [0, stride0),
+     so [base + i*stride0 < l*stride0 = size] for stream planes
+     [i < l] — loads and stores only happen for in-grid threads
+     (interior/boundary peeling: out-of-grid and halo threads never
+     touch global memory on this path).
+
+   A violation raises instead of reading out of bounds; it cannot occur
+   for plans built by {!Plan.get} (offsets are bounded by the pattern
+   radius and neighbor ids are clamped), which the raise documents. *)
+let validate_unsafe_contract (plan : Plan.t) (lf : Stencil.Sexpr.linear_form)
+    (st : Plan.block_state) =
+  let fail what = invalid_arg ("Stream_exec.validate_unsafe_contract: " ^ what) in
+  let n_off = plan.Plan.n_off and n_thr = plan.Plan.n_thr and p = plan.Plan.p in
+  Array.iter
+    (fun k -> if k < 0 || k >= n_off then fail "term offset index out of range")
+    lf.Stencil.Sexpr.lt_off;
+  Array.iter
+    (fun k2 -> if k2 < -1 || k2 >= n_off then fail "pair offset index out of range")
+    lf.Stencil.Sexpr.lt_off2;
+  Array.iter
+    (fun e -> if e < 0 || e >= p then fail "plane slot out of range")
+    plan.Plan.plane_e;
+  Array.iter
+    (fun t -> if t < 0 || t >= n_thr then fail "neighbor thread out of range")
+    plan.Plan.nbr;
+  let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
+  if Array.length plan.Plan.t_plane <> n_terms
+     || Array.length plan.Plan.t_nbr <> n_terms
+     || Array.length plan.Plan.t_plane2 <> n_terms
+     || Array.length plan.Plan.t_nbr2 <> n_terms
+  then fail "term-major table length mismatch";
+  Array.iter
+    (fun e -> if e < 0 || e >= p then fail "term plane slot out of range")
+    plan.Plan.t_plane;
+  Array.iter
+    (fun e -> if e < -1 || e >= p then fail "pair plane slot out of range")
+    plan.Plan.t_plane2;
+  let check_rows rows required =
+    Array.iteri
+      (fun q row ->
+        if Array.length row
+           <> (if required || plan.Plan.t_plane2.(q) >= 0 then n_thr else 0)
+        then fail "term neighbor row length mismatch";
+        Array.iter
+          (fun t -> if t < 0 || t >= n_thr then fail "term neighbor out of range")
+          row)
+      rows
+  in
+  check_rows plan.Plan.t_nbr true;
+  check_rows plan.Plan.t_nbr2 false;
+  let stride0 = plan.Plan.gstrides.(0) in
+  if stride0 <= 0 then fail "non-positive plane stride";
+  for t = 0 to n_thr - 1 do
+    if st.Plan.in_grid.(t) && (st.Plan.base.(t) < 0 || st.Plan.base.(t) >= stride0)
+    then fail "in-grid thread base offset outside its plane"
+  done
+
+(* Plane load/store closures, monomorphic per precision: the buffer
+   constructor is matched once per block, so inside each closure the
+   element kind is statically known and bigarray access compiles to
+   direct loads. [0 <= base t < stride0] for in-grid threads (validated
+   by the contract above) and [0 <= i < l] at every call site, so
+   [base t + i*stride0] is in [0, size). Loads land in
+   [reg_file.(0).(i mod p)], stores read [reg_file.(degree).(j mod p)];
+   counters tick the per-plane global-memory traffic. *)
+let plane_io (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
+    ~(dst : Stencil.Grid.t) (st : Plan.block_state) counters =
+  let n_thr = plan.Plan.n_thr in
+  let p = plan.Plan.p in
+  let stride0 = plan.Plan.gstrides.(0) in
+  let store_ok = plan.Plan.store_ok in
+  let { Plan.in_grid; base; reg_file; _ } = st in
+  match (src.Stencil.Grid.buf, dst.Stencil.Grid.buf) with
+  | Stencil.Grid.B64 sba, Stencil.Grid.B64 dba ->
+      ( (fun i ->
+          let dst_plane = reg_file.(0).(i mod p) in
+          let poff = i * stride0 in
+          for t = 0 to n_thr - 1 do
+            Array.unsafe_set dst_plane t
+              (if Array.unsafe_get in_grid t then
+                 Bigarray.Array1.unsafe_get sba (Array.unsafe_get base t + poff)
+               else 0.0)
+          done;
+          Gpu.Counters.add_gm_reads counters st.Plan.n_in_grid),
+        fun j ->
+          let src_plane = reg_file.(b).(j mod p) in
+          let poff = j * stride0 in
+          for t = 0 to n_thr - 1 do
+            if Array.unsafe_get in_grid t && Array.unsafe_get store_ok t then
+              Bigarray.Array1.unsafe_set dba
+                (Array.unsafe_get base t + poff)
+                (Array.unsafe_get src_plane t)
+          done;
+          Gpu.Counters.add_gm_writes counters st.Plan.n_store )
+  | Stencil.Grid.B32 sba, Stencil.Grid.B32 dba ->
+      ( (fun i ->
+          let dst_plane = reg_file.(0).(i mod p) in
+          let poff = i * stride0 in
+          for t = 0 to n_thr - 1 do
+            Array.unsafe_set dst_plane t
+              (if Array.unsafe_get in_grid t then
+                 Bigarray.Array1.unsafe_get sba (Array.unsafe_get base t + poff)
+               else 0.0)
+          done;
+          Gpu.Counters.add_gm_reads counters st.Plan.n_in_grid),
+        fun j ->
+          let src_plane = reg_file.(b).(j mod p) in
+          let poff = j * stride0 in
+          for t = 0 to n_thr - 1 do
+            if Array.unsafe_get in_grid t && Array.unsafe_get store_ok t then
+              Bigarray.Array1.unsafe_set dba
+                (Array.unsafe_get base t + poff)
+                (Array.unsafe_get src_plane t)
+          done;
+          Gpu.Counters.add_gm_writes counters st.Plan.n_store )
+  | _ -> invalid_arg "Stream_exec.plane_io: src/dst precision mismatch"
+
 (* Validate-then-unsafe contract (scripts/check_unsafe.sh): every
-   unchecked access below is covered by {!Plan.validate_unsafe_contract},
+   unchecked access below is covered by [validate_unsafe_contract],
    called once per block before the sweep. Specifically:
    - window rotation indexes [wins.(lev)] and [reg_file.(lev)] with
      [e < p] and [(j ± rad) mod p < p];
    - kernels index [w] with validated [t_plane]/[t_plane2] slots, the
      neighbor rows with [t < n_thr], and the per-thread planes with
      validated [t_nbr]/[t_nbr2] entries;
-   - plane I/O goes through {!Plan.plane_io}, whose in-grid base-offset
+   - plane I/O goes through [plane_io], whose in-grid base-offset
      peeling proof is part of the same contract. *)
 let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     ~(dst : Stencil.Grid.t) ctx =
@@ -77,7 +204,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   let st = Plan.make_block_state plan ~degree:b ctx.Gpu.Machine.block_id in
   let inplane_interior = st.Plan.inplane_interior in
   let reg_file = st.Plan.reg_file in
-  Plan.validate_unsafe_contract plan lf st;
+  validate_unsafe_contract plan lf st;
   let s0, s1 = Execmodel.stream_range plan.Plan.em st.Plan.sb in
   let is_f32 = plan.Plan.prec = Stencil.Grid.F32 in
   (* Whole-plane f32 quantization scratch: interior values land here
@@ -88,7 +215,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
       (if is_f32 then n_thr else 1)
   in
-  let load_plane, store_plane = Plan.plane_io plan ~degree:b ~src ~dst st counters in
+  let load_plane, store_plane = plane_io plan ~degree:b ~src ~dst st counters in
   (* ---------------------------------------------------------------- *)
   (* Shape-specialized compute kernels over a positioned window [w]:
      [w.(e)] is the source plane at streaming delta [e - rad]. Each

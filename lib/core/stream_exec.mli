@@ -24,10 +24,12 @@
     {b Unsafe window-rotation contract} (see [scripts/check_unsafe.sh]):
     all unchecked indexing below — the window rotation into the fixed
     register file, the kernels' hoisted term-major table reads, the
-    plane I/O base offsets — is covered by
-    {!Plan.validate_unsafe_contract}, established once per block before
-    the sweep; a malformed plan raises [Invalid_argument] there instead
-    of reading out of bounds.
+    plane I/O base offsets — is covered by a contract this module
+    validates once per block before the sweep: every plan table entry
+    indexes its target in range, and every in-grid thread's in-plane
+    base offset lies in [[0, stride0)], so [base + i*stride0] is in
+    bounds for all stream planes [i < l]. A malformed plan raises
+    [Invalid_argument] there instead of reading out of bounds.
 
     Grids {e and} simulated GPU counters are bit-identical to the
     checked compiled path in {!Blocking}: identical load/store/compute

@@ -51,7 +51,7 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
    bounds. Boundary cells never enter the sweep — they are blitted up
    front. The proof cannot fail for offsets within the pattern radius;
    if it does, the sweep raises instead of reading out of bounds (the
-   discipline of [Plan.validate_unsafe_contract]). *)
+   discipline of the streaming executor's per-block contract). *)
 let step_lowered (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
   let dims = src.Grid.dims in
   let strides = src.Grid.strides in

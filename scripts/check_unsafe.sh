@@ -6,14 +6,14 @@
 # else in shipped code (lib/, bin/, bench/, examples/) is rejected.
 # stream_exec.ml is on the list for its sliding-window rotation loops:
 # every unsafe access there is covered by the validate-then-unsafe
-# contract (Plan.validate_unsafe_contract, see stream_exec.mli).
+# contract (Stream_exec.validate_unsafe_contract, see stream_exec.mli).
 # Tests are exempt — they exercise the accessors' contract on purpose.
 # Run from the repository root; exits non-zero listing violations.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-allowed="lib/stencil/grid.ml lib/stencil/grid.mli lib/stencil/reference.ml lib/core/plan.ml lib/core/stream_exec.ml"
+allowed="lib/stencil/grid.ml lib/stencil/grid.mli lib/stencil/reference.ml lib/core/stream_exec.ml"
 
 is_allowed() {
   for a in $allowed; do

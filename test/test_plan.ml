@@ -394,38 +394,6 @@ let prop_checked_equals_streaming =
               = 0.0)
       end)
 
-(* The checked compiled plan fanned over [domains] in [Direct] mode:
-   the same counters as its sequential run and the same grid as the
-   reference sweep. *)
-let prop_reference_equals_pooled_checked =
-  QCheck.Test.make ~name:"reference sweep = pooled checked plan" ~count:30
-    arb_case
-    (fun ((dims_n, rad, bt, shape_star, with_div, bs, sizes), (steps, hs, _, domains)) ->
-      let base = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
-      let pattern =
-        if with_div then
-          Stencil.Pattern.make ~name:(base.Stencil.Pattern.name ^ "-div")
-            ~dims:dims_n
-            ~params:[ ("c0", 2.5) ]
-            (Stencil.Sexpr.Div (base.Stencil.Pattern.expr, Stencil.Sexpr.Param "c0"))
-        else base
-      in
-      let cfg = Config.make ~hs ~bt ~bs () in
-      if not (Config.valid ~rad ~max_threads:1024 cfg) then true
-      else begin
-        let g = Stencil.Grid.init_random sizes in
-        let pooled, pooled_c =
-          run_impl ~mode:Blocking.Direct ~domains ~checked:true pattern cfg sizes
-            ~steps g
-        in
-        let _, seq_c =
-          run_impl ~mode:Blocking.Direct ~checked:true pattern cfg sizes ~steps g
-        in
-        Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) pooled
-        = 0.0
-        && Gpu.Counters.equal seq_c pooled_c
-      end)
-
 let () =
   Alcotest.run "plan"
     [
@@ -452,6 +420,5 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_checked_equals_streaming;
-          QCheck_alcotest.to_alcotest prop_reference_equals_pooled_checked;
         ] );
     ]

@@ -85,6 +85,20 @@ let test_total_flops () =
   Alcotest.(check (float 0.0)) "flop accounting" (float (64 * 3 * 7))
     (Reference.total_flops p ~dims:[| 10; 10 |] ~steps:7)
 
+(* Grids no wider than the stencil diameter have no interior: every
+   cell is boundary, so a sweep is the identity, in both precisions. *)
+let test_empty_interior () =
+  let p =
+    Pattern.make ~name:"b2" ~dims:3 ~params:[]
+      (Sexpr.weighted_sum (Shape.box_offsets ~dims:3 ~rad:2))
+  in
+  List.iter
+    (fun (prec, dims) ->
+      let g = Grid.init_random ~prec dims in
+      Alcotest.(check string) "identity" (Grid.digest g)
+        (Grid.digest (Reference.run p ~steps:3 g)))
+    [ (Grid.F64, [| 4; 9; 9 |]); (Grid.F32, [| 9; 9; 3 |]); (Grid.F64, [| 1; 1; 1 |]) ]
+
 let test_dim_mismatch () =
   let g = Grid.init_random [| 4; 4; 4 |] in
   Alcotest.check_raises "rank mismatch"
@@ -103,6 +117,7 @@ let () =
           Alcotest.test_case "3d" `Quick test_3d;
           Alcotest.test_case "f32 vs f64" `Quick test_f32_differs_from_f64;
           Alcotest.test_case "total flops" `Quick test_total_flops;
+          Alcotest.test_case "empty interior" `Quick test_empty_interior;
           Alcotest.test_case "dim mismatch" `Quick test_dim_mismatch;
         ] );
     ]

@@ -729,42 +729,31 @@ let contains s sub =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let test_persist_stale_schema () =
-  let path = temp_dump () in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  (match An5d_serve.Persist.write ~path ~schema:"deadbeef" [ 1; 2; 3 ] with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail ("write: " ^ msg));
-  with_session @@ fun s ->
-  match Session.load s ~path with
-  | Error msg ->
-      Alcotest.(check bool) "reason names the stale schema" true
-        (contains msg "deadbeef")
-  | Ok n -> Alcotest.failf "stale-schema dump must be refused, imported %d" n
-
 (* The key-schema digest of the build before the executor knob was
-   retired: its run keys carried an [(impl ...)] field. A dump written
-   by that build is refused as stale, never loaded. *)
+   retired: its run keys carried an [(impl ...)] field, so the digest
+   moved with the key grammar and a dump written by that build is
+   refused as stale like any other foreign schema. *)
 let pre_collapse_schema = "ea62b8ce1cfde4e8833fb1f5d20161f7"
 
-let test_persist_pre_collapse_dump () =
+let test_persist_stale_schema () =
   Alcotest.(check bool)
     "schema digest moved with the key grammar" true
     (Request.key_schema_digest <> pre_collapse_schema);
-  let path = temp_dump () in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  (match An5d_serve.Persist.write ~path ~schema:pre_collapse_schema [ 1 ] with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail ("write: " ^ msg));
-  with_session @@ fun s ->
-  match Session.load s ~path with
-  | Error msg ->
-      Alcotest.(check bool)
-        "refused as a stale schema" true
-        (contains msg "stale cache-key schema")
-  | Ok n -> Alcotest.failf "pre-collapse dump must be refused, imported %d" n
+  List.iter
+    (fun schema ->
+      let path = temp_dump () in
+      Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      @@ fun () ->
+      (match An5d_serve.Persist.write ~path ~schema [ 1; 2; 3 ] with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail ("write: " ^ msg));
+      with_session @@ fun s ->
+      match Session.load s ~path with
+      | Error msg ->
+          Alcotest.(check bool) "reason names the stale schema" true
+            (contains msg "stale cache-key schema" && contains msg schema)
+      | Ok n -> Alcotest.failf "stale-schema dump %s must be refused, imported %d" schema n)
+    [ "deadbeef"; pre_collapse_schema ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-device tune transfer                                          *)
@@ -951,8 +940,6 @@ let () =
             test_persist_corrupt_byte;
           Alcotest.test_case "stale schema refused" `Quick
             test_persist_stale_schema;
-          Alcotest.test_case "pre-collapse dump refused" `Quick
-            test_persist_pre_collapse_dump;
         ] );
       ( "transfer",
         [ Alcotest.test_case "cross-device seeding" `Quick test_session_transfer ]

@@ -387,6 +387,43 @@ let test_golden prec path () =
     cells
 
 (* ------------------------------------------------------------------ *)
+(* The validate-then-unsafe contract                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A plan whose tables would index out of range, or a src/dst precision
+   mismatch, is refused with [Invalid_argument] before any unchecked
+   access. Plans built by [Plan.get] never violate the contract, so the
+   bad plans are forged from a good one. *)
+let test_unsafe_contract () =
+  let dims = [| 12; 9 |] in
+  let em = Execmodel.make (star ~dims:2 1) (Config.make ~bt:1 ~bs:[| 6 |] ()) dims in
+  let plan = Plan.get em ~degree:1 ~prec:Stencil.Grid.F64 in
+  let src = Stencil.Grid.init_random dims in
+  let refused ?(dst = Stencil.Grid.create dims) plan =
+    let machine = Gpu.Machine.create Gpu.Device.v100 in
+    match
+      Gpu.Machine.launch machine ~n_blocks:1 ~n_thr:plan.Plan.n_thr (fun ctx ->
+          Stream_exec.execute_block plan ~degree:1 ~src ~dst ctx)
+    with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let all v a = Array.map (fun _ -> v) a in
+  Alcotest.(check bool) "well-formed plan runs" false (refused plan);
+  Alcotest.(check bool) "term plane slot out of range" true
+    (refused { plan with Plan.t_plane = all plan.Plan.p plan.Plan.t_plane });
+  Alcotest.(check bool) "neighbor thread out of range" true
+    (refused { plan with Plan.nbr = all plan.Plan.n_thr plan.Plan.nbr });
+  Alcotest.(check bool) "term neighbor row too short" true
+    (refused { plan with Plan.t_nbr = all [||] plan.Plan.t_nbr });
+  (* unit plane stride: in-grid threads past column 0 have in-plane
+     offsets outside [0, stride0) *)
+  Alcotest.(check bool) "base offset outside its plane" true
+    (refused { plan with Plan.gstrides = all 1 plan.Plan.gstrides });
+  Alcotest.(check bool) "precision mismatch" true
+    (refused ~dst:(Stencil.Grid.create ~prec:Stencil.Grid.F32 dims) plan)
+
+(* ------------------------------------------------------------------ *)
 (* Dispatch counters and the plan-cache gauge                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -451,6 +488,8 @@ let () =
           Alcotest.test_case "sym5pt f32" `Quick
             (test_golden Stencil.Grid.F32 "golden/streaming_sym5pt_f32.bits");
         ] );
+      ( "unsafe contract",
+        [ Alcotest.test_case "malformed plans refused" `Quick test_unsafe_contract ] );
       ( "observability",
         [ Alcotest.test_case "dispatch counters" `Quick test_dispatch_counters ] );
     ]
