@@ -197,50 +197,57 @@ let transfer_case () =
   }
 
 let json_of_results ~lanes ~batch ~restart ~transfer results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick\": %b,\n  \"cases\": [\n" !Exp_common.quick);
-  List.iteri
-    (fun i r ->
-      let ncold, nwarm, ncoal = r.counts in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n\
-           \     \"cold_s\": %.6e, \"warm_s\": %.6e, \"coalesced_s_per_req\": %.6e,\n\
-           \     \"warm_speedup\": %.1f, \"coalesced_speedup\": %.1f,\n\
-           \     \"warm_speedup_ok\": %b,\n\
-           \     \"batch\": {\"lanes\": %d, \"requests\": %d, \"cold\": %d, \
-            \"warm\": %d, \"coalesced\": %d}}%s\n"
-           r.name r.cold r.warm r.coal (r.cold /. r.warm) (r.cold /. r.coal)
-           (r.cold /. r.warm >= 10.0)
-           lanes batch ncold nwarm ncoal
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"restart\": {\"cold_s\": %.6e, \"restart_s\": %.6e, \"speedup\": \
-        %.1f, \"entries\": %d, \"ok\": %b},\n"
-       restart.r_cold restart.r_restart
-       (restart.r_cold /. restart.r_restart)
-       restart.r_entries
-       (restart.r_cold /. restart.r_restart >= 5.0));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"transfer\": {\"unseeded_candidates\": %d, \"seeded_candidates\": \
-        %d, \"candidate_ratio\": %.3f, \"unseeded_gflops\": %.3f, \
-        \"seeded_gflops\": %.3f, \"ok\": %b},\n"
-       transfer.t_unseeded transfer.t_seeded
-       (float transfer.t_seeded /. float transfer.t_unseeded)
-       transfer.t_unseeded_gflops transfer.t_seeded_gflops
-       (2 * transfer.t_seeded <= transfer.t_unseeded
-       && transfer.t_seeded_gflops >= transfer.t_unseeded_gflops -. 1e-9));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"metrics\": %s\n"
-       (Obs.Export.metrics_json (Obs.Metrics.snapshot ())));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let ratio = Output.sig_float ~digits:4 in
+  let case r =
+    let ncold, nwarm, ncoal = r.counts in
+    Obs.Json.(
+      Obj
+        [
+          ("name", Str r.name);
+          ("cold_s", Output.sig_float r.cold);
+          ("warm_s", Output.sig_float r.warm);
+          ("coalesced_s_per_req", Output.sig_float r.coal);
+          ("warm_speedup", ratio (r.cold /. r.warm));
+          ("coalesced_speedup", ratio (r.cold /. r.coal));
+          ("warm_speedup_ok", Bool (r.cold /. r.warm >= 10.0));
+          ( "batch",
+            Obj
+              [
+                ("lanes", Int lanes); ("requests", Int batch); ("cold", Int ncold);
+                ("warm", Int nwarm); ("coalesced", Int ncoal);
+              ] );
+        ])
+  in
+  Obs.Json.(
+    Obj
+      [
+        ("quick", Bool !Exp_common.quick);
+        ("cases", Arr (List.map case results));
+        ( "restart",
+          Obj
+            [
+              ("cold_s", Output.sig_float restart.r_cold);
+              ("restart_s", Output.sig_float restart.r_restart);
+              ("speedup", ratio (restart.r_cold /. restart.r_restart));
+              ("entries", Int restart.r_entries);
+              ("ok", Bool (restart.r_cold /. restart.r_restart >= 5.0));
+            ] );
+        ( "transfer",
+          Obj
+            [
+              ("unseeded_candidates", Int transfer.t_unseeded);
+              ("seeded_candidates", Int transfer.t_seeded);
+              ( "candidate_ratio",
+                ratio (float transfer.t_seeded /. float transfer.t_unseeded) );
+              ("unseeded_gflops", ratio transfer.t_unseeded_gflops);
+              ("seeded_gflops", ratio transfer.t_seeded_gflops);
+              ( "ok",
+                Bool
+                  (2 * transfer.t_seeded <= transfer.t_unseeded
+                  && transfer.t_seeded_gflops >= transfer.t_unseeded_gflops -. 1e-9) );
+            ] );
+        ("metrics", Obs.Export.metrics_json (Obs.Metrics.snapshot ()));
+      ])
 
 let run () =
   Output.section "Serving -- cold vs warm vs coalesced (lib/serve session)";

@@ -319,65 +319,63 @@ let enforce_mp results =
 (* ------------------------------------------------------------------ *)
 
 let json ~cadences ~results ~mps =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"quick\": %b,\n  \"shard_floor\": %.2f,\n"
-       !Exp_common.quick (shard_floor ()));
-  Buffer.add_string buf "  \"cadence\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"bt\": %d, \"steps\": %d, \"exchanges\": %d, \
-            \"expected_chunks\": %d,\n\
-           \     \"halo_words\": %d, \"reduction_vs_per_step\": %.2f}%s\n"
-           c.bt c.c_steps c.exchanges c.chunks c.words c.reduction
-           (if i = List.length cadences - 1 then "" else ",")))
-    cadences;
-  Buffer.add_string buf "  ],\n  \"throughput\": [\n";
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"dims\": [%s], \"steps\": %d, \"shards\": %d, \
-            \"domains\": %d,\n\
-           \     \"resident_cells_per_s\": %.6e, \"sharded_cells_per_s\": \
-            %.6e, \"sharded_over_resident\": %.3f}%s\n"
-           m.label
-           (String.concat ", " (Array.to_list (Array.map string_of_int m.dims)))
-           m.t_steps m.shards m.shards m.resident m.sharded
-           (m.sharded /. m.resident)
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mp_floor\": %.2f,\n  \"multiprocess\": [\n"
-       (mp_floor ()));
-  List.iteri
-    (fun i m ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"dims\": [%s], \"steps\": %d, \"shards\": %d, \
-            \"workers\": %d,\n\
-           \     \"exchanges\": %d, \"expected_chunks\": %d, \"retries\": %d,\n\
-           \     \"wire_bytes\": %d, \"wire_ceiling_bytes\": %d,\n\
-           \     \"intra_cells_per_s\": %.6e, \"multi_cells_per_s\": %.6e, \
-            \"multi_over_intra\": %.3f}%s\n"
-           m.mp_label
-           (String.concat ", "
-              (Array.to_list (Array.map string_of_int m.mp_dims)))
-           m.mp_steps m.mp_shards m.mp_workers m.mp_exchanges m.mp_chunks
-           m.mp_retries m.mp_wire_bytes m.mp_wire_ceiling m.mp_intra m.mp_multi
-           (m.mp_multi /. m.mp_intra)
-           (if i = List.length mps - 1 then "" else ",")))
-    mps;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"metrics\": %s\n"
-       (Obs.Export.metrics_json (Obs.Metrics.snapshot ())));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let ratio = Output.sig_float ~digits:4 in
+  let cadence c =
+    Obs.Json.(
+      Obj
+        [
+          ("bt", Int c.bt);
+          ("steps", Int c.c_steps);
+          ("exchanges", Int c.exchanges);
+          ("expected_chunks", Int c.chunks);
+          ("halo_words", Int c.words);
+          ("reduction_vs_per_step", ratio c.reduction);
+        ])
+  in
+  let throughput m =
+    Obs.Json.(
+      Obj
+        [
+          ("name", Str m.label);
+          ("dims", of_int_array m.dims);
+          ("steps", Int m.t_steps);
+          ("shards", Int m.shards);
+          ("domains", Int m.shards);
+          ("resident_cells_per_s", Output.sig_float m.resident);
+          ("sharded_cells_per_s", Output.sig_float m.sharded);
+          ("sharded_over_resident", ratio (m.sharded /. m.resident));
+        ])
+  in
+  let multiprocess m =
+    Obs.Json.(
+      Obj
+        [
+          ("name", Str m.mp_label);
+          ("dims", of_int_array m.mp_dims);
+          ("steps", Int m.mp_steps);
+          ("shards", Int m.mp_shards);
+          ("workers", Int m.mp_workers);
+          ("exchanges", Int m.mp_exchanges);
+          ("expected_chunks", Int m.mp_chunks);
+          ("retries", Int m.mp_retries);
+          ("wire_bytes", Int m.mp_wire_bytes);
+          ("wire_ceiling_bytes", Int m.mp_wire_ceiling);
+          ("intra_cells_per_s", Output.sig_float m.mp_intra);
+          ("multi_cells_per_s", Output.sig_float m.mp_multi);
+          ("multi_over_intra", ratio (m.mp_multi /. m.mp_intra));
+        ])
+  in
+  Obs.Json.(
+    Obj
+      [
+        ("quick", Bool !Exp_common.quick);
+        ("shard_floor", Float (shard_floor ()));
+        ("cadence", Arr (List.map cadence cadences));
+        ("throughput", Arr (List.map throughput results));
+        ("mp_floor", Float (mp_floor ()));
+        ("multiprocess", Arr (List.map multiprocess mps));
+        ("metrics", Obs.Export.metrics_json (Obs.Metrics.snapshot ()));
+      ])
 
 let run () =
   Output.section "Sharding -- halo-exchange cadence and pool throughput";

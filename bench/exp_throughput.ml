@@ -156,53 +156,53 @@ let case_json m =
   let rates =
     match m.checked with
     | Some compiled ->
-        Printf.sprintf
-          "\"streaming_cells_per_s\": %.6e, \"compiled_cells_per_s\": %.6e,\n\
-          \     \"speedup_streaming_over_compiled\": %.3f"
-          m.fast compiled (m.fast /. compiled)
-    | None -> Printf.sprintf "\"reference_cells_per_s\": %.6e" m.fast
+        [
+          ("streaming_cells_per_s", Output.sig_float m.fast);
+          ("compiled_cells_per_s", Output.sig_float compiled);
+          ( "speedup_streaming_over_compiled",
+            Output.sig_float ~digits:4 (m.fast /. compiled) );
+        ]
+    | None -> [ ("reference_cells_per_s", Output.sig_float m.fast) ]
   in
-  Printf.sprintf
-    "    {\"name\": %S, \"dims\": [%s], \"steps\": %d, \"prec\": %S,\n\
-    \     \"kernel\": %S,\n\
-    \     %s}"
-    c.label
-    (String.concat ", " (Array.to_list (Array.map string_of_int c.dims)))
-    c.steps
-    (Stencil.Grid.precision_to_string c.prec)
-    c.kernel rates
+  Obs.Json.(
+    Obj
+      ([
+         ("name", Str c.label);
+         ("dims", of_int_array c.dims);
+         ("steps", Int c.steps);
+         ("prec", Str (Stencil.Grid.precision_to_string c.prec));
+         ("kernel", Str c.kernel);
+       ]
+      @ rates))
 
 let json_of_results results =
-  let split =
-    List.map
-      (fun (name, s64, s32) ->
-        Printf.sprintf
-          "    {\"name\": %S, \"f64_cells_per_s\": %.6e, \"f32_cells_per_s\": %.6e, \
-           \"f32_over_f64\": %.3f}"
-          name s64 s32 (s32 /. s64))
-      (split_of results)
+  let split (name, s64, s32) =
+    Obs.Json.Obj
+      [
+        ("name", Obs.Json.Str name);
+        ("f64_cells_per_s", Output.sig_float s64);
+        ("f32_cells_per_s", Output.sig_float s32);
+        ("f32_over_f64", Output.sig_float ~digits:4 (s32 /. s64));
+      ]
   in
   (* The metrics registry snapshot records how much simulated work
      produced these numbers (kernel launches, chunks, global-memory
      traffic, per-shape streaming_dispatch_* counts) alongside the
      cells/s themselves. *)
-  Printf.sprintf
-    "{\n\
-    \  \"quick\": %b,\n\
-    \  \"streaming_floor\": %.2f,\n\
-    \  \"split_floor\": %.2f,\n\
-    \  \"gc_space_overhead\": %s,\n\
-    \  \"cases\": [\n%s\n  ],\n\
-    \  \"streaming_f32_vs_f64\": [\n%s\n  ],\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    !Exp_common.quick (streaming_floor ()) (split_floor ())
-    (match !Exp_common.run_config.Run_config.gc_space_overhead with
-    | None -> "null"
-    | Some o -> string_of_int o)
-    (String.concat ",\n" (List.map case_json results))
-    (String.concat ",\n" split)
-    (Obs.Export.metrics_json (Obs.Metrics.snapshot ()))
+  Obs.Json.(
+    Obj
+      [
+        ("quick", Bool !Exp_common.quick);
+        ("streaming_floor", Float (streaming_floor ()));
+        ("split_floor", Float (split_floor ()));
+        ( "gc_space_overhead",
+          match !Exp_common.run_config.Run_config.gc_space_overhead with
+          | None -> Null
+          | Some o -> Int o );
+        ("cases", Arr (List.map case_json results));
+        ("streaming_f32_vs_f64", Arr (List.map split (split_of results)));
+        ("metrics", Obs.Export.metrics_json (Obs.Metrics.snapshot ()));
+      ])
 
 (* The machine-checked acceptance gates: every blocked case must run a
    *specialized* (non-generic) streaming kernel at least

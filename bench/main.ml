@@ -7,8 +7,12 @@
 
      dune exec bench/main.exe -- table5 fig8 *)
 
+(* [shard] comes first: its multi-process cases fork worker processes,
+   and OCaml 5 refuses [Unix.fork] once any domain has been spawned
+   (the [scaling] and [serve] experiments spawn pool domains). *)
 let experiments =
   [
+    ("shard", Exp_shard.run, "halo-exchange sharding: cadence and pool throughput");
     ("table1", Exp_table1.run, "smem footprint, AN5D vs STENCILGEN");
     ("table2", Exp_table2.run, "smem accesses per thread");
     ("table3", Exp_table3.run, "benchmark suite and FLOP/cell");
@@ -25,7 +29,6 @@ let experiments =
     ("scaling", Exp_scaling.run, "multicore block-parallel executor scaling");
     ("throughput", Exp_throughput.run, "streaming vs checked compiled plan vs reference, cells/s");
     ("serve", Exp_serve.run, "batch serving layer: cold vs warm vs coalesced");
-    ("shard", Exp_shard.run, "halo-exchange sharding: cadence and pool throughput");
     ("micro", Micro.run, "bechamel micro-benchmarks");
   ]
 

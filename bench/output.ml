@@ -40,23 +40,19 @@ let section title =
 (* Guarded BENCH_*.json writer                                         *)
 (* ------------------------------------------------------------------ *)
 
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 (* The committed BENCH_*.json files are full-mode runs; CI smokes the
    experiments with --quick on tiny grids. A quick run must never
-   clobber full-mode numbers: when the target already holds a
-   ["quick": false] result, a quick write is redirected to
+   clobber full-mode numbers: when the target already parses as a
+   result with ["quick": false], a quick write is redirected to
    NAME.quick.json instead (CI uploads both via the BENCH_*.json
    artifact glob). Returns the path actually written. *)
 let write_bench_json ~quick path json =
   let holds_full_run =
     Sys.file_exists path
-    && contains_substring
-         (In_channel.with_open_bin path In_channel.input_all)
-         "\"quick\": false"
+    &&
+    match Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok doc -> Obs.Json.bool_field doc "quick" = Some false
+    | Error _ -> false
   in
   let target =
     if quick && holds_full_run then begin
@@ -70,8 +66,14 @@ let write_bench_json ~quick path json =
     end
     else path
   in
-  Out_channel.with_open_bin target (fun oc -> Out_channel.output_string oc json);
+  Out_channel.with_open_bin target (fun oc ->
+      Out_channel.output_string oc (Obs.Json.pretty json ^ "\n"));
   target
+
+(* A measured rate or ratio as a JSON number with [digits] significant
+   digits, so BENCH files carry no spurious precision. *)
+let sig_float ?(digits = 7) f =
+  Obs.Json.Float (float_of_string (Printf.sprintf "%.*g" digits f))
 
 let gflops f = if f <= 0.0 then "-" else Printf.sprintf "%.0f" f
 

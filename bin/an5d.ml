@@ -708,14 +708,14 @@ let client_cmd =
           | Wire.Response { id; status; served; latency; payload } ->
               Fmt.pr "%-12s %-9s %6.1f ms  %s%s@." status served (1e3 *. latency)
                 (match id with Some i -> "[" ^ i ^ "] " | None -> "")
-                (Wire.json_to_string payload)
+                (Obs.Json.to_string payload)
           | Wire.Stats { body } -> (
               match body with
               | Wire.Obj fields -> (
                   match List.assoc_opt "pretty" fields with
                   | Some (Wire.Str p) -> Fmt.pr "%s@." p
-                  | _ -> Fmt.pr "%s@." (Wire.json_to_string body))
-              | _ -> Fmt.pr "%s@." (Wire.json_to_string body))
+                  | _ -> Fmt.pr "%s@." (Obs.Json.to_string body))
+              | _ -> Fmt.pr "%s@." (Obs.Json.to_string body))
           | Wire.Error { message; _ } -> Fmt.epr "an5d: server: %s@." message
           | f -> Fmt.epr "an5d: unexpected frame %a@." Wire.pp_frame f
         in

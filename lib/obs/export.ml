@@ -6,42 +6,11 @@
     trace_event format requires B/E events of one [tid] to nest exactly
     — the sequence numbers carry the true nesting by construction. *)
 
-(* ------------------------------------------------------------------ *)
-(* JSON writing                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let escape_json buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_str buf s =
-  Buffer.add_char buf '"';
-  escape_json buf s;
-  Buffer.add_char buf '"'
-
-(* JSON has no infinities or NaN; clamp the rare gauge that holds one. *)
-let add_float buf v =
-  if Float.is_nan v then Buffer.add_string buf "0"
-  else if v = infinity then Buffer.add_string buf "1e308"
-  else if v = neg_infinity then Buffer.add_string buf "-1e308"
-  else Buffer.add_string buf (Printf.sprintf "%.17g" v)
-
-let add_attr buf (v : Trace.attr) =
-  match v with
-  | Trace.Str s -> add_str buf s
-  | Trace.Int i -> Buffer.add_string buf (string_of_int i)
-  | Trace.Float f -> add_float buf f
-  | Trace.Bool b -> Buffer.add_string buf (string_of_bool b)
+let attr_json : Trace.attr -> Json.t = function
+  | Trace.Str s -> Json.Str s
+  | Trace.Int i -> Json.Int i
+  | Trace.Float f -> Json.Float f
+  | Trace.Bool b -> Json.Bool b
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event                                                  *)
@@ -63,274 +32,52 @@ let chrome_json ?(pid = 1) (spans : Trace.span list) =
     |> List.sort (fun a b ->
            match compare a.a_lane b.a_lane with 0 -> compare a.a_seq b.a_seq | c -> c)
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\": [\n";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let s = a.a_span in
-      Buffer.add_string buf "  {\"name\": ";
-      add_str buf s.Trace.name;
-      Buffer.add_string buf
-        (Printf.sprintf ", \"ph\": \"%s\", \"ts\": %.3f, \"pid\": %d, \"tid\": %d"
-           (if a.a_begin then "B" else "E")
-           a.a_ts pid a.a_lane);
-      if a.a_begin && s.Trace.attrs <> [] then begin
-        Buffer.add_string buf ", \"args\": {";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_string buf ", ";
-            add_str buf k;
-            Buffer.add_string buf ": ";
-            add_attr buf v)
-          s.Trace.attrs;
-        Buffer.add_char buf '}'
-      end;
-      Buffer.add_char buf '}')
-    actions;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Metrics digests                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let metrics_json_buf buf (snap : Metrics.snapshot) =
-  Buffer.add_string buf "{\"counters\": {";
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      add_str buf n;
-      Buffer.add_string buf (Printf.sprintf ": %d" v))
-    snap.Metrics.counters;
-  Buffer.add_string buf "}, \"gauges\": {";
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      add_str buf n;
-      Buffer.add_string buf ": ";
-      add_float buf v)
-    snap.Metrics.gauges;
-  Buffer.add_string buf "}, \"histograms\": {";
-  List.iteri
-    (fun i (n, (h : Metrics.hist)) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      add_str buf n;
-      Buffer.add_string buf (Printf.sprintf ": {\"count\": %d, \"sum\": " h.Metrics.count);
-      add_float buf h.Metrics.sum;
-      if h.Metrics.count > 0 then begin
-        Buffer.add_string buf ", \"min\": ";
-        add_float buf h.Metrics.vmin;
-        Buffer.add_string buf ", \"max\": ";
-        add_float buf h.Metrics.vmax
-      end;
-      (* only the occupied tail of the bucket array *)
-      let last = ref (-1) in
-      Array.iteri (fun i b -> if b > 0 then last := i) h.Metrics.buckets;
-      Buffer.add_string buf ", \"buckets\": [";
-      for i = 0 to !last do
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (string_of_int h.Metrics.buckets.(i))
-      done;
-      Buffer.add_string buf "]}")
-    snap.Metrics.histograms;
-  Buffer.add_string buf "}}"
-
-let metrics_json snap =
-  let buf = Buffer.create 1024 in
-  metrics_json_buf buf snap;
-  Buffer.contents buf
-
-let summary_json ~span_count snap =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{\"spans\": %d, \"metrics\": " span_count);
-  metrics_json_buf buf snap;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
-let summary_sexp ~span_count (snap : Metrics.snapshot) =
-  let buf = Buffer.create 1024 in
-  let escape s =
-    if String.exists (fun c -> c = ' ' || c = '(' || c = ')' || c = '"') s then
-      "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
-    else s
-  in
-  Buffer.add_string buf (Printf.sprintf "((spans %d)\n (counters" span_count);
-  List.iter
-    (fun (n, v) -> Buffer.add_string buf (Printf.sprintf " (%s %d)" (escape n) v))
-    snap.Metrics.counters;
-  Buffer.add_string buf ")\n (gauges";
-  List.iter
-    (fun (n, v) -> Buffer.add_string buf (Printf.sprintf " (%s %.17g)" (escape n) v))
-    snap.Metrics.gauges;
-  Buffer.add_string buf ")\n (histograms";
-  List.iter
-    (fun (n, (h : Metrics.hist)) ->
-      Buffer.add_string buf
-        (Printf.sprintf " (%s (count %d) (sum %.17g))" (escape n) h.Metrics.count
-           h.Metrics.sum))
-    snap.Metrics.histograms;
-  Buffer.add_string buf "))\n";
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* JSON reading (for validation and tests)                             *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = Stdlib.incr pos in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
-          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
-          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              (match int_of_string_opt ("0x" ^ hex) with
-              | None -> fail "invalid \\u escape"
-              | Some code ->
-                  pos := !pos + 4;
-                  (* keep it simple: escapes the exporter emits are ASCII *)
-                  if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                  else Buffer.add_string buf (Printf.sprintf "\\u%04x" code));
-              go ()
-          | _ -> fail "invalid escape")
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
+  let event a =
+    let s = a.a_span in
+    let args =
+      if a.a_begin && s.Trace.attrs <> [] then
+        [ ("args", Json.Obj (List.map (fun (k, v) -> (k, attr_json v)) s.Trace.attrs)) ]
+      else []
     in
-    go ();
-    Buffer.contents buf
+    Json.Obj
+      ([
+         ("name", Json.Str s.Trace.name);
+         ("ph", Json.Str (if a.a_begin then "B" else "E"));
+         (* microseconds, kept to nanosecond precision *)
+         ("ts", Json.Float (Float.round (a.a_ts *. 1000.0) /. 1000.0));
+         ("pid", Json.Int pid);
+         ("tid", Json.Int a.a_lane);
+       ]
+      @ args)
   in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "invalid number"
+  Json.to_string (Json.Obj [ ("traceEvents", Json.Arr (List.map event actions)) ]) ^ "\n"
+
+(* ------------------------------------------------------------------ *)
+(* Metrics snapshot                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let hist_json (h : Metrics.hist) =
+  (* only the occupied tail of the bucket array *)
+  let last = ref (-1) in
+  Array.iteri (fun i b -> if b > 0 then last := i) h.Metrics.buckets;
+  let range =
+    if h.Metrics.count > 0 then
+      [ ("min", Json.Float h.Metrics.vmin); ("max", Json.Float h.Metrics.vmax) ]
+    else []
   in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
+  Json.Obj
+    ([ ("count", Json.Int h.Metrics.count); ("sum", Json.Float h.Metrics.sum) ]
+    @ range
+    @ [ ("buckets", Json.of_int_array (Array.sub h.Metrics.buckets 0 (!last + 1))) ])
+
+let metrics_json (snap : Metrics.snapshot) =
+  let section f kvs = Json.Obj (List.map (fun (n, v) -> (n, f v)) kvs) in
+  Json.Obj
+    [
+      ("counters", section (fun v -> Json.Int v) snap.Metrics.counters);
+      ("gauges", section (fun v -> Json.Float v) snap.Metrics.gauges);
+      ("histograms", section hist_json snap.Metrics.histograms);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace validation                                             *)
@@ -338,22 +85,21 @@ let parse_json s =
 
 let validate_chrome text =
   let ( let* ) = Result.bind in
-  let* doc = parse_json text in
+  let* doc = Json.of_string text in
   let* events =
     match doc with
-    | Obj fields -> (
-        match List.assoc_opt "traceEvents" fields with
-        | Some (Arr evs) -> Ok evs
+    | Json.Obj _ -> (
+        match Json.field doc "traceEvents" with
+        | Some (Json.Arr evs) -> Ok evs
         | Some _ -> Error "traceEvents is not an array"
         | None -> Error "missing traceEvents")
     | _ -> Error "top level is not an object"
   in
-  let field ev name =
-    match ev with Obj fields -> List.assoc_opt name fields | _ -> None
-  in
-  let nonneg_int = function
-    | Some (Num f) when Float.is_integer f && f >= 0.0 -> true
-    | _ -> false
+  let nonneg_int ev name =
+    match Json.field ev name with
+    | Some (Json.Int i) when i >= 0 -> Some i
+    | Some (Json.Float f) when Float.is_integer f && f >= 0.0 -> Some (int_of_float f)
+    | _ -> None
   in
   (* per-tid stacks of open B names *)
   let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
@@ -364,45 +110,48 @@ let validate_chrome text =
         in
         if unclosed = 0 then Ok ()
         else Error (Printf.sprintf "%d unmatched B events" unclosed)
-    | ev :: rest ->
+    | ev :: rest -> (
         let err msg = Error (Printf.sprintf "event %d: %s" i msg) in
-        if (match ev with Obj _ -> false | _ -> true) then err "not an object"
-        else if not (nonneg_int (field ev "pid")) then err "bad pid"
-        else if not (nonneg_int (field ev "tid")) then err "bad tid"
-        else if (match field ev "ts" with Some (Num _) -> false | _ -> true) then
-          err "bad ts"
-        else begin
-          let tid =
-            match field ev "tid" with Some (Num f) -> int_of_float f | _ -> 0
-          in
-          let name =
-            match field ev "name" with Some (Str s) -> Some s | _ -> None
-          in
-          match field ev "ph" with
-          | Some (Str "B") -> (
-              match name with
-              | None -> err "B event without a name"
-              | Some nm ->
-                  let stack =
-                    Option.value ~default:[] (Hashtbl.find_opt stacks tid)
-                  in
-                  Hashtbl.replace stacks tid (nm :: stack);
-                  go (i + 1) rest)
-          | Some (Str "E") -> (
-              match Option.value ~default:[] (Hashtbl.find_opt stacks tid) with
-              | [] -> err "E event without a matching B"
-              | top :: stack ->
-                  if name <> None && name <> Some top then
-                    err
-                      (Printf.sprintf "E name %S does not match open B %S"
-                         (Option.get name) top)
-                  else begin
-                    Hashtbl.replace stacks tid stack;
-                    go (i + 1) rest
-                  end)
-          | Some (Str ("X" | "I" | "M" | "C")) -> go (i + 1) rest
-          | Some (Str ph) -> err (Printf.sprintf "unknown phase %S" ph)
-          | _ -> err "missing phase"
-        end
+        let header =
+          match ev with
+          | Json.Obj _ -> (
+              match
+                (nonneg_int ev "pid", nonneg_int ev "tid", Json.num_field ev "ts")
+              with
+              | None, _, _ -> Error "bad pid"
+              | _, None, _ -> Error "bad tid"
+              | _, _, None -> Error "bad ts"
+              | Some _, Some tid, Some _ -> Ok tid)
+          | _ -> Error "not an object"
+        in
+        match header with
+        | Error msg -> err msg
+        | Ok tid -> (
+            let name = Json.str_field ev "name" in
+            match Json.field ev "ph" with
+            | Some (Json.Str "B") -> (
+                match name with
+                | None -> err "B event without a name"
+                | Some nm ->
+                    let stack =
+                      Option.value ~default:[] (Hashtbl.find_opt stacks tid)
+                    in
+                    Hashtbl.replace stacks tid (nm :: stack);
+                    go (i + 1) rest)
+            | Some (Json.Str "E") -> (
+                match Option.value ~default:[] (Hashtbl.find_opt stacks tid) with
+                | [] -> err "E event without a matching B"
+                | top :: stack ->
+                    if name <> None && name <> Some top then
+                      err
+                        (Printf.sprintf "E name %S does not match open B %S"
+                           (Option.get name) top)
+                    else begin
+                      Hashtbl.replace stacks tid stack;
+                      go (i + 1) rest
+                    end)
+            | Some (Json.Str ("X" | "I" | "M" | "C")) -> go (i + 1) rest
+            | Some (Json.Str ph) -> err (Printf.sprintf "unknown phase %S" ph)
+            | _ -> err "missing phase"))
   in
   go 0 events

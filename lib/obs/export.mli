@@ -1,14 +1,14 @@
-(** Exporters for recorded traces and metric snapshots.
+(** Exporters for recorded traces and metric snapshots, built on the
+    repository's one JSON codec ({!Json}).
 
     {!chrome_json} emits the Chrome [trace_event] format (a JSON object
     with a ["traceEvents"] array of B/E duration events), which loads
     directly into Perfetto ({:https://ui.perfetto.dev}) or Chrome's
-    [about:tracing]. {!summary_json} / {!summary_sexp} emit a flat
-    machine-readable digest of a metrics snapshot.
-
-    The module also carries a small self-contained JSON reader used to
-    validate exported traces — CI fails the build if the exporter ever
-    emits a file {!validate_chrome} rejects. *)
+    [about:tracing]. {!metrics_json} turns a metrics snapshot into a
+    {!Json.t} value that the bench harness embeds in its [BENCH_*.json]
+    files. {!validate_chrome} re-reads an exported trace through
+    {!Json.of_string}; CI fails the build if the exporter ever emits a
+    file it rejects. *)
 
 val chrome_json : ?pid:int -> Trace.span list -> string
 (** Render spans as Chrome trace_event JSON. Every span becomes a
@@ -16,27 +16,10 @@ val chrome_json : ?pid:int -> Trace.span list -> string
     the lane recorded them, with the span's attributes in the begin
     event's [args]. *)
 
-val metrics_json : Metrics.snapshot -> string
+val metrics_json : Metrics.snapshot -> Json.t
 (** One JSON object: [{"counters": {...}, "gauges": {...},
-    "histograms": {...}}]. *)
-
-val summary_json : span_count:int -> Metrics.snapshot -> string
-(** [{"spans": n, "metrics": <metrics_json>}]. *)
-
-val summary_sexp : span_count:int -> Metrics.snapshot -> string
-(** The same digest as an s-expression. *)
-
-(** Parsed JSON, for validation and tests. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse_json : string -> (json, string) result
-(** Strict recursive-descent parse of one JSON document. *)
+    "histograms": {...}}]. A non-finite gauge or histogram value is a
+    {!Json.Float} and so renders as [null]. *)
 
 val validate_chrome : string -> (unit, string) result
 (** Check that a string is well-formed Chrome trace JSON: parses, has a

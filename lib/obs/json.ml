@@ -1,4 +1,4 @@
-(* The serving layer's single JSON codec. See json.mli. *)
+(* The repository's JSON codec. See json.mli. *)
 
 type t =
   | Null
@@ -29,13 +29,23 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of %.15g/%.16g/%.17g that reads back to [f] exactly. *)
+let float_repr f =
+  let exact p =
+    let s = Printf.sprintf "%.*g" p f in
+    if float_of_string s = f then Some s else None
+  in
+  match exact 15 with
+  | Some s -> s
+  | None -> (
+      match exact 16 with Some s -> s | None -> Printf.sprintf "%.17g" f)
+
 let rec render_to buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-      else Buffer.add_string buf "null"
+      Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
   | Str s -> escape_to buf s
   | Arr xs ->
       Buffer.add_char buf '[';
@@ -59,6 +69,49 @@ let rec render_to buf = function
 let to_string j =
   let buf = Buffer.create 256 in
   render_to buf j;
+  Buffer.contents buf
+
+let is_scalar = function Arr _ | Obj _ -> false | _ -> true
+
+let pretty j =
+  let buf = Buffer.create 1024 in
+  let newline depth =
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make (2 * depth) ' ')
+  in
+  let rec go depth = function
+    | Arr xs when List.for_all is_scalar xs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_string buf ", ";
+            render_to buf x)
+          xs;
+        Buffer.add_char buf ']'
+    | Arr xs -> block depth '[' ']' (go (depth + 1)) xs
+    | Obj kvs ->
+        block depth '{' '}'
+          (fun (k, v) ->
+            escape_to buf k;
+            Buffer.add_string buf ": ";
+            go (depth + 1) v)
+          kvs
+    | scalar -> render_to buf scalar
+  and block : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun depth opening closing item xs ->
+    Buffer.add_char buf opening;
+    if xs <> [] then begin
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          newline (depth + 1);
+          item x)
+        xs;
+      newline depth
+    end;
+    Buffer.add_char buf closing
+  in
+  go 0 j;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

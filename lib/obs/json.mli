@@ -1,12 +1,12 @@
-(** The serving layer's single JSON codec.
+(** The repository's JSON codec.
 
-    One total codec shared by every producer and consumer of JSON in
-    the serve layer — the {!Wire} protocol frames, the worker task
-    descriptors of {!Workers}, and the request/response payload bodies
-    built by {!Server} — so the encodings cannot drift apart. The repo
-    deliberately has no JSON dependency; this module is the one
-    hand-rolled implementation (historically it lived inside {!Wire};
-    [Wire.json] re-exports {!t} so existing constructors keep working).
+    Every producer and consumer of JSON goes through this one module:
+    the serve layer's [Wire] protocol frames and worker task
+    descriptors, the Chrome traces and metric snapshots of {!Export},
+    and the committed [BENCH_*.json] files of the bench harness. One
+    value type, one escaper, one float rule and one parser, so no two
+    encodings can drift apart. The repo deliberately has no JSON
+    dependency; this is the one hand-rolled implementation.
 
     The parser is total: any byte string — truncated, non-JSON, too
     deeply nested — yields [Error], never an exception (adversarial
@@ -22,8 +22,15 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact rendering with full string escaping. Non-finite floats
-    render as [null] (JSON has no spelling for them). *)
+(** Compact rendering with full string escaping. A finite float
+    renders as the shortest decimal that reads back to the same bits;
+    a non-finite one renders as [null] (JSON has no spelling for it). *)
+
+val pretty : t -> string
+(** The same values as {!to_string}, laid out for files kept under
+    version control: two-space indentation, one object member or array
+    element per line, arrays of scalars kept on one line. No trailing
+    newline. *)
 
 val of_string : string -> (t, string) result
 (** Total recursive-descent parser: bounded nesting depth

@@ -2,6 +2,7 @@
    request.mli. *)
 
 open An5d_core
+module Json = Obs.Json
 
 type spec = {
   source : Framework.source;

@@ -123,24 +123,24 @@ val kind : t -> string
 
 (** {1 JSON spec encoding}
 
-    The request spec and run configuration over {!Json} — the encoding
+    The request spec and run configuration over {!Obs.Json} — the encoding
     worker task descriptors ({!Workers}) ship over the versioned wire
     protocol, and the one clients receive in payloads. Shares the
     canonical spellings of the line grammar (mode/precision strings,
     dims as arrays); round-tripping is pinned by test/test_workers.ml.
     The [of_json] directions are total and ignore unknown fields. *)
 
-val config_to_json : Config.t -> Json.t
+val config_to_json : Config.t -> Obs.Json.t
 
-val config_of_json : Json.t -> (Config.t, string) result
+val config_of_json : Obs.Json.t -> (Config.t, string) result
 
-val run_to_json : Run_config.t -> Json.t
+val run_to_json : Run_config.t -> Obs.Json.t
 
-val run_of_json : Json.t -> (Run_config.t, string) result
+val run_of_json : Obs.Json.t -> (Run_config.t, string) result
 
-val spec_to_json : spec -> Json.t
+val spec_to_json : spec -> Obs.Json.t
 
-val spec_of_json : Json.t -> (spec, string) result
+val spec_of_json : Obs.Json.t -> (spec, string) result
 
 val resolve_source : string -> (Framework.source, string) result
 (** Resolve a stencil name: a built-in benchmark name (its generated C

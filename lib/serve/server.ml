@@ -60,22 +60,6 @@ let status_str = function
   | Session.Cancelled -> "cancelled"
   | Session.Failed _ -> "failed"
 
-let counters_json (c : Gpu.Counters.t) =
-  Wire.Obj
-    [
-      ("gm_reads", Wire.Int c.Gpu.Counters.gm_reads);
-      ("gm_writes", Wire.Int c.Gpu.Counters.gm_writes);
-      ("sm_reads", Wire.Int c.Gpu.Counters.sm_reads);
-      ("sm_writes", Wire.Int c.Gpu.Counters.sm_writes);
-      ("fma", Wire.Int c.Gpu.Counters.fma);
-      ("mul", Wire.Int c.Gpu.Counters.mul);
-      ("add", Wire.Int c.Gpu.Counters.add);
-      ("other", Wire.Int c.Gpu.Counters.other);
-      ("kernel_launches", Wire.Int c.Gpu.Counters.kernel_launches);
-      ("barriers", Wire.Int c.Gpu.Counters.barriers);
-      ("cells_updated", Wire.Int c.Gpu.Counters.cells_updated);
-    ]
-
 let launch_json (s : Blocking.launch_stats) =
   Wire.Obj
     [
@@ -107,7 +91,7 @@ let payload_json = function
             | Ok () -> Wire.Str "ok"
             | Error d ->
                 Wire.Obj [ ("max_abs_deviation", Wire.Float d) ] );
-          ("counters", counters_json outcome.Framework.counters);
+          ("counters", Workers.counters_to_json outcome.Framework.counters);
           ("launch", launch_json outcome.Framework.stats);
         ]
   | Session.Tuned r ->

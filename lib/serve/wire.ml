@@ -1,6 +1,6 @@
 (* Framed wire protocol: length-prefixed JSON frames. See wire.mli. *)
 
-type json = Json.t =
+type json = Obs.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -8,12 +8,6 @@ type json = Json.t =
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
-
-(* The codec itself lives in {!Json} — one total implementation shared
-   with the worker task descriptors and the payload builders. *)
-let json_to_string = Json.to_string
-
-let json_of_string = Json.of_string
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
@@ -71,19 +65,13 @@ let encode_payload frame =
         [ ("t", Str "error"); ("id", opt_id id); ("message", Str message) ]
     | Stats { body } -> [ ("t", Str "stats"); ("body", body) ]
   in
-  json_to_string (Obj (("v", Int version) :: fields))
+  Obs.Json.to_string (Obj (("v", Int version) :: fields))
 
-let field = Json.field
-
-let str_field = Json.str_field
-
-let num_field = Json.num_field
-
-let id_field obj =
-  match field obj "id" with Some (Str s) -> Some s | _ -> None
+let id_field obj = Obs.Json.str_field obj "id"
 
 let decode_payload bytes =
-  match json_of_string bytes with
+  let open Obs.Json in
+  match of_string bytes with
   | Error msg -> Result.Error ("bad JSON: " ^ msg)
   | Ok obj -> (
       match field obj "v" with

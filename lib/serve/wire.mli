@@ -22,11 +22,12 @@
     are counted by the [wire_rejects] metric; every decoded/encoded
     frame by [wire_frames_in]/[wire_frames_out]. *)
 
-(** A minimal JSON value — re-exported from {!Json}, the serve layer's
-    one shared total codec, so wire frames, worker task descriptors and
-    payload builders cannot drift apart. The constructors are the same;
-    [Wire.Obj ...] and [Json.Obj ...] are interchangeable. *)
-type json = Json.t =
+(** The JSON value of frame payloads: {!Obs.Json.t}, the repository's
+    one codec, re-exported with its constructors. The manifest stays so
+    that code which builds or matches payloads through [Wire] alone
+    ([Wire.Obj], [Wire.Str], ...) keeps compiling; [Wire.Obj ...] and
+    [Obs.Json.Obj ...] are interchangeable. *)
+type json = Obs.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -34,13 +35,6 @@ type json = Json.t =
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
-
-val json_to_string : json -> string
-(** {!Json.to_string}: compact rendering with full string escaping. *)
-
-val json_of_string : string -> (json, string) result
-(** {!Json.of_string}: total recursive-descent parser — bounded nesting
-    depth, no exceptions escape. *)
 
 val version : int
 (** Protocol version spoken by this build (currently 1). Bumped on any

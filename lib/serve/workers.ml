@@ -2,6 +2,7 @@
    workers.mli and docs/SHARDING.md §phase 2. *)
 
 open An5d_core
+module Json = Obs.Json
 
 let src_log = Logs.Src.create "an5d.workers" ~doc:"AN5D shard worker registry"
 
@@ -58,37 +59,42 @@ let alive t i = t.workers.(i).alive
 (* The counter merge crosses the process boundary as a JSON object in
    the worker's completion frame. Integer sums commute, so parent-side
    accumulation over workers equals the in-process per-shard merge. *)
-let counters_to_json (c : Gpu.Counters.t) =
-  Json.Obj
+let counter_fields :
+    (string * (Gpu.Counters.t -> int) * (Gpu.Counters.t -> int -> unit)) list =
+  Gpu.Counters.
     [
-      ("gm_reads", Json.Int c.Gpu.Counters.gm_reads);
-      ("gm_writes", Json.Int c.Gpu.Counters.gm_writes);
-      ("sm_reads", Json.Int c.Gpu.Counters.sm_reads);
-      ("sm_writes", Json.Int c.Gpu.Counters.sm_writes);
-      ("fma", Json.Int c.Gpu.Counters.fma);
-      ("mul", Json.Int c.Gpu.Counters.mul);
-      ("add", Json.Int c.Gpu.Counters.add);
-      ("other", Json.Int c.Gpu.Counters.other);
-      ("kernel_launches", Json.Int c.Gpu.Counters.kernel_launches);
-      ("barriers", Json.Int c.Gpu.Counters.barriers);
-      ("cells_updated", Json.Int c.Gpu.Counters.cells_updated);
+      ("gm_reads", (fun c -> c.gm_reads), fun c v -> c.gm_reads <- v);
+      ("gm_writes", (fun c -> c.gm_writes), fun c v -> c.gm_writes <- v);
+      ("sm_reads", (fun c -> c.sm_reads), fun c v -> c.sm_reads <- v);
+      ("sm_writes", (fun c -> c.sm_writes), fun c v -> c.sm_writes <- v);
+      ("fma", (fun c -> c.fma), fun c v -> c.fma <- v);
+      ("mul", (fun c -> c.mul), fun c v -> c.mul <- v);
+      ("add", (fun c -> c.add), fun c v -> c.add <- v);
+      ("other", (fun c -> c.other), fun c v -> c.other <- v);
+      ( "kernel_launches",
+        (fun c -> c.kernel_launches),
+        fun c v -> c.kernel_launches <- v );
+      ("barriers", (fun c -> c.barriers), fun c v -> c.barriers <- v);
+      ("cells_updated", (fun c -> c.cells_updated), fun c v -> c.cells_updated <- v);
     ]
 
+let counters_to_json c =
+  Json.Obj (List.map (fun (name, get, _) -> (name, Json.Int (get c))) counter_fields)
+
+(* All-or-nothing: a completion frame with a missing or mistyped field
+   is a malformed frame, never a silently wrong counter. *)
 let counters_of_json j =
-  let f name = Option.value (Json.int_field j name) ~default:0 in
   let c = Gpu.Counters.create () in
-  c.Gpu.Counters.gm_reads <- f "gm_reads";
-  c.Gpu.Counters.gm_writes <- f "gm_writes";
-  c.Gpu.Counters.sm_reads <- f "sm_reads";
-  c.Gpu.Counters.sm_writes <- f "sm_writes";
-  c.Gpu.Counters.fma <- f "fma";
-  c.Gpu.Counters.mul <- f "mul";
-  c.Gpu.Counters.add <- f "add";
-  c.Gpu.Counters.other <- f "other";
-  c.Gpu.Counters.kernel_launches <- f "kernel_launches";
-  c.Gpu.Counters.barriers <- f "barriers";
-  c.Gpu.Counters.cells_updated <- f "cells_updated";
-  c
+  let rec go = function
+    | [] -> Ok c
+    | (name, _, set) :: rest -> (
+        match Json.int_field j name with
+        | Some v ->
+            set c v;
+            go rest
+        | None -> Error (Printf.sprintf "counters: missing or non-integer %S" name))
+  in
+  go counter_fields
 
 (* ------------------------------------------------------------------ *)
 (* Task descriptors                                                    *)
@@ -418,7 +424,10 @@ let read_completion t w =
   if not (wait_readable fd t.timeout) then
     raise (Shard.Transport.Failed { worker = w; reason = "completion timeout" });
   match Wire.read_frame fd with
-  | Ok (Wire.Response { payload; _ }) -> counters_of_json payload
+  | Ok (Wire.Response { payload; _ }) -> (
+      match counters_of_json payload with
+      | Ok c -> c
+      | Error reason -> raise (Shard.Transport.Failed { worker = w; reason }))
   | Ok (Wire.Error { message; _ }) ->
       raise (Shard.Transport.Failed { worker = w; reason = message })
   | Ok _ ->

@@ -115,8 +115,11 @@ val worker_main : ?chaos:chaos -> Unix.file_descr -> unit
     ({!Shard.Transport.Pipe.serve}), and reply with the merged
     counters — until EOF. *)
 
-val counters_to_json : Gpu.Counters.t -> Json.t
+val counters_to_json : Gpu.Counters.t -> Obs.Json.t
 
-val counters_of_json : Json.t -> Gpu.Counters.t
-(** Total: missing fields read as zero. Round-trips exactly
-    ([counters_of_json (counters_to_json c)] is field-equal to [c]). *)
+val counters_of_json : Obs.Json.t -> (Gpu.Counters.t, string) result
+(** All-or-nothing: every field must be present and an integer, else
+    [Error] names the first bad one ({!simulate} then treats the
+    completion frame as a transport failure). Round-trips exactly
+    ([counters_of_json (counters_to_json c)] is [Ok] of a value
+    field-equal to [c]). *)

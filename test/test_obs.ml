@@ -139,18 +139,9 @@ let prop_tree_recording =
    validator (every B matched by an E with the same name per tid,
    integer pids/tids), and has exactly one B and one E per span. *)
 let count_phase json phase =
-  match json with
-  | Obs.Export.Obj fields -> (
-      match List.assoc_opt "traceEvents" fields with
-      | Some (Obs.Export.Arr evs) ->
-          List.length
-            (List.filter
-               (function
-                 | Obs.Export.Obj f ->
-                     List.assoc_opt "ph" f = Some (Obs.Export.Str phase)
-                 | _ -> false)
-               evs)
-      | _ -> -1)
+  match Obs.Json.field json "traceEvents" with
+  | Some (Obs.Json.Arr evs) ->
+      List.length (List.filter (fun ev -> Obs.Json.str_field ev "ph" = Some phase) evs)
   | _ -> -1
 
 let prop_chrome_round_trip =
@@ -158,7 +149,7 @@ let prop_chrome_round_trip =
     arb_forest (fun forest ->
       let (), spans = Obs.Trace.with_tracing (fun () -> List.iter record forest) in
       let json = Obs.Export.chrome_json spans in
-      match (Obs.Export.validate_chrome json, Obs.Export.parse_json json) with
+      match (Obs.Export.validate_chrome json, Obs.Json.of_string json) with
       | Ok (), Ok parsed ->
           let n = List.length spans in
           count_phase parsed "B" = n && count_phase parsed "E" = n
@@ -387,17 +378,17 @@ let test_golden_trace () =
 
 let test_json_parser () =
   let ok s =
-    match Obs.Export.parse_json s with
+    match Obs.Json.of_string s with
     | Ok v -> v
     | Error e -> Alcotest.failf "parse %S failed: %s" s e
   in
   let err s =
-    match Obs.Export.parse_json s with
+    match Obs.Json.of_string s with
     | Ok _ -> Alcotest.failf "parse %S should fail" s
     | Error _ -> ()
   in
   (match ok {|{"a": [1, -2.5e1, true, null, "x\"y"]}|} with
-  | Obs.Export.Obj [ ("a", Obs.Export.Arr l) ] ->
+  | Obs.Json.Obj [ ("a", Obs.Json.Arr l) ] ->
       Alcotest.(check int) "array length" 5 (List.length l)
   | _ -> Alcotest.fail "unexpected shape");
   err "";
@@ -434,25 +425,68 @@ let test_validator_rejects () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "minimal valid trace rejected: %s" e
 
-let test_summary_exports () =
+(* JSON has no spelling for NaN or infinities: a non-finite gauge must
+   read back as null, never as a plausible number such as a perfect 0
+   deviation. *)
+let test_non_finite_gauges () =
   Obs.Metrics.reset ();
-  Obs.Metrics.add (Obs.Metrics.counter "test_sum_counter") 9;
-  let snap = Obs.Metrics.snapshot () in
-  let j = Obs.Export.summary_json ~span_count:4 snap in
-  (match Obs.Export.parse_json j with
-  | Ok (Obs.Export.Obj fields) ->
-      Alcotest.(check bool) "summary has spans" true
-        (List.mem_assoc "spans" fields);
-      Alcotest.(check bool) "summary has metrics" true
-        (List.mem_assoc "metrics" fields)
-  | Ok _ -> Alcotest.fail "summary not an object"
-  | Error e -> Alcotest.failf "summary_json invalid: %s" e);
-  let s = Obs.Export.summary_sexp ~span_count:4 snap in
-  Alcotest.(check bool) "sexp mentions the counter" true
-    (let n = String.length s and sub = "test_sum_counter" in
-     let m = String.length sub in
-     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-     go 0)
+  Obs.Metrics.set_gauge (Obs.Metrics.gauge "test_nan_gauge") Float.nan;
+  Obs.Metrics.set_gauge (Obs.Metrics.gauge "test_inf_gauge") Float.infinity;
+  let text = Obs.Json.to_string (Obs.Export.metrics_json (Obs.Metrics.snapshot ())) in
+  match Obs.Json.of_string text with
+  | Error e -> Alcotest.failf "metrics_json does not parse: %s" e
+  | Ok doc ->
+      let gauges = Option.get (Obs.Json.field doc "gauges") in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " reads back as null") true
+            (Obs.Json.field gauges name = Some Obs.Json.Null))
+        [ "test_nan_gauge"; "test_inf_gauge" ]
+
+(* The committed BENCH_*.json files (test deps: ../BENCH_*.json) are
+   machine-readable full-mode results: each parses, holds
+   ["quick": false], carries its experiment's floors as numbers and
+   the metrics counters as an object. *)
+let bench_floors =
+  [
+    ("BENCH_serve.json", []);
+    ("BENCH_shard.json", [ "shard_floor"; "mp_floor" ]);
+    ("BENCH_throughput.json", [ "streaming_floor"; "split_floor" ]);
+  ]
+
+let test_committed_bench_files () =
+  let committed =
+    Sys.readdir ".."
+    |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json"
+           && not (Filename.check_suffix f ".quick.json"))
+  in
+  List.iter
+    (fun (f, _) ->
+      Alcotest.(check bool) (f ^ " is committed") true (List.mem f committed))
+    bench_floors;
+  List.iter
+    (fun f ->
+      let path = Filename.concat ".." f in
+      match Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+      | Error e -> Alcotest.failf "%s does not parse: %s" f e
+      | Ok doc ->
+          Alcotest.(check (option bool)) (f ^ " quick") (Some false)
+            (Obs.Json.bool_field doc "quick");
+          List.iter
+            (fun floor ->
+              Alcotest.(check bool) (f ^ " " ^ floor ^ " is a number") true
+                (Obs.Json.num_field doc floor <> None))
+            (Option.value ~default:[] (List.assoc_opt f bench_floors));
+          let counters =
+            Option.bind (Obs.Json.field doc "metrics") (fun m ->
+                Obs.Json.field m "counters")
+          in
+          Alcotest.(check bool) (f ^ " metrics.counters is an object") true
+            (match counters with Some (Obs.Json.Obj _) -> true | _ -> false))
+    committed
 
 let () =
   Alcotest.run "obs"
@@ -481,6 +515,7 @@ let () =
         [
           Alcotest.test_case "json parser" `Quick test_json_parser;
           Alcotest.test_case "validator rejects" `Quick test_validator_rejects;
-          Alcotest.test_case "summary exports" `Quick test_summary_exports;
+          Alcotest.test_case "non-finite gauges" `Quick test_non_finite_gauges;
+          Alcotest.test_case "committed BENCH files" `Quick test_committed_bench_files;
         ] );
     ]

@@ -115,14 +115,17 @@ let prop_frame_roundtrip =
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
 
 let arb_json =
-  QCheck.make ~print:(fun j -> Wire.json_to_string j) gen_json
+  QCheck.make ~print:(fun j -> Obs.Json.to_string j) gen_json
 
 let prop_json_roundtrip =
-  QCheck.Test.make ~name:"json_of_string (json_to_string j) = j" ~count:250
+  QCheck.Test.make ~name:"of_string (to_string j) = j = of_string (pretty j)" ~count:250
     arb_json (fun j ->
-      match Wire.json_of_string (Wire.json_to_string j) with
-      | Ok j' -> json_eq j j'
-      | Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg)
+      List.for_all
+        (fun render ->
+          match Obs.Json.of_string (render j) with
+          | Ok j' -> json_eq j j'
+          | Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg)
+        [ Obs.Json.to_string; Obs.Json.pretty ])
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial decoder fuzz: total, never raises                       *)
@@ -137,7 +140,7 @@ let prop_decoder_total =
   QCheck.Test.make ~name:"decode_payload never raises on random bytes" ~count:300
     arb_bytes (fun s ->
       (match Wire.decode_payload s with Ok _ | Error _ -> ());
-      (match Wire.json_of_string s with Ok _ | Error _ -> ());
+      (match Obs.Json.of_string s with Ok _ | Error _ -> ());
       true)
 
 (* Flip one byte of a valid payload: still total, and version or type

@@ -10,7 +10,7 @@
 open An5d_core
 module Workers = An5d_serve.Workers
 module Request = An5d_serve.Request
-module Json = An5d_serve.Json
+module Json = Obs.Json
 module Metrics = Obs.Metrics
 
 (* AN5D_PREC=f32|f64 pins the whole suite to one precision (CI runs
@@ -115,12 +115,23 @@ let test_counters_roundtrip () =
   c.Gpu.Counters.kernel_launches <- 9;
   c.Gpu.Counters.barriers <- 10;
   c.Gpu.Counters.cells_updated <- 11;
-  Alcotest.check counters_t "field-exact round trip" c
-    (Workers.counters_of_json (Workers.counters_to_json c));
-  (* Total decode: missing fields read as zero. *)
-  Alcotest.check counters_t "empty object decodes to zeros"
-    (Gpu.Counters.create ())
-    (Workers.counters_of_json (Json.Obj []))
+  (match Workers.counters_of_json (Workers.counters_to_json c) with
+  | Ok c' -> Alcotest.check counters_t "field-exact round trip" c c'
+  | Error e -> Alcotest.failf "counters did not round-trip: %s" e);
+  (* All-or-nothing decode: a missing or mistyped field is an error,
+     never a zero. *)
+  let rejects what j =
+    Alcotest.(check bool) what true (Result.is_error (Workers.counters_of_json j))
+  in
+  rejects "empty object is rejected" (Json.Obj []);
+  rejects "one mistyped field is rejected"
+    (match Workers.counters_to_json c with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "fma" then (k, Json.Str "5") else (k, v))
+             fields)
+    | j -> j)
 
 let test_spec_roundtrip () =
   let s = spec Stencil.Grid.F64 in
