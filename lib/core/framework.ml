@@ -102,14 +102,40 @@ type outcome = {
       (** [Error d]: max abs deviation [d] from the reference executor *)
 }
 
+let g_verify_deviation = Obs.Metrics.gauge "simulate_max_abs_deviation"
+
+(** Compare [result] with the naive reference run of [steps] steps from
+    [input] (the artifact's CPU check, §A.6), sweeping the reference's
+    rows over [cfg.domains] lanes. *)
+let verify ~cfg job ~steps ~input result =
+  Obs.Trace.with_span "verify" @@ fun () ->
+  (* The reference gets a pool of its own, created here, after the
+     executor has joined its pool. One pool hoisted across execute and
+     verify raised the peak RSS of perfbench's solve workload by about
+     20% on a 2-core host, past the benchmark's bound, even with a
+     sequential verify; two short-lived pools kept it level. *)
+  let reference =
+    Gpu.Pool.with_pool ~domains:cfg.Run_config.domains (fun pool ->
+        let par =
+          Option.map
+            (fun pool ~n f -> Gpu.Pool.run pool ~n (fun ~lane:_ i -> f i))
+            pool
+        in
+        Stencil.Reference.run ?par (pattern job) ~steps input)
+  in
+  let d = Stencil.Grid.max_abs_diff reference result in
+  Obs.Metrics.set_gauge g_verify_deviation d;
+  Obs.Trace.add_attrs [ ("max_abs_deviation", Obs.Trace.Float d) ];
+  if d = 0.0 then Ok () else Error d
+
 (** Run the blocked schedule on the simulated [device] and verify the
     output against the naive reference (the artifact's CPU check,
     §A.6). [verify] can be disabled for large grids; [mode] selects the
     CALC evaluation strategy (partial sums reassociate, so verification
     then reports a small nonzero error, as the real artifact does).
     [domains > 1] executes the independent thread blocks of each kernel
-    call in parallel, bit-identically to the sequential run. *)
-let g_verify_deviation = Obs.Metrics.gauge "simulate_max_abs_deviation"
+    call in parallel, and splits the reference sweep's rows across the
+    same number of lanes, bit-identically to the sequential run. *)
 
 let simulate_cfg ?(cfg = Run_config.default) ~device ~steps job grid =
   if grid.Stencil.Grid.dims <> job.dims then
@@ -130,12 +156,6 @@ let simulate_cfg ?(cfg = Run_config.default) ~device ~steps job grid =
   Log.info (fun m -> m "launch: %a" Blocking.pp_launch_stats stats);
   let verified =
     if not cfg.Run_config.verify then Ok ()
-    else
-      Obs.Trace.with_span "verify" (fun () ->
-          let reference = Stencil.Reference.run (pattern job) ~steps grid in
-          let d = Stencil.Grid.max_abs_diff reference result in
-          Obs.Metrics.set_gauge g_verify_deviation d;
-          Obs.Trace.add_attrs [ ("max_abs_deviation", Obs.Trace.Float d) ];
-          if d = 0.0 then Ok () else Error d)
+    else verify ~cfg job ~steps ~input:grid result
   in
   { result; stats; counters = machine.Gpu.Machine.counters; verified }

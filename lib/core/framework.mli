@@ -53,6 +53,24 @@ type outcome = {
       (** [Error d]: max abs deviation [d] from the reference *)
 }
 
+val verify :
+  cfg:Run_config.t ->
+  job ->
+  steps:int ->
+  input:Stencil.Grid.t ->
+  Stencil.Grid.t ->
+  (unit, float) Result.t
+(** [verify ~cfg job ~steps ~input result] compares [result] with the
+    naive reference run of [steps] steps from [input] — the artifact's
+    CPU check (§A.6) — inside a [verify] span. The reference sweep runs
+    its rows over a pool of [cfg.domains] lanes, created for the check
+    and joined before it returns (so a caller may [Unix.fork] right
+    after); the reference is bit-identical for any lane count. Sets the
+    [simulate_max_abs_deviation] gauge and the span's
+    [max_abs_deviation] attribute. [cfg.verify] is the caller's
+    concern. Returns [Error d] with the max abs deviation [d] when it is
+    nonzero. *)
+
 val simulate_cfg :
   ?cfg:Run_config.t ->
   device:Gpu.Device.t ->
@@ -66,7 +84,8 @@ val simulate_cfg :
     (§A.6); with [cfg.mode = Partial_sums] verification reports the
     small reassociation error the real artifact also sees;
     [cfg.domains > 1] runs the thread blocks of each kernel call in
-    parallel (results are bit-identical either way). [cfg.trace]/[cfg.metrics] are
-    not acted on here — wrap the call in {!Run_config.with_obs} for
-    that (the CLI does).
+    parallel, and {!verify} splits the reference sweep's rows over the
+    same number of lanes (results are bit-identical either way).
+    [cfg.trace]/[cfg.metrics] are not acted on here — wrap the call in
+    {!Run_config.with_obs} for that (the CLI does).
     @raise Invalid_argument when the grid does not match the job. *)

@@ -22,8 +22,6 @@ let m_retries = Obs.Metrics.counter "worker_retries"
    chunks-executed cadence is transport-invariant. *)
 let m_chunks_executed = Obs.Metrics.counter "chunks_executed"
 
-let g_verify_deviation = Obs.Metrics.gauge "simulate_max_abs_deviation"
-
 type chaos = No_hello | Die_at_advance of int | Garbage_planes
 
 type spawn =
@@ -563,17 +561,17 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
       let verified =
         if not run.Run_config.verify then Ok ()
         else
-          Obs.Trace.with_span "verify" (fun () ->
-              let grid =
-                Stencil.Grid.init_random ~prec ~seed job.Framework.dims
-              in
-              let reference =
-                Stencil.Reference.run (Framework.pattern job) ~steps grid
-              in
-              let d = Stencil.Grid.max_abs_diff reference result in
-              Obs.Metrics.set_gauge g_verify_deviation d;
-              Obs.Trace.add_attrs [ ("max_abs_deviation", Obs.Trace.Float d) ];
-              if d = 0.0 then Ok () else Error d)
+          let input = Stencil.Grid.init_random ~prec ~seed job.Framework.dims in
+          (* OCaml 5.1 refuses [Unix.fork] in a process that has ever
+             spawned a domain, joined or not, so a registry that forks
+             its workers verifies on one lane to keep its respawns
+             working. *)
+          let cfg =
+            match t.spawn with
+            | Exec _ -> run
+            | Fork | Custom _ -> Run_config.with_domains 1 run
+          in
+          Framework.verify ~cfg job ~steps ~input result
       in
       { Framework.result; stats; counters; verified }
     with Shard.Transport.Failed { worker; reason } ->

@@ -10,7 +10,9 @@
     and per-offset linear deltas off the lowered expression
     ({!Pattern.lower}), in rows that are monomorphic by precision and
     index the flat buffer without bounds checks, guarded by a
-    once-per-sweep proof of the peeling invariant (see [step_lowered]). *)
+    once-per-sweep proof of the peeling invariant (see [step_lowered]).
+    A caller-supplied parallel-for may spread each sweep's outermost
+    interior planes over lanes without changing a bit of the result. *)
 
 (* One-entry lowering cache: verification loops call [step]/[run] many
    times with the same pattern value, and patterns are immutable, so
@@ -49,10 +51,17 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
    corners), so if [min_pos + delta] and [max_pos + delta] are in range
    for every lowered offset, every unchecked access of the sweep is in
    bounds. Boundary cells never enter the sweep — they are blitted up
-   front. The proof cannot fail for offsets within the pattern radius;
-   if it does, the sweep raises instead of reading out of bounds (the
-   discipline of the streaming executor's per-block contract). *)
-let step_lowered (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
+   front when [blit] is set, and left alone otherwise (the caller then
+   guarantees [dst]'s boundary already equals [src]'s). The proof cannot
+   fail for offsets within the pattern radius; if it does, the sweep
+   raises instead of reading out of bounds (the discipline of the
+   streaming executor's per-block contract).
+
+   With [par], the outermost interior index is handed to the parallel
+   for: index [i] walks the slab at plane [rad + i] with the same rows.
+   A Jacobi sweep reads only [src], so slabs are independent and every
+   cell sees the same code and arithmetic whichever lane runs it. *)
+let step_lowered ?par ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
   let dims = src.Grid.dims in
   let strides = src.Grid.strides in
   let n = Array.length dims in
@@ -65,7 +74,7 @@ let step_lowered (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
         !d)
       offs
   in
-  Grid.blit ~src ~dst;
+  if blit then Grid.blit ~src ~dst;
   let last = dims.(n - 1) in
   (* An empty interior sweeps nothing: every cell is boundary. *)
   if Array.for_all (fun d -> d - (2 * rad) > 0) dims then begin
@@ -83,6 +92,13 @@ let step_lowered (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
         for i = rad to dims.(d) - rad - 1 do
           walk row (d + 1) (base + (i * strides.(d)))
         done
+    in
+    let sweep row =
+      match par with
+      | Some par when n > 1 ->
+          par ~n:(dims.(0) - (2 * rad)) (fun i ->
+              walk row 1 ((rad + i) * strides.(0)))
+      | _ -> walk row 0 0
     in
     match low.Sexpr.low_linear with
     | Some lf ->
@@ -166,20 +182,22 @@ let step_lowered (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
           done
         in
         (match (src.Grid.buf, dst.Grid.buf) with
-        | Grid.B64 s, Grid.B64 d -> walk (row_f64 s d) 0 0
-        | Grid.B32 s, Grid.B32 d -> walk (row_f32 s d) 0 0
+        | Grid.B64 s, Grid.B64 d -> sweep (row_f64 s d)
+        | Grid.B32 s, Grid.B32 d -> sweep (row_f32 s d)
         | _ -> invalid_arg "Reference.step: src/dst precision mismatch")
     | None ->
         let eval = low.Sexpr.low_eval in
-        let pos_ref = ref 0 in
-        let read k = Grid.get_lin src (!pos_ref + delta.(k)) in
+        (* The cursor is per row, so rows on different lanes never
+           share it. *)
         let row base =
+          let pos_ref = ref 0 in
+          let read k = Grid.get_lin src (!pos_ref + delta.(k)) in
           for pos = base + rad to base + last - rad - 1 do
             pos_ref := pos;
             Grid.set_lin dst pos (eval read)
           done
         in
-        walk row 0 0
+        sweep row
   end
 
 (** Apply one time-step: reads [src], writes [dst]. Boundary cells (those
@@ -187,13 +205,17 @@ let step_lowered (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
     the boundary condition. *)
 let step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   check_step pattern ~src ~dst;
-  step_lowered (lowered_of pattern) ~rad:pattern.Pattern.radius ~src ~dst
+  step_lowered ~blit:true (lowered_of pattern) ~rad:pattern.Pattern.radius ~src ~dst
 
 (** Run [steps] time-steps starting from [g]; returns the final grid.
     Matches the C semantics: with double buffering the result of step [s]
     lands in buffer [s mod 2]; we return whichever buffer holds the final
-    values. The lowering is hoisted out of the time loop. *)
-let run pattern ~steps g =
+    values. The lowering is hoisted out of the time loop, and so is the
+    boundary copy: both buffers start as copies of [g] and no sweep
+    writes a boundary cell, so their boundaries stay equal and the
+    per-step blit of {!step} would only rewrite values already in
+    place. *)
+let run ?par pattern ~steps g =
   if steps < 0 then invalid_arg "Reference.run: negative step count";
   let low = lowered_of pattern and rad = pattern.Pattern.radius in
   let a = Grid.copy g in
@@ -201,7 +223,7 @@ let run pattern ~steps g =
   let cur = ref a and nxt = ref b in
   for _ = 1 to steps do
     check_step pattern ~src:!cur ~dst:!nxt;
-    step_lowered low ~rad ~src:!cur ~dst:!nxt;
+    step_lowered ?par ~blit:false low ~rad ~src:!cur ~dst:!nxt;
     let t = !cur in
     cur := !nxt;
     nxt := t

@@ -8,7 +8,7 @@
     unchecked monomorphic buffer access guarded by a once-per-sweep
     proof that every interior position plus every lowered delta stays
     inside the flat buffer (the peeling invariant — boundary cells are
-    blitted, never swept). The arithmetic is {!Sexpr.compile}'s, so the
+    copied, never swept). The arithmetic is {!Sexpr.compile}'s, so the
     result is bit-identical to evaluating the source expression per
     cell. *)
 
@@ -19,9 +19,24 @@ val step : Pattern.t -> src:Grid.t -> dst:Grid.t -> unit
     from an interior cell — impossible for offsets within the pattern
     radius). *)
 
-val run : Pattern.t -> steps:int -> Grid.t -> Grid.t
+val run :
+  ?par:(n:int -> (int -> unit) -> unit) -> Pattern.t -> steps:int -> Grid.t -> Grid.t
 (** [steps] time-steps from the given initial grid; the input is not
     modified. The expression lowering is hoisted out of the time loop.
+
+    Both double buffers start as copies of the input and no sweep writes
+    a boundary cell, so [run] relies on their boundaries staying equal
+    and skips {!step}'s per-step boundary copy.
+
+    [par ~n f] must call [f i] exactly once for every [i] in [0, n) and
+    return once all calls have; it may run them concurrently (for
+    example [Gpu.Pool.run], which sits above this library). When given,
+    each sweep hands its outermost interior index to [par], one slab of
+    rows per index. A Jacobi sweep reads only the previous buffer, so
+    slabs are independent, and each cell is computed by the same code
+    with the same arithmetic as in the sequential loop: the result is
+    bit-identical with or without [par], whatever the lane count.
+    1-D grids, and runs without [par], keep the sequential loop.
     @raise Invalid_argument on a negative step count, or as {!step}. *)
 
 val total_flops : Pattern.t -> dims:int array -> steps:int -> float

@@ -129,6 +129,53 @@ let test_simulate_domains () =
   Alcotest.(check bool) "parallel run verified bit-exact" true
     (outcome.Framework.verified = Ok ())
 
+(* [domains] also splits the reference sweep's rows: the outcome of a
+   2-lane run (grid, counters, verdict) equals the sequential one. *)
+let test_domains_match_sequential () =
+  let job = compile ~param_values:[ ("c0", 2.0) ] j2d5pt_src in
+  let g = Stencil.Grid.init_random [| 40; 40 |] in
+  let run d =
+    Framework.simulate_cfg ~cfg:(Run_config.make ~domains:d ()) ~device:Gpu.Device.v100
+      ~steps:7 job g
+  in
+  let seq = run 1 and par = run 2 in
+  Alcotest.(check string) "result digest"
+    (Stencil.Grid.digest seq.Framework.result)
+    (Stencil.Grid.digest par.Framework.result);
+  Alcotest.(check bool) "counters" true
+    (Gpu.Counters.equal seq.Framework.counters par.Framework.counters);
+  Alcotest.(check bool) "verified" true
+    (seq.Framework.verified = Ok () && par.Framework.verified = Ok ())
+
+(* The parallel verify really ran on the pool: the [verify] span has a
+   [lane] child (lane 0 is the calling domain), and lane 1 recorded a
+   [lane] span inside the verify interval on its own domain. *)
+let test_verify_lanes_traced () =
+  let job = compile ~param_values:[ ("c0", 2.0) ] j2d5pt_src in
+  let g = Stencil.Grid.init_random [| 40; 40 |] in
+  let outcome, spans =
+    Obs.Trace.with_tracing (fun () ->
+        Framework.simulate_cfg ~cfg:(Run_config.make ~domains:2 ()) ~device:Gpu.Device.v100
+          ~steps:4 job g)
+  in
+  Alcotest.(check bool) "verified" true (outcome.Framework.verified = Ok ());
+  let verify =
+    match List.filter (fun s -> s.Obs.Trace.name = "verify") spans with
+    | [ v ] -> v
+    | l -> Alcotest.failf "expected one verify span, got %d" (List.length l)
+  in
+  let lanes = List.filter (fun s -> s.Obs.Trace.name = "lane") spans in
+  Alcotest.(check bool) "verify has lane children" true
+    (List.exists (fun s -> s.Obs.Trace.parent = verify.Obs.Trace.id) lanes);
+  let lane_attr s = List.assoc_opt "lane" s.Obs.Trace.attrs in
+  Alcotest.(check bool) "lane 1 swept rows during verify" true
+    (List.exists
+       (fun s ->
+         lane_attr s = Some (Obs.Trace.Int 1)
+         && s.Obs.Trace.t_begin >= verify.Obs.Trace.t_begin
+         && s.Obs.Trace.t_end <= verify.Obs.Trace.t_end)
+       lanes)
+
 let test_grid_mismatch () =
   let job = compile j2d5pt_src in
   let g = Stencil.Grid.init_random [| 20; 20 |] in
@@ -175,6 +222,9 @@ let () =
             test_dynamic_dims_need_override;
           Alcotest.test_case "missing source file" `Quick test_source_of_file_missing;
           Alcotest.test_case "simulate with domains" `Quick test_simulate_domains;
+          Alcotest.test_case "domains = sequential outcome" `Quick
+            test_domains_match_sequential;
+          Alcotest.test_case "verify lanes traced" `Quick test_verify_lanes_traced;
           Alcotest.test_case "grid mismatch" `Quick test_grid_mismatch;
           Alcotest.test_case "dims override" `Quick test_dims_override;
           Alcotest.test_case "source of file" `Quick test_source_of_file;

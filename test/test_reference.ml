@@ -1,5 +1,9 @@
 (* Reference executor tests: hand-computed updates, boundary semantics,
-   composition, and total-FLOP accounting. *)
+   composition, total-FLOP accounting, and the parallel-row sweep's
+   bit-identity with the sequential one.
+
+   Set AN5D_PREC=f32|f64 to pin the randomized cases to one storage
+   precision. *)
 
 open Stencil
 
@@ -105,7 +109,97 @@ let test_dim_mismatch () =
     (Invalid_argument "Reference.step: grid rank does not match pattern") (fun () ->
       ignore (Reference.run avg3 ~steps:1 g))
 
+(* --- parallel rows: Reference.run ~par over a real 2-lane pool --- *)
+
+(* AN5D_PREC=f32|f64 pins every randomized case to one storage
+   precision (CI runs this suite once per value); unset mixes both. *)
+let forced_prec =
+  match Option.map String.lowercase_ascii (Sys.getenv_opt "AN5D_PREC") with
+  | Some ("f32" | "float") -> Some Grid.F32
+  | Some ("f64" | "double") -> Some Grid.F64
+  | Some s -> failwith ("AN5D_PREC expects f32 or f64, got " ^ s)
+  | None -> None
+
+let gen_prec =
+  match forced_prec with
+  | Some p -> QCheck.Gen.return p
+  | None -> QCheck.Gen.oneofl [ Grid.F64; Grid.F32 ]
+
+let pool = Gpu.Pool.create ~domains:2 ()
+
+let par ~n f = Gpu.Pool.run pool ~n (fun ~lane:_ i -> f i)
+
+(* Linear patterns take the flat weighted-sum rows; adding a product of
+   two cells leaves no linear form, so the sweep takes the indexed
+   closure. *)
+let par_pattern ~dims ~rad ~box ~closure =
+  let offsets =
+    if box then Shape.box_offsets ~dims ~rad else Shape.star_offsets ~dims ~rad
+  in
+  let sum = Sexpr.weighted_sum offsets in
+  let far = Array.init dims (fun d -> if d = 0 then rad else 0) in
+  let expr =
+    if closure then
+      Sexpr.Add (sum, Sexpr.Mul (Sexpr.Cell (Array.make dims 0), Sexpr.Cell far))
+    else sum
+  in
+  Pattern.make ~name:"par" ~dims ~params:[] expr
+
+(* Outer edges include the diameter itself (empty interior) and
+   [2*rad + 1] (one outer interior index, fewer than the lanes). *)
+let gen_par_case =
+  QCheck.Gen.(
+    let* dims_n = int_range 1 3 in
+    let* rad = int_range 1 4 in
+    let* box = bool in
+    let* closure = bool in
+    let* prec = gen_prec in
+    let* steps = int_range 1 4 in
+    let diam = 2 * rad in
+    let* outer =
+      frequency
+        [ (1, return diam); (2, return (diam + 1)); (4, int_range (diam + 2) (diam + 9)) ]
+    in
+    let cap = match dims_n with 1 -> 64 | 2 -> 24 | _ -> 12 in
+    let* inner = list_repeat (dims_n - 1) (int_range (diam + 1) (max (diam + 1) cap)) in
+    let* seed = int_range 0 1000 in
+    return (dims_n, rad, box, closure, prec, steps, Array.of_list (outer :: inner), seed))
+
+let print_par_case (dims_n, rad, box, closure, prec, steps, dims, seed) =
+  Fmt.str "%dD rad=%d %s %s %s steps=%d dims=%a seed=%d" dims_n rad
+    (if box then "box" else "star")
+    (if closure then "closure" else "linear")
+    (Grid.precision_to_string prec) steps
+    Fmt.(array ~sep:(any "x") int)
+    dims seed
+
+let prop_par_bit_identical =
+  QCheck.Test.make ~count:200 ~name:"run ~par = sequential run, bit for bit"
+    (QCheck.make ~print:print_par_case gen_par_case)
+    (fun (dims_n, rad, box, closure, prec, steps, dims, seed) ->
+      let p = par_pattern ~dims:dims_n ~rad ~box ~closure in
+      let low = Pattern.lower p in
+      if closure <> (low.Sexpr.low_linear = None) then
+        QCheck.Test.fail_report "pattern took the wrong lowering";
+      let g = Grid.init_random ~prec ~seed dims in
+      Grid.digest (Reference.run p ~steps g)
+      = Grid.digest (Reference.run ~par p ~steps g))
+
+(* The sweep skips the per-step boundary copy: [run] must still equal
+   chaining the public [step], which copies the boundary every time. *)
+let test_run_equals_steps () =
+  let p = par_pattern ~dims:2 ~rad:2 ~box:true ~closure:false in
+  let g = Grid.init_random [| 11; 13 |] in
+  let a = Grid.copy g and b = Grid.create [| 11; 13 |] in
+  for _ = 1 to 3 do
+    Reference.step p ~src:a ~dst:b;
+    Grid.blit ~src:b ~dst:a
+  done;
+  Alcotest.(check string) "run = chained step" (Grid.digest a)
+    (Grid.digest (Reference.run ~par p ~steps:3 g))
+
 let () =
+  at_exit (fun () -> Gpu.Pool.shutdown pool);
   Alcotest.run "reference"
     [
       ( "reference",
@@ -119,5 +213,7 @@ let () =
           Alcotest.test_case "total flops" `Quick test_total_flops;
           Alcotest.test_case "empty interior" `Quick test_empty_interior;
           Alcotest.test_case "dim mismatch" `Quick test_dim_mismatch;
+          Alcotest.test_case "run = chained step" `Quick test_run_equals_steps;
         ] );
+      ("parallel rows", [ QCheck_alcotest.to_alcotest prop_par_bit_identical ]);
     ]

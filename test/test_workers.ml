@@ -362,6 +362,32 @@ let test_sigkill_respawn () =
       check_outcome base out)
     precs
 
+(* A verified [domains = 2] multi-process run leaves the forking
+   registry able to respawn: OCaml 5.1 refuses [Unix.fork] once the
+   process has spawned any domain, so the parent-side verify of a
+   forking registry must not have spawned one. The baseline is the
+   sequential in-process run, which spawns no domain either. *)
+let test_respawn_after_parallel_verify () =
+  let prec = List.hd precs in
+  let run = Run_config.make ~domains:2 ~shards ~workers:2 ~verify:true () in
+  let base = in_process ~prec ~run:(Run_config.with_domains 1 run) in
+  with_registry 2 @@ fun reg ->
+  let first = multiproc reg ~prec ~run in
+  Alcotest.(check (result unit (float 0.0)))
+    "verified" (Ok ()) first.Framework.verified;
+  check_outcome base first;
+  Workers.kill reg 1;
+  Unix.sleepf 0.05;
+  let before = Metrics.snapshot () in
+  let out = multiproc reg ~prec ~run in
+  let after = Metrics.snapshot () in
+  Alcotest.(check int) "one respawn" 1 (delta before after "worker_spawns");
+  Alcotest.(check int)
+    "completed multi-process, no fallback" 0
+    (delta before after "worker_retries");
+  Alcotest.(check bool) "worker 1 is back" true (Workers.alive reg 1);
+  check_outcome base out
+
 (* ------------------------------------------------------------------ *)
 
 let case name f = Alcotest.test_case name `Quick f
@@ -407,5 +433,6 @@ let () =
           fault "handshake timeout" test_handshake_timeout;
           fault "garbage halo frames" test_garbage_planes;
           fault "sigkill between requests" test_sigkill_respawn;
+          fault "respawn after a 2-domain verify" test_respawn_after_parallel_verify;
         ] );
     ]
