@@ -106,8 +106,8 @@ let g_verify_deviation = Obs.Metrics.gauge "simulate_max_abs_deviation"
 
 (** Compare [result] with the naive reference run of [steps] steps from
     [input] (the artifact's CPU check, §A.6), sweeping the reference's
-    rows over [cfg.domains] lanes. *)
-let verify ~cfg job ~steps ~input result =
+    rows over [domains] lanes. *)
+let verify ~domains job ~steps ~input result =
   Obs.Trace.with_span "verify" @@ fun () ->
   (* The reference gets a pool of its own, created here, after the
      executor has joined its pool. One pool hoisted across execute and
@@ -115,7 +115,7 @@ let verify ~cfg job ~steps ~input result =
      20% on a 2-core host, past the benchmark's bound, even with a
      sequential verify; two short-lived pools kept it level. *)
   let reference =
-    Gpu.Pool.with_pool ~domains:cfg.Run_config.domains (fun pool ->
+    Gpu.Pool.with_pool ~domains (fun pool ->
         let par =
           Option.map
             (fun pool ~n f -> Gpu.Pool.run pool ~n (fun ~lane:_ i -> f i))
@@ -156,6 +156,6 @@ let simulate_cfg ?(cfg = Run_config.default) ~device ~steps job grid =
   Log.info (fun m -> m "launch: %a" Blocking.pp_launch_stats stats);
   let verified =
     if not cfg.Run_config.verify then Ok ()
-    else verify ~cfg job ~steps ~input:grid result
+    else verify ~domains:cfg.Run_config.domains job ~steps ~input:grid result
   in
   { result; stats; counters = machine.Gpu.Machine.counters; verified }

@@ -54,22 +54,23 @@ type outcome = {
 }
 
 val verify :
-  cfg:Run_config.t ->
+  domains:int ->
   job ->
   steps:int ->
   input:Stencil.Grid.t ->
   Stencil.Grid.t ->
   (unit, float) Result.t
-(** [verify ~cfg job ~steps ~input result] compares [result] with the
-    naive reference run of [steps] steps from [input] — the artifact's
-    CPU check (§A.6) — inside a [verify] span. The reference sweep runs
-    its rows over a pool of [cfg.domains] lanes, created for the check
-    and joined before it returns (so a caller may [Unix.fork] right
-    after); the reference is bit-identical for any lane count. Sets the
+(** [verify ~domains job ~steps ~input result] compares [result] with
+    the naive reference run of [steps] steps from [input] — the
+    artifact's CPU check (§A.6) — inside a [verify] span. The reference
+    sweep runs its rows over a pool of [domains] lanes, created for the
+    check and joined before it returns; the reference is bit-identical
+    for any lane count. With [domains > 1] this spawns domains, after
+    which OCaml 5.1 refuses [Unix.fork] for the rest of the process, so
+    callers that fork must pass [domains = 1]. Sets the
     [simulate_max_abs_deviation] gauge and the span's
-    [max_abs_deviation] attribute. [cfg.verify] is the caller's
-    concern. Returns [Error d] with the max abs deviation [d] when it is
-    nonzero. *)
+    [max_abs_deviation] attribute. Returns [Error d] with the max abs
+    deviation [d] when it is nonzero. *)
 
 val simulate_cfg :
   ?cfg:Run_config.t ->

@@ -563,15 +563,9 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
         else
           let input = Stencil.Grid.init_random ~prec ~seed job.Framework.dims in
           (* OCaml 5.1 refuses [Unix.fork] in a process that has ever
-             spawned a domain, joined or not, so a registry that forks
-             its workers verifies on one lane to keep its respawns
-             working. *)
-          let cfg =
-            match t.spawn with
-            | Exec _ -> run
-            | Fork | Custom _ -> Run_config.with_domains 1 run
-          in
-          Framework.verify ~cfg job ~steps ~input result
+             spawned a domain, joined or not, so the parent verifies on
+             one lane to keep its registry's respawns working. *)
+          Framework.verify ~domains:1 job ~steps ~input result
       in
       { Framework.result; stats; counters; verified }
     with Shard.Transport.Failed { worker; reason } ->

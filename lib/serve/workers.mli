@@ -104,10 +104,10 @@ val simulate :
     shared {!Shard.run_via} driver. Uses [min n run.shards] workers.
     On any worker failure the request is retried in-process — never
     dropped. With [run.verify] the parent compares the gathered grid
-    with {!Framework.verify}, on [run.domains] lanes for an [Exec]
-    registry and on one lane for a forking one (OCaml 5.1 refuses
-    [Unix.fork] once the process has spawned any domain, so a parallel
-    verify would break the registry's next respawn).
+    with {!Framework.verify} on one lane, whatever [run.domains] is
+    (OCaml 5.1 refuses [Unix.fork] once the process has spawned any
+    domain, so a parallel verify would break the registry's next
+    respawn).
     @raise Invalid_argument when [run.shards < 2] (route resident runs
     through {!Framework.simulate_cfg} directly). *)
 
