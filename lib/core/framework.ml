@@ -100,7 +100,19 @@ type outcome = {
   counters : Gpu.Counters.t;
   verified : (unit, float) Result.t;
       (** [Error d]: max abs deviation [d] from the reference executor *)
+  digest_memo : string option Atomic.t;
 }
+
+(* Two threads may race to fill the memo; the loser recomputes the
+   same string, which is harmless (the convention of
+   [Reference.lower_cache]). *)
+let result_digest o =
+  match Atomic.get o.digest_memo with
+  | Some d -> d
+  | None ->
+      let d = Stencil.Grid.digest o.result in
+      Atomic.set o.digest_memo (Some d);
+      d
 
 let g_verify_deviation = Obs.Metrics.gauge "simulate_max_abs_deviation"
 
@@ -158,4 +170,10 @@ let simulate_cfg ?(cfg = Run_config.default) ~device ~steps job grid =
     if not cfg.Run_config.verify then Ok ()
     else verify ~domains:cfg.Run_config.domains job ~steps ~input:grid result
   in
-  { result; stats; counters = machine.Gpu.Machine.counters; verified }
+  {
+    result;
+    stats;
+    counters = machine.Gpu.Machine.counters;
+    verified;
+    digest_memo = Atomic.make None;
+  }

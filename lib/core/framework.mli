@@ -51,7 +51,20 @@ type outcome = {
   counters : Gpu.Counters.t;
   verified : (unit, float) Result.t;
       (** [Error d]: max abs deviation [d] from the reference *)
+  digest_memo : string option Atomic.t;
+      (** The memo behind {!result_digest}; a new outcome starts it at
+          [Atomic.make None]. *)
 }
+
+val result_digest : outcome -> string
+(** [Stencil.Grid.digest o.result], computed on the first call and
+    cached in the outcome, so an outcome served many times (a cached
+    result, its coalesced waiters, a dump that carries the memo across a
+    restart) is digested once. Contract: [result] must not be mutated
+    once it has been digested — the memo would then be stale. Cached
+    outcomes are already shared between responses on that assumption.
+    Safe to call from several domains at once: a racing caller
+    recomputes the same string. *)
 
 val verify :
   domains:int ->

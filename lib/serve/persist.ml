@@ -2,7 +2,7 @@
 
 let magic = "AN5D-CACHE"
 
-let format_version = 1
+let format_version = 2
 
 type entry = { key : string; digest : string; bytes : string }
 

@@ -5,7 +5,7 @@
 
     {v
     AN5D-CACHE            magic
-    1                     format version
+    2                     format version
     <hex>                 key-schema digest (Request.key_schema_digest)
     <hex>                 payload digest
     <payload bytes>
@@ -25,6 +25,9 @@
     time. *)
 
 val format_version : int
+(** 2. Bumped from 1 when {!Framework.outcome} gained its digest memo:
+    the key schema did not change, so this line alone refuses a
+    version-1 dump whose marshalled outcomes no longer match the type. *)
 
 (** One digest-checked cached value: [bytes] is the marshalled value,
     [digest] its MD5. *)

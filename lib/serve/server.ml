@@ -76,7 +76,9 @@ let config_str c = Fmt.str "%a" Config.pp c
 (* Simulate responses ship the result grid's digest and the exact
    instruction/traffic counters, not the grid itself — enough for a
    client to assert bit-identical service (the socket differential in
-   test/test_wire.ml) within the frame bound. *)
+   test/test_wire.ml) within the frame bound. The digest is memoized on
+   the outcome, which the session's cache hands to every hit, so a hot
+   key pays for it once. *)
 let payload_json = function
   | Session.Compiled { job = _; cuda } ->
       Wire.Obj [ ("kind", Wire.Str "compile"); ("cuda", Wire.Str cuda) ]
@@ -85,7 +87,7 @@ let payload_json = function
         [
           ("kind", Wire.Str "simulate");
           ("config", Wire.Str (config_str config));
-          ("grid_digest", Wire.Str (Stencil.Grid.digest outcome.Framework.result));
+          ("grid_digest", Wire.Str (Framework.result_digest outcome));
           ( "verified",
             match outcome.Framework.verified with
             | Ok () -> Wire.Str "ok"

@@ -567,7 +567,13 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
              one lane to keep its registry's respawns working. *)
           Framework.verify ~domains:1 job ~steps ~input result
       in
-      { Framework.result; stats; counters; verified }
+      {
+        Framework.result;
+        stats;
+        counters;
+        verified;
+        digest_memo = Atomic.make None;
+      }
     with Shard.Transport.Failed { worker; reason } ->
       attribute worker reason;
       reset_used t nw;

@@ -218,31 +218,28 @@ let iter f g = fold (fun () v -> f v) () g
 
 let to_array g = Array.init (size g) (fun i -> get_lin g i)
 
-(** Digest of the grid's identity: dims, precision and the raw stored
-    words. Precision-correct by construction — an [F32] grid digests
-    its 32-bit words, so grids that differ only in storage precision
-    never collide, and bit-identical runs digest identically. *)
-(* Raw stored words as little-endian bytes — the halo-frame payload of
-   the process-level shard transport. Precision-correct like [digest]:
-   an F32 grid ships its 32-bit words, so the receiving process stores
-   exactly the bits the sender held and round trips are bit-identical
-   in both precisions. Works on [sub] views (flat contiguous ranges). *)
-let to_bytes g =
+(* The raw stored words as little-endian bytes, written into [b] from
+   [off] — the one serializer behind [to_bytes] and [digest].
+   Precision-correct: an F32 grid writes its 32-bit words. *)
+let write_words g b off =
   match g.buf with
   | B32 a ->
-      let n = Bigarray.Array1.dim a in
-      let b = Bytes.create (n * 4) in
-      for i = 0 to n - 1 do
-        Bytes.set_int32_le b (i * 4) (Int32.bits_of_float (Bigarray.Array1.get a i))
-      done;
-      b
+      for i = 0 to Bigarray.Array1.dim a - 1 do
+        Bytes.set_int32_le b (off + (i * 4)) (Int32.bits_of_float (Bigarray.Array1.get a i))
+      done
   | B64 a ->
-      let n = Bigarray.Array1.dim a in
-      let b = Bytes.create (n * 8) in
-      for i = 0 to n - 1 do
-        Bytes.set_int64_le b (i * 8) (Int64.bits_of_float (Bigarray.Array1.get a i))
-      done;
-      b
+      for i = 0 to Bigarray.Array1.dim a - 1 do
+        Bytes.set_int64_le b (off + (i * 8)) (Int64.bits_of_float (Bigarray.Array1.get a i))
+      done
+
+(* The halo-frame payload of the process-level shard transport: the
+   receiving process stores exactly the bits the sender held, so round
+   trips are bit-identical in both precisions. Works on [sub] views
+   (flat contiguous ranges). *)
+let to_bytes g =
+  let b = Bytes.create (size g * bytes_per_word g.prec) in
+  write_words g b 0;
+  b
 
 let blit_of_bytes g b =
   let words = size g in
@@ -260,21 +257,22 @@ let blit_of_bytes g b =
         Bigarray.Array1.set a i (Int64.float_of_bits (Bytes.get_int64_le b (i * 8)))
       done
 
+(** Digest of the grid's identity: dims, precision and the raw stored
+    words. Precision-correct by construction — an [F32] grid digests
+    its 32-bit words, so grids that differ only in storage precision
+    never collide, and bit-identical runs digest identically. *)
 let digest g =
-  let b = Buffer.create (64 + (size g * 8)) in
-  Buffer.add_string b (precision_to_string g.prec);
-  Array.iter (fun d -> Buffer.add_string b (Fmt.str "x%d" d)) g.dims;
-  Buffer.add_char b ':';
-  (match g.buf with
-  | B32 a ->
-      for i = 0 to Bigarray.Array1.dim a - 1 do
-        Buffer.add_int32_le b (Int32.bits_of_float (Bigarray.Array1.get a i))
-      done
-  | B64 a ->
-      for i = 0 to Bigarray.Array1.dim a - 1 do
-        Buffer.add_int64_le b (Int64.bits_of_float (Bigarray.Array1.get a i))
-      done);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  let header =
+    String.concat ""
+      (precision_to_string g.prec
+      :: List.map (Printf.sprintf "x%d") (Array.to_list g.dims))
+    ^ ":"
+  in
+  let off = String.length header in
+  let b = Bytes.create (off + (size g * bytes_per_word g.prec)) in
+  Bytes.blit_string header 0 b 0 off;
+  write_words g b off;
+  Digest.to_hex (Digest.bytes b)
 
 (* ------------------------------------------------------------------ *)
 (* Initialization                                                      *)

@@ -3,7 +3,8 @@
 # with two `an5d client` sessions (the second must be served from the
 # first one's cache), stop the server with SIGTERM and check the clean
 # shutdown dumped its caches, then restart from the dump and check the
-# very first request of the new process is already warm. Exercises the
+# very first request of the new process is already warm, with the same
+# grid_digest as the cold and warm replies. Exercises the
 # whole production path — wire protocol, admission accounting, cache
 # persistence — through the shipped binaries only.
 # Run from the repository root; exits non-zero on any failure.
@@ -93,5 +94,16 @@ echo "$REQ" | "$AN5D" client --socket "$SOCK" --id smoke-c >"$WORK/c.log" 2>&1
 grep -q "^done .*warm" "$WORK/c.log" \
   || { echo "socket_smoke: restart did not serve warm"; cat "$WORK/c.log"; exit 1; }
 
+# --- the served digest is the same bits cold, warm and after restart:
+# a stale or corrupted digest memo carried through the dump fails here
+digest_of() {
+  sed -n 's/.*"grid_digest": *"\([0-9a-f]*\)".*/\1/p' "$1"
+}
+DA=$(digest_of "$WORK/a.log")
+DB=$(digest_of "$WORK/b.log")
+DC=$(digest_of "$WORK/c.log")
+[ -n "$DA" ] && [ "$DA" = "$DB" ] && [ "$DA" = "$DC" ] \
+  || { echo "socket_smoke: grid_digest differs (cold '$DA', warm '$DB', restart '$DC')"; exit 1; }
+
 stop_server
-echo "socket_smoke: OK (cold -> warm -> dump -> warm restart)"
+echo "socket_smoke: OK (cold -> warm -> dump -> warm restart, one digest)"

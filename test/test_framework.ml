@@ -175,6 +175,47 @@ let test_verify_lanes_traced () =
          && s.Obs.Trace.t_end <= verify.Obs.Trace.t_end)
        lanes)
 
+(* [result_digest] is [Grid.digest] of the result, computed once: a
+   second call returns the memoized string itself, and two domains
+   racing on a fresh outcome agree. *)
+let test_result_digest_memo () =
+  let outcome prec =
+    let job =
+      Framework.compile ~prec ~param_values:[ ("c0", 2.0) ]
+        ~config:(Config.make ~bt:2 ~bs:[| 16 |] ())
+        (Framework.source_of_string j2d5pt_src)
+    in
+    Framework.simulate_cfg ~cfg:(Run_config.make ~verify:false ())
+      ~device:Gpu.Device.v100 ~steps:3 job
+      (Stencil.Grid.init_random ~prec [| 40; 40 |])
+  in
+  List.iter
+    (fun prec ->
+      let name = Stencil.Grid.precision_to_string prec in
+      let o = outcome prec in
+      let d = Framework.result_digest o in
+      Alcotest.(check string) (name ^ ": equals Grid.digest")
+        (Stencil.Grid.digest o.Framework.result) d;
+      Alcotest.(check bool) (name ^ ": second call is the memo") true
+        (Framework.result_digest o == d);
+      let fresh = outcome prec in
+      let go = Atomic.make false in
+      let racers =
+        List.init 2 (fun _ ->
+            Domain.spawn (fun () ->
+                while not (Atomic.get go) do
+                  Domain.cpu_relax ()
+                done;
+                Framework.result_digest fresh))
+      in
+      Atomic.set go true;
+      List.iter
+        (fun r ->
+          Alcotest.(check string) (name ^ ": racing domains agree")
+            (Stencil.Grid.digest fresh.Framework.result) (Domain.join r))
+        racers)
+    [ Stencil.Grid.F32; Stencil.Grid.F64 ]
+
 let test_grid_mismatch () =
   let job = compile j2d5pt_src in
   let g = Stencil.Grid.init_random [| 20; 20 |] in
@@ -225,5 +266,6 @@ let () =
           Alcotest.test_case "grid mismatch" `Quick test_grid_mismatch;
           Alcotest.test_case "dims override" `Quick test_dims_override;
           Alcotest.test_case "source of file" `Quick test_source_of_file;
+          Alcotest.test_case "result digest memoized" `Quick test_result_digest_memo;
         ] );
     ]

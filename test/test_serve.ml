@@ -755,6 +755,55 @@ let test_persist_stale_schema () =
       | Ok n -> Alcotest.failf "stale-schema dump %s must be refused, imported %d" schema n)
     [ "deadbeef"; pre_collapse_schema ]
 
+(* A dump written by a build with an older format version is refused
+   on its version line, with a reason naming both versions. The
+   payload is not a marshalled value: unmarshalling it would raise, so
+   the clean [Error] also shows nothing was unmarshalled. *)
+let test_persist_old_version () =
+  let path = temp_dump () in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let payload = "not a marshalled value" in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "AN5D-CACHE\n1\n%s\n%s\n%s" Request.key_schema_digest
+        (Digest.to_hex (Digest.string payload))
+        payload);
+  with_session @@ fun s ->
+  match Session.load s ~path with
+  | Error msg ->
+      Alcotest.(check bool) "reason names both versions" true
+        (contains msg "version 1"
+        && contains msg (string_of_int An5d_serve.Persist.format_version))
+  | Ok n -> Alcotest.failf "version-1 dump must be refused, imported %d" n
+
+(* The served digest is memoized on the cached outcome, and the memo
+   travels in the dump: after a load it is already filled, and equals
+   the digest of the loaded grid. *)
+let test_persist_digest_memo () =
+  let path = temp_dump () in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (with_session @@ fun s ->
+   let o =
+     served_outcome "pre-dump" (Session.submit s (sim_req ?prec:pinned_prec ()))
+   in
+   ignore (Framework.result_digest o : string);
+   match Session.dump s ~path with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.fail ("dump: " ^ msg));
+  with_session @@ fun s2 ->
+  (match Session.load s2 ~path with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("load: " ^ msg));
+  let o =
+    served_outcome "post-load" (Session.submit s2 (sim_req ?prec:pinned_prec ()))
+  in
+  let expected = Stencil.Grid.digest o.Framework.result in
+  Alcotest.(check (option string)) "memo carried by the dump" (Some expected)
+    (Atomic.get o.Framework.digest_memo);
+  Alcotest.(check string) "result_digest after load" expected
+    (Framework.result_digest o)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-device tune transfer                                          *)
 (* ------------------------------------------------------------------ *)
@@ -940,6 +989,10 @@ let () =
             test_persist_corrupt_byte;
           Alcotest.test_case "stale schema refused" `Quick
             test_persist_stale_schema;
+          Alcotest.test_case "old format version refused" `Quick
+            test_persist_old_version;
+          Alcotest.test_case "digest memo survives the dump" `Quick
+            test_persist_digest_memo;
         ] );
       ( "transfer",
         [ Alcotest.test_case "cross-device seeding" `Quick test_session_transfer ]

@@ -525,6 +525,15 @@ let test_golden_f32 () =
         (Int32.bits_of_float (Stencil.Grid.get g [| i; j |])))
     (read_golden_bits "golden/init_random_3x3_f32.bits")
 
+(* The digest a simulate response ships as [grid_digest] is
+   wire-visible: pin it for the seed-42 grids in both precisions. *)
+let test_golden_digest () =
+  Alcotest.(check string) "f64 digest" "ead986e963f3d10ae5bb905ac32e168f"
+    (Stencil.Grid.digest (Stencil.Grid.init_random [| 3; 3 |]));
+  Alcotest.(check string) "f32 digest" "10f10ef77fa13ca4bf4c0a96ff2230ee"
+    (Stencil.Grid.digest
+       (Stencil.Grid.init_random ~prec:Stencil.Grid.F32 [| 3; 3 |]))
+
 (* ------------------------------------------------------------------ *)
 (* Storage-surface unit tests: blit, sub, of_bigarray, digest          *)
 (* ------------------------------------------------------------------ *)
@@ -681,6 +690,7 @@ let () =
         [
           Alcotest.test_case "f64 3x3 seed 42" `Quick test_golden_f64;
           Alcotest.test_case "f32 3x3 seed 42" `Quick test_golden_f32;
+          Alcotest.test_case "3x3 seed 42 digests" `Quick test_golden_digest;
         ] );
       ( "storage surface",
         [

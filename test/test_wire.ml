@@ -413,7 +413,7 @@ let check_differential name frame (direct : Framework.outcome) =
   | f -> Alcotest.failf "%s: expected done response, got %a" name Wire.pp_frame f
 
 let test_socket_differential () =
-  with_server @@ fun path _session ->
+  with_server @@ fun path session ->
   let fd, _ = connect_client path in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let direct = direct_outcome () in
@@ -425,10 +425,20 @@ let test_socket_differential () =
   (* a second concurrent client shares the session's caches *)
   let fd2, _ = connect_client path in
   Fun.protect ~finally:(fun () -> Unix.close fd2) @@ fun () ->
-  match request fd2 (sim_line ()) with
+  (match request fd2 (sim_line ()) with
   | Wire.Response { served = "warm"; _ } as f ->
       check_differential "second client" f direct
-  | f -> Alcotest.failf "expected warm response for client 2, got %a" Wire.pp_frame f
+  | f -> Alcotest.failf "expected warm response for client 2, got %a" Wire.pp_frame f);
+  (* the responses digested the cached outcome once, through its memo *)
+  match Request.of_line (sim_line ()) with
+  | Error msg -> Alcotest.fail msg
+  | Ok req -> (
+      match (Session.submit session req).Session.status with
+      | Session.Done (Session.Simulated { outcome; _ }) ->
+          Alcotest.(check (option string)) "cached outcome's digest memoized"
+            (Some (Stencil.Grid.digest direct.Framework.result))
+            (Atomic.get outcome.Framework.digest_memo)
+      | _ -> Alcotest.fail "expected a served simulate outcome")
 
 let test_socket_handshake_rejects () =
   with_server @@ fun path _session ->
