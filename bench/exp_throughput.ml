@@ -1,16 +1,18 @@
 (* Simulator throughput: the production streaming executor against the
    checked compiled plan it falls back to, plus the CPU reference sweep.
 
-   Times the blocked executor on a 2D and a 3D benchmark in both
-   precisions — once on the default path (the sliding-window streaming
-   kernels) and once forced onto the checked compiled plan
-   ([Blocking.run_cfg ~checked:true]) — and the reference sweep on both
-   benchmarks, and reports cells/s. Results land in
+   Times the blocked executor on j2d5pt and j3d27pt in both precisions
+   and on star2d4r in double — once on the default path (the
+   sliding-window streaming kernels) and once forced onto the checked
+   compiled plan ([Blocking.run_cfg ~checked:true]) — and the reference
+   sweep on all three, and reports cells/s. Results land in
    BENCH_throughput.json so the speedups are machine-checkable, and the
    run *fails* if the streaming path drops below [streaming_floor] over
    the checked plan on any blocked case, if its f32/f64 split drops
-   below [split_floor], or if a gated stencil silently dispatches to the
-   generic streaming kernel instead of its specialized one. *)
+   below [split_floor], if the reference sweep drops below
+   [reference_floor] of the streaming path on any stencil, or if a
+   gated stencil silently dispatches to the generic streaming kernel
+   instead of its specialized one. *)
 
 open An5d_core
 
@@ -52,6 +54,16 @@ let streaming_floor () = if !Exp_common.quick then 1.0 else 2.5
    stall again (docs/SIMULATOR.md), which showed up as a ~0.8x split.
    Quick mode is far noisier on its tiny grids. *)
 let split_floor () = if !Exp_common.quick then 0.40 else 0.75
+
+(* Floor on the per-stencil reference-over-streaming ratio (f64, one
+   lane each). Every simulated run is verified by a reference run of
+   the same steps, so this ratio is what verification costs against
+   execution; the gate catches the term-major reference rows
+   (docs/SIMULATOR.md) regressing into a per-cell term walk, which ran
+   at 0.74-0.84x on j2d5pt and j3d27pt. The full floor sits with
+   margin below the committed full-mode ratios (1.4x and up); quick
+   mode's tiny grids leave timing noise large. *)
+let reference_floor () = if !Exp_common.quick then 0.3 else 1.0
 
 type kind =
   | Blocked of (checked:bool -> unit)
@@ -119,7 +131,7 @@ let reference_case b dims steps =
 
 let cases () =
   let q = !Exp_common.quick in
-  let j2d = bench "j2d5pt" and j3d = bench "j3d27pt" in
+  let j2d = bench "j2d5pt" and j3d = bench "j3d27pt" and star = bench "star2d4r" in
   let d2 = if q then [| 128; 128 |] else [| 512; 512 |] in
   let d3 = if q then [| 24; 24; 24 |] else [| 64; 64; 64 |] in
   let cfg2 = Config.make ~bt:4 ~bs:[| 64 |] () in
@@ -129,8 +141,10 @@ let cases () =
     blocked_case j3d cfg3 d3 4;
     blocked_case ~prec:Stencil.Grid.F32 j2d cfg2 d2 8;
     blocked_case ~prec:Stencil.Grid.F32 j3d cfg3 d3 4;
+    blocked_case star cfg2 d2 8;
     reference_case j2d d2 4;
     reference_case j3d d3 2;
+    reference_case star d2 4;
   ]
 
 let is_blocked m = match m.case.kind with Blocked _ -> true | Reference _ -> false
@@ -149,6 +163,22 @@ let split_of results =
             else None)
           results
       else None)
+    results
+
+(* Per stencil, the reference sweep's cells/s over the f64 streaming
+   path's: both run on one lane unless [--domains] says otherwise for
+   the executor. *)
+let reference_ratio_of results =
+  List.filter_map
+    (fun r ->
+      if is_blocked r then None
+      else
+        List.find_map
+          (fun m ->
+            if is_blocked m && m.case.base = r.case.base && m.case.prec = Stencil.Grid.F64
+            then Some (r.case.base, m.fast, r.fast)
+            else None)
+          results)
     results
 
 let case_json m =
@@ -185,6 +215,15 @@ let json_of_results results =
         ("f32_over_f64", Output.sig_float ~digits:4 (s32 /. s64));
       ]
   in
+  let reference (name, stream, reference) =
+    Obs.Json.Obj
+      [
+        ("name", Obs.Json.Str name);
+        ("streaming_cells_per_s", Output.sig_float stream);
+        ("reference_cells_per_s", Output.sig_float reference);
+        ("reference_over_streaming", Output.sig_float ~digits:4 (reference /. stream));
+      ]
+  in
   (* The metrics registry snapshot records how much simulated work
      produced these numbers (kernel launches, chunks, global-memory
      traffic, per-shape streaming_dispatch_* counts) alongside the
@@ -195,20 +234,23 @@ let json_of_results results =
         ("quick", Bool !Exp_common.quick);
         ("streaming_floor", Float (streaming_floor ()));
         ("split_floor", Float (split_floor ()));
+        ("reference_floor", Float (reference_floor ()));
         ( "gc_space_overhead",
           match !Exp_common.run_config.Run_config.gc_space_overhead with
           | None -> Null
           | Some o -> Int o );
         ("cases", Arr (List.map case_json results));
         ("streaming_f32_vs_f64", Arr (List.map split (split_of results)));
+        ("reference_vs_streaming", Arr (List.map reference (reference_ratio_of results)));
         ("metrics", Obs.Export.metrics_json (Obs.Metrics.snapshot ()));
       ])
 
 (* The machine-checked acceptance gates: every blocked case must run a
    *specialized* (non-generic) streaming kernel at least
-   [streaming_floor] times the checked compiled plan, and each blocked
+   [streaming_floor] times the checked compiled plan, each blocked
    pair's f32 variant at least [split_floor] times its f64 throughput
-   on the streaming path. *)
+   on the streaming path, and each stencil's reference sweep at least
+   [reference_floor] times its f64 streaming throughput. *)
 let enforce_floor results =
   let sfloor = streaming_floor () in
   List.iter
@@ -240,7 +282,17 @@ let enforce_floor results =
           (Printf.sprintf
              "f32/f64 split floor violated: %s streaming f32/f64 = %.2fx < %.2fx"
              name ratio pfloor))
-    (split_of results)
+    (split_of results);
+  let rfloor = reference_floor () in
+  List.iter
+    (fun (name, stream, reference) ->
+      let ratio = reference /. stream in
+      if ratio < rfloor then
+        failwith
+          (Printf.sprintf
+             "reference floor violated: %s reference/streaming = %.2fx < %.2fx"
+             name ratio rfloor))
+    (reference_ratio_of results)
 
 let run () =
   Output.section "Throughput -- streaming vs checked compiled plan vs reference (cells/s)";
@@ -279,6 +331,10 @@ let run () =
     (fun (name, s64, s32) ->
       Fmt.pr "streaming f32/f64 split %s: %.2fx@." name (s32 /. s64))
     (split_of results);
+  List.iter
+    (fun (name, stream, reference) ->
+      Fmt.pr "reference/streaming %s: %.2fx@." name (reference /. stream))
+    (reference_ratio_of results);
   let written =
     Output.write_bench_json ~quick:!Exp_common.quick "BENCH_throughput.json"
       (json_of_results results)

@@ -130,7 +130,8 @@ let verify ~domains job ~steps ~input result =
     Gpu.Pool.with_pool ~domains (fun pool ->
         let par =
           Option.map
-            (fun pool ~n f -> Gpu.Pool.run pool ~n (fun ~lane:_ i -> f i))
+            (fun pool ->
+              { Stencil.Reference.lanes = Gpu.Pool.size pool; run = Gpu.Pool.run pool })
             pool
         in
         Stencil.Reference.run ?par (pattern job) ~steps input)

@@ -77,8 +77,8 @@ val verify :
     the naive reference run of [steps] steps from [input] — the
     artifact's CPU check (§A.6) — inside a [verify] span. The reference
     sweep runs its rows over a pool of [domains] lanes, created for the
-    check and joined before it returns; the reference is bit-identical
-    for any lane count. With [domains > 1] this spawns domains, after
+    check and joined before it returns, each lane on an accumulator row
+    of its own; the reference is bit-identical for any lane count. With [domains > 1] this spawns domains, after
     which OCaml 5.1 refuses [Unix.fork] for the rest of the process, so
     callers that fork must pass [domains = 1]. Sets the
     [simulate_max_abs_deviation] gauge and the span's

@@ -320,8 +320,16 @@ let max_abs_diff a b =
             (Float.abs (Bigarray.Array1.get x i -. Bigarray.Array1.get y i))
       done;
       !m
+  | B32 x, B32 y ->
+      let m = ref 0.0 in
+      for i = 0 to Bigarray.Array1.dim x - 1 do
+        m :=
+          Float.max !m
+            (Float.abs (Bigarray.Array1.get x i -. Bigarray.Array1.get y i))
+      done;
+      !m
   | _ ->
-      (* mixed or single precision: values widen to float either way *)
+      (* mixed precision: values widen to float either way *)
       let m = ref 0.0 in
       for i = 0 to size a - 1 do
         m := Float.max !m (Float.abs (get_lin a i -. get_lin b i))

@@ -129,7 +129,10 @@ val interior : rad:int -> t -> Poly.Box.t
     cells a stencil sweep updates (§4.1 boundary handling). *)
 
 val max_abs_diff : t -> t -> float
-(** @raise Invalid_argument on dimension mismatch. *)
+(** Largest [|a - b|] over all cells, each value widened to float; NaN
+    once any cell's difference is NaN ([Float.max]). Same-precision
+    pairs take a loop monomorphic in the element kind.
+    @raise Invalid_argument on dimension mismatch. *)
 
 val equal : ?tol:float -> t -> t -> bool
 

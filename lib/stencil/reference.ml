@@ -11,8 +11,15 @@
     ({!Pattern.lower}), in rows that are monomorphic by precision and
     index the flat buffer without bounds checks, guarded by a
     once-per-sweep proof of the peeling invariant (see [step_lowered]).
-    A caller-supplied parallel-for may spread each sweep's outermost
-    interior planes over lanes without changing a bit of the result. *)
+    A linear lowering is evaluated term-major, one pass over a row per
+    term into a float64 accumulator row owned by one lane of one call;
+    each cell still sees the cell-major operations in the cell-major
+    order, so the bits do not change. A caller-supplied parallel-for may
+    spread each sweep's outermost interior planes over lanes without
+    changing a bit of the result. *)
+
+module A1 = Bigarray.Array1
+module FA = Float.Array
 
 (* One-entry lowering cache: verification loops call [step]/[run] many
    times with the same pattern value, and patterns are immutable, so
@@ -27,6 +34,16 @@ let lowered_of pattern =
       let low = Pattern.lower pattern in
       Atomic.set lower_cache (Some (pattern, low));
       low
+
+type par = { lanes : int; run : n:int -> (lane:int -> int -> unit) -> unit }
+
+(* One float64 accumulator row per lane, as wide as an interior row.
+   A row belongs to one call of [step]/[run]: lanes of one sweep never
+   share it, and neither do two sweeps running at once. *)
+let scratch_rows ~lanes ~rad (g : Grid.t) =
+  let dims = g.Grid.dims in
+  let width = match Array.length dims with 0 -> 0 | n -> max 0 (dims.(n - 1) - (2 * rad)) in
+  Array.init (max 1 lanes) (fun _ -> FA.create width)
 
 let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   if src.Grid.dims <> dst.Grid.dims then invalid_arg "Reference.step: dim mismatch";
@@ -44,6 +61,24 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
    is matched once per sweep, so inside each row the element kind is
    statically known and bigarray access compiles to direct loads.
 
+   They are also term-major. A cell's value is
+   [post (((t0 + t1) + t2) + ...)], each term [t_q] one of [v], [c*v],
+   [a+b], [c*(a+b)]. The row's first pass writes [t0] of every cell to
+   the lane's float64 accumulator row, each later pass adds the next
+   term (or the next two unpaired terms, as [(acc + t_q) + t_{q+1}])
+   to every cell, and a last pass divides and stores. Each cell thus
+   performs the same IEEE operations on the same operands in the same
+   order as the cell-major loop; only the interleaving across
+   cells changes, and OCaml contracts nothing into FMA, so the bits are
+   unchanged. The form of a term is branched on once per pass, not per
+   cell. The row is float64 for both precisions, so an f32 sweep still
+   rounds only at the store.
+
+   The accumulator rows ([scratch], one per lane) belong to one call of
+   [step]/[run]. They are not per-domain state: systhreads share a
+   domain and may switch at any loop back-edge, so two sweeps on one
+   domain would otherwise interleave on one row.
+
    Unchecked indexing is guarded by a once-per-sweep proof of the
    peeling invariant: every interior linear position lies in
    [min_pos, max_pos] (strides are positive and interior multi-indices
@@ -58,10 +93,11 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
    streaming executor's per-block contract).
 
    With [par], the outermost interior index is handed to the parallel
-   for: index [i] walks the slab at plane [rad + i] with the same rows.
+   for: index [i] walks the slab at plane [rad + i] with the same rows,
+   on the accumulator row of the lane that runs it.
    A Jacobi sweep reads only [src], so slabs are independent and every
    cell sees the same code and arithmetic whichever lane runs it. *)
-let step_lowered ?par ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
+let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : Grid.t) =
   let dims = src.Grid.dims in
   let strides = src.Grid.strides in
   let n = Array.length dims in
@@ -93,12 +129,15 @@ let step_lowered ?par ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : G
           walk row (d + 1) (base + (i * strides.(d)))
         done
     in
+    (* [row] takes the lane's accumulator row. *)
     let sweep row =
       match par with
       | Some par when n > 1 ->
-          par ~n:(dims.(0) - (2 * rad)) (fun i ->
-              walk row 1 ((rad + i) * strides.(0)))
-      | _ -> walk row 0 0
+          par ~n:(dims.(0) - (2 * rad)) (fun ~lane i ->
+              if lane < 0 || lane >= Array.length scratch then
+                invalid_arg "Reference.run: par lane out of range";
+              walk (row scratch.(lane)) 1 ((rad + i) * strides.(0)))
+      | _ -> walk (row scratch.(0)) 0 0
     in
     match low.Sexpr.low_linear with
     | Some lf ->
@@ -112,74 +151,216 @@ let step_lowered ?par ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : G
           | Sexpr.Post_none -> (false, 1.0)
           | Sexpr.Post_div dv -> (true, dv)
         in
-        (* Folded-pair terms (lt_off2 >= 0) read the mirror cell and add
-           it before the optional scaling — same shape as the source
-           tree. *)
-        let row_f64 (s : Grid.f64buf) (d : Grid.f64buf) base =
-          for pos = base + rad to base + last - rad - 1 do
-            let k0 = Array.unsafe_get lt_off 0 in
-            let v0 = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k0) in
-            let k2 = Array.unsafe_get lt_off2 0 in
-            let v0 =
-              if k2 >= 0 then
-                v0 +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
-              else v0
-            in
-            let acc =
-              ref
-                (if Array.unsafe_get lt_scaled 0 then
-                   Array.unsafe_get lt_coef 0 *. v0
-                 else v0)
-            in
-            for q = 1 to n_terms - 1 do
-              let k = Array.unsafe_get lt_off q in
-              let v = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k) in
-              let k2 = Array.unsafe_get lt_off2 q in
-              let v =
-                if k2 >= 0 then
-                  v +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
-                else v
-              in
-              acc :=
-                !acc
-                +. (if Array.unsafe_get lt_scaled q then Array.unsafe_get lt_coef q *. v
-                    else v)
-            done;
-            Bigarray.Array1.unsafe_set d pos (if has_div then !acc /. div else !acc)
-          done
+        (* A row's interior cells [lo, lo + width) accumulate in slots
+           [0, width) of the lane's row. *)
+        let width = last - (2 * rad) in
+        if not (Array.for_all (fun a -> FA.length a >= width) scratch) then
+          invalid_arg "Reference.step: scratch row shorter than an interior row";
+        (* Unpaired terms [q] and [q + 1] share one pass. *)
+        let fuse q = q + 1 < n_terms && lt_off2.(q) < 0 && lt_off2.(q + 1) < 0 in
+        let term_f64 (s : Grid.f64buf) acc lo ~init q =
+          let b = lo + delta.(lt_off.(q)) and c = lt_coef.(q) and k2 = lt_off2.(q) in
+          if k2 < 0 then begin
+            match (init, lt_scaled.(q)) with
+            | true, true ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (c *. A1.unsafe_get s (b + j))
+                done
+            | true, false ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (A1.unsafe_get s (b + j))
+                done
+            | false, true ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (FA.unsafe_get acc j +. (c *. A1.unsafe_get s (b + j)))
+                done
+            | false, false ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (FA.unsafe_get acc j +. A1.unsafe_get s (b + j))
+                done
+          end
+          else begin
+            let b2 = lo + delta.(k2) in
+            match (init, lt_scaled.(q)) with
+            | true, true ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j
+                    (c *. (A1.unsafe_get s (b + j) +. A1.unsafe_get s (b2 + j)))
+                done
+            | true, false ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (A1.unsafe_get s (b + j) +. A1.unsafe_get s (b2 + j))
+                done
+            | false, true ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j
+                    (FA.unsafe_get acc j
+                    +. (c *. (A1.unsafe_get s (b + j) +. A1.unsafe_get s (b2 + j))))
+                done
+            | false, false ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j
+                    (FA.unsafe_get acc j
+                    +. (A1.unsafe_get s (b + j) +. A1.unsafe_get s (b2 + j)))
+                done
+          end
         in
-        let row_f32 (s : Grid.f32buf) (d : Grid.f32buf) base =
-          for pos = base + rad to base + last - rad - 1 do
-            let k0 = Array.unsafe_get lt_off 0 in
-            let v0 = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k0) in
-            let k2 = Array.unsafe_get lt_off2 0 in
-            let v0 =
-              if k2 >= 0 then
-                v0 +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
-              else v0
-            in
-            let acc =
-              ref
-                (if Array.unsafe_get lt_scaled 0 then
-                   Array.unsafe_get lt_coef 0 *. v0
-                 else v0)
-            in
-            for q = 1 to n_terms - 1 do
-              let k = Array.unsafe_get lt_off q in
-              let v = Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k) in
-              let k2 = Array.unsafe_get lt_off2 q in
-              let v =
-                if k2 >= 0 then
-                  v +. Bigarray.Array1.unsafe_get s (pos + Array.unsafe_get delta k2)
-                else v
-              in
-              acc :=
-                !acc
-                +. (if Array.unsafe_get lt_scaled q then Array.unsafe_get lt_coef q *. v
-                    else v)
-            done;
-            Bigarray.Array1.unsafe_set d pos (if has_div then !acc /. div else !acc)
-          done
+        let pair_f64 (s : Grid.f64buf) acc lo q =
+          let b0 = lo + delta.(lt_off.(q)) and c0 = lt_coef.(q) in
+          let b1 = lo + delta.(lt_off.(q + 1)) and c1 = lt_coef.(q + 1) in
+          match (lt_scaled.(q), lt_scaled.(q + 1)) with
+          | true, true ->
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j
+                  (FA.unsafe_get acc j
+                  +. (c0 *. A1.unsafe_get s (b0 + j))
+                  +. (c1 *. A1.unsafe_get s (b1 + j)))
+              done
+          | true, false ->
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j
+                  (FA.unsafe_get acc j
+                  +. (c0 *. A1.unsafe_get s (b0 + j))
+                  +. A1.unsafe_get s (b1 + j))
+              done
+          | false, true ->
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j
+                  (FA.unsafe_get acc j
+                  +. A1.unsafe_get s (b0 + j)
+                  +. (c1 *. A1.unsafe_get s (b1 + j)))
+              done
+          | false, false ->
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j
+                  (FA.unsafe_get acc j +. A1.unsafe_get s (b0 + j) +. A1.unsafe_get s (b1 + j))
+              done
+        in
+        let row_f64 (s : Grid.f64buf) (d : Grid.f64buf) acc base =
+          let lo = base + rad in
+          term_f64 s acc lo ~init:true 0;
+          let q = ref 1 in
+          while !q < n_terms do
+            if fuse !q then begin
+              pair_f64 s acc lo !q;
+              q := !q + 2
+            end
+            else begin
+              term_f64 s acc lo ~init:false !q;
+              incr q
+            end
+          done;
+          if has_div then
+            for j = 0 to width - 1 do
+              A1.unsafe_set d (lo + j) (FA.unsafe_get acc j /. div)
+            done
+          else
+            for j = 0 to width - 1 do
+              A1.unsafe_set d (lo + j) (FA.unsafe_get acc j)
+            done
+        in
+        (* [row_f32] is [row_f64] over single-precision buffers: reads
+           widen exactly and the store is the only rounding. *)
+        let term_f32 (s : Grid.f32buf) acc lo ~init q =
+          let b = lo + delta.(lt_off.(q)) and c = lt_coef.(q) and k2 = lt_off2.(q) in
+          if k2 < 0 then begin
+            match (init, lt_scaled.(q)) with
+            | true, true ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (c *. A1.unsafe_get s (b + j))
+                done
+            | true, false ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (A1.unsafe_get s (b + j))
+                done
+            | false, true ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (FA.unsafe_get acc j +. (c *. A1.unsafe_get s (b + j)))
+                done
+            | false, false ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (FA.unsafe_get acc j +. A1.unsafe_get s (b + j))
+                done
+          end
+          else begin
+            let b2 = lo + delta.(k2) in
+            match (init, lt_scaled.(q)) with
+            | true, true ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j
+                    (c *. (A1.unsafe_get s (b + j) +. A1.unsafe_get s (b2 + j)))
+                done
+            | true, false ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j (A1.unsafe_get s (b + j) +. A1.unsafe_get s (b2 + j))
+                done
+            | false, true ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j
+                    (FA.unsafe_get acc j
+                    +. (c *. (A1.unsafe_get s (b + j) +. A1.unsafe_get s (b2 + j))))
+                done
+            | false, false ->
+                for j = 0 to width - 1 do
+                  FA.unsafe_set acc j
+                    (FA.unsafe_get acc j
+                    +. (A1.unsafe_get s (b + j) +. A1.unsafe_get s (b2 + j)))
+                done
+          end
+        in
+        let pair_f32 (s : Grid.f32buf) acc lo q =
+          let b0 = lo + delta.(lt_off.(q)) and c0 = lt_coef.(q) in
+          let b1 = lo + delta.(lt_off.(q + 1)) and c1 = lt_coef.(q + 1) in
+          match (lt_scaled.(q), lt_scaled.(q + 1)) with
+          | true, true ->
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j
+                  (FA.unsafe_get acc j
+                  +. (c0 *. A1.unsafe_get s (b0 + j))
+                  +. (c1 *. A1.unsafe_get s (b1 + j)))
+              done
+          | true, false ->
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j
+                  (FA.unsafe_get acc j
+                  +. (c0 *. A1.unsafe_get s (b0 + j))
+                  +. A1.unsafe_get s (b1 + j))
+              done
+          | false, true ->
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j
+                  (FA.unsafe_get acc j
+                  +. A1.unsafe_get s (b0 + j)
+                  +. (c1 *. A1.unsafe_get s (b1 + j)))
+              done
+          | false, false ->
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j
+                  (FA.unsafe_get acc j +. A1.unsafe_get s (b0 + j) +. A1.unsafe_get s (b1 + j))
+              done
+        in
+        let row_f32 (s : Grid.f32buf) (d : Grid.f32buf) acc base =
+          let lo = base + rad in
+          term_f32 s acc lo ~init:true 0;
+          let q = ref 1 in
+          while !q < n_terms do
+            if fuse !q then begin
+              pair_f32 s acc lo !q;
+              q := !q + 2
+            end
+            else begin
+              term_f32 s acc lo ~init:false !q;
+              incr q
+            end
+          done;
+          if has_div then
+            for j = 0 to width - 1 do
+              A1.unsafe_set d (lo + j) (FA.unsafe_get acc j /. div)
+            done
+          else
+            for j = 0 to width - 1 do
+              A1.unsafe_set d (lo + j) (FA.unsafe_get acc j)
+            done
         in
         (match (src.Grid.buf, dst.Grid.buf) with
         | Grid.B64 s, Grid.B64 d -> sweep (row_f64 s d)
@@ -197,7 +378,7 @@ let step_lowered ?par ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : G
             Grid.set_lin dst pos (eval read)
           done
         in
-        sweep row
+        sweep (fun _ -> row)
   end
 
 (** Apply one time-step: reads [src], writes [dst]. Boundary cells (those
@@ -205,7 +386,9 @@ let step_lowered ?par ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) ~(dst : G
     the boundary condition. *)
 let step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   check_step pattern ~src ~dst;
-  step_lowered ~blit:true (lowered_of pattern) ~rad:pattern.Pattern.radius ~src ~dst
+  let rad = pattern.Pattern.radius in
+  step_lowered ~scratch:(scratch_rows ~lanes:1 ~rad src) ~blit:true (lowered_of pattern)
+    ~rad ~src ~dst
 
 (** Run [steps] time-steps starting from [g]; returns the final grid.
     Matches the C semantics: with double buffering the result of step [s]
@@ -218,12 +401,15 @@ let step pattern ~(src : Grid.t) ~(dst : Grid.t) =
 let run ?par pattern ~steps g =
   if steps < 0 then invalid_arg "Reference.run: negative step count";
   let low = lowered_of pattern and rad = pattern.Pattern.radius in
+  let lanes = match par with Some p -> p.lanes | None -> 1 in
+  let scratch = scratch_rows ~lanes ~rad g in
+  let par = Option.map (fun p -> p.run) par in
   let a = Grid.copy g in
   let b = Grid.copy g in
   let cur = ref a and nxt = ref b in
   for _ = 1 to steps do
     check_step pattern ~src:!cur ~dst:!nxt;
-    step_lowered ?par ~blit:false low ~rad ~src:!cur ~dst:!nxt;
+    step_lowered ?par ~scratch ~blit:false low ~rad ~src:!cur ~dst:!nxt;
     let t = !cur in
     cur := !nxt;
     nxt := t

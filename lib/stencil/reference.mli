@@ -8,9 +8,10 @@
     unchecked monomorphic buffer access guarded by a once-per-sweep
     proof that every interior position plus every lowered delta stays
     inside the flat buffer (the peeling invariant — boundary cells are
-    copied, never swept). The arithmetic is {!Sexpr.compile}'s, so the
-    result is bit-identical to evaluating the source expression per
-    cell. *)
+    copied, never swept). A linear lowering runs term-major over a
+    float64 accumulator row per lane (see {!run}). The arithmetic of
+    every cell is {!Sexpr.compile}'s, in its order, so the result is
+    bit-identical to evaluating the source expression per cell. *)
 
 val step : Pattern.t -> src:Grid.t -> dst:Grid.t -> unit
 (** One time-step; boundary cells are copied unchanged.
@@ -19,8 +20,18 @@ val step : Pattern.t -> src:Grid.t -> dst:Grid.t -> unit
     from an interior cell — impossible for offsets within the pattern
     radius). *)
 
-val run :
-  ?par:(n:int -> (int -> unit) -> unit) -> Pattern.t -> steps:int -> Grid.t -> Grid.t
+type par = {
+  lanes : int;  (** lanes [run] may use, numbered [0] to [lanes - 1] *)
+  run : n:int -> (lane:int -> int -> unit) -> unit;
+}
+(** A parallel-for for {!run}. [run ~n f] must call [f ~lane i] exactly
+    once for every [i] in [0, n), with [0 <= lane < lanes], and return
+    once all calls have. Calls on distinct lanes may run concurrently;
+    calls on one lane must not overlap. [Gpu.Pool.run pool] with
+    [lanes = Gpu.Pool.size pool] meets this (the pool sits above this
+    library). *)
+
+val run : ?par:par -> Pattern.t -> steps:int -> Grid.t -> Grid.t
 (** [steps] time-steps from the given initial grid; the input is not
     modified. The expression lowering is hoisted out of the time loop.
 
@@ -28,16 +39,24 @@ val run :
     a boundary cell, so [run] relies on their boundaries staying equal
     and skips {!step}'s per-step boundary copy.
 
-    [par ~n f] must call [f i] exactly once for every [i] in [0, n) and
-    return once all calls have; it may run them concurrently (for
-    example [Gpu.Pool.run], which sits above this library). When given,
-    each sweep hands its outermost interior index to [par], one slab of
-    rows per index. A Jacobi sweep reads only the previous buffer, so
-    slabs are independent, and each cell is computed by the same code
-    with the same arithmetic as in the sequential loop: the result is
+    A linear lowering sweeps each interior row term-major: one pass per
+    term, or per two consecutive unpaired terms, over a float64
+    accumulator row, then one pass that divides and stores. Every cell
+    still performs the same IEEE operations in the same order as
+    evaluating the source expression, so the bits are those of the
+    cell-major loop. The accumulator rows are allocated once per call,
+    one per lane, so concurrent calls (other threads or domains) never
+    share one.
+
+    With [par], each sweep hands its outermost interior index to
+    [par.run], one slab of rows per index, each slab on its lane's row.
+    A Jacobi sweep reads only the previous buffer, so slabs are
+    independent, and each cell is computed by the same code with the
+    same arithmetic as in the sequential loop: the result is
     bit-identical with or without [par], whatever the lane count.
     1-D grids, and runs without [par], keep the sequential loop.
-    @raise Invalid_argument on a negative step count, or as {!step}. *)
+    @raise Invalid_argument on a negative step count, on a lane outside
+    [0, par.lanes), or as {!step}. *)
 
 val total_flops : Pattern.t -> dims:int array -> steps:int -> float
 (** FLOPs of [steps] sweeps over the interior — the GFLOP/s denominator

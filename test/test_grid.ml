@@ -52,6 +52,40 @@ let test_comparisons () =
   Alcotest.(check bool) "not equal" false (Grid.equal a b);
   Alcotest.(check bool) "rel error positive" true (Grid.rel_l2_error a b > 0.0)
 
+(* The monomorphic F32 arm of [max_abs_diff] against the per-cell fold
+   through the checked polymorphic reader: equal bits on ordinary
+   cells, and NaN (the [Float.max] behaviour) once any cell differs by
+   NaN. The mixed-precision fallback is held to the same fold. *)
+let test_max_abs_diff_f32 () =
+  let fold a b =
+    let m = ref 0.0 in
+    for i = 0 to Grid.size a - 1 do
+      m := Float.max !m (Float.abs (Grid.get_lin a i -. Grid.get_lin b i))
+    done;
+    !m
+  in
+  let same name expect got =
+    Alcotest.(check bool) name true
+      (Int64.equal (Int64.bits_of_float expect) (Int64.bits_of_float got)
+      || (Float.is_nan expect && Float.is_nan got))
+  in
+  let dims = [| 7; 5; 6 |] in
+  let a = Grid.init_random ~prec:Grid.F32 ~seed:3 dims in
+  let b = Grid.init_random ~prec:Grid.F32 ~seed:4 dims in
+  let a64 = Grid.init_random ~seed:3 dims in
+  same "identical" 0.0 (Grid.max_abs_diff a (Grid.copy a));
+  same "f32 vs f32" (fold a b) (Grid.max_abs_diff a b);
+  same "mixed" (fold a64 b) (Grid.max_abs_diff a64 b);
+  List.iter
+    (fun pos ->
+      let c = Grid.copy b in
+      Grid.set_lin c pos Float.nan;
+      Alcotest.(check bool) (Fmt.str "NaN at %d" pos) true
+        (Float.is_nan (Grid.max_abs_diff a c));
+      same (Fmt.str "NaN at %d = fold" pos) (fold a c) (Grid.max_abs_diff a c);
+      same (Fmt.str "mixed NaN at %d = fold" pos) (fold a64 c) (Grid.max_abs_diff a64 c))
+    [ 0; 17; Grid.size b - 1 ]
+
 let test_interior () =
   let g = Grid.create [| 10; 8 |] in
   Alcotest.(check int) "interior volume" (8 * 6) (Poly.Box.volume (Grid.interior ~rad:1 g));
@@ -163,6 +197,7 @@ let () =
           Alcotest.test_case "random min_int hash" `Quick test_random_min_int;
           Alcotest.test_case "random range" `Quick test_random_range;
           Alcotest.test_case "comparisons" `Quick test_comparisons;
+          Alcotest.test_case "max_abs_diff f32 arm" `Quick test_max_abs_diff_f32;
           Alcotest.test_case "interior" `Quick test_interior;
           Alcotest.test_case "invalid" `Quick test_invalid;
         ] );

@@ -1,6 +1,7 @@
 (* Reference executor tests: hand-computed updates, boundary semantics,
-   composition, total-FLOP accounting, and the parallel-row sweep's
-   bit-identity with the sequential one.
+   composition, total-FLOP accounting, the parallel-row sweep's
+   bit-identity with the sequential one, and per-call ownership of the
+   sweep's accumulator rows.
 
    Set AN5D_PREC=f32|f64 to pin the randomized cases to one storage
    precision. *)
@@ -127,7 +128,7 @@ let gen_prec =
 
 let pool = Gpu.Pool.create ~domains:2 ()
 
-let par ~n f = Gpu.Pool.run pool ~n (fun ~lane:_ i -> f i)
+let par = { Reference.lanes = Gpu.Pool.size pool; run = Gpu.Pool.run pool }
 
 (* Linear patterns take the flat weighted-sum rows; adding a product of
    two cells leaves no linear form, so the sweep takes the indexed
@@ -198,6 +199,37 @@ let test_run_equals_steps () =
   Alcotest.(check string) "run = chained step" (Grid.digest a)
     (Grid.digest (Reference.run ~par p ~steps:3 g))
 
+(* --- scratch ownership: concurrent calls in one domain --- *)
+
+(* Two systhreads of one domain sweep different grids at the same time,
+   many times over. The runtime switches systhreads at poll points
+   inside the row loops, so an accumulator row shared between calls
+   would mix one call's partial sums into the other's rows. Each call
+   owns its rows, so every result equals its sequential digest. *)
+let test_concurrent_calls () =
+  let jobs =
+    [
+      (par_pattern ~dims:2 ~rad:2 ~box:true ~closure:false, [| 24; 1500 |], Grid.F64, 3);
+      (par_pattern ~dims:2 ~rad:1 ~box:false ~closure:false, [| 40; 900 |], Grid.F32, 4);
+    ]
+  in
+  let expect =
+    List.map
+      (fun (p, dims, prec, steps) ->
+        let g = Grid.init_random ~prec ~seed:11 dims in
+        (p, g, steps, Grid.digest (Reference.run p ~steps g)))
+      jobs
+  in
+  let mismatches = Atomic.make 0 in
+  let calls (p, g, steps, digest) () =
+    for _ = 1 to 150 do
+      if Grid.digest (Reference.run p ~steps g) <> digest then Atomic.incr mismatches
+    done
+  in
+  List.iter Thread.join (List.map (fun job -> Thread.create (calls job) ()) expect);
+  Alcotest.(check int) "results that differ from the sequential digest" 0
+    (Atomic.get mismatches)
+
 let () =
   at_exit (fun () -> Gpu.Pool.shutdown pool);
   Alcotest.run "reference"
@@ -214,6 +246,8 @@ let () =
           Alcotest.test_case "empty interior" `Quick test_empty_interior;
           Alcotest.test_case "dim mismatch" `Quick test_dim_mismatch;
           Alcotest.test_case "run = chained step" `Quick test_run_equals_steps;
+          Alcotest.test_case "concurrent calls own their rows" `Quick
+            test_concurrent_calls;
         ] );
       ("parallel rows", [ QCheck_alcotest.to_alcotest prop_par_bit_identical ]);
     ]

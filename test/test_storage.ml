@@ -3,8 +3,10 @@
    The reference executor's unchecked sweep (Stencil.Reference) must be
    *bit-identical* to a naive per-cell evaluation of the source
    expression through checked multi-index reads — across random
-   stencils, grid shapes (including size-1 dims and radius-equal edges
-   where the interior is empty) and precisions. The blocked streaming
+   stencils (folded pairs, mixed bare and scaled terms, radius 1-4),
+   grid shapes (1-D to 3-D, including size-1 dims and radius-equal
+   edges where the interior is empty) and precisions, sequentially and
+   over a 2-lane pool. The blocked streaming
    path must likewise be bit-identical to the checked compiled plan
    (grids and counters) and, in [Direct] mode, to the reference sweep
    over stream-divided and division-post-op stencils in both
@@ -93,48 +95,106 @@ let oracle_run pattern ~steps g =
   done;
   !cur
 
+(* A random left-spine weighted sum of 2 to 13 terms over the
+   radius-[rad] box, each term a bare read, a scaled read (scalar on
+   either side), or a folded mirror pair [a + b], bare or scaled.
+   Scaled reads dominate so runs of them, which the sweep fuses into one
+   pass, are common; term counts are odd and even. The second term
+   reads at distance [rad] along dimension 0, so the pattern's radius
+   is [rad]. *)
+let gen_terms_pattern ~dims_n ~rad =
+  QCheck.Gen.(
+    let* n = int_range 1 12 in
+    let gen_term =
+      let* form =
+        frequency
+          [ (3, return `Scaled); (1, return `Bare); (1, return `Pair); (1, return `Scaled_pair) ]
+      in
+      let* off = array_repeat dims_n (int_range (-rad) rad) in
+      let* c = float_range (-1.0) 1.0 in
+      let* left = bool in
+      let c = Stencil.Sexpr.Const c in
+      let cell = Stencil.Sexpr.Cell off in
+      let pair = Stencil.Sexpr.(Add (cell, Cell (Array.map (fun o -> -o) off))) in
+      return
+        Stencil.Sexpr.(
+          match form with
+          | `Bare -> cell
+          | `Scaled -> if left then Mul (c, cell) else Mul (cell, c)
+          | `Pair -> pair
+          | `Scaled_pair -> if left then Mul (c, pair) else Mul (pair, c))
+    in
+    let* first = gen_term in
+    let* rest = list_repeat (n - 1) gen_term in
+    let* far = oneofl [ rad; -rad ] in
+    let reach = Array.init dims_n (fun d -> if d = 0 then far else 0) in
+    let head = Stencil.Sexpr.(Add (first, Mul (Const 0.25, Cell reach))) in
+    let expr = List.fold_left (fun acc t -> Stencil.Sexpr.Add (acc, t)) head rest in
+    return
+      (Stencil.Pattern.make
+         ~name:(Fmt.str "terms%dd%dr-%d" dims_n rad (n + 1))
+         ~dims:dims_n ~params:[] expr))
+
 (* Dims generator that deliberately includes degenerate shapes: size-1
    dimensions and edges exactly equal to the stencil diameter, so empty
-   and single-cell interiors are fuzzed, not just the fat path. *)
+   and single-cell interiors are fuzzed, not just the fat path. Patterns
+   are star or box weighted sums or random term lists (folded pairs,
+   mixed bare and scaled terms), radius 1 to 4, over 1-D to 3-D grids. *)
 let gen_ref_case =
   QCheck.Gen.(
-    let* dims_n = int_range 2 3 in
-    let* rad = int_range 1 2 in
-    let* shape_star = bool in
+    let* dims_n = int_range 1 3 in
+    let* rad = int_range 1 4 in
+    let* kind = frequency [ (1, return `Star); (1, return `Box); (2, return `Terms) ] in
     let* divided = bool in
     let* prec = gen_prec in
     let* steps = int_range 0 4 in
+    let cap = match dims_n with 1 -> 64 | 2 -> 24 | _ -> 12 in
     let edge =
       frequency
         [
           (1, return 1);                    (* size-1 dim: empty interior *)
           (1, return (2 * rad));            (* below diameter: empty interior *)
           (1, return ((2 * rad) + 1));      (* single interior cell per axis *)
-          (4, int_range ((2 * rad) + 2) (if dims_n = 2 then 24 else 12));
+          (4, int_range ((2 * rad) + 2) (max ((2 * rad) + 2) cap));
         ]
     in
     let* dims = array_repeat dims_n edge in
-    let base = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
+    let* base =
+      match kind with
+      | `Star -> return (star ~dims:dims_n rad)
+      | `Box -> return (box ~dims:dims_n rad)
+      | `Terms -> gen_terms_pattern ~dims_n ~rad
+    in
     let pattern = if divided then with_div base else base in
     return (pattern, dims, prec, steps))
 
 let arb_ref_case =
   QCheck.make
     ~print:(fun (p, dims, prec, steps) ->
-      Fmt.str "%s dims=%a prec=%s steps=%d" p.Stencil.Pattern.name
+      Fmt.str "%s dims=%a prec=%s steps=%d expr=%a" p.Stencil.Pattern.name
         Fmt.(array ~sep:(any "x") int)
         dims
         (Stencil.Grid.precision_to_string prec)
-        steps)
+        steps Stencil.Sexpr.pp p.Stencil.Pattern.expr)
     gen_ref_case
 
+let pool = Gpu.Pool.create ~domains:2 ()
+
+let par = { Stencil.Reference.lanes = Gpu.Pool.size pool; run = Gpu.Pool.run pool }
+
+(* Every generated pattern must take the linear rows; the sequential
+   sweep and the sweep over a real 2-lane pool must both match the
+   oracle. *)
 let prop_ref_equals_oracle =
   QCheck.Test.make ~name:"reference: unchecked sweep = per-cell oracle (bitwise)"
-    ~count:200 arb_ref_case
+    ~count:300 arb_ref_case
     (fun (pattern, dims, prec, steps) ->
+      if (Stencil.Pattern.lower pattern).Stencil.Sexpr.low_linear = None then
+        QCheck.Test.fail_report "pattern has no linear form";
       let g = Stencil.Grid.init_random ~prec dims in
-      Stencil.Grid.digest (Stencil.Reference.run pattern ~steps g)
-      = Stencil.Grid.digest (oracle_run pattern ~steps g))
+      let expect = Stencil.Grid.digest (oracle_run pattern ~steps g) in
+      Stencil.Grid.digest (Stencil.Reference.run pattern ~steps g) = expect
+      && Stencil.Grid.digest (Stencil.Reference.run ~par pattern ~steps g) = expect)
 
 (* The sweep's non-linear branch must agree as well. *)
 let test_ref_nonlinear () =
@@ -655,6 +715,7 @@ let test_digest_precision_correct () =
     (Stencil.Grid.digest b)
 
 let () =
+  at_exit (fun () -> Gpu.Pool.shutdown pool);
   Alcotest.run "storage"
     [
       ( "reference differential",
