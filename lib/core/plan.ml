@@ -8,7 +8,8 @@
       closure when the expression is not a plain weighted sum), via
       {!Stencil.Sexpr.lower};
     - per-thread neighbor-thread tables ([n_thr x n_offsets], replacing
-      per-cell {!neighbor_thread} calls);
+      per-cell {!neighbor_thread} calls) for the checked path, and one
+      constant thread-id delta per linear term for the streaming path;
     - row-major grid strides so plane loads/stores use the unchecked
       linear accessors instead of bounds-checked multi-index math;
     - the per-thread store mask (compute-region membership depends only
@@ -65,6 +66,19 @@ let neighbor_thread geo t off =
   done;
   !tid
 
+(* Whether thread [t] is valid at time-step level [tstep] (§4.1): its
+   block-local coordinate in every blocked dimension lies in
+   [[tstep*rad, tstep*rad + valid_width)], the only threads whose value
+   at that level can still reach a store. *)
+let valid_at em geo ~tstep t =
+  let lo = tstep * Execmodel.rad em in
+  let ok = ref true in
+  Array.iteri
+    (fun d u ->
+      if u < lo || u >= lo + Execmodel.valid_width em d ~tstep then ok := false)
+    geo.coords.(t);
+  !ok
+
 (* ------------------------------------------------------------------ *)
 (* The plan                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -85,13 +99,14 @@ type t = {
   plane_e : int array;  (** per offset: streaming delta + rad, in [0, p) *)
   nbr : int array;  (** [n_thr * n_off] clamped neighbor thread ids *)
   (* term-major hoisted tables (empty when no linear form): the
-     [plane_e.(lt_off.(q))] / [nbr.(row + lt_off.(q))] double
-     indirection resolved once per term at build time, so streaming
-     kernels index one table per read. *)
+     register plane slot [plane_e.(lt_off.(q))] resolved once per term,
+     and the term's in-plane neighbor as a constant thread-id delta —
+     exact for every thread valid at level >= 1, where the clamp in
+     [neighbor_thread] never fires (checked at build time). *)
   t_plane : int array;  (** [n_terms] register plane slot of term [q] *)
-  t_nbr : int array array;  (** [n_terms][n_thr] neighbor thread of term [q] *)
+  t_delta : int array;  (** [n_terms] neighbor thread of term [q] is [t + t_delta.(q)] *)
   t_plane2 : int array;  (** slot of the folded mirror read, [-1] unpaired *)
-  t_nbr2 : int array array;  (** mirror neighbor rows; [[||]] when unpaired *)
+  t_delta2 : int array;  (** mirror read's thread delta; [0] when unpaired *)
   low : Stencil.Sexpr.lowered;
   (* per-cell traffic constants *)
   ops : Stencil.Sexpr.ops;
@@ -128,19 +143,31 @@ let build (em : Execmodel.t) ~degree:b ~prec =
       nbr.(row + k) <- neighbor_thread geo t offs.(k)
     done
   done;
-  let t_plane, t_nbr, t_plane2, t_nbr2 =
+  let t_plane, t_delta, t_plane2, t_delta2 =
     match low.Stencil.Sexpr.low_linear with
     | None -> ([||], [||], [||], [||])
     | Some lf ->
-        let col k = Array.init n_thr (fun t -> nbr.((t * n_off) + k)) in
+        (* A thread valid at level 1 sits [rad] inside the tile in every
+           blocked dimension, so its neighbors need no clamp and the
+           constant delta must reproduce [neighbor_thread] exactly. *)
+        let valid1 = Array.init n_thr (valid_at em geo ~tstep:1) in
+        let delta k =
+          let d = ref 0 in
+          for i = 0 to nb - 1 do
+            d := !d + (offs.(k).(i + 1) * geo.strides.(i))
+          done;
+          for t = 0 to n_thr - 1 do
+            if valid1.(t) && nbr.((t * n_off) + k) <> t + !d then
+              invalid_arg "Plan.build: term delta disagrees with neighbor_thread"
+          done;
+          !d
+        in
         ( Array.map (fun k -> plane_e.(k)) lf.Stencil.Sexpr.lt_off,
-          Array.map col lf.Stencil.Sexpr.lt_off,
+          Array.map delta lf.Stencil.Sexpr.lt_off,
           Array.map
             (fun k2 -> if k2 >= 0 then plane_e.(k2) else -1)
             lf.Stencil.Sexpr.lt_off2,
-          Array.map
-            (fun k2 -> if k2 >= 0 then col k2 else [||])
-            lf.Stencil.Sexpr.lt_off2 )
+          Array.map (fun k2 -> if k2 >= 0 then delta k2 else 0) lf.Stencil.Sexpr.lt_off2 )
   in
   let blocks_per_dim =
     Array.init nb (fun i ->
@@ -177,9 +204,9 @@ let build (em : Execmodel.t) ~degree:b ~prec =
     plane_e;
     nbr;
     t_plane;
-    t_nbr;
+    t_delta;
     t_plane2;
-    t_nbr2;
+    t_delta2;
     low;
     ops = Stencil.Pattern.ops_per_cell pattern;
     sm_writes_per_cell = Execmodel.smem_writes_per_cell em;
@@ -283,6 +310,8 @@ let make_block_state (plan : t) ~degree:b block_id =
     reg_file =
       Array.init (b + 1) (fun _ -> Array.init plan.p (fun _ -> Array.make n_thr 0.0));
   }
+
+let valid (plan : t) ~tstep t = valid_at plan.em plan.geo ~tstep t
 
 (* ------------------------------------------------------------------ *)
 (* Streaming dispatch                                                 *)

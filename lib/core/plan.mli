@@ -5,7 +5,8 @@
     the stream position — compiled once and memoized: the thread-block
     geometry, the update expression lowered to flat per-term tables
     ({!Stencil.Sexpr.lower}), per-thread neighbor-thread and store-mask
-    tables, row-major grid strides for unchecked linear plane access,
+    tables, one constant neighbor delta per linear term, row-major grid
+    strides for unchecked linear plane access,
     and the launch/resource/traffic constants. Both executors — the
     checked compiled path in {!Blocking} and {!Stream_exec} — drive
     their inner loops off these arrays; the differential test suite proves the sliding-window
@@ -45,12 +46,19 @@ type t = {
       (** term-major: register plane slot of linear term [q]
           ([plane_e.(lt_off.(q))] hoisted at build time); empty when the
           plan has no linear form *)
-  t_nbr : int array array;
-      (** term-major: [n_terms][n_thr] neighbor thread ids of term [q] *)
+  t_delta : int array;
+      (** term-major: the in-plane neighbor of term [q] for thread [t] is
+          thread [t + t_delta.(q)], with
+          [t_delta.(q) = sum_d off_(d+1) * geo.strides.(d)]. Exact for
+          every thread valid at level [>= 1] ({!valid}), where the clamp
+          in {!neighbor_thread} never fires; {!get} raises
+          [Invalid_argument] if any such thread disagrees. Threads
+          outside the valid region never read through it. *)
   t_plane2 : int array;
       (** plane slot of the folded mirror read, [-1] when unpaired *)
-  t_nbr2 : int array array;
-      (** mirror neighbor rows of folded pairs; [[||]] when unpaired *)
+  t_delta2 : int array;
+      (** thread delta of the folded mirror read, as [t_delta]; [0] when
+          unpaired *)
   low : Stencil.Sexpr.lowered;
   ops : Stencil.Sexpr.ops;
   sm_writes_per_cell : int;
@@ -85,6 +93,13 @@ type block_state = {
 
 val make_block_state : t -> degree:int -> int -> block_state
 (** [make_block_state plan ~degree block_id]. *)
+
+val valid : t -> tstep:int -> int -> bool
+(** [valid plan ~tstep t]: thread [t]'s block-local coordinate in every
+    blocked dimension lies in [[tstep*rad, bs_d - tstep*rad)]
+    ({!Execmodel.valid_width}) — the threads whose level-[tstep] value
+    can still reach a store (§4.1). At [tstep = degree] this is exactly
+    [store_ok]. *)
 
 val unsafe_capable : t -> mode:Run_config.exec_mode -> bool
 (** Whether the sliding-window {!Stream_exec} path can run this plan:

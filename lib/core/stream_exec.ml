@@ -13,7 +13,7 @@
     lowering metadata:
 
     - [K_fused 3/5/7/9]: fully unrolled monomorphic kernels with every
-      plane slot, neighbor row and coefficient hoisted into locals;
+      plane slot, thread delta and coefficient hoisted into locals;
     - [K_wide n]: chunked accumulation (9 terms per chunk, unrolled)
       over the term-major tables for larger arities such as j3d27pt;
     - [K_folded n]: pair-aware term loop consuming the §4.2
@@ -23,27 +23,70 @@
       false without a flat linear form, so {!Blocking} dispatches the
       checked compiled path instead.
 
-    All kernels read through the plan's term-major hoisted tables
-    ([t_plane]/[t_nbr]/[t_plane2]/[t_nbr2]) — one table per read instead
-    of the [plane_e.(lt_off.(q))] / [nbr.(row + q)] double indirection.
+    Each level computes only the threads whose value can reach a store
+    (§4.1's valid width [bS - 2*T*rad] at level [T], see [level_runs]),
+    as runs of consecutive thread ids, and reads term [q]'s neighbor of
+    thread [t] at [t + t_delta.(q)] — a constant per term, exact inside
+    the valid region where the edge clamp never fires — instead of a
+    per-thread gather table.
 
     Grids and simulated GPU counters are bit-identical to the checked
     compiled path in {!Blocking}: same load/store/compute schedule, same
-    left-to-right accumulation, same
-    bulk counter calls in the same order. Host-side register reuse is
-    invisible to the modeled schedule, which is the correctness oracle —
-    the differential suite (test/test_streaming.ml) proves it. *)
+    left-to-right accumulation for every stored cell, same bulk counter
+    calls in the same order. The counters model the GPU, which computes
+    every thread of the tile, so skipping threads on the host changes
+    none of them. Host-side register reuse is invisible to the modeled
+    schedule, which is the correctness oracle — the differential suite
+    (test/test_streaming.ml) proves it. *)
+
+(* The threads a level computes (§4.1). At level [tstep] only threads
+   valid at that level ({!Plan.valid}) can still reach a store: a valid
+   thread at level [T+1] reads only threads within [rad] of it, which
+   are valid at level [T], and the stores read level [degree], whose
+   valid region is exactly [store_ok]. So each level splits its valid
+   threads into runs of consecutive thread ids:
+
+   - [act]: valid and [inplane_interior] — the kernel computes these;
+   - [cpy]: valid but not interior — these keep the window center.
+
+   Every other thread is skipped; nothing reads it. A run never spans
+   two tile rows (for [rad >= 1] the valid region drops the first and
+   last thread of every row), so there is one run per row. Runs are
+   flattened as [[| s0; e0; s1; e1; ... |]], each [[s, e)]. *)
+type level_runs = { act : int array; cpy : int array }
+
+let level_runs (plan : Plan.t) (st : Plan.block_state) ~tstep =
+  let n_thr = plan.Plan.n_thr in
+  let interior = st.Plan.inplane_interior in
+  let valid = Array.init n_thr (fun t -> Plan.valid plan ~tstep t) in
+  let runs keep =
+    let acc = ref [] and t = ref 0 in
+    while !t < n_thr do
+      if valid.(!t) && keep interior.(!t) then begin
+        let s = !t in
+        while !t < n_thr && valid.(!t) && keep interior.(!t) do
+          incr t
+        done;
+        acc := !t :: s :: !acc
+      end
+      else incr t
+    done;
+    Array.of_list (List.rev !acc)
+  in
+  { act = runs Fun.id; cpy = runs not }
 
 (* Validate the unsafe-index contract once per block, before any
    unchecked access (the production-side "index oracle"; the fuzz suite
    re-proves the same bounds independently):
 
-   - every plan table entry indexes its target array in range
+   - every plan table the kernels read indexes its target in range
      ([lt_off] into the offset tables, [lt_off2] likewise or [-1],
-     [plane_e] into the [p] register slots, [nbr] into the [n_thr]
-     threads, and the term-major hoisted tables [t_plane]/[t_nbr]/
-     [t_plane2]/[t_nbr2] consumed by the window kernels with one row of
-     [n_thr] entries per term);
+     [plane_e]/[t_plane] into the [p] register slots, [t_plane2] too
+     or [-1]), and the term-major tables have one entry per term;
+   - runs x deltas: every run [[s, e)] of every level lies in
+     [[0, n_thr)], and for every term delta [d] (and mirror delta of a
+     folded pair) [s + d >= 0] and [e - 1 + d < n_thr], so each
+     neighbor read [t + d] of a computed thread stays inside the tile;
    - every in-grid thread's in-plane base offset lies in [0, stride0),
      so [base + i*stride0 < l*stride0 = size] for stream planes
      [i < l] — loads and stores only happen for in-grid threads
@@ -52,9 +95,10 @@
 
    A violation raises instead of reading out of bounds; it cannot occur
    for plans built by {!Plan.get} (offsets are bounded by the pattern
-   radius and neighbor ids are clamped), which the raise documents. *)
+   radius and the deltas are checked against the clamped neighbor
+   table for every valid thread), which the raise documents. *)
 let validate_unsafe_contract (plan : Plan.t) (lf : Stencil.Sexpr.linear_form)
-    (st : Plan.block_state) =
+    (st : Plan.block_state) (levels : level_runs array) =
   let fail what = invalid_arg ("Stream_exec.validate_unsafe_contract: " ^ what) in
   let n_off = plan.Plan.n_off and n_thr = plan.Plan.n_thr and p = plan.Plan.p in
   Array.iter
@@ -66,14 +110,11 @@ let validate_unsafe_contract (plan : Plan.t) (lf : Stencil.Sexpr.linear_form)
   Array.iter
     (fun e -> if e < 0 || e >= p then fail "plane slot out of range")
     plan.Plan.plane_e;
-  Array.iter
-    (fun t -> if t < 0 || t >= n_thr then fail "neighbor thread out of range")
-    plan.Plan.nbr;
   let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
   if Array.length plan.Plan.t_plane <> n_terms
-     || Array.length plan.Plan.t_nbr <> n_terms
+     || Array.length plan.Plan.t_delta <> n_terms
      || Array.length plan.Plan.t_plane2 <> n_terms
-     || Array.length plan.Plan.t_nbr2 <> n_terms
+     || Array.length plan.Plan.t_delta2 <> n_terms
   then fail "term-major table length mismatch";
   Array.iter
     (fun e -> if e < 0 || e >= p then fail "term plane slot out of range")
@@ -81,19 +122,25 @@ let validate_unsafe_contract (plan : Plan.t) (lf : Stencil.Sexpr.linear_form)
   Array.iter
     (fun e -> if e < -1 || e >= p then fail "pair plane slot out of range")
     plan.Plan.t_plane2;
-  let check_rows rows required =
-    Array.iteri
-      (fun q row ->
-        if Array.length row
-           <> (if required || plan.Plan.t_plane2.(q) >= 0 then n_thr else 0)
-        then fail "term neighbor row length mismatch";
-        Array.iter
-          (fun t -> if t < 0 || t >= n_thr then fail "term neighbor out of range")
-          row)
-      rows
+  let check_runs runs ~deltas =
+    for r = 0 to (Array.length runs / 2) - 1 do
+      let s = runs.(2 * r) and e = runs.((2 * r) + 1) in
+      if s < 0 || e > n_thr || s >= e then fail "run empty or outside the tile";
+      if deltas then
+        for q = 0 to n_terms - 1 do
+          let in_tile d = s + d >= 0 && e - 1 + d < n_thr in
+          if not (in_tile plan.Plan.t_delta.(q)) then
+            fail "term delta leaves the tile";
+          if plan.Plan.t_plane2.(q) >= 0 && not (in_tile plan.Plan.t_delta2.(q))
+          then fail "pair delta leaves the tile"
+        done
+    done
   in
-  check_rows plan.Plan.t_nbr true;
-  check_rows plan.Plan.t_nbr2 false;
+  Array.iter
+    (fun { act; cpy } ->
+      check_runs act ~deltas:true;
+      check_runs cpy ~deltas:false)
+    levels;
   let stride0 = plan.Plan.gstrides.(0) in
   if stride0 <= 0 then fail "non-positive plane stride";
   for t = 0 to n_thr - 1 do
@@ -166,9 +213,10 @@ let plane_io (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
    called once per block before the sweep. Specifically:
    - window rotation indexes [wins.(lev)] and [reg_file.(lev)] with
      [e < p] and [(j ± rad) mod p < p];
-   - kernels index [w] with validated [t_plane]/[t_plane2] slots, the
-     neighbor rows with [t < n_thr], and the per-thread planes with
-     validated [t_nbr]/[t_nbr2] entries;
+   - kernels index [w] with validated [t_plane]/[t_plane2] slots, and
+     the planes with [t + d] for [t] in a validated run and [d] a
+     validated term delta (runs x deltas: [0 <= s + d], [e - 1 + d <
+     n_thr]), and [dst_plane]/[q32] with [t] in a run;
    - plane I/O goes through [plane_io], whose in-grid base-offset
      peeling proof is part of the same contract. *)
 let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
@@ -186,9 +234,9 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   let lt_scaled = lf.Stencil.Sexpr.lt_scaled in
   let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
   let t_plane = plan.Plan.t_plane in
-  let t_nbr = plan.Plan.t_nbr in
+  let t_delta = plan.Plan.t_delta in
   let t_plane2 = plan.Plan.t_plane2 in
-  let t_nbr2 = plan.Plan.t_nbr2 in
+  let t_delta2 = plan.Plan.t_delta2 in
   let has_div, div =
     match lf.Stencil.Sexpr.lt_post with
     | Stencil.Sexpr.Post_none -> (false, 1.0)
@@ -202,12 +250,12 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   in
   let counters = ctx.Gpu.Machine.machine.Gpu.Machine.counters in
   let st = Plan.make_block_state plan ~degree:b ctx.Gpu.Machine.block_id in
-  let inplane_interior = st.Plan.inplane_interior in
   let reg_file = st.Plan.reg_file in
-  validate_unsafe_contract plan lf st;
+  let levels = Array.init b (fun lev -> level_runs plan st ~tstep:(lev + 1)) in
+  validate_unsafe_contract plan lf st levels;
   let s0, s1 = Execmodel.stream_range plan.Plan.em st.Plan.sb in
   let is_f32 = plan.Plan.prec = Stencil.Grid.F32 in
-  (* Whole-plane f32 quantization scratch: interior values land here
+  (* Whole-plane f32 quantization scratch: computed values land here
      first and are read back after the kernel, keeping the hardware
      double->single->double round-trip (bit-identical to
      [Grid.round_to_prec F32]) off the per-cell dependency chain. *)
@@ -219,85 +267,83 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   (* ---------------------------------------------------------------- *)
   (* Shape-specialized compute kernels over a positioned window [w]:
      [w.(e)] is the source plane at streaming delta [e - rad]. Each
-     kernel updates interior threads of one target plane (into [q32]
-     for f32, [dst_plane] for f64) and copies the window center for
-     non-interior threads. Accumulation is the same left-to-right chain
-     as the checked compiled path, so bit-identical. *)
+     kernel updates the threads of the level's [act] runs (into [q32]
+     for f32, [dst_plane] for f64), reading term [q]'s neighbor of
+     thread [t] at [t + t_delta.(q)]. Accumulation is the same
+     left-to-right chain as the checked compiled path, so bit-identical. *)
   (* ---------------------------------------------------------------- *)
   let fused3 () =
     let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2) in
-    let r0 = t_nbr.(0) and r1 = t_nbr.(1) and r2 = t_nbr.(2) in
+    let d0 = t_delta.(0) and d1 = t_delta.(1) and d2 = t_delta.(2) in
     let c0 = lt_coef.(0) and c1 = lt_coef.(1) and c2 = lt_coef.(2) in
     let s0 = lt_scaled.(0) and s1 = lt_scaled.(1) and s2 = lt_scaled.(2) in
-    fun (w : float array array) (dst_plane : float array) ->
+    fun (w : float array array) (dst_plane : float array) runs ->
       let a0 = Array.unsafe_get w tp0
       and a1 = Array.unsafe_get w tp1
       and a2 = Array.unsafe_get w tp2 in
-      let center = Array.unsafe_get w rad in
-      for t = 0 to n_thr - 1 do
-        if Array.unsafe_get inplane_interior t then begin
-          let v0 = Array.unsafe_get a0 (Array.unsafe_get r0 t) in
+      for r = 0 to (Array.length runs / 2) - 1 do
+        for t = Array.unsafe_get runs (2 * r)
+            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+          let v0 = Array.unsafe_get a0 (t + d0) in
           let acc = if s0 then c0 *. v0 else v0 in
-          let v1 = Array.unsafe_get a1 (Array.unsafe_get r1 t) in
+          let v1 = Array.unsafe_get a1 (t + d1) in
           let acc = acc +. (if s1 then c1 *. v1 else v1) in
-          let v2 = Array.unsafe_get a2 (Array.unsafe_get r2 t) in
+          let v2 = Array.unsafe_get a2 (t + d2) in
           let acc = acc +. (if s2 then c2 *. v2 else v2) in
           let value = if has_div then acc /. div else acc in
           if is_f32 then Bigarray.Array1.unsafe_set q32 t value
           else Array.unsafe_set dst_plane t value
-        end
-        else Array.unsafe_set dst_plane t (Array.unsafe_get center t)
+        done
       done
   in
   let fused5 () =
     let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2)
     and tp3 = t_plane.(3) and tp4 = t_plane.(4) in
-    let r0 = t_nbr.(0) and r1 = t_nbr.(1) and r2 = t_nbr.(2)
-    and r3 = t_nbr.(3) and r4 = t_nbr.(4) in
+    let d0 = t_delta.(0) and d1 = t_delta.(1) and d2 = t_delta.(2)
+    and d3 = t_delta.(3) and d4 = t_delta.(4) in
     let c0 = lt_coef.(0) and c1 = lt_coef.(1) and c2 = lt_coef.(2)
     and c3 = lt_coef.(3) and c4 = lt_coef.(4) in
     let s0 = lt_scaled.(0) and s1 = lt_scaled.(1) and s2 = lt_scaled.(2)
     and s3 = lt_scaled.(3) and s4 = lt_scaled.(4) in
-    fun (w : float array array) (dst_plane : float array) ->
+    fun (w : float array array) (dst_plane : float array) runs ->
       let a0 = Array.unsafe_get w tp0
       and a1 = Array.unsafe_get w tp1
       and a2 = Array.unsafe_get w tp2
       and a3 = Array.unsafe_get w tp3
       and a4 = Array.unsafe_get w tp4 in
-      let center = Array.unsafe_get w rad in
-      for t = 0 to n_thr - 1 do
-        if Array.unsafe_get inplane_interior t then begin
-          let v0 = Array.unsafe_get a0 (Array.unsafe_get r0 t) in
+      for r = 0 to (Array.length runs / 2) - 1 do
+        for t = Array.unsafe_get runs (2 * r)
+            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+          let v0 = Array.unsafe_get a0 (t + d0) in
           let acc = if s0 then c0 *. v0 else v0 in
-          let v1 = Array.unsafe_get a1 (Array.unsafe_get r1 t) in
+          let v1 = Array.unsafe_get a1 (t + d1) in
           let acc = acc +. (if s1 then c1 *. v1 else v1) in
-          let v2 = Array.unsafe_get a2 (Array.unsafe_get r2 t) in
+          let v2 = Array.unsafe_get a2 (t + d2) in
           let acc = acc +. (if s2 then c2 *. v2 else v2) in
-          let v3 = Array.unsafe_get a3 (Array.unsafe_get r3 t) in
+          let v3 = Array.unsafe_get a3 (t + d3) in
           let acc = acc +. (if s3 then c3 *. v3 else v3) in
-          let v4 = Array.unsafe_get a4 (Array.unsafe_get r4 t) in
+          let v4 = Array.unsafe_get a4 (t + d4) in
           let acc = acc +. (if s4 then c4 *. v4 else v4) in
           let value = if has_div then acc /. div else acc in
           if is_f32 then Bigarray.Array1.unsafe_set q32 t value
           else Array.unsafe_set dst_plane t value
-        end
-        else Array.unsafe_set dst_plane t (Array.unsafe_get center t)
+        done
       done
   in
   let fused7 () =
     let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2)
     and tp3 = t_plane.(3) and tp4 = t_plane.(4) and tp5 = t_plane.(5)
     and tp6 = t_plane.(6) in
-    let r0 = t_nbr.(0) and r1 = t_nbr.(1) and r2 = t_nbr.(2)
-    and r3 = t_nbr.(3) and r4 = t_nbr.(4) and r5 = t_nbr.(5)
-    and r6 = t_nbr.(6) in
+    let d0 = t_delta.(0) and d1 = t_delta.(1) and d2 = t_delta.(2)
+    and d3 = t_delta.(3) and d4 = t_delta.(4) and d5 = t_delta.(5)
+    and d6 = t_delta.(6) in
     let c0 = lt_coef.(0) and c1 = lt_coef.(1) and c2 = lt_coef.(2)
     and c3 = lt_coef.(3) and c4 = lt_coef.(4) and c5 = lt_coef.(5)
     and c6 = lt_coef.(6) in
     let s0 = lt_scaled.(0) and s1 = lt_scaled.(1) and s2 = lt_scaled.(2)
     and s3 = lt_scaled.(3) and s4 = lt_scaled.(4) and s5 = lt_scaled.(5)
     and s6 = lt_scaled.(6) in
-    fun (w : float array array) (dst_plane : float array) ->
+    fun (w : float array array) (dst_plane : float array) runs ->
       let a0 = Array.unsafe_get w tp0
       and a1 = Array.unsafe_get w tp1
       and a2 = Array.unsafe_get w tp2
@@ -305,44 +351,43 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
       and a4 = Array.unsafe_get w tp4
       and a5 = Array.unsafe_get w tp5
       and a6 = Array.unsafe_get w tp6 in
-      let center = Array.unsafe_get w rad in
-      for t = 0 to n_thr - 1 do
-        if Array.unsafe_get inplane_interior t then begin
-          let v0 = Array.unsafe_get a0 (Array.unsafe_get r0 t) in
+      for r = 0 to (Array.length runs / 2) - 1 do
+        for t = Array.unsafe_get runs (2 * r)
+            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+          let v0 = Array.unsafe_get a0 (t + d0) in
           let acc = if s0 then c0 *. v0 else v0 in
-          let v1 = Array.unsafe_get a1 (Array.unsafe_get r1 t) in
+          let v1 = Array.unsafe_get a1 (t + d1) in
           let acc = acc +. (if s1 then c1 *. v1 else v1) in
-          let v2 = Array.unsafe_get a2 (Array.unsafe_get r2 t) in
+          let v2 = Array.unsafe_get a2 (t + d2) in
           let acc = acc +. (if s2 then c2 *. v2 else v2) in
-          let v3 = Array.unsafe_get a3 (Array.unsafe_get r3 t) in
+          let v3 = Array.unsafe_get a3 (t + d3) in
           let acc = acc +. (if s3 then c3 *. v3 else v3) in
-          let v4 = Array.unsafe_get a4 (Array.unsafe_get r4 t) in
+          let v4 = Array.unsafe_get a4 (t + d4) in
           let acc = acc +. (if s4 then c4 *. v4 else v4) in
-          let v5 = Array.unsafe_get a5 (Array.unsafe_get r5 t) in
+          let v5 = Array.unsafe_get a5 (t + d5) in
           let acc = acc +. (if s5 then c5 *. v5 else v5) in
-          let v6 = Array.unsafe_get a6 (Array.unsafe_get r6 t) in
+          let v6 = Array.unsafe_get a6 (t + d6) in
           let acc = acc +. (if s6 then c6 *. v6 else v6) in
           let value = if has_div then acc /. div else acc in
           if is_f32 then Bigarray.Array1.unsafe_set q32 t value
           else Array.unsafe_set dst_plane t value
-        end
-        else Array.unsafe_set dst_plane t (Array.unsafe_get center t)
+        done
       done
   in
   let fused9 () =
     let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2)
     and tp3 = t_plane.(3) and tp4 = t_plane.(4) and tp5 = t_plane.(5)
     and tp6 = t_plane.(6) and tp7 = t_plane.(7) and tp8 = t_plane.(8) in
-    let r0 = t_nbr.(0) and r1 = t_nbr.(1) and r2 = t_nbr.(2)
-    and r3 = t_nbr.(3) and r4 = t_nbr.(4) and r5 = t_nbr.(5)
-    and r6 = t_nbr.(6) and r7 = t_nbr.(7) and r8 = t_nbr.(8) in
+    let d0 = t_delta.(0) and d1 = t_delta.(1) and d2 = t_delta.(2)
+    and d3 = t_delta.(3) and d4 = t_delta.(4) and d5 = t_delta.(5)
+    and d6 = t_delta.(6) and d7 = t_delta.(7) and d8 = t_delta.(8) in
     let c0 = lt_coef.(0) and c1 = lt_coef.(1) and c2 = lt_coef.(2)
     and c3 = lt_coef.(3) and c4 = lt_coef.(4) and c5 = lt_coef.(5)
     and c6 = lt_coef.(6) and c7 = lt_coef.(7) and c8 = lt_coef.(8) in
     let s0 = lt_scaled.(0) and s1 = lt_scaled.(1) and s2 = lt_scaled.(2)
     and s3 = lt_scaled.(3) and s4 = lt_scaled.(4) and s5 = lt_scaled.(5)
     and s6 = lt_scaled.(6) and s7 = lt_scaled.(7) and s8 = lt_scaled.(8) in
-    fun (w : float array array) (dst_plane : float array) ->
+    fun (w : float array array) (dst_plane : float array) runs ->
       let a0 = Array.unsafe_get w tp0
       and a1 = Array.unsafe_get w tp1
       and a2 = Array.unsafe_get w tp2
@@ -352,37 +397,36 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
       and a6 = Array.unsafe_get w tp6
       and a7 = Array.unsafe_get w tp7
       and a8 = Array.unsafe_get w tp8 in
-      let center = Array.unsafe_get w rad in
-      for t = 0 to n_thr - 1 do
-        if Array.unsafe_get inplane_interior t then begin
-          let v0 = Array.unsafe_get a0 (Array.unsafe_get r0 t) in
+      for r = 0 to (Array.length runs / 2) - 1 do
+        for t = Array.unsafe_get runs (2 * r)
+            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+          let v0 = Array.unsafe_get a0 (t + d0) in
           let acc = if s0 then c0 *. v0 else v0 in
-          let v1 = Array.unsafe_get a1 (Array.unsafe_get r1 t) in
+          let v1 = Array.unsafe_get a1 (t + d1) in
           let acc = acc +. (if s1 then c1 *. v1 else v1) in
-          let v2 = Array.unsafe_get a2 (Array.unsafe_get r2 t) in
+          let v2 = Array.unsafe_get a2 (t + d2) in
           let acc = acc +. (if s2 then c2 *. v2 else v2) in
-          let v3 = Array.unsafe_get a3 (Array.unsafe_get r3 t) in
+          let v3 = Array.unsafe_get a3 (t + d3) in
           let acc = acc +. (if s3 then c3 *. v3 else v3) in
-          let v4 = Array.unsafe_get a4 (Array.unsafe_get r4 t) in
+          let v4 = Array.unsafe_get a4 (t + d4) in
           let acc = acc +. (if s4 then c4 *. v4 else v4) in
-          let v5 = Array.unsafe_get a5 (Array.unsafe_get r5 t) in
+          let v5 = Array.unsafe_get a5 (t + d5) in
           let acc = acc +. (if s5 then c5 *. v5 else v5) in
-          let v6 = Array.unsafe_get a6 (Array.unsafe_get r6 t) in
+          let v6 = Array.unsafe_get a6 (t + d6) in
           let acc = acc +. (if s6 then c6 *. v6 else v6) in
-          let v7 = Array.unsafe_get a7 (Array.unsafe_get r7 t) in
+          let v7 = Array.unsafe_get a7 (t + d7) in
           let acc = acc +. (if s7 then c7 *. v7 else v7) in
-          let v8 = Array.unsafe_get a8 (Array.unsafe_get r8 t) in
+          let v8 = Array.unsafe_get a8 (t + d8) in
           let acc = acc +. (if s8 then c8 *. v8 else v8) in
           let value = if has_div then acc /. div else acc in
           if is_f32 then Bigarray.Array1.unsafe_set q32 t value
           else Array.unsafe_set dst_plane t value
-        end
-        else Array.unsafe_set dst_plane t (Array.unsafe_get center t)
+        done
       done
   in
   (* Wide arities (e.g. j3d27pt's 27 box terms): chunks of 9 terms, each
-     chunk's plane slots, neighbor rows and coefficients hoisted into
-     locals, continuing the left-to-right chain through a per-thread
+     chunk's plane slots, deltas and coefficients hoisted into locals,
+     continuing the left-to-right chain through a per-thread
      accumulator plane. Requires every term scaled (true for all
      weighted sums); the first chunk seeds the accumulators, later
      chunks and the tail extend the chain — the addition sequence is
@@ -391,7 +435,8 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     let accs = Array.make n_thr 0.0 in
     let n_full = n_terms / 9 in
     let tail0 = n_full * 9 in
-    fun (w : float array array) (dst_plane : float array) ->
+    fun (w : float array array) (dst_plane : float array) runs ->
+      let n_runs = Array.length runs / 2 in
       for c = 0 to n_full - 1 do
         let q = 9 * c in
         let a0 = Array.unsafe_get w (Array.unsafe_get t_plane q)
@@ -403,15 +448,15 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
         and a6 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 6))
         and a7 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 7))
         and a8 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 8)) in
-        let r0 = Array.unsafe_get t_nbr q
-        and r1 = Array.unsafe_get t_nbr (q + 1)
-        and r2 = Array.unsafe_get t_nbr (q + 2)
-        and r3 = Array.unsafe_get t_nbr (q + 3)
-        and r4 = Array.unsafe_get t_nbr (q + 4)
-        and r5 = Array.unsafe_get t_nbr (q + 5)
-        and r6 = Array.unsafe_get t_nbr (q + 6)
-        and r7 = Array.unsafe_get t_nbr (q + 7)
-        and r8 = Array.unsafe_get t_nbr (q + 8) in
+        let d0 = Array.unsafe_get t_delta q
+        and d1 = Array.unsafe_get t_delta (q + 1)
+        and d2 = Array.unsafe_get t_delta (q + 2)
+        and d3 = Array.unsafe_get t_delta (q + 3)
+        and d4 = Array.unsafe_get t_delta (q + 4)
+        and d5 = Array.unsafe_get t_delta (q + 5)
+        and d6 = Array.unsafe_get t_delta (q + 6)
+        and d7 = Array.unsafe_get t_delta (q + 7)
+        and d8 = Array.unsafe_get t_delta (q + 8) in
         let c0 = Array.unsafe_get lt_coef q
         and c1 = Array.unsafe_get lt_coef (q + 1)
         and c2 = Array.unsafe_get lt_coef (q + 2)
@@ -421,87 +466,86 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
         and c6 = Array.unsafe_get lt_coef (q + 6)
         and c7 = Array.unsafe_get lt_coef (q + 7)
         and c8 = Array.unsafe_get lt_coef (q + 8) in
-        if q = 0 then
-          for t = 0 to n_thr - 1 do
-            if Array.unsafe_get inplane_interior t then begin
-              let acc = c0 *. Array.unsafe_get a0 (Array.unsafe_get r0 t) in
-              let acc = acc +. (c1 *. Array.unsafe_get a1 (Array.unsafe_get r1 t)) in
-              let acc = acc +. (c2 *. Array.unsafe_get a2 (Array.unsafe_get r2 t)) in
-              let acc = acc +. (c3 *. Array.unsafe_get a3 (Array.unsafe_get r3 t)) in
-              let acc = acc +. (c4 *. Array.unsafe_get a4 (Array.unsafe_get r4 t)) in
-              let acc = acc +. (c5 *. Array.unsafe_get a5 (Array.unsafe_get r5 t)) in
-              let acc = acc +. (c6 *. Array.unsafe_get a6 (Array.unsafe_get r6 t)) in
-              let acc = acc +. (c7 *. Array.unsafe_get a7 (Array.unsafe_get r7 t)) in
-              let acc = acc +. (c8 *. Array.unsafe_get a8 (Array.unsafe_get r8 t)) in
+        for r = 0 to n_runs - 1 do
+          let lo = Array.unsafe_get runs (2 * r)
+          and hi = Array.unsafe_get runs ((2 * r) + 1) - 1 in
+          if q = 0 then
+            for t = lo to hi do
+              let acc = c0 *. Array.unsafe_get a0 (t + d0) in
+              let acc = acc +. (c1 *. Array.unsafe_get a1 (t + d1)) in
+              let acc = acc +. (c2 *. Array.unsafe_get a2 (t + d2)) in
+              let acc = acc +. (c3 *. Array.unsafe_get a3 (t + d3)) in
+              let acc = acc +. (c4 *. Array.unsafe_get a4 (t + d4)) in
+              let acc = acc +. (c5 *. Array.unsafe_get a5 (t + d5)) in
+              let acc = acc +. (c6 *. Array.unsafe_get a6 (t + d6)) in
+              let acc = acc +. (c7 *. Array.unsafe_get a7 (t + d7)) in
+              let acc = acc +. (c8 *. Array.unsafe_get a8 (t + d8)) in
               Array.unsafe_set accs t acc
-            end
-          done
-        else
-          for t = 0 to n_thr - 1 do
-            if Array.unsafe_get inplane_interior t then begin
+            done
+          else
+            for t = lo to hi do
               let acc = Array.unsafe_get accs t in
-              let acc = acc +. (c0 *. Array.unsafe_get a0 (Array.unsafe_get r0 t)) in
-              let acc = acc +. (c1 *. Array.unsafe_get a1 (Array.unsafe_get r1 t)) in
-              let acc = acc +. (c2 *. Array.unsafe_get a2 (Array.unsafe_get r2 t)) in
-              let acc = acc +. (c3 *. Array.unsafe_get a3 (Array.unsafe_get r3 t)) in
-              let acc = acc +. (c4 *. Array.unsafe_get a4 (Array.unsafe_get r4 t)) in
-              let acc = acc +. (c5 *. Array.unsafe_get a5 (Array.unsafe_get r5 t)) in
-              let acc = acc +. (c6 *. Array.unsafe_get a6 (Array.unsafe_get r6 t)) in
-              let acc = acc +. (c7 *. Array.unsafe_get a7 (Array.unsafe_get r7 t)) in
-              let acc = acc +. (c8 *. Array.unsafe_get a8 (Array.unsafe_get r8 t)) in
+              let acc = acc +. (c0 *. Array.unsafe_get a0 (t + d0)) in
+              let acc = acc +. (c1 *. Array.unsafe_get a1 (t + d1)) in
+              let acc = acc +. (c2 *. Array.unsafe_get a2 (t + d2)) in
+              let acc = acc +. (c3 *. Array.unsafe_get a3 (t + d3)) in
+              let acc = acc +. (c4 *. Array.unsafe_get a4 (t + d4)) in
+              let acc = acc +. (c5 *. Array.unsafe_get a5 (t + d5)) in
+              let acc = acc +. (c6 *. Array.unsafe_get a6 (t + d6)) in
+              let acc = acc +. (c7 *. Array.unsafe_get a7 (t + d7)) in
+              let acc = acc +. (c8 *. Array.unsafe_get a8 (t + d8)) in
               Array.unsafe_set accs t acc
-            end
-          done
+            done
+        done
       done;
       for q = tail0 to n_terms - 1 do
         let aq = Array.unsafe_get w (Array.unsafe_get t_plane q) in
-        let rq = Array.unsafe_get t_nbr q in
+        let dq = Array.unsafe_get t_delta q in
         let cq = Array.unsafe_get lt_coef q in
-        if q = 0 then
-          for t = 0 to n_thr - 1 do
-            if Array.unsafe_get inplane_interior t then
+        for r = 0 to n_runs - 1 do
+          let lo = Array.unsafe_get runs (2 * r)
+          and hi = Array.unsafe_get runs ((2 * r) + 1) - 1 in
+          if q = 0 then
+            for t = lo to hi do
+              Array.unsafe_set accs t (cq *. Array.unsafe_get aq (t + dq))
+            done
+          else
+            for t = lo to hi do
               Array.unsafe_set accs t
-                (cq *. Array.unsafe_get aq (Array.unsafe_get rq t))
-          done
-        else
-          for t = 0 to n_thr - 1 do
-            if Array.unsafe_get inplane_interior t then
-              Array.unsafe_set accs t
-                (Array.unsafe_get accs t
-                +. (cq *. Array.unsafe_get aq (Array.unsafe_get rq t)))
-          done
+                (Array.unsafe_get accs t +. (cq *. Array.unsafe_get aq (t + dq)))
+            done
+        done
       done;
-      let center = Array.unsafe_get w rad in
-      for t = 0 to n_thr - 1 do
-        if Array.unsafe_get inplane_interior t then begin
+      for r = 0 to n_runs - 1 do
+        for t = Array.unsafe_get runs (2 * r)
+            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
           let acc = Array.unsafe_get accs t in
           let value = if has_div then acc /. div else acc in
           if is_f32 then Bigarray.Array1.unsafe_set q32 t value
           else Array.unsafe_set dst_plane t value
-        end
-        else Array.unsafe_set dst_plane t (Array.unsafe_get center t)
+        done
       done
   in
   (* Term-major fallback for mixed scaled/bare terms and the §4.2 folded
-     pairs: one indirection per read via the term-major tables, with the
-     mirror read of a folded pair added before the scaling — the same
-     shape as the source tree, so rounding-identical. *)
+     pairs: one delta per read, with the mirror read of a folded pair
+     added before the scaling — the same shape as the source tree, so
+     rounding-identical. *)
   let term_major () =
-    fun (w : float array array) (dst_plane : float array) ->
-      let center = Array.unsafe_get w rad in
-      for t = 0 to n_thr - 1 do
-        if Array.unsafe_get inplane_interior t then begin
+    fun (w : float array array) (dst_plane : float array) runs ->
+      for r = 0 to (Array.length runs / 2) - 1 do
+        for t = Array.unsafe_get runs (2 * r)
+            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
           let v0 =
             Array.unsafe_get
               (Array.unsafe_get w (Array.unsafe_get t_plane 0))
-              (Array.unsafe_get (Array.unsafe_get t_nbr 0) t)
+              (t + Array.unsafe_get t_delta 0)
           in
           let tp2 = Array.unsafe_get t_plane2 0 in
           let v0 =
             if tp2 >= 0 then
               v0
               +. Array.unsafe_get (Array.unsafe_get w tp2)
-                   (Array.unsafe_get (Array.unsafe_get t_nbr2 0) t)
+                   (t + Array.unsafe_get t_delta2 0)
             else v0
           in
           let acc =
@@ -514,14 +558,14 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
             let v =
               Array.unsafe_get
                 (Array.unsafe_get w (Array.unsafe_get t_plane q))
-                (Array.unsafe_get (Array.unsafe_get t_nbr q) t)
+                (t + Array.unsafe_get t_delta q)
             in
             let tp2 = Array.unsafe_get t_plane2 q in
             let v =
               if tp2 >= 0 then
                 v
                 +. Array.unsafe_get (Array.unsafe_get w tp2)
-                     (Array.unsafe_get (Array.unsafe_get t_nbr2 q) t)
+                     (t + Array.unsafe_get t_delta2 q)
               else v
             in
             acc :=
@@ -533,8 +577,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
           let value = if has_div then !acc /. div else !acc in
           if is_f32 then Bigarray.Array1.unsafe_set q32 t value
           else Array.unsafe_set dst_plane t value
-        end
-        else Array.unsafe_set dst_plane t (Array.unsafe_get center t)
+        done
       done
   in
   let all_scaled = Array.for_all Fun.id lt_scaled in
@@ -564,6 +607,8 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   let compute_plane tstep j =
     let dst_plane = reg_file.(tstep).(j mod p) in
     let src_planes = reg_file.(tstep - 1) in
+    (* The counters model the GPU, which computes every thread of the
+       tile, skipped or not: they stay those of the checked path. *)
     Gpu.Counters.add_sm_writes counters sm_writes_per_plane;
     Gpu.Counters.add_barriers counters barriers_per_plane;
     Gpu.Counters.add_sm_reads counters (sm_reads_per_cell * st.Plan.n_in_grid);
@@ -573,6 +618,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     else begin
       let lev = tstep - 1 in
       let w = wins.(lev) in
+      let { act; cpy } = levels.(lev) in
       (* [j >= rad] here, so [j - rad + e >= 0] and plain [mod] is safe. *)
       if wlast.(lev) = j - 1 then begin
         Array.blit w 1 w 0 (p - 1);
@@ -583,12 +629,19 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
           w.(e) <- src_planes.((j - rad + e) mod p)
         done;
       wlast.(lev) <- j;
-      kernel w dst_plane;
+      kernel w dst_plane act;
       if is_f32 then
-        for t = 0 to n_thr - 1 do
-          if Array.unsafe_get inplane_interior t then
+        for r = 0 to (Array.length act / 2) - 1 do
+          for t = Array.unsafe_get act (2 * r)
+              to Array.unsafe_get act ((2 * r) + 1) - 1 do
             Array.unsafe_set dst_plane t (Bigarray.Array1.unsafe_get q32 t)
+          done
         done;
+      let center = Array.unsafe_get w rad in
+      for r = 0 to (Array.length cpy / 2) - 1 do
+        let lo = Array.unsafe_get cpy (2 * r) in
+        Array.blit center lo dst_plane lo (Array.unsafe_get cpy ((2 * r) + 1) - lo)
+      done;
       Gpu.Counters.add_ops_n counters ops st.Plan.n_interior;
       Gpu.Counters.add_cells_updated counters st.Plan.n_interior
     end

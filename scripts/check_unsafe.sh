@@ -4,9 +4,13 @@
 # peeling proof documented in Grid's interface. Only the definition
 # site and the audited hot-loop modules may mention them; anything
 # else in shipped code (lib/, bin/, bench/, examples/) is rejected.
-# stream_exec.ml is on the list for its sliding-window rotation loops:
-# every unsafe access there is covered by the validate-then-unsafe
-# contract (Stream_exec.validate_unsafe_contract, see stream_exec.mli).
+# stream_exec.ml is on the list for its valid-region kernels: each
+# level computes runs [s, e) of threads and reads neighbors at t + d
+# for one constant delta d per term. Every unsafe access there is
+# covered by the validate-then-unsafe contract
+# (Stream_exec.validate_unsafe_contract, see stream_exec.mli), which
+# proves runs x deltas per block: s >= 0, e <= n_thr, s + d >= 0 and
+# e - 1 + d < n_thr for every run and every delta.
 # Tests are exempt — they exercise the accessors' contract on purpose.
 # Run from the repository root; exits non-zero listing violations.
 set -eu

@@ -303,6 +303,85 @@ let test_cache_reg_limit_invariance () =
   Alcotest.(check bool) "precision in the key" true (p4 != p0);
   Alcotest.(check int) "cache size" 3 (Plan.cache_stats ()).Plan.cache_size
 
+(* --- constant thread deltas --- *)
+
+(* Folded symmetric pairs in a 3-D stencil: the mirror reads carry
+   their own deltas ([t_delta2]). *)
+let sym3d =
+  Stencil.Pattern.make ~name:"sym7pt" ~dims:3 ~params:[]
+    Stencil.Sexpr.(
+      Add
+        ( Add
+            ( Mul (Const 0.4, Cell [| 0; 0; 0 |]),
+              Mul (Const 0.1, Add (Cell [| 0; -1; 0 |], Cell [| 0; 1; 0 |])) ),
+          Mul (Const 0.2, Add (Cell [| 0; 0; -1 |], Cell [| 0; 0; 1 |])) ))
+
+(* For every thread valid at level 1 (block-local coordinate in
+   [rad, bs - rad) in every blocked dimension) the clamp in
+   [neighbor_thread] never fires, so [t + t_delta.(q)] must be exactly
+   the term's neighbor — across the shape zoo, at every degree up to the
+   configured one, and on non-square 2-D and 3-D tiles. Also pins
+   [Plan.valid] to the same region and to [store_ok] at the plan's
+   degree. *)
+let test_thread_deltas () =
+  let linear p = (Stencil.Pattern.lower p).Stencil.Sexpr.low_linear <> None in
+  let zoo =
+    [ (star ~dims:2 1, [| 9 |]); (star ~dims:2 2, [| 13 |]); (box ~dims:2 1, [| 11 |]);
+      (box ~dims:2 2, [| 14 |]); (star ~dims:3 1, [| 8; 11 |]);
+      (star ~dims:3 2, [| 13; 16 |]); (box ~dims:3 1, [| 12; 7 |]);
+      (sym3d, [| 7; 10 |]) ]
+    @ List.filter_map
+        (fun b ->
+          let p = b.Bench_defs.Benchmarks.pattern in
+          let rad = p.Stencil.Pattern.radius in
+          if not (linear p) then None
+          else
+            Some (p, Array.init (p.Stencil.Pattern.dims - 1) (fun d -> (4 * rad) + 3 + (2 * d))))
+        Bench_defs.Benchmarks.all
+  in
+  List.iter
+    (fun (pattern, bs) ->
+      let rad = pattern.Stencil.Pattern.radius in
+      let bt = 2 in
+      let dims = Array.make pattern.Stencil.Pattern.dims 24 in
+      let em = Execmodel.make pattern (Config.make ~bt ~bs ()) dims in
+      for degree = 1 to bt do
+        let plan = Plan.get em ~degree ~prec:Stencil.Grid.F64 in
+        let name = Fmt.str "%s degree %d" pattern.Stencil.Pattern.name degree in
+        let geo = plan.Plan.geo in
+        let lf = Option.get plan.Plan.low.Stencil.Sexpr.low_linear in
+        let offs = plan.Plan.low.Stencil.Sexpr.low_offsets in
+        let valid1 t =
+          Array.for_all2 (fun u w -> u >= rad && u < w - rad) geo.Plan.coords.(t) bs
+        in
+        let bad = ref [] and checked = ref 0 in
+        let expect what t k d =
+          incr checked;
+          if Plan.neighbor_thread geo t offs.(k) <> t + d then
+            bad := Fmt.str "%s of thread %d" what t :: !bad
+        in
+        for t = 0 to plan.Plan.n_thr - 1 do
+          if Plan.valid plan ~tstep:1 t <> valid1 t then
+            bad := Fmt.str "level-1 validity of thread %d" t :: !bad;
+          if Plan.valid plan ~tstep:degree t <> plan.Plan.store_ok.(t) then
+            bad := Fmt.str "degree validity <> store_ok at thread %d" t :: !bad;
+          if valid1 t then
+            Array.iteri
+              (fun q k ->
+                expect (Fmt.str "term %d" q) t k plan.Plan.t_delta.(q);
+                let k2 = lf.Stencil.Sexpr.lt_off2.(q) in
+                if k2 >= 0 then expect (Fmt.str "mirror %d" q) t k2 plan.Plan.t_delta2.(q))
+              lf.Stencil.Sexpr.lt_off
+        done;
+        Alcotest.(check (list string)) (name ^ " deltas exact") [] (List.rev !bad);
+        Alcotest.(check bool) (name ^ " checked some threads") true (!checked > 0)
+      done)
+    zoo;
+  Alcotest.(check bool) "zoo includes a folded pair" true
+    (Array.exists (fun k2 -> k2 >= 0)
+       (Option.get (Stencil.Pattern.lower sym3d).Stencil.Sexpr.low_linear)
+         .Stencil.Sexpr.lt_off2)
+
 (* --- tuner verification hook --- *)
 
 let test_tuner_verify () =
@@ -416,6 +495,8 @@ let () =
           Alcotest.test_case "sharing across chunks and runs" `Quick test_cache_sharing;
           Alcotest.test_case "reg-limit invariance" `Quick test_cache_reg_limit_invariance;
         ] );
+      ( "deltas",
+        [ Alcotest.test_case "t + t_delta = neighbor_thread" `Quick test_thread_deltas ] );
       ( "tuner", [ Alcotest.test_case "verify hook" `Quick test_tuner_verify ] );
       ( "properties",
         [

@@ -5,7 +5,8 @@
    same grid word for word, same simulated counters field for field —
    across every kernel shape it specializes (fused 3/5/7/9-point,
    chunked wide, folded symmetric pairs, mixed scaled/bare terms), both
-   precisions, and both the resident and the sharded schedule. On top
+   precisions, non-square tiles with and without stream division, and
+   both the resident and the sharded schedule. On top
    of the differentials: unit tests pinning each pattern to the kernel
    shape its lowering must classify to (a gated benchmark silently
    regressing to the generic kernel is a failure, not a slowdown),
@@ -169,8 +170,16 @@ let gen_stream_case =
     let* bt = int_range 1 3 in
     let* divided = bool in
     let* prec = gen_prec in
-    let* extra = int_range 1 6 in
-    let bs_edge = (2 * bt * rad) + extra in
+    (* Tile edges drawn per blocked dimension, so a stride mix-up in
+       the thread deltas or the valid-region runs shows up on
+       non-square tiles. *)
+    let* bs =
+      array_repeat (dims_n - 1)
+        (map (fun extra -> (2 * bt * rad) + extra) (int_range 1 6))
+    in
+    (* Stream division on some cases: stream-block edges restart the
+       sliding windows mid-grid. *)
+    let* hs = frequency [ (2, return None); (1, map Option.some (int_range 1 8)) ] in
     let* sizes =
       match dims_n with
       | 2 ->
@@ -193,24 +202,25 @@ let gen_stream_case =
       | _ -> sym3
     in
     let pattern = if divided then with_div base else base in
-    let bs = Array.make (dims_n - 1) bs_edge in
-    return (pattern, rad, bt, bs, sizes, prec, steps, shards))
+    return (pattern, rad, bt, bs, hs, sizes, prec, steps, shards))
 
 let arb_stream_case =
   QCheck.make
-    ~print:(fun (p, rad, bt, bs, sizes, prec, steps, shards) ->
-      Fmt.str "%s (%s) rad=%d bt=%d bs=%a sizes=%a prec=%s steps=%d shards=%d"
+    ~print:(fun (p, rad, bt, bs, hs, sizes, prec, steps, shards) ->
+      Fmt.str "%s (%s) rad=%d bt=%d bs=%a hs=%a sizes=%a prec=%s steps=%d shards=%d"
         p.Stencil.Pattern.name (kname p) rad bt
         Fmt.(array ~sep:(any ",") int)
         bs
+        Fmt.(option ~none:(any "none") int)
+        hs
         Fmt.(array ~sep:(any "x") int)
         sizes
         (Stencil.Grid.precision_to_string prec)
         steps shards)
     gen_stream_case
 
-let stream_prop mode (pattern, rad, bt, bs, sizes, prec, steps, shards) =
-  let cfg = Config.make ~bt ~bs () in
+let stream_prop mode (pattern, rad, bt, bs, hs, sizes, prec, steps, shards) =
+  let cfg = Config.make ~hs ~bt ~bs () in
   if not (Config.valid ~rad ~max_threads:1024 cfg) then true
   else begin
     let g = Stencil.Grid.init_random ~prec sizes in
@@ -242,8 +252,8 @@ let prop_streaming_psum_fallback =
 let prop_streaming_vs_reference =
   QCheck.Test.make ~name:"blocked: streaming = reference sweep (grid digests)"
     ~count:100 arb_stream_case
-    (fun (pattern, rad, bt, bs, sizes, prec, steps, shards) ->
-      let cfg = Config.make ~bt ~bs () in
+    (fun (pattern, rad, bt, bs, hs, sizes, prec, steps, shards) ->
+      let cfg = Config.make ~hs ~bt ~bs () in
       if not (Config.valid ~rad ~max_threads:1024 cfg) then true
       else begin
         let g = Stencil.Grid.init_random ~prec sizes in
@@ -412,10 +422,22 @@ let test_unsafe_contract () =
   Alcotest.(check bool) "well-formed plan runs" false (refused plan);
   Alcotest.(check bool) "term plane slot out of range" true
     (refused { plan with Plan.t_plane = all plan.Plan.p plan.Plan.t_plane });
-  Alcotest.(check bool) "neighbor thread out of range" true
-    (refused { plan with Plan.nbr = all plan.Plan.n_thr plan.Plan.nbr });
-  Alcotest.(check bool) "term neighbor row too short" true
-    (refused { plan with Plan.t_nbr = all [||] plan.Plan.t_nbr });
+  (* Runs x deltas. Level 1 of this 1-D tile computes the threads
+     [rad, bs - rad) that are interior; the row's last one sits [rad]
+     inside the tile, so a delta of [rad + 1] leaves it from the run's
+     end, and [-n_thr] leaves it from any run's start. *)
+  Alcotest.(check bool) "term delta past the tile from a run's end" true
+    (refused { plan with Plan.t_delta = all (plan.Plan.rad + 1) plan.Plan.t_delta });
+  Alcotest.(check bool) "term delta before the tile from a run's start" true
+    (refused { plan with Plan.t_delta = all (-plan.Plan.n_thr) plan.Plan.t_delta });
+  Alcotest.(check bool) "term delta table too short" true
+    (refused { plan with Plan.t_delta = [||] });
+  let em5 = Execmodel.make sym5 (Config.make ~bt:1 ~bs:[| 6 |] ()) dims in
+  let plan5 = Plan.get em5 ~degree:1 ~prec:Stencil.Grid.F64 in
+  Alcotest.(check bool) "well-formed folded plan runs" false (refused plan5);
+  Alcotest.(check bool) "pair delta past the tile from a run's end" true
+    (refused
+       { plan5 with Plan.t_delta2 = all (plan5.Plan.rad + 1) plan5.Plan.t_delta2 });
   (* unit plane stride: in-grid threads past column 0 have in-plane
      offsets outside [0, stride0) *)
   Alcotest.(check bool) "base offset outside its plane" true
