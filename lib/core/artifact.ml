@@ -7,8 +7,9 @@
 
     - [<name>.cu]   — kernels + AN5D host driver ({!Codegen_cuda});
     - [main.cu]     — allocation, deterministic initialization (the same
-                      LCG as {!Stencil.Grid.init_random}, so the OCaml
-                      simulator and the emitted harness agree on inputs),
+                      hash as {!Stencil.Grid.init_random}, bit for bit,
+                      so the OCaml simulator and the emitted harness
+                      agree on inputs),
                       timing, the CPU reference loop, and the max-error
                       check of §A.6;
     - [Makefile]    — the paper's exact NVCC invocation (§6.2);
@@ -88,6 +89,7 @@ let emit_main t =
   out "/* Verification harness generated by AN5D (paper A.5/A.6):";
   out "   runs the optimized GPU code, then CPU-only execution, and prints";
   out "   execution time and the computational error between them. */";
+  out "#include <stdint.h>";
   out "#include <stdio.h>";
   out "#include <stdlib.h>";
   out "#include <math.h>";
@@ -104,14 +106,20 @@ let emit_main t =
   out "static %s a[2]%s;" cty dims_c;
   out "static %s ref[2]%s;" cty dims_c;
   out "";
-  out "/* deterministic init: matches the simulator's Grid.init_random */";
+  out "/* deterministic init: bit-identical to the simulator's";
+  out "   Grid.init_random (seed 42), whose 63-bit wrapping int hash is";
+  out "   the low 63 bits of this unsigned 64-bit one, sign-extended */";
   out "static %s init_value(%s) {" cty
     (String.concat ", " (List.init n (fun d -> Fmt.str "int x%d" d)));
-  out "  int h = 42;";
+  out "  uint64_t u = 42;";
   for d = 0 to n - 1 do
-    out "  h = h * 1103515245 + x%d + 12345;" d
+    out "  u = u * 1103515245u + (uint64_t)x%d + 12345u;" d
   done;
-  out "  return (%s)(abs(h) %% 1000003) / (%s)1000003.0;" cty cty;
+  out "  int64_t h = (int64_t)(u << 1) >> 1;";
+  out "  uint64_t m = (h < 0 ? -(uint64_t)h : (uint64_t)h) & 0x3fffffffffffffffu;";
+  (* both operands are exact in either type, so a float division
+     rounds like the simulator's double division stored to float *)
+  out "  return (%s)(m %% 1000003u) / (%s)1000003;" cty cty;
   out "}";
   out "";
   out "int main(int argc, char **argv) {";

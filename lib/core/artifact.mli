@@ -1,9 +1,11 @@
 (** Artifact emission — the paper's §A bundle for any compiled job:
     generated CUDA, a [main.cu] verification harness (deterministic
-    initialization matching the simulator, timing, CPU reference, the
-    §A.6 max-error check), the paper's §6.2 Makefile, and a runner
-    script. Validated structurally by the tests (NVCC is unavailable
-    here); compilable by a user with a GPU. *)
+    initialization bit-identical to {!Stencil.Grid.init_random}'s seed
+    42, timing, CPU reference, the §A.6 max-error check), the paper's
+    §6.2 Makefile, and a runner script. Validated structurally by the
+    tests, except the harness's [init_value], which they compile with
+    the host C compiler and compare bit for bit; the rest needs NVCC
+    and a GPU. *)
 
 type t = { job : Framework.job; steps : int }
 

@@ -152,7 +152,9 @@ let task_of_json j =
    hand the descriptor loop to [Shard.Transport.Pipe.serve] with the
    same [kernel_call] closure the in-process path injects — the
    bit-identity argument is that nothing but the plane transport
-   differs. Returns the merged counters of this worker's shards. *)
+   differs. The worker generates only its shards' extents from the
+   seed ([Grid.init_random_planes]), never the full input grid.
+   Returns the merged counters of this worker's shards. *)
 let run_task ?chaos fd body =
   let* spec, device, _steps, seed, run, owned = task_of_json body in
   (* [steps] rides along for log/debug symmetry; the temporal schedule
@@ -191,12 +193,13 @@ let run_task ?chaos fd body =
     Blocking.kernel_call ~mode ems.(shard) ~machine:machines.(shard)
       ~degree ~src ~dst
   in
-  let grid =
-    Stencil.Grid.init_random ~prec:job.Framework.prec ~seed job.Framework.dims
+  let input =
+    Stencil.Grid.init_random_planes ~prec:job.Framework.prec ~seed
+      job.Framework.dims
   in
   (match chaos with
   | Some Garbage_planes -> Shard.Transport.Pipe.serve_garbage ~fd
-  | _ -> Shard.Transport.Pipe.serve ~fd decomp ~owned ~grid ~advance);
+  | _ -> Shard.Transport.Pipe.serve ~fd decomp ~owned ~input ~advance);
   Ok
     (Gpu.Counters.merge
        (List.map (fun k -> machines.(k).Gpu.Machine.counters) owned))

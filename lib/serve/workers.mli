@@ -115,7 +115,8 @@ val worker_main : ?chaos:chaos -> Unix.file_descr -> unit
 (** The worker process body ([an5d worker] runs this on stdin): send
     the Wire hello, then serve task frames — compile the spec, build
     per-shard execution models and machines exactly as the in-process
-    sharded path does, answer the binary halo/advance/gather exchange
+    sharded path does, generate only the owned shards' input extents
+    from the task's seed ({!Stencil.Grid.init_random_planes}), answer the binary halo/advance/gather exchange
     ({!Shard.Transport.Pipe.serve}), and reply with the merged
     counters — until EOF. *)
 

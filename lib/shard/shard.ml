@@ -439,13 +439,15 @@ module Transport = struct
     (* Worker side                                                    *)
     (* -------------------------------------------------------------- *)
 
-    (* Serve one sharded run over [fd]: allocate double buffers for the
-       owned shards, answer halo/advance/gather frames until Done. The
+    (* Serve one sharded run over [fd]: build each owned shard's extent
+       with [input] (a fresh grid, kept as the current buffer) plus one
+       copy as its double, answer halo/advance/gather frames until
+       Done. No full grid is ever allocated here. The
        kernel execution is the injected [advance] — exactly the closure
        the in-process path uses, so grids and counters cannot diverge
        across transports. Raises [Failed] on a malformed parent frame
        (the worker host decides whether to die or resync). *)
-    let serve ~fd t ~owned ~grid ~(advance : advance_fn) =
+    let serve ~fd t ~owned ~input ~(advance : advance_fn) =
       let mine = Array.make t.n false in
       List.iter (fun k -> mine.(k) <- true) owned;
       let need k op =
@@ -456,7 +458,7 @@ module Transport = struct
         Array.init t.n (fun k ->
             if mine.(k) then
               let lo, hi = extent t k in
-              Some (Stencil.Grid.copy (Stencil.Grid.sub grid ~lo ~hi))
+              Some (input ~lo ~hi)
             else None)
       in
       let nxt =

@@ -145,13 +145,19 @@ module Transport : sig
         decomposition or indexes outside [fds]. *)
 
     val serve : fd:Unix.file_descr -> t -> owned:int list ->
-      grid:Stencil.Grid.t -> advance:advance_fn -> unit
-    (** Worker-side loop for one sharded run: copy the [owned] shards'
-        extents out of [grid] into private double buffers, send the
-        hello frame, then answer halo/advance/gather frames until the
-        parent's Done. [advance] is the same closure the in-process
-        path injects, so grids and counters cannot diverge across
-        transports.
+      input:(lo:int -> hi:int -> Stencil.Grid.t) -> advance:advance_fn ->
+      unit
+    (** Worker-side loop for one sharded run: build each [owned]
+        shard's input with [input ~lo ~hi] over its {!extent} — global
+        planes [[lo, hi)] of the run's input grid, as a fresh grid the
+        worker then owns — plus one copy as its double buffer, send
+        the hello frame, then answer halo/advance/gather frames until
+        the parent's Done. The worker thus allocates two buffers per
+        owned shard and never the full grid
+        ({!Stencil.Grid.init_random_planes} is the builder
+        [An5d_serve.Workers] passes). [advance] is the same closure
+        the in-process path injects, so grids and counters cannot
+        diverge across transports.
         @raise Failed on a malformed or version-mismatched parent
         frame. *)
 

@@ -55,16 +55,17 @@ let buf_size = function
 
 let prec_of_buf = function B32 _ -> F32 | B64 _ -> F64
 
-let alloc_buf prec n =
+let alloc_uninit prec n =
   match prec with
-  | F32 ->
-      let a = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n in
-      Bigarray.Array1.fill a 0.0;
-      B32 a
-  | F64 ->
-      let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-      Bigarray.Array1.fill a 0.0;
-      B64 a
+  | F32 -> B32 (Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n)
+  | F64 -> B64 (Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n)
+
+let alloc_buf prec n =
+  let buf = alloc_uninit prec n in
+  (match buf with
+  | B32 a -> Bigarray.Array1.fill a 0.0
+  | B64 a -> Bigarray.Array1.fill a 0.0);
+  buf
 
 let check_dims dims =
   if Array.length dims = 0 then invalid_arg "Grid.create: zero-rank grid";
@@ -284,19 +285,53 @@ let init ?(prec = F64) dims f =
   Poly.Box.iter (fun idx -> set g idx (f idx)) (Poly.Box.of_dims dims);
   g
 
-(** Deterministic pseudo-random initialization; stable across runs so
-    executor comparisons are reproducible. Values in [0, 1). *)
-let init_random ?(prec = F64) ?(seed = 42) dims =
-  init ~prec dims (fun idx ->
-      let h =
-        Array.fold_left
-          (fun acc i -> (acc * 1103515245) + i + 12345)
-          seed idx
-      in
-      (* [abs min_int] is still [min_int]; masking the sign bit after
-         the [abs] keeps the value non-negative on that one hash while
-         leaving every other seed's stream unchanged. *)
-      float (abs h land max_int mod 1_000_003) /. 1_000_003.0)
+(* The seeded generator. Cell [idx] holds
+   [float (abs h land max_int mod 1_000_003) /. 1_000_003.0] with
+   [h = fold (fun acc i -> acc * 1103515245 + i + 12345) seed idx] in
+   wrapping 63-bit arithmetic. The fold over the leading n-1
+   coordinates is one prefix per row; then [h = p + j] for the last
+   coordinate [j] with [p = prefix * 1103515245 + 12345], and wrapping
+   addition is associative, so every cell gets the same int and float
+   operations as the per-cell fold and the same bits. *)
+let init_random_planes ?(prec = F64) ?(seed = 42) dims ~lo ~hi =
+  check_dims dims;
+  if lo < 0 || hi > dims.(0) || lo >= hi then
+    invalid_arg
+      (Fmt.str "Grid.init_random_planes: plane range [%d,%d) outside [0,%d)"
+         lo hi dims.(0));
+  let sdims = Array.copy dims in
+  sdims.(0) <- hi - lo;
+  let n = Array.length dims and strides = strides_of_dims sdims in
+  let buf = alloc_uninit prec (size_of_dims sdims) in
+  (* A rank-1 grid is one row whose planes are its cells. *)
+  let width, j0 = if n = 1 then (hi - lo, lo) else (dims.(n - 1), 0) in
+  for row = 0 to (size_of_dims sdims / width) - 1 do
+    let base = row * width in
+    let prefix = ref seed in
+    for d = 0 to n - 2 do
+      let i = (base / strides.(d) mod sdims.(d)) + if d = 0 then lo else 0 in
+      prefix := (!prefix * 1103515245) + i + 12345
+    done;
+    let p = (!prefix * 1103515245) + 12345 + j0 in
+    (* [abs min_int] is still [min_int]; masking the sign bit after the
+       [abs] keeps that one hash non-negative. *)
+    (match buf with
+    | B64 a ->
+        for j = 0 to width - 1 do
+          Bigarray.Array1.set a (base + j)
+            (float (abs (p + j) land max_int mod 1_000_003) /. 1_000_003.0)
+        done
+    | B32 a ->
+        for j = 0 to width - 1 do
+          Bigarray.Array1.set a (base + j)
+            (float (abs (p + j) land max_int mod 1_000_003) /. 1_000_003.0)
+        done)
+  done;
+  of_bigarray ~dims:sdims buf
+
+let init_random ?prec ?seed dims =
+  check_dims dims;
+  init_random_planes ?prec ?seed dims ~lo:0 ~hi:dims.(0)
 
 let domain g : Poly.Box.t = Poly.Box.of_dims g.dims
 

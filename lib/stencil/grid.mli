@@ -120,7 +120,29 @@ val digest : t -> string
 val init : ?prec:precision -> int array -> (int array -> float) -> t
 
 val init_random : ?prec:precision -> ?seed:int -> int array -> t
-(** Deterministic pseudo-random values in [0, 1); stable across runs. *)
+(** Deterministic pseudo-random values in [0, 1) ([seed] defaults to
+    42). Cell [idx] holds, computed in OCaml's wrapping 63-bit [int]
+    and then stored at the grid's precision,
+    {[
+      let h = Array.fold_left (fun acc i -> (acc * 1103515245) + i + 12345) seed idx in
+      float (abs h land max_int mod 1_000_003) /. 1_000_003.0
+    ]}
+    This formula is a contract, not an implementation detail. The
+    simulator's inputs, the extents shard workers generate
+    ({!init_random_planes}), the C [init_value] of the emitted artifact
+    harness and the serve cache all rely on it: the cache keys
+    outcomes by seed, so persisted dumps stay valid only while these
+    bits never change. test/golden/init_random_3x3_*.bits pins them. *)
+
+val init_random_planes :
+  ?prec:precision -> ?seed:int -> int array -> lo:int -> hi:int -> t
+(** Planes [[lo, hi)] of dimension 0 of [init_random ?prec ?seed dims],
+    as a fresh grid of [hi - lo] planes, generated without the rest: the
+    result equals [sub (init_random ?prec ?seed dims) ~lo ~hi] bit for
+    bit. In a rank-1 grid a plane is one cell. {!init_random} is the
+    whole-grid case.
+    @raise Invalid_argument on invalid [dims] or an empty or
+    out-of-range plane range. *)
 
 val domain : t -> Poly.Box.t
 

@@ -39,8 +39,6 @@ let test_main_structure () =
   (* host entry point with the scalar parameter *)
   Alcotest.(check bool) "extern host" true
     (contains main "extern void j2d5pt_host(double *a0, double *a1, int timesteps, double c0);");
-  (* deterministic init mirrors Grid.init_random's LCG *)
-  Alcotest.(check bool) "lcg" true (contains main "h = h * 1103515245 + x0 + 12345;");
   Alcotest.(check bool) "modulus" true (contains main "% 1000003");
   (* default step count is baked in *)
   Alcotest.(check bool) "steps" true (contains main "atoi(argv[1]) : 500");
@@ -104,6 +102,91 @@ let test_cuda_included () =
   Alcotest.(check bool) "kernel" true (contains cu "__global__ void kernel_j2d5pt_bt2");
   Alcotest.(check bool) "host" true (contains cu "void j2d5pt_host")
 
+(* The emitted harness's [init_value] compiled with the host C
+   compiler and run over every cell of a small grid: each value must
+   carry exactly the bits [Grid.init_random] stores, in ranks 2 and 3
+   and both precisions, so the harness and the simulator start from
+   the same input. *)
+let index_of hay needle from =
+  let n = String.length needle in
+  let rec at i =
+    if i + n > String.length hay then Alcotest.failf "%S not found" needle
+    else if String.sub hay i n = needle then i
+    else at (i + 1)
+  in
+  at from
+
+let test_init_value_matches_grid () =
+  if Sys.command "command -v cc >/dev/null 2>&1" <> 0 then begin
+    prerr_endline "skipped: no C compiler (cc) on PATH";
+    Alcotest.skip ()
+  end;
+  let dir = Filename.temp_dir "an5d" "initvalue" in
+  List.iter
+    (fun (name, dims, prec) ->
+      let b = Option.get (Bench_defs.Benchmarks.find name) in
+      let job =
+        Framework.compile ~dims ~prec
+          ~config:(Config.make ~bt:1 ~bs:(Array.make (Array.length dims - 1) 4) ())
+          (Framework.source_of_string b.Bench_defs.Benchmarks.c_source)
+      in
+      let main = find_file (Artifact.make job) "main.cu" in
+      (* the first mention of init_value is its definition *)
+      let start = String.rindex_from main (index_of main "init_value(" 0) '\n' + 1 in
+      let stop = index_of main "\n}\n" start + 3 in
+      let rank = Array.length dims in
+      let ctype, words =
+        match prec with
+        | Stencil.Grid.F32 -> ("float", "uint32_t")
+        | Stencil.Grid.F64 -> ("double", "uint64_t")
+      in
+      let loops =
+        String.concat ""
+          (List.init rank (fun d ->
+               Fmt.str "for (int x%d = 0; x%d < %d; x%d++) " d d dims.(d) d))
+      in
+      let args = String.concat ", " (List.init rank (Fmt.str "x%d")) in
+      let prog =
+        Fmt.str
+          "#include <stdint.h>\n#include <stdio.h>\n#include <stdlib.h>\n\
+           #include <string.h>\n%s\nint main(void) {\n  %s{\n\
+          \    %s v = init_value(%s);\n    %s w;\n\
+          \    memcpy(&w, &v, sizeof w);\n\
+          \    printf(\"%%llx\\n\", (unsigned long long)w);\n  }\n\
+          \  return 0;\n}\n"
+          (String.sub main start (stop - start)) loops ctype args words
+      in
+      let base =
+        Filename.concat dir
+          (Fmt.str "%s_%s" name (Stencil.Grid.precision_to_string prec))
+      in
+      Out_channel.with_open_bin (base ^ ".c") (fun oc -> output_string oc prog);
+      let q = Filename.quote base in
+      if Sys.command (Fmt.str "cc -O2 -o %s %s.c && %s > %s.out" q q q q) <> 0 then
+        Alcotest.failf "%s: compiling or running the harness init failed" base;
+      let got =
+        In_channel.with_open_bin (base ^ ".out") In_channel.input_all
+        |> String.split_on_char '\n' |> List.filter (( <> ) "")
+      in
+      let g = Stencil.Grid.init_random ~prec dims in
+      let expect =
+        List.init (Stencil.Grid.size g) (fun i ->
+            let v = Stencil.Grid.get_lin g i in
+            match prec with
+            | Stencil.Grid.F32 -> Printf.sprintf "%lx" (Int32.bits_of_float v)
+            | Stencil.Grid.F64 -> Printf.sprintf "%Lx" (Int64.bits_of_float v))
+      in
+      Alcotest.(check bool) (base ^ ": at least 64 cells") true (List.length expect >= 64);
+      Alcotest.(check (list string)) (base ^ ": bits") expect got;
+      List.iter (fun ext -> Sys.remove (base ^ ext)) [ ".c"; ".out"; "" ])
+    [
+      ("j2d5pt", [| 9; 11 |], Stencil.Grid.F64);
+      ("j2d5pt", [| 9; 11 |], Stencil.Grid.F32);
+      ("star3d1r", [| 5; 6; 7 |], Stencil.Grid.F64);
+      ("star3d1r", [| 5; 6; 7 |], Stencil.Grid.F32);
+    ];
+  Sys.rmdir dir
+
 let () =
   Alcotest.run "artifact"
     [
@@ -116,5 +199,7 @@ let () =
           Alcotest.test_case "runner" `Quick test_runner;
           Alcotest.test_case "write to disk" `Quick test_write;
           Alcotest.test_case "cuda included" `Quick test_cuda_included;
+          Alcotest.test_case "init_value = Grid.init_random" `Quick
+            test_init_value_matches_grid;
         ] );
     ]

@@ -129,51 +129,6 @@ let test_hybrid_width_guard () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected width guard"
 
-(* --- cache-oblivious trapezoids (Pochoir-style CPU baseline) --- *)
-
-let test_trapezoid_exact () =
-  List.iter
-    (fun (rad, dims, steps) ->
-      let p = star ~dims:2 rad in
-      let g = Stencil.Grid.init_random dims in
-      let r = Stencil.Reference.run p ~steps g in
-      let out = Baselines.Trapezoid.run p ~steps g in
-      Alcotest.(check (float 0.0))
-        (Fmt.str "rad %d steps %d" rad steps)
-        0.0 (Stencil.Grid.max_abs_diff r out))
-    [ (1, [| 30; 20 |], 8); (2, [| 40; 18 |], 10); (1, [| 17; 9 |], 5) ]
-
-let test_trapezoid_3d () =
-  let p = star ~dims:3 1 in
-  let g = Stencil.Grid.init_random [| 14; 10; 11 |] in
-  let r = Stencil.Reference.run p ~steps:6 g in
-  check_matches "trapezoid 3d" (Baselines.Trapezoid.run p ~steps:6 g) r
-
-let test_trapezoid_non_redundant () =
-  let p = star ~dims:2 1 in
-  let g = Stencil.Grid.init_random [| 28; 16 |] in
-  let stats = ref None in
-  let _ = Baselines.Trapezoid.run ~stats_out:stats p ~steps:9 g in
-  match !stats with
-  | Some s ->
-      (* every row advanced exactly once per step: rows x steps leaves *)
-      Alcotest.(check int) "leaves" (28 * 9) s.Baselines.Trapezoid.leaves;
-      Alcotest.(check bool) "recursion happened" true
-        (s.Baselines.Trapezoid.space_cuts > 0 && s.Baselines.Trapezoid.time_cuts > 0)
-  | None -> Alcotest.fail "stats expected"
-
-let prop_trapezoid_matches_reference =
-  QCheck.Test.make ~name:"trapezoid = reference (random sizes)" ~count:50
-    (QCheck.quad (QCheck.int_range 1 3) (QCheck.int_range 12 48)
-       (QCheck.int_range 8 20) (QCheck.int_range 0 12))
-    (fun (rad, h, w, steps) ->
-      QCheck.assume (h > 2 * rad && w > 2 * rad);
-      let p = star ~dims:2 rad in
-      let g = Stencil.Grid.init_random [| h; w |] in
-      let r = Stencil.Reference.run p ~steps g in
-      let out = Baselines.Trapezoid.run p ~steps g in
-      Stencil.Grid.max_abs_diff r out = 0.0)
-
 (* --- stencilgen --- *)
 
 let test_stencilgen_smem () =
@@ -261,13 +216,6 @@ let () =
           Alcotest.test_case "3d" `Quick test_hybrid_3d;
           Alcotest.test_case "non-redundant" `Quick test_hybrid_non_redundant;
           Alcotest.test_case "width guard" `Quick test_hybrid_width_guard;
-        ] );
-      ( "trapezoid",
-        [
-          Alcotest.test_case "bit-exact" `Quick test_trapezoid_exact;
-          Alcotest.test_case "3d" `Quick test_trapezoid_3d;
-          Alcotest.test_case "non-redundant" `Quick test_trapezoid_non_redundant;
-          QCheck_alcotest.to_alcotest prop_trapezoid_matches_reference;
         ] );
       ( "stencilgen",
         [

@@ -183,6 +183,56 @@ let prop_f32_idempotent =
       let once = Grid.round_to_prec Grid.F32 v in
       Grid.round_to_prec Grid.F32 once = once)
 
+(* The per-cell generator, kept verbatim as the oracle of the
+   row-hoisted [Grid.init_random]: the formula of grid.mli folded over
+   each index through [Grid.init]. *)
+let oracle_random ~prec ~seed dims =
+  Grid.init ~prec dims (fun idx ->
+      let h =
+        Array.fold_left (fun acc i -> (acc * 1103515245) + i + 12345) seed idx
+      in
+      float (abs h land max_int mod 1_000_003) /. 1_000_003.0)
+
+let gen_random_case =
+  QCheck.Gen.(
+    let* rank = int_range 1 4 in
+    let* dims = list_repeat rank (int_range 1 (if rank <= 2 then 12 else 5)) in
+    let dims = Array.of_list dims in
+    let* seed =
+      oneof [ oneofl [ 0; -7; 42; max_int; min_int; 2656422768412173955 ]; int ]
+    in
+    let* prec = oneofl [ Grid.F32; Grid.F64 ] in
+    let* lo = int_range 0 (dims.(0) - 1) in
+    let* hi = int_range (lo + 1) dims.(0) in
+    return (dims, seed, prec, lo, hi))
+
+let arb_random_case =
+  QCheck.make
+    ~print:(fun (dims, seed, prec, lo, hi) ->
+      Fmt.str "%a seed %d %s planes [%d,%d)" Fmt.(array ~sep:(any "x") int) dims seed
+        (Grid.precision_to_string prec) lo hi)
+    gen_random_case
+
+let prop_random_matches_oracle =
+  QCheck.Test.make ~name:"init_random = per-cell oracle, bitwise" ~count:300
+    arb_random_case (fun (dims, seed, prec, _, _) ->
+      Grid.digest (Grid.init_random ~prec ~seed dims)
+      = Grid.digest (oracle_random ~prec ~seed dims))
+
+let prop_random_planes_sub =
+  QCheck.Test.make ~name:"init_random_planes = sub of init_random" ~count:300
+    arb_random_case (fun (dims, seed, prec, lo, hi) ->
+      Grid.digest (Grid.init_random_planes ~prec ~seed dims ~lo ~hi)
+      = Grid.digest (Grid.sub (Grid.init_random ~prec ~seed dims) ~lo ~hi))
+
+let test_random_planes_invalid () =
+  List.iter
+    (fun (lo, hi) ->
+      match Grid.init_random_planes [| 4; 3 |] ~lo ~hi with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "planes [%d,%d) of 4 accepted" lo hi)
+    [ (-1, 2); (2, 2); (3, 5); (0, 5) ]
+
 let () =
   Alcotest.run "grid"
     [
@@ -196,6 +246,7 @@ let () =
           Alcotest.test_case "random golden values" `Quick test_random_golden;
           Alcotest.test_case "random min_int hash" `Quick test_random_min_int;
           Alcotest.test_case "random range" `Quick test_random_range;
+          Alcotest.test_case "random planes invalid" `Quick test_random_planes_invalid;
           Alcotest.test_case "comparisons" `Quick test_comparisons;
           Alcotest.test_case "max_abs_diff f32 arm" `Quick test_max_abs_diff_f32;
           Alcotest.test_case "interior" `Quick test_interior;
@@ -203,5 +254,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_linear_bijective; prop_set_get_roundtrip; prop_f32_idempotent ] );
+          [
+            prop_linear_bijective;
+            prop_set_get_roundtrip;
+            prop_f32_idempotent;
+            prop_random_matches_oracle;
+            prop_random_planes_sub;
+          ] );
     ]

@@ -1,4 +1,4 @@
-(* Interval / Box / Region tests, including the volume identities the
+(* Interval / Box tests, including the volume identities the
    thread classification of §5 relies on. *)
 
 open Poly
@@ -65,27 +65,15 @@ let test_box_diff_volume () =
         pieces)
     pieces
 
-let test_region () =
-  let r = Region.of_box (box_of [ (0, 9); (0, 9) ]) in
-  let r2 = Region.add_box r (box_of [ (5, 14); (5, 14) ]) in
-  Alcotest.(check int) "union volume" (100 + 100 - 25) (Region.volume r2);
-  let inter = Region.inter r2 (Region.of_box (box_of [ (8, 12); (8, 12) ])) in
-  Alcotest.(check int) "inter volume" 25 (Region.volume inter);
-  let diff = Region.diff r2 r in
-  Alcotest.(check int) "diff volume" 75 (Region.volume diff);
-  Alcotest.(check bool) "halo ring" true
-    (Region.equal
-       (Region.diff_box (box_of [ (0, 9); (0, 9) ]) (Region.of_box (box_of [ (2, 7); (2, 7) ])))
-       (Region.diff r (Region.of_box (box_of [ (2, 7); (2, 7) ]))))
-
 (* The §4.1 identity: block volume = compute-region volume + halo volume. *)
 let test_halo_decomposition () =
   let bt = 3 and rad = 2 and bs = 20 in
   let block = box_of [ (0, bs - 1) ] in
   let compute = Box.shrink (bt * rad) block in
-  let halo = Region.diff_box block (Region.of_box compute) in
+  let halo = Box.diff block compute in
   Alcotest.(check int) "compute width" (bs - (2 * bt * rad)) (Box.volume compute);
-  Alcotest.(check int) "halo cells" (2 * bt * rad) (Region.volume halo)
+  Alcotest.(check int) "halo cells" (2 * bt * rad)
+    (List.fold_left (fun acc p -> acc + Box.volume p) 0 halo)
 
 (* QCheck: random box pairs satisfy |a| = |a∩b| + |a\b|. *)
 let gen_box =
@@ -103,19 +91,14 @@ let prop_inclusion_exclusion =
       = Box.volume (Box.inter a b)
         + List.fold_left (fun acc p -> acc + Box.volume p) 0 (Box.diff a b))
 
-let prop_region_union_volume =
-  QCheck.Test.make ~name:"|a u b| = |a| + |b| - |a inter b|" ~count:300
-    (QCheck.pair arb_box arb_box)
-    (fun (a, b) ->
-      Region.volume (Region.union (Region.of_box a) (Region.of_box b))
-      = Box.volume a + Box.volume b - Box.volume (Box.inter a b))
-
 let prop_diff_then_contains =
   QCheck.Test.make ~name:"diff excludes the cut" ~count:200
     (QCheck.pair arb_box arb_box)
     (fun (a, b) ->
-      let d = Region.diff_box a (Region.of_box b) in
-      Box.fold (fun ok p -> ok && not (Region.contains d p)) true (Box.inter a b))
+      let d = Box.diff a b in
+      Box.fold
+        (fun ok p -> ok && not (List.exists (fun piece -> Box.contains piece p) d))
+        true (Box.inter a b))
 
 let () =
   Alcotest.run "sets"
@@ -130,13 +113,9 @@ let () =
           Alcotest.test_case "basics" `Quick test_box_basics;
           Alcotest.test_case "iteration order" `Quick test_box_iter_order;
           Alcotest.test_case "diff volumes" `Quick test_box_diff_volume;
-        ] );
-      ( "region",
-        [
-          Alcotest.test_case "union/inter/diff" `Quick test_region;
           Alcotest.test_case "halo decomposition" `Quick test_halo_decomposition;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_inclusion_exclusion; prop_region_union_volume; prop_diff_then_contains ] );
+          [ prop_inclusion_exclusion; prop_diff_then_contains ] );
     ]

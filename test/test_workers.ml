@@ -1,7 +1,8 @@
 (* Multi-process shard workers (An5d_serve.Workers): the worker
    differential — {1,2,4}-worker runs in both modes bit-identical (grids, counters
    and launch stats) to the in-process sharded path, and in grids and
-   counters to the checked compiled plan — plus halo-cadence
+   counters to the checked compiled plan, and an awkward-extent run
+   whose shards are narrower than the halo — plus halo-cadence
    accounting, the task/counters JSON codecs, and the fault-injection
    matrix (mid-chunk SIGKILL death, handshake timeout, garbage halo
    frames) with exact spawn/crash/retry metric deltas
@@ -222,6 +223,43 @@ let test_differential ~mode nw () =
       check_outcome base out)
     precs
 
+(* Shards narrower than the halo over a plane count the shard count
+   does not divide (l = 13, 5 shards, bt 4, radius 1): each shard's
+   extent reaches into shards held by the other worker, so every
+   worker generates input planes it does not own. The run must still
+   be bit-identical to the in-process one. *)
+let test_awkward_extents () =
+  let dims = [| 13; 24 |] and steps = 10 and shards = 5 in
+  let config = Config.make ~bt:4 ~bs:[| 16 |] () in
+  let decomp = Shard.make ~shards ~halo:4 ~l:dims.(0) in
+  List.iter
+    (fun k ->
+      let lo, hi = Shard.owned decomp k in
+      Alcotest.(check bool) (Fmt.str "shard %d narrower than the halo" k) true
+        (hi - lo < Shard.halo decomp))
+    (List.init shards Fun.id);
+  List.iter
+    (fun prec ->
+      let job = Framework.compile ~dims ~config ~prec source in
+      let run = Run_config.make ~shards ~workers:2 ~verify:true () in
+      let base =
+        Framework.simulate_cfg ~cfg:(Run_config.with_workers 1 run) ~device
+          ~steps job
+          (Stencil.Grid.init_random ~prec ~seed dims)
+      in
+      with_registry 2 @@ fun reg ->
+      let before = Metrics.snapshot () in
+      let out =
+        Workers.simulate reg
+          ~spec:{ Request.source; config; dims = Some dims; prec = Some prec }
+          ~job ~device ~steps ~seed ~run
+      in
+      let after = Metrics.snapshot () in
+      Alcotest.(check int) "no fallback retry" 0
+        (delta before after "worker_retries");
+      check_outcome base out)
+    precs
+
 let test_resident_rejected () =
   with_registry 1 @@ fun reg ->
   Alcotest.check_raises "shards < 2 rejected"
@@ -425,6 +463,7 @@ let () =
         ] );
       ( "differential",
         case "resident run rejected" test_resident_rejected
+        :: case "awkward extents == in-process" test_awkward_extents
         :: differential_cases );
       ("cadence", [ case "one exchange per temporal chunk" test_cadence ]);
       ( "faults",
