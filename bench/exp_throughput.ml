@@ -58,12 +58,15 @@ let split_floor () = if !Exp_common.quick then 0.40 else 0.75
 (* Floor on the per-stencil reference-over-streaming ratio (f64, one
    lane each). Every simulated run is verified by a reference run of
    the same steps, so this ratio is what verification costs against
-   execution; the gate catches the term-major reference rows
-   (docs/SIMULATOR.md) regressing into a per-cell term walk, which ran
-   at 0.74-0.84x on j2d5pt and j3d27pt. The full floor sits with
-   margin below the committed full-mode ratios (1.4x and up); quick
-   mode's tiny grids leave timing noise large. *)
-let reference_floor () = if !Exp_common.quick then 0.3 else 1.0
+   execution. The gate catches the reference rows (docs/SIMULATOR.md)
+   losing their 9-term chunks: rows of one pass per term or per two
+   committed 1.41x on j2d5pt and 1.50x on j3d27pt, and the chunked
+   rows' committed ratios are 1.6x and up. On a noisy shared host both
+   spread widely (j2d5pt: 0.96-1.57x before, 0.87-2.47x after), so a
+   full run there can trip the floor on timing alone; rerun it before
+   reading a trip as a regression. Quick mode's tiny grids leave timing
+   noise larger still, so CI only requires 0.3. *)
+let reference_floor () = if !Exp_common.quick then 0.3 else 1.45
 
 type kind =
   | Blocked of (checked:bool -> unit)

@@ -78,7 +78,9 @@ val verify :
     artifact's CPU check (§A.6) — inside a [verify] span. The reference
     sweep runs its rows over a pool of [domains] lanes, created for the
     check and joined before it returns, each lane on an accumulator row
-    of its own; the reference is bit-identical for any lane count. With [domains > 1] this spawns domains, after
+    of its own when the form needs one (a form of at most 9 plain terms
+    is one pass per row and needs none); the reference is bit-identical
+    for any lane count. With [domains > 1] this spawns domains, after
     which OCaml 5.1 refuses [Unix.fork] for the rest of the process, so
     callers that fork must pass [domains = 1]. Sets the
     [simulate_max_abs_deviation] gauge and the span's

@@ -429,12 +429,26 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
      continuing the left-to-right chain through a per-thread
      accumulator plane. Requires every term scaled (true for all
      weighted sums); the first chunk seeds the accumulators, later
-     chunks and the tail extend the chain — the addition sequence is
+     chunks extend the chain, and the store pass adds the [n mod 9]
+     tail terms before dividing and storing — the addition sequence is
      exactly the reference order. *)
   let wide_chunked () =
     let accs = Array.make n_thr 0.0 in
     let n_full = n_terms / 9 in
     let tail0 = n_full * 9 in
+    let n_tail = n_terms - tail0 in
+    (* The tail's plane slots, deltas and coefficients, padded to eight
+       with the last term (never read past [n_tail]). *)
+    let tq i = if tail0 + i < n_terms then tail0 + i else n_terms - 1 in
+    let tp0 = t_plane.(tq 0) and tp1 = t_plane.(tq 1) and tp2 = t_plane.(tq 2)
+    and tp3 = t_plane.(tq 3) and tp4 = t_plane.(tq 4) and tp5 = t_plane.(tq 5)
+    and tp6 = t_plane.(tq 6) and tp7 = t_plane.(tq 7) in
+    let td0 = t_delta.(tq 0) and td1 = t_delta.(tq 1) and td2 = t_delta.(tq 2)
+    and td3 = t_delta.(tq 3) and td4 = t_delta.(tq 4) and td5 = t_delta.(tq 5)
+    and td6 = t_delta.(tq 6) and td7 = t_delta.(tq 7) in
+    let tc0 = lt_coef.(tq 0) and tc1 = lt_coef.(tq 1) and tc2 = lt_coef.(tq 2)
+    and tc3 = lt_coef.(tq 3) and tc4 = lt_coef.(tq 4) and tc5 = lt_coef.(tq 5)
+    and tc6 = lt_coef.(tq 6) and tc7 = lt_coef.(tq 7) in
     fun (w : float array array) (dst_plane : float array) runs ->
       let n_runs = Array.length runs / 2 in
       for c = 0 to n_full - 1 do
@@ -498,28 +512,27 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
             done
         done
       done;
-      for q = tail0 to n_terms - 1 do
-        let aq = Array.unsafe_get w (Array.unsafe_get t_plane q) in
-        let dq = Array.unsafe_get t_delta q in
-        let cq = Array.unsafe_get lt_coef q in
-        for r = 0 to n_runs - 1 do
-          let lo = Array.unsafe_get runs (2 * r)
-          and hi = Array.unsafe_get runs ((2 * r) + 1) - 1 in
-          if q = 0 then
-            for t = lo to hi do
-              Array.unsafe_set accs t (cq *. Array.unsafe_get aq (t + dq))
-            done
-          else
-            for t = lo to hi do
-              Array.unsafe_set accs t
-                (Array.unsafe_get accs t +. (cq *. Array.unsafe_get aq (t + dq)))
-            done
-        done
-      done;
+      (* The tail terms and the store, in one pass. *)
+      let a0 = Array.unsafe_get w tp0
+      and a1 = Array.unsafe_get w tp1
+      and a2 = Array.unsafe_get w tp2
+      and a3 = Array.unsafe_get w tp3
+      and a4 = Array.unsafe_get w tp4
+      and a5 = Array.unsafe_get w tp5
+      and a6 = Array.unsafe_get w tp6
+      and a7 = Array.unsafe_get w tp7 in
       for r = 0 to n_runs - 1 do
         for t = Array.unsafe_get runs (2 * r)
             to Array.unsafe_get runs ((2 * r) + 1) - 1 do
           let acc = Array.unsafe_get accs t in
+          let acc = if n_tail > 0 then acc +. (tc0 *. Array.unsafe_get a0 (t + td0)) else acc in
+          let acc = if n_tail > 1 then acc +. (tc1 *. Array.unsafe_get a1 (t + td1)) else acc in
+          let acc = if n_tail > 2 then acc +. (tc2 *. Array.unsafe_get a2 (t + td2)) else acc in
+          let acc = if n_tail > 3 then acc +. (tc3 *. Array.unsafe_get a3 (t + td3)) else acc in
+          let acc = if n_tail > 4 then acc +. (tc4 *. Array.unsafe_get a4 (t + td4)) else acc in
+          let acc = if n_tail > 5 then acc +. (tc5 *. Array.unsafe_get a5 (t + td5)) else acc in
+          let acc = if n_tail > 6 then acc +. (tc6 *. Array.unsafe_get a6 (t + td6)) else acc in
+          let acc = if n_tail > 7 then acc +. (tc7 *. Array.unsafe_get a7 (t + td7)) else acc in
           let value = if has_div then acc /. div else acc in
           if is_f32 then Bigarray.Array1.unsafe_set q32 t value
           else Array.unsafe_set dst_plane t value

@@ -14,7 +14,8 @@
       plane slot / thread delta / coefficient hoisted into locals;
     - [K_wide n] (all terms scaled, [n >= 9]) — chunked accumulation,
       9 unrolled terms per chunk through a per-thread accumulator
-      plane (e.g. j3d27pt);
+      plane (e.g. j3d27pt); the [n mod 9] tail terms are added in the
+      store pass, one unrolled pass in the same left-to-right order;
     - [K_folded n] and the remaining wide/mixed shapes — pair-aware
       term-major loop consuming the §4.2 symmetric-coefficient folds;
     - [K_generic] never reaches this module ({!Plan.unsafe_capable} is

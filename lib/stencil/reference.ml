@@ -11,10 +11,11 @@
     ({!Pattern.lower}), in rows that are monomorphic by precision and
     index the flat buffer without bounds checks, guarded by a
     once-per-sweep proof of the peeling invariant (see [step_lowered]).
-    A linear lowering is evaluated term-major, one pass over a row per
-    term into a float64 accumulator row owned by one lane of one call;
-    each cell still sees the cell-major operations in the cell-major
-    order, so the bits do not change. A caller-supplied parallel-for may
+    A linear lowering is evaluated term-major, in passes over a row
+    that each add up to nine terms, carrying the sum between passes in
+    a float64 accumulator row owned by one lane of one call; each cell
+    still sees the cell-major operations in the cell-major order, so
+    the bits do not change. A caller-supplied parallel-for may
     spread each sweep's outermost interior planes over lanes without
     changing a bit of the result. *)
 
@@ -37,12 +38,62 @@ let lowered_of pattern =
 
 type par = { lanes : int; run : n:int -> (lane:int -> int -> unit) -> unit }
 
-(* One float64 accumulator row per lane, as wide as an interior row.
-   A row belongs to one call of [step]/[run]: lanes of one sweep never
-   share it, and neither do two sweeps running at once. *)
-let scratch_rows ~lanes ~rad (g : Grid.t) =
+(* The passes of a term-major row over a linear form. A term is
+   [plain] when it is one scaled read ([lt_off2 < 0 && lt_scaled]), as
+   is every term of a weighted sum. Each maximal run of plain terms is
+   consumed up to [chunk] terms a pass; every other term (a bare read
+   or a folded pair) takes a pass of its own, and two consecutive bare
+   reads share one. [first] passes start the sum without reading the
+   accumulator row; a [last] chunk divides and stores into [dst]
+   without writing it; when the form ends in a non-plain term, a
+   [Store] pass does that instead. *)
+type pass =
+  | Chunk of { q : int; k : int; first : bool; last : bool }
+      (** plain terms [q, q + k), [1 <= k <= chunk] *)
+  | Term of { q : int; first : bool }  (** a bare read or a folded pair *)
+  | Bare_pair of int  (** bare reads [q] and [q + 1], never first *)
+  | Store
+
+(* Terms per chunk: the width of the streaming executor's wide kernel,
+   as many as a row keeps in registers with its slots and coefficients
+   hoisted. *)
+let chunk = 9
+
+let passes_of (lf : Sexpr.linear_form) =
+  let n = Array.length lf.Sexpr.lt_off in
+  let unpaired q = lf.Sexpr.lt_off2.(q) < 0 in
+  let plain q = unpaired q && lf.Sexpr.lt_scaled.(q) in
+  let rec from q first =
+    if q >= n then [ Store ]
+    else if plain q then begin
+      let k = ref 1 in
+      while !k < chunk && q + !k < n && plain (q + !k) do
+        incr k
+      done;
+      let last = q + !k = n in
+      Chunk { q; k = !k; first; last } :: (if last then [] else from (q + !k) false)
+    end
+    else if
+      (not first) && unpaired q && q + 1 < n && unpaired (q + 1) && not (plain (q + 1))
+    then Bare_pair q :: from (q + 2) false
+    else Term { q; first } :: from (q + 1) false
+  in
+  Array.of_list (from 0 true)
+
+(* A form of at most [chunk] plain terms is one src-to-dst pass. *)
+let uses_acc = function [| Chunk { first = true; last = true; _ } |] -> false | _ -> true
+
+(* One float64 accumulator row per lane, as wide as an interior row,
+   or empty when no pass of the sweep touches it. A row belongs to one
+   call of [step]/[run]: lanes of one sweep never share it, and neither
+   do two sweeps running at once. *)
+let scratch_rows ~lanes ~rad (low : Sexpr.lowered) (g : Grid.t) =
   let dims = g.Grid.dims in
-  let width = match Array.length dims with 0 -> 0 | n -> max 0 (dims.(n - 1) - (2 * rad)) in
+  let n = Array.length dims in
+  let acc =
+    match low.Sexpr.low_linear with Some lf -> uses_acc (passes_of lf) | None -> false
+  in
+  let width = if n = 0 || not acc then 0 else max 0 (dims.(n - 1) - (2 * rad)) in
   Array.init (max 1 lanes) (fun _ -> FA.create width)
 
 let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
@@ -61,18 +112,22 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
    is matched once per sweep, so inside each row the element kind is
    statically known and bigarray access compiles to direct loads.
 
-   They are also term-major. A cell's value is
-   [post (((t0 + t1) + t2) + ...)], each term [t_q] one of [v], [c*v],
-   [a+b], [c*(a+b)]. The row's first pass writes [t0] of every cell to
-   the lane's float64 accumulator row, each later pass adds the next
-   term (or the next two unpaired terms, as [(acc + t_q) + t_{q+1}])
-   to every cell, and a last pass divides and stores. Each cell thus
-   performs the same IEEE operations on the same operands in the same
-   order as the cell-major loop; only the interleaving across
-   cells changes, and OCaml contracts nothing into FMA, so the bits are
-   unchanged. The form of a term is branched on once per pass, not per
-   cell. The row is float64 for both precisions, so an f32 sweep still
-   rounds only at the store.
+   They are also term-major, in the passes of [passes_of]. A cell's
+   value is [post (((t0 + t1) + t2) + ...)], each term [t_q] one of
+   [v], [c*v], [a+b], [c*(a+b)]. A chunk pass reads its up to nine
+   plain terms with slots and coefficients hoisted into locals and
+   continues the chain in a register: from [c0*v0] when it is first,
+   from the accumulator row otherwise, adding [c_i*v_i] left to right.
+   Other passes add their one term (or two bare reads, as
+   [(acc + v_q) + v_{q+1}]) to the accumulator row. The last pass
+   divides and stores. Each cell thus performs the same IEEE operations
+   on the same operands in the same order as the cell-major loop; only
+   the interleaving across cells changes, and OCaml contracts nothing
+   into FMA, so the bits are unchanged. The form of a pass and a
+   chunk's width are matched once per row; only a chunk's start and
+   finish are branched on per cell, loop invariants the branch
+   predictor resolves. The accumulator row is float64 for both
+   precisions, so an f32 sweep still rounds only at the store.
 
    The accumulator rows ([scratch], one per lane) belong to one call of
    [step]/[run]. They are not per-domain state: systhreads share a
@@ -111,7 +166,7 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
       offs
   in
   if blit then Grid.blit ~src ~dst;
-  let last = dims.(n - 1) in
+  let extent = dims.(n - 1) in
   (* An empty interior sweeps nothing: every cell is boundary. *)
   if Array.for_all (fun d -> d - (2 * rad) > 0) dims then begin
     let min_pos = ref 0 and max_pos = ref 0 in
@@ -145,43 +200,152 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
         let lt_off2 = lf.Sexpr.lt_off2 in
         let lt_coef = lf.Sexpr.lt_coef in
         let lt_scaled = lf.Sexpr.lt_scaled in
-        let n_terms = Array.length lt_off in
         let has_div, div =
           match lf.Sexpr.lt_post with
           | Sexpr.Post_none -> (false, 1.0)
           | Sexpr.Post_div dv -> (true, dv)
         in
+        let passes = passes_of lf in
         (* A row's interior cells [lo, lo + width) accumulate in slots
            [0, width) of the lane's row. *)
-        let width = last - (2 * rad) in
-        if not (Array.for_all (fun a -> FA.length a >= width) scratch) then
+        let width = extent - (2 * rad) in
+        if uses_acc passes && not (Array.for_all (fun a -> FA.length a >= width) scratch) then
           invalid_arg "Reference.step: scratch row shorter than an interior row";
-        (* Unpaired terms [q] and [q + 1] share one pass. *)
-        let fuse q = q + 1 < n_terms && lt_off2.(q) < 0 && lt_off2.(q + 1) < 0 in
-        let term_f64 (s : Grid.f64buf) acc lo ~init q =
-          let b = lo + delta.(lt_off.(q)) and c = lt_coef.(q) and k2 = lt_off2.(q) in
+        (* Per-term deltas and coefficients, padded by [chunk - 1] so a
+           chunk loads all nine slots whatever its width; slots past
+           its width are never read. *)
+        let n_terms = Array.length lt_off in
+        let pad = n_terms + chunk - 1 in
+        let tdelta = Array.init pad (fun q -> if q < n_terms then delta.(lt_off.(q)) else 0) in
+        let tcoef = Array.init pad (fun q -> if q < n_terms then lt_coef.(q) else 0.0) in
+        (* One unrolled loop per chunk width: a per-term branch on the
+           width would split the body into blocks and cost a quarter of
+           the gain. Only the start and the finish are branched on. *)
+        let chunk_f64 (s : Grid.f64buf) (d : Grid.f64buf) acc lo ~q ~k ~first ~last =
+          let b0 = lo + tdelta.(q) and b1 = lo + tdelta.(q + 1)
+          and b2 = lo + tdelta.(q + 2) and b3 = lo + tdelta.(q + 3)
+          and b4 = lo + tdelta.(q + 4) and b5 = lo + tdelta.(q + 5)
+          and b6 = lo + tdelta.(q + 6) and b7 = lo + tdelta.(q + 7)
+          and b8 = lo + tdelta.(q + 8) in
+          let c0 = tcoef.(q) and c1 = tcoef.(q + 1) and c2 = tcoef.(q + 2)
+          and c3 = tcoef.(q + 3) and c4 = tcoef.(q + 4) and c5 = tcoef.(q + 5)
+          and c6 = tcoef.(q + 6) and c7 = tcoef.(q + 7) and c8 = tcoef.(q + 8) in
+          match k with
+          | 1 ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 2 ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 3 ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
+                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 4 ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
+                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
+                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 5 ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
+                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
+                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
+                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 6 ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
+                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
+                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
+                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
+                let x = x +. (c5 *. A1.unsafe_get s (b5 + j)) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 7 ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
+                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
+                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
+                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
+                let x = x +. (c5 *. A1.unsafe_get s (b5 + j)) in
+                let x = x +. (c6 *. A1.unsafe_get s (b6 + j)) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 8 ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
+                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
+                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
+                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
+                let x = x +. (c5 *. A1.unsafe_get s (b5 + j)) in
+                let x = x +. (c6 *. A1.unsafe_get s (b6 + j)) in
+                let x = x +. (c7 *. A1.unsafe_get s (b7 + j)) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | _ ->
+              for j = 0 to width - 1 do
+                let x = c0 *. A1.unsafe_get s (b0 + j) in
+                let x = if first then x else FA.unsafe_get acc j +. x in
+                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
+                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
+                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
+                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
+                let x = x +. (c5 *. A1.unsafe_get s (b5 + j)) in
+                let x = x +. (c6 *. A1.unsafe_get s (b6 + j)) in
+                let x = x +. (c7 *. A1.unsafe_get s (b7 + j)) in
+                let x = x +. (c8 *. A1.unsafe_get s (b8 + j)) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+        in
+        let term_f64 (s : Grid.f64buf) acc lo ~first q =
+          let b = lo + tdelta.(q) and c = tcoef.(q) and k2 = lt_off2.(q) in
           if k2 < 0 then begin
-            match (init, lt_scaled.(q)) with
-            | true, true ->
-                for j = 0 to width - 1 do
-                  FA.unsafe_set acc j (c *. A1.unsafe_get s (b + j))
-                done
-            | true, false ->
-                for j = 0 to width - 1 do
-                  FA.unsafe_set acc j (A1.unsafe_get s (b + j))
-                done
-            | false, true ->
-                for j = 0 to width - 1 do
-                  FA.unsafe_set acc j (FA.unsafe_get acc j +. (c *. A1.unsafe_get s (b + j)))
-                done
-            | false, false ->
-                for j = 0 to width - 1 do
-                  FA.unsafe_set acc j (FA.unsafe_get acc j +. A1.unsafe_get s (b + j))
-                done
+            if first then
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j (A1.unsafe_get s (b + j))
+              done
+            else
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j (FA.unsafe_get acc j +. A1.unsafe_get s (b + j))
+              done
           end
           else begin
             let b2 = lo + delta.(k2) in
-            match (init, lt_scaled.(q)) with
+            match (first, lt_scaled.(q)) with
             | true, true ->
                 for j = 0 to width - 1 do
                   FA.unsafe_set acc j
@@ -205,86 +369,178 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
                 done
           end
         in
-        let pair_f64 (s : Grid.f64buf) acc lo q =
-          let b0 = lo + delta.(lt_off.(q)) and c0 = lt_coef.(q) in
-          let b1 = lo + delta.(lt_off.(q + 1)) and c1 = lt_coef.(q + 1) in
-          match (lt_scaled.(q), lt_scaled.(q + 1)) with
-          | true, true ->
-              for j = 0 to width - 1 do
-                FA.unsafe_set acc j
-                  (FA.unsafe_get acc j
-                  +. (c0 *. A1.unsafe_get s (b0 + j))
-                  +. (c1 *. A1.unsafe_get s (b1 + j)))
-              done
-          | true, false ->
-              for j = 0 to width - 1 do
-                FA.unsafe_set acc j
-                  (FA.unsafe_get acc j
-                  +. (c0 *. A1.unsafe_get s (b0 + j))
-                  +. A1.unsafe_get s (b1 + j))
-              done
-          | false, true ->
-              for j = 0 to width - 1 do
-                FA.unsafe_set acc j
-                  (FA.unsafe_get acc j
-                  +. A1.unsafe_get s (b0 + j)
-                  +. (c1 *. A1.unsafe_get s (b1 + j)))
-              done
-          | false, false ->
-              for j = 0 to width - 1 do
-                FA.unsafe_set acc j
-                  (FA.unsafe_get acc j +. A1.unsafe_get s (b0 + j) +. A1.unsafe_get s (b1 + j))
-              done
+        let bare_pair_f64 (s : Grid.f64buf) acc lo q =
+          let b0 = lo + tdelta.(q) and b1 = lo + tdelta.(q + 1) in
+          for j = 0 to width - 1 do
+            FA.unsafe_set acc j
+              (FA.unsafe_get acc j +. A1.unsafe_get s (b0 + j) +. A1.unsafe_get s (b1 + j))
+          done
         in
         let row_f64 (s : Grid.f64buf) (d : Grid.f64buf) acc base =
           let lo = base + rad in
-          term_f64 s acc lo ~init:true 0;
-          let q = ref 1 in
-          while !q < n_terms do
-            if fuse !q then begin
-              pair_f64 s acc lo !q;
-              q := !q + 2
-            end
-            else begin
-              term_f64 s acc lo ~init:false !q;
-              incr q
-            end
-          done;
-          if has_div then
-            for j = 0 to width - 1 do
-              A1.unsafe_set d (lo + j) (FA.unsafe_get acc j /. div)
-            done
-          else
-            for j = 0 to width - 1 do
-              A1.unsafe_set d (lo + j) (FA.unsafe_get acc j)
-            done
+          for p = 0 to Array.length passes - 1 do
+            match passes.(p) with
+            | Chunk { q; k; first; last } -> chunk_f64 s d acc lo ~q ~k ~first ~last
+            | Term { q; first } -> term_f64 s acc lo ~first q
+            | Bare_pair q -> bare_pair_f64 s acc lo q
+            | Store ->
+                if has_div then
+                  for j = 0 to width - 1 do
+                    A1.unsafe_set d (lo + j) (FA.unsafe_get acc j /. div)
+                  done
+                else
+                  for j = 0 to width - 1 do
+                    A1.unsafe_set d (lo + j) (FA.unsafe_get acc j)
+                  done
+          done
         in
         (* [row_f32] is [row_f64] over single-precision buffers: reads
-           widen exactly and the store is the only rounding. *)
-        let term_f32 (s : Grid.f32buf) acc lo ~init q =
-          let b = lo + delta.(lt_off.(q)) and c = lt_coef.(q) and k2 = lt_off2.(q) in
+           widen exactly and the store is the only rounding. A chunk
+           reads all its operands into distinct locals before the first
+           multiply: a widening load only writes the low half of its
+           register, so reads that all land in one register would wait
+           on each other. *)
+        let chunk_f32 (s : Grid.f32buf) (d : Grid.f32buf) acc lo ~q ~k ~first ~last =
+          let b0 = lo + tdelta.(q) and b1 = lo + tdelta.(q + 1)
+          and b2 = lo + tdelta.(q + 2) and b3 = lo + tdelta.(q + 3)
+          and b4 = lo + tdelta.(q + 4) and b5 = lo + tdelta.(q + 5)
+          and b6 = lo + tdelta.(q + 6) and b7 = lo + tdelta.(q + 7)
+          and b8 = lo + tdelta.(q + 8) in
+          let c0 = tcoef.(q) and c1 = tcoef.(q + 1) and c2 = tcoef.(q + 2)
+          and c3 = tcoef.(q + 3) and c4 = tcoef.(q + 4) and c5 = tcoef.(q + 5)
+          and c6 = tcoef.(q + 6) and c7 = tcoef.(q + 7) and c8 = tcoef.(q + 8) in
+          match k with
+          | 1 ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 2 ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                let x = x +. (c1 *. v1) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 3 ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
+                and v2 = A1.unsafe_get s (b2 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                let x = x +. (c1 *. v1) in
+                let x = x +. (c2 *. v2) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 4 ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
+                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                let x = x +. (c1 *. v1) in
+                let x = x +. (c2 *. v2) in
+                let x = x +. (c3 *. v3) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 5 ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
+                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
+                and v4 = A1.unsafe_get s (b4 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                let x = x +. (c1 *. v1) in
+                let x = x +. (c2 *. v2) in
+                let x = x +. (c3 *. v3) in
+                let x = x +. (c4 *. v4) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 6 ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
+                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
+                and v4 = A1.unsafe_get s (b4 + j) and v5 = A1.unsafe_get s (b5 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                let x = x +. (c1 *. v1) in
+                let x = x +. (c2 *. v2) in
+                let x = x +. (c3 *. v3) in
+                let x = x +. (c4 *. v4) in
+                let x = x +. (c5 *. v5) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 7 ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
+                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
+                and v4 = A1.unsafe_get s (b4 + j) and v5 = A1.unsafe_get s (b5 + j)
+                and v6 = A1.unsafe_get s (b6 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                let x = x +. (c1 *. v1) in
+                let x = x +. (c2 *. v2) in
+                let x = x +. (c3 *. v3) in
+                let x = x +. (c4 *. v4) in
+                let x = x +. (c5 *. v5) in
+                let x = x +. (c6 *. v6) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | 8 ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
+                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
+                and v4 = A1.unsafe_get s (b4 + j) and v5 = A1.unsafe_get s (b5 + j)
+                and v6 = A1.unsafe_get s (b6 + j) and v7 = A1.unsafe_get s (b7 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                let x = x +. (c1 *. v1) in
+                let x = x +. (c2 *. v2) in
+                let x = x +. (c3 *. v3) in
+                let x = x +. (c4 *. v4) in
+                let x = x +. (c5 *. v5) in
+                let x = x +. (c6 *. v6) in
+                let x = x +. (c7 *. v7) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+          | _ ->
+              for j = 0 to width - 1 do
+                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
+                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
+                and v4 = A1.unsafe_get s (b4 + j) and v5 = A1.unsafe_get s (b5 + j)
+                and v6 = A1.unsafe_get s (b6 + j) and v7 = A1.unsafe_get s (b7 + j)
+                and v8 = A1.unsafe_get s (b8 + j) in
+                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+                let x = x +. (c1 *. v1) in
+                let x = x +. (c2 *. v2) in
+                let x = x +. (c3 *. v3) in
+                let x = x +. (c4 *. v4) in
+                let x = x +. (c5 *. v5) in
+                let x = x +. (c6 *. v6) in
+                let x = x +. (c7 *. v7) in
+                let x = x +. (c8 *. v8) in
+                if not last then FA.unsafe_set acc j x
+                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
+              done
+        in
+        let term_f32 (s : Grid.f32buf) acc lo ~first q =
+          let b = lo + tdelta.(q) and c = tcoef.(q) and k2 = lt_off2.(q) in
           if k2 < 0 then begin
-            match (init, lt_scaled.(q)) with
-            | true, true ->
-                for j = 0 to width - 1 do
-                  FA.unsafe_set acc j (c *. A1.unsafe_get s (b + j))
-                done
-            | true, false ->
-                for j = 0 to width - 1 do
-                  FA.unsafe_set acc j (A1.unsafe_get s (b + j))
-                done
-            | false, true ->
-                for j = 0 to width - 1 do
-                  FA.unsafe_set acc j (FA.unsafe_get acc j +. (c *. A1.unsafe_get s (b + j)))
-                done
-            | false, false ->
-                for j = 0 to width - 1 do
-                  FA.unsafe_set acc j (FA.unsafe_get acc j +. A1.unsafe_get s (b + j))
-                done
+            if first then
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j (A1.unsafe_get s (b + j))
+              done
+            else
+              for j = 0 to width - 1 do
+                FA.unsafe_set acc j (FA.unsafe_get acc j +. A1.unsafe_get s (b + j))
+              done
           end
           else begin
             let b2 = lo + delta.(k2) in
-            match (init, lt_scaled.(q)) with
+            match (first, lt_scaled.(q)) with
             | true, true ->
                 for j = 0 to width - 1 do
                   FA.unsafe_set acc j
@@ -308,64 +564,36 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
                 done
           end
         in
-        let pair_f32 (s : Grid.f32buf) acc lo q =
-          let b0 = lo + delta.(lt_off.(q)) and c0 = lt_coef.(q) in
-          let b1 = lo + delta.(lt_off.(q + 1)) and c1 = lt_coef.(q + 1) in
-          match (lt_scaled.(q), lt_scaled.(q + 1)) with
-          | true, true ->
-              for j = 0 to width - 1 do
-                FA.unsafe_set acc j
-                  (FA.unsafe_get acc j
-                  +. (c0 *. A1.unsafe_get s (b0 + j))
-                  +. (c1 *. A1.unsafe_get s (b1 + j)))
-              done
-          | true, false ->
-              for j = 0 to width - 1 do
-                FA.unsafe_set acc j
-                  (FA.unsafe_get acc j
-                  +. (c0 *. A1.unsafe_get s (b0 + j))
-                  +. A1.unsafe_get s (b1 + j))
-              done
-          | false, true ->
-              for j = 0 to width - 1 do
-                FA.unsafe_set acc j
-                  (FA.unsafe_get acc j
-                  +. A1.unsafe_get s (b0 + j)
-                  +. (c1 *. A1.unsafe_get s (b1 + j)))
-              done
-          | false, false ->
-              for j = 0 to width - 1 do
-                FA.unsafe_set acc j
-                  (FA.unsafe_get acc j +. A1.unsafe_get s (b0 + j) +. A1.unsafe_get s (b1 + j))
-              done
+        let bare_pair_f32 (s : Grid.f32buf) acc lo q =
+          let b0 = lo + tdelta.(q) and b1 = lo + tdelta.(q + 1) in
+          for j = 0 to width - 1 do
+            FA.unsafe_set acc j
+              (FA.unsafe_get acc j +. A1.unsafe_get s (b0 + j) +. A1.unsafe_get s (b1 + j))
+          done
         in
         let row_f32 (s : Grid.f32buf) (d : Grid.f32buf) acc base =
           let lo = base + rad in
-          term_f32 s acc lo ~init:true 0;
-          let q = ref 1 in
-          while !q < n_terms do
-            if fuse !q then begin
-              pair_f32 s acc lo !q;
-              q := !q + 2
-            end
-            else begin
-              term_f32 s acc lo ~init:false !q;
-              incr q
-            end
-          done;
-          if has_div then
-            for j = 0 to width - 1 do
-              A1.unsafe_set d (lo + j) (FA.unsafe_get acc j /. div)
-            done
-          else
-            for j = 0 to width - 1 do
-              A1.unsafe_set d (lo + j) (FA.unsafe_get acc j)
-            done
+          for p = 0 to Array.length passes - 1 do
+            match passes.(p) with
+            | Chunk { q; k; first; last } -> chunk_f32 s d acc lo ~q ~k ~first ~last
+            | Term { q; first } -> term_f32 s acc lo ~first q
+            | Bare_pair q -> bare_pair_f32 s acc lo q
+            | Store ->
+                if has_div then
+                  for j = 0 to width - 1 do
+                    A1.unsafe_set d (lo + j) (FA.unsafe_get acc j /. div)
+                  done
+                else
+                  for j = 0 to width - 1 do
+                    A1.unsafe_set d (lo + j) (FA.unsafe_get acc j)
+                  done
+          done
         in
         (match (src.Grid.buf, dst.Grid.buf) with
         | Grid.B64 s, Grid.B64 d -> sweep (row_f64 s d)
         | Grid.B32 s, Grid.B32 d -> sweep (row_f32 s d)
         | _ -> invalid_arg "Reference.step: src/dst precision mismatch")
+
     | None ->
         let eval = low.Sexpr.low_eval in
         (* The cursor is per row, so rows on different lanes never
@@ -373,7 +601,7 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
         let row base =
           let pos_ref = ref 0 in
           let read k = Grid.get_lin src (!pos_ref + delta.(k)) in
-          for pos = base + rad to base + last - rad - 1 do
+          for pos = base + rad to base + extent - rad - 1 do
             pos_ref := pos;
             Grid.set_lin dst pos (eval read)
           done
@@ -386,9 +614,8 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
     the boundary condition. *)
 let step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   check_step pattern ~src ~dst;
-  let rad = pattern.Pattern.radius in
-  step_lowered ~scratch:(scratch_rows ~lanes:1 ~rad src) ~blit:true (lowered_of pattern)
-    ~rad ~src ~dst
+  let rad = pattern.Pattern.radius and low = lowered_of pattern in
+  step_lowered ~scratch:(scratch_rows ~lanes:1 ~rad low src) ~blit:true low ~rad ~src ~dst
 
 (** Run [steps] time-steps starting from [g]; returns the final grid.
     Matches the C semantics: with double buffering the result of step [s]
@@ -402,7 +629,7 @@ let run ?par pattern ~steps g =
   if steps < 0 then invalid_arg "Reference.run: negative step count";
   let low = lowered_of pattern and rad = pattern.Pattern.radius in
   let lanes = match par with Some p -> p.lanes | None -> 1 in
-  let scratch = scratch_rows ~lanes ~rad g in
+  let scratch = scratch_rows ~lanes ~rad low g in
   let par = Option.map (fun p -> p.run) par in
   let a = Grid.copy g in
   let b = Grid.copy g in

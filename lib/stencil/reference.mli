@@ -8,8 +8,8 @@
     unchecked monomorphic buffer access guarded by a once-per-sweep
     proof that every interior position plus every lowered delta stays
     inside the flat buffer (the peeling invariant — boundary cells are
-    copied, never swept). A linear lowering runs term-major over a
-    float64 accumulator row per lane (see {!run}). The arithmetic of
+    copied, never swept). A linear lowering runs term-major, in
+    passes over each interior row (see {!run}). The arithmetic of
     every cell is {!Sexpr.compile}'s, in its order, so the result is
     bit-identical to evaluating the source expression per cell. *)
 
@@ -39,14 +39,20 @@ val run : ?par:par -> Pattern.t -> steps:int -> Grid.t -> Grid.t
     a boundary cell, so [run] relies on their boundaries staying equal
     and skips {!step}'s per-step boundary copy.
 
-    A linear lowering sweeps each interior row term-major: one pass per
-    term, or per two consecutive unpaired terms, over a float64
-    accumulator row, then one pass that divides and stores. Every cell
-    still performs the same IEEE operations in the same order as
-    evaluating the source expression, so the bits are those of the
-    cell-major loop. The accumulator rows are allocated once per call,
-    one per lane, so concurrent calls (other threads or domains) never
-    share one.
+    A linear lowering sweeps each interior row term-major. Each run of
+    plain terms (one scaled read each, as every term of a weighted sum
+    is) is consumed up to 9 terms a pass, the sum of a cell kept in a
+    register; every other term (a bare read or a folded pair) takes a
+    pass of its own, two consecutive bare reads one together. Passes
+    carry the sum between them through a float64 accumulator row; the
+    first starts it without reading that row, and the last divides and
+    stores into the grid. A form of [n] plain terms is thus [⌈n/9⌉]
+    passes, and one of at most 9 is a single pass that needs no
+    accumulator row. Every cell still performs the same IEEE operations
+    in the same order as evaluating the source expression, so the bits
+    are those of the cell-major loop. The accumulator rows, when a form
+    needs them, are allocated once per call, one per lane, so
+    concurrent calls (other threads or domains) never share one.
 
     With [par], each sweep hands its outermost interior index to
     [par.run], one slab of rows per index, each slab on its lane's row.

@@ -3,7 +3,9 @@
    The reference executor's unchecked sweep (Stencil.Reference) must be
    *bit-identical* to a naive per-cell evaluation of the source
    expression through checked multi-index reads — across random
-   stencils (folded pairs, mixed bare and scaled terms, radius 1-4),
+   stencils of 1 to 30 terms (folded pairs, mixed bare and scaled
+   terms, long plain runs crossing the sweep's 9-term chunk edges,
+   radius 1-4) and fixed chunk-edge cases,
    grid shapes (1-D to 3-D, including size-1 dims and radius-equal
    edges where the interior is empty) and precisions, sequentially and
    over a 2-lane pool. The blocked streaming
@@ -95,21 +97,40 @@ let oracle_run pattern ~steps g =
   done;
   !cur
 
-(* A random left-spine weighted sum of 2 to 13 terms over the
-   radius-[rad] box, each term a bare read, a scaled read (scalar on
-   either side), or a folded mirror pair [a + b], bare or scaled.
-   Scaled reads dominate so runs of them, which the sweep fuses into one
-   pass, are common; term counts are odd and even. The second term
-   reads at distance [rad] along dimension 0, so the pattern's radius
-   is [rad]. *)
+(* [l] with [x] inserted before its element [i] ([i = List.length l]
+   appends). *)
+let insert_at i x l = List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+
+(* A left-spine sum of [terms], left to right. *)
+let sum_terms terms =
+  List.fold_left (fun acc t -> Stencil.Sexpr.Add (acc, t)) (List.hd terms) (List.tl terms)
+
+(* A random left-spine weighted sum of 1 to 30 terms over the
+   radius-[rad] box. In mixed mode each term is a bare read, a scaled
+   read (scalar on either side), or a folded mirror pair [a + b], bare
+   or scaled; scaled reads dominate. In long-run mode the terms are
+   scaled reads in long runs broken at random positions by single bare
+   reads or folded pairs, so plain runs cross the sweep's 9-term chunk
+   edges at every offset. One scaled read at distance [rad] along
+   dimension 0, at a random position, makes the pattern's radius
+   [rad]. *)
 let gen_terms_pattern ~dims_n ~rad =
   QCheck.Gen.(
-    let* n = int_range 1 12 in
-    let gen_term =
-      let* form =
-        frequency
-          [ (3, return `Scaled); (1, return `Bare); (1, return `Pair); (1, return `Scaled_pair) ]
-      in
+    let* long_runs = bool in
+    let* n = int_range 1 30 in
+    let mixed =
+      frequency
+        [ (3, return `Scaled); (1, return `Bare); (1, return `Pair); (1, return `Scaled_pair) ]
+    in
+    let runs = frequency [ (7, return `Scaled); (1, oneofl [ `Bare; `Pair; `Scaled_pair ]) ] in
+    let* forms = list_repeat (n - 1) (if long_runs then runs else mixed) in
+    (* In long-run mode a break is never followed by another. *)
+    let rec single = function
+      | a :: _ :: rest when long_runs && a <> `Scaled -> a :: single (`Scaled :: rest)
+      | a :: rest -> a :: single rest
+      | [] -> []
+    in
+    let gen_term form =
       let* off = array_repeat dims_n (int_range (-rad) rad) in
       let* c = float_range (-1.0) 1.0 in
       let* left = bool in
@@ -124,15 +145,14 @@ let gen_terms_pattern ~dims_n ~rad =
           | `Pair -> pair
           | `Scaled_pair -> if left then Mul (c, pair) else Mul (pair, c))
     in
-    let* first = gen_term in
-    let* rest = list_repeat (n - 1) gen_term in
+    let* terms = flatten_l (List.map gen_term (single forms)) in
     let* far = oneofl [ rad; -rad ] in
     let reach = Array.init dims_n (fun d -> if d = 0 then far else 0) in
-    let head = Stencil.Sexpr.(Add (first, Mul (Const 0.25, Cell reach))) in
-    let expr = List.fold_left (fun acc t -> Stencil.Sexpr.Add (acc, t)) head rest in
+    let* at = int_range 0 (n - 1) in
+    let expr = sum_terms (insert_at at Stencil.Sexpr.(Mul (Const 0.25, Cell reach)) terms) in
     return
       (Stencil.Pattern.make
-         ~name:(Fmt.str "terms%dd%dr-%d" dims_n rad (n + 1))
+         ~name:(Fmt.str "terms%dd%dr-%d%s" dims_n rad n (if long_runs then "-runs" else ""))
          ~dims:dims_n ~params:[] expr))
 
 (* Dims generator that deliberately includes degenerate shapes: size-1
@@ -227,6 +247,45 @@ let test_ref_degenerate_shapes () =
       ("single interior cell", box ~dims:2 1, [| 3; 3 |]);
       ("3d pencil", star ~dims:3 1, [| 9; 1; 3 |]);
     ]
+
+(* Fixed chunk-edge cases, so the fuzz generator's draws can never
+   silently stop covering them: runs of 1, 8, 9, 10, 17, 18 and 27 plain
+   terms (one scaled read each), with and without a division, alone and
+   with a bare read inserted at each chunk edge, in both precisions,
+   sequentially and over the 2-lane pool. *)
+let test_ref_chunk_edges () =
+  let offs = Array.of_list (Stencil.Shape.box_offsets ~dims:2 ~rad:3) in
+  let plain i =
+    let c = (if i mod 2 = 0 then 1.0 else -1.0) *. (0.1 +. (0.03 *. float i)) in
+    Stencil.Sexpr.(Mul (Const c, Cell offs.(i)))
+  in
+  let bare = Stencil.Sexpr.Cell offs.(Array.length offs - 1) in
+  List.iter
+    (fun arity ->
+      let terms = List.init arity plain in
+      let edges = List.filter (fun e -> e < arity) [ 0; 8; 9; 17; 18; 26 ] @ [ arity ] in
+      List.iter
+        (fun (label, terms) ->
+          let base = Stencil.Pattern.make ~name:label ~dims:2 ~params:[] (sum_terms terms) in
+          List.iter
+            (fun pattern ->
+              List.iter
+                (fun prec ->
+                  let g = Stencil.Grid.init_random ~prec [| 13; 14 |] in
+                  let expect = Stencil.Grid.digest (oracle_run pattern ~steps:2 g) in
+                  let name =
+                    Fmt.str "%s %s" pattern.Stencil.Pattern.name
+                      (Stencil.Grid.precision_to_string prec)
+                  in
+                  Alcotest.(check string) name expect
+                    (Stencil.Grid.digest (Stencil.Reference.run pattern ~steps:2 g));
+                  Alcotest.(check string) (name ^ " par") expect
+                    (Stencil.Grid.digest (Stencil.Reference.run ~par pattern ~steps:2 g)))
+                [ Stencil.Grid.F64; Stencil.Grid.F32 ])
+            [ base; with_div base ])
+        ((Fmt.str "plain%d" arity, terms)
+        :: List.map (fun e -> (Fmt.str "plain%d-bare@%d" arity e, insert_at e bare terms)) edges))
+    [ 1; 8; 9; 10; 17; 18; 27 ]
 
 (* ------------------------------------------------------------------ *)
 (* Blocked differential: streaming vs the checked compiled plan        *)
@@ -723,6 +782,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_ref_equals_oracle;
           Alcotest.test_case "non-linear branch" `Quick test_ref_nonlinear;
           Alcotest.test_case "degenerate shapes" `Quick test_ref_degenerate_shapes;
+          Alcotest.test_case "chunk edges" `Quick test_ref_chunk_edges;
         ] );
       ( "blocked differential",
         [
