@@ -217,9 +217,9 @@ let mp_case name cfg dims steps ~shards ~workers =
   in
   let device = Gpu.Device.v100 in
   let seed = 11 in
-  (* Single-domain on both sides: the registry forks, and fork is
-     illegal once worker domains exist — parallelism here comes from
-     the worker processes themselves. *)
+  (* Single-domain on both sides: the ratio compares worker processes
+     against one in-process lane, so parallelism here comes from the
+     worker processes themselves. *)
   let run =
     Run_config.with_verify false
       (Run_config.with_domains 1
@@ -240,7 +240,15 @@ let mp_case name cfg dims steps ~shards ~workers =
          ~cfg:(Run_config.with_workers 1 run)
          ~device ~steps job g)
   in
-  let reg = An5d_serve.Workers.create ~spawn:An5d_serve.Workers.Fork workers in
+  (* Workers are the an5d binary built next to this harness. *)
+  let an5d =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/an5d.exe"
+  in
+  if not (Sys.file_exists an5d) then
+    Fmt.failwith "shard: worker binary %s not found (run `dune build`)" an5d;
+  let reg =
+    An5d_serve.Workers.(create ~spawn:(Exec [| an5d; "worker" |]) workers)
+  in
   Fun.protect ~finally:(fun () -> An5d_serve.Workers.shutdown reg)
   @@ fun () ->
   let multi () =
@@ -394,9 +402,6 @@ let run () =
              Printf.sprintf "%.1fx" c.reduction;
            ])
          cadences);
-  (* Multi-process cases fork worker registries, which must happen
-     before the domain-parallel throughput cases ever spawn a domain
-     (fork after Domain.spawn is illegal). *)
   let mps = mp_cases () in
   let results = cases () in
   Output.table

@@ -7,9 +7,6 @@
 
      dune exec bench/main.exe -- table5 fig8 *)
 
-(* [shard] comes first: its multi-process cases fork worker processes,
-   and OCaml 5 refuses [Unix.fork] once any domain has been spawned
-   (the [scaling] and [serve] experiments spawn pool domains). *)
 let experiments =
   [
     ("shard", Exp_shard.run, "halo-exchange sharding: cadence and pool throughput");

@@ -753,16 +753,39 @@ let client_cmd =
     (Cmd.info "client" ~doc)
     Term.(const run $ logs_term $ addr_arg $ id_arg $ file_arg)
 
+(* Fault injection for the worker fault matrix (test/test_workers.ml),
+   kept out of the help page. *)
+let chaos_arg =
+  let open An5d_serve.Workers in
+  let parse s =
+    match String.split_on_char ':' s with
+    | [ "no-hello" ] -> Ok No_hello
+    | [ "garbage-planes" ] -> Ok Garbage_planes
+    | [ "die-at-advance"; n ] when Option.is_some (int_of_string_opt n) ->
+        Ok (Die_at_advance (int_of_string n))
+    | _ -> Error (`Msg (Fmt.str "unknown fault %S" s))
+  in
+  let print ppf = function
+    | No_hello -> Fmt.string ppf "no-hello"
+    | Garbage_planes -> Fmt.string ppf "garbage-planes"
+    | Die_at_advance n -> Fmt.pf ppf "die-at-advance:%d" n
+  in
+  let doc = "Inject $(docv): no-hello, garbage-planes or die-at-advance:N." in
+  Arg.(
+    value
+    & opt (some (conv (parse, print))) None
+    & info [ "chaos" ] ~docs:Manpage.s_none ~docv:"FAULT" ~doc)
+
 let worker_cmd =
-  let run () =
-    handle_errors (fun () -> An5d_serve.Workers.worker_main Unix.stdin)
+  let run () chaos =
+    handle_errors (fun () -> An5d_serve.Workers.worker_main ?chaos Unix.stdin)
   in
   let doc =
     "Shard worker process (spawned by $(b,an5d serve --workers N) with a \
      socketpair on stdin; not intended for interactive use): answers task \
      frames with the binary halo-exchange protocol until EOF."
   in
-  Cmd.v (Cmd.info "worker" ~doc) Term.(const run $ logs_term)
+  Cmd.v (Cmd.info "worker" ~doc) Term.(const run $ logs_term $ chaos_arg)
 
 let main_cmd =
   let doc = "AN5D: automated stencil framework with high-degree temporal blocking" in

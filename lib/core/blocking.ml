@@ -330,6 +330,34 @@ let kernel_call ?(mode = Direct) ?(checked = false) ?pool (em : Execmodel.t)
 (* Sharded halo-exchange run                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Extents of equal length share compiled plans through the
+   process-wide memo cache. *)
+let shard_layout (em : Execmodel.t) ~shards =
+  let rad = em.Execmodel.pattern.Stencil.Pattern.radius in
+  let bt = em.Execmodel.config.Config.bt in
+  let decomp = Shard.make ~shards ~halo:(bt * rad) ~l:em.Execmodel.dims.(0) in
+  let ems =
+    Array.init shards (fun k ->
+        let lo, hi = Shard.extent decomp k in
+        let sdims = Array.copy em.Execmodel.dims in
+        sdims.(0) <- hi - lo;
+        Execmodel.make em.Execmodel.pattern em.Execmodel.config sdims)
+  in
+  (decomp, ems)
+
+let sharded_stats (em : Execmodel.t) ~prec ems ~chunks =
+  let rad = em.Execmodel.pattern.Stencil.Pattern.radius in
+  let bt = em.Execmodel.config.Config.bt in
+  {
+    n_tb = Execmodel.n_tb em;
+    n_stream_blocks =
+      Array.fold_left (fun acc sem -> acc + Execmodel.n_stream_blocks sem) 0 ems;
+    n_thr = Config.n_thr em.Execmodel.config;
+    smem_bytes = Execmodel.smem_bytes em ~prec;
+    regs_per_thread = Registers.an5d_required ~prec ~bt ~rad;
+    kernel_calls = chunks * Array.length ems;
+  }
+
 (** Communication-avoiding sharded execution (docs/SHARDING.md):
     decompose the grid along the streaming dimension into [cfg.shards]
     subgrids with ghost zones of width [bt * rad], advance every shard
@@ -353,21 +381,10 @@ let run_sharded ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
   if g.Stencil.Grid.dims <> em.Execmodel.dims then
     invalid_arg "Blocking.run: grid dims do not match execution model";
   let shards = cfg.Run_config.shards in
-  let rad = em.Execmodel.pattern.Stencil.Pattern.radius in
   let bt = em.Execmodel.config.Config.bt in
-  let decomp = Shard.make ~shards ~halo:(bt * rad) ~l:em.Execmodel.dims.(0) in
+  let decomp, ems = shard_layout em ~shards in
   let chunks = Execmodel.time_chunks ~bt ~it:steps in
   let mode = cfg.Run_config.mode in
-  (* Per-shard execution models over the extended subranges; extents of
-     equal length share compiled plans through the process-wide memo
-     cache. *)
-  let ems =
-    Array.init shards (fun k ->
-        let lo, hi = Shard.extent decomp k in
-        let sdims = Array.copy em.Execmodel.dims in
-        sdims.(0) <- hi - lo;
-        Execmodel.make em.Execmodel.pattern em.Execmodel.config sdims)
-  in
   (* Per-shard machines (same device and precision, private counters):
      lanes never share mutable counter state; merged below, the same
      discipline as {!Gpu.Machine.launch}. *)
@@ -399,19 +416,9 @@ let run_sharded ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
         ~into:machine.Gpu.Machine.counters)
     machines;
   Obs.Metrics.add m_chunks_executed (List.length chunks);
-  let prec = g.Stencil.Grid.prec in
-  let stats =
-    {
-      n_tb = Execmodel.n_tb em;
-      n_stream_blocks =
-        Array.fold_left (fun acc sem -> acc + Execmodel.n_stream_blocks sem) 0 ems;
-      n_thr = Config.n_thr em.Execmodel.config;
-      smem_bytes = Execmodel.smem_bytes em ~prec;
-      regs_per_thread = Registers.an5d_required ~prec ~bt ~rad;
-      kernel_calls = List.length chunks * shards;
-    }
-  in
-  (result, stats)
+  ( result,
+    sharded_stats em ~prec:g.Stencil.Grid.prec ems
+      ~chunks:(List.length chunks) )
 
 (* ------------------------------------------------------------------ *)
 (* Full temporal-blocking run                                          *)

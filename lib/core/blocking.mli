@@ -107,6 +107,21 @@ val run_cfg :
     not a {!Run_config} field.
     @raise Invalid_argument when the grid does not match the model. *)
 
+val shard_layout : Execmodel.t -> shards:int -> Shard.t * Execmodel.t array
+(** The decomposition of [em]'s streaming dimension into [shards]
+    subgrids with ghost width [bt * rad], and one execution model per
+    shard over its extended extent: the one geometry {!run_sharded} and
+    the worker processes of a multi-process run share. *)
+
+val sharded_stats :
+  Execmodel.t ->
+  prec:Stencil.Grid.precision ->
+  Execmodel.t array ->
+  chunks:int ->
+  launch_stats
+(** The analytic launch statistics of a sharded run over the shard
+    models of {!shard_layout} and [chunks] temporal chunks. *)
+
 val run_sharded :
   ?pool:Gpu.Pool.t ->
   ?checked:bool ->

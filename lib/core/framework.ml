@@ -121,6 +121,7 @@ let g_verify_deviation = Obs.Metrics.gauge "simulate_max_abs_deviation"
     rows over [domains] lanes. *)
 let verify ~domains job ~steps ~input result =
   Obs.Trace.with_span "verify" @@ fun () ->
+  Obs.Trace.add_attrs [ ("lanes", Obs.Trace.Int domains) ];
   (* The reference gets a pool of its own, created here, after the
      executor has joined its pool. One pool hoisted across execute and
      verify raised the peak RSS of perfbench's solve workload by about

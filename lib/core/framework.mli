@@ -80,12 +80,10 @@ val verify :
     check and joined before it returns, each lane on an accumulator row
     of its own when the form needs one (a form of at most 9 plain terms
     is one pass per row and needs none); the reference is bit-identical
-    for any lane count. With [domains > 1] this spawns domains, after
-    which OCaml 5.1 refuses [Unix.fork] for the rest of the process, so
-    callers that fork must pass [domains = 1]. Sets the
-    [simulate_max_abs_deviation] gauge and the span's
-    [max_abs_deviation] attribute. Returns [Error d] with the max abs
-    deviation [d] when it is nonzero. *)
+    for any lane count. Sets the [simulate_max_abs_deviation] gauge and
+    the span's [lanes] ([domains]) and [max_abs_deviation] attributes.
+    Returns [Error d] with the max abs deviation [d] when it is
+    nonzero. *)
 
 val simulate_cfg :
   ?cfg:Run_config.t ->

@@ -24,10 +24,7 @@ let m_chunks_executed = Obs.Metrics.counter "chunks_executed"
 
 type chaos = No_hello | Die_at_advance of int | Garbage_planes
 
-type spawn =
-  | Fork
-  | Exec of string array
-  | Custom of (Unix.file_descr -> unit)
+type spawn = Exec of string array
 
 type worker = {
   mutable pid : int;
@@ -38,7 +35,6 @@ type worker = {
 type t = {
   n : int;
   spawn : spawn;
-  chaos : chaos option;
   timeout : float;
   hello_timeout : float;
   workers : worker array;
@@ -101,9 +97,9 @@ let counters_of_json j =
 (* One sharded run, as shipped to a worker in a [Stats] frame: the full
    request spec (the worker re-compiles from source — no closures cross
    the boundary), the execution knobs, and which shards of the
-   decomposition this worker holds. The decomposition geometry itself
-   is recomputed on both sides from the same (shards, bt*rad, l)
-   inputs, so it cannot drift. *)
+   decomposition this worker holds. Both sides derive the geometry from
+   the spec with the one [Blocking.shard_layout], so it cannot
+   drift. *)
 let task_json ~(spec : Request.spec) ~device ~steps ~seed ~run ~owned =
   Json.Obj
     [
@@ -148,7 +144,8 @@ let task_of_json j =
 (* ------------------------------------------------------------------ *)
 
 (* Execute one task: compile the spec, build the per-shard execution
-   models and machines exactly as [Blocking.run_sharded] does, then
+   models ([Blocking.shard_layout]) and machines as
+   [Blocking.run_sharded] does, then
    hand the descriptor loop to [Shard.Transport.Pipe.serve] with the
    same [kernel_call] closure the in-process path injects — the
    bit-identity argument is that nothing but the plane transport
@@ -166,21 +163,13 @@ let run_task ?chaos fd body =
            ~config:spec.Request.config spec.Request.source)
     with Framework.Compile_error msg -> Error msg
   in
-  let em = Framework.execmodel job in
-  let rad = em.Execmodel.pattern.Stencil.Pattern.radius in
-  let bt = em.Execmodel.config.Config.bt in
-  let shards = run.Run_config.shards in
-  let decomp = Shard.make ~shards ~halo:(bt * rad) ~l:em.Execmodel.dims.(0) in
-  let ems =
-    Array.init shards (fun k ->
-        let lo, hi = Shard.extent decomp k in
-        let sdims = Array.copy em.Execmodel.dims in
-        sdims.(0) <- hi - lo;
-        Execmodel.make em.Execmodel.pattern em.Execmodel.config sdims)
+  let decomp, ems =
+    Blocking.shard_layout (Framework.execmodel job)
+      ~shards:run.Run_config.shards
   in
   let machines =
-    Array.init shards (fun _ ->
-        Gpu.Machine.create ~prec:job.Framework.prec device)
+    Array.map (fun _ ->
+        Gpu.Machine.create ~prec:job.Framework.prec device) ems
   in
   let mode = run.Run_config.mode in
   let advances = ref 0 in
@@ -204,7 +193,7 @@ let run_task ?chaos fd body =
     (Gpu.Counters.merge
        (List.map (fun k -> machines.(k).Gpu.Machine.counters) owned))
 
-(* The worker process entrypoint ([an5d worker], or the forked child).
+(* The worker process entrypoint ([an5d worker]).
    Protocol phases on the one descriptor, strictly ordered: a Wire
    [Hello] at startup, then per task a Wire [Stats] frame in, the
    binary shard-transport exchange (whose own hello [Pipe.serve]
@@ -271,62 +260,72 @@ let reap pid =
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* Close a slot's descriptor and mark it dead; its process, if any, has
+   exited or is reaped by the caller. *)
+let mark_dead w =
+  close_quiet w.fd;
+  w.pid <- -1;
+  w.alive <- false
+
+(* SIGKILL and reap a slot's process, then mark it dead. *)
+let retire w =
+  (if w.pid > 0 then
+     try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+  reap w.pid;
+  mark_dead w
+
 (* Spawn one worker process on a fresh socketpair and complete the Wire
-   hello handshake under [hello_timeout]. A worker that never says
-   hello (or says it wrong) is killed, reaped and counted as a crash —
-   the handshake-timeout row of the fault matrix. *)
+   hello handshake under [hello_timeout]. A worker that cannot be
+   started, or never says hello (or says it wrong), is killed, reaped
+   and counted as a crash — the handshake-timeout and missing-binary
+   rows of the fault matrix. The slot is dead on entry. *)
 let try_spawn t i =
   Obs.Metrics.incr m_spawns;
   (* Close-on-exec on both ends: an exec'd worker keeps only its own
      pair (dup2 onto stdin/stdout clears the flag on the copies), never
      a sibling's. A worker holding a sibling's parent end would keep
      that sibling's pipe open after we close it — shutdown's EOF would
-     never arrive. Forked children get the same hygiene explicitly. *)
+     never arrive. *)
   let parent_fd, child_fd =
     Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
-  let fork_child f =
-    match Unix.fork () with
-    | 0 ->
-        close_quiet parent_fd;
-        Array.iter (fun w -> if w.alive then close_quiet w.fd) t.workers;
-        (try f child_fd with _ -> ());
-        Unix._exit 0
-    | pid -> pid
+  let w = t.workers.(i) in
+  w.fd <- parent_fd;
+  let fail reason =
+    Log.warn (fun m -> m "worker %d failed to start: %s" i reason);
+    Obs.Metrics.incr m_crashes;
+    retire w
   in
-  let pid =
-    match t.spawn with
-    | Fork -> fork_child (worker_main ?chaos:t.chaos)
-    | Custom f -> fork_child f
-    | Exec argv ->
-        Unix.create_process argv.(0) argv child_fd child_fd Unix.stderr
+  let (Exec argv) = t.spawn in
+  let spawned =
+    try Ok (Unix.create_process argv.(0) argv child_fd child_fd Unix.stderr)
+    with Unix.Unix_error (e, _, _) -> Error e
   in
   close_quiet child_fd;
-  let w = t.workers.(i) in
-  let fail reason =
-    Log.warn (fun m -> m "worker %d (pid %d) failed handshake: %s" i pid reason);
-    Obs.Metrics.incr m_crashes;
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    reap pid;
-    close_quiet parent_fd;
-    w.pid <- -1;
-    w.alive <- false
-  in
-  if not (wait_readable parent_fd t.hello_timeout) then fail "handshake timeout"
-  else
-    match Wire.read_frame parent_fd with
-    | Ok (Wire.Hello { version; _ }) when version = Wire.version ->
-        Unix.setsockopt_float parent_fd Unix.SO_RCVTIMEO t.timeout;
-        w.pid <- pid;
-        w.fd <- parent_fd;
-        w.alive <- true;
-        Log.info (fun m -> m "worker %d up (pid %d)" i pid)
-    | Ok (Wire.Hello { version; _ }) ->
-        fail (Fmt.str "version mismatch: worker %d, parent %d" version Wire.version)
-    | Ok _ -> fail "expected hello"
-    | Error e -> fail (Wire.read_error_to_string e)
+  match spawned with
+  | Error e ->
+      (* The worker binary is gone or not executable: a crash like a
+         failed handshake, so the slot stays dead and the request falls
+         back in-process instead of failing. *)
+      fail (Fmt.str "cannot run %s: %s" argv.(0) (Unix.error_message e))
+  | Ok pid -> (
+      w.pid <- pid;
+      if not (wait_readable parent_fd t.hello_timeout) then
+        fail "handshake timeout"
+      else
+        match Wire.read_frame parent_fd with
+        | Ok (Wire.Hello { version; _ }) when version = Wire.version ->
+            Unix.setsockopt_float parent_fd Unix.SO_RCVTIMEO t.timeout;
+            w.alive <- true;
+            Log.info (fun m -> m "worker %d up (pid %d)" i pid)
+        | Ok (Wire.Hello { version; _ }) ->
+            fail
+              (Fmt.str "version mismatch: worker %d, parent %d" version
+                 Wire.version)
+        | Ok _ -> fail "expected hello"
+        | Error e -> fail (Wire.read_error_to_string e))
 
-let create ?(spawn = Fork) ?chaos ?(timeout = 30.0) ?(hello_timeout = 5.0) n =
+let create ~spawn ?(timeout = 30.0) ?(hello_timeout = 5.0) n =
   if n < 1 then invalid_arg "Workers.create: need at least one worker";
   (* A worker dying mid-write must reach [Pipe.write_all] as [EPIPE] —
      attributed, retried in-process — not as a SIGPIPE that kills the
@@ -338,7 +337,6 @@ let create ?(spawn = Fork) ?chaos ?(timeout = 30.0) ?(hello_timeout = 5.0) n =
     {
       n;
       spawn;
-      chaos;
       timeout;
       hello_timeout;
       workers =
@@ -359,20 +357,17 @@ let create ?(spawn = Fork) ?chaos ?(timeout = 30.0) ?(hello_timeout = 5.0) n =
 let ensure_alive t =
   Array.iteri
     (fun i w ->
-      if w.alive && w.pid > 0 then
-        match Unix.waitpid [ Unix.WNOHANG ] w.pid with
-        | 0, _ -> ()
-        | _ ->
-            Log.warn (fun m -> m "worker %d (pid %d) died" i w.pid);
-            Obs.Metrics.incr m_crashes;
-            close_quiet w.fd;
-            w.pid <- -1;
-            w.alive <- false
-        | exception Unix.Unix_error _ ->
-            Obs.Metrics.incr m_crashes;
-            close_quiet w.fd;
-            w.pid <- -1;
-            w.alive <- false)
+      if w.alive then
+        let exited =
+          match Unix.waitpid [ Unix.WNOHANG ] w.pid with
+          | 0, _ -> false
+          | _ | (exception Unix.Unix_error _) -> true
+        in
+        if exited then begin
+          Log.warn (fun m -> m "worker %d (pid %d) died" i w.pid);
+          Obs.Metrics.incr m_crashes;
+          mark_dead w
+        end)
     t.workers;
   Array.iteri (fun i w -> if not w.alive then try_spawn t i) t.workers;
   Array.for_all (fun w -> w.alive) t.workers
@@ -384,14 +379,7 @@ let ensure_alive t =
    request finds a full registry. *)
 let reset_used t nw =
   for i = 0 to nw - 1 do
-    let w = t.workers.(i) in
-    if w.alive then begin
-      (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-      reap w.pid;
-      close_quiet w.fd;
-      w.pid <- -1;
-      w.alive <- false
-    end
+    if t.workers.(i).alive then retire t.workers.(i)
   done;
   for i = 0 to nw - 1 do
     try_spawn t i
@@ -401,13 +389,10 @@ let shutdown t =
   Array.iteri
     (fun i w ->
       if w.alive then begin
-        close_quiet w.fd;
-        (match Unix.waitpid [] w.pid with
-        | _ -> ()
-        | exception Unix.Unix_error _ -> ());
-        Log.info (fun m -> m "worker %d (pid %d) shut down" i w.pid);
-        w.pid <- -1;
-        w.alive <- false
+        let pid = w.pid in
+        mark_dead w;
+        reap pid;
+        Log.info (fun m -> m "worker %d (pid %d) shut down" i pid)
       end)
     t.workers
 
@@ -460,16 +445,7 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
     Obs.Metrics.incr m_crashes;
     (* Mark the culprit dead before the reset so [reset_used] does not
        kill-and-respawn bookkeeping it twice. *)
-    if w >= 0 && w < t.n then begin
-      let cw = t.workers.(w) in
-      if cw.alive then begin
-        (try Unix.kill cw.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        reap cw.pid;
-        close_quiet cw.fd;
-        cw.pid <- -1;
-        cw.alive <- false
-      end
-    end
+    if w >= 0 && w < t.n && t.workers.(w).alive then retire t.workers.(w)
   in
   if not (ensure_alive t) then fallback ()
   else
@@ -484,12 +460,10 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
           ]
       @@ fun () ->
       let em = Framework.execmodel job in
-      let rad = em.Execmodel.pattern.Stencil.Pattern.radius in
-      let bt = em.Execmodel.config.Config.bt in
-      let decomp =
-        Shard.make ~shards ~halo:(bt * rad) ~l:em.Execmodel.dims.(0)
+      let decomp, ems = Blocking.shard_layout em ~shards in
+      let chunks =
+        Execmodel.time_chunks ~bt:em.Execmodel.config.Config.bt ~it:steps
       in
-      let chunks = Execmodel.time_chunks ~bt ~it:steps in
       (* Contiguous shard blocks per worker: worker w holds shards
          [w*shards/nw, (w+1)*shards/nw) — the same remainder spreading
          as the decomposition itself, so neighbors mostly share a
@@ -537,38 +511,16 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
         Gpu.Counters.add_into (read_completion t w) ~into:counters
       done;
       Obs.Metrics.add m_chunks_executed (List.length chunks);
-      (* Launch statistics are analytic — the same formulas
-         [Blocking.run_sharded] reports, over the same per-shard
-         models. *)
-      let ems =
-        Array.init shards (fun k ->
-            let lo, hi = Shard.extent decomp k in
-            let sdims = Array.copy em.Execmodel.dims in
-            sdims.(0) <- hi - lo;
-            Execmodel.make em.Execmodel.pattern em.Execmodel.config sdims)
-      in
       let prec = job.Framework.prec in
       let stats =
-        {
-          Blocking.n_tb = Execmodel.n_tb em;
-          n_stream_blocks =
-            Array.fold_left
-              (fun acc sem -> acc + Execmodel.n_stream_blocks sem)
-              0 ems;
-          n_thr = Config.n_thr em.Execmodel.config;
-          smem_bytes = Execmodel.smem_bytes em ~prec;
-          regs_per_thread = Registers.an5d_required ~prec ~bt ~rad;
-          kernel_calls = List.length chunks * shards;
-        }
+        Blocking.sharded_stats em ~prec ems ~chunks:(List.length chunks)
       in
       let verified =
         if not run.Run_config.verify then Ok ()
         else
           let input = Stencil.Grid.init_random ~prec ~seed job.Framework.dims in
-          (* OCaml 5.1 refuses [Unix.fork] in a process that has ever
-             spawned a domain, joined or not, so the parent verifies on
-             one lane to keep its registry's respawns working. *)
-          Framework.verify ~domains:1 job ~steps ~input result
+          Framework.verify ~domains:run.Run_config.domains job ~steps ~input
+            result
       in
       {
         Framework.result;

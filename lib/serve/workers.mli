@@ -24,42 +24,30 @@
 open An5d_core
 
 (** Fault injection for the worker entrypoint (test/test_workers.ml's
-    fault matrix): never complete the startup handshake, exit the
-    process at the Nth kernel call (mid-chunk death), or answer every
-    halo pull with a wrong-length junk frame. *)
+    fault matrix, through [an5d worker --chaos]): never complete the
+    startup handshake, exit the process at the Nth kernel call
+    (mid-chunk death), or answer every halo pull with a wrong-length
+    junk frame. *)
 type chaos = No_hello | Die_at_advance of int | Garbage_planes
 
-(** How the registry starts a worker process: [Fork] a child running
-    {!worker_main} in-image (tests; single-domain callers only — fork
-    in a multi-domain runtime is not safe), [Exec] an argv (the CLI
-    spawns [an5d worker] with the socketpair on stdin/stdout), or
-    [Custom] a forked function (fault harnesses standing in for a
-    worker). *)
-type spawn =
-  | Fork
-  | Exec of string array
-  | Custom of (Unix.file_descr -> unit)
+(** How the registry starts a worker process: [Exec argv] runs [argv]
+    (e.g. [an5d worker]) with the socketpair on its stdin/stdout. *)
+type spawn = Exec of string array
 
 type t
 (** A registry of worker processes. Not thread-safe: callers serialize
     requests through it (the session's batch lock already does). *)
 
-val create :
-  ?spawn:spawn ->
-  ?chaos:chaos ->
-  ?timeout:float ->
-  ?hello_timeout:float ->
-  int ->
-  t
-(** [create n] pre-spawns [n] workers and completes their handshakes.
-    [chaos] is injected into [Fork]-spawned workers. [hello_timeout]
-    (default 5s) bounds the startup handshake; [timeout] (default 30s)
-    every later read from a worker. A worker that fails its handshake
-    is counted crashed and left dead — {!simulate} re-attempts the
-    spawn per request and falls back in-process while it keeps
-    failing. Sets the process-wide [SIGPIPE] disposition to ignore, so
-    a worker dying mid-write surfaces as an attributed transport
-    failure instead of killing the caller.
+val create : spawn:spawn -> ?timeout:float -> ?hello_timeout:float -> int -> t
+(** [create ~spawn n] pre-spawns [n] workers and completes their
+    handshakes. [hello_timeout] (default 5s) bounds the startup
+    handshake; [timeout] (default 30s) every later read from a worker.
+    A worker that cannot be started, or fails its handshake, is counted
+    crashed and left dead — {!simulate} re-attempts the spawn per
+    request and falls back in-process while it keeps failing. Sets the
+    process-wide [SIGPIPE] disposition to ignore, so a worker dying
+    mid-write surfaces as an attributed transport failure instead of
+    killing the caller.
     @raise Invalid_argument when [n < 1]. *)
 
 val size : t -> int
@@ -104,21 +92,20 @@ val simulate :
     shared {!Shard.run_via} driver. Uses [min n run.shards] workers.
     On any worker failure the request is retried in-process — never
     dropped. With [run.verify] the parent compares the gathered grid
-    with {!Framework.verify} on one lane, whatever [run.domains] is
-    (OCaml 5.1 refuses [Unix.fork] once the process has spawned any
-    domain, so a parallel verify would break the registry's next
-    respawn).
+    with {!Framework.verify} on [run.domains] lanes.
     @raise Invalid_argument when [run.shards < 2] (route resident runs
     through {!Framework.simulate_cfg} directly). *)
 
 val worker_main : ?chaos:chaos -> Unix.file_descr -> unit
 (** The worker process body ([an5d worker] runs this on stdin): send
     the Wire hello, then serve task frames — compile the spec, build
-    per-shard execution models and machines exactly as the in-process
-    sharded path does, generate only the owned shards' input extents
-    from the task's seed ({!Stencil.Grid.init_random_planes}), answer the binary halo/advance/gather exchange
-    ({!Shard.Transport.Pipe.serve}), and reply with the merged
-    counters — until EOF. *)
+    per-shard execution models ({!Blocking.shard_layout}) and machines
+    as the in-process sharded path does, generate only the owned
+    shards' input extents from the task's seed
+    ({!Stencil.Grid.init_random_planes}), answer the binary
+    halo/advance/gather exchange ({!Shard.Transport.Pipe.serve}), and
+    reply with the merged counters — until EOF. [chaos]
+    ([an5d worker --chaos]) injects one fault. *)
 
 val counters_to_json : Gpu.Counters.t -> Obs.Json.t
 

@@ -202,7 +202,7 @@ module Transport = struct
     (module M : S)
 
   (* ---------------------------------------------------------------- *)
-  (* Pipe instance: pre-forked worker processes over socketpairs      *)
+  (* Pipe instance: pre-spawned worker processes over socketpairs     *)
   (* ---------------------------------------------------------------- *)
 
   module Pipe = struct

@@ -18,7 +18,7 @@
     [Grid.sub]+[blit] path (no full-grid buffer allocated after setup —
     the [shard_grid_allocations] counter asserts [2*shards + 1] per
     run); {!Transport.Pipe} ships planes as length-prefixed raw frames
-    between pre-forked worker processes over socketpairs. The schedule
+    between pre-spawned worker processes over socketpairs. The schedule
     itself ({!run_via}) is transport-agnostic, so both paths execute
     bit-identical grids and counters — and any future backend (TCP
     ranks, devices) is one more [Transport.S] instance.

@@ -5,8 +5,10 @@
    whose shards are narrower than the halo — plus halo-cadence
    accounting, the task/counters JSON codecs, and the fault-injection
    matrix (mid-chunk SIGKILL death, handshake timeout, garbage halo
-   frames) with exact spawn/crash/retry metric deltas
-   (docs/SHARDING.md phase 2). *)
+   frames, a worker binary gone missing) with exact spawn/crash/retry
+   metric deltas (docs/SHARDING.md phase 2). Workers are the built
+   [an5d worker] binary, started the way [an5d serve --workers N]
+   starts them; faults are injected through its [--chaos] flag. *)
 
 open An5d_core
 module Workers = An5d_serve.Workers
@@ -91,8 +93,23 @@ let check_outcome (base : Framework.outcome) (out : Framework.outcome) =
 let delta before after name =
   Metrics.get_counter after name - Metrics.get_counter before name
 
-let with_registry ?chaos ?hello_timeout n f =
-  let reg = Workers.create ~spawn:Workers.Fork ?chaos ?hello_timeout n in
+(* The an5d binary dune builds next to this suite ([deps] in
+   test/dune). Without it every registry would silently fall back
+   in-process, so its absence fails the case instead. *)
+let an5d () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/an5d.exe"
+  in
+  if not (Sys.file_exists exe) then
+    Alcotest.failf "worker binary %s not found (build it with `dune build`)"
+      exe;
+  exe
+
+(* [chaos] is an [an5d worker --chaos] fault, e.g. "die-at-advance:1". *)
+let with_registry ?(exe = an5d ()) ?chaos ?hello_timeout n f =
+  let chaos = match chaos with Some c -> [| "--chaos"; c |] | None -> [||] in
+  let spawn = Workers.Exec (Array.append [| exe; "worker" |] chaos) in
+  let reg = Workers.create ~spawn ?hello_timeout n in
   Fun.protect ~finally:(fun () -> Workers.shutdown reg) @@ fun () -> f reg
 
 let multiproc reg ~prec ~run =
@@ -306,7 +323,7 @@ let test_die_mid_chunk () =
   List.iter
     (fun prec ->
       let run = Run_config.make ~shards ~workers:2 ~verify:true () in
-      with_registry ~chaos:(Workers.Die_at_advance 1) 2 @@ fun reg ->
+      with_registry ~chaos:"die-at-advance:1" 2 @@ fun reg ->
       let before = Metrics.snapshot () in
       let out = multiproc reg ~prec ~run in
       let after = Metrics.snapshot () in
@@ -330,7 +347,7 @@ let test_handshake_timeout () =
     (fun prec ->
       let run = Run_config.make ~shards ~workers:2 ~verify:true () in
       let before = Metrics.snapshot () in
-      ( with_registry ~chaos:Workers.No_hello ~hello_timeout:0.3 2
+      ( with_registry ~chaos:"no-hello" ~hello_timeout:0.3 2
       @@ fun reg ->
         let out = multiproc reg ~prec ~run in
         let after = Metrics.snapshot () in
@@ -353,7 +370,7 @@ let test_garbage_planes () =
   List.iter
     (fun prec ->
       let run = Run_config.make ~shards ~workers:2 ~verify:true () in
-      with_registry ~chaos:Workers.Garbage_planes 2 @@ fun reg ->
+      with_registry ~chaos:"garbage-planes" 2 @@ fun reg ->
       let before = Metrics.snapshot () in
       let out = multiproc reg ~prec ~run in
       let after = Metrics.snapshot () in
@@ -400,17 +417,61 @@ let test_sigkill_respawn () =
       check_outcome base out)
     precs
 
-(* A verified [domains = 2] multi-process run leaves the forking
-   registry able to respawn: OCaml 5.1 refuses [Unix.fork] once the
-   process has spawned any domain, so the parent-side verify of a
-   forking registry must not have spawned one. The baseline is the
-   sequential in-process run, which spawns no domain either. *)
+(* The worker binary disappears under a live registry (an upgrade in
+   place, say): the SIGKILLed worker's death is found, its respawn
+   cannot run the binary, and the request is served in-process —
+   counted like a failed handshake, never raised to the caller. *)
+let test_binary_missing () =
+  List.iter
+    (fun prec ->
+      let run = Run_config.make ~shards ~workers:2 ~verify:true () in
+      let exe = Filename.temp_file "an5d-worker" ".exe" in
+      Fun.protect ~finally:(fun () ->
+          if Sys.file_exists exe then Sys.remove exe)
+      @@ fun () ->
+      let image = In_channel.with_open_bin (an5d ()) In_channel.input_all in
+      Out_channel.with_open_bin exe (fun oc ->
+          Out_channel.output_string oc image);
+      Unix.chmod exe 0o755;
+      with_registry ~exe 2 @@ fun reg ->
+      Sys.remove exe;
+      Workers.kill reg 0;
+      Unix.sleepf 0.05;
+      let before = Metrics.snapshot () in
+      let out = multiproc reg ~prec ~run in
+      let after = Metrics.snapshot () in
+      Alcotest.(check int)
+        "death found + failed respawn" 2
+        (delta before after "worker_crashes");
+      Alcotest.(check int)
+        "one respawn attempt" 1
+        (delta before after "worker_spawns");
+      Alcotest.(check int)
+        "one in-process retry" 1
+        (delta before after "worker_retries");
+      Alcotest.(check bool) "worker 0 stays dead" false (Workers.alive reg 0);
+      check_outcome (in_process ~prec ~run) out)
+    precs
+
+(* A verified [domains = 2] multi-process run: the parent verifies on
+   both lanes, as the in-process run does, and the registry still
+   respawns a SIGKILLed worker afterwards with no fallback. *)
 let test_respawn_after_parallel_verify () =
   let prec = List.hd precs in
   let run = Run_config.make ~domains:2 ~shards ~workers:2 ~verify:true () in
-  let base = in_process ~prec ~run:(Run_config.with_domains 1 run) in
+  let base = in_process ~prec ~run in
   with_registry 2 @@ fun reg ->
-  let first = multiproc reg ~prec ~run in
+  let first, spans =
+    Obs.Trace.with_tracing (fun () -> multiproc reg ~prec ~run)
+  in
+  Alcotest.(check (list int))
+    "parent verify span lanes" [ 2 ]
+    (List.filter_map
+       (fun (sp : Obs.Trace.span) ->
+         match List.assoc_opt "lanes" sp.Obs.Trace.attrs with
+         | Some (Obs.Trace.Int n) when sp.Obs.Trace.name = "verify" -> Some n
+         | _ -> None)
+       spans);
   Alcotest.(check (result unit (float 0.0)))
     "verified" (Ok ()) first.Framework.verified;
   check_outcome base first;
@@ -425,6 +486,27 @@ let test_respawn_after_parallel_verify () =
     (delta before after "worker_retries");
   Alcotest.(check bool) "worker 1 is back" true (Workers.alive reg 1);
   check_outcome base out
+
+(* ------------------------------------------------------------------ *)
+(* The worker command line                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* An unknown [--chaos] fault is a usage error: the worker exits
+   non-zero before it says hello. *)
+let test_bad_chaos () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+  let exe = an5d () in
+  let pid =
+    Unix.create_process exe [| exe; "worker"; "--chaos"; "bogus" |] null null
+      null
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code ->
+      Alcotest.(check bool)
+        (Fmt.str "non-zero exit (got %d)" code)
+        true (code <> 0)
+  | _ -> Alcotest.fail "worker did not exit normally"
 
 (* ------------------------------------------------------------------ *)
 
@@ -466,12 +548,14 @@ let () =
         :: case "awkward extents == in-process" test_awkward_extents
         :: differential_cases );
       ("cadence", [ case "one exchange per temporal chunk" test_cadence ]);
+      ("cli", [ case "unknown --chaos is a usage error" test_bad_chaos ]);
       ( "faults",
         [
           fault "die mid-chunk" test_die_mid_chunk;
           fault "handshake timeout" test_handshake_timeout;
           fault "garbage halo frames" test_garbage_planes;
           fault "sigkill between requests" test_sigkill_respawn;
+          fault "worker binary missing" test_binary_missing;
           fault "respawn after a 2-domain verify" test_respawn_after_parallel_verify;
         ] );
     ]
