@@ -215,8 +215,8 @@ let multi_output () =
   print_endline
     "\nCoupling two fields roughly halves the feasible temporal degree --\n\
      the resource wall behind the paper's decision to defer multi-output\n\
-     blocking to future work (8). The prototype executor (Multi_blocking)\n\
-     is bit-exact against the coupled reference."
+     blocking to future work (8). These are analytic footprints\n\
+     (Multi_blocking); nothing here executes a multi-output kernel."
 
 let run () =
   streaming_vs_overlapped ();

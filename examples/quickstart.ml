@@ -44,4 +44,6 @@ let () =
   Fmt.pr "traffic: %a@." Gpu.Counters.pp outcome.An5d_core.Framework.counters;
   match outcome.An5d_core.Framework.verified with
   | Ok () -> Fmt.pr "verified: blocked execution is bit-exact vs the reference@."
-  | Error d -> Fmt.pr "verification FAILED: max deviation %.3e@." d
+  | Error d ->
+      Fmt.pr "verification FAILED: max deviation %.3e@." d;
+      exit 1

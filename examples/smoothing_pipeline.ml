@@ -49,8 +49,9 @@ let () =
   let smoothed, _ = Blocking.run_cfg Run_config.default em ~machine ~steps img in
   Fmt.pr "smoothed roughness: %.4f after %d sweeps@." (roughness smoothed) steps;
   let reference = Stencil.Reference.run smooth_pattern ~steps img in
-  Fmt.pr "bit-exact vs reference: %b@."
-    (Stencil.Grid.max_abs_diff reference smoothed = 0.0);
+  let exact = Stencil.Grid.max_abs_diff reference smoothed = 0.0 in
+  Fmt.pr "bit-exact vs reference: %b@." exact;
+  if not exact then exit 1;
 
   (* the associative optimization at work: shared-memory footprint *)
   let assoc_on = smem_words_of config in
@@ -63,7 +64,9 @@ let () =
   let machine2 = Gpu.Machine.create Gpu.Device.v100 in
   let em2 = Execmodel.make smooth_pattern { config with Config.assoc_opt = false } dims in
   let general, _ = Blocking.run_cfg Run_config.default em2 ~machine:machine2 ~steps img in
-  Fmt.pr "general path agrees: %b@." (Stencil.Grid.max_abs_diff smoothed general = 0.0);
+  let agrees = Stencil.Grid.max_abs_diff smoothed general = 0.0 in
+  Fmt.pr "general path agrees: %b@." agrees;
+  if not agrees then exit 1;
   Fmt.pr "general path shared traffic: %d words vs %d words (associative)@."
     (Gpu.Counters.sm_words machine2.Gpu.Machine.counters)
     (Gpu.Counters.sm_words machine.Gpu.Machine.counters)

@@ -10,132 +10,9 @@
     once, forcing smaller blocks and a higher ratio of boundary traffic
     — the reason it loses on 3D stencils (§7.1).
 
-    The executor below implements split tiling over the first spatial
-    dimension (upright trapezoids, then inverted fill-in tiles); it is
-    non-redundant — every cell is updated exactly once per time-step —
-    and bit-matches the reference. The analytic model captures the
-    on-chip capacity limit and wavefront drain. *)
-
-open An5d_core
-
-(* ------------------------------------------------------------------ *)
-(* Executor: split tiling along dimension 0                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Advance [degree] steps non-redundantly with tile width [width]
-    (must exceed [2 * rad * degree] so inverted tiles fit between
-    upright ones). Tiles of each phase write disjoint row ranges and
-    read only rows they themselves produced (or the preceding phase
-    did), so a [pool] parallelizes each phase bit-identically. *)
-let chunk ?pool pattern ~(machine : Gpu.Machine.t) ~degree:b ~width ~src ~dst =
-  let rad = pattern.Stencil.Pattern.radius in
-  let dims = src.Stencil.Grid.dims in
-  let l = dims.(0) in
-  if width <= 2 * rad * b then
-    invalid_arg "Hybrid.chunk: tile width must exceed 2*rad*degree";
-  let update = Stencil.Pattern.compile pattern in
-  let ops = Stencil.Pattern.ops_per_cell pattern in
-  let n = Array.length dims in
-  let interior = Stencil.Grid.interior ~rad src in
-  (* Time levels 0..b as full grids; every row is written exactly once
-     per level, by either an upright or an inverted tile. *)
-  let levels = Array.init (b + 1) (fun i -> if i = 0 then src else Stencil.Grid.create ~prec:src.Stencil.Grid.prec dims) in
-  (* Compute one row [r] of level [tstep] from level [tstep - 1]:
-     interior cells update, others copy. [counters] and [idx_buf] are
-     the calling block's lane shard and scratch. *)
-  let compute_row counters idx_buf ~tstep r =
-    let lsrc = levels.(tstep - 1) and ldst = levels.(tstep) in
-    let row_box =
-      Poly.Box.make
-        (Poly.Interval.make r r
-        :: List.init (n - 1) (fun d -> Poly.Interval.make 0 (dims.(d + 1) - 1)))
-    in
-    Poly.Box.iter
-      (fun idx ->
-        if Poly.Box.contains interior idx then begin
-          let read off =
-            Array.iteri (fun d i -> idx_buf.(d) <- i + off.(d)) idx;
-            Stencil.Grid.get lsrc idx_buf
-          in
-          Stencil.Grid.set ldst idx (update read);
-          Gpu.Counters.add_ops counters ops;
-          counters.Gpu.Counters.cells_updated <- counters.Gpu.Counters.cells_updated + 1;
-          counters.Gpu.Counters.sm_reads <-
-            counters.Gpu.Counters.sm_reads + List.length pattern.Stencil.Pattern.offsets - 1;
-          counters.Gpu.Counters.sm_writes <- counters.Gpu.Counters.sm_writes + 1
-        end
-        else Stencil.Grid.set ldst idx (Stencil.Grid.get lsrc idx))
-      row_box
-  in
-  let row_cells = Array.fold_left ( * ) 1 dims / l in
-  (* The last upright tile absorbs the remainder so inter-center spacing
-     never drops below [width] (needed for tile independence). *)
-  let n_tiles = max 1 (l / width) in
-  let tile_range k =
-    let s = k * width in
-    (s, if k = n_tiles - 1 then l else s + width)
-  in
-  (* Phase 1: upright trapezoids — shrink by rad per time level. *)
-  Gpu.Machine.launch ?pool machine ~n_blocks:n_tiles ~n_thr:(min 1024 row_cells)
-    (fun ctx ->
-      let counters = ctx.Gpu.Machine.machine.Gpu.Machine.counters in
-      let idx_buf = Array.make n 0 in
-      let s, e = tile_range ctx.Gpu.Machine.block_id in
-      counters.Gpu.Counters.gm_reads <-
-        counters.Gpu.Counters.gm_reads + ((e - s) * row_cells);
-      for tstep = 1 to b do
-        for r = s + (rad * tstep) to e - (rad * tstep) - 1 do
-          compute_row counters idx_buf ~tstep r
-        done
-      done);
-  (* Phase 2: inverted tiles centered on tile boundaries (including both
-     domain edges) — grow by rad per time level. *)
-  Gpu.Machine.launch ?pool machine ~n_blocks:(n_tiles + 1) ~n_thr:(min 1024 row_cells)
-    (fun ctx ->
-      let counters = ctx.Gpu.Machine.machine.Gpu.Machine.counters in
-      let idx_buf = Array.make n 0 in
-      let c = if ctx.Gpu.Machine.block_id = n_tiles then l else ctx.Gpu.Machine.block_id * width in
-      for tstep = 1 to b do
-        let lo = max 0 (c - (rad * tstep)) and hi = min l (c + (rad * tstep)) in
-        counters.Gpu.Counters.gm_reads <- counters.Gpu.Counters.gm_reads + ((hi - lo) * row_cells);
-        for r = lo to hi - 1 do
-          compute_row counters idx_buf ~tstep r
-        done
-      done;
-      (* final level stored back *)
-      let lo = max 0 (c - (rad * b)) and hi = min l (c + (rad * b)) in
-      counters.Gpu.Counters.gm_writes <-
-        counters.Gpu.Counters.gm_writes + ((hi - lo) * row_cells));
-  let counters = machine.Gpu.Machine.counters in
-  counters.Gpu.Counters.gm_writes <- counters.Gpu.Counters.gm_writes + (l * row_cells);
-  Stencil.Grid.blit ~src:levels.(b) ~dst
-
-let run ?domains ?pool pattern ~machine ~bt ~width ~steps g =
-  Obs.Trace.with_span "execute"
-    ~attrs:
-      [ ("baseline", Obs.Trace.Str "hybrid"); ("bt", Obs.Trace.Int bt);
-        ("steps", Obs.Trace.Int steps) ]
-  @@ fun () ->
-  let chunks = Execmodel.time_chunks ~bt ~it:steps in
-  let a = Stencil.Grid.copy g and b = Stencil.Grid.copy g in
-  let cur = ref a and nxt = ref b in
-  let exec pool =
-    List.iter
-      (fun degree ->
-        chunk ?pool pattern ~machine ~degree ~width ~src:!cur ~dst:!nxt;
-        let t = !cur in
-        cur := !nxt;
-        nxt := t)
-      chunks
-  in
-  (match pool with
-  | Some _ -> exec pool
-  | None -> Gpu.Pool.with_pool ?domains exec);
-  !cur
-
-(* ------------------------------------------------------------------ *)
-(* Analytic model                                                      *)
-(* ------------------------------------------------------------------ *)
+    This module is an analytic model only (Fig 6 prints its [tune]
+    result): it captures the on-chip capacity limit and wavefront
+    drain. *)
 
 (* Wavefront pipelines drain at tile boundaries; hexagonal schedules
    keep roughly this fraction of the machine busy (calibrated so hybrid

@@ -1,39 +1,11 @@
 (** Baseline: hybrid hexagonal/classical tiling (Grosser et al., §3) —
-    non-redundant temporal blocking. The executor implements split
-    tiling along the first spatial dimension (upright trapezoids, then
-    inverted fill-in tiles); every cell is updated exactly once per
-    time-step and the result bit-matches the reference. The analytic
-    model captures the defining disadvantage versus N.5D: no dimension
-    is streamed, so the on-chip capacity caps the tile in all [N]
-    dimensions (§7.1's 3D weakness). *)
+    non-redundant temporal blocking, as an analytic model. It captures the defining disadvantage
+    versus N.5D: no dimension is streamed, so the on-chip capacity caps
+    the tile in all [N] dimensions (§7.1's 3D weakness). *)
 
 val wavefront_efficiency : float
 (** Calibration: fraction of the machine hexagonal schedules keep busy
     across pipeline fill/drain. *)
-
-val chunk :
-  ?pool:Gpu.Pool.t ->
-  Stencil.Pattern.t ->
-  machine:Gpu.Machine.t ->
-  degree:int ->
-  width:int ->
-  src:Stencil.Grid.t ->
-  dst:Stencil.Grid.t ->
-  unit
-(** A [pool] parallelizes the independent tiles of each phase
-    bit-identically.
-    @raise Invalid_argument unless [width > 2*rad*degree]. *)
-
-val run :
-  ?domains:int ->
-  ?pool:Gpu.Pool.t ->
-  Stencil.Pattern.t ->
-  machine:Gpu.Machine.t ->
-  bt:int ->
-  width:int ->
-  steps:int ->
-  Stencil.Grid.t ->
-  Stencil.Grid.t
 
 type report = {
   seconds : float;

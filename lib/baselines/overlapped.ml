@@ -7,126 +7,14 @@
     N.5D blocking, the halo is paid along *every* dimension — the
     redundancy ratio grows like [((B + 2*bt*rad) / B)^N] instead of
     [^(N-1)] — which is exactly why AN5D streams one dimension. This
-    module exists for the ablation benchmark that quantifies that gap. *)
-
-open An5d_core
+    analytic model exists for the ablation benchmark that quantifies
+    that gap. *)
 
 type report = {
   seconds : float;
   gflops : float;
   redundancy : float;  (** loaded cells / useful cells *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Executor                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** One temporal chunk of degree [b]: every block computes its halo'd
-    region locally for [b] steps. Semantics match the reference
-    bit-for-bit (same update expression, boundary cells frozen). Blocks
-    store disjoint core boxes, so a [pool] parallelizes them
-    bit-identically. *)
-let chunk ?pool pattern ~(machine : Gpu.Machine.t) ~degree:b ~core ~src ~dst =
-  let rad = pattern.Stencil.Pattern.radius in
-  let dims = src.Stencil.Grid.dims in
-  let n = Array.length dims in
-  let update = Stencil.Pattern.compile pattern in
-  let ops = Stencil.Pattern.ops_per_cell pattern in
-  let halo = b * rad in
-  let grid_box = Stencil.Grid.domain src in
-  let interior = Stencil.Grid.interior ~rad src in
-  let blocks_per_dim = Array.map (fun d -> (d + core - 1) / core) dims in
-  let n_blocks = Array.fold_left ( * ) 1 blocks_per_dim in
-  Stencil.Grid.blit ~src ~dst;
-  Gpu.Machine.launch ?pool machine ~n_blocks ~n_thr:(min 1024 (core * core)) (fun ctx ->
-      let counters = ctx.Gpu.Machine.machine.Gpu.Machine.counters in
-      let idx_buf = Array.make n 0 in
-      let id = ref ctx.Gpu.Machine.block_id in
-      let origin =
-        Array.init n (fun d ->
-            let below =
-              Array.fold_left ( * ) 1 (Array.sub blocks_per_dim (d + 1) (n - d - 1))
-            in
-            let k = !id / below in
-            id := !id mod below;
-            k * core)
-      in
-      let core_box =
-        Poly.Box.make
-          (List.init n (fun d ->
-               Poly.Interval.make origin.(d) (min (origin.(d) + core - 1) (dims.(d) - 1))))
-      in
-      let work_box = Poly.Box.inter (Poly.Box.grow halo core_box) grid_box in
-      counters.Gpu.Counters.gm_reads <-
-        counters.Gpu.Counters.gm_reads + Poly.Box.volume work_box;
-      (* local double-buffered computation over the halo'd box *)
-      let local_src = Hashtbl.create 512 and local_dst = Hashtbl.create 512 in
-      Poly.Box.iter
-        (fun idx -> Hashtbl.replace local_src idx (Stencil.Grid.get src idx))
-        work_box;
-      let get_local tbl idx =
-        match Hashtbl.find_opt tbl idx with
-        | Some v -> v
-        | None -> Stencil.Grid.get src idx (* clamped halo: stale, never stored *)
-      in
-      for tstep = 1 to b do
-        let valid = Poly.Box.shrink (tstep * rad) (Poly.Box.grow halo core_box) in
-        Poly.Box.iter
-          (fun idx ->
-            let v =
-              if Poly.Box.contains interior idx && Poly.Box.contains valid idx then begin
-                let read off =
-                  Array.iteri (fun d i -> idx_buf.(d) <- i + off.(d)) idx;
-                  get_local local_src (Array.copy idx_buf)
-                in
-                let v = update read in
-                Gpu.Counters.add_ops counters ops;
-                counters.Gpu.Counters.cells_updated <-
-                  counters.Gpu.Counters.cells_updated + 1;
-                v
-              end
-              else get_local local_src idx
-            in
-            Hashtbl.replace local_dst idx v)
-          work_box;
-        Hashtbl.reset local_src;
-        Hashtbl.iter (Hashtbl.replace local_src) local_dst;
-        Hashtbl.reset local_dst
-      done;
-      Poly.Box.iter
-        (fun idx ->
-          counters.Gpu.Counters.gm_writes <- counters.Gpu.Counters.gm_writes + 1;
-          Stencil.Grid.set dst idx (get_local local_src idx))
-        core_box)
-
-(** Run [steps] steps with temporal chunks of [bt] on core blocks of
-    edge [core]. [domains]/[pool] parallelize the blocks of each chunk. *)
-let run ?domains ?pool pattern ~machine ~bt ~core ~steps g =
-  Obs.Trace.with_span "execute"
-    ~attrs:
-      [ ("baseline", Obs.Trace.Str "overlapped"); ("bt", Obs.Trace.Int bt);
-        ("steps", Obs.Trace.Int steps) ]
-  @@ fun () ->
-  let chunks = Execmodel.time_chunks ~bt ~it:steps in
-  let a = Stencil.Grid.copy g and b = Stencil.Grid.copy g in
-  let cur = ref a and nxt = ref b in
-  let exec pool =
-    List.iter
-      (fun degree ->
-        chunk ?pool pattern ~machine ~degree ~core ~src:!cur ~dst:!nxt;
-        let t = !cur in
-        cur := !nxt;
-        nxt := t)
-      chunks
-  in
-  (match pool with
-  | Some _ -> exec pool
-  | None -> Gpu.Pool.with_pool ?domains exec);
-  !cur
-
-(* ------------------------------------------------------------------ *)
-(* Analytic model                                                      *)
-(* ------------------------------------------------------------------ *)
 
 let predict (dev : Gpu.Device.t) ~prec pattern ~dims ~steps ~bt ~core =
   let rad = pattern.Stencil.Pattern.radius in

@@ -1,37 +1,13 @@
 (** Baseline: overlapped temporal tiling *without* dimension streaming
     (Overtile/Forma/SDSLc style, §3) — the halo is paid along every
-    dimension, which is exactly what N.5D's streaming avoids. Used by
-    the streaming ablation bench. *)
+    dimension, which is exactly what N.5D's streaming avoids. An
+    analytic model only, used by the streaming ablation bench. *)
 
 type report = {
   seconds : float;
   gflops : float;
   redundancy : float;  (** loaded cells / useful cells *)
 }
-
-val chunk :
-  ?pool:Gpu.Pool.t ->
-  Stencil.Pattern.t ->
-  machine:Gpu.Machine.t ->
-  degree:int ->
-  core:int ->
-  src:Stencil.Grid.t ->
-  dst:Stencil.Grid.t ->
-  unit
-(** One temporal chunk: every block computes its halo'd region locally
-    for [degree] steps; bit-matches the reference. A [pool]
-    parallelizes the independent blocks bit-identically. *)
-
-val run :
-  ?domains:int ->
-  ?pool:Gpu.Pool.t ->
-  Stencil.Pattern.t ->
-  machine:Gpu.Machine.t ->
-  bt:int ->
-  core:int ->
-  steps:int ->
-  Stencil.Grid.t ->
-  Stencil.Grid.t
 
 val predict :
   Gpu.Device.t ->

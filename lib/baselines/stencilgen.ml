@@ -12,10 +12,9 @@
       non-associative stencils) instead of AN5D's two buffers.
 
     Numerically the schedule is identical to AN5D's (both compute the
-    same overlapped N.5D tiling), so correctness runs reuse
-    {!An5d_core.Blocking}; what differs is the resource accounting and
-    hence occupancy and measured performance. Published results scale
-    only to [bT <= 4] ([scaling_limit]). *)
+    same overlapped N.5D tiling), so only the resource accounting — and
+    hence occupancy and measured performance — is modelled here.
+    Published results scale only to [bT <= 4] ([scaling_limit]). *)
 
 open An5d_core
 
@@ -121,16 +120,3 @@ let measure_best (dev : Gpu.Device.t) ~prec (em : Execmodel.t) ~steps =
          | Some best when best.Model.Measure.gflops >= m.Model.Measure.gflops -> acc
          | _ -> Some m)
        None
-
-(** Correctness executor: STENCILGEN computes the same N.5D overlapped
-    schedule, so we run {!Blocking} and only swap the resource
-    accounting; the shared-memory *footprint* check uses this module's
-    multi-buffer formula. *)
-let run (em : Execmodel.t) ~machine ~steps g =
-  let prec = g.Stencil.Grid.prec in
-  if smem_bytes em ~prec > machine.Gpu.Machine.device.Gpu.Device.smem_per_sm then
-    raise
-      (Gpu.Machine.Launch_failure
-         (Fmt.str "STENCILGEN needs %d bytes of shared memory per block"
-            (smem_bytes em ~prec)));
-  Blocking.run_cfg Run_config.default em ~machine ~steps g

@@ -35,13 +35,3 @@ val measure_best :
   steps:int ->
   Model.Measure.measurement option
 (** Best over the [none/32/64] register limits (§6.3). *)
-
-val run :
-  Execmodel.t ->
-  machine:Gpu.Machine.t ->
-  steps:int ->
-  Stencil.Grid.t ->
-  Stencil.Grid.t * Blocking.launch_stats
-(** Correctness executor (the schedule is AN5D's); enforces the
-    multi-buffer shared-memory footprint.
-    @raise Gpu.Machine.Launch_failure when it does not fit. *)

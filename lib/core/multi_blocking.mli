@@ -1,20 +1,10 @@
-(** Multi-output N.5D blocking — the §8 future-work prototype: the
-    streaming pipeline of {!Blocking} generalized to stencil systems,
-    advancing all [S] coupled components with one round of global
-    traffic per [bT] time-steps. Registers and shared memory scale by
-    [S], which is the resource pressure that made the paper defer this.
-    Bit-compared against {!Stencil.System.run} by the test suite. *)
-
-type launch_stats = {
-  components : int;
-  n_tb : int;
-  n_thr : int;
-  smem_bytes : int;
-  regs_per_thread : int;
-  kernel_calls : int;
-}
-
-val pp_launch_stats : Format.formatter -> launch_stats -> unit
+(** Resource footprint of multi-output N.5D blocking — the paper's §8
+    future work: the streaming pipeline of {!Blocking} generalized to
+    stencil systems ({!Stencil.System}), advancing all [S] coupled
+    components with one round of global traffic per [bT] time-steps.
+    Registers and shared memory scale by [S], which is the resource
+    pressure that made the paper defer this. Ablation 6 prints this
+    footprint. *)
 
 val smem_words : Stencil.System.t -> Config.t -> int
 (** One double-buffered tile per component ([1 + 2*rad] planes each
@@ -22,32 +12,4 @@ val smem_words : Stencil.System.t -> Config.t -> int
 
 val regs_required :
   Stencil.System.t -> prec:Stencil.Grid.precision -> bt:int -> int
-
-val kernel_call :
-  ?pool:Gpu.Pool.t ->
-  Stencil.System.t ->
-  Config.t ->
-  machine:Gpu.Machine.t ->
-  degree:int ->
-  src:Stencil.Grid.t array ->
-  dst:Stencil.Grid.t array ->
-  unit
-(** A [pool] fans the independent thread blocks out over its domains,
-    bit-identically to the sequential path.
-    @raise Gpu.Machine.Launch_failure when resources exceed the device.
-    @raise Invalid_argument on a non-positive compute region. *)
-
-val run_cfg :
-  ?pool:Gpu.Pool.t ->
-  Run_config.t ->
-  Stencil.System.t ->
-  Config.t ->
-  machine:Gpu.Machine.t ->
-  steps:int ->
-  Stencil.Grid.t list ->
-  Stencil.Grid.t list * launch_stats
-(** Temporal chunks of [cfg.bt]; stream division is not supported by
-    the prototype (the [hs] field is ignored). Of the {!Run_config}
-    only [domains] matters here — the prototype has a single
-    implementation and evaluation mode; [domains]/[pool] run thread
-    blocks in parallel as in {!Blocking.run_cfg}. *)
+(** [S] sub-plane register sets per time-step plus the §6.3 overhead. *)

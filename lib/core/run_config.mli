@@ -4,9 +4,9 @@
     verification, trace sink, metrics flag).
 
     The [*_cfg] entrypoints ({!Blocking.run_cfg},
-    {!Framework.simulate_cfg}, {!Multi_blocking.run_cfg},
-    [Tuner.tune_cfg]) take a [Run_config.t] and are the only
-    entrypoints; [bin/an5d] and [bench/main] build one from their flags.
+    {!Framework.simulate_cfg}, [Tuner.tune_cfg]) take a [Run_config.t]
+    and are the only entrypoints; [bin/an5d] and [bench/main] build one
+    from their flags.
     There is no executor knob: {!Blocking} picks the executor from the
     plan it runs.
 

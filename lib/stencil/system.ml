@@ -1,6 +1,7 @@
-(** Multi-statement stencil systems — the paper's §8 future work
-    ("implement multi-output temporal blocking to optimize
-    multi-statement stencils") made concrete.
+(** Multi-statement stencil systems — the IR of the paper's §8 future
+    work ("implement multi-output temporal blocking to optimize
+    multi-statement stencils"). It feeds the analytic resource model of
+    multi-output blocking.
 
     A system couples [S] state arrays: each time-step updates every
     array from the previous values of *all* arrays,
@@ -92,90 +93,3 @@ let rec flops_expr = function
 
 let flops_per_cell t =
   List.fold_left (fun acc (_, e) -> acc + flops_expr e) 0 t.components
-
-let param_value t name =
-  match List.assoc_opt name t.params with
-  | Some v -> v
-  | None -> invalid_arg (Fmt.str "System %s: unbound parameter %s" t.name name)
-
-(** Compile one component's update to a closure over a tagged reader. *)
-let compile_component t e : (int -> int array -> float) -> float =
-  let rec go = function
-    | Const c -> fun _ -> c
-    | Param p ->
-        let v = param_value t p in
-        fun _ -> v
-    | Read (k, o) ->
-        let o = Array.copy o in
-        fun read -> read k o
-    | Neg a ->
-        let fa = go a in
-        fun read -> -.fa read
-    | Add (a, b) ->
-        let fa = go a and fb = go b in
-        fun read -> fa read +. fb read
-    | Sub (a, b) ->
-        let fa = go a and fb = go b in
-        fun read -> fa read -. fb read
-    | Mul (a, b) ->
-        let fa = go a and fb = go b in
-        fun read -> fa read *. fb read
-    | Div (a, b) ->
-        let fa = go a and fb = go b in
-        fun read -> fa read /. fb read
-    | Sqrt a ->
-        let fa = go a in
-        fun read -> sqrt (fa read)
-  in
-  go e
-
-let compile t = List.map (fun (_, e) -> compile_component t e) t.components
-
-(* ------------------------------------------------------------------ *)
-(* Reference executor                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** One time-step of the whole system: all components read the previous
-    state of all arrays; boundary cells are frozen. *)
-let step t ~(src : Grid.t list) ~(dst : Grid.t list) =
-  if List.length src <> n_components t || List.length dst <> n_components t then
-    invalid_arg "System.step: component count mismatch";
-  let src = Array.of_list src and dst = Array.of_list dst in
-  let dims = src.(0).Grid.dims in
-  Array.iter
-    (fun g ->
-      if g.Grid.dims <> dims then invalid_arg "System.step: grids must agree")
-    src;
-  let rad = radius t in
-  let updates = Array.of_list (compile t) in
-  let interior = Grid.interior ~rad src.(0) in
-  Array.iteri (fun k dstk -> Grid.blit ~src:src.(k) ~dst:dstk) dst;
-  let idx_buf = Array.make t.dims 0 in
-  Poly.Box.iter
-    (fun idx ->
-      let read k off =
-        Array.iteri (fun d i -> idx_buf.(d) <- i + off.(d)) idx;
-        Grid.get src.(k) idx_buf
-      in
-      Array.iteri (fun k update -> Grid.set dst.(k) idx (update read)) updates)
-    interior
-
-(** Run [steps] time-steps; returns the final grids (input unchanged). *)
-let run t ~steps (gs : Grid.t list) =
-  if steps < 0 then invalid_arg "System.run: negative step count";
-  let cur = ref (List.map Grid.copy gs) and nxt = ref (List.map Grid.copy gs) in
-  for _ = 1 to steps do
-    step t ~src:!cur ~dst:!nxt;
-    let tmp = !cur in
-    cur := !nxt;
-    nxt := tmp
-  done;
-  !cur
-
-let total_flops t ~dims ~steps =
-  let interior = Poly.Box.shrink (radius t) (Poly.Box.of_dims dims) in
-  float (Poly.Box.volume interior) *. float (flops_per_cell t) *. float steps
-
-let pp ppf t =
-  Fmt.pf ppf "%s: %dD system of %d components, rad=%d, %d flop/cell" t.name t.dims
-    (n_components t) (radius t) (flops_per_cell t)

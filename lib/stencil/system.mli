@@ -2,7 +2,8 @@
     [S] coupled state arrays, each updated every time-step from the
     previous values of all arrays — multi-field PDE solvers (wave
     equations as first-order systems, reaction-diffusion, staggered
-    FDTD fields). *)
+    FDTD fields). The IR and the static properties that size
+    multi-output blocking's registers and shared memory. *)
 
 type expr =
   | Const of float
@@ -47,21 +48,3 @@ val flops_expr : expr -> int
 
 val flops_per_cell : t -> int
 (** Summed over all components (Table 3 convention per expression). *)
-
-val param_value : t -> string -> float
-
-val compile_component : t -> expr -> (int -> int array -> float) -> float
-(** Closure over a tagged reader [(component, offset) -> value]. *)
-
-val compile : t -> ((int -> int array -> float) -> float) list
-
-val step : t -> src:Grid.t list -> dst:Grid.t list -> unit
-(** One coupled time-step; boundary cells frozen.
-    @raise Invalid_argument on component/shape mismatches. *)
-
-val run : t -> steps:int -> Grid.t list -> Grid.t list
-(** Reference executor; inputs unchanged. *)
-
-val total_flops : t -> dims:int array -> steps:int -> float
-
-val pp : Format.formatter -> t -> unit

@@ -83,75 +83,19 @@ let test_partial_sums_stream_division () =
     (Config.make ~hs:(Some 7) ~bt:2 ~bs:[| 12 |] ())
     [| 23; 17 |] ~steps:4 ~domains:2
 
-(* --- baselines and the multi-output prototype --- *)
+(* --- loop-tiling baseline --- *)
 
 let test_baselines_parallel () =
   let p = star ~dims:2 1 in
-  let dims = [| 26; 24 |] in
-  let g = Stencil.Grid.init_random dims in
-  let with_machine f =
+  let g = Stencil.Grid.init_random [| 26; 24 |] in
+  let run ?domains () =
     let machine = Gpu.Machine.create Gpu.Device.v100 in
-    (f machine, machine.Gpu.Machine.counters)
+    let out = Baselines.Loop_tiling.run ~tile:8 ?domains p ~machine ~steps:4 g in
+    (out, machine.Gpu.Machine.counters)
   in
-  let check name seq par (sc, pc) =
-    Alcotest.(check (float 0.0))
-      (name ^ " bit-identical")
-      0.0
-      (Stencil.Grid.max_abs_diff seq par);
-    Alcotest.check counters_t (name ^ " counters") sc pc
-  in
-  let s, sc = with_machine (fun m -> Baselines.Loop_tiling.run ~tile:8 p ~machine:m ~steps:4 g) in
-  let q, qc =
-    with_machine (fun m -> Baselines.Loop_tiling.run ~tile:8 ~domains:4 p ~machine:m ~steps:4 g)
-  in
-  check "loop tiling" s q (sc, qc);
-  let s, sc =
-    with_machine (fun m -> Baselines.Overlapped.run p ~machine:m ~bt:2 ~core:8 ~steps:5 g)
-  in
-  let q, qc =
-    with_machine (fun m ->
-        Baselines.Overlapped.run ~domains:4 p ~machine:m ~bt:2 ~core:8 ~steps:5 g)
-  in
-  check "overlapped" s q (sc, qc);
-  let s, sc =
-    with_machine (fun m -> Baselines.Hybrid.run p ~machine:m ~bt:2 ~width:12 ~steps:5 g)
-  in
-  let q, qc =
-    with_machine (fun m ->
-        Baselines.Hybrid.run ~domains:4 p ~machine:m ~bt:2 ~width:12 ~steps:5 g)
-  in
-  check "hybrid" s q (sc, qc)
-
-let test_multi_parallel () =
-  let r c off = Stencil.System.Read (c, off) in
-  let avg c =
-    Stencil.System.Mul
-      ( Stencil.System.Const 0.25,
-        Stencil.System.Add
-          ( Stencil.System.Add (r c [| -1; 0 |], r c [| 1; 0 |]),
-            Stencil.System.Add (r c [| 0; -1 |], r c [| 0; 1 |]) ) )
-  in
-  let sys =
-    Stencil.System.make ~name:"pair" ~dims:2 ~params:[]
-      [
-        ("u", Stencil.System.Add (avg 0, r 1 [| 0; 0 |]));
-        ("v", Stencil.System.Sub (avg 1, r 0 [| 0; 0 |]));
-      ]
-  in
-  let cfg = Config.make ~bt:2 ~bs:[| 14 |] () in
-  let dims = [| 24; 22 |] in
-  let gs = [ Stencil.Grid.init_random dims; Stencil.Grid.init_random dims ] in
-  let run domains =
-    let machine = Gpu.Machine.create Gpu.Device.v100 in
-    let outs, _ = Multi_blocking.run_cfg (Run_config.make ~domains ()) sys cfg ~machine ~steps:5 gs in
-    (outs, machine.Gpu.Machine.counters)
-  in
-  let seq, sc = run 1 and par, pc = run 4 in
-  List.iter2
-    (fun a b ->
-      Alcotest.(check (float 0.0)) "multi bit-identical" 0.0 (Stencil.Grid.max_abs_diff a b))
-    seq par;
-  Alcotest.check counters_t "multi counters" sc pc
+  let s, sc = run () and q, qc = run ~domains:4 () in
+  Alcotest.(check (float 0.0)) "loop tiling bit-identical" 0.0 (Stencil.Grid.max_abs_diff s q);
+  Alcotest.check counters_t "loop tiling counters" sc qc
 
 (* --- QCheck: random (pattern, config, grid, mode, domains) --- *)
 
@@ -318,7 +262,6 @@ let () =
           Alcotest.test_case "partial sums + stream division" `Quick
             test_partial_sums_stream_division;
           Alcotest.test_case "baselines" `Quick test_baselines_parallel;
-          Alcotest.test_case "multi-output prototype" `Quick test_multi_parallel;
         ] );
       ( "counters",
         [

@@ -332,50 +332,6 @@ let test_cfg_tuner () =
   Alcotest.(check int) "explored" r1.Model.Tuner.explored r2.Model.Tuner.explored;
   Alcotest.(check int) "pruned" r1.Model.Tuner.pruned r2.Model.Tuner.pruned
 
-let wave2d =
-  let dt = 0.3 and c = 0.25 and d = 0.995 in
-  let u o = Stencil.System.Read (0, o) and v o = Stencil.System.Read (1, o) in
-  let laplacian =
-    Stencil.System.Add
-      ( Stencil.System.Add
-          ( Stencil.System.Add (u [| -1; 0 |], u [| 1; 0 |]),
-            Stencil.System.Add (u [| 0; -1 |], u [| 0; 1 |]) ),
-        Stencil.System.Mul (Stencil.System.Const (-4.0), u [| 0; 0 |]) )
-  in
-  Stencil.System.make ~name:"wave2d" ~dims:2 ~params:[]
-    [
-      ( "u",
-        Stencil.System.Add
-          (u [| 0; 0 |], Stencil.System.Mul (Stencil.System.Const dt, v [| 0; 0 |]))
-      );
-      ( "v",
-        Stencil.System.Add
-          ( Stencil.System.Mul (Stencil.System.Const d, v [| 0; 0 |]),
-            Stencil.System.Mul (Stencil.System.Const c, laplacian) ) );
-    ]
-
-let test_cfg_multi_blocking () =
-  let dims = [| 20; 24 |] in
-  let cfg = Config.make ~bt:2 ~bs:[| 12 |] () in
-  let gs () = [ Stencil.Grid.init_random dims; Stencil.Grid.init_random ~seed:7 dims ] in
-  let machine1 = Gpu.Machine.create Gpu.Device.v100 in
-  let out1, stats1 =
-    Multi_blocking.run_cfg
-      (Run_config.with_domains 3 Run_config.default)
-      wave2d cfg ~machine:machine1 ~steps:4 (gs ())
-  in
-  let machine2 = Gpu.Machine.create Gpu.Device.v100 in
-  let out2, stats2 =
-    Multi_blocking.run_cfg
-      (Run_config.make ~domains:3 ())
-      wave2d cfg ~machine:machine2 ~steps:4 (gs ())
-  in
-  List.iter2
-    (fun a b ->
-      Alcotest.(check (float 0.0)) "component" 0.0 (Stencil.Grid.max_abs_diff a b))
-    out1 out2;
-  Alcotest.(check bool) "stats" true (stats1 = stats2)
-
 (* ------------------------------------------------------------------ *)
 (* Session                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -961,7 +917,6 @@ let () =
           Alcotest.test_case "Blocking.run_cfg" `Quick test_cfg_blocking;
           Alcotest.test_case "Framework.simulate_cfg" `Quick test_cfg_framework;
           Alcotest.test_case "Tuner.tune_cfg" `Quick test_cfg_tuner;
-          Alcotest.test_case "Multi_blocking.run_cfg" `Quick test_cfg_multi_blocking;
         ] );
       ( "session",
         [
