@@ -23,7 +23,7 @@ let run_setting st =
           Output.gflops tuned.Model.Tuner.tuned.Model.Measure.gflops;
           Output.gflops tuned.Model.Tuner.model_gflops;
         ])
-      Bench_defs.Benchmarks.all
+      (Bench_defs.Benchmarks.all ())
   in
   Output.table
     ~header:[ "stencil"; "Loop"; "Hybrid"; "STENCILGEN"; "AN5D Sconf"; "AN5D Tuned"; "Model" ]

@@ -6,7 +6,7 @@ open An5d_core
 
 let stencils () =
   List.filter (fun b -> b.Bench_defs.Benchmarks.stencilgen_available)
-    Bench_defs.Benchmarks.all
+    (Bench_defs.Benchmarks.all ())
 
 let run () =
   Output.section "Fig 7 -- register usage per thread, float, no limit (Sconf)";

@@ -39,7 +39,7 @@ let mix_table () =
               string_of_int prog.Ptx.Isa.n_regs;
             ]
         end)
-      Bench_defs.Benchmarks.all
+      (Bench_defs.Benchmarks.all ())
   in
   Output.table
     ~header:

@@ -16,7 +16,7 @@ let run () =
           string_of_int (Stencil.Pattern.flops_per_cell p);
           Stencil.Pattern.opt_class_to_string (Stencil.Pattern.opt_class p);
         ])
-      Bench_defs.Benchmarks.all
+      (Bench_defs.Benchmarks.all ())
   in
   Output.table
     ~header:[ "stencil"; "dims"; "shape"; "rad"; "points"; "FLOP/cell"; "class" ]

@@ -31,7 +31,7 @@ let run () =
               Output.gflops model;
               Output.percent acc;
             ])
-          Bench_defs.Benchmarks.all
+          (Bench_defs.Benchmarks.all ())
       in
       Output.table
         ~header:[ "pattern"; "bT"; "bS"; "h_SN"; "regs"; "Tuned"; "Model"; "acc" ]

@@ -62,7 +62,7 @@ let run () =
           string_of_int counters.Gpu.Counters.gm_reads;
           string_of_int counters.Gpu.Counters.sm_reads;
         ])
-      Bench_defs.Benchmarks.all
+      (Bench_defs.Benchmarks.all ())
   in
   Output.table
     ~header:

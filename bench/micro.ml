@@ -30,7 +30,7 @@ let table3 =
   Test.make ~name:"table3_flop_counting" (Staged.stage (fun () ->
       List.iter
         (fun b -> ignore (Stencil.Pattern.flops_per_cell b.Bench_defs.Benchmarks.pattern))
-        Bench_defs.Benchmarks.all))
+        (Bench_defs.Benchmarks.all ())))
 
 let table4 =
   Test.make ~name:"table4_bandwidth_procedure" (Staged.stage (fun () ->

@@ -407,7 +407,7 @@ let artifact_cmd =
 
 let list_cmd =
   let run () =
-    List.iter (fun b -> Fmt.pr "%a@." Bench_defs.Benchmarks.pp b) Bench_defs.Benchmarks.all;
+    List.iter (fun b -> Fmt.pr "%a@." Bench_defs.Benchmarks.pp b) (Bench_defs.Benchmarks.all ());
     0
   in
   let doc = "List the built-in Table 3 benchmarks." in

@@ -42,9 +42,9 @@ let () =
       total_bytes := !total_bytes + bytes;
       Fmt.pr "%-12s -> %s (%a, %d bytes)@." b.Bench_defs.Benchmarks.name dir
         Config.pp config bytes)
-    Bench_defs.Benchmarks.all;
+    (Bench_defs.Benchmarks.all ());
   Fmt.pr "@.%d bundles, %d bytes total under %s@."
-    (List.length Bench_defs.Benchmarks.all)
+    (List.length (Bench_defs.Benchmarks.all ()))
     !total_bytes root;
   Fmt.pr "each bundle builds with `make` on a CUDA machine and verifies@.";
   Fmt.pr "against CPU execution, as in the paper's artifact (A.5/A.6)@."

@@ -12,11 +12,6 @@ val ipow : int -> int -> int
 
 val pp_kind : Format.formatter -> kind -> unit
 
-val nonzero_components : int array -> int
-
-val is_axial : int array -> bool
-(** At most one nonzero component (no diagonal access). *)
-
 val radius : int array list -> int
 (** Chebyshev norm of the farthest offset. *)
 

@@ -1,16 +1,83 @@
-(* Benchmark-suite tests: Table 3 fidelity, classification, and the
-   C-source round trip (parse -> detect -> bit-identical execution). *)
+(* Benchmark-suite tests: building on first use, Table 3 fidelity,
+   classification, and the C-source round trip (parse -> detect ->
+   bit-identical execution). *)
 
 open Stencil
 
-let all = Bench_defs.Benchmarks.all
+let all () = Bench_defs.Benchmarks.all ()
+
+(* Runs first, while no record is built yet: two domains race to build
+   the largest benchmark, and both must get the one memoized record. *)
+let test_concurrent_first_lookup () =
+  let go = Atomic.make false in
+  let lookup () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Bench_defs.Benchmarks.find "box3d4r"
+  in
+  let d1 = Domain.spawn lookup and d2 = Domain.spawn lookup in
+  Atomic.set go true;
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  match (r1, r2) with
+  | Some b1, Some b2 ->
+      Alcotest.(check bool) "same record" true (b1 == b2);
+      Alcotest.(check bool) "find again is the same record" true
+        (Option.get (Bench_defs.Benchmarks.find "box3d4r") == b1);
+      Alcotest.(check bool) "find missing" true (Bench_defs.Benchmarks.find "nope" = None)
+  | _ -> Alcotest.fail "box3d4r not found"
+
+(* The rendered C sources of all 21 benchmarks, in Table 3 order, pinned
+   byte for byte: the digest of the sources as first committed. *)
+let test_rendered_sources_pinned () =
+  let text =
+    String.concat "\000"
+      (List.map
+         (fun b -> b.Bench_defs.Benchmarks.name ^ "\000" ^ b.Bench_defs.Benchmarks.c_source)
+         (all ()))
+  in
+  Alcotest.(check int) "bytes" 72_735 (String.length text);
+  Alcotest.(check string) "digest" "da8b609586f529cc299b78b78870c39e"
+    (Digest.to_hex (Digest.string text))
+
+(* Start-up builds no benchmark: [an5d --version] allocates a few tens
+   of thousands of words, where building the whole suite at module
+   initialisation allocated over 8 million. Counting words, not
+   timing, keeps the guard deterministic. *)
+let test_startup_allocations () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/an5d.exe" in
+  if not (Sys.file_exists exe) then
+    Alcotest.failf "%s not found (build it with `dune build`)" exe;
+  let env =
+    Array.append [| "OCAMLRUNPARAM=v=0x400" |]
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"OCAMLRUNPARAM=" kv))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let ((out, _, err) as proc) = Unix.open_process_args_full exe [| exe; "--version" |] env in
+  let stats = In_channel.input_all err in
+  ignore (In_channel.input_all out);
+  (match Unix.close_process_full proc with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "%s --version failed:\n%s" exe stats);
+  let words =
+    List.find_map
+      (fun line -> Scanf.sscanf_opt line "allocated_words: %d" Fun.id)
+      (String.split_on_char '\n' stats)
+  in
+  match words with
+  | None -> Alcotest.failf "no allocated_words in:\n%s" stats
+  | Some w ->
+      if w >= 100_000 then
+        Alcotest.failf "an5d --version allocated %d words at start-up (limit 100000)" w
 
 let test_suite_composition () =
-  Alcotest.(check int) "21 benchmarks" 21 (List.length all);
+  Alcotest.(check int) "21 benchmarks" 21 (List.length (all ()));
   Alcotest.(check int) "12 two-dimensional" 12
-    (List.length Bench_defs.Benchmarks.two_dimensional);
+    (List.length (Bench_defs.Benchmarks.two_dimensional ()));
   Alcotest.(check int) "9 three-dimensional" 9
-    (List.length Bench_defs.Benchmarks.three_dimensional);
+    (List.length (Bench_defs.Benchmarks.three_dimensional ()));
   Alcotest.(check bool) "find existing" true
     (Bench_defs.Benchmarks.find "j2d5pt" <> None);
   Alcotest.(check bool) "find missing" true (Bench_defs.Benchmarks.find "nope" = None)
@@ -22,7 +89,7 @@ let test_table3_flops () =
         (b.Bench_defs.Benchmarks.name ^ " flop/cell")
         b.Bench_defs.Benchmarks.flops_per_cell
         (Pattern.flops_per_cell b.Bench_defs.Benchmarks.pattern))
-    all
+    (all ())
 
 let test_input_sizes () =
   (* §6.1: 16384^2 for 2D, 512^3 for 3D, 1000 iterations *)
@@ -36,7 +103,7 @@ let test_input_sizes () =
         (b.Bench_defs.Benchmarks.name ^ " dims")
         expected b.Bench_defs.Benchmarks.full_dims;
       Alcotest.(check int) "steps" 1000 b.Bench_defs.Benchmarks.full_steps)
-    all
+    (all ())
 
 let test_shapes_and_radii () =
   let check name shape rad =
@@ -68,7 +135,7 @@ let test_optimization_classes () =
 let test_stencilgen_availability () =
   (* only the kernels in the IEEE2017 repository are compared (§6.1) *)
   let available =
-    List.filter (fun b -> b.Bench_defs.Benchmarks.stencilgen_available) all
+    List.filter (fun b -> b.Bench_defs.Benchmarks.stencilgen_available) (all ())
     |> List.map (fun b -> b.Bench_defs.Benchmarks.name)
   in
   Alcotest.(check (list string)) "stencilgen set"
@@ -90,7 +157,7 @@ let test_c_roundtrip_bit_exact () =
       Alcotest.(check (float 0.0))
         (b.Bench_defs.Benchmarks.name ^ " roundtrip")
         0.0 (Grid.max_abs_diff o1 o2))
-    all
+    (all ())
 
 let test_gradient2d_numerics () =
   (* gradient2d involves sqrt: outputs must be finite everywhere *)
@@ -122,13 +189,19 @@ let test_an5d_runs_every_benchmark () =
       Alcotest.(check (float 0.0))
         (b.Bench_defs.Benchmarks.name ^ " an5d")
         0.0 (Grid.max_abs_diff reference out))
-    all
+    (all ())
 
 let () =
   Alcotest.run "benchmarks"
     [
+      ( "first use",
+        [
+          Alcotest.test_case "concurrent first lookup" `Quick test_concurrent_first_lookup;
+          Alcotest.test_case "start-up allocations" `Quick test_startup_allocations;
+        ] );
       ( "table3",
         [
+          Alcotest.test_case "rendered sources pinned" `Quick test_rendered_sources_pinned;
           Alcotest.test_case "composition" `Quick test_suite_composition;
           Alcotest.test_case "flop counts" `Quick test_table3_flops;
           Alcotest.test_case "input sizes" `Quick test_input_sizes;

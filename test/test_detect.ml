@@ -182,7 +182,7 @@ let test_benchmarks_detect () =
       Alcotest.(check int)
         (b.Bench_defs.Benchmarks.name ^ " flops")
         (Pattern.flops_per_cell p0) (Pattern.flops_per_cell p1))
-    Bench_defs.Benchmarks.all
+    (Bench_defs.Benchmarks.all ())
 
 let () =
   Alcotest.run "detect"

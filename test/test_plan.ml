@@ -337,7 +337,7 @@ let test_thread_deltas () =
           if not (linear p) then None
           else
             Some (p, Array.init (p.Stencil.Pattern.dims - 1) (fun d -> (4 * rad) + 3 + (2 * d))))
-        Bench_defs.Benchmarks.all
+        (Bench_defs.Benchmarks.all ())
   in
   List.iter
     (fun (pattern, bs) ->
