@@ -17,11 +17,6 @@ type t = {
 val c0_value : float
 (** Runtime value bound to the [c0] scalar parameter everywhere. *)
 
-val c_source_of :
-  name:string -> dims:int -> size:int -> rad:int -> Stencil.Sexpr.t -> string
-(** Render the full double-buffered C kernel of Fig 4's shape for an
-    arbitrary expression. *)
-
 (** {1 Lookup}
 
     Nothing is built at module initialisation. A benchmark's record

@@ -274,10 +274,11 @@ let compiled_block (plan : Plan.t) ~mode ~degree:b ~(src : Stencil.Grid.t)
    one [kernel] span per launch (docs/OBSERVABILITY.md). *)
 let m_chunks_executed = Obs.Metrics.counter "chunks_executed"
 
-(* Per-shape streaming dispatch counters ([streaming_dispatch_fused5pt],
+(* Per-kernel streaming dispatch counters ([streaming_dispatch_fused5pt],
    ...): one tick per kernel call that takes the sliding-window path,
-   keyed by {!Plan.kernel_name}; [streaming_dispatch_fallback] counts
-   calls the capability gate sent to the checked compiled path instead.
+   keyed by {!Stream_exec.kernel_name}, the kernel that call runs;
+   [streaming_dispatch_fallback] counts calls the capability gate sent
+   to the checked compiled path instead.
    Counters are interned by name, so the per-call lookup is a hash probe
    — docs/OBSERVABILITY.md lists the names. *)
 let m_streaming_fallback = Obs.Metrics.counter "streaming_dispatch_fallback"
@@ -311,7 +312,8 @@ let kernel_call ?(mode = Direct) ?(checked = false) ?pool (em : Execmodel.t)
     if checked then compiled_block plan ~mode ~degree:b ~src ~dst
     else if Plan.unsafe_capable plan ~mode then begin
       Obs.Metrics.incr
-        (Obs.Metrics.counter ("streaming_dispatch_" ^ Plan.kernel_name plan));
+        (Obs.Metrics.counter
+           ("streaming_dispatch_" ^ Stream_exec.kernel_name plan.Plan.low));
       Stream_exec.execute_block plan ~degree:b ~src ~dst
     end
     else begin

@@ -325,12 +325,6 @@ let valid (plan : t) ~tstep t = valid_at plan.em plan.geo ~tstep t
 let unsafe_capable (plan : t) ~(mode : Run_config.exec_mode) =
   mode = Run_config.Direct && plan.low.Stencil.Sexpr.low_linear <> None
 
-(* Stable name of the streaming kernel this plan dispatches to — pure
-   lowering metadata, used for the per-shape dispatch counters and the
-   bench JSON's kernel column. *)
-let kernel_name (plan : t) =
-  Stencil.Sexpr.kernel_shape_name plan.low.Stencil.Sexpr.low_kernel
-
 (* ------------------------------------------------------------------ *)
 (* Memoization                                                         *)
 (* ------------------------------------------------------------------ *)

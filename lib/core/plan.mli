@@ -107,12 +107,6 @@ val unsafe_capable : t -> mode:Run_config.exec_mode -> bool
     every paper benchmark). Other plans take the checked compiled path
     in {!Blocking}. *)
 
-val kernel_name : t -> string
-(** Stable name of the streaming kernel this plan's lowering dispatches
-    to ({!Stencil.Sexpr.kernel_shape_name}): ["fused5pt"], ["wide27pt"],
-    ["folded5pt"], ["generic"], ... Used for the per-shape dispatch
-    counters and bench JSON. *)
-
 val get : Execmodel.t -> degree:int -> prec:Stencil.Grid.precision -> t
 (** The memoized plan for one kernel call. The cache key strips the
     config's [reg_limit] (it affects occupancy, never the executed

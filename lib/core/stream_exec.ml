@@ -9,19 +9,37 @@
     source-plane references that advances one plane per streaming step —
     rotate [p - 1] references, bind only the incoming plane — instead of
     rebuilding the whole [plane_ptr] table per plane. On top of the
-    window the inner loop is specialized by {!Stencil.Sexpr.kernel_shape}
-    lowering metadata:
+    window the inner loop is chosen once per block from the linear form
+    ([kernel_of], named by [kernel_name]), as AN5D generates one fully
+    unrolled CALC sequence per stencil (§4.1–4.2):
 
-    - [K_fused 3/5/7/9]: fully unrolled monomorphic kernels with every
-      plane slot, thread delta and coefficient hoisted into locals;
-    - [K_wide n]: chunked accumulation (9 terms per chunk, unrolled)
-      over the term-major tables for larger arities such as j3d27pt;
-    - [K_folded n]: pair-aware term loop consuming the §4.2
-      symmetric-coefficient folds ([c * (a + b)] pairs detected at
-      lowering time);
-    - [K_generic] never reaches this module: {!Plan.unsafe_capable} is
-      false without a flat linear form, so {!Blocking} dispatches the
-      checked compiled path instead.
+    - no folded pair: passes of up to nine consecutive terms, each one
+      instantiation of the unrolled [chain] loop with its arity, term
+      shape (all scaled, all bare, or mixed), chain start (window or
+      accumulator plane) and store (accumulator, or the post-op and the
+      precision of the value) as literals. A form of at most nine terms
+      is one pass ([fusedNpt]); a wider one runs ⌈n/9⌉ passes through a
+      per-thread accumulator plane, its last pass as wide as the tail
+      ([wideNpt]). ocamlopt without flambda folds the tests on those
+      literals once the [@inline] body is inlined at each call site, so
+      the loop over a run's cells tests no flag; only a [Mixed] pass
+      keeps a per-term test of the scale flag, since splitting it by
+      shape would add passes;
+    - a folded pair ([c * (a + b)], §4.2): the pair-aware term-major
+      loop ([foldedNpt]), one instantiation per post-op and precision;
+    - no linear form: never reaches this module ({!Plan.unsafe_capable}
+      is false), so {!Blocking} dispatches the checked compiled path.
+
+    Single-lane execute time over [Reference] time, median of 9
+    interleaved rounds, three processes each on a 2-vCPU shared host,
+    per-cell flag tests → this per-block selection: j2d5pt 1024² f64
+    (fused5pt, [Post_div]) 1.52–1.57 → 1.21–1.27; star2d4r (9 + 8
+    terms) 1.42–1.48 → 1.34–1.40; j3d27pt 96³ f32 (3 × 9 terms,
+    [Post_div]) 1.60–1.70 → 1.46–1.49; the all-bare average
+    [(a+b+c+d+e)/5] 1.19–1.23 → 0.92–0.97. Dividing in a separate
+    pass after the loop instead of in the store read 1.40–1.59 on
+    j2d5pt in a prototype, no better than the per-cell flag tests: the
+    division stays in the loop.
 
     Each level computes only the threads whose value can reach a store
     (§4.1's valid width [bS - 2*T*rad] at level [T], see [level_runs]),
@@ -208,15 +226,294 @@ let plane_io (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
           Gpu.Counters.add_gm_writes counters st.Plan.n_store )
   | _ -> invalid_arg "Stream_exec.plane_io: src/dst precision mismatch"
 
+(* ------------------------------------------------------------------ *)
+(* Kernels                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A block's kernel (see the header): [Folded] for a form with a folded
+   pair, else [Chunks] of passes over [chunk] consecutive terms at most.
+   A pass knows its arity [k], the [shape] of its terms, whether it
+   starts the chain ([first]) and whether it ends in the accumulator
+   plane ([to_acc]; such a pass is always [chunk] wide) or in the
+   block's [final] store. *)
+let chunk = 9
+
+type shape =
+  | Scaled  (** every term [c * v] *)
+  | Bare  (** every term [v] *)
+  | Mixed  (** both; the one chunk loop that tests a per-term flag *)
+
+(* How the value of a cell leaves the kernel: the post-op and the
+   precision of the store ([q32] for f32, the register plane for f64). *)
+type final = F64 | F64_div | F32 | F32_div
+
+type pass = { q : int; k : int; shape : shape; first : bool; to_acc : bool }
+
+type kernel = Chunks of pass array | Folded
+
+(* The divisor of [Post_div], in an all-float record so the kernels
+   read it unboxed. *)
+type post = { dv : float }
+
+type f32buf = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* A block's kernel operands. The term tables are padded to
+   [n_terms + chunk - 1] entries with copies of the last term, so every
+   pass hoists nine plane slots and coefficients whatever its arity;
+   [chain] reads a cell only through the first [k]. [tp2]/[td2] (the
+   mirror reads of folded pairs) are read by [folded_loop] alone. *)
+type operands = {
+  tp : int array;
+  td : int array;
+  tc : float array;
+  ts : bool array;
+  tp2 : int array;
+  td2 : int array;
+  n_terms : int;
+  post : post;
+  accs : float array;
+  q32 : f32buf;
+}
+
+let shape_of (lf : Stencil.Sexpr.linear_form) q k =
+  let scaled = Array.sub lf.Stencil.Sexpr.lt_scaled q k in
+  if Array.for_all Fun.id scaled then Scaled
+  else if Array.exists Fun.id scaled then Mixed
+  else Bare
+
+let pairs (lf : Stencil.Sexpr.linear_form) =
+  Array.fold_left (fun n k2 -> if k2 >= 0 then n + 1 else n) 0 lf.Stencil.Sexpr.lt_off2
+
+let kernel_of (lf : Stencil.Sexpr.linear_form) =
+  if pairs lf > 0 then Folded
+  else
+    let n = Array.length lf.Stencil.Sexpr.lt_off in
+    let n_pass = (n + chunk - 1) / chunk in
+    Chunks
+      (Array.init n_pass (fun i ->
+           let q = i * chunk in
+           let k = min chunk (n - q) in
+           {
+             q;
+             k;
+             shape = shape_of lf q k;
+             first = i = 0;
+             to_acc = i < n_pass - 1;
+           }))
+
+let kernel_name (low : Stencil.Sexpr.lowered) =
+  match low.Stencil.Sexpr.low_linear with
+  | None -> "generic"
+  | Some lf ->
+      let n = Array.length lf.Stencil.Sexpr.lt_off in
+      let np = pairs lf in
+      if np > 0 then Printf.sprintf "folded%dpt" (n + np)
+      else
+        Printf.sprintf "%s%dpt%s"
+          (if n <= chunk then "fused" else "wide")
+          n
+          (match shape_of lf 0 n with Scaled -> "" | Bare -> "_bare" | Mixed -> "_mixed")
+
+(* One pass over the threads of [runs]: the left-to-right chain of
+   terms [q, q + k), started from term [q] when [first] and from the
+   accumulator plane otherwise, ended in the accumulator plane
+   ([to_acc]) or divided ([div]) and stored into [q32] ([f32]) or
+   [dst]. Term [i] adds [c_i *. v_i] when [s_i] and [v_i] otherwise,
+   [v_i] the neighbor of thread [t] at [t + td.(q + i)] in window slot
+   [tp.(q + i)]. The deltas are read per use rather than hoisted: that
+   leaves the registers to the plane slots, which measured faster.
+   Every labeled argument is a literal at each call site below, and
+   ocamlopt folds the tests on them once this body is inlined, so the
+   loop over a run is branch-free (save [Mixed]). *)
+let[@inline] chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc ~f32 ~div
+    (o : operands) q (w : float array array) (dst : float array) (runs : int array) =
+  let tp = o.tp and td = o.td and tc = o.tc in
+  let a0 = Array.unsafe_get w (Array.unsafe_get tp q)
+  and a1 = Array.unsafe_get w (Array.unsafe_get tp (q + 1))
+  and a2 = Array.unsafe_get w (Array.unsafe_get tp (q + 2))
+  and a3 = Array.unsafe_get w (Array.unsafe_get tp (q + 3))
+  and a4 = Array.unsafe_get w (Array.unsafe_get tp (q + 4))
+  and a5 = Array.unsafe_get w (Array.unsafe_get tp (q + 5))
+  and a6 = Array.unsafe_get w (Array.unsafe_get tp (q + 6))
+  and a7 = Array.unsafe_get w (Array.unsafe_get tp (q + 7))
+  and a8 = Array.unsafe_get w (Array.unsafe_get tp (q + 8)) in
+  let c0 = Array.unsafe_get tc q and c1 = Array.unsafe_get tc (q + 1)
+  and c2 = Array.unsafe_get tc (q + 2) and c3 = Array.unsafe_get tc (q + 3)
+  and c4 = Array.unsafe_get tc (q + 4) and c5 = Array.unsafe_get tc (q + 5)
+  and c6 = Array.unsafe_get tc (q + 6) and c7 = Array.unsafe_get tc (q + 7)
+  and c8 = Array.unsafe_get tc (q + 8) in
+  let accs = o.accs and q32 = o.q32 and dv = o.post.dv in
+  for r = 0 to (Array.length runs / 2) - 1 do
+    for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+      let v = Array.unsafe_get a0 (t + Array.unsafe_get td q) in
+      let x = if s0 then c0 *. v else v in
+      let x = if first then x else Array.unsafe_get accs t +. x in
+      let x =
+        if k > 1 then
+          let v = Array.unsafe_get a1 (t + Array.unsafe_get td (q + 1)) in
+          x +. if s1 then c1 *. v else v
+        else x
+      in
+      let x =
+        if k > 2 then
+          let v = Array.unsafe_get a2 (t + Array.unsafe_get td (q + 2)) in
+          x +. if s2 then c2 *. v else v
+        else x
+      in
+      let x =
+        if k > 3 then
+          let v = Array.unsafe_get a3 (t + Array.unsafe_get td (q + 3)) in
+          x +. if s3 then c3 *. v else v
+        else x
+      in
+      let x =
+        if k > 4 then
+          let v = Array.unsafe_get a4 (t + Array.unsafe_get td (q + 4)) in
+          x +. if s4 then c4 *. v else v
+        else x
+      in
+      let x =
+        if k > 5 then
+          let v = Array.unsafe_get a5 (t + Array.unsafe_get td (q + 5)) in
+          x +. if s5 then c5 *. v else v
+        else x
+      in
+      let x =
+        if k > 6 then
+          let v = Array.unsafe_get a6 (t + Array.unsafe_get td (q + 6)) in
+          x +. if s6 then c6 *. v else v
+        else x
+      in
+      let x =
+        if k > 7 then
+          let v = Array.unsafe_get a7 (t + Array.unsafe_get td (q + 7)) in
+          x +. if s7 then c7 *. v else v
+        else x
+      in
+      let x =
+        if k > 8 then
+          let v = Array.unsafe_get a8 (t + Array.unsafe_get td (q + 8)) in
+          x +. if s8 then c8 *. v else v
+        else x
+      in
+      if to_acc then Array.unsafe_set accs t x
+      else
+        let x = if div then x /. dv else x in
+        if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set dst t x
+    done
+  done
+
+(* The dispatch from a pass's fields and the block's [final] store to
+   the literal arguments of [chain]: one match per pass and plane,
+   outside the cell loop. A pass that ends in the accumulator is always
+   [chunk] wide, so [run_pass] instantiates it only at [k = 9]. *)
+let[@inline] chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc final o q w dst
+    runs =
+  if to_acc then
+    chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:true ~f32:false ~div:false o
+      q w dst runs
+  else
+    match final with
+    | F64 ->
+        chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:false ~f32:false
+          ~div:false o q w dst runs
+    | F64_div ->
+        chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:false ~f32:false
+          ~div:true o q w dst runs
+    | F32 ->
+        chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:false ~f32:true
+          ~div:false o q w dst runs
+    | F32_div ->
+        chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:false ~f32:true
+          ~div:true o q w dst runs
+
+let[@inline] chain_first ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~to_acc (ps : pass) final o w
+    dst runs =
+  if ps.first then
+    chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first:true ~to_acc final o ps.q w dst
+      runs
+  else
+    chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first:false ~to_acc final o ps.q w dst
+      runs
+
+let[@inline] chain_shape ~k ~to_acc (ps : pass) final (o : operands) w dst runs =
+  match ps.shape with
+  | Scaled ->
+      chain_first ~k ~s0:true ~s1:true ~s2:true ~s3:true ~s4:true ~s5:true ~s6:true
+        ~s7:true ~s8:true ~to_acc ps final o w dst runs
+  | Bare ->
+      chain_first ~k ~s0:false ~s1:false ~s2:false ~s3:false ~s4:false ~s5:false
+        ~s6:false ~s7:false ~s8:false ~to_acc ps final o w dst runs
+  | Mixed ->
+      let ts = o.ts and q = ps.q in
+      chain_first ~k ~s0:(Array.unsafe_get ts q) ~s1:(Array.unsafe_get ts (q + 1))
+        ~s2:(Array.unsafe_get ts (q + 2)) ~s3:(Array.unsafe_get ts (q + 3))
+        ~s4:(Array.unsafe_get ts (q + 4)) ~s5:(Array.unsafe_get ts (q + 5))
+        ~s6:(Array.unsafe_get ts (q + 6)) ~s7:(Array.unsafe_get ts (q + 7))
+        ~s8:(Array.unsafe_get ts (q + 8)) ~to_acc ps final o w dst runs
+
+let run_pass (o : operands) final (ps : pass) w dst runs =
+  if ps.to_acc then chain_shape ~k:9 ~to_acc:true ps final o w dst runs
+  else
+    match ps.k with
+    | 1 -> chain_shape ~k:1 ~to_acc:false ps final o w dst runs
+    | 2 -> chain_shape ~k:2 ~to_acc:false ps final o w dst runs
+    | 3 -> chain_shape ~k:3 ~to_acc:false ps final o w dst runs
+    | 4 -> chain_shape ~k:4 ~to_acc:false ps final o w dst runs
+    | 5 -> chain_shape ~k:5 ~to_acc:false ps final o w dst runs
+    | 6 -> chain_shape ~k:6 ~to_acc:false ps final o w dst runs
+    | 7 -> chain_shape ~k:7 ~to_acc:false ps final o w dst runs
+    | 8 -> chain_shape ~k:8 ~to_acc:false ps final o w dst runs
+    | _ -> chain_shape ~k:9 ~to_acc:false ps final o w dst runs
+
+(* Term [q] of a folded form at thread [t]: the mirror read of a pair
+   is added before the scaling — the shape of the source tree, so
+   rounding-identical. *)
+let[@inline] folded_term (o : operands) (w : float array array) t q =
+  let v =
+    Array.unsafe_get
+      (Array.unsafe_get w (Array.unsafe_get o.tp q))
+      (t + Array.unsafe_get o.td q)
+  in
+  let p2 = Array.unsafe_get o.tp2 q in
+  let v =
+    if p2 >= 0 then
+      v +. Array.unsafe_get (Array.unsafe_get w p2) (t + Array.unsafe_get o.td2 q)
+    else v
+  in
+  if Array.unsafe_get o.ts q then Array.unsafe_get o.tc q *. v else v
+
+(* The term-major loop of folded forms, one instantiation per store. *)
+let[@inline] folded_loop ~f32 ~div (o : operands) w (dst : float array) (runs : int array) =
+  let n_terms = o.n_terms and q32 = o.q32 and dv = o.post.dv in
+  for r = 0 to (Array.length runs / 2) - 1 do
+    for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+      let acc = ref (folded_term o w t 0) in
+      for q = 1 to n_terms - 1 do
+        acc := !acc +. folded_term o w t q
+      done;
+      let x = if div then !acc /. dv else !acc in
+      if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set dst t x
+    done
+  done
+
+let run_folded (o : operands) final w dst runs =
+  match final with
+  | F64 -> folded_loop ~f32:false ~div:false o w dst runs
+  | F64_div -> folded_loop ~f32:false ~div:true o w dst runs
+  | F32 -> folded_loop ~f32:true ~div:false o w dst runs
+  | F32_div -> folded_loop ~f32:true ~div:true o w dst runs
+
 (* Validate-then-unsafe contract (scripts/check_unsafe.sh): every
    unchecked access below is covered by [validate_unsafe_contract],
    called once per block before the sweep. Specifically:
    - window rotation indexes [wins.(lev)] and [reg_file.(lev)] with
      [e < p] and [(j ± rad) mod p < p];
-   - kernels index [w] with validated [t_plane]/[t_plane2] slots, and
-     the planes with [t + d] for [t] in a validated run and [d] a
-     validated term delta (runs x deltas: [0 <= s + d], [e - 1 + d <
-     n_thr]), and [dst_plane]/[q32] with [t] in a run;
+   - kernels index [w] with validated [t_plane]/[t_plane2] slots (the
+     padded tables repeat the last validated term), and the planes with
+     [t + d] for [t] in a validated run and [d] a validated term delta
+     (runs x deltas: [0 <= s + d], [e - 1 + d < n_thr]), and
+     [dst_plane]/[q32]/[accs] with [t] in a run;
    - plane I/O goes through [plane_io], whose in-grid base-offset
      peeling proof is part of the same contract. *)
 let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
@@ -230,17 +527,12 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     | Some lf -> lf
     | None -> invalid_arg "Stream_exec.execute_block: expression has no linear form"
   in
-  let lt_coef = lf.Stencil.Sexpr.lt_coef in
-  let lt_scaled = lf.Stencil.Sexpr.lt_scaled in
   let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
-  let t_plane = plan.Plan.t_plane in
-  let t_delta = plan.Plan.t_delta in
-  let t_plane2 = plan.Plan.t_plane2 in
-  let t_delta2 = plan.Plan.t_delta2 in
-  let has_div, div =
+  let is_f32 = plan.Plan.prec = Stencil.Grid.F32 in
+  let final, div =
     match lf.Stencil.Sexpr.lt_post with
-    | Stencil.Sexpr.Post_none -> (false, 1.0)
-    | Stencil.Sexpr.Post_div d -> (true, d)
+    | Stencil.Sexpr.Post_none -> ((if is_f32 then F32 else F64), 1.0)
+    | Stencil.Sexpr.Post_div d -> ((if is_f32 then F32_div else F64_div), d)
   in
   let ops = plan.Plan.ops in
   let sm_writes_per_plane = n_thr * plan.Plan.sm_writes_per_cell in
@@ -254,359 +546,33 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   let levels = Array.init b (fun lev -> level_runs plan st ~tstep:(lev + 1)) in
   validate_unsafe_contract plan lf st levels;
   let s0, s1 = Execmodel.stream_range plan.Plan.em st.Plan.sb in
-  let is_f32 = plan.Plan.prec = Stencil.Grid.F32 in
-  (* Whole-plane f32 quantization scratch: computed values land here
-     first and are read back after the kernel, keeping the hardware
-     double->single->double round-trip (bit-identical to
-     [Grid.round_to_prec F32]) off the per-cell dependency chain. *)
-  let q32 =
-    Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
-      (if is_f32 then n_thr else 1)
+  let kernel = kernel_of lf in
+  let pad a = Array.init (n_terms + chunk - 1) (fun q -> a.(min q (n_terms - 1))) in
+  let o =
+    {
+      tp = pad plan.Plan.t_plane;
+      td = pad plan.Plan.t_delta;
+      tc = pad lf.Stencil.Sexpr.lt_coef;
+      ts = pad lf.Stencil.Sexpr.lt_scaled;
+      tp2 = plan.Plan.t_plane2;
+      td2 = plan.Plan.t_delta2;
+      n_terms;
+      post = { dv = div };
+      accs =
+        Array.make
+          (match kernel with Chunks ps when Array.length ps > 1 -> n_thr | _ -> 0)
+          0.0;
+      (* Whole-plane f32 quantization scratch: computed values land
+         here first and are read back after the kernel, keeping the
+         hardware double->single->double round-trip (bit-identical to
+         [Grid.round_to_prec F32]) off the per-cell dependency chain. *)
+      q32 =
+        Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
+          (if is_f32 then n_thr else 1);
+    }
   in
+  let q32 = o.q32 in
   let load_plane, store_plane = plane_io plan ~degree:b ~src ~dst st counters in
-  (* ---------------------------------------------------------------- *)
-  (* Shape-specialized compute kernels over a positioned window [w]:
-     [w.(e)] is the source plane at streaming delta [e - rad]. Each
-     kernel updates the threads of the level's [act] runs (into [q32]
-     for f32, [dst_plane] for f64), reading term [q]'s neighbor of
-     thread [t] at [t + t_delta.(q)]. Accumulation is the same
-     left-to-right chain as the checked compiled path, so bit-identical. *)
-  (* ---------------------------------------------------------------- *)
-  let fused3 () =
-    let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2) in
-    let d0 = t_delta.(0) and d1 = t_delta.(1) and d2 = t_delta.(2) in
-    let c0 = lt_coef.(0) and c1 = lt_coef.(1) and c2 = lt_coef.(2) in
-    let s0 = lt_scaled.(0) and s1 = lt_scaled.(1) and s2 = lt_scaled.(2) in
-    fun (w : float array array) (dst_plane : float array) runs ->
-      let a0 = Array.unsafe_get w tp0
-      and a1 = Array.unsafe_get w tp1
-      and a2 = Array.unsafe_get w tp2 in
-      for r = 0 to (Array.length runs / 2) - 1 do
-        for t = Array.unsafe_get runs (2 * r)
-            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-          let v0 = Array.unsafe_get a0 (t + d0) in
-          let acc = if s0 then c0 *. v0 else v0 in
-          let v1 = Array.unsafe_get a1 (t + d1) in
-          let acc = acc +. (if s1 then c1 *. v1 else v1) in
-          let v2 = Array.unsafe_get a2 (t + d2) in
-          let acc = acc +. (if s2 then c2 *. v2 else v2) in
-          let value = if has_div then acc /. div else acc in
-          if is_f32 then Bigarray.Array1.unsafe_set q32 t value
-          else Array.unsafe_set dst_plane t value
-        done
-      done
-  in
-  let fused5 () =
-    let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2)
-    and tp3 = t_plane.(3) and tp4 = t_plane.(4) in
-    let d0 = t_delta.(0) and d1 = t_delta.(1) and d2 = t_delta.(2)
-    and d3 = t_delta.(3) and d4 = t_delta.(4) in
-    let c0 = lt_coef.(0) and c1 = lt_coef.(1) and c2 = lt_coef.(2)
-    and c3 = lt_coef.(3) and c4 = lt_coef.(4) in
-    let s0 = lt_scaled.(0) and s1 = lt_scaled.(1) and s2 = lt_scaled.(2)
-    and s3 = lt_scaled.(3) and s4 = lt_scaled.(4) in
-    fun (w : float array array) (dst_plane : float array) runs ->
-      let a0 = Array.unsafe_get w tp0
-      and a1 = Array.unsafe_get w tp1
-      and a2 = Array.unsafe_get w tp2
-      and a3 = Array.unsafe_get w tp3
-      and a4 = Array.unsafe_get w tp4 in
-      for r = 0 to (Array.length runs / 2) - 1 do
-        for t = Array.unsafe_get runs (2 * r)
-            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-          let v0 = Array.unsafe_get a0 (t + d0) in
-          let acc = if s0 then c0 *. v0 else v0 in
-          let v1 = Array.unsafe_get a1 (t + d1) in
-          let acc = acc +. (if s1 then c1 *. v1 else v1) in
-          let v2 = Array.unsafe_get a2 (t + d2) in
-          let acc = acc +. (if s2 then c2 *. v2 else v2) in
-          let v3 = Array.unsafe_get a3 (t + d3) in
-          let acc = acc +. (if s3 then c3 *. v3 else v3) in
-          let v4 = Array.unsafe_get a4 (t + d4) in
-          let acc = acc +. (if s4 then c4 *. v4 else v4) in
-          let value = if has_div then acc /. div else acc in
-          if is_f32 then Bigarray.Array1.unsafe_set q32 t value
-          else Array.unsafe_set dst_plane t value
-        done
-      done
-  in
-  let fused7 () =
-    let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2)
-    and tp3 = t_plane.(3) and tp4 = t_plane.(4) and tp5 = t_plane.(5)
-    and tp6 = t_plane.(6) in
-    let d0 = t_delta.(0) and d1 = t_delta.(1) and d2 = t_delta.(2)
-    and d3 = t_delta.(3) and d4 = t_delta.(4) and d5 = t_delta.(5)
-    and d6 = t_delta.(6) in
-    let c0 = lt_coef.(0) and c1 = lt_coef.(1) and c2 = lt_coef.(2)
-    and c3 = lt_coef.(3) and c4 = lt_coef.(4) and c5 = lt_coef.(5)
-    and c6 = lt_coef.(6) in
-    let s0 = lt_scaled.(0) and s1 = lt_scaled.(1) and s2 = lt_scaled.(2)
-    and s3 = lt_scaled.(3) and s4 = lt_scaled.(4) and s5 = lt_scaled.(5)
-    and s6 = lt_scaled.(6) in
-    fun (w : float array array) (dst_plane : float array) runs ->
-      let a0 = Array.unsafe_get w tp0
-      and a1 = Array.unsafe_get w tp1
-      and a2 = Array.unsafe_get w tp2
-      and a3 = Array.unsafe_get w tp3
-      and a4 = Array.unsafe_get w tp4
-      and a5 = Array.unsafe_get w tp5
-      and a6 = Array.unsafe_get w tp6 in
-      for r = 0 to (Array.length runs / 2) - 1 do
-        for t = Array.unsafe_get runs (2 * r)
-            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-          let v0 = Array.unsafe_get a0 (t + d0) in
-          let acc = if s0 then c0 *. v0 else v0 in
-          let v1 = Array.unsafe_get a1 (t + d1) in
-          let acc = acc +. (if s1 then c1 *. v1 else v1) in
-          let v2 = Array.unsafe_get a2 (t + d2) in
-          let acc = acc +. (if s2 then c2 *. v2 else v2) in
-          let v3 = Array.unsafe_get a3 (t + d3) in
-          let acc = acc +. (if s3 then c3 *. v3 else v3) in
-          let v4 = Array.unsafe_get a4 (t + d4) in
-          let acc = acc +. (if s4 then c4 *. v4 else v4) in
-          let v5 = Array.unsafe_get a5 (t + d5) in
-          let acc = acc +. (if s5 then c5 *. v5 else v5) in
-          let v6 = Array.unsafe_get a6 (t + d6) in
-          let acc = acc +. (if s6 then c6 *. v6 else v6) in
-          let value = if has_div then acc /. div else acc in
-          if is_f32 then Bigarray.Array1.unsafe_set q32 t value
-          else Array.unsafe_set dst_plane t value
-        done
-      done
-  in
-  let fused9 () =
-    let tp0 = t_plane.(0) and tp1 = t_plane.(1) and tp2 = t_plane.(2)
-    and tp3 = t_plane.(3) and tp4 = t_plane.(4) and tp5 = t_plane.(5)
-    and tp6 = t_plane.(6) and tp7 = t_plane.(7) and tp8 = t_plane.(8) in
-    let d0 = t_delta.(0) and d1 = t_delta.(1) and d2 = t_delta.(2)
-    and d3 = t_delta.(3) and d4 = t_delta.(4) and d5 = t_delta.(5)
-    and d6 = t_delta.(6) and d7 = t_delta.(7) and d8 = t_delta.(8) in
-    let c0 = lt_coef.(0) and c1 = lt_coef.(1) and c2 = lt_coef.(2)
-    and c3 = lt_coef.(3) and c4 = lt_coef.(4) and c5 = lt_coef.(5)
-    and c6 = lt_coef.(6) and c7 = lt_coef.(7) and c8 = lt_coef.(8) in
-    let s0 = lt_scaled.(0) and s1 = lt_scaled.(1) and s2 = lt_scaled.(2)
-    and s3 = lt_scaled.(3) and s4 = lt_scaled.(4) and s5 = lt_scaled.(5)
-    and s6 = lt_scaled.(6) and s7 = lt_scaled.(7) and s8 = lt_scaled.(8) in
-    fun (w : float array array) (dst_plane : float array) runs ->
-      let a0 = Array.unsafe_get w tp0
-      and a1 = Array.unsafe_get w tp1
-      and a2 = Array.unsafe_get w tp2
-      and a3 = Array.unsafe_get w tp3
-      and a4 = Array.unsafe_get w tp4
-      and a5 = Array.unsafe_get w tp5
-      and a6 = Array.unsafe_get w tp6
-      and a7 = Array.unsafe_get w tp7
-      and a8 = Array.unsafe_get w tp8 in
-      for r = 0 to (Array.length runs / 2) - 1 do
-        for t = Array.unsafe_get runs (2 * r)
-            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-          let v0 = Array.unsafe_get a0 (t + d0) in
-          let acc = if s0 then c0 *. v0 else v0 in
-          let v1 = Array.unsafe_get a1 (t + d1) in
-          let acc = acc +. (if s1 then c1 *. v1 else v1) in
-          let v2 = Array.unsafe_get a2 (t + d2) in
-          let acc = acc +. (if s2 then c2 *. v2 else v2) in
-          let v3 = Array.unsafe_get a3 (t + d3) in
-          let acc = acc +. (if s3 then c3 *. v3 else v3) in
-          let v4 = Array.unsafe_get a4 (t + d4) in
-          let acc = acc +. (if s4 then c4 *. v4 else v4) in
-          let v5 = Array.unsafe_get a5 (t + d5) in
-          let acc = acc +. (if s5 then c5 *. v5 else v5) in
-          let v6 = Array.unsafe_get a6 (t + d6) in
-          let acc = acc +. (if s6 then c6 *. v6 else v6) in
-          let v7 = Array.unsafe_get a7 (t + d7) in
-          let acc = acc +. (if s7 then c7 *. v7 else v7) in
-          let v8 = Array.unsafe_get a8 (t + d8) in
-          let acc = acc +. (if s8 then c8 *. v8 else v8) in
-          let value = if has_div then acc /. div else acc in
-          if is_f32 then Bigarray.Array1.unsafe_set q32 t value
-          else Array.unsafe_set dst_plane t value
-        done
-      done
-  in
-  (* Wide arities (e.g. j3d27pt's 27 box terms): chunks of 9 terms, each
-     chunk's plane slots, deltas and coefficients hoisted into locals,
-     continuing the left-to-right chain through a per-thread
-     accumulator plane. Requires every term scaled (true for all
-     weighted sums); the first chunk seeds the accumulators, later
-     chunks extend the chain, and the store pass adds the [n mod 9]
-     tail terms before dividing and storing — the addition sequence is
-     exactly the reference order. *)
-  let wide_chunked () =
-    let accs = Array.make n_thr 0.0 in
-    let n_full = n_terms / 9 in
-    let tail0 = n_full * 9 in
-    let n_tail = n_terms - tail0 in
-    (* The tail's plane slots, deltas and coefficients, padded to eight
-       with the last term (never read past [n_tail]). *)
-    let tq i = if tail0 + i < n_terms then tail0 + i else n_terms - 1 in
-    let tp0 = t_plane.(tq 0) and tp1 = t_plane.(tq 1) and tp2 = t_plane.(tq 2)
-    and tp3 = t_plane.(tq 3) and tp4 = t_plane.(tq 4) and tp5 = t_plane.(tq 5)
-    and tp6 = t_plane.(tq 6) and tp7 = t_plane.(tq 7) in
-    let td0 = t_delta.(tq 0) and td1 = t_delta.(tq 1) and td2 = t_delta.(tq 2)
-    and td3 = t_delta.(tq 3) and td4 = t_delta.(tq 4) and td5 = t_delta.(tq 5)
-    and td6 = t_delta.(tq 6) and td7 = t_delta.(tq 7) in
-    let tc0 = lt_coef.(tq 0) and tc1 = lt_coef.(tq 1) and tc2 = lt_coef.(tq 2)
-    and tc3 = lt_coef.(tq 3) and tc4 = lt_coef.(tq 4) and tc5 = lt_coef.(tq 5)
-    and tc6 = lt_coef.(tq 6) and tc7 = lt_coef.(tq 7) in
-    fun (w : float array array) (dst_plane : float array) runs ->
-      let n_runs = Array.length runs / 2 in
-      for c = 0 to n_full - 1 do
-        let q = 9 * c in
-        let a0 = Array.unsafe_get w (Array.unsafe_get t_plane q)
-        and a1 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 1))
-        and a2 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 2))
-        and a3 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 3))
-        and a4 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 4))
-        and a5 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 5))
-        and a6 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 6))
-        and a7 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 7))
-        and a8 = Array.unsafe_get w (Array.unsafe_get t_plane (q + 8)) in
-        let d0 = Array.unsafe_get t_delta q
-        and d1 = Array.unsafe_get t_delta (q + 1)
-        and d2 = Array.unsafe_get t_delta (q + 2)
-        and d3 = Array.unsafe_get t_delta (q + 3)
-        and d4 = Array.unsafe_get t_delta (q + 4)
-        and d5 = Array.unsafe_get t_delta (q + 5)
-        and d6 = Array.unsafe_get t_delta (q + 6)
-        and d7 = Array.unsafe_get t_delta (q + 7)
-        and d8 = Array.unsafe_get t_delta (q + 8) in
-        let c0 = Array.unsafe_get lt_coef q
-        and c1 = Array.unsafe_get lt_coef (q + 1)
-        and c2 = Array.unsafe_get lt_coef (q + 2)
-        and c3 = Array.unsafe_get lt_coef (q + 3)
-        and c4 = Array.unsafe_get lt_coef (q + 4)
-        and c5 = Array.unsafe_get lt_coef (q + 5)
-        and c6 = Array.unsafe_get lt_coef (q + 6)
-        and c7 = Array.unsafe_get lt_coef (q + 7)
-        and c8 = Array.unsafe_get lt_coef (q + 8) in
-        for r = 0 to n_runs - 1 do
-          let lo = Array.unsafe_get runs (2 * r)
-          and hi = Array.unsafe_get runs ((2 * r) + 1) - 1 in
-          if q = 0 then
-            for t = lo to hi do
-              let acc = c0 *. Array.unsafe_get a0 (t + d0) in
-              let acc = acc +. (c1 *. Array.unsafe_get a1 (t + d1)) in
-              let acc = acc +. (c2 *. Array.unsafe_get a2 (t + d2)) in
-              let acc = acc +. (c3 *. Array.unsafe_get a3 (t + d3)) in
-              let acc = acc +. (c4 *. Array.unsafe_get a4 (t + d4)) in
-              let acc = acc +. (c5 *. Array.unsafe_get a5 (t + d5)) in
-              let acc = acc +. (c6 *. Array.unsafe_get a6 (t + d6)) in
-              let acc = acc +. (c7 *. Array.unsafe_get a7 (t + d7)) in
-              let acc = acc +. (c8 *. Array.unsafe_get a8 (t + d8)) in
-              Array.unsafe_set accs t acc
-            done
-          else
-            for t = lo to hi do
-              let acc = Array.unsafe_get accs t in
-              let acc = acc +. (c0 *. Array.unsafe_get a0 (t + d0)) in
-              let acc = acc +. (c1 *. Array.unsafe_get a1 (t + d1)) in
-              let acc = acc +. (c2 *. Array.unsafe_get a2 (t + d2)) in
-              let acc = acc +. (c3 *. Array.unsafe_get a3 (t + d3)) in
-              let acc = acc +. (c4 *. Array.unsafe_get a4 (t + d4)) in
-              let acc = acc +. (c5 *. Array.unsafe_get a5 (t + d5)) in
-              let acc = acc +. (c6 *. Array.unsafe_get a6 (t + d6)) in
-              let acc = acc +. (c7 *. Array.unsafe_get a7 (t + d7)) in
-              let acc = acc +. (c8 *. Array.unsafe_get a8 (t + d8)) in
-              Array.unsafe_set accs t acc
-            done
-        done
-      done;
-      (* The tail terms and the store, in one pass. *)
-      let a0 = Array.unsafe_get w tp0
-      and a1 = Array.unsafe_get w tp1
-      and a2 = Array.unsafe_get w tp2
-      and a3 = Array.unsafe_get w tp3
-      and a4 = Array.unsafe_get w tp4
-      and a5 = Array.unsafe_get w tp5
-      and a6 = Array.unsafe_get w tp6
-      and a7 = Array.unsafe_get w tp7 in
-      for r = 0 to n_runs - 1 do
-        for t = Array.unsafe_get runs (2 * r)
-            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-          let acc = Array.unsafe_get accs t in
-          let acc = if n_tail > 0 then acc +. (tc0 *. Array.unsafe_get a0 (t + td0)) else acc in
-          let acc = if n_tail > 1 then acc +. (tc1 *. Array.unsafe_get a1 (t + td1)) else acc in
-          let acc = if n_tail > 2 then acc +. (tc2 *. Array.unsafe_get a2 (t + td2)) else acc in
-          let acc = if n_tail > 3 then acc +. (tc3 *. Array.unsafe_get a3 (t + td3)) else acc in
-          let acc = if n_tail > 4 then acc +. (tc4 *. Array.unsafe_get a4 (t + td4)) else acc in
-          let acc = if n_tail > 5 then acc +. (tc5 *. Array.unsafe_get a5 (t + td5)) else acc in
-          let acc = if n_tail > 6 then acc +. (tc6 *. Array.unsafe_get a6 (t + td6)) else acc in
-          let acc = if n_tail > 7 then acc +. (tc7 *. Array.unsafe_get a7 (t + td7)) else acc in
-          let value = if has_div then acc /. div else acc in
-          if is_f32 then Bigarray.Array1.unsafe_set q32 t value
-          else Array.unsafe_set dst_plane t value
-        done
-      done
-  in
-  (* Term-major fallback for mixed scaled/bare terms and the §4.2 folded
-     pairs: one delta per read, with the mirror read of a folded pair
-     added before the scaling — the same shape as the source tree, so
-     rounding-identical. *)
-  let term_major () =
-    fun (w : float array array) (dst_plane : float array) runs ->
-      for r = 0 to (Array.length runs / 2) - 1 do
-        for t = Array.unsafe_get runs (2 * r)
-            to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-          let v0 =
-            Array.unsafe_get
-              (Array.unsafe_get w (Array.unsafe_get t_plane 0))
-              (t + Array.unsafe_get t_delta 0)
-          in
-          let tp2 = Array.unsafe_get t_plane2 0 in
-          let v0 =
-            if tp2 >= 0 then
-              v0
-              +. Array.unsafe_get (Array.unsafe_get w tp2)
-                   (t + Array.unsafe_get t_delta2 0)
-            else v0
-          in
-          let acc =
-            ref
-              (if Array.unsafe_get lt_scaled 0 then
-                 Array.unsafe_get lt_coef 0 *. v0
-               else v0)
-          in
-          for q = 1 to n_terms - 1 do
-            let v =
-              Array.unsafe_get
-                (Array.unsafe_get w (Array.unsafe_get t_plane q))
-                (t + Array.unsafe_get t_delta q)
-            in
-            let tp2 = Array.unsafe_get t_plane2 q in
-            let v =
-              if tp2 >= 0 then
-                v
-                +. Array.unsafe_get (Array.unsafe_get w tp2)
-                     (t + Array.unsafe_get t_delta2 q)
-              else v
-            in
-            acc :=
-              !acc
-              +.
-              if Array.unsafe_get lt_scaled q then Array.unsafe_get lt_coef q *. v
-              else v
-          done;
-          let value = if has_div then !acc /. div else !acc in
-          if is_f32 then Bigarray.Array1.unsafe_set q32 t value
-          else Array.unsafe_set dst_plane t value
-        done
-      done
-  in
-  let all_scaled = Array.for_all Fun.id lt_scaled in
-  let kernel =
-    match plan.Plan.low.Stencil.Sexpr.low_kernel with
-    | Stencil.Sexpr.K_fused 3 -> fused3 ()
-    | Stencil.Sexpr.K_fused 5 -> fused5 ()
-    | Stencil.Sexpr.K_fused 7 -> fused7 ()
-    | Stencil.Sexpr.K_fused 9 -> fused9 ()
-    | Stencil.Sexpr.K_wide _ when all_scaled && n_terms >= 9 -> wide_chunked ()
-    | Stencil.Sexpr.K_fused _ | Stencil.Sexpr.K_wide _ | Stencil.Sexpr.K_folded _
-      ->
-        term_major ()
-    | Stencil.Sexpr.K_generic ->
-        invalid_arg "Stream_exec.execute_block: generic kernel has no linear form"
-  in
   (* ---------------------------------------------------------------- *)
   (* The sliding windows: per time-step level, [p] references into that
      level's register planes, positioned so [wins.(lev).(e)] is the
@@ -642,7 +608,12 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
           w.(e) <- src_planes.((j - rad + e) mod p)
         done;
       wlast.(lev) <- j;
-      kernel w dst_plane act;
+      (match kernel with
+      | Chunks passes ->
+          for i = 0 to Array.length passes - 1 do
+            run_pass o final (Array.unsafe_get passes i) w dst_plane act
+          done
+      | Folded -> run_folded o final w dst_plane act);
       if is_f32 then
         for r = 0 to (Array.length act / 2) - 1 do
           for t = Array.unsafe_get act (2 * r)

@@ -7,19 +7,21 @@
     plane per streaming step — rotate [p - 1] references, bind only the
     incoming plane — instead of rebuilding the whole plane-pointer
     table per plane. The inner loop over the positioned window is
-    specialized once per block by the lowering's
-    {!Stencil.Sexpr.kernel_shape}:
+    chosen once per block from the linear form ({!kernel_name}):
 
-    - [K_fused 3/5/7/9] — fully unrolled monomorphic kernels, every
-      plane slot / thread delta / coefficient hoisted into locals;
-    - [K_wide n] (all terms scaled, [n >= 9]) — chunked accumulation,
-      9 unrolled terms per chunk through a per-thread accumulator
-      plane (e.g. j3d27pt); the [n mod 9] tail terms are added in the
-      store pass, one unrolled pass in the same left-to-right order;
-    - [K_folded n] and the remaining wide/mixed shapes — pair-aware
-      term-major loop consuming the §4.2 symmetric-coefficient folds;
-    - [K_generic] never reaches this module ({!Plan.unsafe_capable} is
-      false without a flat linear form — {!Blocking} falls back to the
+    - no folded pair — passes of up to nine consecutive terms, each a
+      fully unrolled loop whose arity, term shape (all scaled, all
+      bare, mixed), chain start and store (accumulator plane, or the
+      [Post_div]/none post-op into the f64 plane or the f32 scratch)
+      are compile-time literals, so the loop over a run's cells tests
+      no flag (a mixed pass keeps its per-term scale test). A form of
+      at most nine terms is one pass straight to the stored value; a
+      wider one (j3d27pt, star2d4r) carries its chain through a
+      per-thread accumulator plane, its last pass as wide as the tail;
+    - a folded pair — the pair-aware term-major loop consuming the §4.2
+      symmetric-coefficient folds, one loop per post-op and precision;
+    - no linear form — never reaches this module
+      ({!Plan.unsafe_capable} is false; {!Blocking} falls back to the
       checked compiled path and ticks [streaming_dispatch_fallback]).
 
     {b Valid-region runs.} Overlapped temporal blocking computes halo
@@ -73,3 +75,12 @@ val execute_block :
     {!Plan.unsafe_capable}; raises [Invalid_argument] otherwise (no
     linear form), on a src/dst precision mismatch, or on a
     validate-then-unsafe contract violation. *)
+
+val kernel_name : Stencil.Sexpr.lowered -> string
+(** The streaming kernel {!execute_block} runs for this lowering:
+    ["fused<n>pt"] for one unrolled pass of [n <= 9] terms,
+    ["wide<n>pt"] for chunked passes of [n > 9] terms (each suffixed
+    ["_bare"] when no term is scaled and ["_mixed"] when some are),
+    ["folded<n>pt"] for the term-major loop over a form with folded
+    pairs ([n] counting both reads of each pair), and ["generic"] when
+    there is no linear form and the stream path does not run. *)

@@ -281,10 +281,11 @@ module Transport = struct
       in
       go 0
 
-    (* One frame: ints then an optional raw payload, gathered into a
-       single write so a frame is never interleaved by signals. *)
-    let write_frame ?(worker = -1) fd tag ints payload =
-      let plen = match payload with None -> 0 | Some p -> Bytes.length p in
+    (* One frame: ints then an optional raw payload (the bytes of [p]
+       from [payload_off] on), gathered into a single write so a frame
+       is never interleaved by signals. *)
+    let write_frame ?(worker = -1) ?(payload_off = 0) fd tag ints payload =
+      let plen = match payload with None -> 0 | Some p -> Bytes.length p - payload_off in
       let body_len = 1 + (4 * List.length ints) + plen in
       let b = Bytes.create (4 + body_len) in
       put_i32 b 0 body_len;
@@ -292,9 +293,13 @@ module Transport = struct
       List.iteri (fun i v -> put_i32 b (5 + (4 * i)) v) ints;
       (match payload with
       | None -> ()
-      | Some p -> Bytes.blit p 0 b (5 + (4 * List.length ints)) plen);
+      | Some p -> Bytes.blit p payload_off b (5 + (4 * List.length ints)) plen);
       write_all ~worker fd b
 
+    (* One frame as [(tag, body)]. [body] is the whole frame body, tag
+       byte included: its fields start at offset 1 ([field body i] is
+       the [i]-th integer), so a plane payload is decoded or forwarded
+       from where it was read, never copied out first. *)
     let read_frame ?(worker = -1) fd =
       let hdr = Bytes.create 4 in
       read_exact ~worker fd hdr 4;
@@ -303,20 +308,25 @@ module Transport = struct
         fail worker (Printf.sprintf "bad frame length %d" len);
       let body = Bytes.create len in
       read_exact ~worker fd body len;
-      (Bytes.get body 0, Bytes.sub body 1 (len - 1))
+      (Bytes.get body 0, body)
+
+    let field body i = get_i32 body (1 + (4 * i))
+
+    let payload_string body = Bytes.sub_string body 1 (Bytes.length body - 1)
 
     let expect_ack ~worker fd =
       match read_frame ~worker fd with
       | t, _ when t = tag_ack -> ()
       | t, body when t = tag_error ->
-          fail worker ("worker error: " ^ Bytes.to_string body)
+          fail worker ("worker error: " ^ payload_string body)
       | t, _ -> fail worker (Printf.sprintf "expected ack, got tag %C" t)
 
+    (* A planes frame's body; the planes start at offset 1. *)
     let expect_planes ~worker fd =
       match read_frame ~worker fd with
       | t, body when t = tag_planes -> body
       | t, body when t = tag_error ->
-          fail worker ("worker error: " ^ Bytes.to_string body)
+          fail worker ("worker error: " ^ payload_string body)
       | t, _ -> fail worker (Printf.sprintf "expected planes, got tag %C" t)
 
     let send_hello ~fd =
@@ -327,13 +337,13 @@ module Transport = struct
 
     let read_hello ~worker fd =
       match read_frame ~worker fd with
-      | t, body when t = tag_hello && Bytes.length body = 8 ->
-          let v = get_i32 body 0 in
+      | t, body when t = tag_hello && Bytes.length body = 9 ->
+          let v = field body 0 in
           if v <> protocol_version then
             fail worker
               (Printf.sprintf "transport version mismatch: worker %d, parent %d" v
                  protocol_version);
-          get_i32 body 4
+          field body 1
       | t, _ -> fail worker (Printf.sprintf "expected hello, got tag %C" t)
 
     (* -------------------------------------------------------------- *)
@@ -363,10 +373,10 @@ module Transport = struct
          instead of an unattributed blit error. *)
       let check_planes ~worker ~planes:n body =
         (match plane_bytes with
-        | Some pb when Bytes.length body <> n * pb ->
+        | Some pb when Bytes.length body - 1 <> n * pb ->
             fail worker
               (Printf.sprintf "garbage halo frame: %d bytes for %d planes"
-                 (Bytes.length body) n)
+                 (Bytes.length body - 1) n)
         | _ -> ());
         body
       in
@@ -394,9 +404,9 @@ module Transport = struct
                     (expect_planes ~worker:wsrc fds.(wsrc))
                 in
                 Obs.Metrics.observe h_roundtrip (now_us () -. t0);
-                write_frame ~worker:wdst fds.(wdst) tag_push [ shard; glo; ghi ]
-                  (Some planes);
-                Obs.Metrics.add m_wire_bytes (2 * Bytes.length planes)
+                write_frame ~worker:wdst ~payload_off:1 fds.(wdst) tag_push
+                  [ shard; glo; ghi ] (Some planes);
+                Obs.Metrics.add m_wire_bytes (2 * (Bytes.length planes - 1))
               end
 
         let advance ~shard ~degree =
@@ -423,8 +433,8 @@ module Transport = struct
             check_planes ~worker:w ~planes:(ohi - olo)
               (expect_planes ~worker:w fds.(w))
           in
-          Obs.Metrics.add m_wire_bytes (Bytes.length planes);
-          Stencil.Grid.blit_of_bytes into planes
+          Obs.Metrics.add m_wire_bytes (Bytes.length planes - 1);
+          Stencil.Grid.blit_of_bytes ~off:1 into planes
 
         let close () =
           Array.iteri
@@ -470,27 +480,26 @@ module Transport = struct
       while !running do
         match read_frame fd with
         | tag, body when tag = tag_pull ->
-            let k = get_i32 body 0 and glo = get_i32 body 4 and ghi = get_i32 body 8 in
+            let k = field body 0 and glo = field body 1 and ghi = field body 2 in
             need k "pull";
             write_frame fd tag_planes []
               (Some (Stencil.Grid.to_bytes (view t k (buf cur k) ~glo ~ghi)))
         | tag, body when tag = tag_push ->
-            let k = get_i32 body 0 and glo = get_i32 body 4 and ghi = get_i32 body 8 in
+            let k = field body 0 and glo = field body 1 and ghi = field body 2 in
             need k "push";
-            let planes = Bytes.sub body 12 (Bytes.length body - 12) in
-            Stencil.Grid.blit_of_bytes (view t k (buf cur k) ~glo ~ghi) planes
+            Stencil.Grid.blit_of_bytes ~off:13 (view t k (buf cur k) ~glo ~ghi) body
         | tag, body when tag = tag_copy ->
-            let src = get_i32 body 0
-            and dst = get_i32 body 4
-            and glo = get_i32 body 8
-            and ghi = get_i32 body 12 in
+            let src = field body 0
+            and dst = field body 1
+            and glo = field body 2
+            and ghi = field body 3 in
             need src "copy";
             need dst "copy";
             Stencil.Grid.blit
               ~src:(view t src (buf cur src) ~glo ~ghi)
               ~dst:(view t dst (buf cur dst) ~glo ~ghi)
         | tag, body when tag = tag_advance ->
-            let degree = get_i32 body 0 in
+            let degree = field body 0 in
             List.iter
               (fun k ->
                 advance ~shard:k ~degree ~src:(buf cur k) ~dst:(buf nxt k);
@@ -500,7 +509,7 @@ module Transport = struct
               owned
         | tag, _ when tag = tag_barrier -> write_frame fd tag_ack [] None
         | tag, body when tag = tag_gather ->
-            let k = get_i32 body 0 in
+            let k = field body 0 in
             need k "gather";
             let lo, hi = owned_range t k in
             write_frame fd tag_planes []

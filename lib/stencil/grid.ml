@@ -242,20 +242,20 @@ let to_bytes g =
   write_words g b 0;
   b
 
-let blit_of_bytes g b =
+let blit_of_bytes ?(off = 0) g b =
   let words = size g in
-  if Bytes.length b <> words * bytes_per_word g.prec then
+  if off < 0 || Bytes.length b - off <> words * bytes_per_word g.prec then
     invalid_arg
       (Fmt.str "Grid.blit_of_bytes: %d bytes for a %d-word %s grid"
-         (Bytes.length b) words (precision_to_string g.prec));
+         (Bytes.length b - off) words (precision_to_string g.prec));
   match g.buf with
   | B32 a ->
       for i = 0 to words - 1 do
-        Bigarray.Array1.set a i (Int32.float_of_bits (Bytes.get_int32_le b (i * 4)))
+        Bigarray.Array1.set a i (Int32.float_of_bits (Bytes.get_int32_le b (off + (i * 4))))
       done
   | B64 a ->
       for i = 0 to words - 1 do
-        Bigarray.Array1.set a i (Int64.float_of_bits (Bytes.get_int64_le b (i * 8)))
+        Bigarray.Array1.set a i (Int64.float_of_bits (Bytes.get_int64_le b (off + (i * 8))))
       done
 
 (** Digest of the grid's identity: dims, precision and the raw stored

@@ -105,11 +105,12 @@ val to_bytes : t -> Bytes.t
     process-level shard transport. Precision-correct like {!digest};
     works on {!sub} views. *)
 
-val blit_of_bytes : t -> Bytes.t -> unit
-(** Inverse of {!to_bytes} into an existing grid (or view): stores
-    exactly the bits the sender held, so a cross-process round trip is
+val blit_of_bytes : ?off:int -> t -> Bytes.t -> unit
+(** Inverse of {!to_bytes} into an existing grid (or view), reading the
+    bytes of [b] from [off] (default 0) to its end: stores exactly the
+    bits the sender held, so a cross-process round trip is
     bit-identical in both precisions.
-    @raise Invalid_argument when the byte count does not match the
+    @raise Invalid_argument when that byte count does not match the
     grid's size and precision. *)
 
 val digest : t -> string

@@ -325,48 +325,16 @@ type plane_group = {
   g_eval : (int -> float) -> float;
 }
 
-(** Which specialized streaming kernel a lowered expression dispatches
-    to (docs/SIMULATOR.md): fully unrolled fused kernels for the small
-    star/box arities, a chunked wide kernel for larger linear forms, a
-    pair-aware kernel when symmetric folding produced [c*(a+b)] terms,
-    and the generic per-term interpreter otherwise. Classification is
-    static metadata from lowering — executors agree on it by
-    construction. *)
-type kernel_shape =
-  | K_fused of int  (** fully unrolled; arity in {3,5,7,9} *)
-  | K_wide of int  (** chunked accumulation for any other linear arity *)
-  | K_folded of int  (** pair-aware; the int counts distinct points read *)
-  | K_generic  (** no flat linear form — per-term fallback *)
-
-let kernel_shape_of_linear = function
-  | None -> K_generic
-  | Some lf ->
-      let terms = Array.length lf.lt_off in
-      let pairs =
-        Array.fold_left (fun n k2 -> if k2 >= 0 then n + 1 else n) 0 lf.lt_off2
-      in
-      if pairs > 0 then K_folded (terms + pairs)
-      else if terms = 3 || terms = 5 || terms = 7 || terms = 9 then K_fused terms
-      else K_wide terms
-
-let kernel_shape_name = function
-  | K_fused n -> Printf.sprintf "fused%dpt" n
-  | K_wide n -> Printf.sprintf "wide%dpt" n
-  | K_folded n -> Printf.sprintf "folded%dpt" n
-  | K_generic -> "generic"
-
 (** Everything an executor inner loop needs, precompiled: the distinct
     offsets (the read index space), an indexed closure bit-identical to
     {!compile}, the flat linear form when the expression is a
     left-leaning weighted sum (with an optional invariant-divisor
-    post-op), the streaming-kernel classification derived from it, and
-    the per-plane groups of {!partial_sums} with their numeric
+    post-op), and the per-plane groups of {!partial_sums} with their numeric
     post-operation. *)
 type lowered = {
   low_offsets : int array array;
   low_eval : (int -> float) -> float;
   low_linear : linear_form option;
-  low_kernel : kernel_shape;
   low_partial : (plane_group array * (float -> float)) option;
 }
 
@@ -491,7 +459,6 @@ let lower ~(param : string -> float) e =
     low_offsets = offs;
     low_eval = compile_indexed ~param ~index e;
     low_linear;
-    low_kernel = kernel_shape_of_linear low_linear;
     low_partial;
   }
 

@@ -122,30 +122,10 @@ type plane_group = {
   g_eval : (int -> float) -> float;
 }
 
-(** Which specialized streaming kernel a lowered expression dispatches
-    to (docs/SIMULATOR.md): fully unrolled fused kernels for arities
-    3/5/7/9, a chunked wide kernel for other linear arities, a
-    pair-aware kernel when symmetric folding produced [c*(a+b)] terms,
-    and the generic per-term interpreter when no flat linear form
-    exists. *)
-type kernel_shape =
-  | K_fused of int  (** fully unrolled; arity in {3,5,7,9} *)
-  | K_wide of int  (** chunked accumulation for any other linear arity *)
-  | K_folded of int  (** pair-aware; the int counts distinct points read *)
-  | K_generic  (** no flat linear form — per-term fallback *)
-
-val kernel_shape_of_linear : linear_form option -> kernel_shape
-(** Static classification used by the streaming executor's dispatch. *)
-
-val kernel_shape_name : kernel_shape -> string
-(** Stable name for metrics/bench JSON: ["fused5pt"], ["wide27pt"],
-    ["folded5pt"], ["generic"]. *)
-
 (** Precompiled table-driven execution form: the distinct offsets (the
     read index space), an indexed closure bit-identical to {!compile},
     the flat linear form when the expression is a left-leaning weighted
-    sum with an optional invariant-divisor post-op, the streaming-kernel
-    classification derived from it, and the per-plane groups of
+    sum with an optional invariant-divisor post-op, and the per-plane groups of
     {!partial_sums} with their numeric post-operation. Summing the
     groups in ascending plane order is the accumulation order of AN5D's
     streaming CALC macros (§4.1), which reassociates the source
@@ -155,7 +135,6 @@ type lowered = {
   low_offsets : int array array;
   low_eval : (int -> float) -> float;
   low_linear : linear_form option;
-  low_kernel : kernel_shape;
   low_partial : (plane_group array * (float -> float)) option;
 }
 

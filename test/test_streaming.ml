@@ -83,6 +83,61 @@ let line3 =
   Stencil.Pattern.make ~name:"line3pt" ~dims:2 ~params:[]
     (Stencil.Sexpr.weighted_sum [ [| -1; 0 |]; [| 0; 0 |]; [| 1; 0 |] ])
 
+(* A left-leaning sum over [offsets] whose term [i] is scaled
+   ([Coef o * Cell o]) when [scaled i] and a bare read otherwise. *)
+let linear ~name ~scaled offsets =
+  let term i o = if scaled i then Stencil.Sexpr.coef_mul o else Stencil.Sexpr.Cell o in
+  let body =
+    match List.mapi term offsets with
+    | t :: rest -> List.fold_left (fun acc t -> Stencil.Sexpr.Add (acc, t)) t rest
+    | [] -> invalid_arg "linear: no offsets"
+  in
+  Stencil.Pattern.make ~name ~dims:2 ~params:[] body
+
+let first n l = List.filteri (fun i _ -> i < n) l
+
+let box1 = Stencil.Shape.box_offsets ~dims:2 ~rad:1
+
+let box2 = Stencil.Shape.box_offsets ~dims:2 ~rad:2
+
+(* The chunked streaming kernels' arity matrix: every pass width from 1
+   to 9 in every term shape (all scaled, all bare, mixed), and every
+   width of a wide form's last pass. With [with_div] on top, each
+   pattern runs both post-ops.
+   - scaled forms of 2, 4, 6 and 8 terms (box2d1r subsets);
+   - box2d2r subsets of 10 to 18 scaled terms: a 9-term pass, then a
+     last pass of 1 to 9 terms; star2d4r's 17 terms end in 8;
+   - all-bare sums [a + b + ...] of 1 to 9 terms, whose [with_div]
+     form is the average [(a + b + ...) / c0], and of all 25 box2d2r
+     terms (three bare passes);
+   - mixed forms of 2 to 9 terms alternating bare and scaled, the
+     first term bare when [n] is even and scaled when it is odd, so
+     every term position is drawn both ways; and 25 box2d2r terms with
+     every fourth term bare, so passes differ in where their bare
+     terms sit. *)
+let zoo =
+  List.map
+    (fun n -> linear ~name:(Fmt.str "box2d1r-%d" n) ~scaled:(fun _ -> true) (first n box1))
+    [ 2; 4; 6; 8 ]
+  @ List.map
+      (fun n ->
+        linear ~name:(Fmt.str "box2d2r-%d" n) ~scaled:(fun _ -> true) (first n box2))
+      [ 10; 11; 12; 13; 14; 15; 16; 17; 18 ]
+  @ [ star ~dims:2 4 ]
+  @ List.map
+      (fun n -> linear ~name:(Fmt.str "bare%d" n) ~scaled:(fun _ -> false) (first n box1))
+      [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+  @ [ linear ~name:"bare25" ~scaled:(fun _ -> false) box2 ]
+  @ List.map
+      (fun n ->
+        linear ~name:(Fmt.str "mixed%d" n)
+          ~scaled:(fun i -> (i + n) mod 2 = 1)
+          (first n box1))
+      [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+  @ [ linear ~name:"mixed25" ~scaled:(fun i -> i mod 4 <> 0) box2 ]
+
+let zoo_named name = List.find (fun p -> p.Stencil.Pattern.name = name) zoo
+
 (* Non-linear: never reaches Stream_exec — the capability gate must
    fall back to the compiled path (and tick the fallback counter). *)
 let sqrt_pattern =
@@ -99,9 +154,7 @@ let counters_t =
 (* Kernel-shape classification                                         *)
 (* ------------------------------------------------------------------ *)
 
-let kname p =
-  Stencil.Sexpr.kernel_shape_name
-    (Stencil.Pattern.lower p).Stencil.Sexpr.low_kernel
+let kname p = Stream_exec.kernel_name (Stencil.Pattern.lower p)
 
 let bench name =
   match Bench_defs.Benchmarks.find name with
@@ -128,6 +181,17 @@ let test_kernel_shapes () =
          kernels — the BENCH gate and CI depend on it *)
       ("fused5pt", bench "j2d5pt");
       ("wide27pt", bench "j3d27pt");
+      ("wide17pt", bench "star2d4r");
+      (* forms of at most nine terms run one unrolled pass whatever
+         their arity or term shape *)
+      ("fused1pt_bare", zoo_named "bare1");
+      ("fused4pt", zoo_named "box2d1r-4");
+      ("fused5pt_bare", zoo_named "bare5");
+      ("fused5pt_bare", with_div (zoo_named "bare5"));
+      ("fused8pt_mixed", zoo_named "mixed8");
+      ("wide10pt", zoo_named "box2d2r-10");
+      ("wide25pt_bare", zoo_named "bare25");
+      ("wide25pt_mixed", zoo_named "mixed25");
     ]
 
 (* Folding only applies to expressions *written* as [c * (a + b)]: the
@@ -157,14 +221,17 @@ let run_blocked ?checked ~mode ~shards ~prec pattern cfg dims ~steps g =
   (out, machine.Gpu.Machine.counters)
 
 (* The shape matrix: fused star arities, chunked/term-major boxes,
-   folded symmetric forms, with and without the Post_div tail, both
-   precisions, resident and 4-shard schedules. *)
+   folded symmetric forms and the [zoo] of pass widths and term shapes,
+   with and without the Post_div tail, both precisions, resident and
+   4-shard schedules. *)
 let gen_stream_case =
   QCheck.Gen.(
-    let* variant = int_range 0 3 in
+    let* variant = int_range 0 4 in
+    let* linear_form = oneofl zoo in
     let* dims_n = if variant >= 2 then return 2 else int_range 2 3 in
     let* rad =
-      if variant >= 2 then return 1
+      if variant = 4 then return linear_form.Stencil.Pattern.radius
+      else if variant >= 2 then return 1
       else int_range 1 (if dims_n = 2 then 3 else 2)
     in
     let* bt = int_range 1 3 in
@@ -199,7 +266,8 @@ let gen_stream_case =
       | 0 -> star ~dims:dims_n rad
       | 1 -> box ~dims:dims_n rad
       | 2 -> sym5
-      | _ -> sym3
+      | 3 -> sym3
+      | _ -> linear_form
     in
     let pattern = if divided then with_div base else base in
     return (pattern, rad, bt, bs, hs, sizes, prec, steps, shards))
@@ -265,8 +333,9 @@ let prop_streaming_vs_reference =
         = Stencil.Grid.digest stm
       end)
 
-(* Fixed cases through every specialized kernel, with counters spelled
-   out via Alcotest so a failure names the diverging field. *)
+(* Fixed cases through every specialized kernel, against the checked
+   path and the reference sweep, with counters spelled out via
+   Alcotest so a failure names the diverging field. *)
 let test_fixed_shapes () =
   List.iter
     (fun (pattern, rad, bt, bs, dims) ->
@@ -294,10 +363,13 @@ let test_fixed_shapes () =
               in
               Alcotest.(check string) (name ^ " grid") (Stencil.Grid.digest com)
                 (Stencil.Grid.digest stm);
+              Alcotest.(check string) (name ^ " reference")
+                (Stencil.Grid.digest (Stencil.Reference.run pattern ~steps:5 g))
+                (Stencil.Grid.digest stm);
               Alcotest.check counters_t (name ^ " counters") com_c stm_c)
             [ 1; 4 ])
         [ Stencil.Grid.F64; Stencil.Grid.F32 ])
-    [
+    ([
       (line3, 1, 2, [| 8 |], [| 18; 12 |]);
       (with_div (star ~dims:2 1), 1, 3, [| 10 |], [| 24; 16 |]);
       (star ~dims:3 1, 1, 2, [| 6; 6 |], [| 12; 10; 10 |]);
@@ -307,6 +379,15 @@ let test_fixed_shapes () =
       (sym5, 1, 2, [| 8 |], [| 18; 14 |]);
       (sym3, 1, 2, [| 8 |], [| 18; 14 |]);
     ]
+    @ List.concat_map
+        (fun p ->
+          let rad = p.Stencil.Pattern.radius in
+          let bt = if rad > 2 then 1 else 2 in
+          let case p =
+            (p, rad, bt, [| (2 * bt * rad) + 4 |], [| (6 * rad) + 8; (4 * rad) + 8 |])
+          in
+          [ case p; case (with_div p) ])
+        zoo)
 
 (* ------------------------------------------------------------------ *)
 (* Reference executors on the folded form                              *)
@@ -453,9 +534,11 @@ let counter_value name =
   Obs.Metrics.get_counter (Obs.Metrics.snapshot ()) name
 
 let test_dispatch_counters () =
-  let dims = [| 20; 14 |] in
-  let cfg = Config.make ~bt:2 ~bs:[| 8 |] () in
+  (* a tile and grid that fit the pattern's radius: 8 and 20x14 at 1 *)
   let run ~mode pattern =
+    let rad = max 1 pattern.Stencil.Pattern.radius in
+    let dims = [| 14 + (6 * rad); 10 + (4 * rad) |] in
+    let cfg = Config.make ~bt:2 ~bs:[| (4 * rad) + 4 |] () in
     let g = Stencil.Grid.init_random dims in
     ignore
       (run_blocked ~mode ~shards:1 ~prec:Stencil.Grid.F64 pattern cfg dims
@@ -469,6 +552,23 @@ let test_dispatch_counters () =
   run ~mode:Blocking.Direct sym5;
   Alcotest.(check bool) "folded5pt dispatch ticked" true
     (counter_value "streaming_dispatch_folded5pt" > before);
+  (* The counters name the kernel that ran: a 4-term form runs one
+     unrolled pass, so it ticks fused4pt (never wide4pt); an all-bare
+     average ticks fused5pt_bare; star2d4r's 17 terms run chunked. *)
+  List.iter
+    (fun (kernel, pattern) ->
+      let before = counter_value ("streaming_dispatch_" ^ kernel) in
+      run ~mode:Blocking.Direct pattern;
+      Alcotest.(check bool) (kernel ^ " dispatch ticked") true
+        (counter_value ("streaming_dispatch_" ^ kernel) > before))
+    [
+      ("fused4pt", zoo_named "box2d1r-4");
+      ("fused5pt_bare", with_div (zoo_named "bare5"));
+      ("fused6pt_mixed", zoo_named "mixed6");
+      ("wide17pt", star ~dims:2 4);
+      ("wide25pt_bare", zoo_named "bare25");
+    ];
+  Alcotest.(check int) "no wide4pt dispatch" 0 (counter_value "streaming_dispatch_wide4pt");
   (* non-linear and partial-sums requests take the checked path *)
   let before = counter_value "streaming_dispatch_fallback" in
   run ~mode:Blocking.Direct sqrt_pattern;
