@@ -27,12 +27,12 @@ let setting_name s =
 let steps = 1000
 
 (* The cross-cutting run flags ([--domains N], [--mode],
-   [--trace FILE], [--metrics], [--no-verify]), parsed off the harness
-   command line by {!An5d_core.Run_args.parse} — the same parser the
-   [an5d] CLI terms are built from. [main] applies the trace/metrics
-   sinks via [Run_config.with_obs] around the whole harness run; CI
-   runs the quick subset with [--trace] and uploads the file as a
-   workflow artifact. *)
+   [--trace FILE], [--metrics], [--no-verify], ...), parsed off the
+   harness command line by {!An5d_cli.Run_args.term} — the same term
+   the [an5d] CLI uses. [main] applies the trace/metrics sinks via
+   [Run_config.with_obs] around the whole harness run; CI runs the
+   quick subset with [--trace] and uploads the file as a workflow
+   artifact. *)
 let run_config = ref Run_config.default
 
 (* Smoke mode ([--quick]): shrink grids and timing floors so the

@@ -7,6 +7,8 @@
 
      dune exec bench/main.exe -- table5 fig8 *)
 
+open Cmdliner
+
 let experiments =
   [
     ("shard", Exp_shard.run, "halo-exchange sharding: cadence and pool throughput");
@@ -33,67 +35,51 @@ let experiments =
    [Exp_common.quick] shrinks their grids. *)
 let smoke = [ "throughput"; "serve"; "shard" ]
 
-let usage () =
-  print_endline "usage: main.exe [--csv DIR] [--quick] [run flags] [experiment...]";
-  print_endline "run flags (shared with the an5d CLI):";
-  print_string An5d_core.Run_args.usage;
-  print_endline "experiments:";
-  List.iter (fun (name, _, doc) -> Printf.printf "  %-8s %s\n" name doc) experiments
-
-(* Strip the harness-specific options; the cross-cutting run flags
-   ([--domains], [--trace], [--metrics], ...) are handled afterwards by
-   [Run_args.parse] — one parser shared with the [an5d] CLI. *)
-let rec parse_options = function
-  | "--csv" :: dir :: rest ->
-      Output.set_csv_dir (Some dir);
-      parse_options rest
-  | "--quick" :: rest ->
-      Exp_common.quick := true;
-      parse_options rest
-  | arg :: rest -> arg :: parse_options rest
-  | [] -> []
-
 (* [Run_config.with_obs] writes and validates the Chrome trace and
    prints the metrics snapshot — CI fails the run if the exporter ever
    emits a file Perfetto could not load. *)
-let run_all selected =
-  An5d_core.Run_config.with_obs !Exp_common.run_config (fun () ->
-      List.iter (fun run -> run ()) selected)
-
-let () =
-  let argv = parse_options (List.tl (Array.to_list Sys.argv)) in
-  let argv =
-    match An5d_core.Run_args.parse argv with
-    | Ok (cfg, rest) ->
-        Exp_common.run_config := cfg;
-        rest
-    | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        usage ();
-        exit 1
+let main csv quick cfg selected =
+  Output.set_csv_dir csv;
+  Exp_common.quick := quick;
+  Exp_common.run_config := cfg;
+  let selected =
+    match selected with
+    | [] when quick ->
+        Printf.printf "AN5D reproduction -- quick smoke subset\n";
+        List.filter_map
+          (fun (name, run, _) -> if List.mem name smoke then Some run else None)
+          experiments
+    | [] ->
+        Printf.printf
+          "AN5D reproduction -- regenerating all tables and figures (simulated \
+           P100/V100)\n";
+        List.map (fun (_, run, _) -> run) experiments
+    | selected -> selected
   in
-  match argv with
-  | [] when !Exp_common.quick ->
-      Printf.printf "AN5D reproduction -- quick smoke subset\n";
-      run_all
-        (List.filter_map
-           (fun (name, run, _) -> if List.mem name smoke then Some run else None)
-           experiments)
-  | [] ->
-      Printf.printf
-        "AN5D reproduction -- regenerating all tables and figures (simulated \
-         P100/V100)\n";
-      run_all (List.map (fun (_, run, _) -> run) experiments)
-  | args ->
-      if List.mem "--help" args || List.mem "-h" args then usage ()
-      else
-        run_all
-          (List.map
-             (fun name ->
-               match List.find_opt (fun (n, _, _) -> n = name) experiments with
-               | Some (_, run, _) -> run
-               | None ->
-                   Printf.eprintf "unknown experiment %s\n" name;
-                   usage ();
-                   exit 1)
-             args)
+  An5d_core.Run_config.with_obs cfg (fun () -> List.iter (fun run -> run ()) selected)
+
+let cmd =
+  let csv =
+    let doc = "Also write every table as a CSV file into $(docv)." in
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
+  in
+  let quick =
+    let doc =
+      "Smoke mode: shrink grids and timing floors; with no experiment named, \
+       run only " ^ String.concat ", " smoke ^ "."
+    in
+    Arg.(value & flag & info [ "quick" ] ~doc)
+  in
+  let selected =
+    let doc = "Experiments to run (default: all of them); see EXPERIMENTS." in
+    let experiment = Arg.enum (List.map (fun (name, run, _) -> (name, run)) experiments) in
+    Arg.(value & pos_all experiment [] & info [] ~docv:"EXPERIMENT" ~doc)
+  in
+  let man =
+    `S "EXPERIMENTS" :: List.map (fun (name, _, doc) -> `I (name, doc)) experiments
+  in
+  Cmd.v
+    (Cmd.info "main.exe" ~doc:"Regenerate the paper's tables and figures." ~man)
+    Term.(const main $ csv $ quick $ An5d_cli.Run_args.term $ selected)
+
+let () = exit (Cmd.eval ~catch:false cmd)

@@ -16,6 +16,7 @@
 
 open Cmdliner
 open An5d_core
+module Run_args = An5d_cli.Run_args
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -56,63 +57,6 @@ let steps_arg =
 let verbose_arg =
   let doc = "Enable debug logging of detection, tuning and simulation." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
-(* The cross-cutting run flags ([--domains], [--mode], [--trace],
-   [--metrics], [--no-verify]) assemble into one
-   [Run_config.t]. The doc strings come from [Run_args] so the manpage
-   matches [bench/main --help] — both front ends share one flag
-   vocabulary. *)
-let mode_conv =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (Run_config.mode_of_string s)),
-      fun ppf m -> Fmt.string ppf (Run_config.mode_to_string m) )
-
-let run_config_term =
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Run_config.default.Run_config.mode
-      & info [ "mode" ] ~docv:"MODE" ~doc:Run_args.mode_doc)
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int Run_config.default.Run_config.domains
-      & info [ "domains" ] ~docv:"D" ~doc:Run_args.domains_doc)
-  in
-  let shards =
-    Arg.(
-      value
-      & opt int Run_config.default.Run_config.shards
-      & info [ "shards" ] ~docv:"N" ~doc:Run_args.shards_doc)
-  in
-  let workers =
-    Arg.(
-      value
-      & opt int Run_config.default.Run_config.workers
-      & info [ "workers" ] ~docv:"N" ~doc:Run_args.workers_doc)
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE" ~doc:Run_args.trace_doc)
-  in
-  let metrics = Arg.(value & flag & info [ "metrics" ] ~doc:Run_args.metrics_doc) in
-  let no_verify = Arg.(value & flag & info [ "no-verify" ] ~doc:Run_args.verify_doc) in
-  let gc_space_overhead =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-space-overhead" ] ~docv:"N" ~doc:Run_args.gc_space_overhead_doc)
-  in
-  let build mode domains shards workers trace metrics no_verify gc_space_overhead =
-    Run_config.make ~mode ~domains ~shards ~workers ~verify:(not no_verify) ~trace
-      ~metrics ~gc_space_overhead ()
-  in
-  Term.(
-    const build $ mode $ domains $ shards $ workers $ trace $ metrics $ no_verify
-    $ gc_space_overhead)
 
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
@@ -224,7 +168,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc)
     Term.(
       const run $ logs_term $ input_file $ bt_arg $ bs_arg $ hs_arg $ reg_limit_arg
-      $ device_arg $ steps_arg $ run_config_term)
+      $ device_arg $ steps_arg $ Run_args.term)
 
 let tune_cmd =
   let stencil_arg =
@@ -270,7 +214,7 @@ let tune_cmd =
     (Cmd.info "tune" ~doc)
     Term.(
       const run $ logs_term $ stencil_arg $ device_arg $ prec_arg $ steps_arg
-      $ run_config_term)
+      $ Run_args.term)
 
 let ptx_cmd =
   let dump =
@@ -375,7 +319,7 @@ let compare_cmd =
     (Cmd.info "compare" ~doc)
     Term.(
       const run $ logs_term $ stencil_arg $ device_arg $ prec_arg $ steps_arg
-      $ run_config_term)
+      $ Run_args.term)
 
 let artifact_cmd =
   let out_dir =
@@ -546,26 +490,40 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~doc)
-    Term.(const run $ logs_term $ file_arg $ queue_arg $ deadline_arg $ run_config_term)
+    Term.(const run $ logs_term $ file_arg $ queue_arg $ deadline_arg $ Run_args.term)
 
 let socket_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"ADDR" ~doc:Run_args.socket_doc)
+  let doc =
+    "Serve the framed wire protocol on this address instead of lines on stdin: \
+     HOST:PORT or :PORT for TCP (empty host = loopback), anything else a \
+     Unix-domain socket path. Many clients multiplex onto the one session; see \
+     docs/SERVING.md."
+  in
+  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"ADDR" ~doc)
 
 let cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"FILE" ~doc:Run_args.cache_doc)
+  let doc =
+    "Cache persistence file: load it at startup when present (a dump with a \
+     stale format or cache-key schema is refused with a warning and the \
+     session starts cold), dump the caches and transfer winners to it on clean \
+     shutdown."
+  in
+  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
 
 let admit_burst_arg =
-  Arg.(value & opt int 32 & info [ "admit-burst" ] ~docv:"N" ~doc:Run_args.admit_burst_doc)
+  let doc =
+    "Admission token-bucket capacity per client, in requests. A client's \
+     burst-exhausted requests are shed to the degraded bt=1 path — still \
+     served, never dropped."
+  in
+  Arg.(value & opt Run_args.positive 32 & info [ "admit-burst" ] ~docv:"N" ~doc)
 
 let admit_rate_arg =
-  Arg.(
-    value & opt float 0.0 & info [ "admit-rate" ] ~docv:"R" ~doc:Run_args.admit_rate_doc)
+  let doc =
+    "Admission token refill rate per client, in requests per second; 0 \
+     disables admission control (every request admitted)."
+  in
+  Arg.(value & opt float 0.0 & info [ "admit-rate" ] ~docv:"R" ~doc)
 
 let load_cache session = function
   | None -> ()
@@ -651,7 +609,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run $ logs_term $ queue_arg $ deadline_arg $ run_config_term
+      const run $ logs_term $ queue_arg $ deadline_arg $ Run_args.term
       $ socket_arg $ cache_arg $ admit_burst_arg $ admit_rate_arg)
 
 let client_cmd =

@@ -34,12 +34,6 @@ let with_workers workers t = { t with workers }
 
 let with_verify verify t = { t with verify }
 
-let with_trace trace t = { t with trace }
-
-let with_metrics metrics t = { t with metrics }
-
-let with_gc_space_overhead gc_space_overhead t = { t with gc_space_overhead }
-
 let mode_to_string = function Direct -> "direct" | Partial_sums -> "partial-sums"
 
 let mode_of_string = function

@@ -83,12 +83,6 @@ val with_workers : int -> t -> t
 
 val with_verify : bool -> t -> t
 
-val with_trace : string option -> t -> t
-
-val with_metrics : bool -> t -> t
-
-val with_gc_space_overhead : int option -> t -> t
-
 val mode_to_string : exec_mode -> string
 
 val mode_of_string : string -> (exec_mode, string) result

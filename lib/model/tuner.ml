@@ -155,6 +155,7 @@ let m_seeded_searches = Obs.Metrics.counter "tuner_seeded_searches"
     reports the max abs deviation from the reference executor. *)
 let rec tune_cfg ?(k = 5) ?(cfg = Run_config.default) ?verify_dims ?seed_config
     (dev : Gpu.Device.t) ~prec pattern ~dims_sizes ~steps =
+  if k < 1 then invalid_arg "Tuner.tune_cfg: k must be positive";
   Obs.Trace.with_span "tune"
     ~attrs:
       [ ("pattern", Obs.Trace.Str pattern.Stencil.Pattern.name);

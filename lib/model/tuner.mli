@@ -86,4 +86,5 @@ val tune_cfg :
     neighborhood is infeasible on this device the search silently
     widens back to the full space (the result's [seeded] field then
     reads [None]).
-    @raise No_feasible_configuration when pruning leaves nothing. *)
+    @raise No_feasible_configuration when pruning leaves nothing.
+    @raise Invalid_argument when [k < 1]. *)

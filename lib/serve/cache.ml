@@ -1,7 +1,7 @@
-(* Keyed LRU+TTL cache with in-flight coalescing. See cache.mli. *)
+(* Keyed LRU cache with in-flight coalescing. See cache.mli. *)
 
 type 'v entry =
-  | Ready of { value : 'v; expires : float; mutable last_use : int }
+  | Ready of { value : 'v; mutable last_use : int }
   | In_flight
 
 type served = Hit | Miss | Coalesced
@@ -11,14 +11,11 @@ type stats = {
   misses : int;
   coalesced : int;
   evictions : int;
-  expired : int;
   size : int;
 }
 
 type 'v t = {
   capacity : int;
-  ttl : float option;
-  clock : unit -> float;
   tbl : (string, 'v entry) Hashtbl.t;
   lock : Mutex.t;
   cond : Condition.t;
@@ -27,21 +24,17 @@ type 'v t = {
   mutable misses : int;
   mutable coalesced : int;
   mutable evictions : int;
-  mutable expired : int;
   c_hits : Obs.Metrics.counter;
   c_misses : Obs.Metrics.counter;
   c_coalesced : Obs.Metrics.counter;
   c_evictions : Obs.Metrics.counter;
-  c_expired : Obs.Metrics.counter;
 }
 
-let create ?ttl ?(clock = Unix.gettimeofday) ?(capacity = 64) ~name () =
+let create ?(capacity = 64) ~name () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be positive";
   let m sub = Obs.Metrics.counter (Fmt.str "serve_%s_cache_%s" name sub) in
   {
     capacity;
-    ttl;
-    clock;
     tbl = Hashtbl.create 64;
     lock = Mutex.create ();
     cond = Condition.create ();
@@ -50,12 +43,10 @@ let create ?ttl ?(clock = Unix.gettimeofday) ?(capacity = 64) ~name () =
     misses = 0;
     coalesced = 0;
     evictions = 0;
-    expired = 0;
     c_hits = m "hits";
     c_misses = m "misses";
     c_coalesced = m "coalesced";
     c_evictions = m "evictions";
-    c_expired = m "expired";
   }
 
 let touch t = t.tick <- t.tick + 1; t.tick
@@ -84,14 +75,9 @@ let enforce_capacity t =
     | None -> assert false (* ready_size > capacity >= 1 implies a victim *)
   done
 
-let expired_entry t expires = match t.ttl with None -> false | Some _ -> t.clock () >= expires
-
 (* Insert the computed value and wake waiters. Under the lock. *)
 let insert t key value =
-  let expires =
-    match t.ttl with None -> infinity | Some ttl -> t.clock () +. ttl
-  in
-  Hashtbl.replace t.tbl key (Ready { value; expires; last_use = touch t });
+  Hashtbl.replace t.tbl key (Ready { value; last_use = touch t });
   enforce_capacity t;
   Condition.broadcast t.cond
 
@@ -99,7 +85,7 @@ let find_or_compute t ~key f =
   Mutex.lock t.lock;
   let rec attempt ~waited =
     match Hashtbl.find_opt t.tbl key with
-    | Some (Ready e) when not (expired_entry t e.expires) ->
+    | Some (Ready e) ->
         e.last_use <- touch t;
         if waited then begin
           t.coalesced <- t.coalesced + 1;
@@ -111,11 +97,6 @@ let find_or_compute t ~key f =
         end;
         Mutex.unlock t.lock;
         (e.value, if waited then Coalesced else Hit)
-    | Some (Ready _) ->
-        Hashtbl.remove t.tbl key;
-        t.expired <- t.expired + 1;
-        Obs.Metrics.incr t.c_expired;
-        compute ()
     | Some In_flight ->
         Condition.wait t.cond t.lock;
         attempt ~waited:true
@@ -145,18 +126,11 @@ let find t ~key =
   Mutex.lock t.lock;
   let r =
     match Hashtbl.find_opt t.tbl key with
-    | Some (Ready e) when not (expired_entry t e.expires) ->
+    | Some (Ready e) ->
         e.last_use <- touch t;
         t.hits <- t.hits + 1;
         Obs.Metrics.incr t.c_hits;
         Some e.value
-    | Some (Ready _) ->
-        Hashtbl.remove t.tbl key;
-        t.expired <- t.expired + 1;
-        Obs.Metrics.incr t.c_expired;
-        t.misses <- t.misses + 1;
-        Obs.Metrics.incr t.c_misses;
-        None
     | Some In_flight | None ->
         t.misses <- t.misses + 1;
         Obs.Metrics.incr t.c_misses;
@@ -173,7 +147,6 @@ let stats t =
       misses = t.misses;
       coalesced = t.coalesced;
       evictions = t.evictions;
-      expired = t.expired;
       size = ready_size t;
     }
   in
@@ -186,9 +159,8 @@ let export t =
     Hashtbl.fold
       (fun k e acc ->
         match e with
-        | Ready { value; last_use; expires } when not (expired_entry t expires) ->
-            (last_use, k, value) :: acc
-        | Ready _ | In_flight -> acc)
+        | Ready { value; last_use } -> (last_use, k, value) :: acc
+        | In_flight -> acc)
       t.tbl []
   in
   Mutex.unlock t.lock;
@@ -199,14 +171,4 @@ let export t =
 let import t entries =
   Mutex.lock t.lock;
   List.iter (fun (key, value) -> insert t key value) entries;
-  Mutex.unlock t.lock
-
-let clear t =
-  Mutex.lock t.lock;
-  let ready_keys =
-    Hashtbl.fold
-      (fun k e acc -> match e with Ready _ -> k :: acc | In_flight -> acc)
-      t.tbl []
-  in
-  List.iter (Hashtbl.remove t.tbl) ready_keys;
   Mutex.unlock t.lock

@@ -1,4 +1,4 @@
-(** Keyed LRU+TTL cache with in-flight request coalescing — the
+(** Keyed LRU cache with in-flight request coalescing — the
     building block of the serving layer's compile, tune and outcome
     caches.
 
@@ -16,18 +16,15 @@
     one poisoned request cannot wedge the key).
 
     Instrumented: each cache interns
-    [serve_<name>_cache_{hits,misses,coalesced,evictions,expired}]
+    [serve_<name>_cache_{hits,misses,coalesced,evictions}]
     counters in the {!Obs.Metrics} registry. *)
 
 type 'v t
 
-val create :
-  ?ttl:float -> ?clock:(unit -> float) -> ?capacity:int -> name:string -> unit -> 'v t
+val create : ?capacity:int -> name:string -> unit -> 'v t
 (** [create ~name ()] makes an empty cache. [capacity] (default 64)
     bounds the number of ready entries — inserting beyond it evicts the
-    least-recently-used entry. [ttl] (default: none) expires entries
-    that many seconds after insertion, measured by [clock] (default
-    [Unix.gettimeofday]; injectable for tests). *)
+    least-recently-used entry. *)
 
 (** How a lookup was served: [Hit] — entry was ready; [Miss] — this
     caller computed it; [Coalesced] — another in-flight caller computed
@@ -36,7 +33,7 @@ type served = Hit | Miss | Coalesced
 
 val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v * served
 (** Return the cached value for [key], computing and inserting it on a
-    miss. Expired entries count as misses. The exception of a failed
+    miss. The exception of a failed
     computation propagates to the computing caller; waiting callers
     retry the computation themselves. *)
 
@@ -49,23 +46,18 @@ type stats = {
   misses : int;
   coalesced : int;
   evictions : int;
-  expired : int;
   size : int;  (** ready entries currently cached *)
 }
 
 val stats : 'v t -> stats
 
 val export : 'v t -> (string * 'v) list
-(** Snapshot the live (ready, unexpired) entries, least recently used
+(** Snapshot the ready entries, least recently used
     first — the order {!import} wants so a replay reconstructs the LRU
     ranking. In-flight markers are skipped. *)
 
 val import : 'v t -> (string * 'v) list -> unit
-(** Insert entries as if each had just been computed (fresh TTL, most
+(** Insert entries as if each had just been computed (most
     recently used last; capacity is enforced, evicting as usual).
     Counts neither hits nor misses — a warm restart must not skew the
     ratio statistics. Used by {!Session.load}. *)
-
-val clear : 'v t -> unit
-(** Drop all ready entries (in-flight computations finish and insert
-    normally). Statistics are kept. *)

@@ -388,7 +388,8 @@ let apply_opt o (k, v) =
       Ok { o with seed = n }
   | "k" ->
       let* n = parse_int k v in
-      Ok { o with k = n }
+      if n >= 1 then Ok { o with k = n }
+      else Error (Fmt.str "k expects a positive integer, got %s" v)
   | "mode" ->
       let* m = Run_config.mode_of_string v in
       Ok { o with run = Run_config.with_mode m o.run }

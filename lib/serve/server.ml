@@ -123,7 +123,6 @@ let cache_json (s : Cache.stats) =
       ("misses", Wire.Int s.Cache.misses);
       ("coalesced", Wire.Int s.Cache.coalesced);
       ("evictions", Wire.Int s.Cache.evictions);
-      ("expired", Wire.Int s.Cache.expired);
       ("size", Wire.Int s.Cache.size);
     ]
 

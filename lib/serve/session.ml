@@ -11,12 +11,8 @@ type config = {
   queue_capacity : int;
   default_deadline : float option;
   job_capacity : int;
-  job_ttl : float option;
   tune_capacity : int;
-  tune_ttl : float option;
   outcome_capacity : int;
-  outcome_ttl : float option;
-  clock : unit -> float;
   workers : Workers.t option;
 }
 
@@ -26,12 +22,8 @@ let default_config =
     queue_capacity = 64;
     default_deadline = None;
     job_capacity = 64;
-    job_ttl = None;
     tune_capacity = 64;
-    tune_ttl = None;
     outcome_capacity = 64;
-    outcome_ttl = None;
-    clock = Unix.gettimeofday;
     workers = None;
   }
 
@@ -97,15 +89,9 @@ let create ?(config = default_config) () =
     pool =
       (if config.domains > 1 then Some (Gpu.Pool.create ~domains:config.domains ())
        else None);
-    jobs =
-      Cache.create ?ttl:config.job_ttl ~clock:config.clock
-        ~capacity:config.job_capacity ~name:"job" ();
-    tunes =
-      Cache.create ?ttl:config.tune_ttl ~clock:config.clock
-        ~capacity:config.tune_capacity ~name:"tune" ();
-    outcomes =
-      Cache.create ?ttl:config.outcome_ttl ~clock:config.clock
-        ~capacity:config.outcome_capacity ~name:"outcome" ();
+    jobs = Cache.create ~capacity:config.job_capacity ~name:"job" ();
+    tunes = Cache.create ~capacity:config.tune_capacity ~name:"tune" ();
+    outcomes = Cache.create ~capacity:config.outcome_capacity ~name:"outcome" ();
     winners = Hashtbl.create 16;
     winners_lock = Mutex.create ();
     cancelled_ids = Hashtbl.create 16;
@@ -281,7 +267,7 @@ let process_one t ~enqueued ~overloaded req =
     ~attrs:[ ("kind", Obs.Trace.Str (Request.kind req)) ]
   @@ fun () ->
   let finish status served =
-    let latency = t.cfg.clock () -. enqueued in
+    let latency = Unix.gettimeofday () -. enqueued in
     Obs.Metrics.observe h_latency (latency *. 1e6);
     { id = req.Request.id; status; served; latency }
   in
@@ -299,7 +285,7 @@ let process_one t ~enqueued ~overloaded req =
     in
     let late =
       match deadline with
-      | Some d -> t.cfg.clock () -. enqueued > d
+      | Some d -> Unix.gettimeofday () -. enqueued > d
       | None -> false
     in
     let shed =
@@ -348,7 +334,7 @@ let submit_batch t reqs =
   let n = Array.length arr in
   if n = 0 then []
   else begin
-    let enqueued = t.cfg.clock () in
+    let enqueued = Unix.gettimeofday () in
     let results = Array.make n None in
     let pending = Atomic.make n in
     Obs.Metrics.set_gauge g_queue_depth (float n);
@@ -376,7 +362,7 @@ let submit t req = List.hd (submit_batch t [ req ])
    [Degraded (_, Overload)] — never dropped. *)
 let submit_shed t req =
   Mutex.protect t.batch_lock @@ fun () ->
-  process_one t ~enqueued:(t.cfg.clock ()) ~overloaded:true req
+  process_one t ~enqueued:(Unix.gettimeofday ()) ~overloaded:true req
 
 (* ------------------------------------------------------------------ *)
 (* Cache persistence                                                   *)
@@ -501,10 +487,10 @@ let hit_ratio (s : Cache.stats) =
 
 let pp_cache_stats ppf (name, (s : Cache.stats)) =
   Fmt.pf ppf
-    "%s cache: %d hit, %d miss, %d coalesced, %d evicted, %d expired, %d live, \
-     %.1f%% hit-ratio"
+    "%s cache: %d hit, %d miss, %d coalesced, %d evicted, %d live, %.1f%% \
+     hit-ratio"
     name s.Cache.hits s.Cache.misses s.Cache.coalesced s.Cache.evictions
-    s.Cache.expired s.Cache.size (hit_ratio s)
+    s.Cache.size (hit_ratio s)
 
 let pp_stats ppf s =
   Fmt.pf ppf

@@ -32,12 +32,8 @@ type config = {
       (** seconds from submission to execution start, when the request
           carries none; [None] = no deadline *)
   job_capacity : int;
-  job_ttl : float option;
   tune_capacity : int;
-  tune_ttl : float option;
   outcome_capacity : int;
-  outcome_ttl : float option;
-  clock : unit -> float;  (** injectable for deadline/TTL tests *)
   workers : Workers.t option;
       (** worker-process registry for sharded simulate requests: a
           request with [run.workers > 1] and [run.shards > 1] executes
@@ -50,7 +46,7 @@ type config = {
 
 val default_config : config
 (** 1 domain, queue capacity 64, no default deadline, 64-entry caches,
-    no TTLs, [Unix.gettimeofday], no worker registry. *)
+    no worker registry. *)
 
 (** How a response was produced: [Cold] — computed by this request;
     [Warm] — served from a cache; [Coalesced] — computed once by a
@@ -117,7 +113,7 @@ val dump : t -> path:string -> (int, string) result
 
 val load : t -> path:string -> (int, string) result
 (** Seed the session's caches from a dump written by {!dump}: entries
-    import warm (fresh TTL, LRU order preserved, no hit/miss skew) and
+    import warm (LRU order preserved, no hit/miss skew) and
     the winner registry merges in. Refuses — with a reason, never an
     exception — dumps with a different format version or cache-key
     schema digest, and dumps or entries whose payload digest fails
@@ -140,8 +136,8 @@ val stats : t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Uniform rendering, one line per cache:
-    [NAME cache: H hit, M miss, C coalesced, E evicted, X expired,
-    L live, R% hit-ratio] — the format the [an5d serve] [stats] verb
+    [NAME cache: H hit, M miss, C coalesced, E evicted, L live, R%
+    hit-ratio] — the format the [an5d serve] [stats] verb
     prints and test/test_serve.ml pins. The ratio is hits over all
     lookups (hits + misses + coalesced). *)
 

@@ -44,10 +44,14 @@ let test_rendered_sources_pinned () =
    of thousands of words, where building the whole suite at module
    initialisation allocated over 8 million. Counting words, not
    timing, keeps the guard deterministic. *)
-let test_startup_allocations () =
+let an5d_exe () =
   let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/an5d.exe" in
   if not (Sys.file_exists exe) then
     Alcotest.failf "%s not found (build it with `dune build`)" exe;
+  exe
+
+let test_startup_allocations () =
+  let exe = an5d_exe () in
   let env =
     Array.append [| "OCAMLRUNPARAM=v=0x400" |]
       (Array.of_list
@@ -71,6 +75,22 @@ let test_startup_allocations () =
   | Some w ->
       if w >= 100_000 then
         Alcotest.failf "an5d --version allocated %d words at start-up (limit 100000)" w
+
+(* A bad run-flag value is a usage error (exit 124) at the front door,
+   not an exception escaping from [Run_config.with_obs] (exit 125). *)
+let test_bad_run_flag_exit () =
+  let exe = an5d_exe () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
+    Unix.create_process exe
+      [| exe; "tune"; "--stencil"; "j2d5pt"; "--gc-space-overhead"; "0" |]
+      Unix.stdin null null
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 124 -> ()
+  | _, Unix.WEXITED n -> Alcotest.failf "--gc-space-overhead 0 exited %d, not 124" n
+  | _ -> Alcotest.fail "--gc-space-overhead 0 killed by a signal"
 
 let test_suite_composition () =
   Alcotest.(check int) "21 benchmarks" 21 (List.length (all ()));
@@ -199,6 +219,8 @@ let () =
           Alcotest.test_case "concurrent first lookup" `Quick test_concurrent_first_lookup;
           Alcotest.test_case "start-up allocations" `Quick test_startup_allocations;
         ] );
+      ( "front door",
+        [ Alcotest.test_case "bad run flag is a usage error" `Quick test_bad_run_flag_exit ] );
       ( "table3",
         [
           Alcotest.test_case "rendered sources pinned" `Quick test_rendered_sources_pinned;

@@ -1,6 +1,6 @@
 (* The serving layer and the unified Run_config API.
 
-   - Cache: LRU eviction, TTL expiry (injected clock), in-flight
+   - Cache: LRU eviction, in-flight
      coalescing and holder-failure un-poisoning across real domains.
    - Session: served simulate requests are *bit-identical* to direct
      [Framework.simulate_cfg] runs (QCheck differential over random
@@ -9,7 +9,8 @@
      degrade to a bt=1 run instead of failing, cancellation and
      failure isolation.
    - Run_config/Run_args: stable renderings, semantic cache keys, the
-     shared flag parser, and clean refusal of the retired executor key.
+     one cmdliner term of the run flags and its usage errors, and clean
+     refusal of the retired executor key and of a top-0 tune.
    - Run_config spelling equivalence: [Run_config.make] with labels
      and [with_*] builder chains drive the [*_cfg] entrypoints (the
      only entrypoints — the optional-argument wrappers are retired) to
@@ -56,23 +57,7 @@ let test_cache_hit_miss () =
   let st = Cache.stats c in
   Alcotest.(check int) "hits" 2 st.Cache.hits;
   Alcotest.(check int) "misses" 2 st.Cache.misses;
-  Alcotest.(check int) "size" 1 st.Cache.size;
-  Cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Cache.stats c).Cache.size
-
-let test_cache_ttl () =
-  let now = ref 0.0 in
-  let c = Cache.create ~ttl:10.0 ~clock:(fun () -> !now) ~name:"ttl" () in
-  ignore (Cache.find_or_compute c ~key:"k" (fun () -> 1));
-  now := 5.0;
-  Alcotest.(check (option int)) "alive at 5s" (Some 1) (Cache.find c ~key:"k");
-  now := 10.0;
-  Alcotest.(check (option int)) "expired at 10s" None (Cache.find c ~key:"k");
-  Alcotest.(check int) "expiry counted" 1 (Cache.stats c).Cache.expired;
-  (* recomputing after expiry restarts the clock *)
-  let v, s = Cache.find_or_compute c ~key:"k" (fun () -> 2) in
-  Alcotest.(check int) "recomputed" 2 v;
-  Alcotest.(check bool) "as a miss" true (s = Cache.Miss)
+  Alcotest.(check int) "size" 1 st.Cache.size
 
 let test_cache_lru () =
   let c = Cache.create ~capacity:2 ~name:"lru" () in
@@ -204,54 +189,74 @@ let test_run_config_strings () =
     (Result.is_error (Run_config.mode_of_string "fast"))
 
 (* The executor is not a request option: a serve line naming one gets
-   the parser's ordinary unknown-option error, not a crash. *)
+   the parser's ordinary unknown-option error, not a crash. Nor does a
+   top-0 tune reach the tuner. *)
 let test_retired_impl_key () =
   Alcotest.(check (result reject string))
     "impl= refused" (Error "unknown option impl")
-    (Result.map ignore (Request.of_line "simulate j2d5pt impl=streaming"))
+    (Result.map ignore (Request.of_line "simulate j2d5pt impl=streaming"));
+  Alcotest.(check (result reject string))
+    "k=0 refused" (Error "k expects a positive integer, got 0")
+    (Result.map ignore (Request.of_line "tune j2d5pt k=0"))
+
+(* [Run_args.term] evaluated on an argv, as [bin/an5d] and
+   [bench/main] both do; usage errors print nothing here. *)
+let eval_run_args args =
+  let open Cmdliner in
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  Cmd.eval_value ~help:quiet ~err:quiet
+    ~argv:(Array.of_list ("run-args" :: args))
+    (Cmd.v (Cmd.info "run-args") An5d_cli.Run_args.term)
 
 let test_run_args_parse () =
+  (match eval_run_args [] with
+  | Ok (`Ok cfg) ->
+      Alcotest.(check bool) "no flags = default" true (Run_config.equal cfg Run_config.default)
+  | _ -> Alcotest.fail "empty argv rejected");
   match
-    Run_args.parse
+    eval_run_args
       [
-        "--domains"; "4"; "--mode"; "partial-sums";
-        "--trace"; "t.json"; "--metrics"; "--no-verify";
-        "--gc-space-overhead"; "240"; "fig6"; "table5";
+        "--domains"; "4"; "--shards"; "2"; "--workers"; "3";
+        "--mode"; "partial-sums"; "--trace"; "t.json"; "--metrics";
+        "--no-verify"; "--gc-space-overhead"; "240";
       ]
   with
-  | Error msg -> Alcotest.fail msg
-  | Ok (cfg, rest) ->
+  | Ok (`Ok cfg) ->
       Alcotest.(check int) "domains" 4 cfg.Run_config.domains;
+      Alcotest.(check int) "shards" 2 cfg.Run_config.shards;
+      Alcotest.(check int) "workers" 3 cfg.Run_config.workers;
       Alcotest.(check bool) "mode" true
         (cfg.Run_config.mode = Run_config.Partial_sums);
       Alcotest.(check (option string)) "trace" (Some "t.json") cfg.Run_config.trace;
       Alcotest.(check bool) "metrics" true cfg.Run_config.metrics;
       Alcotest.(check bool) "no-verify" false cfg.Run_config.verify;
       Alcotest.(check (option int)) "gc-space-overhead" (Some 240)
-        cfg.Run_config.gc_space_overhead;
-      Alcotest.(check (list string)) "rest in order" [ "fig6"; "table5" ] rest
+        cfg.Run_config.gc_space_overhead
+  | _ -> Alcotest.fail "valid run flags rejected"
 
+(* Every bad value is a usage error ([`Parse], or [`Term] for an
+   unknown option; both exit 124 from a front end), never an exception
+   from deeper down. *)
 let test_run_args_errors () =
-  let is_err args = Result.is_error (Run_args.parse args) in
-  Alcotest.(check bool) "missing value" true (is_err [ "--domains" ]);
-  Alcotest.(check bool) "non-positive" true (is_err [ "--domains"; "0" ]);
-  Alcotest.(check bool) "not a number" true (is_err [ "--domains"; "x" ]);
-  Alcotest.(check bool) "bad mode" true (is_err [ "--mode"; "fast" ]);
-  Alcotest.(check bool)
-    "gc overhead missing value" true
-    (is_err [ "--gc-space-overhead" ]);
-  Alcotest.(check bool)
-    "gc overhead non-positive" true
-    (is_err [ "--gc-space-overhead"; "0" ]);
-  Alcotest.(check bool)
-    "gc overhead not a number" true
-    (is_err [ "--gc-space-overhead"; "x" ]);
-  (* later flags win; unknown args pass through untouched *)
-  match Run_args.parse [ "--no-verify"; "--verify"; "--unknown" ] with
-  | Error msg -> Alcotest.fail msg
-  | Ok (cfg, rest) ->
-      Alcotest.(check bool) "verify restored" true cfg.Run_config.verify;
-      Alcotest.(check (list string)) "unknown passes through" [ "--unknown" ] rest
+  let usage_error args =
+    Alcotest.(check bool)
+      (String.concat " " args)
+      true
+      (match eval_run_args args with Error (`Parse | `Term) -> true | _ -> false)
+  in
+  List.iter
+    (fun flag ->
+      usage_error [ flag ];
+      usage_error [ flag; "0" ];
+      usage_error [ flag; "-3" ];
+      usage_error [ flag; "x" ])
+    [ "--domains"; "--shards"; "--workers"; "--gc-space-overhead" ];
+  usage_error [ "--mode"; "fast" ];
+  usage_error [ "--trace" ];
+  (* [--verify] is retired: verification is on unless [--no-verify] *)
+  usage_error [ "--verify" ];
+  usage_error [ "--unknown" ];
+  usage_error [ "fig6" ]
 
 (* ------------------------------------------------------------------ *)
 (* Canonical *_cfg equivalence: Run_config.make = builder chains       *)
@@ -827,12 +832,10 @@ let test_stats_format () =
     String.concat "\n"
       [
         "2 requests (0 degraded, 0 cancelled, 0 failed), 0 transfer winners";
-        "job cache: 0 hit, 1 miss, 0 coalesced, 0 evicted, 0 expired, 1 live, \
-         0.0% hit-ratio";
-        "tune cache: 0 hit, 0 miss, 0 coalesced, 0 evicted, 0 expired, 0 live, \
-         0.0% hit-ratio";
-        "outcome cache: 1 hit, 1 miss, 0 coalesced, 0 evicted, 0 expired, 1 \
-         live, 50.0% hit-ratio";
+        "job cache: 0 hit, 1 miss, 0 coalesced, 0 evicted, 1 live, 0.0% hit-ratio";
+        "tune cache: 0 hit, 0 miss, 0 coalesced, 0 evicted, 0 live, 0.0% hit-ratio";
+        "outcome cache: 1 hit, 1 miss, 0 coalesced, 0 evicted, 1 live, 50.0% \
+         hit-ratio";
       ]
   in
   Alcotest.(check string) "pinned stats rendering" expected rendered
@@ -898,7 +901,6 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "hit/miss/stats" `Quick test_cache_hit_miss;
-          Alcotest.test_case "ttl expiry" `Quick test_cache_ttl;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru;
           Alcotest.test_case "coalescing" `Quick test_cache_coalescing;
           Alcotest.test_case "holder failure un-poisons" `Quick test_cache_unpoison;

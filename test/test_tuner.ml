@@ -69,6 +69,14 @@ let test_tune_3d () =
     (r.Model.Tuner.best.Config.bt >= 1 && r.Model.Tuner.best.Config.bt <= 8);
   Alcotest.(check int) "two blocked dims" 2 (Array.length r.Model.Tuner.best.Config.bs)
 
+(* A top-0 search has no winner: it is refused up front. *)
+let test_tune_k_positive () =
+  Alcotest.check_raises "k = 0" (Invalid_argument "Tuner.tune_cfg: k must be positive")
+    (fun () ->
+      ignore
+        (Model.Tuner.tune_cfg ~k:0 Gpu.Device.v100 ~prec:Stencil.Grid.F64 star2d1r
+           ~dims_sizes:full2d ~steps:10))
+
 let test_tuner_device_sensitivity () =
   (* P100's lower smem efficiency should not pick a *larger* bt than V100
      by much; both must produce positive performance *)
@@ -87,6 +95,7 @@ let () =
           Alcotest.test_case "ranking sorted" `Quick test_rank_sorted;
           Alcotest.test_case "tune 2D" `Quick test_tune_2d;
           Alcotest.test_case "tune 3D" `Quick test_tune_3d;
+          Alcotest.test_case "k must be positive" `Quick test_tune_k_positive;
           Alcotest.test_case "device sensitivity" `Quick test_tuner_device_sensitivity;
         ] );
     ]
