@@ -284,10 +284,6 @@ let json_of_results results paired =
         ("streaming_floor", Float (streaming_floor ()));
         ("split_floor", Float (split_floor ()));
         ("reference_floor", Float (reference_floor ()));
-        ( "gc_space_overhead",
-          match !Exp_common.run_config.Run_config.gc_space_overhead with
-          | None -> Null
-          | Some o -> Int o );
         ("cases", Arr (List.map case_json results));
         ("streaming_f32_vs_f64", Arr (List.map split (split_of results)));
         ("reference_vs_streaming", Arr (List.map reference (reference_ratio_of results)));

@@ -52,7 +52,7 @@ let prec_arg =
 
 let steps_arg =
   let doc = "Number of time-steps." in
-  Arg.(value & opt int 100 & info [ "steps" ] ~docv:"T" ~doc)
+  Arg.(value & opt Run_args.positive 100 & info [ "steps" ] ~docv:"T" ~doc)
 
 let verbose_arg =
   let doc = "Enable debug logging of detection, tuning and simulation." in
@@ -740,8 +740,8 @@ let worker_cmd =
   in
   let doc =
     "Shard worker process (spawned by $(b,an5d serve --workers N) with a \
-     socketpair on stdin; not intended for interactive use): answers task \
-     frames with the binary halo-exchange protocol until EOF."
+     socketpair on stdin; not intended for interactive use): says hello, then \
+     answers task messages and the binary halo exchange until EOF."
   in
   Cmd.v (Cmd.info "worker" ~doc) Term.(const run $ logs_term $ chaos_arg)
 

@@ -61,22 +61,9 @@ let term =
     let doc = "Disable the CPU-reference verification of simulated results." in
     Arg.(value & flag & info [ "no-verify" ] ~doc)
   in
-  let gc_space_overhead =
-    let doc =
-      "GC pacing for throughput runs: apply Gc.set with this space_overhead \
-       percentage (OCaml default 120) before executing. Larger values trade heap \
-       headroom for fewer major collections; never alters results (see \
-       docs/SIMULATOR.md)."
-    in
-    Arg.(
-      value
-      & opt (some positive) d.gc_space_overhead
-      & info [ "gc-space-overhead" ] ~docv:"N" ~doc)
-  in
-  let make mode domains shards workers trace metrics no_verify gc_space_overhead =
+  let make mode domains shards workers trace metrics no_verify =
     Run_config.make ~mode ~domains ~shards ~workers ~verify:(not no_verify) ~trace
-      ~metrics ~gc_space_overhead ()
+      ~metrics ()
   in
   Term.(
-    const make $ mode $ domains $ shards $ workers $ trace $ metrics $ no_verify
-    $ gc_space_overhead)
+    const make $ mode $ domains $ shards $ workers $ trace $ metrics $ no_verify)

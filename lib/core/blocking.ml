@@ -472,18 +472,6 @@ let run_cfg ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
       match pool with
       | Some _ -> exec pool
       | None -> Gpu.Pool.with_pool ~domains:cfg.Run_config.domains exec);
-  let prec = g.Stencil.Grid.prec in
-  let stats =
-    {
-      n_tb = Execmodel.n_tb em;
-      n_stream_blocks = Execmodel.n_stream_blocks em;
-      n_thr = Config.n_thr em.Execmodel.config;
-      smem_bytes = Execmodel.smem_bytes em ~prec;
-      regs_per_thread =
-        Registers.an5d_required ~prec ~bt:em.Execmodel.config.Config.bt
-          ~rad:em.Execmodel.pattern.Stencil.Pattern.radius;
-      kernel_calls = List.length chunks;
-    }
-  in
-  (!cur, stats)
+  (!cur, sharded_stats em ~prec:g.Stencil.Grid.prec [| em |]
+           ~chunks:(List.length chunks))
   end

@@ -119,8 +119,9 @@ val sharded_stats :
   Execmodel.t array ->
   chunks:int ->
   launch_stats
-(** The analytic launch statistics of a sharded run over the shard
-    models of {!shard_layout} and [chunks] temporal chunks. *)
+(** The analytic launch statistics of a run over the shard models of
+    {!shard_layout} and [chunks] temporal chunks; a resident run's are
+    [sharded_stats em ~prec [| em |] ~chunks]. *)
 
 val run_sharded :
   ?pool:Gpu.Pool.t ->

@@ -10,19 +10,17 @@ type t = {
   verify : bool;
   trace : string option;
   metrics : bool;
-  gc_space_overhead : int option;
 }
 
 let default =
   { mode = Direct; domains = 1; shards = 1; workers = 1; verify = true;
-    trace = None; metrics = false; gc_space_overhead = None }
+    trace = None; metrics = false }
 
 let make ?(mode = default.mode) ?(domains = default.domains)
     ?(shards = default.shards) ?(workers = default.workers)
     ?(verify = default.verify) ?(trace = default.trace)
-    ?(metrics = default.metrics)
-    ?(gc_space_overhead = default.gc_space_overhead) () =
-  { mode; domains; shards; workers; verify; trace; metrics; gc_space_overhead }
+    ?(metrics = default.metrics) () =
+  { mode; domains; shards; workers; verify; trace; metrics }
 
 let with_mode mode t = { t with mode }
 
@@ -51,11 +49,10 @@ let semantic_sexp t =
     (mode_to_string t.mode) t.shards t.workers t.verify
 
 let to_sexp t =
-  Fmt.str "(run-config %s (domains %d) (trace %s) (metrics %b) (gc-space-overhead %s))"
+  Fmt.str "(run-config %s (domains %d) (trace %s) (metrics %b))"
     (semantic_sexp t) t.domains
     (match t.trace with None -> "()" | Some f -> Fmt.str "(%s)" f)
     t.metrics
-    (match t.gc_space_overhead with None -> "()" | Some o -> Fmt.str "(%d)" o)
 
 let cache_key t = Fmt.str "(run-key %s)" (semantic_sexp t)
 
@@ -66,15 +63,6 @@ let hash t = Hashtbl.hash (cache_key t)
 let pp ppf t = Fmt.string ppf (to_sexp t)
 
 let with_obs t f =
-  (* GC pacing: a larger space_overhead trades heap headroom for fewer
-     major collections during throughput runs. Applied here (not in the
-     executors) so one knob covers every entrypoint; never restored —
-     the knob sets process-wide policy for the whole bench/CLI run. *)
-  (match t.gc_space_overhead with
-  | None -> ()
-  | Some o ->
-      if o < 1 then invalid_arg "Run_config.with_obs: gc_space_overhead must be >= 1";
-      Gc.set { (Gc.get ()) with Gc.space_overhead = o });
   if t.trace <> None then begin
     Obs.Trace.clear ();
     Obs.Trace.set_enabled true

@@ -45,17 +45,11 @@ type t = {
       (** span-trace sink: write Chrome trace_event JSON here (see
           docs/OBSERVABILITY.md); [None] disables tracing *)
   metrics : bool;  (** print the metrics registry snapshot afterwards *)
-  gc_space_overhead : int option;
-      (** GC pacing for throughput runs: when set, {!with_obs} applies
-          [Gc.set] with this [space_overhead] (percent; OCaml default
-          120) before running the thunk. Larger values trade heap
-          headroom for fewer major collections. Non-semantic — never
-          alters results (docs/SIMULATOR.md). *)
 }
 
 val default : t
 (** [Direct], 1 domain, 1 shard, 1 worker, verification on, no trace
-    sink, no metrics, default GC pacing. *)
+    sink, no metrics. *)
 
 val make :
   ?mode:exec_mode ->
@@ -65,7 +59,6 @@ val make :
   ?verify:bool ->
   ?trace:string option ->
   ?metrics:bool ->
-  ?gc_space_overhead:int option ->
   unit ->
   t
 (** Builder over {!default}. *)
@@ -91,7 +84,7 @@ val mode_of_string : string -> (exec_mode, string) result
 val to_sexp : t -> string
 (** Full stable rendering, e.g.
     [(run-config (mode direct) (shards 1) (workers 1) (verify true)
-      (domains 1) (trace ()) (metrics false) (gc-space-overhead ()))]. *)
+      (domains 1) (trace ()) (metrics false))]. *)
 
 val cache_key : t -> string
 (** The semantic part of {!to_sexp}: only the fields that can change a
@@ -125,11 +118,8 @@ val with_obs : t -> (unit -> 'a) -> 'a
     exceptions — a partial trace is exactly what you want then) write
     the Chrome trace_event JSON to the file, validating it with
     {!Obs.Export.validate_chrome}; when [metrics] is set, print the
-    registry snapshot at the end; when [gc_space_overhead] is set,
-    apply it via [Gc.set] first (process-wide, not restored). This is
-    the single implementation of the [--trace FILE] / [--metrics] /
-    [--gc-space-overhead] behavior shared by [bin/an5d] and
+    registry snapshot at the end. This is the single implementation of
+    the [--trace FILE] / [--metrics] behavior shared by [bin/an5d] and
     [bench/main].
     @raise Failure when the exporter emits JSON its own validator
-    rejects (CI treats that as a build break).
-    @raise Invalid_argument when [gc_space_overhead < 1]. *)
+    rejects (CI treats that as a build break). *)

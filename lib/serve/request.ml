@@ -298,12 +298,20 @@ let parse_int k v =
   | Some n -> Ok n
   | None -> Error (Fmt.str "%s expects an integer, got %s" k v)
 
+(* Counts and sizes are positive at the front door: a zero or negative
+   one would otherwise fail deep in the executor, or divide by zero in
+   the tuner's GFLOP/s. *)
+let parse_positive k v =
+  match int_of_string_opt v with
+  | Some n when n >= 1 -> Ok n
+  | _ -> Error (Fmt.str "%s expects a positive integer, got %s" k v)
+
 let parse_dims k v =
   let parts = String.split_on_char 'x' v in
   let ints = List.filter_map int_of_string_opt parts in
-  if List.length ints = List.length parts && ints <> [] then
-    Ok (Array.of_list ints)
-  else Error (Fmt.str "%s expects e.g. 512x512, got %s" k v)
+  if List.length ints = List.length parts && ints <> [] && List.for_all (( < ) 0) ints
+  then Ok (Array.of_list ints)
+  else Error (Fmt.str "%s expects positive sizes, e.g. 512x512, got %s" k v)
 
 let parse_prec v =
   match String.lowercase_ascii v with
@@ -381,26 +389,23 @@ let apply_opt o (k, v) =
       let* d = parse_device v in
       Ok { o with device = d }
   | "steps" ->
-      let* n = parse_int k v in
+      let* n = parse_positive k v in
       Ok { o with steps = n }
   | "seed" ->
       let* n = parse_int k v in
       Ok { o with seed = n }
   | "k" ->
-      let* n = parse_int k v in
-      if n >= 1 then Ok { o with k = n }
-      else Error (Fmt.str "k expects a positive integer, got %s" v)
+      let* n = parse_positive k v in
+      Ok { o with k = n }
   | "mode" ->
       let* m = Run_config.mode_of_string v in
       Ok { o with run = Run_config.with_mode m o.run }
   | "shards" ->
-      let* n = parse_int k v in
-      if n >= 1 then Ok { o with run = Run_config.with_shards n o.run }
-      else Error (Fmt.str "shards expects a positive integer, got %s" v)
+      let* n = parse_positive k v in
+      Ok { o with run = Run_config.with_shards n o.run }
   | "workers" ->
-      let* n = parse_int k v in
-      if n >= 1 then Ok { o with run = Run_config.with_workers n o.run }
-      else Error (Fmt.str "workers expects a positive integer, got %s" v)
+      let* n = parse_positive k v in
+      Ok { o with run = Run_config.with_workers n o.run }
   | "verify" ->
       let* b = parse_bool k v in
       Ok { o with run = Run_config.with_verify b o.run }

@@ -153,7 +153,9 @@ val of_line : string -> (t, string) result
     and the options are [bt=4] [bs=32x16] [hs=256] [reg-limit=64]
     [dims=512x512] [prec=float|double] [device=v100|p100] [steps=100]
     [seed=1] [k=5] [mode=direct|partial-sums] [shards=N] [workers=N] [verify=true|false] [id=NAME]
-    [deadline=SECONDS].
+    [deadline=SECONDS]. [steps], [k], [shards], [workers] and every
+    size in [dims]/[bs] must be positive; any other value is an
+    [Error] naming the key.
     Blank lines and [#] comments are the caller's concern. *)
 
 val pp : Format.formatter -> t -> unit

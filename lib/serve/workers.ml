@@ -35,10 +35,15 @@ type worker = {
 type t = {
   n : int;
   spawn : spawn;
-  timeout : float;
   hello_timeout : float;
   workers : worker array;
 }
+
+(* Every read from a worker after its hello waits at most this long
+   ([SO_RCVTIMEO] on the parent's end). *)
+let timeout = 30.0
+
+module Pipe = Shard.Transport.Pipe
 
 let size t = t.n
 
@@ -51,7 +56,7 @@ let alive t i = t.workers.(i).alive
 (* ------------------------------------------------------------------ *)
 
 (* The counter merge crosses the process boundary as a JSON object in
-   the worker's completion frame. Integer sums commute, so parent-side
+   the worker's result message. Integer sums commute, so parent-side
    accumulation over workers equals the in-process per-shard merge. *)
 let counter_fields :
     (string * (Gpu.Counters.t -> int) * (Gpu.Counters.t -> int -> unit)) list =
@@ -75,8 +80,8 @@ let counter_fields :
 let counters_to_json c =
   Json.Obj (List.map (fun (name, get, _) -> (name, Json.Int (get c))) counter_fields)
 
-(* All-or-nothing: a completion frame with a missing or mistyped field
-   is a malformed frame, never a silently wrong counter. *)
+(* All-or-nothing: a result with a missing or mistyped field is a
+   malformed message, never a silently wrong counter. *)
 let counters_of_json j =
   let c = Gpu.Counters.create () in
   let rec go = function
@@ -94,18 +99,17 @@ let counters_of_json j =
 (* Task descriptors                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* One sharded run, as shipped to a worker in a [Stats] frame: the full
+(* One sharded run, as shipped to a worker in a message frame: the full
    request spec (the worker re-compiles from source — no closures cross
    the boundary), the execution knobs, and which shards of the
    decomposition this worker holds. Both sides derive the geometry from
    the spec with the one [Blocking.shard_layout], so it cannot
    drift. *)
-let task_json ~(spec : Request.spec) ~device ~steps ~seed ~run ~owned =
+let task_json ~(spec : Request.spec) ~device ~seed ~run ~owned =
   Json.Obj
     [
       ("spec", Request.spec_to_json spec);
       ("device", Json.Str device.Gpu.Device.name);
-      ("steps", Json.Int steps);
       ("seed", Json.Int seed);
       ("run", Request.run_to_json run);
       ("owned", Json.Arr (List.map (fun k -> Json.Int k) owned));
@@ -132,12 +136,9 @@ let task_of_json j =
     | Some r -> Request.run_of_json r
     | None -> Error "task missing run"
   in
-  match
-    (Json.int_field j "steps", Json.int_field j "seed",
-     Json.int_list_field j "owned")
-  with
-  | Some steps, Some seed, Some owned -> Ok (spec, device, steps, seed, run, owned)
-  | _ -> Error "task missing steps/seed/owned"
+  match (Json.int_field j "seed", Json.int_list_field j "owned") with
+  | Some seed, Some owned -> Ok (spec, device, seed, run, owned)
+  | _ -> Error "task missing seed/owned"
 
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
@@ -151,11 +152,12 @@ let task_of_json j =
    bit-identity argument is that nothing but the plane transport
    differs. The worker generates only its shards' extents from the
    seed ([Grid.init_random_planes]), never the full input grid.
-   Returns the merged counters of this worker's shards. *)
-let run_task ?chaos fd body =
-  let* spec, device, _steps, seed, run, owned = task_of_json body in
-  (* [steps] rides along for log/debug symmetry; the temporal schedule
-     itself is driven frame-by-frame by the parent. *)
+   The temporal schedule is driven frame by frame by the parent, so
+   the task carries no step count. Returns the merged counters of this
+   worker's shards. *)
+let run_task ?chaos fd task =
+  let* body = Json.of_string task in
+  let* spec, device, seed, run, owned = task_of_json body in
   let* job =
     try
       Ok
@@ -187,19 +189,19 @@ let run_task ?chaos fd body =
       job.Framework.dims
   in
   (match chaos with
-  | Some Garbage_planes -> Shard.Transport.Pipe.serve_garbage ~fd
-  | _ -> Shard.Transport.Pipe.serve ~fd decomp ~owned ~input ~advance);
+  | Some Garbage_planes -> Pipe.serve_garbage ~fd
+  | _ -> Pipe.serve ~fd decomp ~owned ~input ~advance);
   Ok
     (Gpu.Counters.merge
        (List.map (fun k -> machines.(k).Gpu.Machine.counters) owned))
 
-(* The worker process entrypoint ([an5d worker]).
-   Protocol phases on the one descriptor, strictly ordered: a Wire
-   [Hello] at startup, then per task a Wire [Stats] frame in, the
-   binary shard-transport exchange (whose own hello [Pipe.serve]
-   sends), and a Wire [Response] carrying the merged counters out.
-   [chaos] injects the fault matrix: skip the hello, die at the Nth
-   kernel call, or answer halo pulls with junk. *)
+(* The worker process entrypoint ([an5d worker]): the Pipe hello once,
+   then per task a message frame in, the halo exchange, and a message
+   frame carrying the merged counters out (an error frame if the task
+   failed) — until EOF or a frame out of turn, either of which means
+   the parent has given up on this worker. [chaos] injects the fault
+   matrix: skip the hello, die at the Nth kernel call, or answer halo
+   pulls with junk. *)
 let worker_main ?chaos fd =
   (match chaos with
   | Some No_hello ->
@@ -208,52 +210,23 @@ let worker_main ?chaos fd =
       (try ignore (Unix.select [] [] [] 3600.0) with _ -> ());
       Unix._exit 0
   | _ -> ());
-  ignore
-    (Wire.write_frame fd
-       (Wire.Hello
-          {
-            version = Wire.version;
-            client = Printf.sprintf "worker:%d" (Unix.getpid ());
-          }));
-  let running = ref true in
-  while !running do
-    match Wire.read_frame fd with
-    | Ok (Wire.Stats { body }) -> (
-        match run_task ?chaos fd body with
-        | Ok counters ->
-            ignore
-              (Wire.write_frame fd
-                 (Wire.Response
-                    {
-                      id = None;
-                      status = "done";
-                      served = "cold";
-                      latency = 0.0;
-                      payload = counters_to_json counters;
-                    }))
-        | Error msg ->
-            ignore (Wire.write_frame fd (Wire.Error { id = None; message = msg }))
-        | exception Shard.Transport.Failed { reason; _ } ->
-            ignore
-              (Wire.write_frame fd (Wire.Error { id = None; message = reason })))
-    | Ok Wire.Hello _ -> ()
-    | Ok _ ->
-        ignore
-          (Wire.write_frame fd
-             (Wire.Error { id = None; message = "unexpected frame" }))
-    | Error (Wire.Closed | Wire.Truncated) -> running := false
-    | Error _ -> running := false
-  done
+  try
+    Pipe.send_hello ~fd;
+    while true do
+      let task = Pipe.read_message ~worker:(-1) fd in
+      let reply =
+        match run_task ?chaos fd task with
+        | Ok counters -> Ok (Json.to_string (counters_to_json counters))
+        | Error msg -> Error msg
+        | exception Shard.Transport.Failed { reason; _ } -> Error reason
+      in
+      Pipe.send_message ~fd reply
+    done
+  with Shard.Transport.Failed _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Registry: spawn, handshake, health                                  *)
 (* ------------------------------------------------------------------ *)
-
-let wait_readable fd timeout =
-  match Unix.select [ fd ] [] [] timeout with
-  | [ _ ], _, _ -> true
-  | _ -> false
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
 let reap pid =
   if pid > 0 then try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
@@ -274,11 +247,13 @@ let retire w =
   reap w.pid;
   mark_dead w
 
-(* Spawn one worker process on a fresh socketpair and complete the Wire
-   hello handshake under [hello_timeout]. A worker that cannot be
-   started, or never says hello (or says it wrong), is killed, reaped
-   and counted as a crash — the handshake-timeout and missing-binary
-   rows of the fault matrix. The slot is dead on entry. *)
+(* Spawn one worker process on a fresh socketpair and read its Pipe
+   hello under [hello_timeout], then arm the fixed read [timeout]. A
+   worker that cannot be started, or never says hello (or says it
+   wrong, e.g. with another protocol version), is killed, reaped and
+   counted as a crash — the handshake-timeout, version-mismatch and
+   missing-binary rows of the fault matrix. The slot is dead on
+   entry. *)
 let try_spawn t i =
   Obs.Metrics.incr m_spawns;
   (* Close-on-exec on both ends: an exec'd worker keeps only its own
@@ -310,22 +285,15 @@ let try_spawn t i =
       fail (Fmt.str "cannot run %s: %s" argv.(0) (Unix.error_message e))
   | Ok pid -> (
       w.pid <- pid;
-      if not (wait_readable parent_fd t.hello_timeout) then
-        fail "handshake timeout"
-      else
-        match Wire.read_frame parent_fd with
-        | Ok (Wire.Hello { version; _ }) when version = Wire.version ->
-            Unix.setsockopt_float parent_fd Unix.SO_RCVTIMEO t.timeout;
-            w.alive <- true;
-            Log.info (fun m -> m "worker %d up (pid %d)" i pid)
-        | Ok (Wire.Hello { version; _ }) ->
-            fail
-              (Fmt.str "version mismatch: worker %d, parent %d" version
-                 Wire.version)
-        | Ok _ -> fail "expected hello"
-        | Error e -> fail (Wire.read_error_to_string e))
+      Unix.setsockopt_float parent_fd Unix.SO_RCVTIMEO t.hello_timeout;
+      match Pipe.read_hello ~worker:i parent_fd with
+      | () ->
+          Unix.setsockopt_float parent_fd Unix.SO_RCVTIMEO timeout;
+          w.alive <- true;
+          Log.info (fun m -> m "worker %d up (pid %d)" i pid)
+      | exception Shard.Transport.Failed { reason; _ } -> fail reason)
 
-let create ~spawn ?(timeout = 30.0) ?(hello_timeout = 5.0) n =
+let create ~spawn ?(hello_timeout = 5.0) n =
   if n < 1 then invalid_arg "Workers.create: need at least one worker";
   (* A worker dying mid-write must reach [Pipe.write_all] as [EPIPE] —
      attributed, retried in-process — not as a SIGPIPE that kills the
@@ -337,7 +305,6 @@ let create ~spawn ?(timeout = 30.0) ?(hello_timeout = 5.0) n =
     {
       n;
       spawn;
-      timeout;
       hello_timeout;
       workers =
         Array.init n (fun _ -> { pid = -1; fd = Unix.stdin; alive = false });
@@ -404,25 +371,14 @@ let kill t i =
 (* The distributed simulate                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Read one worker's Wire completion frame after the binary phase. *)
-let read_completion t w =
-  let fd = t.workers.(w).fd in
-  if not (wait_readable fd t.timeout) then
-    raise (Shard.Transport.Failed { worker = w; reason = "completion timeout" });
-  match Wire.read_frame fd with
-  | Ok (Wire.Response { payload; _ }) -> (
-      match counters_of_json payload with
-      | Ok c -> c
-      | Error reason -> raise (Shard.Transport.Failed { worker = w; reason }))
-  | Ok (Wire.Error { message; _ }) ->
-      raise (Shard.Transport.Failed { worker = w; reason = message })
-  | Ok _ ->
-      raise
-        (Shard.Transport.Failed { worker = w; reason = "unexpected completion" })
-  | Error e ->
-      raise
-        (Shard.Transport.Failed
-           { worker = w; reason = Wire.read_error_to_string e })
+(* One worker's result message after the halo exchange. *)
+let read_counters fds w =
+  match
+    Result.bind (Json.of_string (Pipe.read_message ~worker:w fds.(w)))
+      counters_of_json
+  with
+  | Ok c -> c
+  | Error reason -> raise (Shard.Transport.Failed { worker = w; reason })
 
 let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
     ~seed ~(run : Run_config.t) =
@@ -474,21 +430,9 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
           (List.init shards (fun k -> k))
       in
       let fds = Array.init nw (fun w -> t.workers.(w).fd) in
-      (* Ship the task, then complete the binary-phase hello. *)
       for w = 0 to nw - 1 do
-        let task =
-          task_json ~spec ~device ~steps ~seed ~run ~owned:(owned_by w)
-        in
-        match Wire.write_frame fds.(w) (Wire.Stats { body = task }) with
-        | Ok () -> ()
-        | Error e -> raise (Shard.Transport.Failed { worker = w; reason = e })
-      done;
-      for w = 0 to nw - 1 do
-        if not (wait_readable fds.(w) t.timeout) then
-          raise
-            (Shard.Transport.Failed
-               { worker = w; reason = "transport hello timeout" });
-        ignore (Shard.Transport.Pipe.read_hello ~worker:w fds.(w))
+        let task = task_json ~spec ~device ~seed ~run ~owned:(owned_by w) in
+        Pipe.send_message ~worker:w ~fd:fds.(w) (Ok (Json.to_string task))
       done;
       let plane_words =
         Array.fold_left ( * ) 1
@@ -497,9 +441,7 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
       let plane_bytes =
         plane_words * Stencil.Grid.bytes_per_word job.Framework.prec
       in
-      let transport =
-        Shard.Transport.Pipe.connect ~plane_bytes decomp ~fds ~worker_of
-      in
+      let transport = Pipe.connect ~plane_bytes decomp ~fds ~worker_of in
       let result =
         Shard.run_via decomp ~chunks ~prec:job.Framework.prec
           ~dims:job.Framework.dims ~plane_words transport
@@ -508,7 +450,7 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
       T.close ();
       let counters = Gpu.Counters.create () in
       for w = 0 to nw - 1 do
-        Gpu.Counters.add_into (read_completion t w) ~into:counters
+        Gpu.Counters.add_into (read_counters fds w) ~into:counters
       done;
       Obs.Metrics.add m_chunks_executed (List.length chunks);
       let prec = job.Framework.prec in

@@ -3,13 +3,13 @@
     process entrypoint itself (docs/SHARDING.md §phase 2).
 
     A registry pre-spawns [n] worker processes, each on its own
-    socketpair. The conversation with a worker has two strictly ordered
-    phases on that one descriptor: the {e task} phase speaks the
-    versioned {!Wire} JSON protocol (a [Hello] handshake at spawn, one
-    [Stats] frame carrying the task descriptor per run, one [Response]
-    carrying the merged counters back), and between those two frames
-    the {e run} phase speaks the binary shard transport
-    ({!Shard.Transport.Pipe}) that moves halo planes.
+    socketpair, and speaks one protocol on that descriptor: the frames
+    of {!Shard.Transport.Pipe}. A worker says hello once, at spawn;
+    each run is then one message frame carrying the JSON task
+    descriptor in, the binary halo exchange, and one message frame
+    carrying the merged counters back (an error frame if the task
+    failed). None of it is client traffic: the serve layer's {!Wire}
+    frames, and their [wire_frames_*] counters, are untouched.
 
     Failure semantics — never a dropped request: a worker that dies
     mid-run (or answers garbage) raises a {!Shard.Transport.Failed}
@@ -38,13 +38,14 @@ type t
 (** A registry of worker processes. Not thread-safe: callers serialize
     requests through it (the session's batch lock already does). *)
 
-val create : spawn:spawn -> ?timeout:float -> ?hello_timeout:float -> int -> t
-(** [create ~spawn n] pre-spawns [n] workers and completes their
-    handshakes. [hello_timeout] (default 5s) bounds the startup
-    handshake; [timeout] (default 30s) every later read from a worker.
+val create : spawn:spawn -> ?hello_timeout:float -> int -> t
+(** [create ~spawn n] pre-spawns [n] workers and reads their hellos.
+    [hello_timeout] (default 5s) bounds the wait for a hello; every
+    later read from a worker waits at most 30s.
     A worker that cannot be started, or fails its handshake, is counted
     crashed and left dead — {!simulate} re-attempts the spawn per
-    request and falls back in-process while it keeps failing. Sets the
+    request and falls back in-process while it keeps failing. A hello
+    with another protocol version is such a failure. Sets the
     process-wide [SIGPIPE] disposition to ignore, so a worker dying
     mid-write surfaces as an attributed transport failure instead of
     killing the caller.
@@ -61,12 +62,6 @@ val alive : t -> int -> bool
 val kill : t -> int -> unit
 (** [SIGKILL] a worker (test hook). The death is discovered, counted
     and repaired by the next {!simulate}'s health check. *)
-
-val ensure_alive : t -> bool
-(** Health-check every worker ([waitpid WNOHANG]), counting and
-    reaping silent deaths, then attempt one respawn per dead slot.
-    Returns whether the whole registry is up. Called by {!simulate};
-    exposed for the serve loop's periodic check. *)
 
 val shutdown : t -> unit
 (** Close every worker's descriptor (their read loop exits on EOF) and
@@ -90,15 +85,17 @@ val simulate :
     the same [kernel_call] closure, counters merge commutatively, and
     the halo cadence (one exchange per temporal chunk) is owned by the
     shared {!Shard.run_via} driver. Uses [min n run.shards] workers.
-    On any worker failure the request is retried in-process — never
-    dropped. With [run.verify] the parent compares the gathered grid
+    Before the run, every worker is health-checked ([waitpid
+    WNOHANG]): a silent death is counted and reaped, and each dead
+    slot gets one respawn attempt. On any worker failure the request
+    is retried in-process — never dropped. With [run.verify] the parent compares the gathered grid
     with {!Framework.verify} on [run.domains] lanes.
     @raise Invalid_argument when [run.shards < 2] (route resident runs
     through {!Framework.simulate_cfg} directly). *)
 
 val worker_main : ?chaos:chaos -> Unix.file_descr -> unit
 (** The worker process body ([an5d worker] runs this on stdin): send
-    the Wire hello, then serve task frames — compile the spec, build
+    the Pipe hello, then serve task messages — compile the spec, build
     per-shard execution models ({!Blocking.shard_layout}) and machines
     as the in-process sharded path does, generate only the owned
     shards' input extents from the task's seed
@@ -112,6 +109,6 @@ val counters_to_json : Gpu.Counters.t -> Obs.Json.t
 val counters_of_json : Obs.Json.t -> (Gpu.Counters.t, string) result
 (** All-or-nothing: every field must be present and an integer, else
     [Error] names the first bad one ({!simulate} then treats the
-    completion frame as a transport failure). Round-trips exactly
+    result message as a transport failure). Round-trips exactly
     ([counters_of_json (counters_to_json c)] is [Ok] of a value
     field-equal to [c]). *)

@@ -209,9 +209,12 @@ module Transport = struct
     (* Binary tagged frames, reusing the wire layer's framing
        discipline: a 4-byte big-endian length, then a 1-byte tag, then
        the payload — integers as 4-byte big-endian fields, halo planes
-       as raw little-endian grid words ({!Stencil.Grid.to_bytes}).
-       JSON would deserialize every plane float; raw frames keep the
-       wire cost at memcpy + pipe bandwidth. *)
+       as raw little-endian grid words ({!Stencil.Grid.to_bytes}),
+       message and error text as raw bytes. JSON would deserialize
+       every plane float; raw frames keep the wire cost at memcpy +
+       pipe bandwidth. The whole parent<->worker conversation is these
+       frames: the hello once at spawn, then per run one message frame
+       each way around the halo exchange. *)
 
     let max_frame_bytes = 256 * 1024 * 1024
 
@@ -230,6 +233,9 @@ module Transport = struct
 
     let tag_done = 'D'
 
+    (* both directions: the task in, the counters back *)
+    let tag_message = 'M'
+
     (* worker -> parent *)
     let tag_hello = 'H'
 
@@ -239,7 +245,7 @@ module Transport = struct
 
     let tag_error = 'E'
 
-    let protocol_version = 1
+    let protocol_version = 2
 
     let put_i32 b off v =
       Bytes.set_uint8 b off ((v lsr 24) land 0xFF);
@@ -314,20 +320,19 @@ module Transport = struct
 
     let payload_string body = Bytes.sub_string body 1 (Bytes.length body - 1)
 
-    let expect_ack ~worker fd =
+    (* The body of the next frame, which must carry [tag]; an error
+       frame instead fails with the worker's reason. *)
+    let expect ~worker fd tag what =
       match read_frame ~worker fd with
-      | t, _ when t = tag_ack -> ()
+      | t, body when t = tag -> body
       | t, body when t = tag_error ->
           fail worker ("worker error: " ^ payload_string body)
-      | t, _ -> fail worker (Printf.sprintf "expected ack, got tag %C" t)
+      | t, _ -> fail worker (Printf.sprintf "expected %s, got tag %C" what t)
+
+    let expect_ack ~worker fd = ignore (expect ~worker fd tag_ack "ack")
 
     (* A planes frame's body; the planes start at offset 1. *)
-    let expect_planes ~worker fd =
-      match read_frame ~worker fd with
-      | t, body when t = tag_planes -> body
-      | t, body when t = tag_error ->
-          fail worker ("worker error: " ^ payload_string body)
-      | t, _ -> fail worker (Printf.sprintf "expected planes, got tag %C" t)
+    let expect_planes ~worker fd = expect ~worker fd tag_planes "planes"
 
     let send_hello ~fd =
       let b = Bytes.create 8 in
@@ -336,15 +341,22 @@ module Transport = struct
       write_frame fd tag_hello [] (Some b)
 
     let read_hello ~worker fd =
-      match read_frame ~worker fd with
-      | t, body when t = tag_hello && Bytes.length body = 9 ->
-          let v = field body 0 in
-          if v <> protocol_version then
-            fail worker
-              (Printf.sprintf "transport version mismatch: worker %d, parent %d" v
-                 protocol_version);
-          field body 1
-      | t, _ -> fail worker (Printf.sprintf "expected hello, got tag %C" t)
+      let body = expect ~worker fd tag_hello "hello" in
+      if Bytes.length body <> 9 then fail worker "malformed hello";
+      let v = field body 0 in
+      if v <> protocol_version then
+        fail worker
+          (Printf.sprintf "transport version mismatch: worker %d, parent %d" v
+             protocol_version)
+
+    let send_message ?(worker = -1) ~fd msg =
+      let tag, text =
+        match msg with Ok m -> (tag_message, m) | Error r -> (tag_error, r)
+      in
+      write_frame ~worker fd tag [] (Some (Bytes.unsafe_of_string text))
+
+    let read_message ~worker fd =
+      payload_string (expect ~worker fd tag_message "message")
 
     (* -------------------------------------------------------------- *)
     (* Parent side                                                    *)
@@ -475,7 +487,6 @@ module Transport = struct
         Array.init t.n (fun k -> Option.map Stencil.Grid.copy cur.(k))
       in
       let buf arr k = Option.get arr.(k) in
-      send_hello ~fd;
       let running = ref true in
       while !running do
         match read_frame fd with
@@ -518,13 +529,12 @@ module Transport = struct
         | tag, _ -> fail (-1) (Printf.sprintf "unknown frame tag %C from parent" tag)
       done
 
-    (* Fault-injection stand-in for [serve]: a worker that completes the
-       hello exchange and then answers every parent frame with a junk
-       plane body. Either the length check in [connect] (wrong plane
-       count) or an unexpected-tag reply trips [Failed] attributed to
-       this worker — the garbage-frame case of the fault matrix. *)
+    (* Fault-injection stand-in for [serve]: a worker that answers
+       every parent frame with a junk plane body. Either the length
+       check in [connect] (wrong plane count) or an unexpected-tag reply
+       trips [Failed] attributed to this worker — the garbage-frame
+       case of the fault matrix. *)
     let serve_garbage ~fd =
-      send_hello ~fd;
       try
         let running = ref true in
         while !running do

@@ -74,7 +74,7 @@ type advance_fn =
 module Transport : sig
   exception Failed of { worker : int; reason : string }
   (** A transport endpoint died or misbehaved (closed pipe, timeout,
-      malformed frame, version mismatch). Raised only by the [Pipe]
+      malformed or error frame, version mismatch). Raised only by the [Pipe]
       instance; the worker registry above turns it into a respawn plus
       an in-process retry, never a dropped request. *)
 
@@ -119,6 +119,13 @@ module Transport : sig
       payload, reusing the serve wire protocol's length-prefix framing
       discipline (docs/SHARDING.md §phase 2 has the frame table).
 
+      These frames are the whole parent↔worker conversation: the
+      worker's hello once at spawn ({!send_hello}/{!read_hello},
+      protocol version 2), then per run one message frame carrying the
+      task in ({!send_message}), the halo exchange ({!connect} against
+      {!serve}), and one message frame carrying the result back — or an
+      error frame.
+
       The parent is the star point: a cross-worker ghost piece moves
       owner worker → parent → destination worker (a [Pull] then a
       [Push]); a piece whose owner and destination live in the same
@@ -126,16 +133,33 @@ module Transport : sig
       wire. Wire traffic is counted by [halo_bytes_on_wire]; request →
       reply latencies by [transport_roundtrip_us]. *)
   module Pipe : sig
-    val protocol_version : int
+    val send_hello : fd:Unix.file_descr -> unit
+    (** The worker's opening frame (protocol version + pid), sent once
+        when the process starts. *)
 
-    val max_frame_bytes : int
+    val read_hello : worker:int -> Unix.file_descr -> unit
+    (** Parent side of the hello: check the worker's protocol version.
+        @raise Failed on version mismatch, a malformed or unexpected
+        frame, closed pipe or timeout. *)
+
+    val send_message :
+      ?worker:int -> fd:Unix.file_descr -> (string, string) result -> unit
+    (** One message frame with [Ok] text (a task or a result), or one
+        error frame with [Error] reason. [worker] attributes a write
+        failure (default [-1], the worker's own side).
+        @raise Failed when the peer is gone. *)
+
+    val read_message : worker:int -> Unix.file_descr -> string
+    (** The text of the next frame, which must be a message frame.
+        @raise Failed on an error frame (carrying the worker's reason),
+        any other frame, closed pipe or timeout. *)
 
     val connect : ?plane_bytes:int -> t -> fds:Unix.file_descr array ->
       worker_of:int array -> (module S)
     (** Parent-side transport over one descriptor per worker process
         (the parent end of each socketpair), with [worker_of] mapping
         every shard to the worker holding it. The caller has already
-        spawned the workers and completed their hello exchange
+        spawned the workers, read their hellos and sent each its task
         ([An5d_serve.Workers] owns that lifecycle). When [plane_bytes]
         (bytes per grid plane) is given, every incoming plane frame is
         length-checked against its declared range and a wrong-length
@@ -150,31 +174,20 @@ module Transport : sig
     (** Worker-side loop for one sharded run: build each [owned]
         shard's input with [input ~lo ~hi] over its {!extent} — global
         planes [[lo, hi)] of the run's input grid, as a fresh grid the
-        worker then owns — plus one copy as its double buffer, send
-        the hello frame, then answer halo/advance/gather frames until
-        the parent's Done. The worker thus allocates two buffers per
-        owned shard and never the full grid
-        ({!Stencil.Grid.init_random_planes} is the builder
-        [An5d_serve.Workers] passes). [advance] is the same closure
-        the in-process path injects, so grids and counters cannot
-        diverge across transports.
-        @raise Failed on a malformed or version-mismatched parent
-        frame. *)
+        worker then owns — plus one copy as its double buffer, then
+        answer halo/advance/gather frames until the parent's Done. The
+        worker thus allocates two buffers per owned shard and never
+        the full grid ({!Stencil.Grid.init_random_planes} is the
+        builder [An5d_serve.Workers] passes). [advance] is the same
+        closure the in-process path injects, so grids and counters
+        cannot diverge across transports.
+        @raise Failed on a malformed parent frame. *)
 
     val serve_garbage : fd:Unix.file_descr -> unit
-    (** Fault-injection stand-in for {!serve}: completes the hello
-        exchange, then answers every parent frame with a wrong-length
-        junk plane body until Done or a write failure. Drives the
-        garbage-frame row of the worker fault matrix; never raises. *)
-
-    val send_hello : fd:Unix.file_descr -> unit
-    (** The worker's opening frame (version + pid); [serve] sends it
-        itself — exposed for fault-injection harnesses that stand in
-        for a worker. *)
-
-    val read_hello : worker:int -> Unix.file_descr -> int
-    (** Parent side of the hello exchange; returns the worker's pid.
-        @raise Failed on version mismatch, closed pipe or timeout. *)
+    (** Fault-injection stand-in for {!serve}: answers every parent
+        frame with a wrong-length junk plane body until Done or a write
+        failure. Drives the garbage-frame row of the worker fault
+        matrix; never raises. *)
   end
 end
 

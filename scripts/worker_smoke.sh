@@ -5,9 +5,11 @@
 # registry and come back warm from cache on repeat; then SIGKILL one
 # worker process and check the next request is still served correctly
 # (the registry discovers the death, respawns the worker and never
-# drops a request — docs/SHARDING.md phase 2). Exercises the shipped
-# binaries only: wire protocol, worker handshake, binary halo frames,
-# crash repair.
+# drops a request — docs/SHARDING.md phase 2). At shutdown the
+# server's --metrics snapshot must show no in-process fallback
+# (worker_retries 0, so every request really crossed the workers) and
+# exactly one crash, the SIGKILL. Exercises the shipped binaries only:
+# wire protocol, worker hello, binary halo frames, crash repair.
 # Run from the repository root; exits non-zero on any failure.
 set -eu
 
@@ -54,7 +56,7 @@ worker_pids() {
 }
 
 # --- cold then warm through the worker registry ---------------------
-"$AN5D" serve --socket "$SOCK" --workers 2 >"$WORK/server.log" 2>&1 &
+"$AN5D" serve --socket "$SOCK" --workers 2 --metrics >"$WORK/server.log" 2>&1 &
 SERVER_PID=$!
 wait_for_socket
 grep -q "spawned 2 shard workers" "$WORK/server.log" \
@@ -91,4 +93,13 @@ worker_pids | grep -qx "$VICTIM" \
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || { echo "worker_smoke: server exited non-zero"; exit 1; }
 SERVER_PID=""
-echo "worker_smoke: OK (cold -> warm -> kill one worker -> re-serve)"
+
+# --- accounting: no fallback, one crash -----------------------------
+counter() {
+  awk -v n="$1" '$1 == "counter" && $2 == n { print $3 }' "$WORK/server.log"
+}
+[ "$(counter worker_retries)" = 0 ] \
+  || { echo "worker_smoke: worker_retries is '$(counter worker_retries)', not 0 (a request fell back in-process)"; cat "$WORK/server.log"; exit 1; }
+[ "$(counter worker_crashes)" = 1 ] \
+  || { echo "worker_smoke: worker_crashes is '$(counter worker_crashes)', not 1 (the SIGKILL)"; cat "$WORK/server.log"; exit 1; }
+echo "worker_smoke: OK (cold -> warm -> kill one worker -> re-serve, no fallback)"

@@ -76,21 +76,21 @@ let test_startup_allocations () =
       if w >= 100_000 then
         Alcotest.failf "an5d --version allocated %d words at start-up (limit 100000)" w
 
-(* A bad run-flag value is a usage error (exit 124) at the front door,
-   not an exception escaping from [Run_config.with_obs] (exit 125). *)
+(* A non-positive step count is a usage error (exit 124) at the front
+   door, not a run that reports NaN GFLOP/s. *)
 let test_bad_run_flag_exit () =
   let exe = an5d_exe () in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
     Fun.protect ~finally:(fun () -> Unix.close null) @@ fun () ->
     Unix.create_process exe
-      [| exe; "tune"; "--stencil"; "j2d5pt"; "--gc-space-overhead"; "0" |]
+      [| exe; "tune"; "--stencil"; "j2d5pt"; "--steps"; "0" |]
       Unix.stdin null null
   in
   match Unix.waitpid [] pid with
   | _, Unix.WEXITED 124 -> ()
-  | _, Unix.WEXITED n -> Alcotest.failf "--gc-space-overhead 0 exited %d, not 124" n
-  | _ -> Alcotest.fail "--gc-space-overhead 0 killed by a signal"
+  | _, Unix.WEXITED n -> Alcotest.failf "--steps 0 exited %d, not 124" n
+  | _ -> Alcotest.fail "--steps 0 killed by a signal"
 
 let test_suite_composition () =
   Alcotest.(check int) "21 benchmarks" 21 (List.length (all ()));

@@ -139,17 +139,16 @@ let test_run_config_render () =
   Alcotest.(check string)
     "default sexp"
     "(run-config (mode direct) (shards 1) (workers 1) (verify true) \
-     (domains 1) (trace ()) (metrics false) (gc-space-overhead ()))"
+     (domains 1) (trace ()) (metrics false))"
     (Run_config.to_sexp Run_config.default);
   let t =
     Run_config.make ~mode:Run_config.Partial_sums ~domains:4 ~shards:2
-      ~verify:false ~trace:(Some "t.json") ~metrics:true
-      ~gc_space_overhead:(Some 200) ()
+      ~verify:false ~trace:(Some "t.json") ~metrics:true ()
   in
   Alcotest.(check string)
     "full sexp"
     "(run-config (mode partial-sums) (shards 2) (workers 1) (verify false) \
-     (domains 4) (trace (t.json)) (metrics true) (gc-space-overhead (200)))"
+     (domains 4) (trace (t.json)) (metrics true))"
     (Run_config.to_sexp t)
 
 let test_run_config_cache_key () =
@@ -199,6 +198,26 @@ let test_retired_impl_key () =
     "k=0 refused" (Error "k expects a positive integer, got 0")
     (Result.map ignore (Request.of_line "tune j2d5pt k=0"))
 
+(* Non-positive counts and sizes are grammar errors naming the key,
+   never a run that fails in the executor or a NaN tuning result. *)
+let test_non_positive_refused () =
+  List.iter
+    (fun (line, msg) ->
+      Alcotest.(check (result reject string))
+        line (Error msg)
+        (Result.map ignore (Request.of_line line)))
+    [
+      ("tune j2d5pt steps=0 dims=64x64", "steps expects a positive integer, got 0");
+      ("simulate j2d5pt dims=64x64 steps=-3", "steps expects a positive integer, got -3");
+      ( "simulate j2d5pt bt=2 bs=16 dims=0x0 steps=4",
+        "dims expects positive sizes, e.g. 512x512, got 0x0" );
+      ("compile j2d5pt bs=0", "bs expects positive sizes, e.g. 512x512, got 0");
+      ("simulate j2d5pt shards=0", "shards expects a positive integer, got 0");
+    ];
+  Alcotest.(check bool)
+    "positive values still parse" true
+    (Result.is_ok (Request.of_line "tune j2d5pt steps=1 dims=64x64"))
+
 (* [Run_args.term] evaluated on an argv, as [bin/an5d] and
    [bench/main] both do; usage errors print nothing here. *)
 let eval_run_args args =
@@ -218,7 +237,7 @@ let test_run_args_parse () =
       [
         "--domains"; "4"; "--shards"; "2"; "--workers"; "3";
         "--mode"; "partial-sums"; "--trace"; "t.json"; "--metrics";
-        "--no-verify"; "--gc-space-overhead"; "240";
+        "--no-verify";
       ]
   with
   | Ok (`Ok cfg) ->
@@ -229,9 +248,7 @@ let test_run_args_parse () =
         (cfg.Run_config.mode = Run_config.Partial_sums);
       Alcotest.(check (option string)) "trace" (Some "t.json") cfg.Run_config.trace;
       Alcotest.(check bool) "metrics" true cfg.Run_config.metrics;
-      Alcotest.(check bool) "no-verify" false cfg.Run_config.verify;
-      Alcotest.(check (option int)) "gc-space-overhead" (Some 240)
-        cfg.Run_config.gc_space_overhead
+      Alcotest.(check bool) "no-verify" false cfg.Run_config.verify
   | _ -> Alcotest.fail "valid run flags rejected"
 
 (* Every bad value is a usage error ([`Parse], or [`Term] for an
@@ -250,7 +267,7 @@ let test_run_args_errors () =
       usage_error [ flag; "0" ];
       usage_error [ flag; "-3" ];
       usage_error [ flag; "x" ])
-    [ "--domains"; "--shards"; "--workers"; "--gc-space-overhead" ];
+    [ "--domains"; "--shards"; "--workers" ];
   usage_error [ "--mode"; "fast" ];
   usage_error [ "--trace" ];
   (* [--verify] is retired: verification is on unless [--no-verify] *)
@@ -913,6 +930,8 @@ let () =
           Alcotest.test_case "shared flag parser" `Quick test_run_args_parse;
           Alcotest.test_case "flag parser errors" `Quick test_run_args_errors;
           Alcotest.test_case "retired impl key refused" `Quick test_retired_impl_key;
+          Alcotest.test_case "non-positive counts refused" `Quick
+            test_non_positive_refused;
         ] );
       ( "cfg entrypoints",
         [

@@ -4,9 +4,11 @@
    counters to the checked compiled plan, and an awkward-extent run
    whose shards are narrower than the halo — plus halo-cadence
    accounting, the task/counters JSON codecs, and the fault-injection
-   matrix (mid-chunk SIGKILL death, handshake timeout, garbage halo
-   frames, a worker binary gone missing) with exact spawn/crash/retry
-   metric deltas (docs/SHARDING.md phase 2). Workers are the built
+   matrix (mid-chunk SIGKILL death, handshake timeout, a hello with
+   another protocol version, garbage halo frames, a worker binary gone
+   missing) with exact spawn/crash/retry metric deltas, and a check
+   that worker traffic never counts as client wire traffic
+   (docs/SHARDING.md phase 2). Workers are the built
    [an5d worker] binary, started the way [an5d serve --workers N]
    starts them; faults are injected through its [--chaos] flag. *)
 
@@ -312,6 +314,29 @@ let test_cadence () =
     (delta before after "worker_retries");
   check_outcome (in_process ~prec ~run) out
 
+(* Worker traffic is Pipe frames, not client traffic: a multi-process
+   simulate, spawn included, leaves the serve wire's frame counters
+   alone. The positive control proves those counters are live in this
+   process. *)
+let test_no_client_frames () =
+  let prec = List.hd precs in
+  let run = Run_config.make ~shards ~workers:2 ~verify:false () in
+  let before = Metrics.snapshot () in
+  with_registry 2 (fun reg ->
+      check_outcome (in_process ~prec ~run) (multiproc reg ~prec ~run));
+  let after = Metrics.snapshot () in
+  Alcotest.(check int) "no fallback" 0 (delta before after "worker_retries");
+  Alcotest.(check int) "wire_frames_in unchanged" 0
+    (delta before after "wire_frames_in");
+  Alcotest.(check int) "wire_frames_out unchanged" 0
+    (delta before after "wire_frames_out");
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
+  ignore
+    (An5d_serve.Wire.write_frame a (An5d_serve.Wire.Stats { body = Json.Null }));
+  Alcotest.(check int) "a client frame is counted" 1
+    (delta after (Metrics.snapshot ()) "wire_frames_out")
+
 (* ------------------------------------------------------------------ *)
 (* Fault matrix: never a dropped request, exact accounting             *)
 (* ------------------------------------------------------------------ *)
@@ -356,6 +381,34 @@ let test_handshake_timeout () =
           (delta before after "worker_spawns");
         Alcotest.(check int)
           "every handshake failure counted" 4
+          (delta before after "worker_crashes");
+        Alcotest.(check int)
+          "one in-process retry" 1
+          (delta before after "worker_retries");
+        check_outcome (in_process ~prec ~run) out ))
+    precs
+
+(* A worker whose hello carries protocol version 1 — the Pipe hello
+   frame (length 9, tag H, version, pid) printed by the shell — is
+   refused like a silent one: at create and again at the per-request
+   health check, and the request falls back in-process. *)
+let test_version_mismatch () =
+  let hello_v1 =
+    {|printf '\000\000\000\011H\000\000\000\001\000\000\000\001'|}
+  in
+  List.iter
+    (fun prec ->
+      let run = Run_config.make ~shards ~workers:2 ~verify:true () in
+      let before = Metrics.snapshot () in
+      let reg = Workers.create ~spawn:(Workers.Exec [| "sh"; "-c"; hello_v1 |]) 2 in
+      ( Fun.protect ~finally:(fun () -> Workers.shutdown reg) @@ fun () ->
+        let out = multiproc reg ~prec ~run in
+        let after = Metrics.snapshot () in
+        Alcotest.(check int)
+          "spawn attempts: 2 at create + 2 at health check" 4
+          (delta before after "worker_spawns");
+        Alcotest.(check int)
+          "every refused hello counted" 4
           (delta before after "worker_crashes");
         Alcotest.(check int)
           "one in-process retry" 1
@@ -547,12 +600,17 @@ let () =
         case "resident run rejected" test_resident_rejected
         :: case "awkward extents == in-process" test_awkward_extents
         :: differential_cases );
-      ("cadence", [ case "one exchange per temporal chunk" test_cadence ]);
+      ( "cadence",
+        [
+          case "one exchange per temporal chunk" test_cadence;
+          case "no client wire frames" test_no_client_frames;
+        ] );
       ("cli", [ case "unknown --chaos is a usage error" test_bad_chaos ]);
       ( "faults",
         [
           fault "die mid-chunk" test_die_mid_chunk;
           fault "handshake timeout" test_handshake_timeout;
+          fault "hello with protocol version 1" test_version_mismatch;
           fault "garbage halo frames" test_garbage_planes;
           fault "sigkill between requests" test_sigkill_respawn;
           fault "worker binary missing" test_binary_missing;
