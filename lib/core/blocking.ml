@@ -17,10 +17,9 @@
     register pipeline without global memory re-loads.
 
     Every kernel call runs off the per-call {!Plan}. Where
-    {!Plan.unsafe_capable} admits the plan ([Direct] mode, flat
-    weighted-sum form) the sliding-window {!Stream_exec} kernels run it;
-    everywhere else — [Partial_sums] and non-linear forms — the checked
-    compiled path below does, driving the inner loops off the plan's
+    {!Plan.unsafe_capable} admits the plan ([Direct] mode) the
+    sliding-window {!Stream_exec} kernels run it; in [Partial_sums] mode
+    the checked compiled path below does, driving the inner loops off the plan's
     flat tables with analytic bulk counter updates. The two are
     bit-identical — same grids, field-for-field equal counters — and the
     compiled path doubles as the oracle the differential tests force
@@ -276,9 +275,10 @@ let m_chunks_executed = Obs.Metrics.counter "chunks_executed"
 
 (* Per-kernel streaming dispatch counters ([streaming_dispatch_fused5pt],
    ...): one tick per kernel call that takes the sliding-window path,
-   keyed by {!Stream_exec.kernel_name}, the kernel that call runs;
+   keyed by {!Stream_exec.kernel_name}, the kernel that call runs
+   ([generic] for a form with no linear lowering);
    [streaming_dispatch_fallback] counts calls the capability gate sent
-   to the checked compiled path instead.
+   to the checked compiled path instead, the [Partial_sums] ones.
    Counters are interned by name, so the per-call lookup is a hash probe
    — docs/OBSERVABILITY.md lists the names. *)
 let m_streaming_fallback = Obs.Metrics.counter "streaming_dispatch_fallback"

@@ -13,8 +13,9 @@
     Kernel calls run off a memoized {!Plan} (compiled once per
     [(pattern, config, dims, precision, degree)]). The executor follows
     from the plan: the sliding-window {!Stream_exec} kernels wherever
-    {!Plan.unsafe_capable} holds, the checked compiled path for
-    [Partial_sums] and non-linear forms. The two are proven
+    {!Plan.unsafe_capable} holds (every [Direct] call; non-linear forms
+    on the generic row-program kernel), the checked compiled path for
+    [Partial_sums]. The two are proven
     bit-identical — grids and counters — by the differential test
     suite; numerics are also bit-compared against {!Stencil.Reference}
     and the traffic counters against the §5 closed forms. *)

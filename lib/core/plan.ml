@@ -4,12 +4,14 @@
     otherwise recompute per cell into arrays indexed directly:
 
     - the update expression lowered to flat per-term
-      [(plane-slot, neighbor-index, coefficient)] arrays (or an indexed
-      closure when the expression is not a plain weighted sum), via
+      [(plane-slot, neighbor-index, coefficient)] arrays, or a row
+      program (and an indexed closure for the checked path) when the
+      expression is not a plain weighted sum, via
       {!Stencil.Sexpr.lower};
     - per-thread neighbor-thread tables ([n_thr x n_offsets], replacing
       per-cell {!neighbor_thread} calls) for the checked path, and one
-      constant thread-id delta per linear term for the streaming path;
+      constant thread-id delta per offset and per linear term for the
+      streaming path;
     - row-major grid strides so plane loads/stores use the unchecked
       linear accessors instead of bounds-checked multi-index math;
     - the per-thread store mask (compute-region membership depends only
@@ -97,6 +99,10 @@ type t = {
   (* flattened access patterns *)
   n_off : int;
   plane_e : int array;  (** per offset: streaming delta + rad, in [0, p) *)
+  off_delta : int array;
+      (** per offset: the in-plane neighbor of thread [t] is thread
+          [t + off_delta.(k)], exact for every thread valid at level >= 1
+          (checked at build time) *)
   nbr : int array;  (** [n_thr * n_off] clamped neighbor thread ids *)
   (* term-major hoisted tables (empty when no linear form): the
      register plane slot [plane_e.(lt_off.(q))] resolved once per term,
@@ -143,31 +149,32 @@ let build (em : Execmodel.t) ~degree:b ~prec =
       nbr.(row + k) <- neighbor_thread geo t offs.(k)
     done
   done;
+  (* A thread valid at level 1 sits [rad] inside the tile in every
+     blocked dimension, so its neighbors need no clamp and the constant
+     delta must reproduce [neighbor_thread] exactly. *)
+  let valid1 = Array.init n_thr (valid_at em geo ~tstep:1) in
+  let off_delta =
+    Array.init n_off (fun k ->
+        let d = ref 0 in
+        for i = 0 to nb - 1 do
+          d := !d + (offs.(k).(i + 1) * geo.strides.(i))
+        done;
+        for t = 0 to n_thr - 1 do
+          if valid1.(t) && nbr.((t * n_off) + k) <> t + !d then
+            invalid_arg "Plan.build: offset delta disagrees with neighbor_thread"
+        done;
+        !d)
+  in
   let t_plane, t_delta, t_plane2, t_delta2 =
     match low.Stencil.Sexpr.low_linear with
     | None -> ([||], [||], [||], [||])
     | Some lf ->
-        (* A thread valid at level 1 sits [rad] inside the tile in every
-           blocked dimension, so its neighbors need no clamp and the
-           constant delta must reproduce [neighbor_thread] exactly. *)
-        let valid1 = Array.init n_thr (valid_at em geo ~tstep:1) in
-        let delta k =
-          let d = ref 0 in
-          for i = 0 to nb - 1 do
-            d := !d + (offs.(k).(i + 1) * geo.strides.(i))
-          done;
-          for t = 0 to n_thr - 1 do
-            if valid1.(t) && nbr.((t * n_off) + k) <> t + !d then
-              invalid_arg "Plan.build: term delta disagrees with neighbor_thread"
-          done;
-          !d
-        in
         ( Array.map (fun k -> plane_e.(k)) lf.Stencil.Sexpr.lt_off,
-          Array.map delta lf.Stencil.Sexpr.lt_off,
+          Array.map (fun k -> off_delta.(k)) lf.Stencil.Sexpr.lt_off,
           Array.map
             (fun k2 -> if k2 >= 0 then plane_e.(k2) else -1)
             lf.Stencil.Sexpr.lt_off2,
-          Array.map (fun k2 -> if k2 >= 0 then delta k2 else 0) lf.Stencil.Sexpr.lt_off2 )
+          Array.map (fun k2 -> if k2 >= 0 then off_delta.(k2) else 0) lf.Stencil.Sexpr.lt_off2 )
   in
   let blocks_per_dim =
     Array.init nb (fun i ->
@@ -202,6 +209,7 @@ let build (em : Execmodel.t) ~degree:b ~prec =
     l = dims.(0);
     n_off;
     plane_e;
+    off_delta;
     nbr;
     t_plane;
     t_delta;
@@ -318,12 +326,11 @@ let valid (plan : t) ~tstep t = valid_at plan.em plan.geo ~tstep t
 (* ------------------------------------------------------------------ *)
 
 (* Whether the unsafe sliding-window path ({!Stream_exec}) can run this
-   plan: it covers the flat weighted-sum linear form in [Direct] mode —
-   exactly the shape of every paper benchmark. Everything else (partial-sums
-   dataflow, non-linear expressions) takes the checked compiled path in
-   {!Blocking}, which is bit-identical by construction. *)
-let unsafe_capable (plan : t) ~(mode : Run_config.exec_mode) =
-  mode = Run_config.Direct && plan.low.Stencil.Sexpr.low_linear <> None
+   plan: every [Direct] plan — a linear form on its specialized kernels,
+   any other expression on the generic row-program kernel. The
+   [Partial_sums] dataflow takes the checked compiled path in
+   {!Blocking}. *)
+let unsafe_capable (_ : t) ~(mode : Run_config.exec_mode) = mode = Run_config.Direct
 
 (* ------------------------------------------------------------------ *)
 (* Memoization                                                         *)

@@ -3,9 +3,10 @@
     A plan is everything about one kernel call that depends only on
     [(pattern, config, dims, precision, degree)] — not on the grids or
     the stream position — compiled once and memoized: the thread-block
-    geometry, the update expression lowered to flat per-term tables
-    ({!Stencil.Sexpr.lower}), per-thread neighbor-thread and store-mask
-    tables, one constant neighbor delta per linear term, row-major grid
+    geometry, the update expression lowered to flat per-term tables or a
+    row program ({!Stencil.Sexpr.lower}), per-thread neighbor-thread and
+    store-mask tables, one constant neighbor delta per offset and per
+    linear term, row-major grid
     strides for unchecked linear plane access,
     and the launch/resource/traffic constants. Both executors — the
     checked compiled path in {!Blocking} and {!Stream_exec} — drive
@@ -41,6 +42,14 @@ type t = {
   l : int;  (** streaming-dimension length *)
   n_off : int;
   plane_e : int array;  (** per offset: streaming delta + rad, in [0, p) *)
+  off_delta : int array;
+      (** per offset [k]: the in-plane neighbor of thread [t] is thread
+          [t + off_delta.(k)], with
+          [off_delta.(k) = sum_d off_(d+1) * geo.strides.(d)]. Exact for
+          every thread valid at level [>= 1] ({!valid}), where the clamp
+          in {!neighbor_thread} never fires; {!get} raises
+          [Invalid_argument] if any such thread disagrees. The generic
+          streaming kernel reads its loads through it. *)
   nbr : int array;  (** [n_thr * n_off] clamped neighbor thread ids *)
   t_plane : int array;
       (** term-major: register plane slot of linear term [q]
@@ -48,12 +57,8 @@ type t = {
           plan has no linear form *)
   t_delta : int array;
       (** term-major: the in-plane neighbor of term [q] for thread [t] is
-          thread [t + t_delta.(q)], with
-          [t_delta.(q) = sum_d off_(d+1) * geo.strides.(d)]. Exact for
-          every thread valid at level [>= 1] ({!valid}), where the clamp
-          in {!neighbor_thread} never fires; {!get} raises
-          [Invalid_argument] if any such thread disagrees. Threads
-          outside the valid region never read through it. *)
+          thread [t + t_delta.(q)], [off_delta] of the term's offset.
+          Threads outside the valid region never read through it. *)
   t_plane2 : int array;
       (** plane slot of the folded mirror read, [-1] when unpaired *)
   t_delta2 : int array;
@@ -103,9 +108,11 @@ val valid : t -> tstep:int -> int -> bool
 
 val unsafe_capable : t -> mode:Run_config.exec_mode -> bool
 (** Whether the sliding-window {!Stream_exec} path can run this plan:
-    [Direct] mode and a flat weighted-sum linear form (the shape of
-    every paper benchmark). Other plans take the checked compiled path
-    in {!Blocking}. *)
+    every plan in [Direct] mode. A flat weighted-sum linear form (the
+    shape of most paper benchmarks) runs on a specialized kernel, any
+    other expression (gradient2d's [1/sqrt], say) on the generic kernel
+    over the lowering's row program. [Partial_sums] plans take the
+    checked compiled path in {!Blocking}. *)
 
 val get : Execmodel.t -> degree:int -> prec:Stencil.Grid.precision -> t
 (** The memoized plan for one kernel call. The cache key strips the

@@ -9,9 +9,10 @@
     source-plane references that advances one plane per streaming step —
     rotate [p - 1] references, bind only the incoming plane — instead of
     rebuilding the whole [plane_ptr] table per plane. On top of the
-    window the inner loop is chosen once per block from the linear form
-    ([kernel_of], named by [kernel_name]), as AN5D generates one fully
-    unrolled CALC sequence per stencil (§4.1–4.2):
+    window the inner loop is chosen once per block from the lowering
+    ([kernel_of] for a linear form, named by [kernel_name]), as AN5D
+    generates one fully unrolled CALC sequence per stencil
+    (§4.1–4.2):
 
     - no folded pair: passes of up to nine consecutive terms, each one
       instantiation of the unrolled [chain] loop with its arity, term
@@ -27,8 +28,18 @@
       shape would add passes;
     - a folded pair ([c * (a + b)], §4.2): the pair-aware term-major
       loop ([foldedNpt]), one instantiation per post-op and precision;
-    - no linear form: never reaches this module ({!Plan.unsafe_capable}
-      is false), so {!Blocking} dispatches the checked compiled path.
+    - no linear form ([generic]): the lowering's row program
+      ({!Stencil.Sexpr.program}), one loop per instruction over the
+      level's runs ([run_generic]). A load copies nothing — the row
+      reads the offset's window plane at its thread delta
+      ({!Plan.off_delta}) — and an operation writes its row's own
+      plane, the last one the stored value (the destination plane, or
+      the f32 scratch). Each
+      cell performs the same IEEE operations on the same operands as
+      the closure tree the checked path calls, so the bits match.
+      gradient2d 256², 20 steps, bt 4, bs 64 (one [an5d batch] request,
+      2-vCPU shared host): 228–260 ms executing on the checked path,
+      46–57 ms on this kernel.
 
     Single-lane execute time over [Reference] time, median of 9
     interleaved rounds, three processes each on a 2-vCPU shared host,
@@ -44,9 +55,10 @@
     Each level computes only the threads whose value can reach a store
     (§4.1's valid width [bS - 2*T*rad] at level [T], see [level_runs]),
     as runs of consecutive thread ids, and reads term [q]'s neighbor of
-    thread [t] at [t + t_delta.(q)] — a constant per term, exact inside
-    the valid region where the edge clamp never fires — instead of a
-    per-thread gather table.
+    thread [t] at [t + t_delta.(q)] (offset [k]'s at
+    [t + off_delta.(k)] in the generic kernel) — a constant per term,
+    exact inside the valid region where the edge clamp never fires —
+    instead of a per-thread gather table.
 
     Grids and simulated GPU counters are bit-identical to the checked
     compiled path in {!Blocking}: same load/store/compute schedule, same
@@ -100,11 +112,15 @@ let level_runs (plan : Plan.t) (st : Plan.block_state) ~tstep =
    - every plan table the kernels read indexes its target in range
      ([lt_off] into the offset tables, [lt_off2] likewise or [-1],
      [plane_e]/[t_plane] into the [p] register slots, [t_plane2] too
-     or [-1]), and the term-major tables have one entry per term;
+     or [-1]), and the term-major tables have one entry per term, or,
+     for the generic kernel, [off_delta] one per offset (the row
+     program's row numbers and offset indices index plain arrays);
    - runs x deltas: every run [[s, e)] of every level lies in
-     [[0, n_thr)], and for every term delta [d] (and mirror delta of a
-     folded pair) [s + d >= 0] and [e - 1 + d < n_thr], so each
-     neighbor read [t + d] of a computed thread stays inside the tile;
+     [[0, n_thr)], and for every delta [d] the block's kernel reads
+     through — each term delta (and mirror delta of a folded pair) of
+     a linear form, each per-offset delta of the generic kernel's
+     loads — [s + d >= 0] and [e - 1 + d < n_thr], so each neighbor
+     read [t + d] of a computed thread stays inside the tile;
    - every in-grid thread's in-plane base offset lies in [0, stride0),
      so [base + i*stride0 < l*stride0 = size] for stream planes
      [i < l] — loads and stores only happen for in-grid threads
@@ -115,49 +131,60 @@ let level_runs (plan : Plan.t) (st : Plan.block_state) ~tstep =
    for plans built by {!Plan.get} (offsets are bounded by the pattern
    radius and the deltas are checked against the clamped neighbor
    table for every valid thread), which the raise documents. *)
-let validate_unsafe_contract (plan : Plan.t) (lf : Stencil.Sexpr.linear_form)
-    (st : Plan.block_state) (levels : level_runs array) =
+let validate_unsafe_contract (plan : Plan.t) (st : Plan.block_state)
+    (levels : level_runs array) =
   let fail what = invalid_arg ("Stream_exec.validate_unsafe_contract: " ^ what) in
   let n_off = plan.Plan.n_off and n_thr = plan.Plan.n_thr and p = plan.Plan.p in
   Array.iter
-    (fun k -> if k < 0 || k >= n_off then fail "term offset index out of range")
-    lf.Stencil.Sexpr.lt_off;
-  Array.iter
-    (fun k2 -> if k2 < -1 || k2 >= n_off then fail "pair offset index out of range")
-    lf.Stencil.Sexpr.lt_off2;
-  Array.iter
     (fun e -> if e < 0 || e >= p then fail "plane slot out of range")
     plan.Plan.plane_e;
-  let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
-  if Array.length plan.Plan.t_plane <> n_terms
-     || Array.length plan.Plan.t_delta <> n_terms
-     || Array.length plan.Plan.t_plane2 <> n_terms
-     || Array.length plan.Plan.t_delta2 <> n_terms
-  then fail "term-major table length mismatch";
-  Array.iter
-    (fun e -> if e < 0 || e >= p then fail "term plane slot out of range")
-    plan.Plan.t_plane;
-  Array.iter
-    (fun e -> if e < -1 || e >= p then fail "pair plane slot out of range")
-    plan.Plan.t_plane2;
-  let check_runs runs ~deltas =
+  (* The neighbor deltas the block's kernel reads a computed thread's
+     operands through. *)
+  let deltas =
+    match plan.Plan.low.Stencil.Sexpr.low_linear with
+    | Some lf ->
+        Array.iter
+          (fun k -> if k < 0 || k >= n_off then fail "term offset index out of range")
+          lf.Stencil.Sexpr.lt_off;
+        Array.iter
+          (fun k2 -> if k2 < -1 || k2 >= n_off then fail "pair offset index out of range")
+          lf.Stencil.Sexpr.lt_off2;
+        let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
+        if Array.length plan.Plan.t_plane <> n_terms
+           || Array.length plan.Plan.t_delta <> n_terms
+           || Array.length plan.Plan.t_plane2 <> n_terms
+           || Array.length plan.Plan.t_delta2 <> n_terms
+        then fail "term-major table length mismatch";
+        Array.iter
+          (fun e -> if e < 0 || e >= p then fail "term plane slot out of range")
+          plan.Plan.t_plane;
+        Array.iter
+          (fun e -> if e < -1 || e >= p then fail "pair plane slot out of range")
+          plan.Plan.t_plane2;
+        Array.append plan.Plan.t_delta
+          (Array.of_list
+             (List.filteri
+                (fun q _ -> plan.Plan.t_plane2.(q) >= 0)
+                (Array.to_list plan.Plan.t_delta2)))
+    | None ->
+        if Array.length plan.Plan.off_delta <> n_off then
+          fail "offset delta table length mismatch";
+        plan.Plan.off_delta
+  in
+  let check_runs runs ~reads =
     for r = 0 to (Array.length runs / 2) - 1 do
       let s = runs.(2 * r) and e = runs.((2 * r) + 1) in
       if s < 0 || e > n_thr || s >= e then fail "run empty or outside the tile";
-      if deltas then
-        for q = 0 to n_terms - 1 do
-          let in_tile d = s + d >= 0 && e - 1 + d < n_thr in
-          if not (in_tile plan.Plan.t_delta.(q)) then
-            fail "term delta leaves the tile";
-          if plan.Plan.t_plane2.(q) >= 0 && not (in_tile plan.Plan.t_delta2.(q))
-          then fail "pair delta leaves the tile"
-        done
+      if reads then
+        Array.iter
+          (fun d -> if s + d < 0 || e - 1 + d >= n_thr then fail "neighbor delta leaves the tile")
+          deltas
     done
   in
   Array.iter
     (fun { act; cpy } ->
-      check_runs act ~deltas:true;
-      check_runs cpy ~deltas:false)
+      check_runs act ~reads:true;
+      check_runs cpy ~reads:false)
     levels;
   let stride0 = plan.Plan.gstrides.(0) in
   if stride0 <= 0 then fail "non-positive plane stride";
@@ -504,6 +531,133 @@ let run_folded (o : operands) final w dst runs =
   | F32 -> folded_loop ~f32:true ~div:false o w dst runs
   | F32_div -> folded_loop ~f32:true ~div:true o w dst runs
 
+(* The generic kernel: the lowering's row program
+   ({!Stencil.Sexpr.program}) over the threads of [runs], one loop per
+   instruction. Row [r]'s value for thread [t] sits at
+   [at.(r).(t + at_d.(r))]: after a load, in the window plane of the
+   offset at its thread delta (a load copies nothing); after an
+   operation, in the row's own plane at [t]. The last instruction, when
+   it is an operation ([direct]), stores its value itself: into the
+   level's destination plane, or into [q32] for an f32 block; otherwise
+   a store pass moves the result there. *)
+type generic = {
+  instrs : Stencil.Sexpr.instr array;
+  result : Stencil.Sexpr.operand;
+  planes : float array array;  (** per row, [n_thr] threads *)
+  at : float array array;
+  at_d : int array;
+  direct : bool;
+}
+
+(* One loop per operation and operand kind, and per store: [op] and
+   [f32] are literals at every call site, so the tests on them fold
+   once the body is inlined. *)
+let[@inline] arith ~op x y =
+  if op = 0 then x +. y else if op = 1 then x -. y else if op = 2 then x *. y else x /. y
+
+let[@inline] store ~f32 (d : float array) (q32 : f32buf) t x =
+  if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set d t x
+
+let[@inline] g_rr ~op ~f32 (a : float array) da (b : float array) db d q32
+    (runs : int array) =
+  for r = 0 to (Array.length runs / 2) - 1 do
+    for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+      store ~f32 d q32 t
+        (arith ~op (Array.unsafe_get a (t + da)) (Array.unsafe_get b (t + db)))
+    done
+  done
+
+let[@inline] g_rs ~op ~f32 (a : float array) da (c : float) d q32 (runs : int array) =
+  for r = 0 to (Array.length runs / 2) - 1 do
+    for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+      store ~f32 d q32 t (arith ~op (Array.unsafe_get a (t + da)) c)
+    done
+  done
+
+let[@inline] g_sr ~op ~f32 (c : float) (b : float array) db d q32 (runs : int array) =
+  for r = 0 to (Array.length runs / 2) - 1 do
+    for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+      store ~f32 d q32 t (arith ~op c (Array.unsafe_get b (t + db)))
+    done
+  done
+
+let[@inline] g_un ~neg ~f32 (a : float array) da d q32 (runs : int array) =
+  for r = 0 to (Array.length runs / 2) - 1 do
+    for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+      let x = Array.unsafe_get a (t + da) in
+      store ~f32 d q32 t (if neg then -.x else sqrt x)
+    done
+  done
+
+let[@inline] g_binary ~f32 op a b (g : generic) d q32 runs =
+  match (a, b) with
+  | Stencil.Sexpr.Row a, Stencil.Sexpr.Row b -> (
+      let pa = g.at.(a) and da = g.at_d.(a) and pb = g.at.(b) and db = g.at_d.(b) in
+      match op with
+      | Stencil.Sexpr.Op_add -> g_rr ~op:0 ~f32 pa da pb db d q32 runs
+      | Stencil.Sexpr.Op_sub -> g_rr ~op:1 ~f32 pa da pb db d q32 runs
+      | Stencil.Sexpr.Op_mul -> g_rr ~op:2 ~f32 pa da pb db d q32 runs
+      | Stencil.Sexpr.Op_div -> g_rr ~op:3 ~f32 pa da pb db d q32 runs)
+  | Stencil.Sexpr.Row a, Stencil.Sexpr.Scalar c -> (
+      let pa = g.at.(a) and da = g.at_d.(a) in
+      match op with
+      | Stencil.Sexpr.Op_add -> g_rs ~op:0 ~f32 pa da c d q32 runs
+      | Stencil.Sexpr.Op_sub -> g_rs ~op:1 ~f32 pa da c d q32 runs
+      | Stencil.Sexpr.Op_mul -> g_rs ~op:2 ~f32 pa da c d q32 runs
+      | Stencil.Sexpr.Op_div -> g_rs ~op:3 ~f32 pa da c d q32 runs)
+  | Stencil.Sexpr.Scalar c, Stencil.Sexpr.Row b -> (
+      let pb = g.at.(b) and db = g.at_d.(b) in
+      match op with
+      | Stencil.Sexpr.Op_add -> g_sr ~op:0 ~f32 c pb db d q32 runs
+      | Stencil.Sexpr.Op_sub -> g_sr ~op:1 ~f32 c pb db d q32 runs
+      | Stencil.Sexpr.Op_mul -> g_sr ~op:2 ~f32 c pb db d q32 runs
+      | Stencil.Sexpr.Op_div -> g_sr ~op:3 ~f32 c pb db d q32 runs)
+  | Stencil.Sexpr.Scalar _, Stencil.Sexpr.Scalar _ ->
+      invalid_arg "Stream_exec: row program operation on two scalars"
+
+let[@inline] g_unary ~f32 op (g : generic) a d q32 runs =
+  match op with
+  | Stencil.Sexpr.Op_neg -> g_un ~neg:true ~f32 g.at.(a) g.at_d.(a) d q32 runs
+  | Stencil.Sexpr.Op_sqrt -> g_un ~neg:false ~f32 g.at.(a) g.at_d.(a) d q32 runs
+
+let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (w : float array array)
+    (dst : float array) (runs : int array) =
+  let n = Array.length g.instrs in
+  for i = 0 to n - 1 do
+    let last = g.direct && i = n - 1 in
+    match Array.unsafe_get g.instrs i with
+    | Stencil.Sexpr.Load { dst = r; off } ->
+        g.at.(r) <- w.(plan.Plan.plane_e.(off));
+        g.at_d.(r) <- plan.Plan.off_delta.(off)
+    | Stencil.Sexpr.Unary { op; dst = r; a } ->
+        if not last then g_unary ~f32:false op g a g.planes.(r) q32 runs
+        else if f32 then g_unary ~f32:true op g a dst q32 runs
+        else g_unary ~f32:false op g a dst q32 runs;
+        g.at.(r) <- g.planes.(r);
+        g.at_d.(r) <- 0
+    | Stencil.Sexpr.Binary { op; dst = r; a; b } ->
+        if not last then g_binary ~f32:false op a b g g.planes.(r) q32 runs
+        else if f32 then g_binary ~f32:true op a b g dst q32 runs
+        else g_binary ~f32:false op a b g dst q32 runs;
+        g.at.(r) <- g.planes.(r);
+        g.at_d.(r) <- 0
+  done;
+  if not g.direct then begin
+    let value =
+      match g.result with
+      | Stencil.Sexpr.Row r ->
+          let p = g.at.(r) and pd = g.at_d.(r) in
+          fun t -> Array.unsafe_get p (t + pd)
+      | Stencil.Sexpr.Scalar c -> fun _ -> c
+    in
+    for r = 0 to (Array.length runs / 2) - 1 do
+      for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+        if f32 then Bigarray.Array1.unsafe_set q32 t (value t)
+        else Array.unsafe_set dst t (value t)
+      done
+    done
+  end
+
 (* Validate-then-unsafe contract (scripts/check_unsafe.sh): every
    unchecked access below is covered by [validate_unsafe_contract],
    called once per block before the sweep. Specifically:
@@ -514,6 +668,10 @@ let run_folded (o : operands) final w dst runs =
      [t + d] for [t] in a validated run and [d] a validated term delta
      (runs x deltas: [0 <= s + d], [e - 1 + d < n_thr]), and
      [dst_plane]/[q32]/[accs] with [t] in a run;
+   - the generic kernel reads a row at [t + d], [d] a validated
+     [off_delta] after a load into a validated [plane_e] slot and [0]
+     after an operation into the row's own [n_thr] plane, and writes
+     the row's plane, [dst_plane] or [q32] at [t], for [t] in a run;
    - plane I/O goes through [plane_io], whose in-grid base-offset
      peeling proof is part of the same contract. *)
 let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
@@ -522,18 +680,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   let rad = plan.Plan.rad in
   let p = plan.Plan.p in
   let l = plan.Plan.l in
-  let lf =
-    match plan.Plan.low.Stencil.Sexpr.low_linear with
-    | Some lf -> lf
-    | None -> invalid_arg "Stream_exec.execute_block: expression has no linear form"
-  in
-  let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
   let is_f32 = plan.Plan.prec = Stencil.Grid.F32 in
-  let final, div =
-    match lf.Stencil.Sexpr.lt_post with
-    | Stencil.Sexpr.Post_none -> ((if is_f32 then F32 else F64), 1.0)
-    | Stencil.Sexpr.Post_div d -> ((if is_f32 then F32_div else F64_div), d)
-  in
   let ops = plan.Plan.ops in
   let sm_writes_per_plane = n_thr * plan.Plan.sm_writes_per_cell in
   let sm_reads_per_cell = plan.Plan.sm_reads_per_cell in
@@ -544,34 +691,72 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   let st = Plan.make_block_state plan ~degree:b ctx.Gpu.Machine.block_id in
   let reg_file = st.Plan.reg_file in
   let levels = Array.init b (fun lev -> level_runs plan st ~tstep:(lev + 1)) in
-  validate_unsafe_contract plan lf st levels;
+  validate_unsafe_contract plan st levels;
   let s0, s1 = Execmodel.stream_range plan.Plan.em st.Plan.sb in
-  let kernel = kernel_of lf in
-  let pad a = Array.init (n_terms + chunk - 1) (fun q -> a.(min q (n_terms - 1))) in
-  let o =
-    {
-      tp = pad plan.Plan.t_plane;
-      td = pad plan.Plan.t_delta;
-      tc = pad lf.Stencil.Sexpr.lt_coef;
-      ts = pad lf.Stencil.Sexpr.lt_scaled;
-      tp2 = plan.Plan.t_plane2;
-      td2 = plan.Plan.t_delta2;
-      n_terms;
-      post = { dv = div };
-      accs =
-        Array.make
-          (match kernel with Chunks ps when Array.length ps > 1 -> n_thr | _ -> 0)
-          0.0;
-      (* Whole-plane f32 quantization scratch: computed values land
-         here first and are read back after the kernel, keeping the
-         hardware double->single->double round-trip (bit-identical to
-         [Grid.round_to_prec F32]) off the per-cell dependency chain. *)
-      q32 =
-        Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
-          (if is_f32 then n_thr else 1);
-    }
+  (* Whole-plane f32 quantization scratch: computed values land here
+     first and are read back after the kernel, keeping the hardware
+     double->single->double round-trip (bit-identical to
+     [Grid.round_to_prec F32]) off the per-cell dependency chain. *)
+  let q32 =
+    Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (if is_f32 then n_thr else 1)
   in
-  let q32 = o.q32 in
+  (* The block's kernel over a positioned window [w], writing the
+     level's destination plane (or [q32]) for the threads of a run. *)
+  let kernel : float array array -> float array -> int array -> unit =
+    match plan.Plan.low.Stencil.Sexpr.low_linear with
+    | None ->
+        let prog = plan.Plan.low.Stencil.Sexpr.low_program in
+        let instrs = prog.Stencil.Sexpr.instrs in
+        let n = Array.length instrs in
+        let planes =
+          Array.init prog.Stencil.Sexpr.n_rows (fun _ -> Array.make n_thr 0.0)
+        in
+        let g =
+          {
+            instrs;
+            result = prog.Stencil.Sexpr.result;
+            planes;
+            at = Array.copy planes;
+            at_d = Array.make prog.Stencil.Sexpr.n_rows 0;
+            direct =
+              n > 0 && (match instrs.(n - 1) with Stencil.Sexpr.Load _ -> false | _ -> true);
+          }
+        in
+        run_generic plan g q32 ~f32:is_f32
+    | Some lf ->
+        let kernel = kernel_of lf in
+        let n_terms = Array.length lf.Stencil.Sexpr.lt_off in
+        let final, div =
+          match lf.Stencil.Sexpr.lt_post with
+          | Stencil.Sexpr.Post_none -> ((if is_f32 then F32 else F64), 1.0)
+          | Stencil.Sexpr.Post_div d -> ((if is_f32 then F32_div else F64_div), d)
+        in
+        let pad a = Array.init (n_terms + chunk - 1) (fun q -> a.(min q (n_terms - 1))) in
+        let o =
+          {
+            tp = pad plan.Plan.t_plane;
+            td = pad plan.Plan.t_delta;
+            tc = pad lf.Stencil.Sexpr.lt_coef;
+            ts = pad lf.Stencil.Sexpr.lt_scaled;
+            tp2 = plan.Plan.t_plane2;
+            td2 = plan.Plan.t_delta2;
+            n_terms;
+            post = { dv = div };
+            accs =
+              Array.make
+                (match kernel with Chunks ps when Array.length ps > 1 -> n_thr | _ -> 0)
+                0.0;
+            q32;
+          }
+        in
+        (match kernel with
+        | Chunks passes ->
+            fun w dst act ->
+              for i = 0 to Array.length passes - 1 do
+                run_pass o final (Array.unsafe_get passes i) w dst act
+              done
+        | Folded -> run_folded o final)
+  in
   let load_plane, store_plane = plane_io plan ~degree:b ~src ~dst st counters in
   (* ---------------------------------------------------------------- *)
   (* The sliding windows: per time-step level, [p] references into that
@@ -608,12 +793,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
           w.(e) <- src_planes.((j - rad + e) mod p)
         done;
       wlast.(lev) <- j;
-      (match kernel with
-      | Chunks passes ->
-          for i = 0 to Array.length passes - 1 do
-            run_pass o final (Array.unsafe_get passes i) w dst_plane act
-          done
-      | Folded -> run_folded o final w dst_plane act);
+      kernel w dst_plane act;
       if is_f32 then
         for r = 0 to (Array.length act / 2) - 1 do
           for t = Array.unsafe_get act (2 * r)

@@ -7,7 +7,7 @@
     plane per streaming step — rotate [p - 1] references, bind only the
     incoming plane — instead of rebuilding the whole plane-pointer
     table per plane. The inner loop over the positioned window is
-    chosen once per block from the linear form ({!kernel_name}):
+    chosen once per block from the lowering ({!kernel_name}):
 
     - no folded pair — passes of up to nine consecutive terms, each a
       fully unrolled loop whose arity, term shape (all scaled, all
@@ -20,9 +20,12 @@
       per-thread accumulator plane, its last pass as wide as the tail;
     - a folded pair — the pair-aware term-major loop consuming the §4.2
       symmetric-coefficient folds, one loop per post-op and precision;
-    - no linear form — never reaches this module
-      ({!Plan.unsafe_capable} is false; {!Blocking} falls back to the
-      checked compiled path and ticks [streaming_dispatch_fallback]).
+    - no linear form — the generic kernel over the lowering's row
+      program ({!Stencil.Sexpr.program}): one loop per instruction over
+      a level's runs, loads read in place from the window plane at the
+      offset's thread delta ({!Plan.off_delta}), operations write a
+      per-row plane, and the last one stores the value (into the f64
+      plane, or the f32 quantization scratch).
 
     {b Valid-region runs.} Overlapped temporal blocking computes halo
     threads whose values never reach a store (§4.1). At level [T] only
@@ -39,15 +42,18 @@
     {b Constant deltas.} For a valid thread the clamp in
     {!Plan.neighbor_thread} never fires, so term [q]'s neighbor of
     thread [t] is [t + Plan.t_delta.(q)] (and [t + Plan.t_delta2.(q)]
-    for the mirror read of a folded pair), one constant per term.
+    for the mirror read of a folded pair), one constant per term; the
+    generic kernel reads offset [k] at [t + Plan.off_delta.(k)].
 
     {b Unsafe runs x deltas contract} (see [scripts/check_unsafe.sh]):
     all unchecked indexing below — the window rotation into the fixed
     register file, the kernels' reads at [t + delta], the plane I/O
     base offsets — is covered by a contract this module validates once
-    per block before the sweep: every term-major table entry indexes its
-    target in range, every run [[s, e)] lies in the tile and, for every
-    term delta [d], [s + d >= 0] and [e - 1 + d < n_thr]; and every
+    per block before the sweep: every term-major table entry indexes
+    its target in range,
+    every run [[s, e)] lies in the tile and, for every delta [d] the
+    kernel reads through (term, mirror or per-offset),
+    [s + d >= 0] and [e - 1 + d < n_thr]; and every
     in-grid thread's in-plane base offset lies in [[0, stride0)], so
     [base + i*stride0] is in bounds for all stream planes [i < l]. A
     malformed plan raises [Invalid_argument] there instead of reading
@@ -55,8 +61,9 @@
 
     Grids {e and} simulated GPU counters are bit-identical to the
     checked compiled path in {!Blocking}: identical load/store/compute
-    schedule, identical left-to-right accumulation for every stored
-    cell, identical bulk counter calls in the same order. The counters
+    schedule, identical IEEE operations on identical operands for every
+    stored cell (the left-to-right accumulation of a linear form), and
+    identical bulk counter calls in the same order. The counters
     model the GPU, which computes every thread of the tile — the
     redundant halo work is the price overlapped blocking pays for its
     few synchronizations — so they still count the threads the host
@@ -71,10 +78,10 @@ val execute_block :
   Gpu.Machine.block_ctx ->
   unit
 (** One thread block of the streaming path, with the same observable
-    behavior as the checked compiled path. Requires
-    {!Plan.unsafe_capable}; raises [Invalid_argument] otherwise (no
-    linear form), on a src/dst precision mismatch, or on a
-    validate-then-unsafe contract violation. *)
+    behavior as the checked compiled path in [Direct] mode (the caller
+    checks {!Plan.unsafe_capable}). Raises [Invalid_argument] on a
+    src/dst precision mismatch or on a validate-then-unsafe contract
+    violation. *)
 
 val kernel_name : Stencil.Sexpr.lowered -> string
 (** The streaming kernel {!execute_block} runs for this lowering:
@@ -82,5 +89,5 @@ val kernel_name : Stencil.Sexpr.lowered -> string
     ["wide<n>pt"] for chunked passes of [n > 9] terms (each suffixed
     ["_bare"] when no term is scaled and ["_mixed"] when some are),
     ["folded<n>pt"] for the term-major loop over a form with folded
-    pairs ([n] counting both reads of each pair), and ["generic"] when
-    there is no linear form and the stream path does not run. *)
+    pairs ([n] counting both reads of each pair), and ["generic"] for
+    the row-program kernel of a lowering with no linear form. *)

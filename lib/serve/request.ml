@@ -427,6 +427,31 @@ let parse_opts tokens =
 let config_of_opts o =
   Config.make ~hs:o.hs ~reg_limit:o.reg_limit ~bt:o.bt ~bs:o.bs ()
 
+(* A sharded run gives every shard at least one plane of the streaming
+   dimension (the grid's first size), so more shards than planes is a
+   grammar error. It is checked against the dims the request resolves
+   to — [dims=], or else the source's static sizes — instead of failing
+   in the executor. A source without static sizes, or one detection
+   rejects, is left to the compiler's own error. *)
+let check_shards source o =
+  let shards = o.run.Run_config.shards in
+  let dims =
+    if shards <= 1 then None
+    else
+      match o.o_dims with
+      | Some _ -> o.o_dims
+      | None -> (
+          match Stencil.Detect.of_string source.Framework.text with
+          | r -> r.Stencil.Detect.grid_dims
+          | exception _ -> None)
+  in
+  match dims with
+  | Some d when Array.length d > 0 && shards > d.(0) ->
+      Error
+        (Fmt.str "shards expects at most %d, the streaming extent of dims %s, got %d"
+           d.(0) (dims_str (Some d)) shards)
+  | _ -> Ok ()
+
 let of_line line =
   match
     String.split_on_char ' ' (String.trim line)
@@ -442,6 +467,7 @@ let of_line line =
             (compile ?id:o.o_id ?deadline:o.o_deadline ?dims:o.o_dims
                ?prec:o.o_prec ~config:(config_of_opts o) source)
       | "simulate" ->
+          let* () = check_shards source o in
           Ok
             (simulate ?id:o.o_id ?deadline:o.o_deadline ?dims:o.o_dims
                ?prec:o.o_prec ~seed:o.seed ~run:o.run ~config:(config_of_opts o)

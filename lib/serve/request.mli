@@ -155,7 +155,9 @@ val of_line : string -> (t, string) result
     [seed=1] [k=5] [mode=direct|partial-sums] [shards=N] [workers=N] [verify=true|false] [id=NAME]
     [deadline=SECONDS]. [steps], [k], [shards], [workers] and every
     size in [dims]/[bs] must be positive; any other value is an
-    [Error] naming the key.
+    [Error] naming the key. A simulate request's [shards] must not
+    exceed the streaming extent (the first size) of its resolved dims:
+    [dims=], or else the source's static sizes.
     Blank lines and [#] comments are the caller's concern. *)
 
 val pp : Format.formatter -> t -> unit

@@ -15,9 +15,13 @@
     that each add up to nine terms, carrying the sum between passes in
     a float64 accumulator row owned by one lane of one call; each cell
     still sees the cell-major operations in the cell-major order, so
-    the bits do not change. A caller-supplied parallel-for may
-    spread each sweep's outermost interior planes over lanes without
-    changing a bit of the result. *)
+    the bits do not change. Any other expression runs the lowering's
+    row program ({!Sexpr.program}) one interior row at a time, one loop
+    per instruction over float64 rows owned by the lane; each cell
+    performs the same IEEE operations on the same operands as the
+    closure tree, so its bits do not change either. A caller-supplied
+    parallel-for may spread each sweep's outermost interior planes over
+    lanes without changing a bit of the result. *)
 
 module A1 = Bigarray.Array1
 module FA = Float.Array
@@ -83,18 +87,98 @@ let passes_of (lf : Sexpr.linear_form) =
 (* A form of at most [chunk] plain terms is one src-to-dst pass. *)
 let uses_acc = function [| Chunk { first = true; last = true; _ } |] -> false | _ -> true
 
-(* One float64 accumulator row per lane, as wide as an interior row,
-   or empty when no pass of the sweep touches it. A row belongs to one
-   call of [step]/[run]: lanes of one sweep never share it, and neither
-   do two sweeps running at once. *)
+(* A lane's scratch: rows owned by one lane of one call of
+   [step]/[run]. Lanes of one sweep never share them, and neither do two
+   sweeps running at once.
+   - [acc]: the float64 accumulator row of a linear form's passes,
+     empty when no pass touches it;
+   - [rows]: the row program's float64 rows, for both precisions, when
+     the form has no linear lowering;
+   - [at]/[at_off]: where each program row's value sits while a row of
+     cells is swept, the lane's own row at 0 or, for a load from an f64
+     grid, the source buffer at the loaded cells' position. *)
+type lane = {
+  acc : FA.t;
+  rows : Grid.f64buf array;
+  at : Grid.f64buf array;
+  at_off : int array;
+}
+
+let f64_row n = A1.create Bigarray.float64 Bigarray.c_layout n
+
 let scratch_rows ~lanes ~rad (low : Sexpr.lowered) (g : Grid.t) =
   let dims = g.Grid.dims in
   let n = Array.length dims in
-  let acc =
-    match low.Sexpr.low_linear with Some lf -> uses_acc (passes_of lf) | None -> false
+  let width = if n = 0 then 0 else max 0 (dims.(n - 1) - (2 * rad)) in
+  let acc, n_rows =
+    match low.Sexpr.low_linear with
+    | Some lf -> (uses_acc (passes_of lf), 0)
+    | None -> (false, low.Sexpr.low_program.Sexpr.n_rows)
   in
-  let width = if n = 0 || not acc then 0 else max 0 (dims.(n - 1) - (2 * rad)) in
-  Array.init (max 1 lanes) (fun _ -> FA.create width)
+  Array.init (max 1 lanes) (fun _ ->
+      let rows = Array.init n_rows (fun _ -> f64_row width) in
+      {
+        acc = FA.create (if acc then width else 0);
+        rows;
+        at = Array.copy rows;
+        at_off = Array.make n_rows 0;
+      })
+
+(* The row program's loops: one per operation and operand kind, over
+   [width] cells of float64 rows, operand rows read from offset [ao]/[bo]
+   and the result written from offset [o]. Each is the one IEEE
+   operation of its instruction, cell by cell; [op] is a literal at
+   every call site below, so once the [@inline] body is inlined the
+   test on it folds away and the loop over a row holds one operation. *)
+let[@inline] arith ~op x y =
+  if op = 0 then x +. y else if op = 1 then x -. y else if op = 2 then x *. y else x /. y
+
+let[@inline] rr ~op (a : Grid.f64buf) ao (b : Grid.f64buf) bo (d : Grid.f64buf) o width =
+  for j = 0 to width - 1 do
+    A1.unsafe_set d (o + j) (arith ~op (A1.unsafe_get a (ao + j)) (A1.unsafe_get b (bo + j)))
+  done
+
+let[@inline] rs ~op (a : Grid.f64buf) ao (c : float) (d : Grid.f64buf) o width =
+  for j = 0 to width - 1 do
+    A1.unsafe_set d (o + j) (arith ~op (A1.unsafe_get a (ao + j)) c)
+  done
+
+let[@inline] sr ~op (c : float) (b : Grid.f64buf) bo (d : Grid.f64buf) o width =
+  for j = 0 to width - 1 do
+    A1.unsafe_set d (o + j) (arith ~op c (A1.unsafe_get b (bo + j)))
+  done
+
+let binary_rr op a ao b bo d o width =
+  match op with
+  | Sexpr.Op_add -> rr ~op:0 a ao b bo d o width
+  | Sexpr.Op_sub -> rr ~op:1 a ao b bo d o width
+  | Sexpr.Op_mul -> rr ~op:2 a ao b bo d o width
+  | Sexpr.Op_div -> rr ~op:3 a ao b bo d o width
+
+let binary_rs op a ao c d o width =
+  match op with
+  | Sexpr.Op_add -> rs ~op:0 a ao c d o width
+  | Sexpr.Op_sub -> rs ~op:1 a ao c d o width
+  | Sexpr.Op_mul -> rs ~op:2 a ao c d o width
+  | Sexpr.Op_div -> rs ~op:3 a ao c d o width
+
+let binary_sr op c b bo d o width =
+  match op with
+  | Sexpr.Op_add -> sr ~op:0 c b bo d o width
+  | Sexpr.Op_sub -> sr ~op:1 c b bo d o width
+  | Sexpr.Op_mul -> sr ~op:2 c b bo d o width
+  | Sexpr.Op_div -> sr ~op:3 c b bo d o width
+
+let unary_row op (a : Grid.f64buf) ao (d : Grid.f64buf) o width =
+  match op with
+  | Sexpr.Op_neg ->
+      for j = 0 to width - 1 do
+        A1.unsafe_set d (o + j) (-.A1.unsafe_get a (ao + j))
+      done
+  | Sexpr.Op_sqrt ->
+      for j = 0 to width - 1 do
+        A1.unsafe_set d (o + j) (sqrt (A1.unsafe_get a (ao + j)))
+      done
 
 let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   if src.Grid.dims <> dst.Grid.dims then invalid_arg "Reference.step: dim mismatch";
@@ -104,9 +188,9 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
 (* Flat sweep: each stencil offset becomes one linear delta against the
    cell's row-major position, the interior is walked recursively with
    the innermost dimension contiguous, and the lowered expression is
-   evaluated inline (flat weighted-sum terms when available, the indexed
-   closure otherwise) — the same arithmetic in the same order as
-   {!Sexpr.compile} on the source expression, so bit-identical to it.
+   evaluated a row at a time (flat weighted-sum terms when available,
+   the row program otherwise) — the same arithmetic as {!Sexpr.compile}
+   on the source expression, so bit-identical to it.
 
    The linear rows are monomorphic per precision: the buffer constructor
    is matched once per sweep, so inside each row the element kind is
@@ -129,8 +213,20 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
    predictor resolves. The accumulator row is float64 for both
    precisions, so an f32 sweep still rounds only at the store.
 
-   The accumulator rows ([scratch], one per lane) belong to one call of
-   [step]/[run]. They are not per-domain state: systhreads share a
+   The row program runs its instructions over a row's [width] interior
+   cells in order, each through the loop of its operation and operand
+   kinds. A row's value for cell [j] sits at [at.(r)] offset
+   [at_off.(r) + j]: over an f64 grid a load points it at the source
+   buffer at the cell's linear delta (no copy), over an f32 grid it
+   widens the cells into the lane's row; an operation writes the lane's
+   row, or for the last one over an f64 grid the destination row
+   itself. The unchecked accesses are those of a row: at the cell's
+   position plus a lowered delta, which the peeling proof below covers,
+   or at [0, width) of a lane's row, which is checked once per sweep to
+   be that long. Row numbers and offset indices index plain arrays.
+
+   The accumulator and program rows ([scratch], one set per lane)
+   belong to one call of [step]/[run]. They are not per-domain state: systhreads share a
    domain and may switch at any loop back-edge, so two sweeps on one
    domain would otherwise interleave on one row.
 
@@ -184,7 +280,7 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
           walk row (d + 1) (base + (i * strides.(d)))
         done
     in
-    (* [row] takes the lane's accumulator row. *)
+    (* [row] takes the lane's scratch. *)
     let sweep row =
       match par with
       | Some par when n > 1 ->
@@ -194,6 +290,7 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
               walk (row scratch.(lane)) 1 ((rad + i) * strides.(0)))
       | _ -> walk (row scratch.(0)) 0 0
     in
+    let width = extent - (2 * rad) in
     match low.Sexpr.low_linear with
     | Some lf ->
         let lt_off = lf.Sexpr.lt_off in
@@ -208,8 +305,9 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
         let passes = passes_of lf in
         (* A row's interior cells [lo, lo + width) accumulate in slots
            [0, width) of the lane's row. *)
-        let width = extent - (2 * rad) in
-        if uses_acc passes && not (Array.for_all (fun a -> FA.length a >= width) scratch) then
+        if uses_acc passes
+           && not (Array.for_all (fun (a : lane) -> FA.length a.acc >= width) scratch)
+        then
           invalid_arg "Reference.step: scratch row shorter than an interior row";
         (* Per-term deltas and coefficients, padded by [chunk - 1] so a
            chunk loads all nine slots whatever its width; slots past
@@ -590,23 +688,96 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
           done
         in
         (match (src.Grid.buf, dst.Grid.buf) with
-        | Grid.B64 s, Grid.B64 d -> sweep (row_f64 s d)
-        | Grid.B32 s, Grid.B32 d -> sweep (row_f32 s d)
+        | Grid.B64 s, Grid.B64 d -> sweep (fun lane -> row_f64 s d lane.acc)
+        | Grid.B32 s, Grid.B32 d -> sweep (fun lane -> row_f32 s d lane.acc)
         | _ -> invalid_arg "Reference.step: src/dst precision mismatch")
 
     | None ->
-        let eval = low.Sexpr.low_eval in
-        (* The cursor is per row, so rows on different lanes never
-           share it. *)
-        let row base =
-          let pos_ref = ref 0 in
-          let read k = Grid.get_lin src (!pos_ref + delta.(k)) in
-          for pos = base + rad to base + extent - rad - 1 do
-            pos_ref := pos;
-            Grid.set_lin dst pos (eval read)
+        let prog = low.Sexpr.low_program in
+        let instrs = prog.Sexpr.instrs in
+        let n_instrs = Array.length instrs in
+        let n_rows = prog.Sexpr.n_rows in
+        if
+          not
+            (Array.for_all
+               (fun (a : lane) ->
+                 Array.length a.rows >= n_rows
+                 && Array.for_all (fun r -> A1.dim r >= width) a.rows)
+               scratch)
+        then invalid_arg "Reference.step: scratch rows missing or shorter than an interior row";
+        (* The last instruction computes the result when it is an
+           operation: over f64 grids it writes [dst] directly. *)
+        let last_op =
+          n_instrs > 0
+          && match instrs.(n_instrs - 1) with Sexpr.Load _ -> false | _ -> true
+        in
+        (* Run the program over the interior cells [lo, lo + width) of
+           one row, then store its result. [load] binds a loaded row;
+           [direct] says whether the last operation writes [d] at [lo]. *)
+        let run_row (ln : lane) ~load ~direct (d : Grid.f64buf) lo =
+          let at = ln.at and at_off = ln.at_off in
+          for i = 0 to n_instrs - 1 do
+            match Array.unsafe_get instrs i with
+            | Sexpr.Load { dst; off } -> load ln dst (lo + delta.(off))
+            | Sexpr.Unary { op; dst; a } ->
+                let out, o = if direct && i = n_instrs - 1 then (d, lo) else (ln.rows.(dst), 0) in
+                unary_row op at.(a) at_off.(a) out o width;
+                at.(dst) <- out;
+                at_off.(dst) <- o
+            | Sexpr.Binary { op; dst; a; b } ->
+                let out, o = if direct && i = n_instrs - 1 then (d, lo) else (ln.rows.(dst), 0) in
+                (match (a, b) with
+                | Sexpr.Row a, Sexpr.Row b ->
+                    binary_rr op at.(a) at_off.(a) at.(b) at_off.(b) out o width
+                | Sexpr.Row a, Sexpr.Scalar c -> binary_rs op at.(a) at_off.(a) c out o width
+                | Sexpr.Scalar c, Sexpr.Row b -> binary_sr op c at.(b) at_off.(b) out o width
+                | Sexpr.Scalar _, Sexpr.Scalar _ ->
+                    invalid_arg "Reference.step: row program operation on two scalars");
+                at.(dst) <- out;
+                at_off.(dst) <- o
           done
         in
-        sweep (fun _ -> row)
+        (match (src.Grid.buf, dst.Grid.buf) with
+        | Grid.B64 s, Grid.B64 d ->
+            (* An f64 load reads the source in place. *)
+            let load (ln : lane) r pos =
+              ln.at.(r) <- s;
+              ln.at_off.(r) <- pos
+            in
+            sweep (fun ln base ->
+                let lo = base + rad in
+                run_row ln ~load ~direct:last_op d lo;
+                if not last_op then
+                  match prog.Sexpr.result with
+                  | Sexpr.Row r ->
+                      let a = ln.at.(r) and ao = ln.at_off.(r) in
+                      for j = 0 to width - 1 do
+                        A1.unsafe_set d (lo + j) (A1.unsafe_get a (ao + j))
+                      done
+                  | Sexpr.Scalar c -> A1.fill (A1.sub d lo width) c)
+        | Grid.B32 s, Grid.B32 d ->
+            (* An f32 load widens into the lane's row; the store is the
+               only rounding. *)
+            let load (ln : lane) r pos =
+              let row = ln.rows.(r) in
+              for j = 0 to width - 1 do
+                A1.unsafe_set row j (A1.unsafe_get s (pos + j))
+              done;
+              ln.at.(r) <- row;
+              ln.at_off.(r) <- 0
+            in
+            let unused = f64_row 0 in
+            sweep (fun ln base ->
+                let lo = base + rad in
+                run_row ln ~load ~direct:false unused lo;
+                match prog.Sexpr.result with
+                | Sexpr.Row r ->
+                    let a = ln.at.(r) and ao = ln.at_off.(r) in
+                    for j = 0 to width - 1 do
+                      A1.unsafe_set d (lo + j) (A1.unsafe_get a (ao + j))
+                    done
+                | Sexpr.Scalar c -> A1.fill (A1.sub d lo width) c)
+        | _ -> invalid_arg "Reference.step: src/dst precision mismatch")
   end
 
 (** Apply one time-step: reads [src], writes [dst]. Boundary cells (those

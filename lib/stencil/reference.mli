@@ -9,9 +9,11 @@
     proof that every interior position plus every lowered delta stays
     inside the flat buffer (the peeling invariant — boundary cells are
     copied, never swept). A linear lowering runs term-major, in
-    passes over each interior row (see {!run}). The arithmetic of
-    every cell is {!Sexpr.compile}'s, in its order, so the result is
-    bit-identical to evaluating the source expression per cell. *)
+    passes over each interior row (see {!run}); any other expression
+    runs its row program ({!Sexpr.program}), one loop per instruction
+    over each interior row. The arithmetic of every cell is
+    {!Sexpr.compile}'s, so the result is bit-identical to evaluating the
+    source expression per cell. *)
 
 val step : Pattern.t -> src:Grid.t -> dst:Grid.t -> unit
 (** One time-step; boundary cells are copied unchanged.
@@ -53,6 +55,12 @@ val run : ?par:par -> Pattern.t -> steps:int -> Grid.t -> Grid.t
     are those of the cell-major loop. The accumulator rows, when a form
     needs them, are allocated once per call, one per lane, so
     concurrent calls (other threads or domains) never share one.
+
+    An expression with no linear lowering runs its row program one
+    interior row at a time: one loop per instruction, each a single IEEE
+    operation over float64 rows of the lane (allocated per call like the
+    accumulator rows), loads from an f64 grid read in place, and an f32
+    grid rounded only at the store.
 
     With [par], each sweep hands its outermost interior index to
     [par.run], one slab of rows per index, each slab on its lane's row.

@@ -325,15 +325,171 @@ type plane_group = {
   g_eval : (int -> float) -> float;
 }
 
+(* ------------------------------------------------------------------ *)
+(* Row programs                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type unop = Op_neg | Op_sqrt
+
+type binop = Op_add | Op_sub | Op_mul | Op_div
+
+type operand = Row of int | Scalar of float
+
+type instr =
+  | Load of { dst : int; off : int }
+  | Unary of { op : unop; dst : int; a : int }
+  | Binary of { op : binop; dst : int; a : operand; b : operand }
+
+type program = { instrs : instr array; n_rows : int; result : operand }
+
+let apply_unop op x = match op with Op_neg -> -.x | Op_sqrt -> sqrt x
+
+let apply_binop op x y =
+  match op with
+  | Op_add -> x +. y
+  | Op_sub -> x -. y
+  | Op_mul -> x *. y
+  | Op_div -> x /. y
+
+(* The value DAG of an expression, in post-order. A node is a cell
+   load or one IEEE operation whose operands are nodes or scalars;
+   [Const]/[Coef]/[Param] resolve to scalars, and an operation on
+   scalars alone is performed here, once, with the very operation the
+   closure would perform per cell. Structurally equal subtrees share a
+   node (scalars compared by their bits): an IEEE operation on equal
+   operands gives equal bits, so evaluating gradient2d's [f0 - f_o]
+   once instead of twice changes no result. *)
+type value = V_scalar of float | V_node of int
+
+type node = N_load of int | N_un of unop * int | N_bin of binop * value * value
+
+type node_key =
+  | K_load of int
+  | K_un of unop * int
+  | K_bin of binop * key_value * key_value
+
+and key_value = KV_scalar of int64 | KV_node of int
+
+let key_of_value = function
+  | V_scalar c -> KV_scalar (Int64.bits_of_float c)
+  | V_node n -> KV_node n
+
+let key_of_node = function
+  | N_load k -> K_load k
+  | N_un (op, a) -> K_un (op, a)
+  | N_bin (op, a, b) -> K_bin (op, key_of_value a, key_of_value b)
+
+let value_dag ~param ~index e =
+  let nodes = ref [] and n_nodes = ref 0 in
+  let memo = Hashtbl.create 32 in
+  let node n =
+    let key = key_of_node n in
+    match Hashtbl.find_opt memo key with
+    | Some id -> V_node id
+    | None ->
+        let id = !n_nodes in
+        Hashtbl.add memo key id;
+        nodes := n :: !nodes;
+        incr n_nodes;
+        V_node id
+  in
+  let rec value = function
+    | Const c -> V_scalar c
+    | Coef o -> V_scalar (coef_value o)
+    | Param p -> V_scalar (param p)
+    | Cell o -> node (N_load (index o))
+    | Neg a -> unary Op_neg a
+    | Sqrt a -> unary Op_sqrt a
+    | Add (a, b) -> binary Op_add a b
+    | Sub (a, b) -> binary Op_sub a b
+    | Mul (a, b) -> binary Op_mul a b
+    | Div (a, b) -> binary Op_div a b
+  and unary op a =
+    match value a with
+    | V_scalar x -> V_scalar (apply_unop op x)
+    | V_node n -> node (N_un (op, n))
+  and binary op a b =
+    let va = value a in
+    let vb = value b in
+    match (va, vb) with
+    | V_scalar x, V_scalar y -> V_scalar (apply_binop op x y)
+    | _ -> node (N_bin (op, va, vb))
+  in
+  let root = value e in
+  (Array.of_list (List.rev !nodes), root)
+
+(* Rows are allocated in node order: the rows of a node's operands
+   are freed before its own is taken (an element-wise operation may
+   write the row it reads), and the lowest free row is reused, so the
+   row count follows the live values, not the node count. *)
+let program_of ~param ~index e =
+  let nodes, root = value_dag ~param ~index e in
+  let n = Array.length nodes in
+  let last_use = Array.make n (-1) in
+  let reads i = function V_node a -> last_use.(a) <- i | V_scalar _ -> () in
+  Array.iteri
+    (fun i -> function
+      | N_load _ -> ()
+      | N_un (_, a) -> last_use.(a) <- i
+      | N_bin (_, a, b) -> reads i a; reads i b)
+    nodes;
+  (match root with V_node r -> last_use.(r) <- n | V_scalar _ -> ());
+  let row = Array.make n (-1) in
+  let free = ref [] and n_rows = ref 0 in
+  let release i a =
+    if last_use.(a) = i && not (List.mem row.(a) !free) then
+      free := List.sort Int.compare (row.(a) :: !free)
+  in
+  let take () =
+    match !free with
+    | r :: rest ->
+        free := rest;
+        r
+    | [] ->
+        incr n_rows;
+        !n_rows - 1
+  in
+  let operand = function V_scalar c -> Scalar c | V_node a -> Row row.(a) in
+  let instrs =
+    Array.mapi
+      (fun i nd ->
+        (match nd with
+        | N_load _ -> ()
+        | N_un (_, a) -> release i a
+        | N_bin (_, a, b) ->
+            (match a with V_node a -> release i a | V_scalar _ -> ());
+            (match b with V_node b -> release i b | V_scalar _ -> ()));
+        let dst = take () in
+        row.(i) <- dst;
+        match nd with
+        | N_load off -> Load { dst; off }
+        | N_un (op, a) -> Unary { op; dst; a = row.(a) }
+        | N_bin (op, a, b) -> Binary { op; dst; a = operand a; b = operand b })
+      nodes
+  in
+  { instrs; n_rows = !n_rows; result = operand root }
+
+let eval_program (prog : program) (read : int -> float) =
+  let rows = Array.make prog.n_rows 0.0 in
+  let get = function Row r -> rows.(r) | Scalar c -> c in
+  Array.iter
+    (function
+      | Load { dst; off } -> rows.(dst) <- read off
+      | Unary { op; dst; a } -> rows.(dst) <- apply_unop op rows.(a)
+      | Binary { op; dst; a; b } -> rows.(dst) <- apply_binop op (get a) (get b))
+    prog.instrs;
+  get prog.result
+
 (** Everything an executor inner loop needs, precompiled: the distinct
-    offsets (the read index space), an indexed closure bit-identical to
-    {!compile}, the flat linear form when the expression is a
+    offsets (the read index space), an indexed closure and a row program
+    bit-identical to {!compile}, the flat linear form when the expression is a
     left-leaning weighted sum (with an optional invariant-divisor
     post-op), and the per-plane groups of {!partial_sums} with their numeric
     post-operation. *)
 type lowered = {
   low_offsets : int array array;
   low_eval : (int -> float) -> float;
+  low_program : program;
   low_linear : linear_form option;
   low_partial : (plane_group array * (float -> float)) option;
 }
@@ -358,7 +514,7 @@ let eval_linear (lf : linear_form) (read : int -> float) =
 (* The left spine of nested [Add]s, in evaluation order: the flat loop
    [((t0 + t1) + t2) + ...] rounds identically to the closure tree only
    on a left-leaning spine, so a right-nested [Add] stays one (opaque)
-   term and linearization fails over to the indexed closure. *)
+   term and linearization fails over to the row program. *)
 let rec add_spine acc = function
   | Add (a, b) -> add_spine (b :: acc) a
   | e -> e :: acc
@@ -405,7 +561,8 @@ let linearize_sum ~param ~index ~post body =
       }
 
 (** Lower an expression for table-driven execution. The indexed closure
-    is always bit-identical to {!compile}; the linear form, when
+    and the row program are always bit-identical to {!compile}; the
+    linear form, when
     present, reproduces the closure's rounding exactly (left-spine
     accumulation, divisor applied last, matching how {!compile}
     evaluates [Div (sum, invariant)]). *)
@@ -458,6 +615,7 @@ let lower ~(param : string -> float) e =
   {
     low_offsets = offs;
     low_eval = compile_indexed ~param ~index e;
+    low_program = program_of ~param ~index e;
     low_linear;
     low_partial;
   }

@@ -122,9 +122,47 @@ type plane_group = {
   g_eval : (int -> float) -> float;
 }
 
+(** {1 Row programs}
+
+    The expression as a post-order list of single IEEE operations over
+    numbered rows, which executors run one row of cells at a time (one
+    loop per instruction over the row) instead of one closure call per
+    node per cell. *)
+
+type unop = Op_neg | Op_sqrt
+
+type binop = Op_add | Op_sub | Op_mul | Op_div
+
+(** An operand: a row, or a scalar resolved at lowering. *)
+type operand = Row of int | Scalar of float
+
+type instr =
+  | Load of { dst : int; off : int }
+      (** row [dst] := the cell at offsets-table index [off] *)
+  | Unary of { op : unop; dst : int; a : int }  (** row [dst] := op (row [a]) *)
+  | Binary of { op : binop; dst : int; a : operand; b : operand }
+      (** row [dst] := a op b; never two scalars *)
+
+(** [instrs] in evaluation order over rows [0, n_rows); the value is
+    [result]. Each distinct offset is loaded once; [Const], [Coef] and
+    [Param] are scalars, and an operation on scalars alone is performed
+    at lowering; structurally equal subtrees are computed once. An
+    instruction may write a row one of its operands reads (only when
+    that operand is dead afterwards), and a row is reused once its
+    value is dead, so [n_rows] follows the tree's depth and the number
+    of loaded cells live at once, not its node count. Every cell value
+    is the result of the same IEEE operations on the same operands as
+    {!compile}'s closure tree, so the bits are the same. *)
+type program = { instrs : instr array; n_rows : int; result : operand }
+
+val eval_program : program -> (int -> float) -> float
+(** One cell through the program, reading offset index [k] with
+    [read k] — the per-cell meaning the row executors implement;
+    bit-identical to {!compile}. *)
+
 (** Precompiled table-driven execution form: the distinct offsets (the
     read index space), an indexed closure bit-identical to {!compile},
-    the flat linear form when the expression is a left-leaning weighted
+    the row program of the expression, the flat linear form when the expression is a left-leaning weighted
     sum with an optional invariant-divisor post-op, and the per-plane groups of
     {!partial_sums} with their numeric post-operation. Summing the
     groups in ascending plane order is the accumulation order of AN5D's
@@ -134,6 +172,7 @@ type plane_group = {
 type lowered = {
   low_offsets : int array array;
   low_eval : (int -> float) -> float;
+  low_program : program;  (** the row program of the whole expression *)
   low_linear : linear_form option;
   low_partial : (plane_group array * (float -> float)) option;
 }
@@ -145,10 +184,11 @@ val eval_linear : linear_form -> (int -> float) -> float
     the executors inline. *)
 
 val lower : param:(string -> float) -> t -> lowered
-(** Lower for table-driven execution. The indexed closure and the
-    linear form are bit-identical to {!compile}; each partial-sum group
-    is bit-identical to {!compile} on the corresponding {!partial_sums}
-    group. test/test_plan.ml asserts both. *)
+(** Lower for table-driven execution. The indexed closure, the row
+    program and the linear form are bit-identical to {!compile}; each
+    partial-sum group is bit-identical to {!compile} on the
+    corresponding {!partial_sums} group. test/test_plan.ml asserts
+    both. *)
 
 val pp : Format.formatter -> t -> unit
 

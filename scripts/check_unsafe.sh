@@ -6,11 +6,17 @@
 # else in shipped code (lib/, bin/, bench/, examples/) is rejected.
 # stream_exec.ml is on the list for its valid-region kernels: each
 # level computes runs [s, e) of threads and reads neighbors at t + d
-# for one constant delta d per term. Every unsafe access there is
-# covered by the validate-then-unsafe contract
+# for one constant delta d per term, or, in the generic kernel, per
+# offset (Plan.off_delta, read by the row program's loads). Every
+# unsafe access there is covered by the validate-then-unsafe contract
 # (Stream_exec.validate_unsafe_contract, see stream_exec.mli), which
 # proves runs x deltas per block: s >= 0, e <= n_thr, s + d >= 0 and
 # e - 1 + d < n_thr for every run and every delta.
+# reference.ml is on the list for its interior rows, the linear
+# passes and the row program's loops alike: each reads the source at
+# the row's linear position plus an offset's delta, which the
+# once-per-sweep peeling proof bounds for every lowered offset, and its
+# own float64 rows, which it checks are at least a row wide.
 # Tests are exempt — they exercise the accessors' contract on purpose.
 # Run from the repository root; exits non-zero listing violations.
 set -eu

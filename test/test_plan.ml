@@ -26,8 +26,9 @@ let box ~dims rad =
 let bench name =
   (Option.get (Bench_defs.Benchmarks.find name)).Bench_defs.Benchmarks.pattern
 
-(* Non-linear expression: the lowering must fall back to the indexed
-   closure (sqrt has no flat weighted-sum form). *)
+(* Non-linear expression: sqrt has no flat weighted-sum form, so the
+   executors run the row program (the checked path the indexed
+   closure). *)
 let sqrt_pattern =
   Stencil.Pattern.make ~name:"sqrtish" ~dims:2 ~params:[]
     Stencil.Sexpr.(
@@ -191,8 +192,56 @@ let test_lowering_forms () =
   Alcotest.(check bool) "sqrt does not flatten" true
     (lows.Stencil.Sexpr.low_linear = None)
 
-(* low_eval (and eval_linear when present) replay the closure tree
-   bit-exactly for arbitrary read values; when the lowering carries
+(* The row program: each distinct offset loaded once, equal subtrees
+   computed once, scalar-only operations performed at lowering, and
+   rows reused once their values are dead. *)
+let test_row_program () =
+  let prog p = (Stencil.Pattern.lower p).Stencil.Sexpr.low_program in
+  let count f p = Array.fold_left (fun n i -> if f i then n + 1 else n) 0 (prog p).instrs in
+  let is_load = function Stencil.Sexpr.Load _ -> true | _ -> false in
+  let is_sub = function
+    | Stencil.Sexpr.Binary { op = Stencil.Sexpr.Op_sub; _ } -> true
+    | _ -> false
+  in
+  let g = bench "gradient2d" in
+  Alcotest.(check int) "gradient2d loads each offset once" 5 (count is_load g);
+  (* [(f0 - f_o) * (f0 - f_o)] for four neighbors: four subtractions *)
+  Alcotest.(check int) "gradient2d's repeated differences computed once" 4
+    (count is_sub g);
+  let folded =
+    Stencil.Pattern.make ~name:"folded" ~dims:2 ~params:[ ("c0", 3.0) ]
+      Stencil.Sexpr.(
+        Add (Cell [| 0; 0 |], Sqrt (Mul (Add (Const 1.0, Param "c0"), Const 2.0))))
+  in
+  Alcotest.(check bool) "scalar-only subtree folded into one operand" true
+    ((prog folded).Stencil.Sexpr.instrs
+    = [|
+        Stencil.Sexpr.Load { dst = 0; off = 0 };
+        Stencil.Sexpr.Binary
+          {
+            op = Stencil.Sexpr.Op_add;
+            dst = 0;
+            a = Stencil.Sexpr.Row 0;
+            b = Stencil.Sexpr.Scalar (sqrt ((1.0 +. 3.0) *. 2.0));
+          };
+      |]);
+  (* A balanced sum over 16 reads: 16 loads and 15 additions, yet only
+     as many rows as the tree is deep, plus one. *)
+  let rec balanced = function
+    | [ o ] -> Stencil.Sexpr.Cell o
+    | offs ->
+        let half = List.length offs / 2 in
+        Stencil.Sexpr.Add
+          ( balanced (List.filteri (fun i _ -> i < half) offs),
+            balanced (List.filteri (fun i _ -> i >= half) offs) )
+  in
+  let offs16 = List.filteri (fun i _ -> i < 16) (Stencil.Shape.box_offsets ~dims:2 ~rad:2) in
+  let b16 = Stencil.Pattern.make ~name:"balanced16" ~dims:2 ~params:[] (balanced offs16) in
+  Alcotest.(check int) "balanced16 instructions" 31 (Array.length (prog b16).instrs);
+  Alcotest.(check int) "balanced16 rows" 5 (prog b16).Stencil.Sexpr.n_rows
+
+(* low_eval, the row program (and eval_linear when present) replay the
+   closure tree bit-exactly for arbitrary read values; when the lowering carries
    partial-sum groups, the grouped evaluation the compiled plan runs in
    [Partial_sums] mode (each group rounded to the storage precision and
    summed in ascending plane order, then the post-operation) equals the
@@ -201,7 +250,7 @@ let test_lowering_forms () =
 let prop_lowered_eval_matches_compile =
   QCheck.Test.make ~name:"lowered evaluation = compiled closure (bitwise)"
     ~count:100
-    QCheck.(pair (int_range 0 4) (list_of_size (QCheck.Gen.return 32) (float_range (-10.) 10.)))
+    QCheck.(pair (int_range 0 5) (list_of_size (QCheck.Gen.return 32) (float_range (-10.) 10.)))
     (fun (which, vals) ->
       let pattern =
         match which with
@@ -209,6 +258,7 @@ let prop_lowered_eval_matches_compile =
         | 1 -> box ~dims:2 1
         | 2 -> bench "j2d5pt"
         | 3 -> sqrt_pattern
+        | 4 -> bench "gradient2d"
         | _ -> right_nested_pattern
       in
       let vals = Array.of_list vals in
@@ -258,6 +308,7 @@ let prop_lowered_eval_matches_compile =
         | _ -> false
       in
       same got expect
+      && same (Stencil.Sexpr.eval_program low.Stencil.Sexpr.low_program read_idx) expect
       && (match low.Stencil.Sexpr.low_linear with
          | None -> true
          | Some lf -> same (Stencil.Sexpr.eval_linear lf read_idx) expect)
@@ -488,6 +539,7 @@ let () =
       ( "lowering",
         [
           Alcotest.test_case "forms" `Quick test_lowering_forms;
+          Alcotest.test_case "row program" `Quick test_row_program;
           QCheck_alcotest.to_alcotest prop_lowered_eval_matches_compile;
         ] );
       ( "cache",

@@ -218,6 +218,28 @@ let test_non_positive_refused () =
     "positive values still parse" true
     (Result.is_ok (Request.of_line "tune j2d5pt steps=1 dims=64x64"))
 
+(* More shards than streaming planes is a grammar error against the
+   dims the request resolves to ([dims=], else the source's static
+   sizes), not an [Invalid_argument] from [Shard.make] in the executor:
+   the batch line gets the message as an [Error]. *)
+let test_shards_over_extent_refused () =
+  List.iter
+    (fun (line, msg) ->
+      Alcotest.(check (result reject string))
+        line (Error msg)
+        (Result.map ignore (Request.of_line line)))
+    [
+      ( "simulate j2d5pt bt=2 bs=16 dims=8x8 steps=4 shards=16",
+        "shards expects at most 8, the streaming extent of dims 8x8, got 16" );
+      ( "simulate j2d5pt shards=20000",
+        "shards expects at most 16384, the streaming extent of dims 16384x16384, got \
+         20000" );
+    ];
+  Alcotest.(check bool)
+    "one shard per plane still parses" true
+    (Result.is_ok
+       (Request.of_line "simulate j2d5pt bt=2 bs=16 dims=8x8 steps=4 shards=8"))
+
 (* [Run_args.term] evaluated on an argv, as [bin/an5d] and
    [bench/main] both do; usage errors print nothing here. *)
 let eval_run_args args =
@@ -932,6 +954,8 @@ let () =
           Alcotest.test_case "retired impl key refused" `Quick test_retired_impl_key;
           Alcotest.test_case "non-positive counts refused" `Quick
             test_non_positive_refused;
+          Alcotest.test_case "shards over the streaming extent refused" `Quick
+            test_shards_over_extent_refused;
         ] );
       ( "cfg entrypoints",
         [

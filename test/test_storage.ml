@@ -415,8 +415,9 @@ let test_blocked_fixed () =
       ("psum f32", Blocking.Partial_sums, Stencil.Grid.F32);
     ]
 
-(* unsafe_capable gates the streaming path: Partial_sums and non-linear
-   lowerings must refuse (they fall back to the compiled plan). *)
+(* unsafe_capable gates the streaming path: every Direct plan streams,
+   non-linear lowerings on the generic kernel; Partial_sums must refuse
+   (it falls back to the compiled plan). *)
 let test_unsafe_capable_gate () =
   let em = Execmodel.make (star ~dims:2 1) (Config.make ~bt:2 ~bs:[| 16 |] ()) [| 20; 24 |] in
   let plan = Plan.get em ~degree:2 ~prec:Stencil.Grid.F64 in
@@ -426,8 +427,10 @@ let test_unsafe_capable_gate () =
     (Plan.unsafe_capable plan ~mode:Run_config.Partial_sums);
   let em_sqrt = Execmodel.make sqrt_pattern (Config.make ~bt:2 ~bs:[| 16 |] ()) [| 20; 24 |] in
   let plan_sqrt = Plan.get em_sqrt ~degree:2 ~prec:Stencil.Grid.F64 in
-  Alcotest.(check bool) "non-linear refused" false
-    (Plan.unsafe_capable plan_sqrt ~mode:Run_config.Direct)
+  Alcotest.(check bool) "direct + non-linear capable" true
+    (Plan.unsafe_capable plan_sqrt ~mode:Run_config.Direct);
+  Alcotest.(check bool) "partial sums + non-linear refused" false
+    (Plan.unsafe_capable plan_sqrt ~mode:Run_config.Partial_sums)
 
 (* ------------------------------------------------------------------ *)
 (* Unsafe accessors vs checked accessors                               *)

@@ -4,7 +4,8 @@
    to the checked compiled plan ([Blocking.run_cfg ~checked:true]) —
    same grid word for word, same simulated counters field for field —
    across every kernel shape it specializes (fused 3/5/7/9-point,
-   chunked wide, folded symmetric pairs, mixed scaled/bare terms), both
+   chunked wide, folded symmetric pairs, mixed scaled/bare terms) and
+   the generic row-program kernel of non-linear forms, both
    precisions, non-square tiles with and without stream division, and
    both the resident and the sharded schedule. On top
    of the differentials: unit tests pinning each pattern to the kernel
@@ -138,14 +139,57 @@ let zoo =
 
 let zoo_named name = List.find (fun p -> p.Stencil.Pattern.name = name) zoo
 
-(* Non-linear: never reaches Stream_exec — the capability gate must
-   fall back to the compiled path (and tick the fallback counter). *)
+(* Non-linear: no linear form, so Stream_exec runs it on the generic
+   kernel over the lowering's row program. *)
 let sqrt_pattern =
   Stencil.Pattern.make ~name:"sqrtish" ~dims:2 ~params:[]
     Stencil.Sexpr.(
       Mul
         ( Const 0.5,
           Add (Cell [| 0; 0 |], Sqrt (Add (Const 2.0, Cell [| 1; 0 |]))) ))
+
+(* Non-linear forms beside [sqrt_pattern] and Table 3's gradient2d
+   (bench below): a negation, a subtraction, a division by a cell (and
+   a 3-D one), and a balanced tree over the nine box2d1r reads deep
+   enough that its row program reuses rows. Every value stays bounded
+   over a few steps from the [0, 1) initial grid. *)
+let neg_pattern =
+  Stencil.Pattern.make ~name:"neg" ~dims:2 ~params:[]
+    Stencil.Sexpr.(
+      Add
+        ( Add (Neg (Mul (Const 0.3, Cell [| -1; 0 |])), Mul (Const 0.6, Cell [| 0; 0 |])),
+          Mul (Const 0.4, Cell [| 0; 1 |]) ))
+
+let sub_pattern =
+  Stencil.Pattern.make ~name:"sub" ~dims:2 ~params:[]
+    Stencil.Sexpr.(
+      Sub (Mul (Coef [| 0; 0 |], Cell [| 0; 0 |]), Mul (Const 0.2, Cell [| 0; -1 |])))
+
+let div_cell_pattern =
+  Stencil.Pattern.make ~name:"divcell" ~dims:2 ~params:[ ("c0", 1.5) ]
+    Stencil.Sexpr.(Div (Cell [| 0; 0 |], Add (Param "c0", Cell [| 1; 0 |])))
+
+let div_cell_3d =
+  Stencil.Pattern.make ~name:"divcell3d" ~dims:3 ~params:[ ("c0", 1.5) ]
+    Stencil.Sexpr.(
+      Div (Add (Cell [| 0; 0; 0 |], Cell [| -1; 1; 0 |]), Add (Param "c0", Cell [| 0; 1; -1 |])))
+
+(* Operations cycle with the depth: [0.5 * (l - r)], [l * r] and
+   [(l + r) * 0.5] keep values of magnitude at most 1 there. *)
+let deep_pattern =
+  let open Stencil.Sexpr in
+  let rec tree depth = function
+    | [ o ] -> Cell o
+    | offs ->
+        let half = List.length offs / 2 in
+        let l = tree (depth + 1) (List.filteri (fun i _ -> i < half) offs)
+        and r = tree (depth + 1) (List.filteri (fun i _ -> i >= half) offs) in
+        (match depth mod 3 with
+        | 0 -> Mul (Const 0.5, Sub (l, r))
+        | 1 -> Mul (l, r)
+        | _ -> Mul (Add (l, r), Const 0.5))
+  in
+  Stencil.Pattern.make ~name:"deep" ~dims:2 ~params:[] (tree 0 box1)
 
 let counters_t =
   Alcotest.testable (fun ppf c -> Gpu.Counters.pp ppf c) Gpu.Counters.equal
@@ -160,6 +204,12 @@ let bench name =
   match Bench_defs.Benchmarks.find name with
   | Some b -> b.Bench_defs.Benchmarks.pattern
   | None -> failwith ("unknown benchmark " ^ name)
+
+let nonlinear_zoo =
+  [
+    sqrt_pattern; bench "gradient2d"; neg_pattern; sub_pattern; div_cell_pattern;
+    div_cell_3d; deep_pattern;
+  ]
 
 let test_kernel_shapes () =
   List.iter
@@ -177,6 +227,8 @@ let test_kernel_shapes () =
       ("folded5pt", with_div sym5);
       ("folded3pt", sym3);
       ("generic", sqrt_pattern);
+      ("generic", bench "gradient2d");
+      ("generic", deep_pattern);
       (* the gated bench stencils must classify to their specialized
          kernels — the BENCH gate and CI depend on it *)
       ("fused5pt", bench "j2d5pt");
@@ -213,10 +265,10 @@ let test_no_spurious_folding () =
 (* Blocked differential: streaming vs the checked compiled plan        *)
 (* ------------------------------------------------------------------ *)
 
-let run_blocked ?checked ~mode ~shards ~prec pattern cfg dims ~steps g =
+let run_blocked ?checked ?domains ~mode ~shards ~prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
-  let rc = Run_config.make ~mode ~shards () in
+  let rc = Run_config.make ~mode ?domains ~shards () in
   let out, _ = Blocking.run_cfg ?checked rc em ~machine ~steps g in
   (out, machine.Gpu.Machine.counters)
 
@@ -333,6 +385,75 @@ let prop_streaming_vs_reference =
         = Stencil.Grid.digest stm
       end)
 
+(* Every non-linear form on the generic kernel, in [Direct] mode:
+   streaming, the checked compiled plan (the closure tree, cell by
+   cell) and the reference sweep (the row program, row by row) agree
+   bit for bit, and streaming and checked counters field for field,
+   over non-square tiles, stream division, shards and domains. *)
+let gen_nonlinear_case =
+  QCheck.Gen.(
+    let* pattern = oneofl nonlinear_zoo in
+    let dims_n = pattern.Stencil.Pattern.dims and rad = pattern.Stencil.Pattern.radius in
+    let* bt = int_range 1 3 in
+    let* prec = gen_prec in
+    let* bs =
+      array_repeat (dims_n - 1) (map (fun extra -> (2 * bt * rad) + extra) (int_range 1 6))
+    in
+    let* hs = frequency [ (2, return None); (1, map Option.some (int_range 1 8)) ] in
+    let* sizes =
+      match dims_n with
+      | 2 ->
+          let* a = int_range (2 * rad) 30 in
+          let* b = int_range (2 * rad) 20 in
+          return [| a + 4; b + 4 |]
+      | _ ->
+          let* a = int_range (2 * rad) 12 in
+          let* b = int_range (2 * rad) 10 in
+          let* c = int_range (2 * rad) 10 in
+          return [| a + 4; b + 4; c + 4 |]
+    in
+    let* steps = int_range 0 6 in
+    let* shards = oneofl [ 1; 4 ] in
+    let* domains = oneofl [ 1; 2 ] in
+    return (pattern, bt, bs, hs, sizes, prec, steps, shards, domains))
+
+let arb_nonlinear_case =
+  QCheck.make
+    ~print:(fun (p, bt, bs, hs, sizes, prec, steps, shards, domains) ->
+      Fmt.str "%s bt=%d bs=%a hs=%a sizes=%a prec=%s steps=%d shards=%d domains=%d"
+        p.Stencil.Pattern.name bt
+        Fmt.(array ~sep:(any ",") int)
+        bs
+        Fmt.(option ~none:(any "none") int)
+        hs
+        Fmt.(array ~sep:(any "x") int)
+        sizes
+        (Stencil.Grid.precision_to_string prec)
+        steps shards domains)
+    gen_nonlinear_case
+
+let prop_nonlinear =
+  QCheck.Test.make
+    ~name:"non-linear: streaming = checked compiled plan = reference (digests, counters)"
+    ~count:120 arb_nonlinear_case
+    (fun (pattern, bt, bs, hs, sizes, prec, steps, shards, domains) ->
+      let cfg = Config.make ~hs ~bt ~bs () in
+      if not (Config.valid ~rad:pattern.Stencil.Pattern.radius ~max_threads:1024 cfg)
+      then true
+      else begin
+        let g = Stencil.Grid.init_random ~prec sizes in
+        let run ?checked () =
+          run_blocked ?checked ~domains ~mode:Blocking.Direct ~shards ~prec pattern cfg
+            sizes ~steps g
+        in
+        let stm, stm_c = run () in
+        let com, com_c = run ~checked:true () in
+        let ref_ = Stencil.Reference.run pattern ~steps g in
+        Stencil.Grid.digest stm = Stencil.Grid.digest com
+        && Stencil.Grid.digest stm = Stencil.Grid.digest ref_
+        && Gpu.Counters.equal stm_c com_c
+      end)
+
 (* Fixed cases through every specialized kernel, against the checked
    path and the reference sweep, with counters spelled out via
    Alcotest so a failure names the diverging field. *)
@@ -378,6 +499,7 @@ let test_fixed_shapes () =
       (star ~dims:3 2, 2, 1, [| 7; 7 |], [| 13; 11; 11 |]);
       (sym5, 1, 2, [| 8 |], [| 18; 14 |]);
       (sym3, 1, 2, [| 8 |], [| 18; 14 |]);
+      (div_cell_3d, 1, 2, [| 6; 7 |], [| 12; 10; 11 |]);
     ]
     @ List.concat_map
         (fun p ->
@@ -387,7 +509,7 @@ let test_fixed_shapes () =
             (p, rad, bt, [| (2 * bt * rad) + 4 |], [| (6 * rad) + 8; (4 * rad) + 8 |])
           in
           [ case p; case (with_div p) ])
-        zoo)
+        (zoo @ List.filter (fun p -> p.Stencil.Pattern.dims = 2) nonlinear_zoo))
 
 (* ------------------------------------------------------------------ *)
 (* Reference executors on the folded form                              *)
@@ -519,6 +641,27 @@ let test_unsafe_contract () =
   Alcotest.(check bool) "pair delta past the tile from a run's end" true
     (refused
        { plan5 with Plan.t_delta2 = all (plan5.Plan.rad + 1) plan5.Plan.t_delta2 });
+  (* The generic kernel reads its loads through the per-offset deltas;
+     a row number out of range fails a checked array access. *)
+  let emg = Execmodel.make sqrt_pattern (Config.make ~bt:1 ~bs:[| 6 |] ()) dims in
+  let plang = Plan.get emg ~degree:1 ~prec:Stencil.Grid.F64 in
+  Alcotest.(check bool) "well-formed generic plan runs" false (refused plang);
+  Alcotest.(check bool) "offset delta past the tile from a run's end" true
+    (refused { plang with Plan.off_delta = all (plang.Plan.rad + 1) plang.Plan.off_delta });
+  Alcotest.(check bool) "offset delta table too short" true
+    (refused { plang with Plan.off_delta = [||] });
+  let low = plang.Plan.low in
+  Alcotest.(check bool) "program row out of range" true
+    (refused
+       {
+         plang with
+         Plan.low =
+           {
+             low with
+             Stencil.Sexpr.low_program =
+               { low.Stencil.Sexpr.low_program with Stencil.Sexpr.n_rows = 0 };
+           };
+       });
   (* unit plane stride: in-grid threads past column 0 have in-plane
      offsets outside [0, stride0) *)
   Alcotest.(check bool) "base offset outside its plane" true
@@ -569,12 +712,23 @@ let test_dispatch_counters () =
       ("wide25pt_bare", zoo_named "bare25");
     ];
   Alcotest.(check int) "no wide4pt dispatch" 0 (counter_value "streaming_dispatch_wide4pt");
-  (* non-linear and partial-sums requests take the checked path *)
-  let before = counter_value "streaming_dispatch_fallback" in
+  (* A [Direct] non-linear run streams on the generic kernel; only
+     [Partial_sums] takes the checked path. *)
+  let generic = counter_value "streaming_dispatch_generic" in
+  let fallback = counter_value "streaming_dispatch_fallback" in
   run ~mode:Blocking.Direct sqrt_pattern;
+  run ~mode:Blocking.Direct (bench "gradient2d");
+  Alcotest.(check bool) "generic dispatch ticked" true
+    (counter_value "streaming_dispatch_generic" > generic);
+  Alcotest.(check int) "no fallback for Direct non-linear runs" fallback
+    (counter_value "streaming_dispatch_fallback");
+  let generic = counter_value "streaming_dispatch_generic" in
   run ~mode:Blocking.Partial_sums (star ~dims:2 1);
-  Alcotest.(check bool) "fallback ticked twice" true
-    (counter_value "streaming_dispatch_fallback" >= before + 2);
+  run ~mode:Blocking.Partial_sums (bench "gradient2d");
+  Alcotest.(check bool) "fallback ticked for Partial_sums" true
+    (counter_value "streaming_dispatch_fallback" > fallback);
+  Alcotest.(check int) "no generic dispatch for Partial_sums" generic
+    (counter_value "streaming_dispatch_generic");
   (* the plan cache surfaced its stats: counters moved and the resident
      gauge is live *)
   let snap = Obs.Metrics.snapshot () in
@@ -599,6 +753,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_streaming_vs_compiled;
           QCheck_alcotest.to_alcotest prop_streaming_psum_fallback;
           QCheck_alcotest.to_alcotest prop_streaming_vs_reference;
+          QCheck_alcotest.to_alcotest prop_nonlinear;
           Alcotest.test_case "fixed kernel matrix" `Quick test_fixed_shapes;
         ] );
       ( "reference folded",
