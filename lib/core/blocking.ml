@@ -16,16 +16,16 @@
     around the update, so boundary sub-planes propagate through the
     register pipeline without global memory re-loads.
 
-    Every kernel call runs off the per-call {!Plan}. Where
-    {!Plan.unsafe_capable} admits the plan ([Direct] mode) the
-    sliding-window {!Stream_exec} kernels run it; in [Partial_sums] mode
-    the checked compiled path below does, driving the inner loops off the plan's
-    flat tables with analytic bulk counter updates. The two are
-    bit-identical — same grids, field-for-field equal counters — and the
-    compiled path doubles as the oracle the differential tests force
-    with [~checked:true]. The numerics are also bit-compared against
-    {!Stencil.Reference}, and the traffic counters asserted against the
-    §5 formulas. *)
+    Every kernel call runs off the per-call {!Plan}, whose lowering
+    already settles the execution mode, on the sliding-window
+    {!Stream_exec} kernels. The checked compiled path below drives its
+    inner loops off the same plan's flat tables and indexed closure,
+    with analytic bulk counter updates; it is the oracle the
+    differential tests force with [~checked:true]. The two are
+    bit-identical — same grids, field-for-field equal counters. The
+    numerics are also bit-compared against {!Stencil.Reference} (and, in
+    [Partial_sums] mode, against a per-cell partial-sums sweep in the
+    tests), and the traffic counters asserted against the §5 formulas. *)
 
 (** How CALC evaluates the update:
     - [Direct]: the expression as written (bit-identical to the
@@ -34,7 +34,7 @@
       sums accumulated in ascending plane order as source sub-planes
       stream by. Reassociates the arithmetic, so results differ from
       the reference in the last bits (like the artifact's GPU-vs-CPU
-      error, §A.6). Falls back to [Direct] for non-associative
+      error, §A.6). Lowers as [Direct] for non-associative
       expressions. Canonically defined in {!Run_config} (the unified
     request API); re-exported here so executor call sites keep reading
     [Blocking.Direct]. *)
@@ -99,7 +99,7 @@ let make_block_state = Plan.make_block_state
    constants, so a plane's traffic is known analytically). Bit-identity
    with {!Stream_exec} and counter equality are proven by the
    differential tests. *)
-let compiled_block (plan : Plan.t) ~mode ~degree:b ~(src : Stencil.Grid.t)
+let compiled_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     ~(dst : Stencil.Grid.t) ctx =
   let n_thr = plan.Plan.n_thr in
   let rad = plan.Plan.rad in
@@ -112,15 +112,6 @@ let compiled_block (plan : Plan.t) ~mode ~degree:b ~(src : Stencil.Grid.t)
   let stride0 = plan.Plan.gstrides.(0) in
   let round = Stencil.Grid.round_to_prec plan.Plan.prec in
   let low = plan.Plan.low in
-  (* Evaluation strategy, resolved once per block: the flat linear form
-     when the expression is a plain weighted sum, the per-plane partial
-     groups in [Partial_sums] mode, the indexed closure otherwise. *)
-  let partial =
-    match mode with Direct -> None | Partial_sums -> low.Stencil.Sexpr.low_partial
-  in
-  let linear =
-    match partial with Some _ -> None | None -> low.Stencil.Sexpr.low_linear
-  in
   let ops = plan.Plan.ops in
   let sm_writes_per_plane = n_thr * plan.Plan.sm_writes_per_cell in
   let sm_reads_per_cell = plan.Plan.sm_reads_per_cell in
@@ -165,8 +156,8 @@ let compiled_block (plan : Plan.t) ~mode ~degree:b ~(src : Stencil.Grid.t)
         plane_ptr.(e) <- src_planes.(if s >= p then s - p else s)
       done;
       let src_center = plane_ptr.(rad) in
-      (match linear, partial with
-      | Some lf, _ ->
+      (match low.Stencil.Sexpr.low_linear with
+      | Some lf ->
           (* Flat weighted-sum path: same left-to-right accumulation as
              the compiled closure, so bit-identical. *)
           let lt_off = lf.Stencil.Sexpr.lt_off in
@@ -206,30 +197,9 @@ let compiled_block (plan : Plan.t) ~mode ~degree:b ~(src : Stencil.Grid.t)
             end
             else dst_plane.(t) <- src_center.(t)
           done
-      | None, Some (groups, post) ->
-          (* Per-plane partial sums in ascending plane order (§4.1). *)
-          let n_groups = Array.length groups in
-          for t = 0 to n_thr - 1 do
-            if inplane_interior.(t) then begin
-              let row = t * n_off in
-              let read k = plane_ptr.(plane_e.(k)).(nbr.(row + k)) in
-              let acc = ref 0.0 in
-              for gi = 0 to n_groups - 1 do
-                let g = groups.(gi) in
-                let gv =
-                  match g.Stencil.Sexpr.g_linear with
-                  | Some lf -> Stencil.Sexpr.eval_linear lf read
-                  | None -> g.Stencil.Sexpr.g_eval read
-                in
-                acc := !acc +. round gv
-              done;
-              dst_plane.(t) <- round (post !acc)
-            end
-            else dst_plane.(t) <- src_center.(t)
-          done
-      | None, None ->
-          (* General expression: the indexed closure (bit-identical to
-             the per-cell compile by construction). *)
+      | None ->
+          (* Any other lowering: the indexed closure (the per-cell
+             compile, or §4.1's fold over per-group closures). *)
           let eval = low.Stencil.Sexpr.low_eval in
           for t = 0 to n_thr - 1 do
             if inplane_interior.(t) then begin
@@ -276,13 +246,10 @@ let m_chunks_executed = Obs.Metrics.counter "chunks_executed"
 (* Per-kernel streaming dispatch counters ([streaming_dispatch_fused5pt],
    ...): one tick per kernel call that takes the sliding-window path,
    keyed by {!Stream_exec.kernel_name}, the kernel that call runs
-   ([generic] for a form with no linear lowering);
-   [streaming_dispatch_fallback] counts calls the capability gate sent
-   to the checked compiled path instead, the [Partial_sums] ones.
-   Counters are interned by name, so the per-call lookup is a hash probe
-   — docs/OBSERVABILITY.md lists the names. *)
-let m_streaming_fallback = Obs.Metrics.counter "streaming_dispatch_fallback"
-
+   ([generic] for a lowering with no linear form, every [Partial_sums]
+   grouped sum among them). Counters are interned by name, so the
+   per-call lookup is a hash probe — docs/OBSERVABILITY.md lists the
+   names. *)
 let kernel_call ?(mode = Direct) ?(checked = false) ?pool (em : Execmodel.t)
     ~(machine : Gpu.Machine.t) ~degree:b ~(src : Stencil.Grid.t)
     ~(dst : Stencil.Grid.t) =
@@ -291,7 +258,7 @@ let kernel_call ?(mode = Direct) ?(checked = false) ?pool (em : Execmodel.t)
     || dst.Stencil.Grid.dims <> em.Execmodel.dims
   then invalid_arg "Blocking.kernel_call: grid dims do not match execution model";
   let prec = src.Stencil.Grid.prec in
-  let plan = Plan.get em ~degree:b ~prec in
+  let plan = Plan.get em ~degree:b ~prec ~mode in
   (* Resource checks once per call. *)
   if plan.Plan.smem_bytes > machine.Gpu.Machine.device.Gpu.Device.smem_per_sm then
     raise
@@ -303,22 +270,17 @@ let kernel_call ?(mode = Direct) ?(checked = false) ?pool (em : Execmodel.t)
       (Gpu.Machine.Launch_failure
          (Fmt.str "AN5D kernel needs %d registers per thread, limit is %d"
             plan.Plan.regs machine.Gpu.Machine.device.Gpu.Device.max_regs_per_thread));
-  (* The sliding-window path wherever the capability gate admits the
-     plan; the checked compiled path — bit-identical by construction —
-     everywhere else, or for every call when the caller asks for the
-     oracle. The dispatch is recorded per kernel shape so the bench and
-     CI can prove a gated stencil really took its specialized kernel. *)
+  (* The sliding-window path, or the checked compiled path — bit-identical
+     by construction — when the caller asks for the oracle. The dispatch
+     is recorded per kernel shape so the bench and CI can prove a gated
+     stencil really took its specialized kernel. *)
   let block =
-    if checked then compiled_block plan ~mode ~degree:b ~src ~dst
-    else if Plan.unsafe_capable plan ~mode then begin
+    if checked then compiled_block plan ~degree:b ~src ~dst
+    else begin
       Obs.Metrics.incr
         (Obs.Metrics.counter
            ("streaming_dispatch_" ^ Stream_exec.kernel_name plan.Plan.low));
       Stream_exec.execute_block plan ~degree:b ~src ~dst
-    end
-    else begin
-      Obs.Metrics.incr m_streaming_fallback;
-      compiled_block plan ~mode ~degree:b ~src ~dst
     end
   in
   let n_blocks = plan.Plan.n_sb * plan.Plan.spatial_blocks in

@@ -11,11 +11,11 @@
     the previous value instead of branching (§4.1).
 
     Kernel calls run off a memoized {!Plan} (compiled once per
-    [(pattern, config, dims, precision, degree)]). The executor follows
-    from the plan: the sliding-window {!Stream_exec} kernels wherever
-    {!Plan.unsafe_capable} holds (every [Direct] call; non-linear forms
-    on the generic row-program kernel), the checked compiled path for
-    [Partial_sums]. The two are proven
+    [(pattern, config, dims, precision, degree, mode)]), whose lowering
+    settles the execution mode. Every call runs on the sliding-window
+    {!Stream_exec} kernels (non-linear forms and [Partial_sums] grouped
+    sums on the generic row-program kernel); the checked compiled path
+    runs only when a caller forces it as the oracle. The two are proven
     bit-identical — grids and counters — by the differential test
     suite; numerics are also bit-compared against {!Stencil.Reference}
     and the traffic counters against the §5 closed forms. *)
@@ -25,8 +25,8 @@
     associative dataflow — per-plane partial sums accumulated in
     ascending plane order; reassociates the arithmetic like the real
     generated kernels, so results differ from the reference in the last
-    bits — the artifact's reported GPU-vs-CPU error, §A.6). Falls back
-    to [Direct] for non-associative expressions. Canonically defined in
+    bits — the artifact's reported GPU-vs-CPU error, §A.6). Lowers as
+    [Direct] for non-associative expressions. Canonically defined in
     {!Run_config}; re-exported here for executor call sites. *)
 type exec_mode = Run_config.exec_mode = Direct | Partial_sums
 
@@ -71,12 +71,11 @@ val kernel_call :
 (** One temporal-blocking advancement of [degree] steps: reads [src],
     writes updated planes of [dst] (which must be pre-initialized with
     the boundary values, e.g. as a copy of the initial grid). The plan
-    is fetched from the memo cache (compiled on first use). The
-    sliding-window path runs wherever {!Plan.unsafe_capable} holds
-    (ticking [streaming_dispatch_<kernel>]), the checked compiled path
-    elsewhere (ticking [streaming_dispatch_fallback]); [checked]
-    (default [false]) forces the checked path without ticking either —
-    the bit-identical oracle for tests and the throughput bench. A
+    is fetched from the memo cache (compiled on first use, its lowering
+    chosen by [mode]). The sliding-window path runs the call, ticking
+    [streaming_dispatch_<kernel>]; [checked] (default [false]) forces
+    the checked compiled path instead, without a tick — the
+    bit-identical oracle for tests and the throughput bench. A
     [pool] fans the independent thread blocks out over its domains
     with bit-identical results and counters.
     @raise Gpu.Machine.Launch_failure when shared memory or registers

@@ -143,10 +143,12 @@ let smem_writes_per_cell t =
   | Stencil.Pattern.General_box -> 1 + (2 * rad t)
 
 (** Expected shared-memory reads per thread per cell update (Table 2):
-    total stencil points minus the [2*rad + 1] accesses served from the
-    thread's own registers. *)
+    the stencil points off the thread's own streaming column (a nonzero
+    in-plane component); the column's points come from its registers.
+    For a full star that is the total minus [2*rad + 1]. *)
 let smem_reads_expected t =
-  List.length t.pattern.Stencil.Pattern.offsets - ((2 * rad t) + 1)
+  let off_column o = Array.exists (( <> ) 0) (Array.sub o 1 (Array.length o - 1)) in
+  List.length (List.filter off_column t.pattern.Stencil.Pattern.offsets)
 
 (** Practical reads after NVCC's register caching of shared memory
     columns (Table 2): box stencils read one value per column instead of

@@ -68,8 +68,9 @@ val smem_writes_per_cell : t -> int
 (** Stores per cell update (Table 1 bottom). *)
 
 val smem_reads_expected : t -> int
-(** Table 2 "expected": stencil points minus the [2*rad + 1] served
-    from the thread's own registers. *)
+(** Table 2 "expected": the stencil points with a nonzero in-plane
+    component; the thread's own streaming column is served from its
+    registers. For a full star, the points minus [2*rad + 1]. *)
 
 val smem_reads_practical : t -> int
 (** Table 2 "practical": after NVCC's register caching of shared-memory

@@ -7,7 +7,10 @@
       [(plane-slot, neighbor-index, coefficient)] arrays, or a row
       program (and an indexed closure for the checked path) when the
       expression is not a plain weighted sum, via
-      {!Stencil.Sexpr.lower};
+      {!Stencil.Sexpr.lower} — or, in [Partial_sums] mode, the §4.1
+      grouped sum of an associative expression as a row program, via
+      {!Stencil.Sexpr.lower_partial_sums}: the mode is settled here,
+      once, and no executor reads it;
     - per-thread neighbor-thread tables ([n_thr x n_offsets], replacing
       per-cell {!neighbor_thread} calls) for the checked path, and one
       constant thread-id delta per offset and per linear term for the
@@ -19,7 +22,7 @@
     - the per-call launch geometry, resource footprint and per-cell
       traffic constants.
 
-    Plans are memoized on [(pattern, config, dims, prec, degree)] —
+    Plans are memoized on [(pattern, config, dims, prec, degree, mode)] —
     with [reg_limit] stripped from the config, since the register cap
     affects occupancy and spilling but not the executed schedule — so
     the chunks of one run, repeated runs, and the tuner's reg-limit
@@ -130,7 +133,7 @@ type t = {
   gstrides : int array;  (** row-major strides of the run grids *)
 }
 
-let build (em : Execmodel.t) ~degree:b ~prec =
+let build (em : Execmodel.t) ~degree:b ~prec ~mode =
   let pattern = em.Execmodel.pattern in
   let cfg = em.Execmodel.config in
   let dims = em.Execmodel.dims in
@@ -138,7 +141,14 @@ let build (em : Execmodel.t) ~degree:b ~prec =
   let nb = Array.length cfg.Config.bs in
   let geo = make_geometry cfg.Config.bs in
   let n_thr = Config.n_thr cfg in
-  let low = Stencil.Pattern.lower pattern in
+  let low =
+    match mode with
+    | Run_config.Direct -> Stencil.Pattern.lower pattern
+    | Run_config.Partial_sums ->
+        Stencil.Sexpr.lower_partial_sums
+          ~param:(Stencil.Pattern.param_value pattern)
+          ~single:(prec = Stencil.Grid.F32) pattern.Stencil.Pattern.expr
+  in
   let offs = low.Stencil.Sexpr.low_offsets in
   let n_off = Array.length offs in
   let plane_e = Array.map (fun o -> o.(0) + rad) offs in
@@ -322,17 +332,6 @@ let make_block_state (plan : t) ~degree:b block_id =
 let valid (plan : t) ~tstep t = valid_at plan.em plan.geo ~tstep t
 
 (* ------------------------------------------------------------------ *)
-(* Streaming dispatch                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Whether the unsafe sliding-window path ({!Stream_exec}) can run this
-   plan: every [Direct] plan — a linear form on its specialized kernels,
-   any other expression on the generic row-program kernel. The
-   [Partial_sums] dataflow takes the checked compiled path in
-   {!Blocking}. *)
-let unsafe_capable (_ : t) ~(mode : Run_config.exec_mode) = mode = Run_config.Direct
-
-(* ------------------------------------------------------------------ *)
 (* Memoization                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -342,6 +341,7 @@ type key = {
   k_dims : int array;
   k_prec : Stencil.Grid.precision;
   k_degree : int;
+  k_mode : Run_config.exec_mode;
 }
 
 let cache : (key, t) Hashtbl.t = Hashtbl.create 64
@@ -381,7 +381,7 @@ let reset_cache () =
     chunks, repeated runs, and the tuner's §6.3 register-limit variants
     share one compilation. Patterns and configurations are pure data,
     so structural equality is the right cache identity. *)
-let get (em : Execmodel.t) ~degree ~prec =
+let get (em : Execmodel.t) ~degree ~prec ~mode =
   let key =
     {
       k_pattern = em.Execmodel.pattern;
@@ -389,6 +389,7 @@ let get (em : Execmodel.t) ~degree ~prec =
       k_dims = em.Execmodel.dims;
       k_prec = prec;
       k_degree = degree;
+      k_mode = mode;
     }
   in
   match
@@ -409,7 +410,7 @@ let get (em : Execmodel.t) ~degree ~prec =
           ~attrs:
             [ ("pattern", Obs.Trace.Str em.Execmodel.pattern.Stencil.Pattern.name);
               ("degree", Obs.Trace.Int degree) ]
-          (fun () -> build em ~degree ~prec)
+          (fun () -> build em ~degree ~prec ~mode)
       in
       let size =
         Mutex.protect lock (fun () ->

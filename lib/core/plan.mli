@@ -1,10 +1,12 @@
 (** Compiled execution plans for the N.5D blocked executor.
 
     A plan is everything about one kernel call that depends only on
-    [(pattern, config, dims, precision, degree)] — not on the grids or
-    the stream position — compiled once and memoized: the thread-block
-    geometry, the update expression lowered to flat per-term tables or a
-    row program ({!Stencil.Sexpr.lower}), per-thread neighbor-thread and
+    [(pattern, config, dims, precision, degree, mode)] — not on the
+    grids or the stream position — compiled once and memoized: the
+    thread-block geometry, the update expression lowered to flat
+    per-term tables or a row program ({!Stencil.Sexpr.lower}; in
+    [Partial_sums] mode the §4.1 grouped sum,
+    {!Stencil.Sexpr.lower_partial_sums}), per-thread neighbor-thread and
     store-mask tables, one constant neighbor delta per offset and per
     linear term, row-major grid
     strides for unchecked linear plane access,
@@ -106,19 +108,23 @@ val valid : t -> tstep:int -> int -> bool
     can still reach a store (§4.1). At [tstep = degree] this is exactly
     [store_ok]. *)
 
-val unsafe_capable : t -> mode:Run_config.exec_mode -> bool
-(** Whether the sliding-window {!Stream_exec} path can run this plan:
-    every plan in [Direct] mode. A flat weighted-sum linear form (the
-    shape of most paper benchmarks) runs on a specialized kernel, any
-    other expression (gradient2d's [1/sqrt], say) on the generic kernel
-    over the lowering's row program. [Partial_sums] plans take the
-    checked compiled path in {!Blocking}. *)
-
-val get : Execmodel.t -> degree:int -> prec:Stencil.Grid.precision -> t
-(** The memoized plan for one kernel call. The cache key strips the
-    config's [reg_limit] (it affects occupancy, never the executed
-    schedule), so a run's chunks, repeated runs, and the tuner's
-    register-limit variants share one compilation. Thread-safe. *)
+val get :
+  Execmodel.t ->
+  degree:int ->
+  prec:Stencil.Grid.precision ->
+  mode:Run_config.exec_mode ->
+  t
+(** The memoized plan for one kernel call. [mode] chooses the lowering:
+    in [Partial_sums] mode an associative expression lowers to §4.1's
+    grouped sum (each group rounded to single when [prec] is [F32]),
+    any other expression exactly as in [Direct] mode. A flat
+    weighted-sum linear form (the shape of most paper benchmarks) runs
+    on a specialized streaming kernel, every other lowering
+    (gradient2d's [1/sqrt], or any grouped sum) on the generic kernel
+    over its row program. The cache key strips the config's
+    [reg_limit] (it affects occupancy, never the executed schedule), so
+    a run's chunks, repeated runs, and the tuner's register-limit
+    variants share one compilation. Thread-safe. *)
 
 type cache_stats = { cache_hits : int; cache_misses : int; cache_size : int }
 

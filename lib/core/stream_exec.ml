@@ -36,7 +36,9 @@
       plane, the last one the stored value (the destination plane, or
       the f32 scratch). Each
       cell performs the same IEEE operations on the same operands as
-      the closure tree the checked path calls, so the bits match.
+      the closure tree the checked path calls, so the bits match. A
+      [Partial_sums] plan's grouped sum is such a program too (its f32
+      per-group rounding an [Op_round_single] row).
       gradient2d 256², 20 steps, bt 4, bs 64 (one [an5d batch] request,
       2-vCPU shared host): 228–260 ms executing on the checked path,
       46–57 ms on this kernel.
@@ -581,11 +583,20 @@ let[@inline] g_sr ~op ~f32 (c : float) (b : float array) db d q32 (runs : int ar
     done
   done
 
-let[@inline] g_un ~neg ~f32 (a : float array) da d q32 (runs : int array) =
+(* [op]: 0 negates, 1 takes the square root, 2 rounds to the nearest
+   single (the f32 storage rounding of a partial sum) by the hardware
+   double->single->double round trip through [q32]. *)
+let[@inline] g_un ~op ~f32 (a : float array) da d (q32 : f32buf) (runs : int array) =
   for r = 0 to (Array.length runs / 2) - 1 do
     for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
       let x = Array.unsafe_get a (t + da) in
-      store ~f32 d q32 t (if neg then -.x else sqrt x)
+      store ~f32 d q32 t
+        (if op = 0 then -.x
+         else if op = 1 then sqrt x
+         else begin
+           Bigarray.Array1.unsafe_set q32 t x;
+           Bigarray.Array1.unsafe_get q32 t
+         end)
     done
   done
 
@@ -617,8 +628,9 @@ let[@inline] g_binary ~f32 op a b (g : generic) d q32 runs =
 
 let[@inline] g_unary ~f32 op (g : generic) a d q32 runs =
   match op with
-  | Stencil.Sexpr.Op_neg -> g_un ~neg:true ~f32 g.at.(a) g.at_d.(a) d q32 runs
-  | Stencil.Sexpr.Op_sqrt -> g_un ~neg:false ~f32 g.at.(a) g.at_d.(a) d q32 runs
+  | Stencil.Sexpr.Op_neg -> g_un ~op:0 ~f32 g.at.(a) g.at_d.(a) d q32 runs
+  | Stencil.Sexpr.Op_sqrt -> g_un ~op:1 ~f32 g.at.(a) g.at_d.(a) d q32 runs
+  | Stencil.Sexpr.Op_round_single -> g_un ~op:2 ~f32 g.at.(a) g.at_d.(a) d q32 runs
 
 let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (w : float array array)
     (dst : float array) (runs : int array) =
@@ -671,7 +683,9 @@ let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (w : float arr
    - the generic kernel reads a row at [t + d], [d] a validated
      [off_delta] after a load into a validated [plane_e] slot and [0]
      after an operation into the row's own [n_thr] plane, and writes
-     the row's plane, [dst_plane] or [q32] at [t], for [t] in a run;
+     the row's plane, [dst_plane] or [q32] at [t] (a single-rounding
+     row also reads [q32] back), for [t] in a run, [q32] spanning the
+     tile for every f32 block and every generic one;
    - plane I/O goes through [plane_io], whose in-grid base-offset
      peeling proof is part of the same contract. *)
 let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
@@ -696,9 +710,11 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   (* Whole-plane f32 quantization scratch: computed values land here
      first and are read back after the kernel, keeping the hardware
      double->single->double round-trip (bit-identical to
-     [Grid.round_to_prec F32]) off the per-cell dependency chain. *)
+     [Grid.round_to_prec F32]) off the per-cell dependency chain. The
+     generic kernel's single-rounding rows round through it too. *)
   let q32 =
-    Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (if is_f32 then n_thr else 1)
+    Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
+      (if is_f32 || plan.Plan.low.Stencil.Sexpr.low_linear = None then n_thr else 1)
   in
   (* The block's kernel over a positioned window [w], writing the
      level's destination plane (or [q32]) for the threads of a run. *)

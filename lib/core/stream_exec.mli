@@ -25,7 +25,10 @@
       a level's runs, loads read in place from the window plane at the
       offset's thread delta ({!Plan.off_delta}), operations write a
       per-row plane, and the last one stores the value (into the f64
-      plane, or the f32 quantization scratch).
+      plane, or the f32 quantization scratch). Non-linear forms run
+      here, and so does every [Partial_sums] plan: its lowering is the
+      §4.1 grouped sum as a row program, so this module never reads the
+      execution mode.
 
     {b Valid-region runs.} Overlapped temporal blocking computes halo
     threads whose values never reach a store (§4.1). At level [T] only
@@ -78,10 +81,9 @@ val execute_block :
   Gpu.Machine.block_ctx ->
   unit
 (** One thread block of the streaming path, with the same observable
-    behavior as the checked compiled path in [Direct] mode (the caller
-    checks {!Plan.unsafe_capable}). Raises [Invalid_argument] on a
-    src/dst precision mismatch or on a validate-then-unsafe contract
-    violation. *)
+    behavior as the checked compiled path on the same plan, whatever
+    its mode. Raises [Invalid_argument] on a src/dst precision mismatch
+    or on a validate-then-unsafe contract violation. *)
 
 val kernel_name : Stencil.Sexpr.lowered -> string
 (** The streaming kernel {!execute_block} runs for this lowering:

@@ -9,9 +9,9 @@
     Two tile layouts are implemented: diagonal-access-free (star
     stencils; only the center source plane lives in shared memory) and
     general (all [1 + 2*rad] source planes in the tile). The associative
-    partial-sum layout is handled at the executor level
-    ({!An5d_core.Blocking.Partial_sums}); here associative stencils
-    compile through the general layout.
+    partial-sum dataflow is a lowering of the simulator's plan
+    ({!An5d_core.Plan.get} in [Partial_sums] mode); here associative
+    stencils compile through the general layout.
 
     FMA fusion is performed while lowering expressions —
     [x * y + acc] becomes one [Fma] — so the instruction mix can be

@@ -179,6 +179,10 @@ let unary_row op (a : Grid.f64buf) ao (d : Grid.f64buf) o width =
       for j = 0 to width - 1 do
         A1.unsafe_set d (o + j) (sqrt (A1.unsafe_get a (ao + j)))
       done
+  | Sexpr.Op_round_single ->
+      for j = 0 to width - 1 do
+        A1.unsafe_set d (o + j) (Grid.round_to_prec Grid.F32 (A1.unsafe_get a (ao + j)))
+      done
 
 let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   if src.Grid.dims <> dst.Grid.dims then invalid_arg "Reference.step: dim mismatch";

@@ -157,22 +157,16 @@ let rec sum_terms = function
 let term_planes term =
   List.sort_uniq Int.compare (List.map plane_of_offset (offsets term))
 
-let is_associative e =
-  let body = match e with Div (num, (Param _ | Const _ | Coef _)) -> num | _ -> e in
-  match sum_terms body with
-  | None -> false
-  | Some terms -> List.for_all (fun t -> List.length (term_planes t) <= 1) terms
+(* The one split of an update into its summed body and §4.1's final
+   post-operation, a division by an invariant. *)
+let split_post = function
+  | Div (num, ((Param _ | Const _ | Coef _) as d)) -> (num, Some d)
+  | e -> (e, None)
 
-(** Group the summands by sub-plane for partial summation: returns
-    [(plane, partial_expr) list] plus the post-operation to apply to the
-    completed sum, or [None] if the expression is not associative. *)
-let partial_sums e =
-  let body, post =
-    match e with
-    | Div (num, (Param _ as d)) -> (num, fun s -> Div (s, d))
-    | Div (num, (Const _ as d)) -> (num, fun s -> Div (s, d))
-    | _ -> (e, Fun.id)
-  in
+(* The summands of the body grouped by sub-plane (ascending; a term
+   reading no cell joins plane 0), with the divisor of the post. *)
+let grouped e =
+  let body, div = split_post e in
   match sum_terms body with
   | None -> None
   | Some terms ->
@@ -181,8 +175,8 @@ let partial_sums e =
         List.for_all
           (fun t ->
             match term_planes t with
-            | [] | [ _ ] ->
-                let plane = match term_planes t with [ p ] -> p | _ -> 0 in
+            | ([] | [ _ ]) as planes ->
+                let plane = match planes with [ p ] -> p | _ -> 0 in
                 Hashtbl.replace tbl plane
                   (match Hashtbl.find_opt tbl plane with
                   | Some prev -> Add (prev, t)
@@ -197,7 +191,18 @@ let partial_sums e =
           Hashtbl.fold (fun p e acc -> (p, e) :: acc) tbl []
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
         in
-        Some (groups, post)
+        Some (groups, div)
+
+let is_associative e = Option.is_some (grouped e)
+
+(** Group the summands by sub-plane for partial summation: returns
+    [(plane, partial_expr) list] plus the post-operation to apply to the
+    completed sum, or [None] if the expression is not associative. *)
+let partial_sums e =
+  Option.map
+    (fun (groups, div) ->
+      (groups, match div with Some d -> (fun s -> Div (s, d)) | None -> Fun.id))
+    (grouped e)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
@@ -316,20 +321,11 @@ type linear_form = {
   lt_post : post_op;
 }
 
-(** One per-plane partial-sum group of the §4.1 associative dataflow:
-    the flat form when the group is a pure linear combination, plus the
-    indexed closure that always works. *)
-type plane_group = {
-  g_plane : int;
-  g_linear : linear_form option;
-  g_eval : (int -> float) -> float;
-}
-
 (* ------------------------------------------------------------------ *)
 (* Row programs                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type unop = Op_neg | Op_sqrt
+type unop = Op_neg | Op_sqrt | Op_round_single
 
 type binop = Op_add | Op_sub | Op_mul | Op_div
 
@@ -342,7 +338,11 @@ type instr =
 
 type program = { instrs : instr array; n_rows : int; result : operand }
 
-let apply_unop op x = match op with Op_neg -> -.x | Op_sqrt -> sqrt x
+let apply_unop op x =
+  match op with
+  | Op_neg -> -.x
+  | Op_sqrt -> sqrt x
+  | Op_round_single -> Int32.float_of_bits (Int32.bits_of_float x)
 
 let apply_binop op x y =
   match op with
@@ -379,51 +379,52 @@ let key_of_node = function
   | N_un (op, a) -> K_un (op, a)
   | N_bin (op, a, b) -> K_bin (op, key_of_value a, key_of_value b)
 
-let value_dag ~param ~index e =
-  let nodes = ref [] and n_nodes = ref 0 in
-  let memo = Hashtbl.create 32 in
+(* A value DAG builder over one offset index: [value e] adds the nodes
+   of [e], [unary]/[binary] one operation on values already built, and
+   [nodes ()] returns every node so far, in post-order. *)
+let dag ~param ~index =
+  let nodes = ref [] and memo = Hashtbl.create 32 in
   let node n =
     let key = key_of_node n in
     match Hashtbl.find_opt memo key with
     | Some id -> V_node id
     | None ->
-        let id = !n_nodes in
+        let id = Hashtbl.length memo in
         Hashtbl.add memo key id;
         nodes := n :: !nodes;
-        incr n_nodes;
         V_node id
+  in
+  let unary op = function
+    | V_scalar x -> V_scalar (apply_unop op x)
+    | V_node n -> node (N_un (op, n))
+  in
+  let binary op va vb =
+    match (va, vb) with
+    | V_scalar x, V_scalar y -> V_scalar (apply_binop op x y)
+    | _ -> node (N_bin (op, va, vb))
   in
   let rec value = function
     | Const c -> V_scalar c
     | Coef o -> V_scalar (coef_value o)
     | Param p -> V_scalar (param p)
     | Cell o -> node (N_load (index o))
-    | Neg a -> unary Op_neg a
-    | Sqrt a -> unary Op_sqrt a
-    | Add (a, b) -> binary Op_add a b
-    | Sub (a, b) -> binary Op_sub a b
-    | Mul (a, b) -> binary Op_mul a b
-    | Div (a, b) -> binary Op_div a b
-  and unary op a =
-    match value a with
-    | V_scalar x -> V_scalar (apply_unop op x)
-    | V_node n -> node (N_un (op, n))
-  and binary op a b =
+    | Neg a -> unary Op_neg (value a)
+    | Sqrt a -> unary Op_sqrt (value a)
+    | Add (a, b) -> operands Op_add a b
+    | Sub (a, b) -> operands Op_sub a b
+    | Mul (a, b) -> operands Op_mul a b
+    | Div (a, b) -> operands Op_div a b
+  and operands op a b =
     let va = value a in
-    let vb = value b in
-    match (va, vb) with
-    | V_scalar x, V_scalar y -> V_scalar (apply_binop op x y)
-    | _ -> node (N_bin (op, va, vb))
+    binary op va (value b)
   in
-  let root = value e in
-  (Array.of_list (List.rev !nodes), root)
+  (value, unary, binary, fun () -> Array.of_list (List.rev !nodes))
 
 (* Rows are allocated in node order: the rows of a node's operands
    are freed before its own is taken (an element-wise operation may
    write the row it reads), and the lowest free row is reused, so the
    row count follows the live values, not the node count. *)
-let program_of ~param ~index e =
-  let nodes, root = value_dag ~param ~index e in
+let program_of nodes root =
   let n = Array.length nodes in
   let last_use = Array.make n (-1) in
   let reads i = function V_node a -> last_use.(a) <- i | V_scalar _ -> () in
@@ -482,34 +483,15 @@ let eval_program (prog : program) (read : int -> float) =
 
 (** Everything an executor inner loop needs, precompiled: the distinct
     offsets (the read index space), an indexed closure and a row program
-    bit-identical to {!compile}, the flat linear form when the expression is a
-    left-leaning weighted sum (with an optional invariant-divisor
-    post-op), and the per-plane groups of {!partial_sums} with their numeric
-    post-operation. *)
+    computing the same value, and the flat linear form when the
+    expression is a left-leaning weighted sum (with an optional
+    invariant-divisor post-op). *)
 type lowered = {
   low_offsets : int array array;
   low_eval : (int -> float) -> float;
   low_program : program;
   low_linear : linear_form option;
-  low_partial : (plane_group array * (float -> float)) option;
 }
-
-let apply_post p v = match p with Post_none -> v | Post_div d -> v /. d
-
-(** Evaluate a linear form against an indexed reader — the same
-    accumulation the executors inline. *)
-let eval_linear (lf : linear_form) (read : int -> float) =
-  let term k =
-    let v = read lf.lt_off.(k) in
-    let k2 = lf.lt_off2.(k) in
-    let v = if k2 >= 0 then v +. read k2 else v in
-    if lf.lt_scaled.(k) then lf.lt_coef.(k) *. v else v
-  in
-  let acc = ref (term 0) in
-  for k = 1 to Array.length lf.lt_off - 1 do
-    acc := !acc +. term k
-  done;
-  apply_post lf.lt_post !acc
 
 (* The left spine of nested [Add]s, in evaluation order: the flat loop
    [((t0 + t1) + t2) + ...] rounds identically to the closure tree only
@@ -560,13 +542,8 @@ let linearize_sum ~param ~index ~post body =
         lt_post = post;
       }
 
-(** Lower an expression for table-driven execution. The indexed closure
-    and the row program are always bit-identical to {!compile}; the
-    linear form, when
-    present, reproduces the closure's rounding exactly (left-spine
-    accumulation, divisor applied last, matching how {!compile}
-    evaluates [Div (sum, invariant)]). *)
-let lower ~(param : string -> float) e =
+(* The distinct offsets of [e] and the index of each in that table. *)
+let offset_table e =
   let offs = Array.of_list (offsets e) in
   let tbl = Hashtbl.create 16 in
   Array.iteri (fun k o -> Hashtbl.replace tbl o k) offs;
@@ -575,50 +552,58 @@ let lower ~(param : string -> float) e =
     | Some k -> k
     | None -> invalid_arg "Sexpr.lower: offset not in table"
   in
-  let low_linear =
-    match e with
-    | Div (body, ((Param _ | Const _ | Coef _) as d)) ->
-        linearize_sum ~param ~index
-          ~post:(Post_div (Option.get (scalar_value ~param d)))
-          body
-    | _ -> linearize_sum ~param ~index ~post:Post_none e
+  (offs, index)
+
+(** Lower an expression for table-driven execution. The indexed closure
+    and the row program are always bit-identical to {!compile}; the
+    linear form, when
+    present, reproduces the closure's rounding exactly (left-spine
+    accumulation, divisor applied last, matching how {!compile}
+    evaluates [Div (sum, invariant)]). *)
+let lower ~(param : string -> float) e =
+  let offs, index = offset_table e in
+  let body, div = split_post e in
+  let post =
+    match div with
+    | Some d -> Post_div (Option.get (scalar_value ~param d))
+    | None -> Post_none
   in
-  let low_partial =
-    match partial_sums e with
-    | None -> None
-    | Some (groups, _sym_post) ->
-        (* the numeric form of [partial_sums]'s symbolic post, with the
-           divisor resolved once *)
-        let post =
-          match e with
-          | Div (_, Param p) ->
-              let d = param p in
-              fun s -> s /. d
-          | Div (_, Const d) -> fun s -> s /. d
-          | Div (_, Coef o) ->
-              let d = coef_value o in
-              fun s -> s /. d
-          | _ -> Fun.id
-        in
-        let gs =
-          List.map
-            (fun (plane, g) ->
-              {
-                g_plane = plane;
-                g_linear = linearize_sum ~param ~index ~post:Post_none g;
-                g_eval = compile_indexed ~param ~index g;
-              })
-            groups
-        in
-        Some (Array.of_list gs, post)
-  in
+  let value, _, _, nodes = dag ~param ~index in
+  let root = value e in
   {
     low_offsets = offs;
     low_eval = compile_indexed ~param ~index e;
-    low_program = program_of ~param ~index e;
-    low_linear;
-    low_partial;
+    low_program = program_of (nodes ()) root;
+    low_linear = linearize_sum ~param ~index ~post body;
   }
+
+(** §4.1's associative dataflow as a lowering: the {!grouped} plane
+    groups, each rounded to single when [single], added in ascending
+    plane order to an accumulator that starts at [0.0] (which turns a
+    [-0.0] first group into [+0.0]), then divided by the post's
+    divisor. The row program is that sum; the indexed closure computes
+    it by folding per-group closures instead. A non-associative
+    expression lowers as {!lower}. *)
+let lower_partial_sums ~(param : string -> float) ~single e =
+  match grouped e with
+  | None -> lower ~param e
+  | Some (groups, div) ->
+      let offs, index = offset_table e in
+      let value, unary, binary, nodes = dag ~param ~index in
+      let rounded v = if single then unary Op_round_single v else v in
+      let sum =
+        List.fold_left (fun acc (_, g) -> binary Op_add acc (rounded (value g))) (V_scalar 0.0)
+          groups
+      in
+      let k = Option.map (fun d -> Option.get (scalar_value ~param d)) div in
+      let root = match k with Some k -> binary Op_div sum (V_scalar k) | None -> sum in
+      let evals = List.map (fun (_, g) -> compile_indexed ~param ~index g) groups in
+      let round x = if single then apply_unop Op_round_single x else x in
+      let low_eval read =
+        let s = List.fold_left (fun acc g -> acc +. round (g read)) 0.0 evals in
+        match k with Some k -> s /. k | None -> s
+      in
+      { low_offsets = offs; low_eval; low_program = program_of (nodes ()) root; low_linear = None }
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -69,11 +69,13 @@ val plane_of_offset : int array -> int
 val is_associative : t -> bool
 (** Computable by per-plane partial summation: a sum of single-plane
     terms, optionally wrapped in a final division by an invariant
-    (§4.1's associative-stencil condition). *)
+    ([Param], [Const] or [Coef]) — §4.1's associative-stencil
+    condition. Exactly when {!partial_sums} is [Some]. *)
 
 val partial_sums : t -> ((int * t) list * (t -> t)) option
 (** Summands grouped by sub-plane (ascending), plus the post-operation
-    applied to the completed sum; [None] if not associative. *)
+    applied to the completed sum (the division {!is_associative}
+    strips, or the identity); [None] if not associative. *)
 
 val coef_value : int array -> float
 (** Deterministic compile-time value of a symbolic coefficient, stable
@@ -114,14 +116,6 @@ type linear_form = {
   lt_post : post_op;
 }
 
-(** One per-plane partial-sum group (§4.1): flat when linear, indexed
-    closure always. *)
-type plane_group = {
-  g_plane : int;
-  g_linear : linear_form option;
-  g_eval : (int -> float) -> float;
-}
-
 (** {1 Row programs}
 
     The expression as a post-order list of single IEEE operations over
@@ -129,7 +123,9 @@ type plane_group = {
     loop per instruction over the row) instead of one closure call per
     node per cell. *)
 
-type unop = Op_neg | Op_sqrt
+(** [Op_round_single] rounds to the nearest IEEE single, kept as a
+    double: the storage rounding of an f32 grid. *)
+type unop = Op_neg | Op_sqrt | Op_round_single
 
 type binop = Op_add | Op_sub | Op_mul | Op_div
 
@@ -152,43 +148,44 @@ type instr =
     value is dead, so [n_rows] follows the tree's depth and the number
     of loaded cells live at once, not its node count. Every cell value
     is the result of the same IEEE operations on the same operands as
-    {!compile}'s closure tree, so the bits are the same. *)
+    {!compile}'s closure tree, so the bits are the same (for
+    {!lower}; {!lower_partial_sums} documents its own sum). *)
 type program = { instrs : instr array; n_rows : int; result : operand }
 
 val eval_program : program -> (int -> float) -> float
 (** One cell through the program, reading offset index [k] with
     [read k] — the per-cell meaning the row executors implement;
-    bit-identical to {!compile}. *)
+    bit-identical to [low_eval] of the lowering it came from. *)
 
 (** Precompiled table-driven execution form: the distinct offsets (the
-    read index space), an indexed closure bit-identical to {!compile},
-    the row program of the expression, the flat linear form when the expression is a left-leaning weighted
-    sum with an optional invariant-divisor post-op, and the per-plane groups of
-    {!partial_sums} with their numeric post-operation. Summing the
-    groups in ascending plane order is the accumulation order of AN5D's
-    streaming CALC macros (§4.1), which reassociates the source
-    expression — the rounding therefore differs from {!compile}, like
-    the real artifact's GPU-vs-CPU error (§A.6). *)
+    read index space), an indexed closure and a row program that compute
+    the same value, and the flat linear form when the expression is a
+    left-leaning weighted sum with an optional invariant-divisor
+    post-op. *)
 type lowered = {
   low_offsets : int array array;
   low_eval : (int -> float) -> float;
-  low_program : program;  (** the row program of the whole expression *)
+  low_program : program;  (** the row program of the whole value *)
   low_linear : linear_form option;
-  low_partial : (plane_group array * (float -> float)) option;
 }
-
-val apply_post : post_op -> float -> float
-
-val eval_linear : linear_form -> (int -> float) -> float
-(** Reference evaluation of a linear form — the same accumulation order
-    the executors inline. *)
 
 val lower : param:(string -> float) -> t -> lowered
 (** Lower for table-driven execution. The indexed closure, the row
-    program and the linear form are bit-identical to {!compile}; each
-    partial-sum group is bit-identical to {!compile} on the
-    corresponding {!partial_sums} group. test/test_plan.ml asserts
-    both. *)
+    program and the linear form are bit-identical to {!compile}
+    (test/test_plan.ml asserts it). *)
+
+val lower_partial_sums : param:(string -> float) -> single:bool -> t -> lowered
+(** Lower §4.1's associative dataflow, the accumulation order of AN5D's
+    streaming CALC macros: the {!partial_sums} groups, each rounded to
+    single when [single] (the f32 storage rounding of a partial sum),
+    added in ascending plane order to an accumulator that starts at
+    [0.0], then the post-operation. This reassociates the source
+    expression, so the rounding differs from {!compile}, like the real
+    artifact's GPU-vs-CPU error (§A.6). The row program computes that
+    sum ([Op_round_single] rows for the rounding); the indexed closure
+    folds per-group closures instead, so each checks the other; there
+    is no linear form. A non-associative expression lowers exactly as
+    {!lower}. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -115,6 +115,19 @@ let test_smem_table2 () =
   check "3D box r1" (box3d 1) ~bs:[| 8; 8 |] (27 - 3) (9 - 1);
   check "3D box r2" (box3d 2) ~bs:[| 16; 16 |] (125 - 5) (25 - 1)
 
+(* A star without its centre or streaming-column points,
+   [(a[i][j-1] + a[i][j+1]) / c[i][j]]: both points come from the tile,
+   none from the thread's registers, so it expects two reads, never a
+   negative count. *)
+let test_smem_reads_two_point_star () =
+  let p =
+    Stencil.Pattern.make ~name:"two-point" ~dims:2 ~params:[]
+      Stencil.Sexpr.(Div (Add (Cell [| 0; -1 |], Cell [| 0; 1 |]), Coef [| 0; 0 |]))
+  in
+  let m = em p ~bt:2 ~bs:[| 32 |] [| 64; 64 |] in
+  Alcotest.(check int) "expected" 2 (Execmodel.smem_reads_expected m);
+  Alcotest.(check int) "practical" 2 (Execmodel.smem_reads_practical m)
+
 (* Table 1 bottom: stores per cell *)
 let test_smem_writes () =
   let m = em (star2 2) ~bt:2 ~bs:[| 32 |] [| 64; 64 |] in
@@ -208,6 +221,7 @@ let () =
         [
           Alcotest.test_case "Table 1 smem footprint" `Quick test_smem_table1;
           Alcotest.test_case "Table 2 smem reads" `Quick test_smem_table2;
+          Alcotest.test_case "2-point star smem reads" `Quick test_smem_reads_two_point_star;
           Alcotest.test_case "Table 1 smem writes" `Quick test_smem_writes;
         ] );
       ( "time chunking",

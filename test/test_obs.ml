@@ -452,7 +452,8 @@ let bench_floors =
     ("BENCH_serve.json", []);
     ("BENCH_shard.json", [ "shard_floor"; "mp_floor" ]);
     ( "BENCH_throughput.json",
-      [ "streaming_floor"; "split_floor"; "reference_floor"; "generic_floor" ] );
+      [ "streaming_floor"; "split_floor"; "reference_floor"; "generic_floor";
+        "partial_sums_floor" ] );
   ]
 
 let test_committed_bench_files () =

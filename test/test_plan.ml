@@ -1,13 +1,12 @@
 (* Differential harness for the compiled execution-plan layer: the
    checked compiled plan ([Blocking.run_cfg ~checked:true]) and the
-   default path (streaming where the capability gate admits the plan)
-   must be *bit-identical* — same output grid word for word, same
+   default (streaming) path must be *bit-identical* — same output grid word for word, same
    counter totals field for field — across patterns (flat weighted
    sums, division post-ops, sqrt and right-nested fallbacks), execution
    modes, precisions, stream division, and pooled execution; in
    [Direct] mode both must also equal Stencil.Reference. Plus unit
-   tests for the expression lowering (including the partial-sum
-   groups) and the plan memo cache. *)
+   tests for the expression lowering (including the [Partial_sums]
+   grouped sum) and the plan memo cache. *)
 
 open An5d_core
 
@@ -67,11 +66,17 @@ let check_impls ?(mode = Blocking.Direct) ?domains ?prec name pattern cfg dims ~
     0.0
     (Stencil.Grid.max_abs_diff com def);
   Alcotest.check counters_t (name ^ " counters exact") com_c def_c;
-  if mode = Blocking.Direct then
-    Alcotest.(check (float 0.0))
-      (name ^ " = reference")
-      0.0
-      (Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) com)
+  match mode with
+  | Blocking.Direct ->
+      Alcotest.(check (float 0.0))
+        (name ^ " = reference")
+        0.0
+        (Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) com)
+  | Blocking.Partial_sums ->
+      Alcotest.(check string)
+        (name ^ " = per-cell grouped sum")
+        (Stencil.Grid.digest (Cell_oracle.run_partial_sums pattern ~steps g))
+        (Stencil.Grid.digest com)
 
 (* --- fixed differential cases --- *)
 
@@ -183,8 +188,36 @@ let test_lowering_forms () =
       Alcotest.(check bool) "div post" true
         (lf.Stencil.Sexpr.lt_post = Stencil.Sexpr.Post_div c0)
   | None -> Alcotest.fail "j2d5pt must flatten with a Post_div");
-  Alcotest.(check bool) "j2d5pt has partial groups" true
-    (lowj.Stencil.Sexpr.low_partial <> None);
+  (* §4.1's grouped sum: no linear form; three plane groups, each
+     rounded to single in f32 only; a non-associative expression lowers
+     as in [Direct] mode. *)
+  let grouped ~single p =
+    Stencil.Sexpr.lower_partial_sums ~param:(Stencil.Pattern.param_value p) ~single
+      p.Stencil.Pattern.expr
+  in
+  let rounds low =
+    Array.fold_left
+      (fun n -> function
+        | Stencil.Sexpr.Unary { op = Stencil.Sexpr.Op_round_single; _ } -> n + 1
+        | _ -> n)
+      0 low.Stencil.Sexpr.low_program.Stencil.Sexpr.instrs
+  in
+  Alcotest.(check bool) "j2d5pt grouped has no linear form" true
+    ((grouped ~single:false j).Stencil.Sexpr.low_linear = None);
+  Alcotest.(check int) "j2d5pt f32 rounds its 3 groups" 3 (rounds (grouped ~single:true j));
+  Alcotest.(check int) "j2d5pt f64 rounds nothing" 0 (rounds (grouped ~single:false j));
+  (* The grouped sum starts from +0.0: reads of -0.0 everywhere sum to
+     +0.0 there, where the expression as written gives -0.0. *)
+  let neg0 _ = -0.0 and bits = Int64.bits_of_float in
+  let g = grouped ~single:false (star ~dims:2 1) in
+  Alcotest.(check bool) "grouped sum of -0.0 reads is +0.0" true
+    (bits (Stencil.Sexpr.eval_program g.Stencil.Sexpr.low_program neg0) = bits 0.0
+    && bits (g.Stencil.Sexpr.low_eval neg0) = bits 0.0);
+  Alcotest.(check bool) "direct sum of -0.0 reads is -0.0" true
+    (bits ((Stencil.Pattern.lower (star ~dims:2 1)).Stencil.Sexpr.low_eval neg0) = bits (-0.0));
+  Alcotest.(check bool) "non-associative grouped = direct" true
+    ((grouped ~single:true sqrt_pattern).Stencil.Sexpr.low_program
+    = (Stencil.Pattern.lower sqrt_pattern).Stencil.Sexpr.low_program);
   let lowr = Stencil.Pattern.lower right_nested_pattern in
   Alcotest.(check bool) "right-nested does not flatten" true
     (lowr.Stencil.Sexpr.low_linear = None);
@@ -240,13 +273,28 @@ let test_row_program () =
   Alcotest.(check int) "balanced16 instructions" 31 (Array.length (prog b16).instrs);
   Alcotest.(check int) "balanced16 rows" 5 (prog b16).Stencil.Sexpr.n_rows
 
+(* A linear form evaluated term by term: the left-to-right accumulation
+   the executors inline, then the post-op. *)
+let eval_linear (lf : Stencil.Sexpr.linear_form) (read : int -> float) =
+  let term k =
+    let v = read lf.lt_off.(k) in
+    let k2 = lf.lt_off2.(k) in
+    let v = if k2 >= 0 then v +. read k2 else v in
+    if lf.lt_scaled.(k) then lf.lt_coef.(k) *. v else v
+  in
+  let acc = ref (term 0) in
+  for k = 1 to Array.length lf.lt_off - 1 do
+    acc := !acc +. term k
+  done;
+  match lf.lt_post with Stencil.Sexpr.Post_none -> !acc | Stencil.Sexpr.Post_div d -> !acc /. d
+
 (* low_eval, the row program (and eval_linear when present) replay the
-   closure tree bit-exactly for arbitrary read values; when the lowering carries
-   partial-sum groups, the grouped evaluation the compiled plan runs in
-   [Partial_sums] mode (each group rounded to the storage precision and
-   summed in ascending plane order, then the post-operation) equals the
-   same accumulation over [Sexpr.partial_sums] groups evaluated with
-   [Sexpr.compile], in both precisions. *)
+   closure tree bit-exactly for arbitrary read values; and the
+   [Partial_sums] lowering ({!Stencil.Sexpr.lower_partial_sums}) agrees
+   three ways, in both precisions: its row program, its indexed closure
+   and the per-cell fold of test/cell_oracle.ml ([Sexpr.partial_sums]
+   groups through [Sexpr.compile], each rounded to the precision,
+   summed from [0.0], then the post-operation). *)
 let prop_lowered_eval_matches_compile =
   QCheck.Test.make ~name:"lowered evaluation = compiled closure (bitwise)"
     ~count:100
@@ -275,43 +323,22 @@ let prop_lowered_eval_matches_compile =
       let expect = update read_off in
       let got = low.Stencil.Sexpr.low_eval read_idx in
       let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
-      let param = Stencil.Pattern.param_value pattern in
       let grouped_matches prec =
-        let round = Stencil.Grid.round_to_prec prec in
-        match
-          (low.Stencil.Sexpr.low_partial,
-           Stencil.Sexpr.partial_sums pattern.Stencil.Pattern.expr)
-        with
-        | None, None -> true
-        | Some (groups, post), Some (sgroups, spost) ->
-            let lowered =
-              Array.fold_left
-                (fun acc g ->
-                  let gv =
-                    match g.Stencil.Sexpr.g_linear with
-                    | Some lf -> Stencil.Sexpr.eval_linear lf read_idx
-                    | None -> g.Stencil.Sexpr.g_eval read_idx
-                  in
-                  acc +. round gv)
-                0.0 groups
-            in
-            let compiled =
-              List.fold_left
-                (fun acc (_, g) -> acc +. round (Stencil.Sexpr.compile ~param g read_off))
-                0.0 sgroups
-            in
-            let compiled_post =
-              Stencil.Sexpr.compile ~param (spost (Stencil.Sexpr.Const compiled)) read_off
-            in
-            Array.length groups = List.length sgroups
-            && same (round (post lowered)) (round compiled_post)
-        | _ -> false
+        let glow =
+          Stencil.Sexpr.lower_partial_sums
+            ~param:(Stencil.Pattern.param_value pattern)
+            ~single:(prec = Stencil.Grid.F32) pattern.Stencil.Pattern.expr
+        in
+        let read_g k = value_at glow.Stencil.Sexpr.low_offsets.(k) in
+        let fold = Cell_oracle.partial_sums_update ~prec pattern read_off in
+        same (Stencil.Sexpr.eval_program glow.Stencil.Sexpr.low_program read_g) fold
+        && same (glow.Stencil.Sexpr.low_eval read_g) fold
       in
       same got expect
       && same (Stencil.Sexpr.eval_program low.Stencil.Sexpr.low_program read_idx) expect
       && (match low.Stencil.Sexpr.low_linear with
          | None -> true
-         | Some lf -> same (Stencil.Sexpr.eval_linear lf read_idx) expect)
+         | Some lf -> same (eval_linear lf read_idx) expect)
       && grouped_matches Stencil.Grid.F64
       && grouped_matches Stencil.Grid.F32)
 
@@ -340,19 +367,21 @@ let test_cache_reg_limit_invariance () =
   let pattern = star ~dims:2 1 in
   let dims = [| 24; 20 |] in
   let em limit = Execmodel.make pattern (Config.make ~reg_limit:limit ~bt:2 ~bs:[| 14 |] ()) dims in
-  let p0 = Plan.get (em None) ~degree:2 ~prec:Stencil.Grid.F64 in
-  let p1 = Plan.get (em (Some 32)) ~degree:2 ~prec:Stencil.Grid.F64 in
-  let p2 = Plan.get (em (Some 64)) ~degree:2 ~prec:Stencil.Grid.F64 in
+  let p0 = Plan.get (em None) ~degree:2 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
+  let p1 = Plan.get (em (Some 32)) ~degree:2 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
+  let p2 = Plan.get (em (Some 64)) ~degree:2 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
   Alcotest.(check bool) "reg-limit variants share the plan" true (p0 == p1 && p1 == p2);
   let s = Plan.cache_stats () in
   Alcotest.(check int) "one compilation" 1 s.Plan.cache_misses;
   Alcotest.(check int) "two hits" 2 s.Plan.cache_hits;
   (* distinct degree or precision do recompile *)
-  let p3 = Plan.get (em None) ~degree:1 ~prec:Stencil.Grid.F64 in
-  let p4 = Plan.get (em None) ~degree:2 ~prec:Stencil.Grid.F32 in
+  let p3 = Plan.get (em None) ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
+  let p4 = Plan.get (em None) ~degree:2 ~prec:Stencil.Grid.F32 ~mode:Run_config.Direct in
   Alcotest.(check bool) "degree in the key" true (p3 != p0);
   Alcotest.(check bool) "precision in the key" true (p4 != p0);
-  Alcotest.(check int) "cache size" 3 (Plan.cache_stats ()).Plan.cache_size
+  let p5 = Plan.get (em None) ~degree:2 ~prec:Stencil.Grid.F64 ~mode:Run_config.Partial_sums in
+  Alcotest.(check bool) "mode in the key" true (p5 != p0);
+  Alcotest.(check int) "cache size" 4 (Plan.cache_stats ()).Plan.cache_size
 
 (* --- constant thread deltas --- *)
 
@@ -397,7 +426,7 @@ let test_thread_deltas () =
       let dims = Array.make pattern.Stencil.Pattern.dims 24 in
       let em = Execmodel.make pattern (Config.make ~bt ~bs ()) dims in
       for degree = 1 to bt do
-        let plan = Plan.get em ~degree ~prec:Stencil.Grid.F64 in
+        let plan = Plan.get em ~degree ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
         let name = Fmt.str "%s degree %d" pattern.Stencil.Pattern.name degree in
         let geo = plan.Plan.geo in
         let lf = Option.get plan.Plan.low.Stencil.Sexpr.low_linear in
@@ -494,9 +523,10 @@ let arb_case =
         domains)
     gen_case
 
-(* The default path (streaming wherever the gate admits the plan, run
-   over [domains]) against the sequential checked compiled plan; in
-   [Direct] mode both also equal the reference sweep. *)
+(* The default (streaming) path, run over [domains], against the
+   sequential checked compiled plan; both also equal the reference
+   sweep in [Direct] mode, the per-cell grouped sum of
+   test/cell_oracle.ml in [Partial_sums] mode. *)
 let prop_checked_equals_streaming =
   QCheck.Test.make
     ~name:"checked compiled plan = streaming path (grids and counters)"
@@ -519,9 +549,13 @@ let prop_checked_equals_streaming =
         let com, com_c = run_impl ~mode ~checked:true pattern cfg sizes ~steps g in
         Stencil.Grid.max_abs_diff com def = 0.0
         && Gpu.Counters.equal com_c def_c
-        && (mode = Blocking.Partial_sums
-           || Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) com
-              = 0.0)
+        &&
+        match mode with
+        | Blocking.Direct ->
+            Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) com = 0.0
+        | Blocking.Partial_sums ->
+            Stencil.Grid.digest (Cell_oracle.run_partial_sums pattern ~steps g)
+            = Stencil.Grid.digest com
       end)
 
 let () =

@@ -551,9 +551,9 @@ let test_session_compile () =
   let r2 = Session.submit s req in
   Alcotest.(check bool) "job cache warm" true (r2.Session.served = Session.Warm)
 
-(* Served partial-sums runs (the checked compiled plan) must be
-   bit-identical to direct ones in every storage precision (the serve
-   layer is a pure router). *)
+(* Served partial-sums runs (the grouped-sum lowering, on the streaming
+   path like every other run) must be bit-identical to in-process ones
+   in every storage precision (the serve layer is a pure router). *)
 let test_session_partial_sums () =
   with_session @@ fun s ->
   let run = Run_config.with_mode Run_config.Partial_sums Run_config.default in

@@ -117,12 +117,12 @@ let run_resident ?checked ~mode ~prec pattern cfg dims ~steps g =
 
 (* Always through [run_sharded], even at shards = 1 — that is exactly
    what its exposure in the .mli is for. *)
-let run_sharded ?(domains = 1) ?checked ~shards ~mode ~prec pattern cfg dims
+let run_sharded ?pool ?(domains = 1) ?checked ~shards ~mode ~prec pattern cfg dims
     ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
   let out, stats =
-    Blocking.run_sharded ?checked
+    Blocking.run_sharded ?pool ?checked
       (Run_config.make ~mode ~domains ~shards ())
       em ~machine ~steps g
   in
@@ -188,8 +188,8 @@ let arb_shard_case_in mode =
 
 (* Each cell of the matrix pins the mode and the path on both sides:
    [Direct] on the default (streaming) path, [Direct] forced onto the
-   checked compiled plan, and [Partial_sums], which the capability gate
-   routes to the compiled plan on its own. *)
+   checked compiled plan, and [Partial_sums] on the default path, where
+   its grouped-sum lowering streams on the generic kernel. *)
 let shard_prop ~shards ~checked
     (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) =
   let cfg = Config.make ~hs ~bt ~bs () in
@@ -247,7 +247,11 @@ let prop_counters_checked_equal =
       end)
 
 (* Pool execution: fanning the shards over worker domains must change
-   nothing — grids or counters (private per-shard machines, merged). *)
+   nothing — grids or counters (private per-shard machines, merged).
+   Every case shares one 4-domain pool: spawning one per case made the
+   suite's run time swing several-fold with the host's load. *)
+let pool4 = Gpu.Pool.create ~domains:4 ()
+
 let prop_pool_invariant =
   QCheck.Test.make
     ~name:"shards=4 over 4 domains = sequential (grids and counters)" ~count:60
@@ -261,7 +265,8 @@ let prop_pool_invariant =
           run_sharded ~shards:4 ~mode ~prec pattern cfg sizes ~steps g
         in
         let par, par_c, _ =
-          run_sharded ~domains:4 ~shards:4 ~mode ~prec pattern cfg sizes ~steps g
+          run_sharded ~pool:pool4 ~domains:4 ~shards:4 ~mode ~prec
+            pattern cfg sizes ~steps g
         in
         Stencil.Grid.max_abs_diff seq par = 0.0 && Gpu.Counters.equal seq_c par_c
       end)
@@ -431,6 +436,7 @@ let test_served_sharded () =
   An5d_serve.Session.shutdown session
 
 let () =
+  at_exit (fun () -> Gpu.Pool.shutdown pool4);
   Alcotest.run "shard"
     [
       ( "geometry",

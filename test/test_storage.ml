@@ -12,8 +12,8 @@
    path must likewise be bit-identical to the checked compiled plan
    (grids and counters) and, in [Direct] mode, to the reference sweep
    over stream-divided and division-post-op stencils in both
-   precisions; the capability gate that routes plans between the two
-   blocked paths is pinned. The kernel-shape matrix lives in
+   precisions; in [Partial_sums] mode both must equal a per-cell
+   grouped-sum sweep (test/cell_oracle.ml). The kernel-shape matrix lives in
    test/test_streaming.ml. On top: property
    tests that the unsafe accessors agree with the checked ones on every
    in-bounds index, an index-oracle fuzz proving the peeling invariant
@@ -73,29 +73,10 @@ let sqrt_pattern =
 (* Reference sweep vs a naive per-cell oracle                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The oracle: every interior cell evaluates the source expression
-   tree ({!Stencil.Pattern.compile}) through bounds-checked multi-index
-   reads; boundary cells keep their value. Independent of the lowering
-   the sweep runs on. *)
-let oracle_run pattern ~steps g =
-  let rad = pattern.Stencil.Pattern.radius in
-  let update = Stencil.Pattern.compile pattern in
-  let cur = ref (Stencil.Grid.copy g) in
-  for _ = 1 to steps do
-    let src = !cur in
-    let dst = Stencil.Grid.copy src in
-    let at = Array.make pattern.Stencil.Pattern.dims 0 in
-    Poly.Box.iter
-      (fun idx ->
-        let read off =
-          Array.iteri (fun d i -> at.(d) <- i + off.(d)) idx;
-          Stencil.Grid.get src at
-        in
-        Stencil.Grid.set dst idx (update read))
-      (Stencil.Grid.interior ~rad src);
-    cur := dst
-  done;
-  !cur
+(* The oracle is {!Cell_oracle.run}: every interior cell evaluates the
+   source expression tree ({!Stencil.Pattern.compile}) through
+   bounds-checked multi-index reads; boundary cells keep their value.
+   Independent of the lowering the sweep runs on. *)
 
 (* [l] with [x] inserted before its element [i] ([i = List.length l]
    appends). *)
@@ -212,7 +193,7 @@ let prop_ref_equals_oracle =
       if (Stencil.Pattern.lower pattern).Stencil.Sexpr.low_linear = None then
         QCheck.Test.fail_report "pattern has no linear form";
       let g = Stencil.Grid.init_random ~prec dims in
-      let expect = Stencil.Grid.digest (oracle_run pattern ~steps g) in
+      let expect = Stencil.Grid.digest (Cell_oracle.run pattern ~steps g) in
       Stencil.Grid.digest (Stencil.Reference.run pattern ~steps g) = expect
       && Stencil.Grid.digest (Stencil.Reference.run ~par pattern ~steps g) = expect)
 
@@ -221,7 +202,7 @@ let test_ref_nonlinear () =
   List.iter
     (fun (name, prec) ->
       let g = Stencil.Grid.init_random ~prec [| 14; 12 |] in
-      let a = oracle_run sqrt_pattern ~steps:3 g in
+      let a = Cell_oracle.run sqrt_pattern ~steps:3 g in
       let b = Stencil.Reference.run sqrt_pattern ~steps:3 g in
       Alcotest.(check (float 0.0)) name 0.0 (Stencil.Grid.max_abs_diff a b))
     [ ("sqrt f64", Stencil.Grid.F64); ("sqrt f32", Stencil.Grid.F32) ]
@@ -234,7 +215,7 @@ let test_ref_degenerate_shapes () =
       List.iter
         (fun prec ->
           let g = Stencil.Grid.init_random ~prec dims in
-          let a = oracle_run pattern ~steps:3 g in
+          let a = Cell_oracle.run pattern ~steps:3 g in
           let b = Stencil.Reference.run pattern ~steps:3 g in
           Alcotest.(check (float 0.0))
             (Fmt.str "%s %s" name (Stencil.Grid.precision_to_string prec))
@@ -272,7 +253,7 @@ let test_ref_chunk_edges () =
               List.iter
                 (fun prec ->
                   let g = Stencil.Grid.init_random ~prec [| 13; 14 |] in
-                  let expect = Stencil.Grid.digest (oracle_run pattern ~steps:2 g) in
+                  let expect = Stencil.Grid.digest (Cell_oracle.run pattern ~steps:2 g) in
                   let name =
                     Fmt.str "%s %s" pattern.Stencil.Pattern.name
                       (Stencil.Grid.precision_to_string prec)
@@ -359,7 +340,10 @@ let blocked_prop mode (pattern, rad, bt, bs, sizes, prec, steps, hs) =
     let com, com_c =
       run_blocked ~checked:true ~mode ~prec pattern cfg sizes ~steps g
     in
-    Stencil.Grid.max_abs_diff com def = 0.0 && Gpu.Counters.equal com_c def_c
+    Stencil.Grid.max_abs_diff com def = 0.0
+    && Gpu.Counters.equal com_c def_c
+    && (mode = Blocking.Direct
+       || Stencil.Grid.digest (Cell_oracle.run_partial_sums pattern ~steps g) = Stencil.Grid.digest def)
   end
 
 let prop_blocked_direct =
@@ -368,8 +352,9 @@ let prop_blocked_direct =
     ~count:200 arb_blocked_case
     (blocked_prop Blocking.Direct)
 
-(* Partial_sums is refused by the gate, so the default path must take
-   the compiled plan itself — bit for bit the forced one. *)
+(* [Partial_sums] streams its grouped-sum row program; the checked
+   compiled plan folds per-group closures — bit for bit the same, and
+   the same as the per-cell grouped sum. *)
 let prop_blocked_psum =
   QCheck.Test.make
     ~name:"blocked partial-sums: default path = checked compiled plan (grids and counters)"
@@ -415,22 +400,45 @@ let test_blocked_fixed () =
       ("psum f32", Blocking.Partial_sums, Stencil.Grid.F32);
     ]
 
-(* unsafe_capable gates the streaming path: every Direct plan streams,
-   non-linear lowerings on the generic kernel; Partial_sums must refuse
-   (it falls back to the compiled plan). *)
-let test_unsafe_capable_gate () =
-  let em = Execmodel.make (star ~dims:2 1) (Config.make ~bt:2 ~bs:[| 16 |] ()) [| 20; 24 |] in
-  let plan = Plan.get em ~degree:2 ~prec:Stencil.Grid.F64 in
-  Alcotest.(check bool) "direct + linear capable" true
-    (Plan.unsafe_capable plan ~mode:Run_config.Direct);
-  Alcotest.(check bool) "partial sums refused" false
-    (Plan.unsafe_capable plan ~mode:Run_config.Partial_sums);
-  let em_sqrt = Execmodel.make sqrt_pattern (Config.make ~bt:2 ~bs:[| 16 |] ()) [| 20; 24 |] in
-  let plan_sqrt = Plan.get em_sqrt ~degree:2 ~prec:Stencil.Grid.F64 in
-  Alcotest.(check bool) "direct + non-linear capable" true
-    (Plan.unsafe_capable plan_sqrt ~mode:Run_config.Direct);
-  Alcotest.(check bool) "partial sums + non-linear refused" false
-    (Plan.unsafe_capable plan_sqrt ~mode:Run_config.Partial_sums)
+(* [Partial_sums] on both blocked paths against the per-cell grouped
+   sum ({!Cell_oracle.run_partial_sums}), in both precisions: a star
+   with a [Param] divisor (j2d5pt), a box, a [/ c0] form and a sum
+   divided by a [Coef] (whose divisor was once applied twice). *)
+let test_blocked_psum_oracle () =
+  let coef_div =
+    Stencil.Pattern.make ~name:"coef-div" ~dims:2 ~params:[]
+      Stencil.Sexpr.(Div (Add (Cell [| 0; -1 |], Cell [| 0; 1 |]), Coef [| 0; 0 |]))
+  in
+  let j2d5pt =
+    (Option.get (Bench_defs.Benchmarks.find "j2d5pt")).Bench_defs.Benchmarks.pattern
+  in
+  List.iter
+    (fun (pattern, cfg, dims) ->
+      List.iter
+        (fun prec ->
+          let name =
+            Fmt.str "%s %s" pattern.Stencil.Pattern.name
+              (Stencil.Grid.precision_to_string prec)
+          in
+          let g = Stencil.Grid.init_random ~prec dims in
+          let expect = Cell_oracle.run_partial_sums pattern ~steps:4 g in
+          List.iter
+            (fun checked ->
+              let out, _ =
+                run_blocked ~checked ~mode:Blocking.Partial_sums ~prec pattern cfg dims
+                  ~steps:4 g
+              in
+              Alcotest.(check string)
+                (Fmt.str "%s %s = oracle" name (if checked then "checked" else "streaming"))
+                (Stencil.Grid.digest expect) (Stencil.Grid.digest out))
+            [ false; true ])
+        [ Stencil.Grid.F64; Stencil.Grid.F32 ])
+    [
+      (j2d5pt, Config.make ~bt:3 ~bs:[| 16 |] (), [| 30; 40 |]);
+      (box ~dims:2 1, Config.make ~bt:2 ~bs:[| 12 |] (), [| 20; 28 |]);
+      (with_div (box ~dims:3 1), Config.make ~bt:2 ~bs:[| 8; 10 |] (), [| 12; 14; 15 |]);
+      (coef_div, Config.make ~bt:2 ~bs:[| 32 |] (), [| 64; 64 |]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Unsafe accessors vs checked accessors                               *)
@@ -793,7 +801,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_blocked_psum;
           QCheck_alcotest.to_alcotest prop_blocked_vs_reference;
           Alcotest.test_case "fixed cases with counters" `Quick test_blocked_fixed;
-          Alcotest.test_case "unsafe_capable gate" `Quick test_unsafe_capable_gate;
+          Alcotest.test_case "partial-sums = per-cell oracle" `Quick test_blocked_psum_oracle;
         ] );
       ( "unsafe accessors",
         [

@@ -350,6 +350,9 @@ let stream_prop mode (pattern, rad, bt, bs, hs, sizes, prec, steps, shards) =
     in
     Stencil.Grid.digest stm = Stencil.Grid.digest com
     && Gpu.Counters.equal stm_c com_c
+    && (mode = Blocking.Direct
+       || Stencil.Grid.digest (Cell_oracle.run_partial_sums pattern ~steps g)
+          = Stencil.Grid.digest stm)
   end
 
 let prop_streaming_vs_compiled =
@@ -358,12 +361,13 @@ let prop_streaming_vs_compiled =
     ~count:200 arb_stream_case
     (stream_prop Blocking.Direct)
 
-(* Partial_sums reassociates, so the capability gate must route the
-   default path through the compiled plan — results must still match
-   the forced checked path exactly. *)
-let prop_streaming_psum_fallback =
+(* [Partial_sums] streams its lowering, §4.1's grouped sum as a row
+   program, on the generic kernel: it must match the forced checked
+   path (which folds per-group closures) and the per-cell grouped sum
+   of test/cell_oracle.ml exactly. *)
+let prop_streaming_psum =
   QCheck.Test.make
-    ~name:"blocked partial-sums: streaming falls back = compiled" ~count:60
+    ~name:"blocked partial-sums: streaming = compiled = per-cell oracle" ~count:60
     arb_stream_case
     (stream_prop Blocking.Partial_sums)
 
@@ -610,7 +614,7 @@ let test_golden prec path () =
 let test_unsafe_contract () =
   let dims = [| 12; 9 |] in
   let em = Execmodel.make (star ~dims:2 1) (Config.make ~bt:1 ~bs:[| 6 |] ()) dims in
-  let plan = Plan.get em ~degree:1 ~prec:Stencil.Grid.F64 in
+  let plan = Plan.get em ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
   let src = Stencil.Grid.init_random dims in
   let refused ?(dst = Stencil.Grid.create dims) plan =
     let machine = Gpu.Machine.create Gpu.Device.v100 in
@@ -636,7 +640,7 @@ let test_unsafe_contract () =
   Alcotest.(check bool) "term delta table too short" true
     (refused { plan with Plan.t_delta = [||] });
   let em5 = Execmodel.make sym5 (Config.make ~bt:1 ~bs:[| 6 |] ()) dims in
-  let plan5 = Plan.get em5 ~degree:1 ~prec:Stencil.Grid.F64 in
+  let plan5 = Plan.get em5 ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
   Alcotest.(check bool) "well-formed folded plan runs" false (refused plan5);
   Alcotest.(check bool) "pair delta past the tile from a run's end" true
     (refused
@@ -644,7 +648,7 @@ let test_unsafe_contract () =
   (* The generic kernel reads its loads through the per-offset deltas;
      a row number out of range fails a checked array access. *)
   let emg = Execmodel.make sqrt_pattern (Config.make ~bt:1 ~bs:[| 6 |] ()) dims in
-  let plang = Plan.get emg ~degree:1 ~prec:Stencil.Grid.F64 in
+  let plang = Plan.get emg ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
   Alcotest.(check bool) "well-formed generic plan runs" false (refused plang);
   Alcotest.(check bool) "offset delta past the tile from a run's end" true
     (refused { plang with Plan.off_delta = all (plang.Plan.rad + 1) plang.Plan.off_delta });
@@ -712,23 +716,32 @@ let test_dispatch_counters () =
       ("wide25pt_bare", zoo_named "bare25");
     ];
   Alcotest.(check int) "no wide4pt dispatch" 0 (counter_value "streaming_dispatch_wide4pt");
-  (* A [Direct] non-linear run streams on the generic kernel; only
-     [Partial_sums] takes the checked path. *)
+  (* A [Direct] non-linear run streams on the generic kernel, and so
+     does every [Partial_sums] run: its grouped sum has no linear form.
+     No call takes a fallback path. *)
   let generic = counter_value "streaming_dispatch_generic" in
-  let fallback = counter_value "streaming_dispatch_fallback" in
   run ~mode:Blocking.Direct sqrt_pattern;
   run ~mode:Blocking.Direct (bench "gradient2d");
   Alcotest.(check bool) "generic dispatch ticked" true
     (counter_value "streaming_dispatch_generic" > generic);
-  Alcotest.(check int) "no fallback for Direct non-linear runs" fallback
-    (counter_value "streaming_dispatch_fallback");
+  let dispatched () =
+    List.fold_left
+      (fun n (name, v) ->
+        if String.starts_with ~prefix:"streaming_dispatch_" name then n + v else n)
+      0 (Obs.Metrics.snapshot ()).Obs.Metrics.counters
+  in
   let generic = counter_value "streaming_dispatch_generic" in
+  let fused = counter_value "streaming_dispatch_fused5pt" in
+  let all = dispatched () and launches = counter_value "kernel_launches" in
   run ~mode:Blocking.Partial_sums (star ~dims:2 1);
   run ~mode:Blocking.Partial_sums (bench "gradient2d");
-  Alcotest.(check bool) "fallback ticked for Partial_sums" true
-    (counter_value "streaming_dispatch_fallback" > fallback);
-  Alcotest.(check int) "no generic dispatch for Partial_sums" generic
+  Alcotest.(check int) "Partial_sums: two runs x two calls on generic" (generic + 4)
     (counter_value "streaming_dispatch_generic");
+  Alcotest.(check int) "Partial_sums never takes the linear kernel" fused
+    (counter_value "streaming_dispatch_fused5pt");
+  Alcotest.(check int) "one dispatch tick per kernel launch"
+    (counter_value "kernel_launches" - launches)
+    (dispatched () - all);
   (* the plan cache surfaced its stats: counters moved and the resident
      gauge is live *)
   let snap = Obs.Metrics.snapshot () in
@@ -751,7 +764,7 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_streaming_vs_compiled;
-          QCheck_alcotest.to_alcotest prop_streaming_psum_fallback;
+          QCheck_alcotest.to_alcotest prop_streaming_psum;
           QCheck_alcotest.to_alcotest prop_streaming_vs_reference;
           QCheck_alcotest.to_alcotest prop_nonlinear;
           Alcotest.test_case "fixed kernel matrix" `Quick test_fixed_shapes;

@@ -565,8 +565,9 @@ let test_bad_chaos () =
 
 let case name f = Alcotest.test_case name `Quick f
 
-(* [Partial_sums] takes the checked compiled plan inside every worker,
-   so both kernel paths cross the process boundary. *)
+(* Both modes cross the process boundary: [Partial_sums] plans lower to
+   the grouped-sum row program inside every worker, [Direct] ones to
+   their own kernels. *)
 let differential_cases =
   List.concat_map
     (fun (mname, mode) ->
