@@ -221,8 +221,8 @@ let () =
         [
           Alcotest.test_case "Table 1 smem footprint" `Quick test_smem_table1;
           Alcotest.test_case "Table 2 smem reads" `Quick test_smem_table2;
-          Alcotest.test_case "2-point star smem reads" `Quick test_smem_reads_two_point_star;
           Alcotest.test_case "Table 1 smem writes" `Quick test_smem_writes;
+          Alcotest.test_case "2-point star smem reads" `Quick test_smem_reads_two_point_star;
         ] );
       ( "time chunking",
         [
