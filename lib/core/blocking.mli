@@ -24,9 +24,10 @@
     bit-identical to the reference) or [Partial_sums] (the §4.1
     associative dataflow — per-plane partial sums accumulated in
     ascending plane order; reassociates the arithmetic like the real
-    generated kernels, so results differ from the reference in the last
-    bits — the artifact's reported GPU-vs-CPU error, §A.6). Lowers as
-    [Direct] for non-associative expressions. Canonically defined in
+    generated kernels, so results differ from the [Direct] reference in
+    the last bits — the artifact's reported GPU-vs-CPU error, §A.6 —
+    and match the reference run in the same mode bit for bit). Lowers
+    as [Direct] for non-associative expressions. Canonically defined in
     {!Run_config}; re-exported here for executor call sites. *)
 type exec_mode = Run_config.exec_mode = Direct | Partial_sums
 

@@ -41,6 +41,92 @@ let source_of_file_result path =
   | src -> Ok src
   | exception Compile_error msg -> Error msg
 
+(* ------------------------------------------------------------------ *)
+(* The front end: one memoized detection per (text, param_values)      *)
+(* ------------------------------------------------------------------ *)
+
+type detect_failure =
+  | Lexical of string * Cparse.Srcloc.t
+  | Syntax of string * Cparse.Srcloc.t
+  | Not_a_stencil of string
+  | Raised of exn
+
+type detected = {
+  verdict : (Stencil.Detect.result, detect_failure) result;
+  digest_hex : string;
+}
+
+let detect_error ?(located = true) ~origin failure =
+  let at ppf loc = if located then Fmt.pf ppf ":%a" Cparse.Srcloc.pp loc in
+  match failure with
+  | Lexical (msg, loc) -> Fmt.str "%s%a: lexical error: %s" origin at loc msg
+  | Syntax (msg, loc) -> Fmt.str "%s%a: syntax error: %s" origin at loc msg
+  | Not_a_stencil msg -> Fmt.str "%s: not an AN5D stencil: %s" origin msg
+  | Raised e -> Fmt.str "%s: %s" origin (Printexc.to_string e)
+
+let detect_uncached ~param_values text =
+  let verdict =
+    match Stencil.Detect.of_string ~param_values text with
+    | r -> Ok r
+    | exception Cparse.Lexer.Error (msg, loc) -> Error (Lexical (msg, loc))
+    | exception Cparse.Parser.Error (msg, loc) -> Error (Syntax (msg, loc))
+    | exception Stencil.Detect.Rejected msg -> Error (Not_a_stencil msg)
+    | exception e -> Error (Raised e)
+  in
+  { verdict; digest_hex = Digest.to_hex (Digest.string text) }
+
+(* Keyed on the whole text, compared byte for byte, and on the
+   parameter bindings, compared bit for bit: an entry answers exactly
+   the question it was computed for. *)
+module Memo = Hashtbl.Make (struct
+  type t = string * (string * float) list
+
+  let equal (t1, p1) (t2, p2) =
+    String.equal t1 t2
+    && List.equal
+         (fun (n1, v1) (n2, v2) ->
+           String.equal n1 n2 && Int64.equal (Int64.bits_of_float v1) (Int64.bits_of_float v2))
+         p1 p2
+
+  let hash = Hashtbl.hash
+end)
+
+let detect_memo_capacity = 128
+
+(* Evicted oldest-inserted first. The lock covers the lookup and the
+   insert only, so two racing misses of one key may both detect; the
+   first insert wins and both callers return it. *)
+let memo : detected Memo.t = Memo.create detect_memo_capacity
+
+let memo_order : Memo.key Queue.t = Queue.create ()
+
+let memo_lock = Mutex.create ()
+
+let m_detect_hits = Obs.Metrics.counter "frontend_detect_hits"
+
+let m_detect_misses = Obs.Metrics.counter "frontend_detect_misses"
+
+let detect_memo_size () = Mutex.protect memo_lock (fun () -> Memo.length memo)
+
+let detect ?(param_values = []) src =
+  let key = (src.text, param_values) in
+  match Mutex.protect memo_lock (fun () -> Memo.find_opt memo key) with
+  | Some d ->
+      Obs.Metrics.incr m_detect_hits;
+      d
+  | None ->
+      Obs.Metrics.incr m_detect_misses;
+      let d = detect_uncached ~param_values src.text in
+      Mutex.protect memo_lock (fun () ->
+          match Memo.find_opt memo key with
+          | Some first -> first
+          | None ->
+              if Memo.length memo >= detect_memo_capacity then
+                Memo.remove memo (Queue.pop memo_order);
+              Memo.add memo key d;
+              Queue.push key memo_order;
+              d)
+
 type job = {
   detection : Stencil.Detect.result;
   config : Config.t;
@@ -54,13 +140,10 @@ let compile ?param_values ?dims ?prec ~config src =
   Obs.Trace.with_span "compile" ~attrs:[ ("origin", Obs.Trace.Str src.origin) ]
   @@ fun () ->
   let detection =
-    try Stencil.Detect.of_string ?param_values src.text with
-    | Cparse.Lexer.Error (msg, loc) ->
-        raise (Compile_error (Fmt.str "%s:%a: lexical error: %s" src.origin Cparse.Srcloc.pp loc msg))
-    | Cparse.Parser.Error (msg, loc) ->
-        raise (Compile_error (Fmt.str "%s:%a: syntax error: %s" src.origin Cparse.Srcloc.pp loc msg))
-    | Stencil.Detect.Rejected msg ->
-        raise (Compile_error (Fmt.str "%s: not an AN5D stencil: %s" src.origin msg))
+    match (detect ?param_values src).verdict with
+    | Ok r -> r
+    | Error (Raised e) -> raise e
+    | Error f -> raise (Compile_error (detect_error ~origin:src.origin f))
   in
   let dims =
     match (dims, detection.Stencil.Detect.grid_dims) with
@@ -90,6 +173,7 @@ let execmodel job = Execmodel.make (pattern job) job.config job.dims
 
 (** The generated CUDA translation unit (host + all kernel degrees). *)
 let cuda_source job =
+  Obs.Trace.with_span "codegen" @@ fun () ->
   Codegen_cuda.generate
     (Codegen_cuda.make ~pattern:(pattern job) ~config:job.config ~prec:job.prec
        ~dims:job.dims)
@@ -117,9 +201,9 @@ let result_digest o =
 let g_verify_deviation = Obs.Metrics.gauge "simulate_max_abs_deviation"
 
 (** Compare [result] with the naive reference run of [steps] steps from
-    [input] (the artifact's CPU check, §A.6), sweeping the reference's
-    rows over [domains] lanes. *)
-let verify ~domains job ~steps ~input result =
+    [input] in [mode] (the artifact's CPU check, §A.6), sweeping the
+    reference's rows over [domains] lanes. *)
+let verify ~domains ~mode job ~steps ~input result =
   Obs.Trace.with_span "verify" @@ fun () ->
   Obs.Trace.add_attrs [ ("lanes", Obs.Trace.Int domains) ];
   (* The reference gets a pool of its own, created here, after the
@@ -135,7 +219,7 @@ let verify ~domains job ~steps ~input result =
               { Stencil.Reference.lanes = Gpu.Pool.size pool; run = Gpu.Pool.run pool })
             pool
         in
-        Stencil.Reference.run ?par (pattern job) ~steps input)
+        Stencil.Reference.run ?par ~mode (pattern job) ~steps input)
   in
   let d = Stencil.Grid.max_abs_diff reference result in
   Obs.Metrics.set_gauge g_verify_deviation d;
@@ -145,8 +229,10 @@ let verify ~domains job ~steps ~input result =
 (** Run the blocked schedule on the simulated [device] and verify the
     output against the naive reference (the artifact's CPU check,
     §A.6). [verify] can be disabled for large grids; [mode] selects the
-    CALC evaluation strategy (partial sums reassociate, so verification
-    then reports a small nonzero error, as the real artifact does).
+    CALC evaluation strategy, and the reference adds in the same order
+    (partial sums reassociate the source expression, so checking them
+    against the [Direct] sweep would report a rounding error as a
+    fault).
     [domains > 1] executes the independent thread blocks of each kernel
     call in parallel, and splits the reference sweep's rows across the
     same number of lanes, bit-identically to the sequential run. *)
@@ -170,7 +256,9 @@ let simulate_cfg ?(cfg = Run_config.default) ~device ~steps job grid =
   Log.info (fun m -> m "launch: %a" Blocking.pp_launch_stats stats);
   let verified =
     if not cfg.Run_config.verify then Ok ()
-    else verify ~domains:cfg.Run_config.domains job ~steps ~input:grid result
+    else
+      verify ~domains:cfg.Run_config.domains ~mode:cfg.Run_config.mode job ~steps
+        ~input:grid result
   in
   {
     result;

@@ -1,6 +1,11 @@
 (** End-to-end AN5D driver: C source in, CUDA source + verified
     simulation out. The library's front door, used by the [an5d] CLI
-    and the examples. *)
+    and the examples.
+
+    The C front end (lex, parse, detect) runs once per source text:
+    {!detect} memoizes its verdict process-wide, and {!compile} and the
+    serving layer's request keying both go through it, so a repeated
+    source costs a hash lookup. *)
 
 type source = { text : string; origin : string }
 
@@ -19,6 +24,53 @@ val source_of_file : string -> source
 val source_of_file_result : string -> (source, string) result
 (** Exception-free variant of {!source_of_file}. *)
 
+(** {1 The front end} *)
+
+(** Why a source failed the front end, without the source's origin —
+    {!detect_error} adds the origin of whoever asks, so one memo entry
+    serves callers that name the same text differently. *)
+type detect_failure =
+  | Lexical of string * Cparse.Srcloc.t
+  | Syntax of string * Cparse.Srcloc.t
+  | Not_a_stencil of string  (** {!Stencil.Detect.Rejected} *)
+  | Raised of exn
+      (** any other exception of the front end, such as the [Failure]
+          of an integer literal too large for [int]; {!compile}
+          re-raises it *)
+
+type detected = {
+  verdict : (Stencil.Detect.result, detect_failure) result;
+  digest_hex : string;  (** [Digest.to_hex (Digest.string text)] *)
+}
+
+val detect : ?param_values:(string * float) list -> source -> detected
+(** Lex, parse and detect [src.text] ({!Stencil.Detect.of_string}),
+    memoized process-wide on the full text and [param_values] (the
+    origin is not part of the key). A hit is a hash lookup: it neither
+    re-detects nor re-digests the text. The memo holds at most
+    {!detect_memo_capacity} entries, evicting the oldest insert first;
+    its lock is held only to look up and to insert, so two domains that
+    miss the same key at once may both detect, and both return the
+    entry inserted first. Counts [frontend_detect_hits] and
+    [frontend_detect_misses]. Never raises for a bad source: the
+    failure is in [verdict]. *)
+
+val detect_error : ?located:bool -> origin:string -> detect_failure -> string
+(** The message of a failure, prefixed by [origin]:
+    [ORIGIN:LINE:COL: lexical error: ...],
+    [ORIGIN:LINE:COL: syntax error: ...] or
+    [ORIGIN: not an AN5D stencil: ...] ([ORIGIN: EXN] for [Raised]).
+    [~located:false] leaves out
+    [:LINE:COL] (the tune request's wording). *)
+
+val detect_memo_capacity : int
+(** The memo's bound, a constant. *)
+
+val detect_memo_size : unit -> int
+(** Entries in the memo now, at most {!detect_memo_capacity}. *)
+
+(** {1 Jobs} *)
+
 type job = {
   detection : Stencil.Detect.result;
   config : Config.t;
@@ -33,17 +85,20 @@ val compile :
   config:Config.t ->
   source ->
   job
-(** Parse, detect and configure. [dims] overrides the grid sizes
-    (required when the source uses dynamic sizes); [prec] overrides the
-    element type of the source.
-    @raise Compile_error on any front-end failure. *)
+(** Detect (through {!detect}, so a source seen before is not parsed
+    again) and configure. [dims] overrides the grid sizes (required
+    when the source uses dynamic sizes); [prec] overrides the element
+    type of the source.
+    @raise Compile_error on any front-end failure, with the
+    {!detect_error} message for [src.origin]. *)
 
 val pattern : job -> Stencil.Pattern.t
 
 val execmodel : job -> Execmodel.t
 
 val cuda_source : job -> string
-(** The generated CUDA translation unit (host + all kernel degrees). *)
+(** The generated CUDA translation unit (host + all kernel degrees),
+    inside a [codegen] span. *)
 
 type outcome = {
   result : Stencil.Grid.t;
@@ -68,14 +123,17 @@ val result_digest : outcome -> string
 
 val verify :
   domains:int ->
+  mode:Run_config.exec_mode ->
   job ->
   steps:int ->
   input:Stencil.Grid.t ->
   Stencil.Grid.t ->
   (unit, float) Result.t
-(** [verify ~domains job ~steps ~input result] compares [result] with
-    the naive reference run of [steps] steps from [input] — the
+(** [verify ~domains ~mode job ~steps ~input result] compares [result]
+    with the naive reference run of [steps] steps from [input] — the
     artifact's CPU check (§A.6) — inside a [verify] span. The reference
+    adds in [mode]'s order ({!Stencil.Reference.run}), so a correct
+    [Partial_sums] result verifies bit-exactly too. The reference
     sweep runs its rows over a pool of [domains] lanes, created for the
     check and joined before it returns, each lane on an accumulator row
     of its own when the form needs one (a form of at most 9 plain terms
@@ -94,9 +152,8 @@ val simulate_cfg :
   outcome
 (** Run the blocked schedule on the simulated device under a unified
     {!Run_config} (default {!Run_config.default}): [cfg.verify]
-    compares against the naive reference, the artifact's CPU check
-    (§A.6); with [cfg.mode = Partial_sums] verification reports the
-    small reassociation error the real artifact also sees;
+    compares against the naive reference in [cfg.mode], the artifact's
+    CPU check (§A.6);
     [cfg.domains > 1] runs the thread blocks of each kernel call in
     parallel, and {!verify} splits the reference sweep's rows over the
     same number of lanes (results are bit-identical either way).

@@ -1,6 +1,6 @@
 (* The unified execution-request configuration. See run_config.mli. *)
 
-type exec_mode = Direct | Partial_sums
+type exec_mode = Stencil.Reference.mode = Direct | Partial_sums
 
 type t = {
   mode : exec_mode;

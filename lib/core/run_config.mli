@@ -14,12 +14,13 @@
     ({!to_sexp}) and a semantic {!cache_key}, which is what makes the
     request keys of the [An5d_serve] serving layer well-defined. *)
 
-(** How CALC evaluates the update — the canonical definition;
-    {!Blocking.exec_mode} re-exports it. [Direct] is the expression as
-    written (bit-identical to the reference); [Partial_sums] is the
-    §4.1 associative dataflow, which reassociates the arithmetic like
-    the real generated kernels. *)
-type exec_mode = Direct | Partial_sums
+(** How CALC evaluates the update — the reference's
+    {!Stencil.Reference.mode}, so a run's mode is also the arithmetic
+    it is verified against; {!Blocking.exec_mode} re-exports it.
+    [Direct] is the expression as written; [Partial_sums] is the §4.1
+    associative dataflow, which reassociates the arithmetic like the
+    real generated kernels. *)
+type exec_mode = Stencil.Reference.mode = Direct | Partial_sums
 
 type t = {
   mode : exec_mode;

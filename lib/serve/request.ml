@@ -41,17 +41,12 @@ let simulate ?id ?deadline ?dims ?prec ?(seed = 0)
     body = Simulate { spec = { source; config; dims; prec }; device; steps; seed; run } }
 
 let detect_for_tune ?dims source =
-  match Stencil.Detect.of_string source.Framework.text with
-  | exception Stencil.Detect.Rejected msg ->
-      Error (Fmt.str "%s: not an AN5D stencil: %s" source.Framework.origin msg)
-  | exception Cparse.Lexer.Error (msg, _) ->
-      Error (Fmt.str "%s: lexical error: %s" source.Framework.origin msg)
-  | exception Cparse.Parser.Error (msg, _) ->
-      Error (Fmt.str "%s: syntax error: %s" source.Framework.origin msg)
-  | r -> (
+  let d = Framework.detect source in
+  match d.Framework.verdict with
+  | Error f -> Error (Framework.detect_error ~located:false ~origin:source.Framework.origin f)
+  | Ok r -> (
       match (dims, r.Stencil.Detect.grid_dims) with
-      | Some d, _ -> Ok (r, d)
-      | None, Some d -> Ok (r, d)
+      | Some dims, _ | None, Some dims -> Ok (r, d.Framework.digest_hex, dims)
       | None, None ->
           Error
             (Fmt.str "%s: dynamic grid sizes; tuning needs dims=..."
@@ -59,13 +54,12 @@ let detect_for_tune ?dims source =
 
 let tune ?id ?deadline ?(k = 5) ?dims ~device ~prec ~steps source =
   Result.map
-    (fun (r, dims) ->
+    (fun (r, source_digest, dims) ->
       { id; deadline;
         body =
           Tune
-            { pattern = r.Stencil.Detect.pattern;
-              source_digest = Digest.to_hex (Digest.string source.Framework.text);
-              device; prec; dims; steps; k } })
+            { pattern = r.Stencil.Detect.pattern; source_digest; device; prec; dims;
+              steps; k } })
     (detect_for_tune ?dims source)
 
 (* ------------------------------------------------------------------ *)
@@ -86,22 +80,22 @@ let prec_str = function
    detects to — the compiled job is the same job. Canonicalize by
    resolving the detected element type; sources that fail detection
    keep the literal "auto" (they fail identically at compile time, so
-   coalescing them is still sound). *)
-let resolved_prec s =
-  match s.prec with
-  | Some _ -> s.prec
-  | None -> (
-      match Stencil.Detect.of_string s.source.Framework.text with
-      | r -> Some r.Stencil.Detect.elem_prec
-      | exception _ -> None)
+   coalescing them is still sound). [d] is the front end's verdict on
+   [s.source]. *)
+let resolved_prec (d : Framework.detected) s =
+  match (s.prec, d.Framework.verdict) with
+  | Some _, _ -> s.prec
+  | None, Ok r -> Some r.Stencil.Detect.elem_prec
+  | None, Error _ -> None
 
-let spec_key s =
-  Fmt.str "(job (src %s) (config %s) (dims %s) (prec %s))"
-    (Digest.to_hex (Digest.string s.source.Framework.text))
+let render_spec_key d s =
+  Fmt.str "(job (src %s) (config %s) (dims %s) (prec %s))" d.Framework.digest_hex
     (Config.to_string s.config) (dims_str s.dims)
-    (prec_str (resolved_prec s))
+    (prec_str (resolved_prec d s))
 
-let key t =
+let spec_key s = render_spec_key (Framework.detect s.source) s
+
+let key_with ~spec_key t =
   match t.body with
   | Compile spec -> spec_key spec
   | Simulate { spec; device; steps; seed; run } ->
@@ -113,6 +107,8 @@ let key t =
         source_digest device.Gpu.Device.name
         (Stencil.Grid.precision_to_string prec)
         (dims_str (Some dims)) steps k
+
+let key t = key_with ~spec_key t
 
 (* The device-agnostic projection of the tune key: what cross-device
    transfer indexes winners by. Everything of [key]'s Tune branch
@@ -130,10 +126,19 @@ let transfer_key t =
 (* Self-maintaining schema fingerprint: renders every key former over
    fixed probe inputs, so any change to a key grammar — fields, order,
    canonicalization — changes the digest and stale dumps refuse to
-   load (Persist). The probe source deliberately fails detection
-   (exercising the "auto" precision branch deterministically). *)
+   load (Persist). The probe source is one that fails detection
+   (exercising the "auto" precision branch deterministically); its
+   verdict is written out here rather than asked of the front end, so
+   the probe never takes a memo entry or counts as a detection. *)
 let key_schema_digest =
-  let source = Framework.source_of_string ~origin:"schema-probe" "schema probe" in
+  let text = "schema probe" in
+  let source = Framework.source_of_string ~origin:"schema-probe" text in
+  let probe =
+    { Framework.verdict = Error (Framework.Not_a_stencil text);
+      digest_hex = Digest.to_hex (Digest.string text) }
+  in
+  let spec_key = render_spec_key probe in
+  let key = key_with ~spec_key in
   let config = Config.make ~bt:2 ~bs:[| 16 |] () in
   let spec = { source; config; dims = Some [| 8; 8 |]; prec = None } in
   let sim =
@@ -441,9 +446,9 @@ let check_shards source o =
       match o.o_dims with
       | Some _ -> o.o_dims
       | None -> (
-          match Stencil.Detect.of_string source.Framework.text with
-          | r -> r.Stencil.Detect.grid_dims
-          | exception _ -> None)
+          match (Framework.detect source).Framework.verdict with
+          | Ok r -> r.Stencil.Detect.grid_dims
+          | Error _ -> None)
   in
   match dims with
   | Some d when Array.length d > 0 && shards > d.(0) ->

@@ -6,7 +6,13 @@
     ({!Bench_defs.Benchmarks}) or as a path to a C source file; both
     resolve to a {!Framework.source}, so every request goes through the
     real compile front door and its cache key can hash the actual
-    source text. *)
+    source text.
+
+    Every look at the source — the text digest and detected precision
+    of {!spec_key}, a tune request's pattern, the [shards=] check of
+    {!of_line} — goes through the memoized {!Framework.detect}, so
+    keying a request whose source was seen before is a hash lookup, not
+    a parse. The memo changes no key and no error message. *)
 
 open An5d_core
 
@@ -82,7 +88,8 @@ val tune :
   (t, string) result
 (** Detects the pattern in the source (that is what tuning needs);
     [dims] defaults to the source's static grid sizes. [Error] when
-    the source is not an AN5D stencil or has dynamic sizes and no
+    the source fails the front end (the {!Framework.detect_error}
+    message, without a line and column) or has dynamic sizes and no
     [dims] was given. *)
 
 val spec_key : spec -> string

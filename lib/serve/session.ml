@@ -53,6 +53,9 @@ type t = {
   cfg : config;
   pool : Gpu.Pool.t option;
   jobs : Framework.job Cache.t;
+  cuda : string Cache.t;
+      (** {!Framework.cuda_source} of each compiled job, under the
+          job's key; not persisted (a dump holds jobs only) *)
   tunes : Model.Tuner.result Cache.t;
   outcomes : Framework.outcome Cache.t;
   winners : (string, string * Config.t) Hashtbl.t;
@@ -83,6 +86,8 @@ let m_failed = Obs.Metrics.counter "serve_requests_failed"
 
 let h_latency = Obs.Metrics.histogram "serve_request_latency_us"
 
+let h_queue_wait = Obs.Metrics.histogram "serve_queue_wait_us"
+
 let create ?(config = default_config) () =
   {
     cfg = config;
@@ -90,6 +95,7 @@ let create ?(config = default_config) () =
       (if config.domains > 1 then Some (Gpu.Pool.create ~domains:config.domains ())
        else None);
     jobs = Cache.create ~capacity:config.job_capacity ~name:"job" ();
+    cuda = Cache.create ~capacity:config.job_capacity ~name:"cuda" ();
     tunes = Cache.create ~capacity:config.tune_capacity ~name:"tune" ();
     outcomes = Cache.create ~capacity:config.outcome_capacity ~name:"outcome" ();
     winners = Hashtbl.create 16;
@@ -119,8 +125,8 @@ let served_of_cache = function
 (* Request execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let job_for t (spec : Request.spec) =
-  Cache.find_or_compute t.jobs ~key:(Request.spec_key spec) (fun () ->
+let job_for t ~key (spec : Request.spec) =
+  Cache.find_or_compute t.jobs ~key (fun () ->
       Framework.compile ?dims:spec.Request.dims ?prec:spec.Request.prec
         ~config:spec.Request.config spec.Request.source)
 
@@ -132,14 +138,16 @@ let job_for t (spec : Request.spec) =
 let lane_run run = Run_config.with_domains 1 run
 
 let do_compile t spec =
-  let job, c = job_for t spec in
-  (Compiled { job; cuda = Framework.cuda_source job }, served_of_cache c)
+  let key = Request.spec_key spec in
+  let job, c = job_for t ~key spec in
+  let cuda, _ = Cache.find_or_compute t.cuda ~key (fun () -> Framework.cuda_source job) in
+  (Compiled { job; cuda }, served_of_cache c)
 
 let do_simulate t req (spec : Request.spec) ~device ~steps ~seed ~run =
   let key = Request.key req in
   let outcome, c =
     Cache.find_or_compute t.outcomes ~key (fun () ->
-        let job, _ = job_for t spec in
+        let job, _ = job_for t ~key:(Request.spec_key spec) spec in
         let run = lane_run run in
         (* Sharded requests asking for process-level placement fan out
            across the worker registry when one is configured; the
@@ -328,8 +336,16 @@ let process_one t ~enqueued ~overloaded req =
 (* Batch scheduling over the pool                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* One batch on the pool at a time. The wait for the lock is the
+   queueing a request sees behind another connection's batch. *)
+let with_batch_lock t f =
+  let t0 = Unix.gettimeofday () in
+  Obs.Trace.with_span "serve.queue_wait" (fun () -> Mutex.lock t.batch_lock);
+  Obs.Metrics.observe h_queue_wait ((Unix.gettimeofday () -. t0) *. 1e6);
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.batch_lock) f
+
 let submit_batch t reqs =
-  Mutex.protect t.batch_lock @@ fun () ->
+  with_batch_lock t @@ fun () ->
   let arr = Array.of_list reqs in
   let n = Array.length arr in
   if n = 0 then []
@@ -361,7 +377,7 @@ let submit t req = List.hd (submit_batch t [ req ])
    is still served — through the degraded [bt = 1] path, reported
    [Degraded (_, Overload)] — never dropped. *)
 let submit_shed t req =
-  Mutex.protect t.batch_lock @@ fun () ->
+  with_batch_lock t @@ fun () ->
   process_one t ~enqueued:(Unix.gettimeofday ()) ~overloaded:true req
 
 (* ------------------------------------------------------------------ *)

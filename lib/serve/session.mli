@@ -6,7 +6,9 @@
 
     Three caches back the session:
     - {b jobs}: compiled {!Framework.job}s keyed by (source digest,
-      config, dims, precision) — {!Request.spec_key};
+      config, dims, precision) — {!Request.spec_key} — with, beside
+      them under the same key, each compile request's generated CUDA
+      text (not persisted by {!dump});
     - {b tunes}: [Tuner.result]s keyed additionally by device, dims,
       steps and [k];
     - {b outcomes}: full simulate outcomes keyed by the job key plus

@@ -461,8 +461,8 @@ let simulate t ~(spec : Request.spec) ~(job : Framework.job) ~device ~steps
         if not run.Run_config.verify then Ok ()
         else
           let input = Stencil.Grid.init_random ~prec ~seed job.Framework.dims in
-          Framework.verify ~domains:run.Run_config.domains job ~steps ~input
-            result
+          Framework.verify ~domains:run.Run_config.domains ~mode:run.Run_config.mode
+            job ~steps ~input result
       in
       {
         Framework.result;

@@ -26,18 +26,29 @@
 module A1 = Bigarray.Array1
 module FA = Float.Array
 
+type mode = Direct | Partial_sums
+
 (* One-entry lowering cache: verification loops call [step]/[run] many
    times with the same pattern value, and patterns are immutable, so
-   physical equality identifies a reusable lowering. Worst case on a
-   race or a miss is a recompute. *)
-let lower_cache : (Pattern.t * Sexpr.lowered) option Atomic.t = Atomic.make None
+   physical equality identifies a reusable lowering. [single] is the
+   f32 rounding of a partial sum, so it is part of the key only in
+   [Partial_sums]. Worst case on a race or a miss is a recompute. *)
+let lower_cache : (Pattern.t * mode * bool * Sexpr.lowered) option Atomic.t =
+  Atomic.make None
 
-let lowered_of pattern =
+let lowered_of ~mode ~single pattern =
+  let single = mode = Partial_sums && single in
   match Atomic.get lower_cache with
-  | Some (p, low) when p == pattern -> low
+  | Some (p, m, s, low) when p == pattern && m = mode && s = single -> low
   | _ ->
-      let low = Pattern.lower pattern in
-      Atomic.set lower_cache (Some (pattern, low));
+      let low =
+        match mode with
+        | Direct -> Pattern.lower pattern
+        | Partial_sums ->
+            Sexpr.lower_partial_sums ~param:(Pattern.param_value pattern) ~single
+              pattern.Pattern.expr
+      in
+      Atomic.set lower_cache (Some (pattern, mode, single, low));
       low
 
 type par = { lanes : int; run : n:int -> (lane:int -> int -> unit) -> unit }
@@ -789,7 +800,7 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
     the boundary condition. *)
 let step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   check_step pattern ~src ~dst;
-  let rad = pattern.Pattern.radius and low = lowered_of pattern in
+  let rad = pattern.Pattern.radius and low = lowered_of ~mode:Direct ~single:false pattern in
   step_lowered ~scratch:(scratch_rows ~lanes:1 ~rad low src) ~blit:true low ~rad ~src ~dst
 
 (** Run [steps] time-steps starting from [g]; returns the final grid.
@@ -799,10 +810,11 @@ let step pattern ~(src : Grid.t) ~(dst : Grid.t) =
     boundary copy: both buffers start as copies of [g] and no sweep
     writes a boundary cell, so their boundaries stay equal and the
     per-step blit of {!step} would only rewrite values already in
-    place. *)
-let run ?par pattern ~steps g =
+    place. [Partial_sums] swaps the lowering for the grouped sum's. *)
+let run ?par ?(mode = Direct) pattern ~steps g =
   if steps < 0 then invalid_arg "Reference.run: negative step count";
-  let low = lowered_of pattern and rad = pattern.Pattern.radius in
+  let low = lowered_of ~mode ~single:(g.Grid.prec = Grid.F32) pattern
+  and rad = pattern.Pattern.radius in
   let lanes = match par with Some p -> p.lanes | None -> 1 in
   let scratch = scratch_rows ~lanes ~rad low g in
   let par = Option.map (fun p -> p.run) par in

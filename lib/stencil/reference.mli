@@ -33,9 +33,18 @@ type par = {
     [lanes = Gpu.Pool.size pool] meets this (the pool sits above this
     library). *)
 
-val run : ?par:par -> Pattern.t -> steps:int -> Grid.t -> Grid.t
+(** Which arithmetic a sweep performs: [Direct] is the source
+    expression ({!Pattern.lower}); [Partial_sums] is §4.1's grouped sum
+    ({!Sexpr.lower_partial_sums}, each group rounded to single on an
+    f32 grid), the order the streaming executor's partial-sums plans
+    add in. A non-associative expression lowers the same either way. *)
+type mode = Direct | Partial_sums
+
+val run : ?par:par -> ?mode:mode -> Pattern.t -> steps:int -> Grid.t -> Grid.t
 (** [steps] time-steps from the given initial grid; the input is not
-    modified. The expression lowering is hoisted out of the time loop.
+    modified. The expression lowering ([mode], default [Direct]) is
+    hoisted out of the time loop. A [Partial_sums] lowering has no
+    linear form, so it runs its row program (below).
 
     Both double buffers start as copies of the input and no sweep writes
     a boundary cell, so [run] relies on their boundaries staying equal

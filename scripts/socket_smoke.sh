@@ -4,7 +4,9 @@
 # first one's cache), stop the server with SIGTERM and check the clean
 # shutdown dumped its caches, then restart from the dump and check the
 # very first request of the new process is already warm, with the same
-# grid_digest as the cold and warm replies. Exercises the
+# grid_digest as the cold and warm replies. The first server runs with
+# --metrics: both clients send the same source, so its C front end must
+# have run exactly once (frontend_detect_misses 1). Exercises the
 # whole production path — wire protocol, admission accounting, cache
 # persistence — through the shipped binaries only.
 # Run from the repository root; exits non-zero on any failure.
@@ -58,7 +60,7 @@ stop_server() {
 }
 
 # --- round 1: cold server, two clients ------------------------------
-"$AN5D" serve --socket "$SOCK" --cache "$CACHE" \
+"$AN5D" serve --socket "$SOCK" --cache "$CACHE" --metrics \
   --admit-burst 32 --admit-rate 100 >"$WORK/server1.log" 2>&1 &
 SERVER_PID=$!
 wait_for_socket
@@ -82,6 +84,10 @@ stop_server
 [ -s "$CACHE" ] || { echo "socket_smoke: shutdown left no cache dump"; exit 1; }
 grep -q "dumped" "$WORK/server1.log" \
   || { echo "socket_smoke: server did not report the dump"; cat "$WORK/server1.log"; exit 1; }
+# one source text served twice: the front end detected it once
+MISSES=$(awk '$1 == "counter" && $2 == "frontend_detect_misses" { print $3 }' "$WORK/server1.log")
+[ "$MISSES" = 1 ] \
+  || { echo "socket_smoke: frontend_detect_misses is '$MISSES', not 1 (a warm request ran the C front end again)"; cat "$WORK/server1.log"; exit 1; }
 
 # --- round 2: warm restart from the dump ----------------------------
 "$AN5D" serve --socket "$SOCK" --cache "$CACHE" >"$WORK/server2.log" 2>&1 &

@@ -247,6 +247,169 @@ let test_source_of_file () =
   Alcotest.(check (array int)) "parsed from file" [| 40; 40 |] job.Framework.dims;
   Sys.remove path
 
+(* A partial-sums run is verified against the reference in the same
+   mode: the grouped sum in both, so a correct run is bit-exact in
+   either storage precision, and a wrong cell still fails. *)
+let test_partial_sums_verified () =
+  List.iter
+    (fun (prec, domains) ->
+      let name = Fmt.str "%s d%d" (Stencil.Grid.precision_to_string prec) domains in
+      let job =
+        Framework.compile ~prec ~param_values:[ ("c0", 2.0) ]
+          ~config:(Config.make ~bt:4 ~bs:[| 32 |] ())
+          (Framework.source_of_string j2d5pt_src)
+      in
+      let cfg = Run_config.make ~mode:Run_config.Partial_sums ~domains () in
+      let input = Stencil.Grid.init_random ~prec [| 40; 40 |] in
+      let o = Framework.simulate_cfg ~cfg ~device:Gpu.Device.v100 ~steps:20 job input in
+      Alcotest.(check bool) (name ^ ": verifies ok") true (o.Framework.verified = Ok ());
+      Alcotest.(check bool) (name ^ ": differs from the direct reference") true
+        (Stencil.Grid.max_abs_diff (Stencil.Reference.run (Framework.pattern job) ~steps:20 input)
+           o.Framework.result
+        > 0.0);
+      let bad = Stencil.Grid.copy o.Framework.result in
+      Stencil.Grid.set bad [| 7; 9 |] (Stencil.Grid.get bad [| 7; 9 |] +. 0.5);
+      match
+        Framework.verify ~domains ~mode:Run_config.Partial_sums job ~steps:20 ~input bad
+      with
+      | Error d -> Alcotest.(check bool) (name ^ ": mutated grid fails") true (d > 0.0)
+      | Ok () -> Alcotest.fail (name ^ ": a mutated grid verified"))
+    [ (Stencil.Grid.F64, 1); (Stencil.Grid.F32, 1); (Stencil.Grid.F64, 2); (Stencil.Grid.F32, 2) ]
+
+(* ------------------------------------------------------------------ *)
+(* The front-end memo                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let counter name = Obs.Metrics.get_counter (Obs.Metrics.snapshot ()) name
+
+(* [f ()]'s change to the detect hit and miss counters. *)
+let detect_counts f =
+  let h0 = counter "frontend_detect_hits" and m0 = counter "frontend_detect_misses" in
+  let r = f () in
+  (r, counter "frontend_detect_hits" - h0, counter "frontend_detect_misses" - m0)
+
+(* A text no other test detects: the memo is process-wide. *)
+let fresh_text tag = Fmt.str "%s\n// %s\n" j2d5pt_src tag
+
+let test_detect_memo_hits () =
+  let text = fresh_text "memo-hits" in
+  let src = Framework.source_of_string ~origin:"a.c" text in
+  let d1, h, m = detect_counts (fun () -> Framework.detect src) in
+  Alcotest.(check (pair int int)) "first sight misses" (0, 1) (h, m);
+  let d2, h, m =
+    detect_counts (fun () -> Framework.detect (Framework.source_of_string ~origin:"b.c" text))
+  in
+  Alcotest.(check (pair int int)) "another origin hits" (1, 0) (h, m);
+  Alcotest.(check bool) "one entry" true (d1 == d2);
+  Alcotest.(check string) "digest of the text" (Digest.to_hex (Digest.string text))
+    d1.Framework.digest_hex;
+  let _, h, m =
+    detect_counts (fun () ->
+        Framework.compile ~param_values:[] ~config:(Config.make ~bt:2 ~bs:[| 16 |] ()) src)
+  in
+  Alcotest.(check (pair int int)) "compile uses the memo" (1, 0) (h, m)
+
+(* The memo stores a failure without its origin, so the message of a
+   hit names the asking source, located exactly as on a miss. *)
+let test_detect_memo_error_origin () =
+  List.iter
+    (fun (text, phase) ->
+      let msg origin =
+        match
+          Framework.compile ~config:(Config.make ~bt:2 ~bs:[| 16 |] ())
+            (Framework.source_of_string ~origin text)
+        with
+        | exception Framework.Compile_error msg -> msg
+        | _ -> Alcotest.fail "expected Compile_error"
+      in
+      let (first, _, m) = detect_counts (fun () -> msg "first.c") in
+      let (second, h, _) = detect_counts (fun () -> msg "second.c") in
+      Alcotest.(check int) (phase ^ ": detected once") 1 m;
+      Alcotest.(check int) (phase ^ ": then a hit") 1 h;
+      Alcotest.(check bool) (phase ^ ": first names first.c") true (contains first "first.c");
+      Alcotest.(check bool) (phase ^ ": hit names second.c") true
+        (contains second "second.c" && not (contains second "first.c"));
+      Alcotest.(check bool) (phase ^ ": phase tagged") true (contains second phase);
+      Alcotest.(check string) (phase ^ ": same wording")
+        (String.sub first 7 (String.length first - 7))
+        (String.sub second 8 (String.length second - 8)))
+    [
+      ("void f() { @ } // memo-origin", "lexical error");
+      ("void f(int a { } // memo-origin", "syntax error");
+      ("void f(int n) { } // memo-origin", "not an AN5D stencil");
+    ];
+  Alcotest.(check string) "located message"
+    "x.c:1:2: syntax error: boom"
+    (Framework.detect_error ~origin:"x.c"
+       (Framework.Syntax ("boom", { Cparse.Srcloc.line = 1; col = 2 })));
+  Alcotest.(check string) "unlocated message" "x.c: lexical error: boom"
+    (Framework.detect_error ~located:false ~origin:"x.c"
+       (Framework.Lexical ("boom", { Cparse.Srcloc.line = 1; col = 2 })))
+
+let test_detect_memo_param_values () =
+  let src = Framework.source_of_string (fresh_text "memo-params") in
+  let c0 d =
+    match d.Framework.verdict with
+    | Ok r -> Stencil.Pattern.param_value r.Stencil.Detect.pattern "c0"
+    | Error _ -> Alcotest.fail "detection failed"
+  in
+  let d2, _, m2 = detect_counts (fun () -> Framework.detect ~param_values:[ ("c0", 2.0) ] src) in
+  let d4, _, m4 = detect_counts (fun () -> Framework.detect ~param_values:[ ("c0", 4.0) ] src) in
+  let d2', h, _ = detect_counts (fun () -> Framework.detect ~param_values:[ ("c0", 2.0) ] src) in
+  Alcotest.(check (list int)) "each binding detects once" [ 1; 1 ] [ m2; m4 ];
+  Alcotest.(check int) "a repeated binding hits" 1 h;
+  Alcotest.(check (float 0.0)) "c0 = 2" 2.0 (c0 d2);
+  Alcotest.(check (float 0.0)) "c0 = 4" 4.0 (c0 d4);
+  Alcotest.(check bool) "same entry" true (d2 == d2')
+
+let test_detect_memo_bounded () =
+  let cap = Framework.detect_memo_capacity in
+  let first = Framework.source_of_string (fresh_text "memo-bound 0") in
+  ignore (Framework.detect first);
+  for k = 1 to cap + 10 do
+    ignore (Framework.detect (Framework.source_of_string (Fmt.str "bound probe %d" k)));
+    if Framework.detect_memo_size () > cap then
+      Alcotest.failf "memo holds %d entries, capacity %d" (Framework.detect_memo_size ()) cap
+  done;
+  Alcotest.(check int) "full" cap (Framework.detect_memo_size ());
+  let _, h, m = detect_counts (fun () -> Framework.detect first) in
+  Alcotest.(check (pair int int)) "the oldest entry was evicted" (0, 1) (h, m)
+
+(* 2 domains x 4 threads each detect 3 sources many times: every
+   caller of one source gets the same entry, and nothing raises. *)
+let test_detect_memo_concurrent () =
+  let sources =
+    Array.init 3 (fun k -> Framework.source_of_string (fresh_text (Fmt.str "memo-race %d" k)))
+  in
+  let go = Atomic.make false in
+  let worker () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    List.init 60 (fun i -> (i mod 3, Framework.detect sources.(i mod 3)))
+  in
+  let domain () =
+    Domain.spawn (fun () ->
+        let results = List.init 4 (fun _ -> ref []) in
+        let threads = List.map (fun r -> Thread.create (fun () -> r := worker ()) ()) results in
+        List.iter Thread.join threads;
+        List.concat_map ( ! ) results)
+  in
+  let domains = List.init 2 (fun _ -> domain ()) in
+  Atomic.set go true;
+  let results = List.concat_map Domain.join domains in
+  Alcotest.(check int) "every call returned" (2 * 4 * 60) (List.length results);
+  Array.iteri
+    (fun k _ ->
+      match List.filter_map (fun (j, d) -> if j = k then Some d else None) results with
+      | [] -> Alcotest.fail "no result"
+      | d :: rest ->
+          Alcotest.(check bool) (Fmt.str "source %d: one detection result" k) true
+            (List.for_all (fun d' -> d' == d) rest);
+          Alcotest.(check bool) (Fmt.str "source %d: detected" k) true
+            (Result.is_ok d.Framework.verdict))
+    sources
+
 let () =
   Alcotest.run "framework"
     [
@@ -267,5 +430,14 @@ let () =
           Alcotest.test_case "dims override" `Quick test_dims_override;
           Alcotest.test_case "source of file" `Quick test_source_of_file;
           Alcotest.test_case "result digest memoized" `Quick test_result_digest_memo;
+          Alcotest.test_case "partial sums verified" `Quick test_partial_sums_verified;
+        ] );
+      ( "detect memo",
+        [
+          Alcotest.test_case "hits across origins" `Quick test_detect_memo_hits;
+          Alcotest.test_case "errors name each origin" `Quick test_detect_memo_error_origin;
+          Alcotest.test_case "param values in the key" `Quick test_detect_memo_param_values;
+          Alcotest.test_case "bounded" `Quick test_detect_memo_bounded;
+          Alcotest.test_case "concurrent callers" `Quick test_detect_memo_concurrent;
         ] );
     ]

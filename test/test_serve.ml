@@ -934,6 +934,154 @@ let prop_served_psum_equals_direct =
   served_prop ~name:"served partial-sums simulate = direct"
     (Run_config.with_mode Run_config.Partial_sums Run_config.default)
 
+(* ------------------------------------------------------------------ *)
+(* The front-end memo under the request layer                          *)
+(* ------------------------------------------------------------------ *)
+
+let counter name = Obs.Metrics.get_counter (Obs.Metrics.snapshot ()) name
+
+(* [f ()]'s change to the front end's (hits, misses). *)
+let detect_counts f =
+  let h0 = counter "frontend_detect_hits" and m0 = counter "frontend_detect_misses" in
+  let r = f () in
+  (r, (counter "frontend_detect_hits" - h0, counter "frontend_detect_misses" - m0))
+
+(* Keys of every line kind of the perfbench serve mix, with and without
+   [prec=], as the build before the front-end memo rendered them: the
+   memo must not move a byte of any key, or dumps would load cold. *)
+let pinned_keys =
+  [
+    ( "simulate j2d5pt bt=4 bs=64 dims=256x256 steps=20 seed=3",
+      "(simulate (job (src 5b2bbcd1ac62501b219c910676bf6693) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec double)) (device Tesla V100 SXM2) (steps 20) (seed 3) (run-key (mode direct) (shards 1) (workers 1) (verify true)))" );
+    ( "simulate j2d5pt bt=4 bs=64 dims=256x256 steps=20 seed=3 prec=double",
+      "(simulate (job (src 5b2bbcd1ac62501b219c910676bf6693) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec double)) (device Tesla V100 SXM2) (steps 20) (seed 3) (run-key (mode direct) (shards 1) (workers 1) (verify true)))" );
+    ( "simulate j2d5pt bt=4 bs=64 dims=256x256 steps=20 seed=3 prec=float",
+      "(simulate (job (src 5b2bbcd1ac62501b219c910676bf6693) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec float)) (device Tesla V100 SXM2) (steps 20) (seed 3) (run-key (mode direct) (shards 1) (workers 1) (verify true)))" );
+    ( "simulate j2d9pt bt=4 bs=64 dims=256x256 steps=20 seed=1234",
+      "(simulate (job (src f7d9979b43357ff7ae6d13c369f1e7c1) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec double)) (device Tesla V100 SXM2) (steps 20) (seed 1234) (run-key (mode direct) (shards 1) (workers 1) (verify true)))" );
+    ( "simulate star2d2r bt=4 bs=64 dims=256x256 steps=20 seed=1234",
+      "(simulate (job (src 8d5ad10c4b9957821c871b0658ecfcba) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec double)) (device Tesla V100 SXM2) (steps 20) (seed 1234) (run-key (mode direct) (shards 1) (workers 1) (verify true)))" );
+    ( "simulate box2d1r bt=4 bs=64 dims=256x256 steps=20 seed=1234",
+      "(simulate (job (src c5c7cb1d46c4a237a6d23c88d0680f29) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec double)) (device Tesla V100 SXM2) (steps 20) (seed 1234) (run-key (mode direct) (shards 1) (workers 1) (verify true)))" );
+    ( "simulate gradient2d bt=4 bs=64 dims=256x256 steps=20 seed=1234 prec=float",
+      "(simulate (job (src c9624d61ba3e4acb3032014d6af65ef0) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec float)) (device Tesla V100 SXM2) (steps 20) (seed 1234) (run-key (mode direct) (shards 1) (workers 1) (verify true)))" );
+    ( "compile j2d5pt bt=2 bs=64 dims=256x256",
+      "(job (src 5b2bbcd1ac62501b219c910676bf6693) (config bT=2 bS=64 h=- regs=-) (dims 256x256) (prec double))" );
+    ( "compile gradient2d bt=4 bs=64 dims=256x256",
+      "(job (src c9624d61ba3e4acb3032014d6af65ef0) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec double))" );
+    ( "compile star2d2r bt=4 bs=64 dims=256x256 prec=float",
+      "(job (src 8d5ad10c4b9957821c871b0658ecfcba) (config bT=4 bS=64 h=- regs=-) (dims 256x256) (prec float))" );
+    ( "tune j2d5pt dims=256x256 steps=20",
+      "(tune (src 5b2bbcd1ac62501b219c910676bf6693) (device Tesla V100 SXM2) (prec double) (dims 256x256) (steps 20) (k 5))" );
+    ( "tune box2d1r dims=256x256 steps=20 prec=float",
+      "(tune (src c5c7cb1d46c4a237a6d23c88d0680f29) (device Tesla V100 SXM2) (prec float) (dims 256x256) (steps 20) (k 5))" );
+  ]
+
+let pinned_schema = "78650f8c1083d8ab78d4ae5703e9af14"
+
+let line_key line =
+  match Request.of_line line with
+  | Ok r -> Request.key r
+  | Error msg -> Alcotest.failf "%s: %s" line msg
+
+let test_memo_keys_pinned () =
+  List.iter (fun (line, key) -> Alcotest.(check string) line key (line_key line)) pinned_keys;
+  let spec text =
+    { Request.source = Framework.source_of_string ~origin:"probe" text;
+      config = Config.make ~bt:2 ~bs:[| 16 |] (); dims = None; prec = None }
+  in
+  Alcotest.(check string) "a source detection rejects"
+    "(job (src e2c16893ba480aa9cf409e357d524cde) (config bT=2 bS=16 h=- regs=-) (dims auto) (prec auto))"
+    (Request.spec_key (spec "void f(int n) { }"));
+  Alcotest.(check string) "a float source"
+    "(job (src 0eb68c3e8b653ebce1c9afdbd40996bd) (config bT=2 bS=16 h=- regs=-) (dims auto) (prec float))"
+    (Request.spec_key
+       (spec
+          "#define SB 40\nvoid j2d5pt(float a[2][SB][SB], int timesteps) {\nfor (int t = 0; t < \
+           timesteps; t++)\nfor (int i = 1; i < SB - 1; i++)\nfor (int j = 1; j < SB - 1; \
+           j++)\na[(t+1)%2][i][j] = 0.25f * a[t%2][i][j] + 0.2f * a[t%2][i-1][j] + 0.15f * \
+           a[t%2][i+1][j] + 0.2f * a[t%2][i][j-1] + 0.2f * a[t%2][i][j+1];\n}"));
+  Alcotest.(check string) "key schema digest unchanged" pinned_schema
+    Request.key_schema_digest
+
+(* A repeated line is keyed from the memo: parsing and keying it again
+   runs no detection, for every line kind. *)
+let test_memo_warm_key_detects_nothing () =
+  List.iter
+    (fun (line, _) ->
+      ignore (line_key line);
+      let _, (hits, misses) = detect_counts (fun () -> line_key line) in
+      Alcotest.(check int) (line ^ ": no detection") 0 misses;
+      Alcotest.(check bool) (line ^ ": answered by the memo") true (hits > 0))
+    pinned_keys
+
+(* A tune request's error names its own origin, in the unlocated
+   wording tune has always used, even when the memo already holds the
+   failure under another origin. *)
+let test_memo_tune_error_origin () =
+  List.iter
+    (fun text ->
+      let expected origin =
+        match Stencil.Detect.of_string text with
+        | exception Stencil.Detect.Rejected msg ->
+            Fmt.str "%s: not an AN5D stencil: %s" origin msg
+        | exception Cparse.Lexer.Error (msg, _) -> Fmt.str "%s: lexical error: %s" origin msg
+        | exception Cparse.Parser.Error (msg, _) -> Fmt.str "%s: syntax error: %s" origin msg
+        | _ -> Alcotest.fail "expected a front-end failure"
+      in
+      List.iter
+        (fun origin ->
+          match
+            Request.tune ~device:Gpu.Device.v100 ~prec:Stencil.Grid.F64 ~steps:4
+              (Framework.source_of_string ~origin text)
+          with
+          | Error msg -> Alcotest.(check string) origin (expected origin) msg
+          | Ok _ -> Alcotest.fail "expected a tune error")
+        [ "tune-a.c"; "tune-b.c" ])
+    [ "void f() { @ } // tune"; "void f(int a { } // tune"; "void f(int n) { } // tune" ]
+
+(* A source the front end fails on with an exception of its own (an
+   integer literal too large for [int]) keys as "auto", makes a tune
+   line an error instead of escaping [Request.of_line], and still
+   raises that exception out of [Framework.compile], as before. *)
+let test_memo_front_end_exception () =
+  let text =
+    "#define SB 99999999999999999999\n\
+     void f(double a[2][SB][SB], int timesteps) {\n\
+     for (int t = 0; t < timesteps; t++)\n\
+     for (int i = 1; i < SB - 1; i++)\n\
+     for (int j = 1; j < SB - 1; j++)\n\
+     a[(t+1)%2][i][j] = a[t%2][i][j];\n\
+     }"
+  in
+  let source = Framework.source_of_string ~origin:"huge.c" text in
+  let config = Config.make ~bt:2 ~bs:[| 16 |] () in
+  Alcotest.(check bool) "keys as auto" true
+    (contains (Request.spec_key { Request.source; config; dims = None; prec = None })
+       "(prec auto)");
+  (match Request.tune ~device:Gpu.Device.v100 ~prec:Stencil.Grid.F64 ~steps:4 source with
+  | Error msg ->
+      Alcotest.(check string) "tune error" "huge.c: Failure(\"int_of_string\")" msg
+  | Ok _ -> Alcotest.fail "expected a tune error");
+  match Framework.compile ~config source with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected the front end's Failure"
+
+(* Two identical compile requests return the same text, and the second
+   runs no code generator. *)
+let test_session_compile_codegen_once () =
+  with_session @@ fun s ->
+  let req = Request.compile ~config:(Config.make ~bt:4 ~bs:[| 16 |] ()) source in
+  let cuda () =
+    match (Session.submit s req).Session.status with
+    | Session.Done (Session.Compiled { cuda; _ }) -> cuda
+    | _ -> Alcotest.fail "expected Done Compiled"
+  in
+  let (a, b), spans = Obs.Trace.with_tracing (fun () -> (cuda (), cuda ())) in
+  Alcotest.(check string) "same text" a b;
+  Alcotest.(check int) "codegen ran once" 1
+    (List.length (List.filter (fun sp -> sp.Obs.Trace.name = "codegen") spans))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1003,5 +1151,16 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_served_equals_direct;
           QCheck_alcotest.to_alcotest prop_served_psum_equals_direct;
+        ] );
+      ( "front-end memo",
+        [
+          Alcotest.test_case "keys pinned" `Quick test_memo_keys_pinned;
+          Alcotest.test_case "warm key detects nothing" `Quick
+            test_memo_warm_key_detects_nothing;
+          Alcotest.test_case "tune errors name each origin" `Quick
+            test_memo_tune_error_origin;
+          Alcotest.test_case "compile runs codegen once" `Quick
+            test_session_compile_codegen_once;
+          Alcotest.test_case "front-end exception" `Quick test_memo_front_end_exception;
         ] );
     ]
