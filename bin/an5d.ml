@@ -101,7 +101,7 @@ let handle_errors f =
 let detect_cmd =
   let run () file =
     handle_errors (fun () ->
-        let r = Stencil.Detect.of_string (In_channel.with_open_bin file In_channel.input_all) in
+        let r = Framework.detect_exn (Framework.source_of_file file) in
         let p = r.Stencil.Detect.pattern in
         Fmt.pr "pattern:    %a@." Stencil.Pattern.pp p;
         Fmt.pr "class:      %s@."
@@ -185,10 +185,7 @@ let tune_cmd =
           | Some b -> (b.Bench_defs.Benchmarks.pattern, b.Bench_defs.Benchmarks.full_dims)
           | None ->
               if Sys.file_exists stencil then begin
-                let r =
-                  Stencil.Detect.of_string
-                    (In_channel.with_open_bin stencil In_channel.input_all)
-                in
+                let r = Framework.detect_exn (Framework.source_of_file stencil) in
                 match r.Stencil.Detect.grid_dims with
                 | Some d -> (r.Stencil.Detect.pattern, d)
                 | None -> failwith "dynamic grid sizes; tuning needs static #defines"

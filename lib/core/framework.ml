@@ -127,6 +127,12 @@ let detect ?(param_values = []) src =
               Queue.push key memo_order;
               d)
 
+let detect_exn ?param_values src =
+  match (detect ?param_values src).verdict with
+  | Ok r -> r
+  | Error (Raised e) -> raise e
+  | Error f -> raise (Compile_error (detect_error ~origin:src.origin f))
+
 type job = {
   detection : Stencil.Detect.result;
   config : Config.t;
@@ -139,12 +145,7 @@ type job = {
 let compile ?param_values ?dims ?prec ~config src =
   Obs.Trace.with_span "compile" ~attrs:[ ("origin", Obs.Trace.Str src.origin) ]
   @@ fun () ->
-  let detection =
-    match (detect ?param_values src).verdict with
-    | Ok r -> r
-    | Error (Raised e) -> raise e
-    | Error f -> raise (Compile_error (detect_error ~origin:src.origin f))
-  in
+  let detection = detect_exn ?param_values src in
   let dims =
     match (dims, detection.Stencil.Detect.grid_dims) with
     | Some d, _ -> d

@@ -34,9 +34,10 @@ type detect_failure =
   | Syntax of string * Cparse.Srcloc.t
   | Not_a_stencil of string  (** {!Stencil.Detect.Rejected} *)
   | Raised of exn
-      (** any other exception of the front end, such as the [Failure]
-          of an integer literal too large for [int]; {!compile}
-          re-raises it *)
+      (** any other exception of the front end; {!compile} re-raises
+          it. Every malformed source found so far fails as one of the
+          cases above, so only a failure of the runtime itself (stack
+          or memory exhausted) is expected here. *)
 
 type detected = {
   verdict : (Stencil.Detect.result, detect_failure) result;
@@ -62,6 +63,11 @@ val detect_error : ?located:bool -> origin:string -> detect_failure -> string
     [ORIGIN: not an AN5D stencil: ...] ([ORIGIN: EXN] for [Raised]).
     [~located:false] leaves out
     [:LINE:COL] (the tune request's wording). *)
+
+val detect_exn : ?param_values:(string * float) list -> source -> Stencil.Detect.result
+(** {!detect}'s result.
+    @raise Compile_error with {!detect_error}'s located message for a
+    bad source, or re-raises a [Raised] exception. *)
 
 val detect_memo_capacity : int
 (** The memo's bound, a constant. *)

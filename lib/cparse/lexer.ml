@@ -99,16 +99,32 @@ let lex_number st =
       | Some _ | None -> ());
       digits ()
   | Some _ | None -> ());
+  (* The digits scanned are a literal's whole grammar, but OCaml's
+     converters still refuse an exponent without digits and an integer
+     beyond [max_int]: those are lexical errors at the literal. An
+     integer with a leading 0 is octal, as in C. *)
+  let float_of text =
+    match float_of_string_opt text with
+    | Some f -> f
+    | None -> raise (Error (Printf.sprintf "malformed float literal %s" text, loc))
+  in
   (* Float suffix as in [0.25f]. *)
   (match peek_char st with
   | Some ('f' | 'F') when !is_float ->
       advance st;
       let text = String.sub st.src start (st.pos - start - 1) in
-      raise (Return_float (float_of_string text, loc))
+      raise (Return_float (float_of text, loc))
   | Some _ | None -> ());
   let text = String.sub st.src start (st.pos - start) in
-  if !is_float then { token = Token.FLOAT_LIT (float_of_string text); loc }
-  else { token = Token.INT_LIT (int_of_string text); loc }
+  if !is_float then { token = Token.FLOAT_LIT (float_of text); loc }
+  else
+    let octal = String.length text > 1 && text.[0] = '0' in
+    if octal && String.exists (fun c -> c = '8' || c = '9') text then
+      raise (Error (Printf.sprintf "invalid digit in octal literal %s" text, loc));
+    (* An 0o literal converts up to 2^63 - 1, wrapping past [max_int]. *)
+    match int_of_string_opt (if octal then "0o" ^ text else text) with
+    | Some i when i >= 0 -> { token = Token.INT_LIT i; loc }
+    | Some _ | None -> raise (Error (Printf.sprintf "integer literal %s out of range" text, loc))
 
 let keyword_of_ident = function
   | "for" -> Some Token.KW_FOR

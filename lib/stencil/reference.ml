@@ -15,13 +15,18 @@
     that each add up to nine terms, carrying the sum between passes in
     a float64 accumulator row owned by one lane of one call; each cell
     still sees the cell-major operations in the cell-major order, so
-    the bits do not change. Any other expression runs the lowering's
-    row program ({!Sexpr.program}) one interior row at a time, one loop
-    per instruction over float64 rows owned by the lane; each cell
-    performs the same IEEE operations on the same operands as the
-    closure tree, so its bits do not change either. A caller-supplied
-    parallel-for may spread each sweep's outermost interior planes over
-    lanes without changing a bit of the result. *)
+    the bits do not change. A pass of plain terms picks its loop once
+    per row, from one inlined chain body per precision whose arity,
+    start, finish and post-op are literals at each call site, so the
+    loop over a row's cells tests no flag (as the paper generates one
+    unrolled CALC sequence per stencil, §4.1–4.2). Any other
+    expression runs the lowering's row program ({!Sexpr.program}) one
+    interior row at a time, one loop per instruction over float64 rows
+    owned by the lane; each cell performs the same IEEE operations on
+    the same operands as the closure tree, so its bits do not change
+    either. A caller-supplied parallel-for may spread each sweep's
+    outermost interior planes over lanes without changing a bit of the
+    result. *)
 
 module A1 = Bigarray.Array1
 module FA = Float.Array
@@ -195,6 +200,145 @@ let unary_row op (a : Grid.f64buf) ao (d : Grid.f64buf) o width =
         A1.unsafe_set d (o + j) (Grid.round_to_prec Grid.F32 (A1.unsafe_get a (ao + j)))
       done
 
+(* A linear form's chunk operands for one sweep: the interior row
+   [width], the per-term deltas and coefficients, and the form's
+   post-op, its divisor (1.0 without one) in an all-float record so the
+   chunk loops read it unboxed. *)
+type post = { dv : float }
+
+type chunks = {
+  width : int;
+  tdelta : int array;
+  tcoef : float array;
+  has_div : bool;
+  post : post;
+}
+
+(* Term [q + i]'s delta and coefficient, read only when a chunk of
+   arity [k] has that term, and unchecked: [step_lowered] proves once
+   per sweep that every chunk's terms lie in the tables. A checked read
+   would add a bounds-check call, and its frame descriptor, to each of
+   the 108 loops. *)
+let[@inline] slot ~k (tdelta : int array) q i =
+  if k > i then Array.unsafe_get tdelta (q + i) else 0
+
+let[@inline] coef ~k (tcoef : float array) q i =
+  if k > i then Array.unsafe_get tcoef (q + i) else 0.0
+
+(* One chunk pass over the interior cells [lo, lo + width) of a row:
+   the left-to-right chain of plain terms [q, q + k), started from
+   [c_q*v_q] when [first] and from the accumulator row otherwise, ended
+   in the accumulator row or, when [last], divided ([div]) and stored
+   into [d]. Every labelled argument is a literal at each call site of
+   [chunk_f64], and ocamlopt folds the tests on them once this body is
+   inlined there, so the loop over a row tests no flag and holds one
+   basic block. *)
+let[@inline] chain_f64 ~k ~first ~last ~div (ch : chunks) (s : Grid.f64buf)
+    (d : Grid.f64buf) acc lo q =
+  let td = ch.tdelta and tc = ch.tcoef and dv = ch.post.dv in
+  let b0 = lo + slot ~k td q 0 and b1 = lo + slot ~k td q 1 and b2 = lo + slot ~k td q 2
+  and b3 = lo + slot ~k td q 3 and b4 = lo + slot ~k td q 4 and b5 = lo + slot ~k td q 5
+  and b6 = lo + slot ~k td q 6 and b7 = lo + slot ~k td q 7 and b8 = lo + slot ~k td q 8 in
+  let c0 = coef ~k tc q 0 and c1 = coef ~k tc q 1 and c2 = coef ~k tc q 2
+  and c3 = coef ~k tc q 3 and c4 = coef ~k tc q 4 and c5 = coef ~k tc q 5
+  and c6 = coef ~k tc q 6 and c7 = coef ~k tc q 7 and c8 = coef ~k tc q 8 in
+  for j = 0 to ch.width - 1 do
+    let x = c0 *. A1.unsafe_get s (b0 + j) in
+    let x = if first then x else FA.unsafe_get acc j +. x in
+    let x = if k > 1 then x +. (c1 *. A1.unsafe_get s (b1 + j)) else x in
+    let x = if k > 2 then x +. (c2 *. A1.unsafe_get s (b2 + j)) else x in
+    let x = if k > 3 then x +. (c3 *. A1.unsafe_get s (b3 + j)) else x in
+    let x = if k > 4 then x +. (c4 *. A1.unsafe_get s (b4 + j)) else x in
+    let x = if k > 5 then x +. (c5 *. A1.unsafe_get s (b5 + j)) else x in
+    let x = if k > 6 then x +. (c6 *. A1.unsafe_get s (b6 + j)) else x in
+    let x = if k > 7 then x +. (c7 *. A1.unsafe_get s (b7 + j)) else x in
+    let x = if k > 8 then x +. (c8 *. A1.unsafe_get s (b8 + j)) else x in
+    if not last then FA.unsafe_set acc j x
+    else A1.unsafe_set d (lo + j) (if div then x /. dv else x)
+  done
+
+(* [chain_f64] over single-precision buffers: reads widen exactly and
+   the store is the only rounding. It reads all its operands into
+   distinct locals before the first multiply: a widening load only
+   writes the low half of its register, so reads that all land in one
+   register would wait on each other. *)
+let[@inline] chain_f32 ~k ~first ~last ~div (ch : chunks) (s : Grid.f32buf)
+    (d : Grid.f32buf) acc lo q =
+  let td = ch.tdelta and tc = ch.tcoef and dv = ch.post.dv in
+  let b0 = lo + slot ~k td q 0 and b1 = lo + slot ~k td q 1 and b2 = lo + slot ~k td q 2
+  and b3 = lo + slot ~k td q 3 and b4 = lo + slot ~k td q 4 and b5 = lo + slot ~k td q 5
+  and b6 = lo + slot ~k td q 6 and b7 = lo + slot ~k td q 7 and b8 = lo + slot ~k td q 8 in
+  let c0 = coef ~k tc q 0 and c1 = coef ~k tc q 1 and c2 = coef ~k tc q 2
+  and c3 = coef ~k tc q 3 and c4 = coef ~k tc q 4 and c5 = coef ~k tc q 5
+  and c6 = coef ~k tc q 6 and c7 = coef ~k tc q 7 and c8 = coef ~k tc q 8 in
+  for j = 0 to ch.width - 1 do
+    let v0 = A1.unsafe_get s (b0 + j) in
+    let v1 = if k > 1 then A1.unsafe_get s (b1 + j) else 0.0 in
+    let v2 = if k > 2 then A1.unsafe_get s (b2 + j) else 0.0 in
+    let v3 = if k > 3 then A1.unsafe_get s (b3 + j) else 0.0 in
+    let v4 = if k > 4 then A1.unsafe_get s (b4 + j) else 0.0 in
+    let v5 = if k > 5 then A1.unsafe_get s (b5 + j) else 0.0 in
+    let v6 = if k > 6 then A1.unsafe_get s (b6 + j) else 0.0 in
+    let v7 = if k > 7 then A1.unsafe_get s (b7 + j) else 0.0 in
+    let v8 = if k > 8 then A1.unsafe_get s (b8 + j) else 0.0 in
+    let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
+    let x = if k > 1 then x +. (c1 *. v1) else x in
+    let x = if k > 2 then x +. (c2 *. v2) else x in
+    let x = if k > 3 then x +. (c3 *. v3) else x in
+    let x = if k > 4 then x +. (c4 *. v4) else x in
+    let x = if k > 5 then x +. (c5 *. v5) else x in
+    let x = if k > 6 then x +. (c6 *. v6) else x in
+    let x = if k > 7 then x +. (c7 *. v7) else x in
+    let x = if k > 8 then x +. (c8 *. v8) else x in
+    if not last then FA.unsafe_set acc j x
+    else A1.unsafe_set d (lo + j) (if div then x /. dv else x)
+  done
+
+(* The dispatch from a chunk pass's fields to the literal arguments of
+   its chain: one match per pass and row, outside the cell loop. A pass
+   that is not [last] stores no value, so it ignores the post-op. *)
+let[@inline] ends_f64 ~k ch s d acc lo q ~first ~last =
+  match (first, last, ch.has_div) with
+  | true, false, _ -> chain_f64 ~k ~first:true ~last:false ~div:false ch s d acc lo q
+  | false, false, _ -> chain_f64 ~k ~first:false ~last:false ~div:false ch s d acc lo q
+  | true, true, true -> chain_f64 ~k ~first:true ~last:true ~div:true ch s d acc lo q
+  | true, true, false -> chain_f64 ~k ~first:true ~last:true ~div:false ch s d acc lo q
+  | false, true, true -> chain_f64 ~k ~first:false ~last:true ~div:true ch s d acc lo q
+  | false, true, false -> chain_f64 ~k ~first:false ~last:true ~div:false ch s d acc lo q
+
+let chunk_f64 ch s d acc lo ~q ~k ~first ~last =
+  match k with
+  | 1 -> ends_f64 ~k:1 ch s d acc lo q ~first ~last
+  | 2 -> ends_f64 ~k:2 ch s d acc lo q ~first ~last
+  | 3 -> ends_f64 ~k:3 ch s d acc lo q ~first ~last
+  | 4 -> ends_f64 ~k:4 ch s d acc lo q ~first ~last
+  | 5 -> ends_f64 ~k:5 ch s d acc lo q ~first ~last
+  | 6 -> ends_f64 ~k:6 ch s d acc lo q ~first ~last
+  | 7 -> ends_f64 ~k:7 ch s d acc lo q ~first ~last
+  | 8 -> ends_f64 ~k:8 ch s d acc lo q ~first ~last
+  | _ -> ends_f64 ~k:9 ch s d acc lo q ~first ~last
+
+let[@inline] ends_f32 ~k ch s d acc lo q ~first ~last =
+  match (first, last, ch.has_div) with
+  | true, false, _ -> chain_f32 ~k ~first:true ~last:false ~div:false ch s d acc lo q
+  | false, false, _ -> chain_f32 ~k ~first:false ~last:false ~div:false ch s d acc lo q
+  | true, true, true -> chain_f32 ~k ~first:true ~last:true ~div:true ch s d acc lo q
+  | true, true, false -> chain_f32 ~k ~first:true ~last:true ~div:false ch s d acc lo q
+  | false, true, true -> chain_f32 ~k ~first:false ~last:true ~div:true ch s d acc lo q
+  | false, true, false -> chain_f32 ~k ~first:false ~last:true ~div:false ch s d acc lo q
+
+let chunk_f32 ch s d acc lo ~q ~k ~first ~last =
+  match k with
+  | 1 -> ends_f32 ~k:1 ch s d acc lo q ~first ~last
+  | 2 -> ends_f32 ~k:2 ch s d acc lo q ~first ~last
+  | 3 -> ends_f32 ~k:3 ch s d acc lo q ~first ~last
+  | 4 -> ends_f32 ~k:4 ch s d acc lo q ~first ~last
+  | 5 -> ends_f32 ~k:5 ch s d acc lo q ~first ~last
+  | 6 -> ends_f32 ~k:6 ch s d acc lo q ~first ~last
+  | 7 -> ends_f32 ~k:7 ch s d acc lo q ~first ~last
+  | 8 -> ends_f32 ~k:8 ch s d acc lo q ~first ~last
+  | _ -> ends_f32 ~k:9 ch s d acc lo q ~first ~last
+
 let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
   if src.Grid.dims <> dst.Grid.dims then invalid_arg "Reference.step: dim mismatch";
   if Array.length src.Grid.dims <> pattern.Pattern.dims then
@@ -222,11 +366,12 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
    divides and stores. Each cell thus performs the same IEEE operations
    on the same operands in the same order as the cell-major loop; only
    the interleaving across cells changes, and OCaml contracts nothing
-   into FMA, so the bits are unchanged. The form of a pass and a
-   chunk's width are matched once per row; only a chunk's start and
-   finish are branched on per cell, loop invariants the branch
-   predictor resolves. The accumulator row is float64 for both
-   precisions, so an f32 sweep still rounds only at the store.
+   into FMA, so the bits are unchanged. The form of a pass is matched
+   once per row, and a chunk's arity, start, finish and post-op select
+   one instantiation of [chain_f64]/[chain_f32] there ([chunk_f64],
+   [chunk_f32]), so the loop over a row's cells tests no flag. The
+   accumulator row is float64 for both precisions, so an f32 sweep
+   still rounds only at the store.
 
    The row program runs its instructions over a row's [width] interior
    cells in order, each through the loop of its operation and operand
@@ -310,7 +455,6 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
     | Some lf ->
         let lt_off = lf.Sexpr.lt_off in
         let lt_off2 = lf.Sexpr.lt_off2 in
-        let lt_coef = lf.Sexpr.lt_coef in
         let lt_scaled = lf.Sexpr.lt_scaled in
         let has_div, div =
           match lf.Sexpr.lt_post with
@@ -324,126 +468,20 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
            && not (Array.for_all (fun (a : lane) -> FA.length a.acc >= width) scratch)
         then
           invalid_arg "Reference.step: scratch row shorter than an interior row";
-        (* Per-term deltas and coefficients, padded by [chunk - 1] so a
-           chunk loads all nine slots whatever its width; slots past
-           its width are never read. *)
         let n_terms = Array.length lt_off in
-        let pad = n_terms + chunk - 1 in
-        let tdelta = Array.init pad (fun q -> if q < n_terms then delta.(lt_off.(q)) else 0) in
-        let tcoef = Array.init pad (fun q -> if q < n_terms then lt_coef.(q) else 0.0) in
-        (* One unrolled loop per chunk width: a per-term branch on the
-           width would split the body into blocks and cost a quarter of
-           the gain. Only the start and the finish are branched on. *)
-        let chunk_f64 (s : Grid.f64buf) (d : Grid.f64buf) acc lo ~q ~k ~first ~last =
-          let b0 = lo + tdelta.(q) and b1 = lo + tdelta.(q + 1)
-          and b2 = lo + tdelta.(q + 2) and b3 = lo + tdelta.(q + 3)
-          and b4 = lo + tdelta.(q + 4) and b5 = lo + tdelta.(q + 5)
-          and b6 = lo + tdelta.(q + 6) and b7 = lo + tdelta.(q + 7)
-          and b8 = lo + tdelta.(q + 8) in
-          let c0 = tcoef.(q) and c1 = tcoef.(q + 1) and c2 = tcoef.(q + 2)
-          and c3 = tcoef.(q + 3) and c4 = tcoef.(q + 4) and c5 = tcoef.(q + 5)
-          and c6 = tcoef.(q + 6) and c7 = tcoef.(q + 7) and c8 = tcoef.(q + 8) in
-          match k with
-          | 1 ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 2 ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 3 ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
-                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 4 ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
-                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
-                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 5 ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
-                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
-                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
-                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 6 ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
-                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
-                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
-                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
-                let x = x +. (c5 *. A1.unsafe_get s (b5 + j)) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 7 ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
-                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
-                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
-                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
-                let x = x +. (c5 *. A1.unsafe_get s (b5 + j)) in
-                let x = x +. (c6 *. A1.unsafe_get s (b6 + j)) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 8 ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
-                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
-                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
-                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
-                let x = x +. (c5 *. A1.unsafe_get s (b5 + j)) in
-                let x = x +. (c6 *. A1.unsafe_get s (b6 + j)) in
-                let x = x +. (c7 *. A1.unsafe_get s (b7 + j)) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | _ ->
-              for j = 0 to width - 1 do
-                let x = c0 *. A1.unsafe_get s (b0 + j) in
-                let x = if first then x else FA.unsafe_get acc j +. x in
-                let x = x +. (c1 *. A1.unsafe_get s (b1 + j)) in
-                let x = x +. (c2 *. A1.unsafe_get s (b2 + j)) in
-                let x = x +. (c3 *. A1.unsafe_get s (b3 + j)) in
-                let x = x +. (c4 *. A1.unsafe_get s (b4 + j)) in
-                let x = x +. (c5 *. A1.unsafe_get s (b5 + j)) in
-                let x = x +. (c6 *. A1.unsafe_get s (b6 + j)) in
-                let x = x +. (c7 *. A1.unsafe_get s (b7 + j)) in
-                let x = x +. (c8 *. A1.unsafe_get s (b8 + j)) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-        in
+        let tdelta = Array.init n_terms (fun q -> delta.(lt_off.(q))) in
+        let tcoef = lf.Sexpr.lt_coef in
+        (* The chunk loops read [tdelta] and [tcoef] unchecked. *)
+        if
+          Array.length tcoef <> n_terms
+          || not
+               (Array.for_all
+                  (function
+                    | Chunk { q; k; _ } -> q >= 0 && k >= 1 && k <= chunk && q + k <= n_terms
+                    | Term _ | Bare_pair _ | Store -> true)
+                  passes)
+        then invalid_arg "Reference.step: a chunk pass leaves the term tables";
+        let ch = { width; tdelta; tcoef; has_div; post = { dv = div } } in
         let term_f64 (s : Grid.f64buf) acc lo ~first q =
           let b = lo + tdelta.(q) and c = tcoef.(q) and k2 = lt_off2.(q) in
           if k2 < 0 then begin
@@ -493,7 +531,7 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
           let lo = base + rad in
           for p = 0 to Array.length passes - 1 do
             match passes.(p) with
-            | Chunk { q; k; first; last } -> chunk_f64 s d acc lo ~q ~k ~first ~last
+            | Chunk { q; k; first; last } -> chunk_f64 ch s d acc lo ~q ~k ~first ~last
             | Term { q; first } -> term_f64 s acc lo ~first q
             | Bare_pair q -> bare_pair_f64 s acc lo q
             | Store ->
@@ -506,138 +544,6 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
                     A1.unsafe_set d (lo + j) (FA.unsafe_get acc j)
                   done
           done
-        in
-        (* [row_f32] is [row_f64] over single-precision buffers: reads
-           widen exactly and the store is the only rounding. A chunk
-           reads all its operands into distinct locals before the first
-           multiply: a widening load only writes the low half of its
-           register, so reads that all land in one register would wait
-           on each other. *)
-        let chunk_f32 (s : Grid.f32buf) (d : Grid.f32buf) acc lo ~q ~k ~first ~last =
-          let b0 = lo + tdelta.(q) and b1 = lo + tdelta.(q + 1)
-          and b2 = lo + tdelta.(q + 2) and b3 = lo + tdelta.(q + 3)
-          and b4 = lo + tdelta.(q + 4) and b5 = lo + tdelta.(q + 5)
-          and b6 = lo + tdelta.(q + 6) and b7 = lo + tdelta.(q + 7)
-          and b8 = lo + tdelta.(q + 8) in
-          let c0 = tcoef.(q) and c1 = tcoef.(q + 1) and c2 = tcoef.(q + 2)
-          and c3 = tcoef.(q + 3) and c4 = tcoef.(q + 4) and c5 = tcoef.(q + 5)
-          and c6 = tcoef.(q + 6) and c7 = tcoef.(q + 7) and c8 = tcoef.(q + 8) in
-          match k with
-          | 1 ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 2 ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                let x = x +. (c1 *. v1) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 3 ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
-                and v2 = A1.unsafe_get s (b2 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                let x = x +. (c1 *. v1) in
-                let x = x +. (c2 *. v2) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 4 ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
-                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                let x = x +. (c1 *. v1) in
-                let x = x +. (c2 *. v2) in
-                let x = x +. (c3 *. v3) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 5 ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
-                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
-                and v4 = A1.unsafe_get s (b4 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                let x = x +. (c1 *. v1) in
-                let x = x +. (c2 *. v2) in
-                let x = x +. (c3 *. v3) in
-                let x = x +. (c4 *. v4) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 6 ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
-                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
-                and v4 = A1.unsafe_get s (b4 + j) and v5 = A1.unsafe_get s (b5 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                let x = x +. (c1 *. v1) in
-                let x = x +. (c2 *. v2) in
-                let x = x +. (c3 *. v3) in
-                let x = x +. (c4 *. v4) in
-                let x = x +. (c5 *. v5) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 7 ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
-                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
-                and v4 = A1.unsafe_get s (b4 + j) and v5 = A1.unsafe_get s (b5 + j)
-                and v6 = A1.unsafe_get s (b6 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                let x = x +. (c1 *. v1) in
-                let x = x +. (c2 *. v2) in
-                let x = x +. (c3 *. v3) in
-                let x = x +. (c4 *. v4) in
-                let x = x +. (c5 *. v5) in
-                let x = x +. (c6 *. v6) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | 8 ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
-                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
-                and v4 = A1.unsafe_get s (b4 + j) and v5 = A1.unsafe_get s (b5 + j)
-                and v6 = A1.unsafe_get s (b6 + j) and v7 = A1.unsafe_get s (b7 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                let x = x +. (c1 *. v1) in
-                let x = x +. (c2 *. v2) in
-                let x = x +. (c3 *. v3) in
-                let x = x +. (c4 *. v4) in
-                let x = x +. (c5 *. v5) in
-                let x = x +. (c6 *. v6) in
-                let x = x +. (c7 *. v7) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
-          | _ ->
-              for j = 0 to width - 1 do
-                let v0 = A1.unsafe_get s (b0 + j) and v1 = A1.unsafe_get s (b1 + j)
-                and v2 = A1.unsafe_get s (b2 + j) and v3 = A1.unsafe_get s (b3 + j)
-                and v4 = A1.unsafe_get s (b4 + j) and v5 = A1.unsafe_get s (b5 + j)
-                and v6 = A1.unsafe_get s (b6 + j) and v7 = A1.unsafe_get s (b7 + j)
-                and v8 = A1.unsafe_get s (b8 + j) in
-                let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-                let x = x +. (c1 *. v1) in
-                let x = x +. (c2 *. v2) in
-                let x = x +. (c3 *. v3) in
-                let x = x +. (c4 *. v4) in
-                let x = x +. (c5 *. v5) in
-                let x = x +. (c6 *. v6) in
-                let x = x +. (c7 *. v7) in
-                let x = x +. (c8 *. v8) in
-                if not last then FA.unsafe_set acc j x
-                else A1.unsafe_set d (lo + j) (if has_div then x /. div else x)
-              done
         in
         let term_f32 (s : Grid.f32buf) acc lo ~first q =
           let b = lo + tdelta.(q) and c = tcoef.(q) and k2 = lt_off2.(q) in
@@ -688,7 +594,7 @@ let step_lowered ?par ~scratch ~blit (low : Sexpr.lowered) ~rad ~(src : Grid.t) 
           let lo = base + rad in
           for p = 0 to Array.length passes - 1 do
             match passes.(p) with
-            | Chunk { q; k; first; last } -> chunk_f32 s d acc lo ~q ~k ~first ~last
+            | Chunk { q; k; first; last } -> chunk_f32 ch s d acc lo ~q ~k ~first ~last
             | Term { q; first } -> term_f32 s acc lo ~first q
             | Bare_pair q -> bare_pair_f32 s acc lo q
             | Store ->

@@ -16,7 +16,9 @@
 # passes and the row program's loops alike: each reads the source at
 # the row's linear position plus an offset's delta, which the
 # once-per-sweep peeling proof bounds for every lowered offset, and its
-# own float64 rows, which it checks are at least a row wide.
+# own float64 rows, which it checks are at least a row wide; its chunk
+# loops read their term tables unchecked too, after a once-per-sweep
+# check that every chunk's terms lie inside them.
 # Tests are exempt — they exercise the accessors' contract on purpose.
 # Run from the repository root; exits non-zero listing violations.
 set -eu

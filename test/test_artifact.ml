@@ -116,11 +116,39 @@ let index_of hay needle from =
   in
   at from
 
-let test_init_value_matches_grid () =
+let require_cc () =
   if Sys.command "command -v cc >/dev/null 2>&1" <> 0 then begin
     prerr_endline "skipped: no C compiler (cc) on PATH";
     Alcotest.skip ()
-  end;
+  end
+
+(* The harness's [init_value] definition: from its first mention (the
+   definition) to the closing brace. *)
+let init_value_source main =
+  let start = String.rindex_from main (index_of main "init_value(" 0) '\n' + 1 in
+  String.sub main start (index_of main "\n}\n" start + 3 - start)
+
+(* Write [prog] to [base].c, compile it with [flags], run it and return
+   its output lines; the files are removed again. *)
+let run_c ~flags base prog =
+  Out_channel.with_open_bin (base ^ ".c") (fun oc -> output_string oc prog);
+  let q = Filename.quote base in
+  if Sys.command (Fmt.str "cc %s -o %s %s.c -lm && %s > %s.out" flags q q q q) <> 0 then
+    Alcotest.failf "%s: compiling or running the harness code failed" base;
+  let lines =
+    In_channel.with_open_bin (base ^ ".out") In_channel.input_all
+    |> String.split_on_char '\n' |> List.filter (( <> ) "")
+  in
+  List.iter (fun ext -> Sys.remove (base ^ ext)) [ ".c"; ".out"; "" ];
+  lines
+
+let bits prec v =
+  match prec with
+  | Stencil.Grid.F32 -> Printf.sprintf "%lx" (Int32.bits_of_float v)
+  | Stencil.Grid.F64 -> Printf.sprintf "%Lx" (Int64.bits_of_float v)
+
+let test_init_value_matches_grid () =
+  require_cc ();
   let dir = Filename.temp_dir "an5d" "initvalue" in
   List.iter
     (fun (name, dims, prec) ->
@@ -131,9 +159,6 @@ let test_init_value_matches_grid () =
           (Framework.source_of_string b.Bench_defs.Benchmarks.c_source)
       in
       let main = find_file (Artifact.make job) "main.cu" in
-      (* the first mention of init_value is its definition *)
-      let start = String.rindex_from main (index_of main "init_value(" 0) '\n' + 1 in
-      let stop = index_of main "\n}\n" start + 3 in
       let rank = Array.length dims in
       let ctype, words =
         match prec with
@@ -154,37 +179,94 @@ let test_init_value_matches_grid () =
           \    memcpy(&w, &v, sizeof w);\n\
           \    printf(\"%%llx\\n\", (unsigned long long)w);\n  }\n\
           \  return 0;\n}\n"
-          (String.sub main start (stop - start)) loops ctype args words
+          (init_value_source main) loops ctype args words
       in
       let base =
         Filename.concat dir
           (Fmt.str "%s_%s" name (Stencil.Grid.precision_to_string prec))
       in
-      Out_channel.with_open_bin (base ^ ".c") (fun oc -> output_string oc prog);
-      let q = Filename.quote base in
-      if Sys.command (Fmt.str "cc -O2 -o %s %s.c && %s > %s.out" q q q q) <> 0 then
-        Alcotest.failf "%s: compiling or running the harness init failed" base;
-      let got =
-        In_channel.with_open_bin (base ^ ".out") In_channel.input_all
-        |> String.split_on_char '\n' |> List.filter (( <> ) "")
-      in
+      let got = run_c ~flags:"-O2" base prog in
       let g = Stencil.Grid.init_random ~prec dims in
       let expect =
-        List.init (Stencil.Grid.size g) (fun i ->
-            let v = Stencil.Grid.get_lin g i in
-            match prec with
-            | Stencil.Grid.F32 -> Printf.sprintf "%lx" (Int32.bits_of_float v)
-            | Stencil.Grid.F64 -> Printf.sprintf "%Lx" (Int64.bits_of_float v))
+        List.init (Stencil.Grid.size g) (fun i -> bits prec (Stencil.Grid.get_lin g i))
       in
       Alcotest.(check bool) (base ^ ": at least 64 cells") true (List.length expect >= 64);
-      Alcotest.(check (list string)) (base ^ ": bits") expect got;
-      List.iter (fun ext -> Sys.remove (base ^ ext)) [ ".c"; ".out"; "" ])
+      Alcotest.(check (list string)) (base ^ ": bits") expect got)
     [
       ("j2d5pt", [| 9; 11 |], Stencil.Grid.F64);
       ("j2d5pt", [| 9; 11 |], Stencil.Grid.F32);
       ("star3d1r", [| 5; 6; 7 |], Stencil.Grid.F64);
       ("star3d1r", [| 5; 6; 7 |], Stencil.Grid.F32);
     ];
+  Sys.rmdir dir
+
+(* The harness's CPU-only reference loop (§A.6) as an executed third
+   oracle: its [init_value], scalar parameters and reference loop,
+   compiled without vectorization or FMA contraction and run for a few
+   steps on a small grid, must leave every cell with the bits of
+   [Reference.run]. Only f64: C evaluates [float + float] in single
+   precision, rounding after every operation, where the simulator
+   rounds an f32 cell once, at the store. *)
+let test_c_reference_matches () =
+  require_cc ();
+  let dir = Filename.temp_dir "an5d" "cref" in
+  List.iter
+    (fun (name, dims) ->
+      let b = Option.get (Bench_defs.Benchmarks.find name) in
+      let prec = Stencil.Grid.F64 and steps = 3 in
+      let job =
+        Framework.compile ~dims ~prec
+          ~config:(Config.make ~bt:1 ~bs:(Array.make (Array.length dims - 1) 16) ())
+          (Framework.source_of_string b.Bench_defs.Benchmarks.c_source)
+      in
+      let main = find_file (Artifact.make ~steps job) "main.cu" in
+      (* the scalar parameters follow the step count, up to the init loops *)
+      let params =
+        let start = index_of main "\n" (index_of main "int timesteps =" 0) + 1 in
+        String.sub main start (index_of main "  for (int x0" start - start)
+      in
+      let loop =
+        let start = index_of main "/* CPU-only reference */\n" 0 in
+        let start = index_of main "\n" start + 1 in
+        String.sub main start (index_of main "\n  /* computational error" start - start)
+      in
+      let rank = Array.length dims in
+      let dims_c = String.concat "" (Array.to_list (Array.map (Fmt.str "[%d]") dims)) in
+      let cells f =
+        String.concat ""
+          (List.init rank (fun d -> Fmt.str "for (int x%d = 0; x%d < %d; x%d++) " d d dims.(d) d))
+        ^ f (String.concat "" (List.init rank (Fmt.str "[x%d]")))
+            (String.concat ", " (List.init rank (Fmt.str "x%d")))
+      in
+      let prog =
+        Fmt.str
+          "#include <stdint.h>\n#include <stdio.h>\n#include <string.h>\n\
+           #include <math.h>\n\
+           static double ref[2]%s;\n%s\n\
+           int main(void) {\n  int timesteps = %d;\n%s  %s\n%s\n  %s\n  return 0;\n}\n"
+          dims_c (init_value_source main) steps params
+          (cells (fun subs args ->
+               Fmt.str "ref[0]%s = ref[1]%s = init_value(%s);" subs subs args))
+          loop
+          (cells (fun subs _ ->
+               Fmt.str
+                 "{ uint64_t w; memcpy(&w, &ref[timesteps %% 2]%s, sizeof w); \
+                  printf(\"%%llx\\n\", (unsigned long long)w); }"
+                 subs))
+      in
+      let got =
+        run_c ~flags:"-O2 -fno-tree-vectorize -ffp-contract=off"
+          (Filename.concat dir name) prog
+      in
+      let g = Stencil.Grid.init_random ~prec dims in
+      let out = Stencil.Reference.run (Framework.pattern job) ~steps g in
+      let expect =
+        List.init (Stencil.Grid.size out) (fun i -> bits prec (Stencil.Grid.get_lin out i))
+      in
+      Alcotest.(check bool) (name ^ ": cells changed") true
+        (Stencil.Grid.max_abs_diff g out > 0.0);
+      Alcotest.(check (list string)) (name ^ ": bits") expect got)
+    [ ("j2d5pt", [| 12; 13 |]); ("star2d4r", [| 14; 15 |]); ("j3d27pt", [| 6; 7; 8 |]) ];
   Sys.rmdir dir
 
 let () =
@@ -201,5 +283,6 @@ let () =
           Alcotest.test_case "cuda included" `Quick test_cuda_included;
           Alcotest.test_case "init_value = Grid.init_random" `Quick
             test_init_value_matches_grid;
+          Alcotest.test_case "C reference = Reference.run" `Quick test_c_reference_matches;
         ] );
     ]

@@ -92,6 +92,32 @@ let test_bad_run_flag_exit () =
   | _, Unix.WEXITED n -> Alcotest.failf "--steps 0 exited %d, not 124" n
   | _ -> Alcotest.fail "--steps 0 killed by a signal"
 
+(* [an5d detect] and [an5d tune --stencil FILE] report a bad source as
+   [compile] does, a located front-end error with exit 1, not an
+   escaped exception. *)
+let test_bad_source_located () =
+  let exe = an5d_exe () in
+  let path = Filename.temp_file "an5d" ".c" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "#define SB 99999999999999999999\n");
+  List.iter
+    (fun args ->
+      let ((out, _, err) as proc) =
+        Unix.open_process_args_full exe (Array.of_list (exe :: args)) (Unix.environment ())
+      in
+      let msg = In_channel.input_all err in
+      ignore (In_channel.input_all out);
+      let name = List.hd args in
+      Alcotest.(check string) (name ^ " message")
+        (Fmt.str "an5d: %s:1:12: lexical error: integer literal 99999999999999999999 out of range\n"
+           path)
+        msg;
+      match Unix.close_process_full proc with
+      | Unix.WEXITED 1 -> ()
+      | _ -> Alcotest.failf "%s on a bad source did not exit 1" name)
+    [ [ "detect"; path ]; [ "tune"; "--stencil"; path ] ]
+
 let test_suite_composition () =
   Alcotest.(check int) "21 benchmarks" 21 (List.length (all ()));
   Alcotest.(check int) "12 two-dimensional" 12
@@ -220,7 +246,10 @@ let () =
           Alcotest.test_case "start-up allocations" `Quick test_startup_allocations;
         ] );
       ( "front door",
-        [ Alcotest.test_case "bad run flag is a usage error" `Quick test_bad_run_flag_exit ] );
+        [
+          Alcotest.test_case "bad run flag is a usage error" `Quick test_bad_run_flag_exit;
+          Alcotest.test_case "bad source is a located error" `Quick test_bad_source_located;
+        ] );
       ( "table3",
         [
           Alcotest.test_case "rendered sources pinned" `Quick test_rendered_sources_pinned;

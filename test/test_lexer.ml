@@ -75,6 +75,31 @@ let test_errors () =
         (String.length msg > 0)
   | _ -> Alcotest.fail "expected error on #include"
 
+(* A literal the scanner accepts but OCaml's converters refuse (an
+   exponent without digits, an integer beyond [max_int], an 8 or 9 in
+   an octal literal) is a lexical error at the literal's first
+   character, not an escaped [Failure]. *)
+let test_literal_errors () =
+  List.iter
+    (fun (src, msg, col) ->
+      Alcotest.check_raises src (Lexer.Error (msg, Srcloc.make ~line:1 ~col))
+        (fun () -> ignore (Lexer.tokenize src)))
+    [
+      ("x = 1.5e;", "malformed float literal 1.5e", 5);
+      ("x = 2E+ ;", "malformed float literal 2E+", 5);
+      ("y * 1.5ef", "malformed float literal 1.5e", 5);
+      ( "#define SB 99999999999999999999",
+        "integer literal 99999999999999999999 out of range",
+        12 );
+      ("4611686018427387904", "integer literal 4611686018427387904 out of range", 1);
+      ("0777777777777777777777", "integer literal 0777777777777777777777 out of range", 1);
+      ("a[09]", "invalid digit in octal literal 09", 3);
+    ];
+  check_tokens "max_int" "4611686018427387903" [ Token.INT_LIT max_int ];
+  (* A leading 0 makes an integer octal, as in C. *)
+  check_tokens "octal" "010 0 00 0.5"
+    [ Token.INT_LIT 8; Token.INT_LIT 0; Token.INT_LIT 0; Token.FLOAT_LIT 0.5 ]
+
 let test_whole_kernel () =
   (* The Fig 4 shape lexes without error and ends in EOF. *)
   let src =
@@ -105,5 +130,6 @@ let () =
           Alcotest.test_case "locations" `Quick test_locations;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "whole kernel" `Quick test_whole_kernel;
+          Alcotest.test_case "literal errors" `Quick test_literal_errors;
         ] );
     ]

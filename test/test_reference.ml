@@ -199,6 +199,68 @@ let test_run_equals_steps () =
   Alcotest.(check string) "run = chained step" (Grid.digest a)
     (Grid.digest (Reference.run ~par p ~steps:3 g))
 
+(* --- kernel shapes: every chunk loop against the per-cell oracle --- *)
+
+(* The chunk passes a row of [plain] scaled reads runs, as (arity,
+   first, last): nine terms a pass, the last pass storing unless a
+   [tail] term follows the run. *)
+let chunk_passes ~plain ~tail =
+  List.init ((plain + 8) / 9) (fun i ->
+      let q = 9 * i in
+      let k = min 9 (plain - q) in
+      (k, i = 0, (not tail) && q + k = plain))
+
+(* Table 3-style weighted sums of every length 1 to 27, alone or
+   followed by one bare read, with and without [Post_div], in both
+   precisions, sequentially and over the 2-lane pool: each bit for bit
+   equal to the per-cell oracle. Together they instantiate every chunk
+   loop of the sweep — each arity 1 to 9, starting the sum or not,
+   ending in the accumulator row or storing with or without the
+   division — which the test checks instead of leaving it to chance. *)
+let test_kernel_shapes () =
+  let offs = Array.of_list (Shape.box_offsets ~dims:2 ~rad:3) in
+  let bare = Sexpr.Cell offs.(Array.length offs - 1) in
+  let seen = Hashtbl.create 128 in
+  for plain = 1 to 27 do
+    List.iter
+      (fun tail ->
+        let sum = Sexpr.weighted_sum (Array.to_list (Array.sub offs 0 plain)) in
+        let expr = if tail then Sexpr.Add (sum, bare) else sum in
+        List.iter
+          (fun div ->
+            let p =
+              Pattern.make
+                ~name:(Fmt.str "sum%d%s%s" plain (if tail then "+bare" else "")
+                         (if div then "/c0" else ""))
+                ~dims:2 ~params:[ ("c0", 2.5) ]
+                (if div then Sexpr.Div (expr, Sexpr.Param "c0") else expr)
+            in
+            (match (Pattern.lower p).Sexpr.low_linear with
+            | Some lf ->
+                Alcotest.(check (array bool)) (p.Pattern.name ^ " scaled terms")
+                  (Array.init (plain + Bool.to_int tail) (fun q -> q < plain))
+                  lf.Sexpr.lt_scaled
+            | None -> Alcotest.fail (p.Pattern.name ^ ": no linear form"));
+            List.iter
+              (fun prec ->
+                let g = Grid.init_random ~prec ~seed:7 [| 11; 13 |] in
+                let expect = Grid.digest (Cell_oracle.run p ~steps:2 g) in
+                let name = Fmt.str "%s %s" p.Pattern.name (Grid.precision_to_string prec) in
+                Alcotest.(check string) name expect (Grid.digest (Reference.run p ~steps:2 g));
+                Alcotest.(check string) (name ^ " par") expect
+                  (Grid.digest (Reference.run ~par p ~steps:2 g));
+                List.iter
+                  (fun (k, first, last) ->
+                    Hashtbl.replace seen (k, first, last, last && div, prec) ())
+                  (chunk_passes ~plain ~tail))
+              [ Grid.F64; Grid.F32 ])
+          [ false; true ])
+      [ false; true ]
+  done;
+  (* Per precision: 9 arities x (first or not) x (accumulate, store,
+     store divided). *)
+  Alcotest.(check int) "chunk loops run" (2 * 9 * 2 * 3) (Hashtbl.length seen)
+
 (* --- scratch ownership: concurrent calls in one domain --- *)
 
 (* Two systhreads of one domain sweep different grids at the same time,
@@ -250,4 +312,6 @@ let () =
             test_concurrent_calls;
         ] );
       ("parallel rows", [ QCheck_alcotest.to_alcotest prop_par_bit_identical ]);
+      ( "kernel shapes",
+        [ Alcotest.test_case "every chunk loop = oracle" `Quick test_kernel_shapes ] );
     ]

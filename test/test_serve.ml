@@ -1040,10 +1040,10 @@ let test_memo_tune_error_origin () =
         [ "tune-a.c"; "tune-b.c" ])
     [ "void f() { @ } // tune"; "void f(int a { } // tune"; "void f(int n) { } // tune" ]
 
-(* A source the front end fails on with an exception of its own (an
-   integer literal too large for [int]) keys as "auto", makes a tune
-   line an error instead of escaping [Request.of_line], and still
-   raises that exception out of [Framework.compile], as before. *)
+(* An integer literal too large for [int] is a located lexical error
+   like any other bad source: it keys as "auto", makes a tune line an
+   error instead of escaping [Request.of_line], and makes
+   [Framework.compile] raise [Compile_error] at the literal. *)
 let test_memo_front_end_exception () =
   let text =
     "#define SB 99999999999999999999\n\
@@ -1061,11 +1061,14 @@ let test_memo_front_end_exception () =
        "(prec auto)");
   (match Request.tune ~device:Gpu.Device.v100 ~prec:Stencil.Grid.F64 ~steps:4 source with
   | Error msg ->
-      Alcotest.(check string) "tune error" "huge.c: Failure(\"int_of_string\")" msg
+      Alcotest.(check string) "tune error"
+        "huge.c: lexical error: integer literal 99999999999999999999 out of range" msg
   | Ok _ -> Alcotest.fail "expected a tune error");
   match Framework.compile ~config source with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected the front end's Failure"
+  | exception Framework.Compile_error msg ->
+      Alcotest.(check string) "compile error"
+        "huge.c:1:12: lexical error: integer literal 99999999999999999999 out of range" msg
+  | _ -> Alcotest.fail "expected a compile error"
 
 (* Two identical compile requests return the same text, and the second
    runs no code generator. *)
