@@ -18,7 +18,13 @@
    [split_floor], if the reference sweep's speed over the checked plan
    drops below [reference_floor], or if a linear stencil silently
    dispatches to the generic streaming kernel instead of its
-   specialized one. *)
+   specialized one.
+
+   It also reports, ungated, [streaming_over_reference] on the three
+   cases of perfbench's [solve] workload at solve's sizes: the
+   single-lane streaming executor's time over the reference sweep's,
+   the median of paired rounds with the IQR beside it — the number the
+   streaming executor must bring down to reach the reference's rate. *)
 
 open An5d_core
 
@@ -276,6 +282,64 @@ let reference_vs_compiled cases =
             cases)
     cases
 
+(* Rounds of the paired streaming-over-reference measurement. *)
+let solve_rounds () = if !Exp_common.quick then 3 else 11
+
+(* The three cases of perfbench's [solve] workload (wl_solve.ml), at
+   its exact sizes, configurations and precisions. *)
+let solve_cases () =
+  let cfg2 = Config.make ~bt:4 ~bs:[| 256 |] () in
+  [
+    (bench "j2d5pt", cfg2, [| 1024; 1024 |], Stencil.Grid.F64, 16);
+    (bench "star2d4r", cfg2, [| 1024; 1024 |], Stencil.Grid.F64, 16);
+    ( bench "j3d27pt",
+      Config.make ~bt:2 ~bs:[| 32; 32 |] (),
+      [| 96; 96; 96 |],
+      Stencil.Grid.F32,
+      8 );
+  ]
+
+(* Per solve case, the single-lane streaming executor's time
+   ([Blocking.run_cfg Run_config.default]) over the reference sweep's
+   ([Stencil.Reference.run]) on the same grid, one ratio per round of
+   [solve_rounds], each round timing one run of each back to back, the
+   order alternating between rounds. Lower is better; 1.0 is the
+   reference's rate. *)
+let streaming_over_reference () =
+  let secs f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
+  in
+  List.map
+    (fun (b, cfg, dims, prec, steps) ->
+      let p = b.Bench_defs.Benchmarks.pattern in
+      let em = Execmodel.make p cfg dims in
+      let g = Stencil.Grid.init_random ~prec dims in
+      let stream () =
+        let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
+        ignore (Blocking.run_cfg Run_config.default em ~machine ~steps g)
+      and reference () = ignore (Stencil.Reference.run p ~steps g) in
+      stream ();
+      reference ();
+      let ratios =
+        List.init (solve_rounds ()) (fun i ->
+            if i mod 2 = 0 then
+              let s = secs stream in
+              s /. secs reference
+            else
+              let r = secs reference in
+              secs stream /. r)
+      in
+      let name =
+        Fmt.str "%s %a %s" b.Bench_defs.Benchmarks.name
+          Fmt.(array ~sep:(any "x") int)
+          dims
+          (Stencil.Grid.precision_to_string prec)
+      in
+      (name, dims, prec, steps, ratios))
+    (solve_cases ())
+
 (* The f32-vs-f64 streaming throughput split on the [Direct] blocked
    pairs: with genuine 32-bit storage, the f32 variant moves half the
    bytes. A [Partial_sums] pair is left out: its f32 lowering runs one
@@ -337,7 +401,7 @@ let case_json m =
        ]
       @ rates))
 
-let json_of_results results paired generic =
+let json_of_results results paired generic solve =
   let split (name, s64, s32) =
     Obs.Json.Obj
       [
@@ -396,6 +460,21 @@ let json_of_results results paired generic =
                      ("iqr", Output.sig_float ~digits:3 (iqr ratios));
                    ])
                generic) );
+        ( "streaming_over_reference",
+          Arr
+            (List.map
+               (fun (name, dims, prec, steps, ratios) ->
+                 Obj
+                   [
+                     ("name", Str name);
+                     ("dims", of_int_array dims);
+                     ("steps", Int steps);
+                     ("prec", Str (Stencil.Grid.precision_to_string prec));
+                     ("streaming_over_reference", Output.sig_float ~digits:4 (median ratios));
+                     ("iqr", Output.sig_float ~digits:3 (iqr ratios));
+                     ("rounds", Int (List.length ratios));
+                   ])
+               solve) );
         ("metrics", Obs.Export.metrics_json (Obs.Metrics.snapshot ()));
       ])
 
@@ -516,9 +595,15 @@ let run () =
       Fmt.pr "streaming/compiled %s (%s, paired median): %.2fx, IQR %.2f@." c.label c.kernel
         (median ratios) (iqr ratios))
     generic;
+  let solve = streaming_over_reference () in
+  List.iter
+    (fun (name, _, _, _, ratios) ->
+      Fmt.pr "streaming/reference %s (solve case, paired median time ratio): %.3f, IQR %.3f@."
+        name (median ratios) (iqr ratios))
+    solve;
   let written =
     Output.write_bench_json ~quick:!Exp_common.quick "BENCH_throughput.json"
-      (json_of_results results paired generic)
+      (json_of_results results paired generic solve)
   in
   Printf.printf "\nWrote %s\n" written;
   enforce_floor results paired generic

@@ -67,13 +67,13 @@ let make_geometry = Plan.make_geometry
 let neighbor_thread = Plan.neighbor_thread
 
 (* ------------------------------------------------------------------ *)
-(* Per-block state shared by both executors                            *)
+(* Per-block state of the checked path                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Block-local scratch (spatial-block origin, per-thread membership
-   flags, the fixed register file) lives in {!Plan} next to the unsafe
-   contract {!Stream_exec} also relies on; aliased here for the
-   compiled path. *)
+   flags, the fixed register file) lives in {!Plan}; aliased here for
+   the compiled path. {!Stream_exec} derives the same masks as runs
+   from boxes ({!Stream_exec.block_runs}) and reads none of it. *)
 type block_state = Plan.block_state = {
   sb : int;  (** stream-block index *)
   gcoords : int array array;

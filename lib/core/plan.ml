@@ -248,7 +248,8 @@ let build (em : Execmodel.t) ~degree:b ~prec ~mode =
    per-thread global coordinates and membership flags, and the fixed
    register file. Blocks can run on different domains without sharing
    state; dst stores of distinct blocks are disjoint by construction.
-   Shared by both executors ({!Blocking} re-exports). *)
+   The checked compiled path's ({!Blocking} re-exports); the streaming
+   path derives the same masks as runs ({!Stream_exec.block_runs}). *)
 type block_state = {
   sb : int;  (** stream-block index *)
   gcoords : int array array;

@@ -81,11 +81,13 @@ type t = {
   gstrides : int array;  (** row-major strides of the run grids *)
 }
 
-(** Block-local execution state shared by both executors
+(** Block-local execution state of the checked compiled path
     (re-exported by {!Blocking}): the spatial-block origin, per-thread
     global coordinates and membership flags, per-thread in-plane linear
     base offsets, and the fixed register file. Blocks can run on
-    different domains without sharing state. *)
+    different domains without sharing state. {!Stream_exec} derives the
+    same masks, offsets and counts as runs from box arithmetic
+    ({!Stream_exec.block_runs}) instead. *)
 type block_state = {
   sb : int;  (** stream-block index *)
   gcoords : int array array;

@@ -55,12 +55,23 @@
     division stays in the loop.
 
     Each level computes only the threads whose value can reach a store
-    (§4.1's valid width [bS - 2*T*rad] at level [T], see [level_runs]),
-    as runs of consecutive thread ids, and reads term [q]'s neighbor of
-    thread [t] at [t + t_delta.(q)] (offset [k]'s at
+    (§4.1's valid width [bS - 2*T*rad] at level [T], see
+    [block_runs]), as runs of consecutive thread ids, and reads term
+    [q]'s neighbor of thread [t] at [t + t_delta.(q)] (offset [k]'s at
     [t + off_delta.(k)] in the generic kernel) — a constant per term,
     exact inside the valid region where the edge clamp never fires —
     instead of a per-thread gather table.
+
+    A block's whole geometry — which threads load, store, compute or
+    keep the window center, their grid offsets and the thread counts
+    the counters tick — comes from box arithmetic in O(rows), not from
+    per-thread arrays ([block_runs]), and a plane moves between the
+    grid and the register file as one tight copy loop per tile row
+    ([plane_io]), with no per-thread in-grid test or offset lookup.
+    Single-lane M cells/s at perfbench [solve]'s cases, best of 5 over
+    three interleaved rounds on a 2-vCPU shared host, per-thread
+    arrays → runs: j2d5pt 1024² f64 471–484 → 519–550; star2d4r
+    176–184 → 188–193; j3d27pt 96³ f32 91–95 → 106–111.
 
     Grids and simulated GPU counters are bit-identical to the checked
     compiled path in {!Blocking}: same load/store/compute schedule, same
@@ -71,41 +82,138 @@
     schedule, which is the correctness oracle — the differential suite
     (test/test_streaming.ml) proves it. *)
 
-(* The threads a level computes (§4.1). At level [tstep] only threads
-   valid at that level ({!Plan.valid}) can still reach a store: a valid
+(* A block's geometry as runs of thread ids (§4.1). Every mask the
+   block reads is a box in block-local coordinates: the tile
+   [[0, bs_d)], the grid shifted by the block origin, the in-plane
+   interior (the grid shrunk by [rad]), the compute region
+   ([[halo_w, halo_w + compute_w_d)], {!Plan.store_ok}) and each
+   level's valid region ({!Plan.valid}). A box meets a tile row — the
+   threads that share every block-local coordinate but the last — in
+   one interval of consecutive thread ids, so each mask is one run per
+   row it touches and the whole geometry is a few box intersections:
+   O(rows) per block, with no per-thread array.
+
+   - [load]: in-grid threads (tile ∩ grid), flattened as triples
+     [[| s; e; base; ... |]]: the run [[s, e)] and the in-plane grid
+     offset of thread [s]. The innermost grid stride is 1, so thread
+     [t] of the run sits at [base + t - s];
+   - [store]: in-grid [store_ok] threads (compute region ∩ grid),
+     triples as [load]. The compute region is not clipped to the tile:
+     a plan whose compute region overhangs a row is refused by the
+     contract below rather than trimmed;
+   - per level [tstep]: [act], valid and interior — the kernel computes
+     these — and [cpy], valid but not interior — these keep the window
+     center — flattened as pairs [[| s0; e0; s1; e1; ... |]].
+
+   At level [T] only valid threads can still reach a store: a valid
    thread at level [T+1] reads only threads within [rad] of it, which
    are valid at level [T], and the stores read level [degree], whose
-   valid region is exactly [store_ok]. So each level splits its valid
-   threads into runs of consecutive thread ids:
-
-   - [act]: valid and [inplane_interior] — the kernel computes these;
-   - [cpy]: valid but not interior — these keep the window center.
-
-   Every other thread is skipped; nothing reads it. A run never spans
-   two tile rows (for [rad >= 1] the valid region drops the first and
-   last thread of every row), so there is one run per row. Runs are
-   flattened as [[| s0; e0; s1; e1; ... |]], each [[s, e)]. *)
+   valid region is exactly [store_ok]. Every other thread is skipped;
+   nothing reads it. The thread counts the counters tick are the same
+   boxes' volumes. *)
 type level_runs = { act : int array; cpy : int array }
 
-let level_runs (plan : Plan.t) (st : Plan.block_state) ~tstep =
-  let n_thr = plan.Plan.n_thr in
-  let interior = st.Plan.inplane_interior in
-  let valid = Array.init n_thr (fun t -> Plan.valid plan ~tstep t) in
-  let runs keep =
-    let acc = ref [] and t = ref 0 in
-    while !t < n_thr do
-      if valid.(!t) && keep interior.(!t) then begin
-        let s = !t in
-        while !t < n_thr && valid.(!t) && keep interior.(!t) do
-          incr t
+type block_runs = {
+  sb : int;
+  load : int array;
+  store : int array;
+  levels : level_runs array;
+  n_in_grid : int;
+  n_interior : int;
+  n_store : int;
+}
+
+(* [f row0 c] for every tile row [box] meets, in thread order: [row0]
+   is the thread id of the row's first tile thread and [c] the row's
+   block-local coordinates (its last entry unused). *)
+let iter_rows (geo : Plan.geometry) (box : Poly.Box.t) f =
+  let last = Array.length box - 1 in
+  if not (Poly.Box.is_empty box) then begin
+    let c = Array.make (last + 1) 0 in
+    let rec walk d row0 =
+      if d = last then f row0 c
+      else
+        for x = box.(d).Poly.Interval.lo to box.(d).Poly.Interval.hi do
+          c.(d) <- x;
+          walk (d + 1) (row0 + (x * geo.Plan.strides.(d)))
+        done
+    in
+    walk 0 0
+  end
+
+let block_runs (plan : Plan.t) ~degree:b block_id =
+  let nb = plan.Plan.nb and rad = plan.Plan.rad and geo = plan.Plan.geo in
+  let em = plan.Plan.em and gstrides = plan.Plan.gstrides in
+  let last = nb - 1 in
+  (* The block origin: [block_id] in mixed radix over [blocks_per_dim],
+     dimension 0 most significant, as in {!Plan.make_block_state}. *)
+  let origin = Array.make nb 0 in
+  let k = ref (block_id mod plan.Plan.spatial_blocks) in
+  for d = last downto 0 do
+    let n = plan.Plan.blocks_per_dim.(d) in
+    origin.(d) <- Execmodel.block_origin ~b em d (!k mod n);
+    k := !k / n
+  done;
+  (* A box from half-open per-dimension bounds. *)
+  let box f =
+    Array.init nb (fun d ->
+        let lo, hi = f d in
+        Poly.Interval.make lo (hi - 1))
+  in
+  let grid = box (fun d -> (-origin.(d), em.Execmodel.dims.(d + 1) - origin.(d))) in
+  let interior = Poly.Box.shrink rad grid in
+  let tile = Poly.Box.of_dims geo.Plan.bs in
+  let loaded = Poly.Box.inter tile grid in
+  let stored =
+    Poly.Box.inter grid
+      (box (fun d -> (plan.Plan.halo_w, plan.Plan.halo_w + plan.Plan.compute_w.(d))))
+  in
+  let io_runs bx =
+    let lo = bx.(last).Poly.Interval.lo and hi = bx.(last).Poly.Interval.hi in
+    let acc = ref [] in
+    iter_rows geo bx (fun row0 c ->
+        let base = ref ((origin.(last) + lo) * gstrides.(nb)) in
+        for d = 0 to last - 1 do
+          base := !base + ((origin.(d) + c.(d)) * gstrides.(d + 1))
         done;
-        acc := !t :: s :: !acc
-      end
-      else incr t
-    done;
+        acc := !base :: (row0 + hi + 1) :: (row0 + lo) :: !acc);
     Array.of_list (List.rev !acc)
   in
-  { act = runs Fun.id; cpy = runs not }
+  let level tstep =
+    let valid =
+      box (fun d ->
+          let lo = tstep * rad in
+          (lo, lo + Execmodel.valid_width em d ~tstep))
+    in
+    let act = ref [] and cpy = ref [] in
+    let add acc row0 (iv : Poly.Interval.t) =
+      if not (Poly.Interval.is_empty iv) then
+        acc := (row0 + iv.Poly.Interval.hi + 1) :: (row0 + iv.Poly.Interval.lo) :: !acc
+    in
+    iter_rows geo valid (fun row0 c ->
+        let v = valid.(last) in
+        let outer_interior = ref true in
+        for d = 0 to last - 1 do
+          if not (Poly.Interval.contains interior.(d) c.(d)) then outer_interior := false
+        done;
+        if !outer_interior then begin
+          add act row0 (Poly.Interval.inter v interior.(last));
+          (* the part left of the interior, then the part right of it *)
+          List.iter (add cpy row0) (Poly.Interval.diff v interior.(last))
+        end
+        else add cpy row0 v);
+    let runs acc = Array.of_list (List.rev !acc) in
+    { act = runs act; cpy = runs cpy }
+  in
+  {
+    sb = block_id / plan.Plan.spatial_blocks;
+    load = io_runs loaded;
+    store = io_runs stored;
+    levels = Array.init b (fun lev -> level (lev + 1));
+    n_in_grid = Poly.Box.volume loaded;
+    n_interior = Poly.Box.volume (Poly.Box.inter tile interior);
+    n_store = Poly.Box.volume stored;
+  }
 
 (* Validate the unsafe-index contract once per block, before any
    unchecked access (the production-side "index oracle"; the fuzz suite
@@ -123,18 +231,20 @@ let level_runs (plan : Plan.t) (st : Plan.block_state) ~tstep =
      a linear form, each per-offset delta of the generic kernel's
      loads — [s + d >= 0] and [e - 1 + d < n_thr], so each neighbor
      read [t + d] of a computed thread stays inside the tile;
-   - every in-grid thread's in-plane base offset lies in [0, stride0),
-     so [base + i*stride0 < l*stride0 = size] for stream planes
-     [i < l] — loads and stores only happen for in-grid threads
-     (interior/boundary peeling: out-of-grid and halo threads never
-     touch global memory on this path).
+   - plane I/O runs: every load and store run [[s, e)] is non-empty and
+     lies within one tile row, the innermost grid stride is 1, and the
+     in-plane offsets of its first and last thread, [base] and
+     [base + e - 1 - s], lie in [[0, stride0)], so
+     [base + t - s + i*stride0 < l*stride0] for stream planes [i < l]
+     — loads and stores only touch in-grid threads (interior/boundary
+     peeling: out-of-grid and halo threads never touch global memory
+     on this path).
 
    A violation raises instead of reading out of bounds; it cannot occur
    for plans built by {!Plan.get} (offsets are bounded by the pattern
    radius and the deltas are checked against the clamped neighbor
    table for every valid thread), which the raise documents. *)
-let validate_unsafe_contract (plan : Plan.t) (st : Plan.block_state)
-    (levels : level_runs array) =
+let validate_unsafe_contract (plan : Plan.t) (g : block_runs) =
   let fail what = invalid_arg ("Stream_exec.validate_unsafe_contract: " ^ what) in
   let n_off = plan.Plan.n_off and n_thr = plan.Plan.n_thr and p = plan.Plan.p in
   Array.iter
@@ -173,10 +283,11 @@ let validate_unsafe_contract (plan : Plan.t) (st : Plan.block_state)
           fail "offset delta table length mismatch";
         plan.Plan.off_delta
   in
+  let check_run s e = if s < 0 || e > n_thr || s >= e then fail "run empty or outside the tile" in
   let check_runs runs ~reads =
     for r = 0 to (Array.length runs / 2) - 1 do
       let s = runs.(2 * r) and e = runs.((2 * r) + 1) in
-      if s < 0 || e > n_thr || s >= e then fail "run empty or outside the tile";
+      check_run s e;
       if reads then
         Array.iter
           (fun d -> if s + d < 0 || e - 1 + d >= n_thr then fail "neighbor delta leaves the tile")
@@ -187,72 +298,94 @@ let validate_unsafe_contract (plan : Plan.t) (st : Plan.block_state)
     (fun { act; cpy } ->
       check_runs act ~reads:true;
       check_runs cpy ~reads:false)
-    levels;
-  let stride0 = plan.Plan.gstrides.(0) in
+    g.levels;
+  let gstrides = plan.Plan.gstrides in
+  let stride0 = gstrides.(0) in
   if stride0 <= 0 then fail "non-positive plane stride";
-  for t = 0 to n_thr - 1 do
-    if st.Plan.in_grid.(t) && (st.Plan.base.(t) < 0 || st.Plan.base.(t) >= stride0)
-    then fail "in-grid thread base offset outside its plane"
-  done
+  if gstrides.(Array.length gstrides - 1) <> 1 then fail "innermost grid stride is not 1";
+  let row = plan.Plan.geo.Plan.bs.(plan.Plan.nb - 1) in
+  let check_io runs =
+    for r = 0 to (Array.length runs / 3) - 1 do
+      let s = runs.(3 * r) and e = runs.((3 * r) + 1) and base = runs.((3 * r) + 2) in
+      check_run s e;
+      if s / row <> (e - 1) / row then fail "plane I/O run crosses a tile row";
+      if base < 0 || base + (e - 1 - s) >= stride0 then
+        fail "plane I/O run's base offsets leave its plane"
+    done
+  in
+  check_io g.load;
+  check_io g.store
 
 (* Plane load/store closures, monomorphic per precision: the buffer
    constructor is matched once per block, so inside each closure the
    element kind is statically known and bigarray access compiles to
-   direct loads. [0 <= base t < stride0] for in-grid threads (validated
-   by the contract above) and [0 <= i < l] at every call site, so
-   [base t + i*stride0] is in [0, size). Loads land in
-   [reg_file.(0).(i mod p)], stores read [reg_file.(degree).(j mod p)];
+   direct loads. Each run is one tight copy loop: thread [t] of a run
+   [[s, e)] with base [base] reads or writes grid word
+   [base + t - s + i*stride0], which the contract above and the
+   buffer-size check here keep in [[0, size)] for [0 <= i < l] (every
+   call site). Loads land in [reg_file.(0).(i mod p)]; a level-0 plane
+   is written by loads alone and starts zeroed, so its out-of-grid
+   threads stay 0.0. Stores read [reg_file.(degree).(j mod p)];
    counters tick the per-plane global-memory traffic. *)
 let plane_io (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
-    ~(dst : Stencil.Grid.t) (st : Plan.block_state) counters =
-  let n_thr = plan.Plan.n_thr in
+    ~(dst : Stencil.Grid.t) (g : block_runs) (reg_file : float array array array) counters =
   let p = plan.Plan.p in
   let stride0 = plan.Plan.gstrides.(0) in
-  let store_ok = plan.Plan.store_ok in
-  let { Plan.in_grid; base; reg_file; _ } = st in
+  let size = plan.Plan.l * stride0 in
+  let { load; store; n_in_grid; n_store; _ } = g in
+  let n_load = Array.length load / 3 and n_st = Array.length store / 3 in
+  let check_dim n = if n < size then invalid_arg "Stream_exec.plane_io: grid smaller than the plan's" in
   match (src.Stencil.Grid.buf, dst.Stencil.Grid.buf) with
   | Stencil.Grid.B64 sba, Stencil.Grid.B64 dba ->
+      check_dim (Bigarray.Array1.dim sba);
+      check_dim (Bigarray.Array1.dim dba);
       ( (fun i ->
           let dst_plane = reg_file.(0).(i mod p) in
           let poff = i * stride0 in
-          for t = 0 to n_thr - 1 do
-            Array.unsafe_set dst_plane t
-              (if Array.unsafe_get in_grid t then
-                 Bigarray.Array1.unsafe_get sba (Array.unsafe_get base t + poff)
-               else 0.0)
+          for r = 0 to n_load - 1 do
+            let s = Array.unsafe_get load (3 * r) in
+            let off = Array.unsafe_get load ((3 * r) + 2) + poff - s in
+            for t = s to Array.unsafe_get load ((3 * r) + 1) - 1 do
+              Array.unsafe_set dst_plane t (Bigarray.Array1.unsafe_get sba (off + t))
+            done
           done;
-          Gpu.Counters.add_gm_reads counters st.Plan.n_in_grid),
+          Gpu.Counters.add_gm_reads counters n_in_grid),
         fun j ->
           let src_plane = reg_file.(b).(j mod p) in
           let poff = j * stride0 in
-          for t = 0 to n_thr - 1 do
-            if Array.unsafe_get in_grid t && Array.unsafe_get store_ok t then
-              Bigarray.Array1.unsafe_set dba
-                (Array.unsafe_get base t + poff)
-                (Array.unsafe_get src_plane t)
+          for r = 0 to n_st - 1 do
+            let s = Array.unsafe_get store (3 * r) in
+            let off = Array.unsafe_get store ((3 * r) + 2) + poff - s in
+            for t = s to Array.unsafe_get store ((3 * r) + 1) - 1 do
+              Bigarray.Array1.unsafe_set dba (off + t) (Array.unsafe_get src_plane t)
+            done
           done;
-          Gpu.Counters.add_gm_writes counters st.Plan.n_store )
+          Gpu.Counters.add_gm_writes counters n_store )
   | Stencil.Grid.B32 sba, Stencil.Grid.B32 dba ->
+      check_dim (Bigarray.Array1.dim sba);
+      check_dim (Bigarray.Array1.dim dba);
       ( (fun i ->
           let dst_plane = reg_file.(0).(i mod p) in
           let poff = i * stride0 in
-          for t = 0 to n_thr - 1 do
-            Array.unsafe_set dst_plane t
-              (if Array.unsafe_get in_grid t then
-                 Bigarray.Array1.unsafe_get sba (Array.unsafe_get base t + poff)
-               else 0.0)
+          for r = 0 to n_load - 1 do
+            let s = Array.unsafe_get load (3 * r) in
+            let off = Array.unsafe_get load ((3 * r) + 2) + poff - s in
+            for t = s to Array.unsafe_get load ((3 * r) + 1) - 1 do
+              Array.unsafe_set dst_plane t (Bigarray.Array1.unsafe_get sba (off + t))
+            done
           done;
-          Gpu.Counters.add_gm_reads counters st.Plan.n_in_grid),
+          Gpu.Counters.add_gm_reads counters n_in_grid),
         fun j ->
           let src_plane = reg_file.(b).(j mod p) in
           let poff = j * stride0 in
-          for t = 0 to n_thr - 1 do
-            if Array.unsafe_get in_grid t && Array.unsafe_get store_ok t then
-              Bigarray.Array1.unsafe_set dba
-                (Array.unsafe_get base t + poff)
-                (Array.unsafe_get src_plane t)
+          for r = 0 to n_st - 1 do
+            let s = Array.unsafe_get store (3 * r) in
+            let off = Array.unsafe_get store ((3 * r) + 2) + poff - s in
+            for t = s to Array.unsafe_get store ((3 * r) + 1) - 1 do
+              Bigarray.Array1.unsafe_set dba (off + t) (Array.unsafe_get src_plane t)
+            done
           done;
-          Gpu.Counters.add_gm_writes counters st.Plan.n_store )
+          Gpu.Counters.add_gm_writes counters n_store )
   | _ -> invalid_arg "Stream_exec.plane_io: src/dst precision mismatch"
 
 (* ------------------------------------------------------------------ *)
@@ -686,8 +819,10 @@ let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (w : float arr
      the row's plane, [dst_plane] or [q32] at [t] (a single-rounding
      row also reads [q32] back), for [t] in a run, [q32] spanning the
      tile for every f32 block and every generic one;
-   - plane I/O goes through [plane_io], whose in-grid base-offset
-     peeling proof is part of the same contract. *)
+   - plane I/O goes through [plane_io]: its load and store runs each
+     lie within one tile row with both end offsets in [[0, stride0)]
+     (the same contract), and it checks both grids hold [l*stride0]
+     words. *)
 let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     ~(dst : Stencil.Grid.t) ctx =
   let n_thr = plan.Plan.n_thr in
@@ -702,11 +837,12 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     if plan.Plan.em.Execmodel.config.Config.double_buffer then 1 else 2
   in
   let counters = ctx.Gpu.Machine.machine.Gpu.Machine.counters in
-  let st = Plan.make_block_state plan ~degree:b ctx.Gpu.Machine.block_id in
-  let reg_file = st.Plan.reg_file in
-  let levels = Array.init b (fun lev -> level_runs plan st ~tstep:(lev + 1)) in
-  validate_unsafe_contract plan st levels;
-  let s0, s1 = Execmodel.stream_range plan.Plan.em st.Plan.sb in
+  let g = block_runs plan ~degree:b ctx.Gpu.Machine.block_id in
+  validate_unsafe_contract plan g;
+  let levels = g.levels in
+  (* The fixed register file, [.(tstep).(slot).(thread)], zeroed. *)
+  let reg_file = Array.init (b + 1) (fun _ -> Array.init p (fun _ -> Array.make n_thr 0.0)) in
+  let s0, s1 = Execmodel.stream_range plan.Plan.em g.sb in
   (* Whole-plane f32 quantization scratch: computed values land here
      first and are read back after the kernel, keeping the hardware
      double->single->double round-trip (bit-identical to
@@ -773,7 +909,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
               done
         | Folded -> run_folded o final)
   in
-  let load_plane, store_plane = plane_io plan ~degree:b ~src ~dst st counters in
+  let load_plane, store_plane = plane_io plan ~degree:b ~src ~dst g reg_file counters in
   (* ---------------------------------------------------------------- *)
   (* The sliding windows: per time-step level, [p] references into that
      level's register planes, positioned so [wins.(lev).(e)] is the
@@ -791,7 +927,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
        tile, skipped or not: they stay those of the checked path. *)
     Gpu.Counters.add_sm_writes counters sm_writes_per_plane;
     Gpu.Counters.add_barriers counters barriers_per_plane;
-    Gpu.Counters.add_sm_reads counters (sm_reads_per_cell * st.Plan.n_in_grid);
+    Gpu.Counters.add_sm_reads counters (sm_reads_per_cell * g.n_in_grid);
     if j < rad || j >= l - rad then
       (* Stream-boundary plane: propagate the previous time-step (§4.1). *)
       Array.blit src_planes.(j mod p) 0 dst_plane 0 n_thr
@@ -822,8 +958,8 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
         let lo = Array.unsafe_get cpy (2 * r) in
         Array.blit center lo dst_plane lo (Array.unsafe_get cpy ((2 * r) + 1) - lo)
       done;
-      Gpu.Counters.add_ops_n counters ops st.Plan.n_interior;
-      Gpu.Counters.add_cells_updated counters st.Plan.n_interior
+      Gpu.Counters.add_ops_n counters ops g.n_interior;
+      Gpu.Counters.add_cells_updated counters g.n_interior
     end
   in
   (* The sweep schedule of the checked compiled path: load the incoming

@@ -48,19 +48,30 @@
     for the mirror read of a folded pair), one constant per term; the
     generic kernel reads offset [k] at [t + Plan.off_delta.(k)].
 
+    {b Geometry from boxes.} Every mask a block reads — in the grid, in
+    the in-plane interior, valid at level [T], [store_ok] — is a box in
+    block-local coordinates, and a box meets a tile row in one run of
+    consecutive thread ids. {!block_runs} derives a block's load, store
+    and per-level runs, the grid offset of each load and store run and
+    the thread counts by box intersection, in O(rows), with no
+    per-thread array; a plane load or store is one tight copy loop per
+    run. The block's register planes start zeroed, so out-of-grid
+    threads of a loaded plane read 0.0.
+
     {b Unsafe runs x deltas contract} (see [scripts/check_unsafe.sh]):
     all unchecked indexing below — the window rotation into the fixed
     register file, the kernels' reads at [t + delta], the plane I/O
-    base offsets — is covered by a contract this module validates once
-    per block before the sweep: every term-major table entry indexes
-    its target in range,
-    every run [[s, e)] lies in the tile and, for every delta [d] the
-    kernel reads through (term, mirror or per-offset),
-    [s + d >= 0] and [e - 1 + d < n_thr]; and every
-    in-grid thread's in-plane base offset lies in [[0, stride0)], so
-    [base + i*stride0] is in bounds for all stream planes [i < l]. A
-    malformed plan raises [Invalid_argument] there instead of reading
-    out of bounds.
+    copies — is covered by a contract this module validates once per
+    block before the sweep: every term-major table entry indexes its
+    target in range; every run [[s, e)] lies in the tile and, for every
+    delta [d] the kernel reads through (term, mirror or per-offset),
+    [s + d >= 0] and [e - 1 + d < n_thr]; every load and store run lies
+    within one tile row, the innermost grid stride is 1, and the
+    in-plane offsets of its first and last thread lie in
+    [[0, stride0)], so each copied word [base + t - s + i*stride0] is
+    in bounds for all stream planes [i < l] of grids holding
+    [l*stride0] words (also checked). A malformed plan raises
+    [Invalid_argument] there instead of reading out of bounds.
 
     Grids {e and} simulated GPU counters are bit-identical to the
     checked compiled path in {!Blocking}: identical load/store/compute
@@ -84,6 +95,34 @@ val execute_block :
     behavior as the checked compiled path on the same plan, whatever
     its mode. Raises [Invalid_argument] on a src/dst precision mismatch
     or on a validate-then-unsafe contract violation. *)
+
+(** One time-step level's runs of thread ids, flattened as
+    [[| s0; e0; s1; e1; ... |]], each [[s, e)] within one tile row:
+    [act] the valid interior threads the kernel computes, [cpy] the
+    valid non-interior ones that keep the window center. *)
+type level_runs = { act : int array; cpy : int array }
+
+(** A block's geometry, derived from box arithmetic in O(rows): the
+    tile, the grid, the in-plane interior, the compute region and each
+    level's valid region are boxes, and each meets a tile row in one
+    interval. *)
+type block_runs = {
+  sb : int;  (** stream-block index *)
+  load : int array;
+      (** in-grid threads, one run per tile row, flattened as triples
+          [[| s; e; base; ... |]]: thread [t] of [[s, e)] sits at
+          in-plane grid offset [base + t - s] *)
+  store : int array;  (** in-grid [store_ok] threads, triples as [load] *)
+  levels : level_runs array;  (** level [tstep] at index [tstep - 1] *)
+  n_in_grid : int;
+  n_interior : int;
+  n_store : int;  (** threads in the grid and the compute region *)
+}
+
+val block_runs : Plan.t -> degree:int -> int -> block_runs
+(** [block_runs plan ~degree block_id]: the same masks, offsets and
+    counts {!Plan.make_block_state}, {!Plan.valid} and [Plan.store_ok]
+    give thread by thread (test/test_streaming.ml proves it), as runs. *)
 
 val kernel_name : Stencil.Sexpr.lowered -> string
 (** The streaming kernel {!execute_block} runs for this lowering:

@@ -35,6 +35,7 @@ let advance st =
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_alnum c = is_alpha c || is_digit c
+let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
 (* Skip whitespace, [//] and [/* */] comments. *)
 let rec skip_trivia st =
@@ -72,33 +73,72 @@ let rec skip_trivia st =
 
 exception Return_float of float * Srcloc.t
 
+(* C's integer suffix: [u] and [l] or [ll] in either order and either
+   case ([ll] in one case), consumed and dropped — the subset reads an
+   integer as a non-negative size or index whatever its C type. *)
+let skip_int_suffix st =
+  let long () =
+    match (peek_char st, peek_char2 st) with
+    | Some 'l', Some 'l' | Some 'L', Some 'L' ->
+        advance st;
+        advance st;
+        true
+    | Some ('l' | 'L'), _ ->
+        advance st;
+        true
+    | _ -> false
+  in
+  let unsigned () =
+    match peek_char st with
+    | Some ('u' | 'U') ->
+        advance st;
+        true
+    | _ -> false
+  in
+  if unsigned () then ignore (long ()) else if long () then ignore (unsigned ())
+
 let lex_number st =
   let start = st.pos in
   let loc = location st in
-  let rec digits () =
+  let rec scan ok =
     match peek_char st with
-    | Some c when is_digit c ->
+    | Some c when ok c ->
         advance st;
-        digits ()
+        scan ok
     | Some _ | None -> ()
   in
-  digits ();
+  let digits () = scan is_digit in
+  (* A hexadecimal integer, as in [0x80]; a bare [0x] lexes as [0]. *)
+  let hex =
+    st.pos + 2 < String.length st.src
+    && st.src.[st.pos] = '0'
+    && (st.src.[st.pos + 1] = 'x' || st.src.[st.pos + 1] = 'X')
+    && is_hex st.src.[st.pos + 2]
+  in
   let is_float = ref false in
-  (match peek_char st with
-  | Some '.' ->
-      is_float := true;
-      advance st;
-      digits ()
-  | Some _ | None -> ());
-  (match peek_char st with
-  | Some ('e' | 'E') ->
-      is_float := true;
-      advance st;
-      (match peek_char st with
-      | Some ('+' | '-') -> advance st
-      | Some _ | None -> ());
-      digits ()
-  | Some _ | None -> ());
+  if hex then begin
+    advance st;
+    advance st;
+    scan is_hex
+  end
+  else begin
+    digits ();
+    (match peek_char st with
+    | Some '.' ->
+        is_float := true;
+        advance st;
+        digits ()
+    | Some _ | None -> ());
+    match peek_char st with
+    | Some ('e' | 'E') ->
+        is_float := true;
+        advance st;
+        (match peek_char st with
+        | Some ('+' | '-') -> advance st
+        | Some _ | None -> ());
+        digits ()
+    | Some _ | None -> ()
+  end;
   (* The digits scanned are a literal's whole grammar, but OCaml's
      converters still refuse an exponent without digits and an integer
      beyond [max_int]: those are lexical errors at the literal. An
@@ -108,23 +148,27 @@ let lex_number st =
     | Some f -> f
     | None -> raise (Error (Printf.sprintf "malformed float literal %s" text, loc))
   in
-  (* Float suffix as in [0.25f]. *)
+  (* Float suffix as in [0.25f], or [0.25L] (a long double, read as a
+     double). *)
   (match peek_char st with
-  | Some ('f' | 'F') when !is_float ->
+  | Some ('f' | 'F' | 'l' | 'L') when !is_float ->
       advance st;
       let text = String.sub st.src start (st.pos - start - 1) in
       raise (Return_float (float_of text, loc))
   | Some _ | None -> ());
   let text = String.sub st.src start (st.pos - start) in
   if !is_float then { token = Token.FLOAT_LIT (float_of text); loc }
-  else
-    let octal = String.length text > 1 && text.[0] = '0' in
+  else begin
+    skip_int_suffix st;
+    let octal = (not hex) && String.length text > 1 && text.[0] = '0' in
     if octal && String.exists (fun c -> c = '8' || c = '9') text then
       raise (Error (Printf.sprintf "invalid digit in octal literal %s" text, loc));
-    (* An 0o literal converts up to 2^63 - 1, wrapping past [max_int]. *)
+    (* An 0o or 0x literal converts up to 2^63 - 1, wrapping past
+       [max_int]. *)
     match int_of_string_opt (if octal then "0o" ^ text else text) with
     | Some i when i >= 0 -> { token = Token.INT_LIT i; loc }
     | Some _ | None -> raise (Error (Printf.sprintf "integer literal %s out of range" text, loc))
+  end
 
 let keyword_of_ident = function
   | "for" -> Some Token.KW_FOR

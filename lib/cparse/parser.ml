@@ -273,12 +273,16 @@ let parse_func st =
   expect st Token.RBRACE;
   { Ast.f_name; f_params; f_body }
 
+(* The value is one integer literal, bare or in one pair of
+   parentheses as in [#define SB (128)]. *)
 let parse_define st =
   expect st Token.HASH_DEFINE;
   let d_name = expect_ident st in
+  let paren = accept st Token.LPAREN in
   match (peek st).Lexer.token with
   | Token.INT_LIT d_value ->
       advance st;
+      if paren then expect st Token.RPAREN;
       { Ast.d_name; d_value }
   | _ -> fail st "#define value must be an integer literal"
 

@@ -11,7 +11,12 @@
 # unsafe access there is covered by the validate-then-unsafe contract
 # (Stream_exec.validate_unsafe_contract, see stream_exec.mli), which
 # proves runs x deltas per block: s >= 0, e <= n_thr, s + d >= 0 and
-# e - 1 + d < n_thr for every run and every delta.
+# e - 1 + d < n_thr for every run and every delta. Plane loads and
+# stores copy runs [s, e) of in-grid threads, one per tile row, from
+# grid offset base + t - s of each plane: the same contract proves
+# each such run lies within one tile row and its first and last
+# offset, base and base + e - 1 - s, lie in [0, stride0), and the
+# executor checks both grids hold l * stride0 words.
 # reference.ml is on the list for its interior rows, the linear
 # passes and the row program's loops alike: each reads the source at
 # the row's linear position plus an offset's delta, which the

@@ -100,6 +100,25 @@ let test_literal_errors () =
   check_tokens "octal" "010 0 00 0.5"
     [ Token.INT_LIT 8; Token.INT_LIT 0; Token.INT_LIT 0; Token.FLOAT_LIT 0.5 ]
 
+(* C's other literal spellings: hexadecimal integers, the integer
+   suffixes [u], [l], [ul] and [ll] in either case and order, and a
+   long-double [L] on a float all read as the plain literal. *)
+let test_c_literals () =
+  check_tokens "hex" "0x80 0X1f 0xff" [ Token.INT_LIT 128; Token.INT_LIT 31; Token.INT_LIT 255 ];
+  List.iter
+    (fun src -> check_tokens src src [ Token.INT_LIT 128 ])
+    [ "128u"; "128U"; "128l"; "128L"; "128ul"; "128UL"; "128lu"; "128LU"; "128ll"; "128LL";
+      "128ull"; "128LLU"; "0x80u"; "0200L" ];
+  check_tokens "long double" "0.25L 0.25l 2.5e-1L"
+    [ Token.FLOAT_LIT 0.25; Token.FLOAT_LIT 0.25; Token.FLOAT_LIT 0.25 ];
+  check_tokens "unsigned index" "i - 1u" [ Token.IDENT "i"; Token.MINUS; Token.INT_LIT 1 ];
+  (* [0x] without a hex digit is the literal 0 and an identifier *)
+  check_tokens "bare 0x" "0x" [ Token.INT_LIT 0; Token.IDENT "x" ];
+  check_tokens "hex max_int" "0x3fffffffffffffff" [ Token.INT_LIT max_int ];
+  Alcotest.check_raises "hex past max_int"
+    (Lexer.Error ("integer literal 0x4000000000000000 out of range", Srcloc.make ~line:1 ~col:1))
+    (fun () -> ignore (Lexer.tokenize "0x4000000000000000"))
+
 let test_whole_kernel () =
   (* The Fig 4 shape lexes without error and ends in EOF. *)
   let src =
@@ -131,5 +150,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "whole kernel" `Quick test_whole_kernel;
           Alcotest.test_case "literal errors" `Quick test_literal_errors;
+          Alcotest.test_case "C literal forms" `Quick test_c_literals;
         ] );
     ]

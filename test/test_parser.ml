@@ -123,6 +123,45 @@ let test_errors () =
   check_rejects "#define non-integer" "#define X 1.5\nvoid f(int n) { }";
   check_rejects "trailing garbage" "void f(int n) { } extra"
 
+(* The Fig 4 source with its define and one coefficient spelled the
+   other ways C allows — hex, an unsigned suffix, a parenthesised value,
+   a long-double literal — parses, and detects the same stencil as the
+   plain spelling. *)
+let fig4 ~define ~coef =
+  Printf.sprintf
+    "#define SB %s\n\
+     void j2d5pt(double a[2][SB][SB], double c0, int timesteps) {\n\
+    \  for (int t = 0; t < timesteps; t++)\n\
+    \    for (int i = 1; i < SB - 1; i++)\n\
+    \      for (int j = 1; j < SB - 1; j++)\n\
+    \        a[(t+1)%%2][i][j] = (%s * a[t%%2][i][j]\n\
+    \            + 0.20 * a[t%%2][i-1][j] + 0.15 * a[t%%2][i+1][j]\n\
+    \            + 0.20 * a[t%%2][i][j-1] + 0.20 * a[t%%2][i][j+1]) / c0;\n\
+     }"
+    define coef
+
+let test_c_literal_defines () =
+  let plain = Stencil.Detect.of_string (fig4 ~define:"128" ~coef:"0.25") in
+  List.iter
+    (fun (name, define, coef) ->
+      let p = parse_prog (fig4 ~define ~coef) in
+      Alcotest.(check (list (pair string int))) (name ^ ": define") [ ("SB", 128) ]
+        (List.map (fun d -> (d.Ast.d_name, d.Ast.d_value)) p.Ast.defines);
+      let r = Stencil.Detect.of_string (fig4 ~define ~coef) in
+      Alcotest.(check bool) (name ^ ": same pattern") true
+        (r.Stencil.Detect.pattern = plain.Stencil.Detect.pattern);
+      Alcotest.(check (option (array int))) (name ^ ": same grid")
+        plain.Stencil.Detect.grid_dims r.Stencil.Detect.grid_dims)
+    [
+      ("hex", "0x80", "0.25");
+      ("unsigned", "128u", "0.25");
+      ("parenthesised", "(128)", "0.25");
+      ("parenthesised long", "(128UL)", "0.25");
+      ("long double", "128", "0.25L");
+    ];
+  check_rejects "#define unclosed paren" "#define X (128\nvoid f(int n) { }";
+  check_rejects "#define parenthesised expression" "#define X (1 + 2)\nvoid f(int n) { }"
+
 (* Random integer expressions survive a print -> parse round trip with
    their value intact. *)
 let gen_int_expr =
@@ -182,6 +221,7 @@ let () =
           Alcotest.test_case "braced loops" `Quick test_braced_loops;
           Alcotest.test_case "pretty round-trip" `Quick test_pretty_roundtrip;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "C literal defines" `Quick test_c_literal_defines;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

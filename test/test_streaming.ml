@@ -604,6 +604,128 @@ let test_golden prec path () =
     cells
 
 (* ------------------------------------------------------------------ *)
+(* Block geometry: box runs = per-thread masks                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Stream_exec.block_runs] derives a block's runs from box arithmetic;
+   [Plan.make_block_state], [Plan.valid] and [Plan.store_ok] give the
+   same masks thread by thread. Over random geometries of 1-3 blocked
+   dimensions — radii 1-4, every degree up to bt, grid sizes drawn
+   freely so the compute width rarely divides them (partial blocks,
+   blocks partly outside the grid, empty interiors), with and without
+   stream division — every block's load, store, act and cpy runs, the
+   base offsets of every run's threads and the three thread counts must
+   match the per-thread masks split at tile-row boundaries. *)
+let gen_geometry =
+  QCheck.Gen.(
+    let* nb = int_range 1 3 in
+    let* rad = int_range 1 4 in
+    (* at most 1024 threads: a side of at most 10 for three blocked
+       dimensions and 32 for two *)
+    let cap = match nb with 3 -> 4 | 2 -> 13 | _ -> 3 in
+    let* bt = int_range 1 (max 1 (min 3 (cap / rad))) in
+    let* degree = int_range 1 bt in
+    let* bs =
+      array_repeat nb
+        (map (fun extra -> (2 * bt * rad) + extra) (int_range 1 (if nb = 3 then 2 else 6)))
+    in
+    let* hs = frequency [ (2, return None); (1, map Option.some (int_range 1 4)) ] in
+    let* l = int_range 1 8 in
+    let* inplane =
+      flatten_a (Array.map (fun b -> int_range 1 (4 * (b - (2 * degree * rad)))) bs)
+    in
+    return (rad, bt, degree, bs, hs, Array.append [| l |] inplane))
+
+let arb_geometry =
+  QCheck.make
+    ~print:(fun (rad, bt, degree, bs, hs, dims) ->
+      Fmt.str "rad=%d bt=%d degree=%d bs=%a hs=%a dims=%a" rad bt degree
+        Fmt.(array ~sep:(any ",") int)
+        bs
+        Fmt.(option ~none:(any "none") int)
+        hs
+        Fmt.(array ~sep:(any "x") int)
+        dims)
+    gen_geometry
+
+(* The runs of [keep] over [n_thr] threads, split at every tile row of
+   [row] threads, as a flat [s; e; ...] list. *)
+let mask_runs ~n_thr ~row keep =
+  let acc = ref [] and t = ref 0 in
+  while !t < n_thr do
+    if keep !t then begin
+      let s = !t in
+      incr t;
+      while !t < n_thr && !t mod row <> 0 && keep !t do
+        incr t
+      done;
+      acc := !t :: s :: !acc
+    end
+    else incr t
+  done;
+  List.rev !acc
+
+let prop_box_runs =
+  QCheck.Test.make ~name:"block runs from boxes = per-thread masks" ~count:300 arb_geometry
+    (fun (rad, bt, degree, bs, hs, dims) ->
+      let cfg = Config.make ~hs ~bt ~bs () in
+      let em = Execmodel.make (star ~dims:(Array.length dims) rad) cfg dims in
+      let plan = Plan.get em ~degree ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
+      let n_thr = plan.Plan.n_thr and row = bs.(Array.length bs - 1) in
+      let runs = mask_runs ~n_thr ~row in
+      (* a [s; e; base] triple list, checking every thread's base *)
+      let io_runs (st : Plan.block_state) keep =
+        let rec go = function
+          | s :: e :: rest ->
+              for t = s to e - 1 do
+                if st.Plan.base.(t) <> st.Plan.base.(s) + t - s then
+                  QCheck.Test.fail_reportf "thread %d base %d not contiguous from %d" t
+                    st.Plan.base.(t) s
+              done;
+              s :: e :: st.Plan.base.(s) :: go rest
+          | _ -> []
+        in
+        go (runs keep)
+      in
+      let same what expected got =
+        if expected <> Array.to_list got then
+          QCheck.Test.fail_reportf "%s: expected [%a], got [%a]" what
+            Fmt.(list ~sep:(any ";") int)
+            expected
+            Fmt.(array ~sep:(any ";") int)
+            got
+      in
+      for id = 0 to (plan.Plan.spatial_blocks * plan.Plan.n_sb) - 1 do
+        let g = Stream_exec.block_runs plan ~degree id in
+        let st = Plan.make_block_state plan ~degree id in
+        let where what = Printf.sprintf "block %d %s" id what in
+        same (where "load") (io_runs st (fun t -> st.Plan.in_grid.(t))) g.Stream_exec.load;
+        same (where "store")
+          (io_runs st (fun t -> st.Plan.in_grid.(t) && plan.Plan.store_ok.(t)))
+          g.Stream_exec.store;
+        Array.iteri
+          (fun lev { Stream_exec.act; cpy } ->
+            let valid t = Plan.valid plan ~tstep:(lev + 1) t in
+            same (where (Printf.sprintf "act %d" (lev + 1)))
+              (runs (fun t -> valid t && st.Plan.inplane_interior.(t)))
+              act;
+            same (where (Printf.sprintf "cpy %d" (lev + 1)))
+              (runs (fun t -> valid t && not st.Plan.inplane_interior.(t)))
+              cpy)
+          g.Stream_exec.levels;
+        same (where "counts and stream block")
+          [ st.Plan.n_in_grid; st.Plan.n_interior; st.Plan.n_store; st.Plan.sb; degree ]
+          [|
+            g.Stream_exec.n_in_grid;
+            g.Stream_exec.n_interior;
+            g.Stream_exec.n_store;
+            g.Stream_exec.sb;
+            Array.length g.Stream_exec.levels;
+          |]
+      done;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* The validate-then-unsafe contract                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -616,15 +738,20 @@ let test_unsafe_contract () =
   let em = Execmodel.make (star ~dims:2 1) (Config.make ~bt:1 ~bs:[| 6 |] ()) dims in
   let plan = Plan.get em ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
   let src = Stencil.Grid.init_random dims in
-  let refused ?(dst = Stencil.Grid.create dims) plan =
+  (* Every block of the call runs, so a clause only a far block
+     violates is refused too; the refusal's message names the clause. *)
+  let refusal ?(src = src) ?(dst = Stencil.Grid.create src.Stencil.Grid.dims) plan =
     let machine = Gpu.Machine.create Gpu.Device.v100 in
     match
-      Gpu.Machine.launch machine ~n_blocks:1 ~n_thr:plan.Plan.n_thr (fun ctx ->
-          Stream_exec.execute_block plan ~degree:1 ~src ~dst ctx)
+      Gpu.Machine.launch machine
+        ~n_blocks:(plan.Plan.spatial_blocks * plan.Plan.n_sb)
+        ~n_thr:plan.Plan.n_thr
+        (fun ctx -> Stream_exec.execute_block plan ~degree:1 ~src ~dst ctx)
     with
-    | () -> false
-    | exception Invalid_argument _ -> true
+    | () -> None
+    | exception Invalid_argument m -> Some m
   in
+  let refused ?dst plan = refusal ?dst plan <> None in
   let all v a = Array.map (fun _ -> v) a in
   Alcotest.(check bool) "well-formed plan runs" false (refused plan);
   Alcotest.(check bool) "term plane slot out of range" true
@@ -670,6 +797,29 @@ let test_unsafe_contract () =
      offsets outside [0, stride0) *)
   Alcotest.(check bool) "base offset outside its plane" true
     (refused { plan with Plan.gstrides = all 1 plan.Plan.gstrides });
+  (* A plane one word short: the last block's in-grid run ends on the
+     grid's last column, whose offset [dims.(1) - 1] leaves a plane of
+     [dims.(1) - 1] words. *)
+  let contract what = Some ("Stream_exec.validate_unsafe_contract: " ^ what) in
+  Alcotest.(check (option string)) "plane stride one too small"
+    (contract "plane I/O run's base offsets leave its plane")
+    (refusal
+       { plan with Plan.gstrides = Array.mapi (fun d s -> if d = 0 then s - 1 else s) plan.Plan.gstrides });
+  (* A compute region one thread wider than the tile leaves in the last
+     blocked dimension: each row's store run overhangs into the next
+     tile row. *)
+  let dims3 = [| 5; 8; 8 |] in
+  let em3 = Execmodel.make (star ~dims:3 1) (Config.make ~bt:1 ~bs:[| 6; 6 |] ()) dims3 in
+  let plan3 = Plan.get em3 ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
+  let src3 = Stencil.Grid.init_random dims3 in
+  Alcotest.(check (option string)) "well-formed 3-D plan runs" None (refusal ~src:src3 plan3);
+  Alcotest.(check (option string)) "store run crosses a tile row"
+    (contract "plane I/O run crosses a tile row")
+    (refusal ~src:src3
+       {
+         plan3 with
+         Plan.compute_w = Array.map (fun w -> w + plan3.Plan.halo_w + 1) plan3.Plan.compute_w;
+       });
   Alcotest.(check bool) "precision mismatch" true
     (refused ~dst:(Stencil.Grid.create ~prec:Stencil.Grid.F32 dims) plan)
 
@@ -782,4 +932,5 @@ let () =
         [ Alcotest.test_case "malformed plans refused" `Quick test_unsafe_contract ] );
       ( "observability",
         [ Alcotest.test_case "dispatch counters" `Quick test_dispatch_counters ] );
+      ("block geometry", [ QCheck_alcotest.to_alcotest prop_box_runs ]);
     ]
