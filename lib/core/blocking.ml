@@ -70,11 +70,13 @@ let neighbor_thread = Plan.neighbor_thread
 (* Per-block state of the checked path                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Block-local scratch (spatial-block origin, per-thread membership
-   flags, the fixed register file) lives in {!Plan}; aliased here for
-   the compiled path. {!Stream_exec} derives the same masks as runs
-   from boxes ({!Stream_exec.block_runs}) and reads none of it. *)
-type block_state = Plan.block_state = {
+(* Block-local scratch: per-thread global coordinates, membership
+   flags and in-plane offsets, and the fixed register file. Blocks can
+   run on different domains without sharing state; dst stores of
+   distinct blocks are disjoint by construction. {!Stream_exec} derives
+   the same masks as runs from boxes ({!Stream_exec.block_runs}) and
+   reads none of it. *)
+type block_state = {
   sb : int;  (** stream-block index *)
   gcoords : int array array;
   in_grid : bool array;
@@ -86,7 +88,55 @@ type block_state = Plan.block_state = {
   reg_file : float array array array;  (** [.(tstep).(slot).(thread)] *)
 }
 
-let make_block_state = Plan.make_block_state
+let make_block_state (plan : Plan.t) ~degree:b block_id =
+  let nb = plan.Plan.nb and n_thr = plan.Plan.n_thr and rad = plan.Plan.rad in
+  let dims = plan.Plan.em.Execmodel.dims in
+  let origin = Plan.block_origin plan ~degree:b block_id in
+  let gcoords =
+    Array.init n_thr (fun t -> Array.map2 ( + ) origin plan.Plan.geo.Plan.coords.(t))
+  in
+  (* every grid coordinate [g.(d)] in [[margin, dims_d - margin)] *)
+  let inside margin =
+    Array.map
+      (fun g ->
+        let ok = ref true in
+        for d = 0 to nb - 1 do
+          if g.(d) < margin || g.(d) >= dims.(d + 1) - margin then ok := false
+        done;
+        !ok)
+      gcoords
+  in
+  let in_grid = inside 0 and inplane_interior = inside rad in
+  (* In-plane part of the row-major linear index; only dereferenced for
+     in-grid threads (out-of-bound threads get a meaningless value). *)
+  let base =
+    Array.map
+      (fun g ->
+        let off = ref 0 in
+        for d = 0 to nb - 1 do
+          off := !off + (g.(d) * plan.Plan.gstrides.(d + 1))
+        done;
+        !off)
+      gcoords
+  in
+  let count f =
+    let n = ref 0 in
+    for t = 0 to n_thr - 1 do
+      if f t then incr n
+    done;
+    !n
+  in
+  {
+    sb = block_id / plan.Plan.spatial_blocks;
+    gcoords;
+    in_grid;
+    inplane_interior;
+    base;
+    n_in_grid = count (fun t -> in_grid.(t));
+    n_interior = count (fun t -> inplane_interior.(t));
+    n_store = count (fun t -> in_grid.(t) && plan.Plan.store_ok.(t));
+    reg_file = Plan.reg_file plan ~degree:b;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The checked compiled path                                          *)

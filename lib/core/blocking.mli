@@ -48,6 +48,26 @@ val neighbor_thread : geometry -> int -> int array -> int
     full stencil offset (entry 0, the streaming delta, is skipped),
     clamped to the block edge. *)
 
+(** Block-local execution state of the checked compiled path: per-thread
+    global coordinates and membership flags, per-thread in-plane linear
+    base offsets, and the fixed register file. {!Stream_exec} derives
+    the same masks, offsets and counts as runs from box arithmetic
+    ({!Stream_exec.block_runs}); the property tests compare the two. *)
+type block_state = {
+  sb : int;  (** stream-block index *)
+  gcoords : int array array;
+  in_grid : bool array;
+  inplane_interior : bool array;
+  base : int array;  (** per-thread in-plane linear offset into the grids *)
+  n_in_grid : int;
+  n_interior : int;
+  n_store : int;  (** threads with [in_grid && store_ok] *)
+  reg_file : float array array array;  (** [.(tstep).(slot).(thread)] *)
+}
+
+val make_block_state : Plan.t -> degree:int -> int -> block_state
+(** [make_block_state plan ~degree block_id]. *)
+
 type launch_stats = {
   n_tb : int;  (** spatial thread blocks per kernel call *)
   n_stream_blocks : int;

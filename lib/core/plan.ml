@@ -241,94 +241,22 @@ let build (em : Execmodel.t) ~degree:b ~prec ~mode =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-block execution state                                           *)
+(* Per-block pieces shared by both executors                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything below is block-local scratch: the spatial-block origin,
-   per-thread global coordinates and membership flags, and the fixed
-   register file. Blocks can run on different domains without sharing
-   state; dst stores of distinct blocks are disjoint by construction.
-   The checked compiled path's ({!Blocking} re-exports); the streaming
-   path derives the same masks as runs ({!Stream_exec.block_runs}). *)
-type block_state = {
-  sb : int;  (** stream-block index *)
-  gcoords : int array array;
-  in_grid : bool array;
-  inplane_interior : bool array;
-  base : int array;  (** per-thread in-plane linear offset into the grids *)
-  n_in_grid : int;
-  n_interior : int;
-  n_store : int;  (** threads with [in_grid && store_ok] *)
-  reg_file : float array array array;  (** [.(tstep).(slot).(thread)] *)
-}
-
-let make_block_state (plan : t) ~degree:b block_id =
+let block_origin (plan : t) ~degree:b block_id =
   let nb = plan.nb in
-  let geo = plan.geo in
-  let n_thr = plan.n_thr in
-  let dims = plan.em.Execmodel.dims in
-  let sb = block_id / plan.spatial_blocks in
+  let origin = Array.make nb 0 in
   let k = ref (block_id mod plan.spatial_blocks) in
-  let origins =
-    Array.init nb (fun i ->
-        let below =
-          Array.fold_left ( * ) 1
-            (Array.sub plan.blocks_per_dim (i + 1) (nb - i - 1))
-        in
-        let ki = !k / below in
-        k := !k mod below;
-        Execmodel.block_origin ~b plan.em i ki)
-  in
-  let gcoords = Array.init n_thr (fun t -> Array.map2 ( + ) origins geo.coords.(t)) in
-  let in_grid =
-    Array.init n_thr (fun t ->
-        let g = gcoords.(t) in
-        let ok = ref true in
-        for d = 0 to nb - 1 do
-          if g.(d) < 0 || g.(d) >= dims.(d + 1) then ok := false
-        done;
-        !ok)
-  in
-  let rad = plan.rad in
-  let inplane_interior =
-    Array.init n_thr (fun t ->
-        let g = gcoords.(t) in
-        let ok = ref true in
-        for d = 0 to nb - 1 do
-          if g.(d) < rad || g.(d) >= dims.(d + 1) - rad then ok := false
-        done;
-        !ok)
-  in
-  (* In-plane part of the row-major linear index; only dereferenced for
-     in-grid threads (out-of-bound threads get a meaningless value). *)
-  let base =
-    Array.init n_thr (fun t ->
-        let g = gcoords.(t) in
-        let off = ref 0 in
-        for d = 0 to nb - 1 do
-          off := !off + (g.(d) * plan.gstrides.(d + 1))
-        done;
-        !off)
-  in
-  let count f =
-    let n = ref 0 in
-    for t = 0 to n_thr - 1 do
-      if f t then incr n
-    done;
-    !n
-  in
-  {
-    sb;
-    gcoords;
-    in_grid;
-    inplane_interior;
-    base;
-    n_in_grid = count (fun t -> in_grid.(t));
-    n_interior = count (fun t -> inplane_interior.(t));
-    n_store = count (fun t -> in_grid.(t) && plan.store_ok.(t));
-    reg_file =
-      Array.init (b + 1) (fun _ -> Array.init plan.p (fun _ -> Array.make n_thr 0.0));
-  }
+  for d = nb - 1 downto 0 do
+    let n = plan.blocks_per_dim.(d) in
+    origin.(d) <- Execmodel.block_origin ~b plan.em d (!k mod n);
+    k := !k / n
+  done;
+  origin
+
+let reg_file (plan : t) ~degree:b =
+  Array.init (b + 1) (fun _ -> Array.init plan.p (fun _ -> Array.make plan.n_thr 0.0))
 
 let valid (plan : t) ~tstep t = valid_at plan.em plan.geo ~tstep t
 

@@ -81,27 +81,15 @@ type t = {
   gstrides : int array;  (** row-major strides of the run grids *)
 }
 
-(** Block-local execution state of the checked compiled path
-    (re-exported by {!Blocking}): the spatial-block origin, per-thread
-    global coordinates and membership flags, per-thread in-plane linear
-    base offsets, and the fixed register file. Blocks can run on
-    different domains without sharing state. {!Stream_exec} derives the
-    same masks, offsets and counts as runs from box arithmetic
-    ({!Stream_exec.block_runs}) instead. *)
-type block_state = {
-  sb : int;  (** stream-block index *)
-  gcoords : int array array;
-  in_grid : bool array;
-  inplane_interior : bool array;
-  base : int array;  (** per-thread in-plane linear offset into the grids *)
-  n_in_grid : int;
-  n_interior : int;
-  n_store : int;  (** threads with [in_grid && store_ok] *)
-  reg_file : float array array array;  (** [.(tstep).(slot).(thread)] *)
-}
+val block_origin : t -> degree:int -> int -> int array
+(** [block_origin plan ~degree block_id]: the grid coordinates of the
+    block's tile origin, one per blocked dimension. The spatial part of
+    [block_id] ([block_id mod spatial_blocks]) is read in mixed radix
+    over [blocks_per_dim], dimension 0 most significant. *)
 
-val make_block_state : t -> degree:int -> int -> block_state
-(** [make_block_state plan ~degree block_id]. *)
+val reg_file : t -> degree:int -> float array array array
+(** A block's fixed register file, [.(tstep).(slot).(thread)] for
+    [tstep <= degree], zeroed. *)
 
 val valid : t -> tstep:int -> int -> bool
 (** [valid plan ~tstep t]: thread [t]'s block-local coordinate in every

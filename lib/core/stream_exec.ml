@@ -99,7 +99,7 @@
      [t] of the run sits at [base + t - s];
    - [store]: in-grid [store_ok] threads (compute region ∩ grid),
      triples as [load]. The compute region is not clipped to the tile:
-     a plan whose compute region overhangs a row is refused by the
+     a plan whose compute region leaves the tile is refused by the
      contract below rather than trimmed;
    - per level [tstep]: [act], valid and interior — the kernel computes
      these — and [cpy], valid but not interior — these keep the window
@@ -145,15 +145,7 @@ let block_runs (plan : Plan.t) ~degree:b block_id =
   let nb = plan.Plan.nb and rad = plan.Plan.rad and geo = plan.Plan.geo in
   let em = plan.Plan.em and gstrides = plan.Plan.gstrides in
   let last = nb - 1 in
-  (* The block origin: [block_id] in mixed radix over [blocks_per_dim],
-     dimension 0 most significant, as in {!Plan.make_block_state}. *)
-  let origin = Array.make nb 0 in
-  let k = ref (block_id mod plan.Plan.spatial_blocks) in
-  for d = last downto 0 do
-    let n = plan.Plan.blocks_per_dim.(d) in
-    origin.(d) <- Execmodel.block_origin ~b em d (!k mod n);
-    k := !k / n
-  done;
+  let origin = Plan.block_origin plan ~degree:b block_id in
   (* A box from half-open per-dimension bounds. *)
   let box f =
     Array.init nb (fun d ->
@@ -231,10 +223,13 @@ let block_runs (plan : Plan.t) ~degree:b block_id =
      a linear form, each per-offset delta of the generic kernel's
      loads — [s + d >= 0] and [e - 1 + d < n_thr], so each neighbor
      read [t + d] of a computed thread stays inside the tile;
-   - plane I/O runs: every load and store run [[s, e)] is non-empty and
-     lies within one tile row, the innermost grid stride is 1, and the
-     in-plane offsets of its first and last thread, [base] and
-     [base + e - 1 - s], lie in [[0, stride0)], so
+   - plane I/O runs: the compute region [[halo_w, halo_w + compute_w_d)]
+     lies inside the tile in every blocked dimension, so every load
+     run (tile ∩ grid) and store run (compute region ∩ grid) lies
+     within one tile row and thread [t] of a run is the grid cell at
+     [base + t - s]; every run [[s, e)] is non-empty, the innermost
+     grid stride is 1, and the in-plane offsets of its first and last
+     thread, [base] and [base + e - 1 - s], lie in [[0, stride0)], so
      [base + t - s + i*stride0 < l*stride0] for stream planes [i < l]
      — loads and stores only touch in-grid threads (interior/boundary
      peeling: out-of-grid and halo threads never touch global memory
@@ -303,12 +298,16 @@ let validate_unsafe_contract (plan : Plan.t) (g : block_runs) =
   let stride0 = gstrides.(0) in
   if stride0 <= 0 then fail "non-positive plane stride";
   if gstrides.(Array.length gstrides - 1) <> 1 then fail "innermost grid stride is not 1";
-  let row = plan.Plan.geo.Plan.bs.(plan.Plan.nb - 1) in
+  let halo_w = plan.Plan.halo_w in
+  Array.iteri
+    (fun d bs ->
+      if halo_w < 0 || halo_w + plan.Plan.compute_w.(d) > bs then
+        fail "compute region leaves the tile")
+    plan.Plan.geo.Plan.bs;
   let check_io runs =
     for r = 0 to (Array.length runs / 3) - 1 do
       let s = runs.(3 * r) and e = runs.((3 * r) + 1) and base = runs.((3 * r) + 2) in
       check_run s e;
-      if s / row <> (e - 1) / row then fail "plane I/O run crosses a tile row";
       if base < 0 || base + (e - 1 - s) >= stride0 then
         fail "plane I/O run's base offsets leave its plane"
     done
@@ -819,10 +818,10 @@ let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (w : float arr
      the row's plane, [dst_plane] or [q32] at [t] (a single-rounding
      row also reads [q32] back), for [t] in a run, [q32] spanning the
      tile for every f32 block and every generic one;
-   - plane I/O goes through [plane_io]: its load and store runs each
-     lie within one tile row with both end offsets in [[0, stride0)]
-     (the same contract), and it checks both grids hold [l*stride0]
-     words. *)
+   - plane I/O goes through [plane_io]: the compute region lies inside
+     the tile, so its load and store runs each lie within one tile row,
+     with both end offsets in [[0, stride0)] (the same contract), and
+     it checks both grids hold [l*stride0] words. *)
 let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     ~(dst : Stencil.Grid.t) ctx =
   let n_thr = plan.Plan.n_thr in
@@ -840,8 +839,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   let g = block_runs plan ~degree:b ctx.Gpu.Machine.block_id in
   validate_unsafe_contract plan g;
   let levels = g.levels in
-  (* The fixed register file, [.(tstep).(slot).(thread)], zeroed. *)
-  let reg_file = Array.init (b + 1) (fun _ -> Array.init p (fun _ -> Array.make n_thr 0.0)) in
+  let reg_file = Plan.reg_file plan ~degree:b in
   let s0, s1 = Execmodel.stream_range plan.Plan.em g.sb in
   (* Whole-plane f32 quantization scratch: computed values land here
      first and are read back after the kernel, keeping the hardware

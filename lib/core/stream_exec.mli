@@ -65,9 +65,11 @@
     block before the sweep: every term-major table entry indexes its
     target in range; every run [[s, e)] lies in the tile and, for every
     delta [d] the kernel reads through (term, mirror or per-offset),
-    [s + d >= 0] and [e - 1 + d < n_thr]; every load and store run lies
-    within one tile row, the innermost grid stride is 1, and the
-    in-plane offsets of its first and last thread lie in
+    [s + d >= 0] and [e - 1 + d < n_thr]; the compute region
+    [[halo_w, halo_w + compute_w_d)] lies inside the tile in every
+    blocked dimension, so every load and store run lies within one
+    tile row; the innermost grid stride is 1, and the in-plane
+    offsets of every such run's first and last thread lie in
     [[0, stride0)], so each copied word [base + t - s + i*stride0] is
     in bounds for all stream planes [i < l] of grids holding
     [l*stride0] words (also checked). A malformed plan raises
@@ -121,7 +123,7 @@ type block_runs = {
 
 val block_runs : Plan.t -> degree:int -> int -> block_runs
 (** [block_runs plan ~degree block_id]: the same masks, offsets and
-    counts {!Plan.make_block_state}, {!Plan.valid} and [Plan.store_ok]
+    counts {!Blocking.make_block_state}, {!Plan.valid} and [Plan.store_ok]
     give thread by thread (test/test_streaming.ml proves it), as runs. *)
 
 val kernel_name : Stencil.Sexpr.lowered -> string

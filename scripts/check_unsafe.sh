@@ -14,8 +14,9 @@
 # e - 1 + d < n_thr for every run and every delta. Plane loads and
 # stores copy runs [s, e) of in-grid threads, one per tile row, from
 # grid offset base + t - s of each plane: the same contract proves
-# each such run lies within one tile row and its first and last
-# offset, base and base + e - 1 - s, lie in [0, stride0), and the
+# the compute region lies inside the tile, so each such run lies
+# within one tile row, and that its first and last offset, base and
+# base + e - 1 - s, lie in [0, stride0), and the
 # executor checks both grids hold l * stride0 words.
 # reference.ml is on the list for its interior rows, the linear
 # passes and the row program's loops alike: each reads the source at

@@ -608,7 +608,7 @@ let test_golden prec path () =
 (* ------------------------------------------------------------------ *)
 
 (* [Stream_exec.block_runs] derives a block's runs from box arithmetic;
-   [Plan.make_block_state], [Plan.valid] and [Plan.store_ok] give the
+   [Blocking.make_block_state], [Plan.valid] and [Plan.store_ok] give the
    same masks thread by thread. Over random geometries of 1-3 blocked
    dimensions — radii 1-4, every degree up to bt, grid sizes drawn
    freely so the compute width rarely divides them (partial blocks,
@@ -674,15 +674,15 @@ let prop_box_runs =
       let n_thr = plan.Plan.n_thr and row = bs.(Array.length bs - 1) in
       let runs = mask_runs ~n_thr ~row in
       (* a [s; e; base] triple list, checking every thread's base *)
-      let io_runs (st : Plan.block_state) keep =
+      let io_runs (st : Blocking.block_state) keep =
         let rec go = function
           | s :: e :: rest ->
               for t = s to e - 1 do
-                if st.Plan.base.(t) <> st.Plan.base.(s) + t - s then
+                if st.Blocking.base.(t) <> st.Blocking.base.(s) + t - s then
                   QCheck.Test.fail_reportf "thread %d base %d not contiguous from %d" t
-                    st.Plan.base.(t) s
+                    st.Blocking.base.(t) s
               done;
-              s :: e :: st.Plan.base.(s) :: go rest
+              s :: e :: st.Blocking.base.(s) :: go rest
           | _ -> []
         in
         go (runs keep)
@@ -697,24 +697,24 @@ let prop_box_runs =
       in
       for id = 0 to (plan.Plan.spatial_blocks * plan.Plan.n_sb) - 1 do
         let g = Stream_exec.block_runs plan ~degree id in
-        let st = Plan.make_block_state plan ~degree id in
+        let st = Blocking.make_block_state plan ~degree id in
         let where what = Printf.sprintf "block %d %s" id what in
-        same (where "load") (io_runs st (fun t -> st.Plan.in_grid.(t))) g.Stream_exec.load;
+        same (where "load") (io_runs st (fun t -> st.Blocking.in_grid.(t))) g.Stream_exec.load;
         same (where "store")
-          (io_runs st (fun t -> st.Plan.in_grid.(t) && plan.Plan.store_ok.(t)))
+          (io_runs st (fun t -> st.Blocking.in_grid.(t) && plan.Plan.store_ok.(t)))
           g.Stream_exec.store;
         Array.iteri
           (fun lev { Stream_exec.act; cpy } ->
             let valid t = Plan.valid plan ~tstep:(lev + 1) t in
             same (where (Printf.sprintf "act %d" (lev + 1)))
-              (runs (fun t -> valid t && st.Plan.inplane_interior.(t)))
+              (runs (fun t -> valid t && st.Blocking.inplane_interior.(t)))
               act;
             same (where (Printf.sprintf "cpy %d" (lev + 1)))
-              (runs (fun t -> valid t && not st.Plan.inplane_interior.(t)))
+              (runs (fun t -> valid t && not st.Blocking.inplane_interior.(t)))
               cpy)
           g.Stream_exec.levels;
         same (where "counts and stream block")
-          [ st.Plan.n_in_grid; st.Plan.n_interior; st.Plan.n_store; st.Plan.sb; degree ]
+          [ st.Blocking.n_in_grid; st.Blocking.n_interior; st.Blocking.n_store; st.Blocking.sb; degree ]
           [|
             g.Stream_exec.n_in_grid;
             g.Stream_exec.n_interior;
@@ -805,21 +805,36 @@ let test_unsafe_contract () =
     (contract "plane I/O run's base offsets leave its plane")
     (refusal
        { plan with Plan.gstrides = Array.mapi (fun d s -> if d = 0 then s - 1 else s) plan.Plan.gstrides });
-  (* A compute region one thread wider than the tile leaves in the last
-     blocked dimension: each row's store run overhangs into the next
-     tile row. *)
-  let dims3 = [| 5; 8; 8 |] in
-  let em3 = Execmodel.make (star ~dims:3 1) (Config.make ~bt:1 ~bs:[| 6; 6 |] ()) dims3 in
-  let plan3 = Plan.get em3 ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
-  let src3 = Stencil.Grid.init_random dims3 in
-  Alcotest.(check (option string)) "well-formed 3-D plan runs" None (refusal ~src:src3 plan3);
-  Alcotest.(check (option string)) "store run crosses a tile row"
-    (contract "plane I/O run crosses a tile row")
-    (refusal ~src:src3
-       {
-         plan3 with
-         Plan.compute_w = Array.map (fun w -> w + plan3.Plan.halo_w + 1) plan3.Plan.compute_w;
-       });
+  (* A compute region one thread past the tile in one blocked dimension
+     is refused before any store. Past the last one, a row's store run
+     would spill into the next tile row; past a middle one, with three
+     blocked dimensions, the run would stay in one tile row but belong
+     to the next outer slice, so its threads would store other cells'
+     values. *)
+  let overhang plan d =
+    {
+      plan with
+      Plan.compute_w =
+        Array.mapi
+          (fun i w -> if i = d then plan.Plan.geo.Plan.bs.(i) - plan.Plan.halo_w + 1 else w)
+          plan.Plan.compute_w;
+    }
+  in
+  let launch_3d dims bs =
+    let em = Execmodel.make (star ~dims:(Array.length dims) 1) (Config.make ~bt:1 ~bs ()) dims in
+    let plan = Plan.get em ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
+    (plan, refusal ~src:(Stencil.Grid.init_random dims))
+  in
+  let plan3, refusal3 = launch_3d [| 5; 8; 8 |] [| 6; 6 |] in
+  Alcotest.(check (option string)) "well-formed 2-blocked-dim plan runs" None (refusal3 plan3);
+  Alcotest.(check (option string)) "store run would cross a tile row"
+    (contract "compute region leaves the tile")
+    (refusal3 (overhang plan3 1));
+  let plan4, refusal4 = launch_3d [| 4; 8; 8; 8 |] [| 6; 6; 6 |] in
+  Alcotest.(check (option string)) "well-formed 3-blocked-dim plan runs" None (refusal4 plan4);
+  Alcotest.(check (option string)) "compute region past a middle dimension"
+    (contract "compute region leaves the tile")
+    (refusal4 (overhang plan4 1));
   Alcotest.(check bool) "precision mismatch" true
     (refused ~dst:(Stencil.Grid.create ~prec:Stencil.Grid.F32 dims) plan)
 
