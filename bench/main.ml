@@ -26,7 +26,7 @@ let experiments =
     ("verify", Exp_verify.run, "blocked executor vs CPU reference");
     ("validate", Exp_validate.run, "model totals vs simulator counters, exact");
     ("scaling", Exp_scaling.run, "multicore block-parallel executor scaling");
-    ("throughput", Exp_throughput.run, "streaming vs checked compiled plan vs reference, cells/s");
+    ("throughput", Exp_throughput.run, "streaming vs reference sweep vs the C reference loop, cells/s");
     ("serve", Exp_serve.run, "batch serving layer: cold vs warm vs coalesced");
     ("micro", Micro.run, "bechamel micro-benchmarks");
   ]

@@ -78,14 +78,63 @@ let reference_loop t =
   out "  }";
   Buffer.contents buf
 
+(* The pieces [main.cu] and {!cpu_reference} share, appended to [buf]
+   one line per [line] call. *)
+
+let line buf fmt = Fmt.kstr (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt
+
+let emit_init_value t buf =
+  let out fmt = line buf fmt in
+  let n = Array.length t.job.Framework.dims and cty = ctype t in
+  out "/* deterministic init: bit-identical to the simulator's";
+  out "   Grid.init_random (seed 42), whose 63-bit wrapping int hash is";
+  out "   the low 63 bits of this unsigned 64-bit one, sign-extended */";
+  out "static %s init_value(%s) {" cty
+    (String.concat ", " (List.init n (fun d -> Fmt.str "int x%d" d)));
+  out "  uint64_t u = 42;";
+  for d = 0 to n - 1 do
+    out "  u = u * 1103515245u + (uint64_t)x%d + 12345u;" d
+  done;
+  out "  int64_t h = (int64_t)(u << 1) >> 1;";
+  out "  uint64_t m = (h < 0 ? -(uint64_t)h : (uint64_t)h) & 0x3fffffffffffffffu;";
+  (* both operands are exact in either type, so a float division
+     rounds like the simulator's double division stored to float *)
+  out "  return (%s)(m %% 1000003u) / (%s)1000003;" cty cty;
+  out "}"
+
+(* The step count and the scalar parameters, first in [main]. *)
+let emit_main_prologue t buf =
+  let out fmt = line buf fmt in
+  let p = Framework.pattern t.job and cty = ctype t in
+  out "int main(int argc, char **argv) {";
+  out "  int timesteps = argc > 1 ? atoi(argv[1]) : %d;" t.steps;
+  List.iter
+    (fun prm -> out "  %s %s = (%s)%.17g;" cty prm cty (Stencil.Pattern.param_value p prm))
+    (Stencil.Sexpr.params p.Stencil.Pattern.expr)
+
+(* [body] inside one loop over every cell, indices [x0], [x1], ... *)
+let emit_cell_loops t buf body =
+  let out fmt = line buf fmt in
+  let dims = t.job.Framework.dims in
+  Array.iteri
+    (fun d dim -> out "  %sfor (int x%d = 0; x%d < %d; x%d++)" (String.make (2 * d) ' ') d d dim d)
+    dims;
+  out "  %s%s" (String.make (2 * Array.length dims) ' ') body
+
+let cell_subs t = String.concat "" (List.init (Array.length t.job.Framework.dims) (Fmt.str "[x%d]"))
+
+let cell_args t = String.concat ", " (List.init (Array.length t.job.Framework.dims) (Fmt.str "x%d"))
+
+let dims_c t = String.concat "" (Array.to_list (Array.map (Fmt.str "[%d]") t.job.Framework.dims))
+
 let emit_main t =
   let p = Framework.pattern t.job in
   let dims = t.job.Framework.dims in
   let cty = ctype t in
   let n = p.Stencil.Pattern.dims in
-  let dims_c = String.concat "" (Array.to_list (Array.map (Fmt.str "[%d]") dims)) in
+  let dims_c = dims_c t in
   let buf = Buffer.create 4096 in
-  let out fmt = Fmt.kstr (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
+  let out fmt = line buf fmt in
   out "/* Verification harness generated by AN5D (paper A.5/A.6):";
   out "   runs the optimized GPU code, then CPU-only execution, and prints";
   out "   execution time and the computational error between them. */";
@@ -106,40 +155,14 @@ let emit_main t =
   out "static %s a[2]%s;" cty dims_c;
   out "static %s ref[2]%s;" cty dims_c;
   out "";
-  out "/* deterministic init: bit-identical to the simulator's";
-  out "   Grid.init_random (seed 42), whose 63-bit wrapping int hash is";
-  out "   the low 63 bits of this unsigned 64-bit one, sign-extended */";
-  out "static %s init_value(%s) {" cty
-    (String.concat ", " (List.init n (fun d -> Fmt.str "int x%d" d)));
-  out "  uint64_t u = 42;";
-  for d = 0 to n - 1 do
-    out "  u = u * 1103515245u + (uint64_t)x%d + 12345u;" d
-  done;
-  out "  int64_t h = (int64_t)(u << 1) >> 1;";
-  out "  uint64_t m = (h < 0 ? -(uint64_t)h : (uint64_t)h) & 0x3fffffffffffffffu;";
-  (* both operands are exact in either type, so a float division
-     rounds like the simulator's double division stored to float *)
-  out "  return (%s)(m %% 1000003u) / (%s)1000003;" cty cty;
-  out "}";
+  emit_init_value t buf;
   out "";
-  out "int main(int argc, char **argv) {";
-  out "  int timesteps = argc > 1 ? atoi(argv[1]) : %d;" t.steps;
-  List.iter
-    (fun prm ->
-      out "  %s %s = (%s)%.17g;" cty prm cty
-        (Stencil.Pattern.param_value p prm))
-    params;
-  let idx_loops body =
-    List.iteri (fun d dim -> out "  %sfor (int x%d = 0; x%d < %d; x%d++)"
-                  (String.make (2 * d) ' ') d d dim d)
-      (Array.to_list dims);
-    out "  %s%s" (String.make (2 * n) ' ') body
-  in
-  let subs = String.concat "" (List.init n (fun d -> Fmt.str "[x%d]" d)) in
+  emit_main_prologue t buf;
+  let idx_loops = emit_cell_loops t buf in
+  let subs = cell_subs t in
   idx_loops
     (Fmt.str "a[0]%s = a[1]%s = ref[0]%s = ref[1]%s = init_value(%s);" subs subs subs
-       subs
-       (String.concat ", " (List.init n (fun d -> Fmt.str "x%d" d))));
+       subs (cell_args t));
   out "";
   out "  /* GPU execution (one warm-up + timed run, 6.1) */";
   out "  %s_host(&a[0]%s, &a[1]%s, timesteps%s);" (name t)
@@ -177,6 +200,55 @@ let emit_main t =
   out "  return max_err < 1e-4 ? 0 : 1;";
   out "}";
   Buffer.contents buf
+
+(* The harness's CPU-only half as its own program (no CUDA): [main.cu]'s
+   [init_value], step count, parameters and reference loop; then the
+   final grid's cells as hex words, or with a second argument the
+   seconds of the reference loop alone. *)
+let cpu_reference t =
+  let cty = ctype t and subs = cell_subs t in
+  let buf = Buffer.create 4096 in
+  let out fmt = line buf fmt in
+  out "/* CPU-only reference generated by AN5D (paper A.6):";
+  out "   usage: %s_ref [STEPS [time]] */" (name t);
+  List.iter (out "#include <%s>") [ "stdint.h"; "stdio.h"; "stdlib.h"; "string.h"; "math.h"; "time.h" ];
+  out "";
+  out "static %s ref[2]%s;" cty (dims_c t);
+  out "";
+  emit_init_value t buf;
+  out "";
+  emit_main_prologue t buf;
+  emit_cell_loops t buf (Fmt.str "ref[0]%s = ref[1]%s = init_value(%s);" subs subs (cell_args t));
+  out "  struct timespec t0, t1;";
+  out "  clock_gettime(CLOCK_MONOTONIC, &t0);";
+  Buffer.add_string buf (reference_loop t);
+  out "  clock_gettime(CLOCK_MONOTONIC, &t1);";
+  out "  if (argc > 2) {";
+  out "    printf(\"%%.9f\\n\", (t1.tv_sec - t0.tv_sec) + 1e-9 * (t1.tv_nsec - t0.tv_nsec));";
+  out "    return 0;";
+  out "  }";
+  emit_cell_loops t buf
+    (Fmt.str
+       "{ %s w; memcpy(&w, &ref[timesteps %% 2]%s, sizeof w); printf(\"%%llx\\n\", \
+        (unsigned long long)w); }"
+       (match t.job.Framework.prec with
+       | Stencil.Grid.F32 -> "uint32_t"
+       | Stencil.Grid.F64 -> "uint64_t")
+       subs);
+  out "  return 0;";
+  out "}";
+  Buffer.contents buf
+
+let build_cpu_reference t ~exe =
+  let c = exe ^ ".c" in
+  Out_channel.with_open_bin c (fun oc -> Out_channel.output_string oc (cpu_reference t));
+  let cmd =
+    Fmt.str "cc -O2 -fno-tree-vectorize -ffp-contract=off -o %s %s -lm" (Filename.quote exe)
+      (Filename.quote c)
+  in
+  let status = Sys.command cmd in
+  Sys.remove c;
+  if status <> 0 then Error (Fmt.str "%s: exit %d" cmd status) else Ok ()
 
 let emit_makefile t =
   let arch = "-gencode=arch=compute_70,code=sm_70" in

@@ -18,14 +18,11 @@
 
     Every kernel call runs off the per-call {!Plan}, whose lowering
     already settles the execution mode, on the sliding-window
-    {!Stream_exec} kernels. The checked compiled path below drives its
-    inner loops off the same plan's flat tables and indexed closure,
-    with analytic bulk counter updates; it is the oracle the
-    differential tests force with [~checked:true]. The two are
-    bit-identical — same grids, field-for-field equal counters. The
-    numerics are also bit-compared against {!Stencil.Reference} (and, in
-    [Partial_sums] mode, against a per-cell partial-sums sweep in the
-    tests), and the traffic counters asserted against the §5 formulas. *)
+    {!Stream_exec} kernels. The differential tests bit-compare the
+    grids against {!Stencil.Reference} (and, in [Partial_sums] mode,
+    against a per-cell partial-sums sweep) and assert the counters
+    field for field equal to the §5 closed form
+    ({!Model.Thread_class.counters}). *)
 
 (** How CALC evaluates the update:
     - [Direct]: the expression as written (bit-identical to the
@@ -67,225 +64,6 @@ let make_geometry = Plan.make_geometry
 let neighbor_thread = Plan.neighbor_thread
 
 (* ------------------------------------------------------------------ *)
-(* Per-block state of the checked path                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Block-local scratch: per-thread global coordinates, membership
-   flags and in-plane offsets, and the fixed register file. Blocks can
-   run on different domains without sharing state; dst stores of
-   distinct blocks are disjoint by construction. {!Stream_exec} derives
-   the same masks as runs from boxes ({!Stream_exec.block_runs}) and
-   reads none of it. *)
-type block_state = {
-  sb : int;  (** stream-block index *)
-  gcoords : int array array;
-  in_grid : bool array;
-  inplane_interior : bool array;
-  base : int array;  (** per-thread in-plane linear offset into the grids *)
-  n_in_grid : int;
-  n_interior : int;
-  n_store : int;  (** threads with [in_grid && store_ok] *)
-  reg_file : float array array array;  (** [.(tstep).(slot).(thread)] *)
-}
-
-let make_block_state (plan : Plan.t) ~degree:b block_id =
-  let nb = plan.Plan.nb and n_thr = plan.Plan.n_thr and rad = plan.Plan.rad in
-  let dims = plan.Plan.em.Execmodel.dims in
-  let origin = Plan.block_origin plan ~degree:b block_id in
-  let gcoords =
-    Array.init n_thr (fun t -> Array.map2 ( + ) origin plan.Plan.geo.Plan.coords.(t))
-  in
-  (* every grid coordinate [g.(d)] in [[margin, dims_d - margin)] *)
-  let inside margin =
-    Array.map
-      (fun g ->
-        let ok = ref true in
-        for d = 0 to nb - 1 do
-          if g.(d) < margin || g.(d) >= dims.(d + 1) - margin then ok := false
-        done;
-        !ok)
-      gcoords
-  in
-  let in_grid = inside 0 and inplane_interior = inside rad in
-  (* In-plane part of the row-major linear index; only dereferenced for
-     in-grid threads (out-of-bound threads get a meaningless value). *)
-  let base =
-    Array.map
-      (fun g ->
-        let off = ref 0 in
-        for d = 0 to nb - 1 do
-          off := !off + (g.(d) * plan.Plan.gstrides.(d + 1))
-        done;
-        !off)
-      gcoords
-  in
-  let count f =
-    let n = ref 0 in
-    for t = 0 to n_thr - 1 do
-      if f t then incr n
-    done;
-    !n
-  in
-  {
-    sb = block_id / plan.Plan.spatial_blocks;
-    gcoords;
-    in_grid;
-    inplane_interior;
-    base;
-    n_in_grid = count (fun t -> in_grid.(t));
-    n_interior = count (fun t -> inplane_interior.(t));
-    n_store = count (fun t -> in_grid.(t) && plan.Plan.store_ok.(t));
-    reg_file = Plan.reg_file plan ~degree:b;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* The checked compiled path                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The checked path: the inner loops index the plan's flat tables,
-   plane accesses go through the grid's bounds-checked linear accessors
-   at precomputed base offsets, and the counters advance in per-plane
-   bulk increments (per-thread membership counts are block-level
-   constants, so a plane's traffic is known analytically). Bit-identity
-   with {!Stream_exec} and counter equality are proven by the
-   differential tests. *)
-let compiled_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
-    ~(dst : Stencil.Grid.t) ctx =
-  let n_thr = plan.Plan.n_thr in
-  let rad = plan.Plan.rad in
-  let p = plan.Plan.p in
-  let l = plan.Plan.l in
-  let n_off = plan.Plan.n_off in
-  let plane_e = plan.Plan.plane_e in
-  let nbr = plan.Plan.nbr in
-  let store_ok = plan.Plan.store_ok in
-  let stride0 = plan.Plan.gstrides.(0) in
-  let round = Stencil.Grid.round_to_prec plan.Plan.prec in
-  let low = plan.Plan.low in
-  let ops = plan.Plan.ops in
-  let sm_writes_per_plane = n_thr * plan.Plan.sm_writes_per_cell in
-  let sm_reads_per_cell = plan.Plan.sm_reads_per_cell in
-  let barriers_per_plane =
-    if plan.Plan.em.Execmodel.config.Config.double_buffer then 1 else 2
-  in
-  let counters = ctx.Gpu.Machine.machine.Gpu.Machine.counters in
-  let st = make_block_state plan ~degree:b ctx.Gpu.Machine.block_id in
-  let { in_grid; inplane_interior; base; reg_file; _ } = st in
-  let s0, s1 = Execmodel.stream_range plan.Plan.em st.sb in
-  (* Source sub-plane pointers for the current compute plane:
-     [plane_ptr.(e)] is the register plane holding streaming delta
-     [e - rad], refilled per plane so term reads are two array hops. *)
-  let plane_ptr = Array.make p reg_file.(0).(0) in
-  let load_plane i =
-    let dst_plane = reg_file.(0).(i mod p) in
-    let poff = i * stride0 in
-    for t = 0 to n_thr - 1 do
-      dst_plane.(t) <-
-        (if in_grid.(t) then Stencil.Grid.get_lin src (base.(t) + poff) else 0.0)
-    done;
-    Gpu.Counters.add_gm_reads counters st.n_in_grid
-  in
-  let compute_plane tstep j =
-    let dst_plane = reg_file.(tstep).(j mod p) in
-    let src_planes = reg_file.(tstep - 1) in
-    Gpu.Counters.add_sm_writes counters sm_writes_per_plane;
-    Gpu.Counters.add_barriers counters barriers_per_plane;
-    (* Every in-grid thread reads its column from the tile, interior or
-       not. *)
-    Gpu.Counters.add_sm_reads counters (sm_reads_per_cell * st.n_in_grid);
-    if j < rad || j >= l - rad then begin
-      (* Stream-boundary plane: every thread propagates the previous
-         time-step's value (§4.1). *)
-      let src_center = src_planes.(j mod p) in
-      Array.blit src_center 0 dst_plane 0 n_thr
-    end
-    else begin
-      let sb0 = (j - rad + p) mod p in
-      for e = 0 to p - 1 do
-        let s = sb0 + e in
-        plane_ptr.(e) <- src_planes.(if s >= p then s - p else s)
-      done;
-      let src_center = plane_ptr.(rad) in
-      (match low.Stencil.Sexpr.low_linear with
-      | Some lf ->
-          (* Flat weighted-sum path: same left-to-right accumulation as
-             the compiled closure, so bit-identical. *)
-          let lt_off = lf.Stencil.Sexpr.lt_off in
-          let lt_off2 = lf.Stencil.Sexpr.lt_off2 in
-          let lt_coef = lf.Stencil.Sexpr.lt_coef in
-          let lt_scaled = lf.Stencil.Sexpr.lt_scaled in
-          let n_terms = Array.length lt_off in
-          for t = 0 to n_thr - 1 do
-            if inplane_interior.(t) then begin
-              let row = t * n_off in
-              let k0 = lt_off.(0) in
-              let v0 = plane_ptr.(plane_e.(k0)).(nbr.(row + k0)) in
-              (* Folded pair (§4.2): the mirror read is added before the
-                 scaling, as in the source [c * (a + b)]. *)
-              let k2 = lt_off2.(0) in
-              let v0 =
-                if k2 >= 0 then v0 +. plane_ptr.(plane_e.(k2)).(nbr.(row + k2))
-                else v0
-              in
-              let acc = ref (if lt_scaled.(0) then lt_coef.(0) *. v0 else v0) in
-              for q = 1 to n_terms - 1 do
-                let k = lt_off.(q) in
-                let v = plane_ptr.(plane_e.(k)).(nbr.(row + k)) in
-                let k2 = lt_off2.(q) in
-                let v =
-                  if k2 >= 0 then v +. plane_ptr.(plane_e.(k2)).(nbr.(row + k2))
-                  else v
-                in
-                acc := !acc +. (if lt_scaled.(q) then lt_coef.(q) *. v else v)
-              done;
-              let value =
-                match lf.Stencil.Sexpr.lt_post with
-                | Stencil.Sexpr.Post_none -> !acc
-                | Stencil.Sexpr.Post_div d -> !acc /. d
-              in
-              dst_plane.(t) <- round value
-            end
-            else dst_plane.(t) <- src_center.(t)
-          done
-      | None ->
-          (* Any other lowering: the indexed closure (the per-cell
-             compile, or §4.1's fold over per-group closures). *)
-          let eval = low.Stencil.Sexpr.low_eval in
-          for t = 0 to n_thr - 1 do
-            if inplane_interior.(t) then begin
-              let row = t * n_off in
-              let read k = plane_ptr.(plane_e.(k)).(nbr.(row + k)) in
-              dst_plane.(t) <- round (eval read)
-            end
-            else dst_plane.(t) <- src_center.(t)
-          done);
-      Gpu.Counters.add_ops_n counters ops st.n_interior;
-      Gpu.Counters.add_cells_updated counters st.n_interior
-    end
-  in
-  let store_plane j =
-    let src_plane = reg_file.(b).(j mod p) in
-    let poff = j * stride0 in
-    for t = 0 to n_thr - 1 do
-      if in_grid.(t) && store_ok.(t) then
-        Stencil.Grid.set_lin dst (base.(t) + poff) src_plane.(t)
-    done;
-    Gpu.Counters.add_gm_writes counters st.n_store
-  in
-  let load_lo = s0 - (b * rad) and load_hi = s1 - 1 + (b * rad) in
-  for i = load_lo to load_hi do
-    if i >= 0 && i < l then load_plane i;
-    for tstep = 1 to b do
-      let j = i - (tstep * rad) in
-      let lo = s0 - ((b - tstep) * rad) and hi = s1 - 1 + ((b - tstep) * rad) in
-      if j >= lo && j <= hi && j >= 0 && j < l then begin
-        compute_plane tstep j;
-        if tstep = b && j >= s0 && j < s1 then store_plane j
-      end
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
 (* One kernel call                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -300,7 +78,7 @@ let m_chunks_executed = Obs.Metrics.counter "chunks_executed"
    grouped sum among them). Counters are interned by name, so the
    per-call lookup is a hash probe — docs/OBSERVABILITY.md lists the
    names. *)
-let kernel_call ?(mode = Direct) ?(checked = false) ?pool (em : Execmodel.t)
+let kernel_call ?(mode = Direct) ?pool (em : Execmodel.t)
     ~(machine : Gpu.Machine.t) ~degree:b ~(src : Stencil.Grid.t)
     ~(dst : Stencil.Grid.t) =
   if
@@ -320,19 +98,11 @@ let kernel_call ?(mode = Direct) ?(checked = false) ?pool (em : Execmodel.t)
       (Gpu.Machine.Launch_failure
          (Fmt.str "AN5D kernel needs %d registers per thread, limit is %d"
             plan.Plan.regs machine.Gpu.Machine.device.Gpu.Device.max_regs_per_thread));
-  (* The sliding-window path, or the checked compiled path — bit-identical
-     by construction — when the caller asks for the oracle. The dispatch
-     is recorded per kernel shape so the bench and CI can prove a gated
-     stencil really took its specialized kernel. *)
-  let block =
-    if checked then compiled_block plan ~degree:b ~src ~dst
-    else begin
-      Obs.Metrics.incr
-        (Obs.Metrics.counter
-           ("streaming_dispatch_" ^ Stream_exec.kernel_name plan.Plan.low));
-      Stream_exec.execute_block plan ~degree:b ~src ~dst
-    end
-  in
+  (* The dispatch is recorded per kernel shape so the bench and CI can
+     prove a gated stencil really took its specialized kernel. *)
+  Obs.Metrics.incr
+    (Obs.Metrics.counter ("streaming_dispatch_" ^ Stream_exec.kernel_name plan.Plan.low));
+  let block = Stream_exec.execute_block plan ~degree:b ~src ~dst in
   let n_blocks = plan.Plan.n_sb * plan.Plan.spatial_blocks in
   Obs.Trace.with_span "kernel"
     ~attrs:
@@ -385,12 +155,11 @@ let sharded_stats (em : Execmodel.t) ~prec ems ~chunks =
     Result grids are bit-identical to the resident path in both modes
     (differentially fuzzed in test/test_shard.ml). Counters are the
     merge of the per-shard machines: for [shards = 1] they equal the
-    resident run's exactly; for [shards > 1] they are deterministic,
-    equal on the streaming and checked paths, but include the redundant
-    ghost-zone compute the decomposition trades for fewer
-    synchronizations. [stats] reports the per-chunk stream blocks summed
+    resident run's exactly; for [shards > 1] they are the sum of the
+    shard models' closed forms, the redundant ghost-zone compute the
+    decomposition trades for fewer synchronizations included. [stats] reports the per-chunk stream blocks summed
     over shards and [kernel_calls = chunks * shards]. *)
-let run_sharded ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
+let run_sharded ?pool (cfg : Run_config.t) (em : Execmodel.t)
     ~(machine : Gpu.Machine.t) ~steps (g : Stencil.Grid.t) =
   if g.Stencil.Grid.dims <> em.Execmodel.dims then
     invalid_arg "Blocking.run: grid dims do not match execution model";
@@ -408,8 +177,7 @@ let run_sharded ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
           machine.Gpu.Machine.device)
   in
   let advance ~shard ~degree ~src ~dst =
-    kernel_call ~mode ?checked ems.(shard) ~machine:machines.(shard) ~degree
-      ~src ~dst
+    kernel_call ~mode ems.(shard) ~machine:machines.(shard) ~degree ~src ~dst
   in
   let execute pool = Shard.run ?pool decomp ~chunks ~grid:g ~advance in
   let result =
@@ -449,12 +217,11 @@ let run_sharded ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
     thread blocks of every kernel call out over that many domains (one
     pool, reused across the calls); passing an existing [pool] instead
     reuses it and takes precedence. Output grids and counters are
-    bit-identical to the sequential run in both execution modes, on the
-    streaming and the [checked] path alike. *)
-let run_cfg ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
+    bit-identical to the sequential run in both execution modes. *)
+let run_cfg ?pool (cfg : Run_config.t) (em : Execmodel.t)
     ~(machine : Gpu.Machine.t) ~steps (g : Stencil.Grid.t) =
   if cfg.Run_config.shards <> 1 then
-    run_sharded ?pool ?checked cfg em ~machine ~steps g
+    run_sharded ?pool cfg em ~machine ~steps g
   else begin
   if g.Stencil.Grid.dims <> em.Execmodel.dims then
     invalid_arg "Blocking.run: grid dims do not match execution model";
@@ -467,8 +234,7 @@ let run_cfg ?pool ?checked (cfg : Run_config.t) (em : Execmodel.t)
       (fun degree ->
         Obs.Trace.with_span "chunk" ~attrs:[ ("degree", Obs.Trace.Int degree) ]
           (fun () ->
-            kernel_call ~mode ?checked ?pool em ~machine ~degree ~src:!cur
-              ~dst:!nxt);
+            kernel_call ~mode ?pool em ~machine ~degree ~src:!cur ~dst:!nxt);
         Obs.Metrics.incr m_chunks_executed;
         let t = !cur in
         cur := !nxt;

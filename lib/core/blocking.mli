@@ -14,11 +14,10 @@
     [(pattern, config, dims, precision, degree, mode)]), whose lowering
     settles the execution mode. Every call runs on the sliding-window
     {!Stream_exec} kernels (non-linear forms and [Partial_sums] grouped
-    sums on the generic row-program kernel); the checked compiled path
-    runs only when a caller forces it as the oracle. The two are proven
-    bit-identical — grids and counters — by the differential test
-    suite; numerics are also bit-compared against {!Stencil.Reference}
-    and the traffic counters against the §5 closed forms. *)
+    sums on the generic row-program kernel). The differential test
+    suites bit-compare the grids against {!Stencil.Reference} and the
+    counters, field for field, against the §5 closed form
+    ({!Model.Thread_class.counters}). *)
 
 (** How CALC evaluates the update: [Direct] (the expression as written;
     bit-identical to the reference) or [Partial_sums] (the §4.1
@@ -48,26 +47,6 @@ val neighbor_thread : geometry -> int -> int array -> int
     full stencil offset (entry 0, the streaming delta, is skipped),
     clamped to the block edge. *)
 
-(** Block-local execution state of the checked compiled path: per-thread
-    global coordinates and membership flags, per-thread in-plane linear
-    base offsets, and the fixed register file. {!Stream_exec} derives
-    the same masks, offsets and counts as runs from box arithmetic
-    ({!Stream_exec.block_runs}); the property tests compare the two. *)
-type block_state = {
-  sb : int;  (** stream-block index *)
-  gcoords : int array array;
-  in_grid : bool array;
-  inplane_interior : bool array;
-  base : int array;  (** per-thread in-plane linear offset into the grids *)
-  n_in_grid : int;
-  n_interior : int;
-  n_store : int;  (** threads with [in_grid && store_ok] *)
-  reg_file : float array array array;  (** [.(tstep).(slot).(thread)] *)
-}
-
-val make_block_state : Plan.t -> degree:int -> int -> block_state
-(** [make_block_state plan ~degree block_id]. *)
-
 type launch_stats = {
   n_tb : int;  (** spatial thread blocks per kernel call *)
   n_stream_blocks : int;
@@ -81,7 +60,6 @@ val pp_launch_stats : Format.formatter -> launch_stats -> unit
 
 val kernel_call :
   ?mode:exec_mode ->
-  ?checked:bool ->
   ?pool:Gpu.Pool.t ->
   Execmodel.t ->
   machine:Gpu.Machine.t ->
@@ -94,10 +72,7 @@ val kernel_call :
     the boundary values, e.g. as a copy of the initial grid). The plan
     is fetched from the memo cache (compiled on first use, its lowering
     chosen by [mode]). The sliding-window path runs the call, ticking
-    [streaming_dispatch_<kernel>]; [checked] (default [false]) forces
-    the checked compiled path instead, without a tick — the
-    bit-identical oracle for tests and the throughput bench. A
-    [pool] fans the independent thread blocks out over its domains
+    [streaming_dispatch_<kernel>]. A [pool] fans the independent thread blocks out over its domains
     with bit-identical results and counters.
     @raise Gpu.Machine.Launch_failure when shared memory or registers
     exceed the device limits.
@@ -105,7 +80,6 @@ val kernel_call :
 
 val run_cfg :
   ?pool:Gpu.Pool.t ->
-  ?checked:bool ->
   Run_config.t ->
   Execmodel.t ->
   machine:Gpu.Machine.t ->
@@ -122,10 +96,7 @@ val run_cfg :
     sequential); an explicit [pool] is reused instead and takes
     precedence. Parallel runs are bit-identical to sequential ones —
     same grids, same counters — in both execution modes. [shards <> 1]
-    dispatches to {!run_sharded}. [checked] (default [false]) forces
-    the checked compiled path on every kernel call ({!kernel_call}); it
-    is an internal oracle switch for tests and benches, deliberately
-    not a {!Run_config} field.
+    dispatches to {!run_sharded}.
     @raise Invalid_argument when the grid does not match the model. *)
 
 val shard_layout : Execmodel.t -> shards:int -> Shard.t * Execmodel.t array
@@ -146,7 +117,6 @@ val sharded_stats :
 
 val run_sharded :
   ?pool:Gpu.Pool.t ->
-  ?checked:bool ->
   Run_config.t ->
   Execmodel.t ->
   machine:Gpu.Machine.t ->
@@ -167,9 +137,10 @@ val run_sharded :
     machines: with [shards = 1] they equal the resident run's
     field-for-field (the schedule degenerates to it exactly — the
     differential fuzz in test/test_shard.ml pins both claims); with
-    [shards > 1] they additionally count the redundant ghost-zone
-    compute traded for fewer synchronizations, deterministically and
-    equally on the streaming and [checked] paths. [stats] sums per-chunk stream blocks over shards
+    [shards > 1] they are the sum of the closed forms of
+    {!shard_layout}'s models, so they also count the redundant
+    ghost-zone compute traded for fewer synchronizations. [stats] sums
+    per-chunk stream blocks over shards
     and reports [kernel_calls = chunks * shards]. Normally reached via
     {!run_cfg}'s dispatch; exposed so tests and benches can force the
     shard machinery at [shards = 1].

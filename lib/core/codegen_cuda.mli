@@ -44,8 +44,6 @@ val inner_start : t -> b:int -> lowermost:bool -> int
 val emit_defines : t -> int -> string
 (** The macro prelude of one degree-[b] kernel. *)
 
-val emit_kernel : t -> int -> string
-
 val emit_host : t -> string
 
 val generate : t -> string

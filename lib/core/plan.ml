@@ -5,20 +5,15 @@
 
     - the update expression lowered to flat per-term
       [(plane-slot, neighbor-index, coefficient)] arrays, or a row
-      program (and an indexed closure for the checked path) when the
-      expression is not a plain weighted sum, via
+      program when the expression is not a plain weighted sum, via
       {!Stencil.Sexpr.lower} — or, in [Partial_sums] mode, the §4.1
       grouped sum of an associative expression as a row program, via
       {!Stencil.Sexpr.lower_partial_sums}: the mode is settled here,
       once, and no executor reads it;
-    - per-thread neighbor-thread tables ([n_thr x n_offsets], replacing
-      per-cell {!neighbor_thread} calls) for the checked path, and one
-      constant thread-id delta per offset and per linear term for the
-      streaming path;
+    - one constant thread-id delta per offset and per linear term,
+      checked at build time against the clamped {!neighbor_thread};
     - row-major grid strides so plane loads/stores use the unchecked
       linear accessors instead of bounds-checked multi-index math;
-    - the per-thread store mask (compute-region membership depends only
-      on block-local coordinates);
     - the per-call launch geometry, resource footprint and per-cell
       traffic constants.
 
@@ -26,10 +21,9 @@
     with [reg_limit] stripped from the config, since the register cap
     affects occupancy and spilling but not the executed schedule — so
     the chunks of one run, repeated runs, and the tuner's reg-limit
-    variants all share one compilation. The two executors that run a
-    plan — {!Stream_exec} and the checked compiled path in {!Blocking} —
-    are bit-identical to each other and, in [Direct] mode, to
-    {!Stencil.Reference}; the differential test suite proves it. *)
+    variants all share one compilation. {!Stream_exec} runs every plan;
+    in [Direct] mode it is bit-identical to {!Stencil.Reference}, and
+    the differential test suites prove it. *)
 
 (* ------------------------------------------------------------------ *)
 (* Thread-block geometry                                               *)
@@ -106,7 +100,6 @@ type t = {
       (** per offset: the in-plane neighbor of thread [t] is thread
           [t + off_delta.(k)], exact for every thread valid at level >= 1
           (checked at build time) *)
-  nbr : int array;  (** [n_thr * n_off] clamped neighbor thread ids *)
   (* term-major hoisted tables (empty when no linear form): the
      register plane slot [plane_e.(lt_off.(q))] resolved once per term,
      and the term's in-plane neighbor as a constant thread-id delta —
@@ -129,7 +122,6 @@ type t = {
   n_sb : int;
   halo_w : int;
   compute_w : int array;
-  store_ok : bool array;  (** per thread: inside the compute region *)
   gstrides : int array;  (** row-major strides of the run grids *)
 }
 
@@ -152,13 +144,6 @@ let build (em : Execmodel.t) ~degree:b ~prec ~mode =
   let offs = low.Stencil.Sexpr.low_offsets in
   let n_off = Array.length offs in
   let plane_e = Array.map (fun o -> o.(0) + rad) offs in
-  let nbr = Array.make (max 1 (n_thr * n_off)) 0 in
-  for t = 0 to n_thr - 1 do
-    let row = t * n_off in
-    for k = 0 to n_off - 1 do
-      nbr.(row + k) <- neighbor_thread geo t offs.(k)
-    done
-  done;
   (* A thread valid at level 1 sits [rad] inside the tile in every
      blocked dimension, so its neighbors need no clamp and the constant
      delta must reproduce [neighbor_thread] exactly. *)
@@ -170,7 +155,7 @@ let build (em : Execmodel.t) ~degree:b ~prec ~mode =
           d := !d + (offs.(k).(i + 1) * geo.strides.(i))
         done;
         for t = 0 to n_thr - 1 do
-          if valid1.(t) && nbr.((t * n_off) + k) <> t + !d then
+          if valid1.(t) && neighbor_thread geo t offs.(k) <> t + !d then
             invalid_arg "Plan.build: offset delta disagrees with neighbor_thread"
         done;
         !d)
@@ -193,15 +178,6 @@ let build (em : Execmodel.t) ~degree:b ~prec ~mode =
   in
   let halo_w = Execmodel.halo ~b em in
   let compute_w = Array.init nb (fun d -> Execmodel.compute_width ~b em d) in
-  let store_ok =
-    Array.init n_thr (fun t ->
-        let ok = ref true in
-        for d = 0 to nb - 1 do
-          let u = geo.coords.(t).(d) in
-          if u < halo_w || u >= halo_w + compute_w.(d) then ok := false
-        done;
-        !ok)
-  in
   let n = Array.length dims in
   let gstrides = Array.make n 1 in
   for d = n - 2 downto 0 do
@@ -220,7 +196,6 @@ let build (em : Execmodel.t) ~degree:b ~prec ~mode =
     n_off;
     plane_e;
     off_delta;
-    nbr;
     t_plane;
     t_delta;
     t_plane2;
@@ -236,12 +211,11 @@ let build (em : Execmodel.t) ~degree:b ~prec ~mode =
     n_sb = Execmodel.n_stream_blocks em;
     halo_w;
     compute_w;
-    store_ok;
     gstrides;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-block pieces shared by both executors                           *)
+(* Per-block pieces                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let block_origin (plan : t) ~degree:b block_id =

@@ -6,15 +6,11 @@
     thread-block geometry, the update expression lowered to flat
     per-term tables or a row program ({!Stencil.Sexpr.lower}; in
     [Partial_sums] mode the §4.1 grouped sum,
-    {!Stencil.Sexpr.lower_partial_sums}), per-thread neighbor-thread and
-    store-mask tables, one constant neighbor delta per offset and per
-    linear term, row-major grid
-    strides for unchecked linear plane access,
-    and the launch/resource/traffic constants. Both executors — the
-    checked compiled path in {!Blocking} and {!Stream_exec} — drive
-    their inner loops off these arrays; the differential test suite proves the sliding-window
-    {!Stream_exec} path and the checked compiled path bit-identical
-    (and their counters field-for-field equal). *)
+    {!Stencil.Sexpr.lower_partial_sums}), one constant neighbor delta
+    per offset and per linear term, row-major grid strides for
+    unchecked linear plane access, and the launch/resource/traffic
+    constants. {!Stream_exec} drives its inner loops off these
+    arrays. *)
 
 (** Thread-block geometry: the mapping between flat thread ids and
     block-local coordinates along the blocked dimensions (re-exported
@@ -52,7 +48,6 @@ type t = {
           in {!neighbor_thread} never fires; {!get} raises
           [Invalid_argument] if any such thread disagrees. The generic
           streaming kernel reads its loads through it. *)
-  nbr : int array;  (** [n_thr * n_off] clamped neighbor thread ids *)
   t_plane : int array;
       (** term-major: register plane slot of linear term [q]
           ([plane_e.(lt_off.(q))] hoisted at build time); empty when the
@@ -77,7 +72,8 @@ type t = {
   n_sb : int;  (** stream blocks *)
   halo_w : int;
   compute_w : int array;
-  store_ok : bool array;  (** per thread: inside the compute region *)
+      (** per blocked dimension: the compute region, whose cells the
+          call stores, is [[halo_w, halo_w + compute_w.(d))] *)
   gstrides : int array;  (** row-major strides of the run grids *)
 }
 
@@ -96,7 +92,7 @@ val valid : t -> tstep:int -> int -> bool
     blocked dimension lies in [[tstep*rad, bs_d - tstep*rad)]
     ({!Execmodel.valid_width}) — the threads whose level-[tstep] value
     can still reach a store (§4.1). At [tstep = degree] this is exactly
-    [store_ok]. *)
+    the compute region. *)
 
 val get :
   Execmodel.t ->

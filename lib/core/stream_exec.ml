@@ -36,12 +36,12 @@
       plane, the last one the stored value (the destination plane, or
       the f32 scratch). Each
       cell performs the same IEEE operations on the same operands as
-      the closure tree the checked path calls, so the bits match. A
+      {!Stencil.Sexpr.compile}'s closure tree, so the bits match. A
       [Partial_sums] plan's grouped sum is such a program too (its f32
       per-group rounding an [Op_round_single] row).
       gradient2d 256², 20 steps, bt 4, bs 64 (one [an5d batch] request,
-      2-vCPU shared host): 228–260 ms executing on the checked path,
-      46–57 ms on this kernel.
+      2-vCPU shared host): 228–260 ms executing one closure call per
+      node per cell, 46–57 ms on this kernel.
 
     Single-lane execute time over [Reference] time, median of 9
     interleaved rounds, three processes each on a 2-vCPU shared host,
@@ -73,20 +73,20 @@
     arrays → runs: j2d5pt 1024² f64 471–484 → 519–550; star2d4r
     176–184 → 188–193; j3d27pt 96³ f32 91–95 → 106–111.
 
-    Grids and simulated GPU counters are bit-identical to the checked
-    compiled path in {!Blocking}: same load/store/compute schedule, same
-    left-to-right accumulation for every stored cell, same bulk counter
-    calls in the same order. The counters model the GPU, which computes
-    every thread of the tile, so skipping threads on the host changes
-    none of them. Host-side register reuse is invisible to the modeled
-    schedule, which is the correctness oracle — the differential suite
-    (test/test_streaming.ml) proves it. *)
+    Grids are bit-identical to {!Stencil.Reference} in [Direct] mode
+    (the same left-to-right accumulation for every stored cell), and
+    the simulated GPU counters equal the §5 closed form
+    ({!Model.Thread_class.counters}) field for field. The counters
+    model the GPU, which computes every thread of the tile, so skipping
+    threads on the host changes none of them. Host-side register reuse
+    is invisible to the modeled schedule — the differential suite
+    (test/test_streaming.ml) proves both. *)
 
 (* A block's geometry as runs of thread ids (§4.1). Every mask the
    block reads is a box in block-local coordinates: the tile
    [[0, bs_d)], the grid shifted by the block origin, the in-plane
    interior (the grid shrunk by [rad]), the compute region
-   ([[halo_w, halo_w + compute_w_d)], {!Plan.store_ok}) and each
+   ([[halo_w, halo_w + compute_w_d)]) and each
    level's valid region ({!Plan.valid}). A box meets a tile row — the
    threads that share every block-local coordinate but the last — in
    one interval of consecutive thread ids, so each mask is one run per
@@ -97,7 +97,7 @@
      [[| s; e; base; ... |]]: the run [[s, e)] and the in-plane grid
      offset of thread [s]. The innermost grid stride is 1, so thread
      [t] of the run sits at [base + t - s];
-   - [store]: in-grid [store_ok] threads (compute region ∩ grid),
+   - [store]: in-grid threads of the compute region,
      triples as [load]. The compute region is not clipped to the tile:
      a plan whose compute region leaves the tile is refused by the
      contract below rather than trimmed;
@@ -108,7 +108,7 @@
    At level [T] only valid threads can still reach a store: a valid
    thread at level [T+1] reads only threads within [rad] of it, which
    are valid at level [T], and the stores read level [degree], whose
-   valid region is exactly [store_ok]. Every other thread is skipped;
+   valid region is exactly the compute region. Every other thread is skipped;
    nothing reads it. The thread counts the counters tick are the same
    boxes' volumes. *)
 type level_runs = { act : int array; cpy : int array }
@@ -237,8 +237,8 @@ let block_runs (plan : Plan.t) ~degree:b block_id =
 
    A violation raises instead of reading out of bounds; it cannot occur
    for plans built by {!Plan.get} (offsets are bounded by the pattern
-   radius and the deltas are checked against the clamped neighbor
-   table for every valid thread), which the raise documents. *)
+   radius and the deltas are checked against the clamped
+   {!Plan.neighbor_thread} for every valid thread), which the raise documents. *)
 let validate_unsafe_contract (plan : Plan.t) (g : block_runs) =
   let fail what = invalid_arg ("Stream_exec.validate_unsafe_contract: " ^ what) in
   let n_off = plan.Plan.n_off and n_thr = plan.Plan.n_thr and p = plan.Plan.p in
@@ -922,7 +922,7 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     let dst_plane = reg_file.(tstep).(j mod p) in
     let src_planes = reg_file.(tstep - 1) in
     (* The counters model the GPU, which computes every thread of the
-       tile, skipped or not: they stay those of the checked path. *)
+       tile, skipped or not: they stay the §5 closed form's. *)
     Gpu.Counters.add_sm_writes counters sm_writes_per_plane;
     Gpu.Counters.add_barriers counters barriers_per_plane;
     Gpu.Counters.add_sm_reads counters (sm_reads_per_cell * g.n_in_grid);
@@ -960,8 +960,8 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
       Gpu.Counters.add_cells_updated counters g.n_interior
     end
   in
-  (* The sweep schedule of the checked compiled path: load the incoming
-     plane, run each lagged computational stream, store the deepest. *)
+  (* The sweep schedule of §4.1 (Fig 1): load the incoming plane, run
+     each lagged computational stream, store the deepest. *)
   let load_lo = s0 - (b * rad) and load_hi = s1 - 1 + (b * rad) in
   for i = load_lo to load_hi do
     if i >= 0 && i < l then load_plane i;

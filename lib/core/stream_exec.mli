@@ -37,7 +37,7 @@
     ({!Plan.valid}, {!Execmodel.valid_width}) can: a valid thread at
     level [T+1] reads only threads within [rad] of it, which are valid
     at level [T], and the stores read level [degree], whose valid region
-    is exactly [store_ok]. Per block and level the kernels therefore
+    is exactly the compute region. Per block and level the kernels therefore
     run over the runs (one per tile row) of valid interior threads;
     valid non-interior threads keep the window center; every other
     thread is skipped and left stale, and nothing reads it.
@@ -49,7 +49,7 @@
     generic kernel reads offset [k] at [t + Plan.off_delta.(k)].
 
     {b Geometry from boxes.} Every mask a block reads — in the grid, in
-    the in-plane interior, valid at level [T], [store_ok] — is a box in
+    the in-plane interior, valid at level [T], the compute region — is a box in
     block-local coordinates, and a box meets a tile row in one run of
     consecutive thread ids. {!block_runs} derives a block's load, store
     and per-level runs, the grid offset of each load and store run and
@@ -75,11 +75,11 @@
     [l*stride0] words (also checked). A malformed plan raises
     [Invalid_argument] there instead of reading out of bounds.
 
-    Grids {e and} simulated GPU counters are bit-identical to the
-    checked compiled path in {!Blocking}: identical load/store/compute
-    schedule, identical IEEE operations on identical operands for every
-    stored cell (the left-to-right accumulation of a linear form), and
-    identical bulk counter calls in the same order. The counters
+    Grids are bit-identical to {!Stencil.Reference} in [Direct] mode
+    (identical IEEE operations on identical operands for every stored
+    cell, the left-to-right accumulation of a linear form), and the
+    simulated GPU counters equal the §5 closed form
+    ({!Model.Thread_class.counters}) field for field. The counters
     model the GPU, which computes every thread of the tile — the
     redundant halo work is the price overlapped blocking pays for its
     few synchronizations — so they still count the threads the host
@@ -93,9 +93,8 @@ val execute_block :
   dst:Stencil.Grid.t ->
   Gpu.Machine.block_ctx ->
   unit
-(** One thread block of the streaming path, with the same observable
-    behavior as the checked compiled path on the same plan, whatever
-    its mode. Raises [Invalid_argument] on a src/dst precision mismatch
+(** One thread block of the streaming path, whatever the plan's mode.
+    Raises [Invalid_argument] on a src/dst precision mismatch
     or on a validate-then-unsafe contract violation. *)
 
 (** One time-step level's runs of thread ids, flattened as
@@ -114,7 +113,7 @@ type block_runs = {
       (** in-grid threads, one run per tile row, flattened as triples
           [[| s; e; base; ... |]]: thread [t] of [[s, e)] sits at
           in-plane grid offset [base + t - s] *)
-  store : int array;  (** in-grid [store_ok] threads, triples as [load] *)
+  store : int array;  (** in-grid threads of the compute region, triples as [load] *)
   levels : level_runs array;  (** level [tstep] at index [tstep - 1] *)
   n_in_grid : int;
   n_interior : int;
@@ -122,9 +121,9 @@ type block_runs = {
 }
 
 val block_runs : Plan.t -> degree:int -> int -> block_runs
-(** [block_runs plan ~degree block_id]: the same masks, offsets and
-    counts {!Blocking.make_block_state}, {!Plan.valid} and [Plan.store_ok]
-    give thread by thread (test/test_streaming.ml proves it), as runs. *)
+(** [block_runs plan ~degree block_id]: the block's masks, offsets and
+    counts as runs; test/test_streaming.ml compares them with masks
+    built thread by thread. *)
 
 val kernel_name : Stencil.Sexpr.lowered -> string
 (** The streaming kernel {!execute_block} runs for this lowering:

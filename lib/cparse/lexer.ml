@@ -173,6 +173,7 @@ let lex_number st =
 let keyword_of_ident = function
   | "for" -> Some Token.KW_FOR
   | "int" -> Some Token.KW_INT
+  | "long" -> Some Token.KW_LONG
   | "float" -> Some Token.KW_FLOAT
   | "double" -> Some Token.KW_DOUBLE
   | "void" -> Some Token.KW_VOID

@@ -181,7 +181,8 @@ let rec parse_stmt st =
 and parse_for st =
   expect st Token.KW_FOR;
   expect st Token.LPAREN;
-  ignore (accept st Token.KW_INT);
+  (* An optional index type: [int] or [long]. *)
+  ignore (accept st Token.KW_INT || accept st Token.KW_LONG);
   let var = expect_ident st in
   expect st Token.ASSIGN;
   let init = parse_expr st in

@@ -11,6 +11,7 @@ type t =
   | IDENT of string
   | KW_FOR
   | KW_INT
+  | KW_LONG
   | KW_FLOAT
   | KW_DOUBLE
   | KW_VOID
@@ -50,6 +51,7 @@ let to_string = function
   | IDENT s -> s
   | KW_FOR -> "for"
   | KW_INT -> "int"
+  | KW_LONG -> "long"
   | KW_FLOAT -> "float"
   | KW_DOUBLE -> "double"
   | KW_VOID -> "void"

@@ -6,6 +6,7 @@ type t =
   | IDENT of string
   | KW_FOR
   | KW_INT
+  | KW_LONG
   | KW_FLOAT
   | KW_DOUBLE
   | KW_VOID

@@ -103,9 +103,10 @@ let add_ops c (ops : Stencil.Sexpr.ops) =
   c.add <- c.add + ops.Stencil.Sexpr.add;
   c.other <- c.other + ops.Stencil.Sexpr.other
 
-(* Bulk accumulators: the compiled-plan executors know per-plane traffic
-   analytically (per-thread counts are block-level constants), so they
-   add a whole plane's worth in one mutation instead of one per cell.
+(* Bulk accumulators: the streaming executor knows per-plane traffic
+   from a block's geometry (per-thread counts are block-level
+   constants), so it adds a whole plane's worth in one mutation instead
+   of one per cell.
    The totals are the same integer sums, so bulk and per-cell paths
    agree field for field. *)
 

@@ -39,9 +39,10 @@ val equal : t -> t -> bool
 val add_ops : t -> Stencil.Sexpr.ops -> unit
 (** Record the operation mix of one cell update. *)
 
-(** Bulk accumulators for the compiled-plan executors: per-plane traffic
-    is known analytically, so a whole plane is one increment instead of
-    one mutation per cell. Same integer sums, same totals. *)
+(** Bulk accumulators for the streaming executor: a block's per-plane
+    traffic is known from its geometry, so a whole plane is one
+    increment instead of one mutation per cell. Same integer sums, same
+    totals. *)
 
 val add_gm_reads : t -> int -> unit
 

@@ -100,12 +100,6 @@ end
 let barrier ctx =
   ctx.machine.counters.Counters.barriers <- ctx.machine.counters.Counters.barriers + 1
 
-(** Record the arithmetic of one cell update. *)
-let record_update ctx ops =
-  Counters.add_ops ctx.machine.counters ops;
-  ctx.machine.counters.Counters.cells_updated <-
-    ctx.machine.counters.Counters.cells_updated + 1
-
 (** Launch a kernel of [n_blocks] thread blocks of [n_thr] threads.
     [f] simulates one whole block and must route every counted access
     through its [ctx.machine] (not a captured machine) so that parallel

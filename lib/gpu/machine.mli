@@ -58,9 +58,6 @@ end
 
 val barrier : block_ctx -> unit
 
-val record_update : block_ctx -> Stencil.Sexpr.ops -> unit
-(** Count the arithmetic of one cell update. *)
-
 val launch :
   ?pool:Pool.t -> t -> n_blocks:int -> n_thr:int -> (block_ctx -> unit) -> unit
 (** Run a kernel of [n_blocks] thread blocks; [f] simulates one block

@@ -18,6 +18,7 @@ type totals = {
   ops : Stencil.Sexpr.ops;  (** aggregate op mix over all updates *)
   kernel_launches : int;
   thread_blocks : int;  (** total thread blocks launched over the run *)
+  barriers : int;  (** block barriers: per computed plane, 1 double-buffered, else 2 *)
 }
 
 let scale_ops k (o : Stencil.Sexpr.ops) =
@@ -109,6 +110,7 @@ let per_call (em : Execmodel.t) ~b =
   let wpc = Execmodel.smem_writes_per_cell em in
   let rpc = Execmodel.smem_reads_practical em in
   let ops1 = Stencil.Pattern.ops_per_cell em.Execmodel.pattern in
+  let bpp = if em.Execmodel.config.Config.double_buffer then 1 else 2 in
   let l = em.Execmodel.dims.(0) in
   let blocked_cells =
     Array.fold_left ( * ) 1 (Array.sub em.Execmodel.dims 1 (Array.length em.Execmodel.dims - 1))
@@ -116,11 +118,13 @@ let per_call (em : Execmodel.t) ~b =
   let gm_reads = ref 0
   and sm_reads = ref 0
   and sm_writes = ref 0
+  and planes = ref 0
   and cells = ref 0 in
   for sb = 0 to n_sb - 1 do
     gm_reads := !gm_reads + (planes_loaded em ~b ~sb * pop.in_grid);
     for tstep = 1 to b do
       let computed, interior = plane_counts em ~b ~sb ~tstep in
+      planes := !planes + computed;
       sm_writes := !sm_writes + (computed * pop.n_blocks * n_thr * wpc);
       sm_reads := !sm_reads + (computed * pop.in_grid * rpc);
       cells := !cells + (interior * pop.inplane_interior)
@@ -135,6 +139,7 @@ let per_call (em : Execmodel.t) ~b =
     ops = scale_ops !cells ops1;
     kernel_launches = 1;
     thread_blocks = pop.n_blocks * n_sb;
+    barriers = !planes * pop.n_blocks * bpp;
   }
 
 let zero =
@@ -147,6 +152,7 @@ let zero =
     ops = Stencil.Sexpr.zero_ops;
     kernel_launches = 0;
     thread_blocks = 0;
+    barriers = 0;
   }
 
 let add a b =
@@ -159,6 +165,7 @@ let add a b =
     ops = add_ops a.ops b.ops;
     kernel_launches = a.kernel_launches + b.kernel_launches;
     thread_blocks = a.thread_blocks + b.thread_blocks;
+    barriers = a.barriers + b.barriers;
   }
 
 let scale k t =
@@ -171,6 +178,7 @@ let scale k t =
     ops = scale_ops k t.ops;
     kernel_launches = k * t.kernel_launches;
     thread_blocks = k * t.thread_blocks;
+    barriers = k * t.barriers;
   }
 
 (** Totals for a full run of [steps] time-steps (host chunking
@@ -189,6 +197,23 @@ let for_run (em : Execmodel.t) ~steps =
   Hashtbl.fold
     (fun b count acc -> add acc (scale count (per_call em ~b)))
     degree_counts zero
+
+(** The simulator's counters of a run with these totals, field for
+    field: what every executor run must tick. *)
+let counters t =
+  {
+    Gpu.Counters.gm_reads = t.gm_reads;
+    gm_writes = t.gm_writes;
+    sm_reads = t.sm_reads;
+    sm_writes = t.sm_writes;
+    fma = t.ops.Stencil.Sexpr.fma;
+    mul = t.ops.Stencil.Sexpr.mul;
+    add = t.ops.Stencil.Sexpr.add;
+    other = t.ops.Stencil.Sexpr.other;
+    kernel_launches = t.kernel_launches;
+    barriers = t.barriers;
+    cells_updated = t.cells_updated;
+  }
 
 (** Aggregate weighted FLOPs (FMA = 2), the paper's [total_comp]. *)
 let total_comp t = Stencil.Sexpr.weighted_flops t.ops

@@ -17,6 +17,9 @@ type totals = {
   ops : Stencil.Sexpr.ops;  (** aggregate op mix over all updates *)
   kernel_launches : int;
   thread_blocks : int;  (** total launched over the run *)
+  barriers : int;
+      (** block barriers: [1] per computed plane and block when
+          double-buffered, [2] otherwise *)
 }
 
 val scale_ops : int -> Stencil.Sexpr.ops -> Stencil.Sexpr.ops
@@ -43,6 +46,11 @@ val scale : int -> totals -> totals
 val for_run : Execmodel.t -> steps:int -> totals
 (** Totals for a full run (host chunking included); calls of equal
     degree are evaluated once. *)
+
+val counters : totals -> Gpu.Counters.t
+(** The simulated GPU counters a run with these totals ticks, field for
+    field ({!Gpu.Counters.equal} to every executor's; the differential
+    suites assert it). *)
 
 val total_comp : totals -> int
 (** Aggregate weighted FLOPs (FMA = 2), the paper's [total_comp]. *)

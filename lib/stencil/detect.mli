@@ -19,13 +19,9 @@ type result = {
   time_bound : Cparse.Ast.expr;
 }
 
-val of_program :
-  ?param_values:(string * float) list -> Cparse.Ast.program -> result
-(** Detect the stencil in a parsed program. [param_values] binds
+val of_string : ?param_values:(string * float) list -> string -> result
+(** Parse, then detect the stencil in the program. [param_values] binds
     runtime scalar parameters for simulation (unbound parameters get a
     fixed default).
-    @raise Rejected when any §4.3 rule fails. *)
-
-val of_string : ?param_values:(string * float) list -> string -> result
-(** Parse then detect.
-    @raise Cparse.Lexer.Error, Cparse.Parser.Error, Rejected. *)
+    @raise Cparse.Lexer.Error, Cparse.Parser.Error, Rejected (when any
+    §4.3 rule fails). *)

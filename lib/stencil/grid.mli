@@ -73,7 +73,7 @@ val unsafe_get_lin : t -> int -> float
     the interior/boundary peeling invariant (only in-grid threads and
     interior positions reach the unsafe path; boundary cells take the
     checked path or a blit). Only the audited hot-loop modules
-    ([Stencil.Reference], [An5d_core.Plan]) may call this;
+    ([Stencil.Reference], [An5d_core.Stream_exec]) may call this;
     scripts/check_unsafe.sh enforces the allowlist. *)
 
 val unsafe_set_lin : t -> int -> float -> unit

@@ -258,47 +258,6 @@ let compile ~(param : string -> float) e : (int array -> float) -> float =
 (* Flat lowering (the compiled-plan layer)                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Compile to a closure reading cells by *index* into a fixed offsets
-    table instead of by offset array. The closure tree is identical to
-    {!compile}'s — same operations, same order, same rounding — so given
-    a reader with [read (index_of o) = read_by_offset o] the result is
-    bit-identical. [index] resolves each [Cell] offset once at compile
-    time, which is what lets executors replace per-cell offset
-    arithmetic with table lookups. *)
-let compile_indexed ~(param : string -> float) ~(index : int array -> int) e :
-    (int -> float) -> float =
-  let rec go = function
-    | Const c -> fun _ -> c
-    | Coef o ->
-        let v = coef_value o in
-        fun _ -> v
-    | Param p ->
-        let v = param p in
-        fun _ -> v
-    | Cell o ->
-        let k = index o in
-        fun read -> read k
-    | Neg a ->
-        let fa = go a in
-        fun read -> -.fa read
-    | Add (a, b) ->
-        let fa = go a and fb = go b in
-        fun read -> fa read +. fb read
-    | Sub (a, b) ->
-        let fa = go a and fb = go b in
-        fun read -> fa read -. fb read
-    | Mul (a, b) ->
-        let fa = go a and fb = go b in
-        fun read -> fa read *. fb read
-    | Div (a, b) ->
-        let fa = go a and fb = go b in
-        fun read -> fa read /. fb read
-    | Sqrt a ->
-        let fa = go a in
-        fun read -> sqrt (fa read)
-  in
-  go e
-
 type post_op = Post_none | Post_div of float
 
 (** Fully flattened linear combination: term [k] reads the cell at
@@ -482,13 +441,12 @@ let eval_program (prog : program) (read : int -> float) =
   get prog.result
 
 (** Everything an executor inner loop needs, precompiled: the distinct
-    offsets (the read index space), an indexed closure and a row program
-    computing the same value, and the flat linear form when the
-    expression is a left-leaning weighted sum (with an optional
-    invariant-divisor post-op). *)
+    offsets (the read index space), the row program computing the
+    value, and the flat linear form when the expression is a
+    left-leaning weighted sum (with an optional invariant-divisor
+    post-op). *)
 type lowered = {
   low_offsets : int array array;
-  low_eval : (int -> float) -> float;
   low_program : program;
   low_linear : linear_form option;
 }
@@ -554,10 +512,9 @@ let offset_table e =
   in
   (offs, index)
 
-(** Lower an expression for table-driven execution. The indexed closure
-    and the row program are always bit-identical to {!compile}; the
-    linear form, when
-    present, reproduces the closure's rounding exactly (left-spine
+(** Lower an expression for table-driven execution. The row program is
+    always bit-identical to {!compile}; the linear form, when present,
+    reproduces the closure's rounding exactly (left-spine
     accumulation, divisor applied last, matching how {!compile}
     evaluates [Div (sum, invariant)]). *)
 let lower ~(param : string -> float) e =
@@ -572,7 +529,6 @@ let lower ~(param : string -> float) e =
   let root = value e in
   {
     low_offsets = offs;
-    low_eval = compile_indexed ~param ~index e;
     low_program = program_of (nodes ()) root;
     low_linear = linearize_sum ~param ~index ~post body;
   }
@@ -581,9 +537,8 @@ let lower ~(param : string -> float) e =
     groups, each rounded to single when [single], added in ascending
     plane order to an accumulator that starts at [0.0] (which turns a
     [-0.0] first group into [+0.0]), then divided by the post's
-    divisor. The row program is that sum; the indexed closure computes
-    it by folding per-group closures instead. A non-associative
-    expression lowers as {!lower}. *)
+    divisor. The row program is that sum. A non-associative expression
+    lowers as {!lower}. *)
 let lower_partial_sums ~(param : string -> float) ~single e =
   match grouped e with
   | None -> lower ~param e
@@ -597,13 +552,7 @@ let lower_partial_sums ~(param : string -> float) ~single e =
       in
       let k = Option.map (fun d -> Option.get (scalar_value ~param d)) div in
       let root = match k with Some k -> binary Op_div sum (V_scalar k) | None -> sum in
-      let evals = List.map (fun (_, g) -> compile_indexed ~param ~index g) groups in
-      let round x = if single then apply_unop Op_round_single x else x in
-      let low_eval read =
-        let s = List.fold_left (fun acc g -> acc +. round (g read)) 0.0 evals in
-        match k with Some k -> s /. k | None -> s
-      in
-      { low_offsets = offs; low_eval; low_program = program_of (nodes ()) root; low_linear = None }
+      { low_offsets = offs; low_program = program_of (nodes ()) root; low_linear = None }
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

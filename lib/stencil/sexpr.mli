@@ -63,9 +63,6 @@ val uses_division : t -> bool
 
 val uses_sqrt : t -> bool
 
-val plane_of_offset : int array -> int
-(** Coordinate along the streaming dimension (dimension 0). *)
-
 val is_associative : t -> bool
 (** Computable by per-plane partial summation: a sum of single-plane
     terms, optionally wrapped in a final division by an invariant
@@ -84,19 +81,6 @@ val coef_value : int array -> float
 val compile : param:(string -> float) -> t -> (int array -> float) -> float
 (** Compile to a closure over an offset reader; parameters are resolved
     once. Keeps executor inner loops free of AST matching. *)
-
-val compile_indexed :
-  param:(string -> float) ->
-  index:(int array -> int) ->
-  t ->
-  (int -> float) ->
-  float
-(** Like {!compile}, but [Cell] reads go through an integer index
-    resolved once at compile time by [index]. The closure tree performs
-    the same operations in the same order as {!compile}, so with
-    [read (index o) = read_by_offset o] the result is bit-identical —
-    this is what lets executor inner loops replace per-cell offset
-    arithmetic with table lookups. *)
 
 type post_op = Post_none | Post_div of float
 
@@ -154,25 +138,22 @@ type program = { instrs : instr array; n_rows : int; result : operand }
 
 val eval_program : program -> (int -> float) -> float
 (** One cell through the program, reading offset index [k] with
-    [read k] — the per-cell meaning the row executors implement;
-    bit-identical to [low_eval] of the lowering it came from. *)
+    [read k] — the per-cell meaning the row executors implement. *)
 
 (** Precompiled table-driven execution form: the distinct offsets (the
-    read index space), an indexed closure and a row program that compute
-    the same value, and the flat linear form when the expression is a
-    left-leaning weighted sum with an optional invariant-divisor
-    post-op. *)
+    read index space), a row program that computes the value, and the
+    flat linear form when the expression is a left-leaning weighted sum
+    with an optional invariant-divisor post-op. *)
 type lowered = {
   low_offsets : int array array;
-  low_eval : (int -> float) -> float;
   low_program : program;  (** the row program of the whole value *)
   low_linear : linear_form option;
 }
 
 val lower : param:(string -> float) -> t -> lowered
-(** Lower for table-driven execution. The indexed closure, the row
-    program and the linear form are bit-identical to {!compile}
-    (test/test_plan.ml asserts it). *)
+(** Lower for table-driven execution. The row program and the linear
+    form are bit-identical to {!compile} (test/test_plan.ml asserts
+    it). *)
 
 val lower_partial_sums : param:(string -> float) -> single:bool -> t -> lowered
 (** Lower §4.1's associative dataflow, the accumulation order of AN5D's
@@ -182,9 +163,8 @@ val lower_partial_sums : param:(string -> float) -> single:bool -> t -> lowered
     [0.0], then the post-operation. This reassociates the source
     expression, so the rounding differs from {!compile}, like the real
     artifact's GPU-vs-CPU error (§A.6). The row program computes that
-    sum ([Op_round_single] rows for the rounding); the indexed closure
-    folds per-group closures instead, so each checks the other; there
-    is no linear form. A non-associative expression lowers exactly as
+    sum ([Op_round_single] rows for the rounding); there is no linear
+    form. A non-associative expression lowers exactly as
     {!lower}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,8 @@
-(* Test-only per-cell sweeps, independent of every executor and of the
-   lowerings they run: each interior cell evaluates an update through
-   bounds-checked multi-index reads and is stored through [Grid.set]
-   (which rounds an f32 grid); boundary cells keep their value. *)
+(* Test-only oracles, independent of every executor and of the
+   lowerings they run: per-cell sweeps, where each interior cell
+   evaluates an update through bounds-checked multi-index reads and is
+   stored through [Grid.set] (which rounds an f32 grid) while boundary
+   cells keep their value; and the §5 closed-form counters of a run. *)
 
 (* [steps] sweeps of [update] (default: the source expression tree,
    {!Stencil.Pattern.compile}). *)
@@ -45,3 +46,14 @@ let partial_sums_update ~prec pattern =
 (* The [Partial_sums] result of [steps] steps from [g]. *)
 let run_partial_sums pattern ~steps g =
   run ~update:(partial_sums_update ~prec:g.Stencil.Grid.prec pattern) pattern ~steps g
+
+(* The simulated counters of a [steps]-step run of [em] in closed form
+   ({!Model.Thread_class.counters}): over [shards] (default 1), the sum
+   of the closed forms of [Blocking.shard_layout]'s shard models, each
+   advancing every temporal chunk of the run. *)
+let closed_form ?(shards = 1) em ~steps =
+  let _, ems = An5d_core.Blocking.shard_layout em ~shards in
+  Model.Thread_class.counters
+    (Array.fold_left
+       (fun acc sem -> Model.Thread_class.add acc (Model.Thread_class.for_run sem ~steps))
+       Model.Thread_class.zero ems)

@@ -108,20 +108,11 @@ let test_single_buffer_mode () =
 
 let check_traffic name pattern cfg dims ~steps ~prec =
   let _, _, machine = run_both pattern cfg dims ~steps ~prec in
-  let c = machine.Gpu.Machine.counters in
-  let totals = Model.Thread_class.for_run (Execmodel.make pattern cfg dims) ~steps in
-  Alcotest.(check int) (name ^ " gm reads") totals.Model.Thread_class.gm_reads
-    c.Gpu.Counters.gm_reads;
-  Alcotest.(check int) (name ^ " gm writes") totals.Model.Thread_class.gm_writes
-    c.Gpu.Counters.gm_writes;
-  Alcotest.(check int) (name ^ " sm reads") totals.Model.Thread_class.sm_reads
-    c.Gpu.Counters.sm_reads;
-  Alcotest.(check int) (name ^ " sm writes") totals.Model.Thread_class.sm_writes
-    c.Gpu.Counters.sm_writes;
-  Alcotest.(check int) (name ^ " cells") totals.Model.Thread_class.cells_updated
-    c.Gpu.Counters.cells_updated;
-  Alcotest.(check int) (name ^ " launches") totals.Model.Thread_class.kernel_launches
-    c.Gpu.Counters.kernel_launches
+  Alcotest.check
+    (Alcotest.testable Gpu.Counters.pp Gpu.Counters.equal)
+    name
+    (Cell_oracle.closed_form (Execmodel.make pattern cfg dims) ~steps)
+    machine.Gpu.Machine.counters
 
 let test_traffic_matches_model () =
   check_traffic "2d star" (star ~dims:2 1) (Config.make ~bt:3 ~bs:[| 16 |] ())
@@ -229,13 +220,7 @@ let prop_traffic_equals_model =
         let em = Execmodel.make pattern cfg sizes in
         let machine = Gpu.Machine.create Gpu.Device.v100 in
         let _ = Blocking.run_cfg Run_config.default em ~machine ~steps g in
-        let c = machine.Gpu.Machine.counters in
-        let t = Model.Thread_class.for_run em ~steps in
-        c.Gpu.Counters.gm_reads = t.Model.Thread_class.gm_reads
-        && c.Gpu.Counters.gm_writes = t.Model.Thread_class.gm_writes
-        && c.Gpu.Counters.sm_reads = t.Model.Thread_class.sm_reads
-        && c.Gpu.Counters.sm_writes = t.Model.Thread_class.sm_writes
-        && c.Gpu.Counters.cells_updated = t.Model.Thread_class.cells_updated
+        Gpu.Counters.equal (Cell_oracle.closed_form em ~steps) machine.Gpu.Machine.counters
       end)
 
 let () =

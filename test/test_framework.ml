@@ -247,6 +247,21 @@ let test_source_of_file () =
   Alcotest.(check (array int)) "parsed from file" [| 40; 40 |] job.Framework.dims;
   Sys.remove path
 
+(* examples/j2d5pt.c with a [long] row index detects the same stencil
+   as with [int]. *)
+let test_long_loop_index () =
+  let text = In_channel.with_open_bin "../examples/j2d5pt.c" In_channel.input_all in
+  let int_i = "for (int i = 1;" in
+  let rec at k = if String.sub text k (String.length int_i) = int_i then k else at (k + 1) in
+  let k = at 0 in
+  let long_text =
+    String.sub text 0 k ^ "for (long i = 1;"
+    ^ String.sub text (k + String.length int_i) (String.length text - k - String.length int_i)
+  in
+  let verdict t = (Framework.detect (Framework.source_of_string t)).Framework.verdict in
+  Alcotest.(check bool) "int detects" true (Result.is_ok (verdict text));
+  Alcotest.(check bool) "long = int" true (verdict long_text = verdict text)
+
 (* A partial-sums run is verified against the reference in the same
    mode: the grouped sum in both, so a correct run is bit-exact in
    either storage precision, and a wrong cell still fails. *)
@@ -431,6 +446,7 @@ let () =
           Alcotest.test_case "source of file" `Quick test_source_of_file;
           Alcotest.test_case "result digest memoized" `Quick test_result_digest_memo;
           Alcotest.test_case "partial sums verified" `Quick test_partial_sums_verified;
+          Alcotest.test_case "long loop index" `Quick test_long_loop_index;
         ] );
       ( "detect memo",
         [

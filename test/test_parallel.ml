@@ -24,18 +24,16 @@ let counters_t =
 
 (* Run [Blocking.run] with a given domain count; returns the output grid
    and the machine's merged counters. *)
-let run_blocking ?mode ?checked pattern cfg dims ~steps ~domains g =
+let run_blocking ?mode pattern cfg dims ~steps ~domains g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create Gpu.Device.v100 in
-  let out, _ =
-    Blocking.run_cfg ?checked (Run_config.make ?mode ~domains ()) em ~machine ~steps g
-  in
+  let out, _ = Blocking.run_cfg (Run_config.make ?mode ~domains ()) em ~machine ~steps g in
   (out, machine.Gpu.Machine.counters)
 
-let check_differential ?mode ?checked ?prec name pattern cfg dims ~steps ~domains =
+let check_differential ?mode ?prec name pattern cfg dims ~steps ~domains =
   let g = Stencil.Grid.init_random ?prec dims in
-  let seq, seq_c = run_blocking ?mode ?checked pattern cfg dims ~steps ~domains:1 g in
-  let par, par_c = run_blocking ?mode ?checked pattern cfg dims ~steps ~domains g in
+  let seq, seq_c = run_blocking ?mode pattern cfg dims ~steps ~domains:1 g in
+  let par, par_c = run_blocking ?mode pattern cfg dims ~steps ~domains g in
   Alcotest.(check (float 0.0))
     (name ^ " grid bit-identical")
     0.0
@@ -58,11 +56,7 @@ let test_direct_parallel () =
   check_differential "d16 few blocks" (star ~dims:2 1)
     (Config.make ~bt:2 ~bs:[| 16 |] ())
     [| 24; 20 |] ~steps:4 ~domains:16;
-  (* the checked compiled plan parallelizes identically *)
-  check_differential ~checked:true "checked d4" (star ~dims:2 1)
-    (Config.make ~bt:3 ~bs:[| 16 |] ())
-    [| 30; 40 |] ~steps:7 ~domains:4;
-  (* ... and the streaming path does over f32 storage too *)
+  (* ... and over f32 storage too *)
   check_differential ~prec:Stencil.Grid.F32 "f32 d4" (star ~dims:2 1)
     (Config.make ~bt:3 ~bs:[| 16 |] ())
     [| 30; 40 |] ~steps:7 ~domains:4
@@ -123,19 +117,18 @@ let gen_case =
     let* divide = bool in
     let* h = int_range 3 10 in
     let* mode = oneofl [ Blocking.Direct; Blocking.Partial_sums ] in
-    let* checked = bool in
     let* prec = oneofl [ Stencil.Grid.F64; Stencil.Grid.F32 ] in
     let* domains = oneofl [ 2; 4 ] in
     let bs = Array.make (dims_n - 1) bs_edge in
     return
       ( (dims_n, rad, bt, shape_star, bs, sizes),
-        (steps, (if divide then Some h else None), mode, checked, prec, domains) ))
+        (steps, (if divide then Some h else None), mode, prec, domains) ))
 
 let arb_case =
   QCheck.make
-    ~print:(fun ((d, r, bt, s, bs, sizes), (steps, h, mode, checked, prec, domains)) ->
+    ~print:(fun ((d, r, bt, s, bs, sizes), (steps, h, mode, prec, domains)) ->
       Fmt.str
-        "dims=%d rad=%d bt=%d star=%b bs=%a sizes=%a steps=%d h=%a mode=%s checked=%b prec=%s dom=%d"
+        "dims=%d rad=%d bt=%d star=%b bs=%a sizes=%a steps=%d h=%a mode=%s prec=%s dom=%d"
         d r bt s
         Fmt.(array ~sep:(any ",") int)
         bs
@@ -144,7 +137,6 @@ let arb_case =
         Fmt.(option int)
         h
         (Run_config.mode_to_string mode)
-        checked
         (Stencil.Grid.precision_to_string prec)
         domains)
     gen_case
@@ -153,15 +145,15 @@ let prop_parallel_equals_sequential =
   QCheck.Test.make ~name:"parallel run = sequential run (grids and counters)"
     ~count:40 arb_case
     (fun
-      ((dims_n, rad, bt, shape_star, bs, sizes), (steps, hs, mode, checked, prec, domains))
+      ((dims_n, rad, bt, shape_star, bs, sizes), (steps, hs, mode, prec, domains))
     ->
       let pattern = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
       let cfg = Config.make ~hs ~bt ~bs () in
       if not (Config.valid ~rad ~max_threads:1024 cfg) then true
       else begin
         let g = Stencil.Grid.init_random ~prec sizes in
-        let seq, seq_c = run_blocking ~mode ~checked pattern cfg sizes ~steps ~domains:1 g in
-        let par, par_c = run_blocking ~mode ~checked pattern cfg sizes ~steps ~domains g in
+        let seq, seq_c = run_blocking ~mode pattern cfg sizes ~steps ~domains:1 g in
+        let par, par_c = run_blocking ~mode pattern cfg sizes ~steps ~domains g in
         Stencil.Grid.max_abs_diff seq par = 0.0 && Gpu.Counters.equal seq_c par_c
       end)
 

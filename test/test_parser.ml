@@ -89,6 +89,16 @@ let test_plus_assign_desugar () =
   | [ (_, Ast.Binop (Ast.Add, Ast.Index _, Ast.Float_lit _)) ] -> ()
   | _ -> Alcotest.fail "expected desugared +="
 
+(* [long] is a loop-index type, read as [int] is. *)
+let test_long_index () =
+  let src ty =
+    Fmt.str
+      "void f(double a[2][8], int n) { for (%s t = 0; t < n; t++) for (%s i = 1; i < 7; \
+       i++) a[(t+1)%%2][i] = a[t%%2][i]; }"
+      ty ty
+  in
+  Alcotest.(check bool) "long = int" true (parse_prog (src "long") = parse_prog (src "int"))
+
 let test_braced_loops () =
   let p =
     parse_prog
@@ -222,6 +232,7 @@ let () =
           Alcotest.test_case "pretty round-trip" `Quick test_pretty_roundtrip;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "C literal defines" `Quick test_c_literal_defines;
+          Alcotest.test_case "long loop index" `Quick test_long_index;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -1,10 +1,10 @@
 (* Differential harness for the compiled execution-plan layer: the
-   checked compiled plan ([Blocking.run_cfg ~checked:true]) and the
-   default (streaming) path must be *bit-identical* — same output grid word for word, same
-   counter totals field for field — across patterns (flat weighted
-   sums, division post-ops, sqrt and right-nested fallbacks), execution
-   modes, precisions, stream division, and pooled execution; in
-   [Direct] mode both must also equal Stencil.Reference. Plus unit
+   streaming path that runs every plan must equal Stencil.Reference
+   word for word in [Direct] mode (the per-cell grouped sum of
+   test/cell_oracle.ml in [Partial_sums] mode), and its counters the §5
+   closed form field for field, across patterns (flat weighted sums,
+   division post-ops, sqrt and right-nested fallbacks), execution
+   modes, precisions, stream division, and pooled execution. Plus unit
    tests for the expression lowering (including the [Partial_sums]
    grouped sum) and the plan memo cache. *)
 
@@ -26,8 +26,7 @@ let bench name =
   (Option.get (Bench_defs.Benchmarks.find name)).Bench_defs.Benchmarks.pattern
 
 (* Non-linear expression: sqrt has no flat weighted-sum form, so the
-   executors run the row program (the checked path the indexed
-   closure). *)
+   executor runs the row program. *)
 let sqrt_pattern =
   Stencil.Pattern.make ~name:"sqrtish" ~dims:2 ~params:[]
     Stencil.Sexpr.(
@@ -37,7 +36,7 @@ let sqrt_pattern =
 
 (* Right-nested additions: NOT the left spine [weighted_sum] builds, so
    flattening must refuse (reassociating would change rounding) and the
-   indexed closure must carry the path. *)
+   row program must carry the path. *)
 let right_nested_pattern =
   Stencil.Pattern.make ~name:"right-nested" ~dims:2 ~params:[]
     Stencil.Sexpr.(
@@ -49,34 +48,28 @@ let right_nested_pattern =
 let counters_t =
   Alcotest.testable (fun ppf c -> Gpu.Counters.pp ppf c) Gpu.Counters.equal
 
-let run_impl ?mode ?domains ?checked ?prec pattern cfg dims ~steps g =
+let run_impl ?mode ?domains ?prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ?prec Gpu.Device.v100 in
-  let out, _ =
-    Blocking.run_cfg ?checked (Run_config.make ?mode ?domains ()) em ~machine ~steps g
-  in
+  let out, _ = Blocking.run_cfg (Run_config.make ?mode ?domains ()) em ~machine ~steps g in
   (out, machine.Gpu.Machine.counters)
+
+(* The grid the run of [mode] must produce: the reference sweep's in
+   [Direct] mode, the per-cell grouped sum's in [Partial_sums] mode. *)
+let oracle mode pattern ~steps g =
+  match mode with
+  | Blocking.Direct -> Stencil.Reference.run pattern ~steps g
+  | Blocking.Partial_sums -> Cell_oracle.run_partial_sums pattern ~steps g
 
 let check_impls ?(mode = Blocking.Direct) ?domains ?prec name pattern cfg dims ~steps =
   let g = Stencil.Grid.init_random ?prec dims in
-  let com, com_c = run_impl ~mode ?domains ~checked:true ?prec pattern cfg dims ~steps g in
-  let def, def_c = run_impl ~mode ?domains ?prec pattern cfg dims ~steps g in
-  Alcotest.(check (float 0.0))
-    (name ^ " grid bit-identical")
-    0.0
-    (Stencil.Grid.max_abs_diff com def);
-  Alcotest.check counters_t (name ^ " counters exact") com_c def_c;
-  match mode with
-  | Blocking.Direct ->
-      Alcotest.(check (float 0.0))
-        (name ^ " = reference")
-        0.0
-        (Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) com)
-  | Blocking.Partial_sums ->
-      Alcotest.(check string)
-        (name ^ " = per-cell grouped sum")
-        (Stencil.Grid.digest (Cell_oracle.run_partial_sums pattern ~steps g))
-        (Stencil.Grid.digest com)
+  let out, c = run_impl ~mode ?domains ?prec pattern cfg dims ~steps g in
+  Alcotest.(check string) (name ^ " grid = oracle")
+    (Stencil.Grid.digest (oracle mode pattern ~steps g))
+    (Stencil.Grid.digest out);
+  Alcotest.check counters_t (name ^ " counters = closed form")
+    (Cell_oracle.closed_form (Execmodel.make pattern cfg dims) ~steps)
+    c
 
 (* --- fixed differential cases --- *)
 
@@ -142,9 +135,7 @@ let test_compiled_vs_reference () =
   let pattern = bench "j2d5pt" in
   let dims = [| 26; 24 |] in
   let g = Stencil.Grid.init_random dims in
-  let out, _ =
-    run_impl ~checked:true pattern (Config.make ~bt:2 ~bs:[| 16 |] ()) dims ~steps:6 g
-  in
+  let out, _ = run_impl pattern (Config.make ~bt:2 ~bs:[| 16 |] ()) dims ~steps:6 g in
   let r = Stencil.Reference.run pattern ~steps:6 g in
   Alcotest.(check (float 0.0)) "blocked = reference" 0.0 (Stencil.Grid.max_abs_diff r out)
 
@@ -152,7 +143,7 @@ let test_compiled_vs_reference () =
 
 (* Each lowering form (flat sum, division post-op, 3D box, sqrt and
    right-nested fallbacks, gradient) in both precisions: the reference
-   sweep, the checked compiled plan and the default path agree. *)
+   sweep and the default path agree. *)
 let test_reference_impls () =
   List.iter
     (fun (name, pattern, cfg, dims) ->
@@ -211,10 +202,12 @@ let test_lowering_forms () =
   let neg0 _ = -0.0 and bits = Int64.bits_of_float in
   let g = grouped ~single:false (star ~dims:2 1) in
   Alcotest.(check bool) "grouped sum of -0.0 reads is +0.0" true
-    (bits (Stencil.Sexpr.eval_program g.Stencil.Sexpr.low_program neg0) = bits 0.0
-    && bits (g.Stencil.Sexpr.low_eval neg0) = bits 0.0);
+    (bits (Stencil.Sexpr.eval_program g.Stencil.Sexpr.low_program neg0) = bits 0.0);
   Alcotest.(check bool) "direct sum of -0.0 reads is -0.0" true
-    (bits ((Stencil.Pattern.lower (star ~dims:2 1)).Stencil.Sexpr.low_eval neg0) = bits (-0.0));
+    (bits
+       (Stencil.Sexpr.eval_program
+          (Stencil.Pattern.lower (star ~dims:2 1)).Stencil.Sexpr.low_program neg0)
+    = bits (-0.0));
   Alcotest.(check bool) "non-associative grouped = direct" true
     ((grouped ~single:true sqrt_pattern).Stencil.Sexpr.low_program
     = (Stencil.Pattern.lower sqrt_pattern).Stencil.Sexpr.low_program);
@@ -288,11 +281,10 @@ let eval_linear (lf : Stencil.Sexpr.linear_form) (read : int -> float) =
   done;
   match lf.lt_post with Stencil.Sexpr.Post_none -> !acc | Stencil.Sexpr.Post_div d -> !acc /. d
 
-(* low_eval, the row program (and eval_linear when present) replay the
-   closure tree bit-exactly for arbitrary read values; and the
-   [Partial_sums] lowering ({!Stencil.Sexpr.lower_partial_sums}) agrees
-   three ways, in both precisions: its row program, its indexed closure
-   and the per-cell fold of test/cell_oracle.ml ([Sexpr.partial_sums]
+(* The row program (and eval_linear when present) replay the closure
+   tree bit-exactly for arbitrary read values; and the [Partial_sums]
+   lowering ({!Stencil.Sexpr.lower_partial_sums}) agrees, in both
+   precisions, with the per-cell fold of test/cell_oracle.ml ([Sexpr.partial_sums]
    groups through [Sexpr.compile], each rounded to the precision,
    summed from [0.0], then the post-operation). *)
 let prop_lowered_eval_matches_compile =
@@ -321,7 +313,6 @@ let prop_lowered_eval_matches_compile =
       let read_off = value_at in
       let read_idx k = value_at offs.(k) in
       let expect = update read_off in
-      let got = low.Stencil.Sexpr.low_eval read_idx in
       let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
       let grouped_matches prec =
         let glow =
@@ -332,10 +323,8 @@ let prop_lowered_eval_matches_compile =
         let read_g k = value_at glow.Stencil.Sexpr.low_offsets.(k) in
         let fold = Cell_oracle.partial_sums_update ~prec pattern read_off in
         same (Stencil.Sexpr.eval_program glow.Stencil.Sexpr.low_program read_g) fold
-        && same (glow.Stencil.Sexpr.low_eval read_g) fold
       in
-      same got expect
-      && same (Stencil.Sexpr.eval_program low.Stencil.Sexpr.low_program read_idx) expect
+      same (Stencil.Sexpr.eval_program low.Stencil.Sexpr.low_program read_idx) expect
       && (match low.Stencil.Sexpr.low_linear with
          | None -> true
          | Some lf -> same (eval_linear lf read_idx) expect)
@@ -401,8 +390,8 @@ let sym3d =
    [neighbor_thread] never fires, so [t + t_delta.(q)] must be exactly
    the term's neighbor — across the shape zoo, at every degree up to the
    configured one, and on non-square 2-D and 3-D tiles. Also pins
-   [Plan.valid] to the same region and to [store_ok] at the plan's
-   degree. *)
+   [Plan.valid] to the same region and to the compute region at the
+   plan's degree. *)
 let test_thread_deltas () =
   let linear p = (Stencil.Pattern.lower p).Stencil.Sexpr.low_linear <> None in
   let zoo =
@@ -433,6 +422,10 @@ let test_thread_deltas () =
         let offs = plan.Plan.low.Stencil.Sexpr.low_offsets in
         let valid1 t =
           Array.for_all2 (fun u w -> u >= rad && u < w - rad) geo.Plan.coords.(t) bs
+        and compute t =
+          let h = plan.Plan.halo_w in
+          Array.for_all2 (fun u w -> u >= h && u < h + w) geo.Plan.coords.(t)
+            plan.Plan.compute_w
         in
         let bad = ref [] and checked = ref 0 in
         let expect what t k d =
@@ -443,8 +436,8 @@ let test_thread_deltas () =
         for t = 0 to plan.Plan.n_thr - 1 do
           if Plan.valid plan ~tstep:1 t <> valid1 t then
             bad := Fmt.str "level-1 validity of thread %d" t :: !bad;
-          if Plan.valid plan ~tstep:degree t <> plan.Plan.store_ok.(t) then
-            bad := Fmt.str "degree validity <> store_ok at thread %d" t :: !bad;
+          if Plan.valid plan ~tstep:degree t <> compute t then
+            bad := Fmt.str "degree validity <> compute region at thread %d" t :: !bad;
           if valid1 t then
             Array.iteri
               (fun q k ->
@@ -524,12 +517,12 @@ let arb_case =
     gen_case
 
 (* The default (streaming) path, run over [domains], against the
-   sequential checked compiled plan; both also equal the reference
-   sweep in [Direct] mode, the per-cell grouped sum of
-   test/cell_oracle.ml in [Partial_sums] mode. *)
-let prop_checked_equals_streaming =
+   reference sweep in [Direct] mode, the per-cell grouped sum of
+   test/cell_oracle.ml in [Partial_sums] mode, and the §5 closed-form
+   counters. *)
+let prop_streaming_equals_oracles =
   QCheck.Test.make
-    ~name:"checked compiled plan = streaming path (grids and counters)"
+    ~name:"streaming path = oracle grid and closed-form counters"
     ~count:40 arb_case
     (fun ((dims_n, rad, bt, shape_star, with_div, bs, sizes), (steps, hs, mode, domains)) ->
       let base = if shape_star then star ~dims:dims_n rad else box ~dims:dims_n rad in
@@ -545,17 +538,9 @@ let prop_checked_equals_streaming =
       if not (Config.valid ~rad ~max_threads:1024 cfg) then true
       else begin
         let g = Stencil.Grid.init_random sizes in
-        let def, def_c = run_impl ~mode ~domains pattern cfg sizes ~steps g in
-        let com, com_c = run_impl ~mode ~checked:true pattern cfg sizes ~steps g in
-        Stencil.Grid.max_abs_diff com def = 0.0
-        && Gpu.Counters.equal com_c def_c
-        &&
-        match mode with
-        | Blocking.Direct ->
-            Stencil.Grid.max_abs_diff (Stencil.Reference.run pattern ~steps g) com = 0.0
-        | Blocking.Partial_sums ->
-            Stencil.Grid.digest (Cell_oracle.run_partial_sums pattern ~steps g)
-            = Stencil.Grid.digest com
+        let out, c = run_impl ~mode ~domains pattern cfg sizes ~steps g in
+        Stencil.Grid.digest (oracle mode pattern ~steps g) = Stencil.Grid.digest out
+        && Gpu.Counters.equal (Cell_oracle.closed_form (Execmodel.make pattern cfg sizes) ~steps) c
       end)
 
 let () =
@@ -586,6 +571,6 @@ let () =
       ( "tuner", [ Alcotest.test_case "verify hook" `Quick test_tuner_verify ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_checked_equals_streaming;
+          QCheck_alcotest.to_alcotest prop_streaming_equals_oracles;
         ] );
     ]

@@ -8,8 +8,8 @@
    [shards = 1] the schedule degenerates to the resident one exactly,
    so the merged GPU counters must also match field for field; at
    [shards > 1] the counters legitimately include redundant ghost-zone
-   compute but must stay deterministic and equal on the streaming and
-   the checked compiled path. On top of the
+   compute and must equal the sum of the §5 closed forms over
+   [Blocking.shard_layout]'s shard models. On top of the
    differentials: pure geometry properties of the decomposition, exact
    cadence/word-count/allocation accounting through the obs metrics
    (one exchange per temporal chunk, no grid allocation on the
@@ -107,22 +107,19 @@ let prop_extent_covers_halo =
 (* The sharded-vs-resident differential                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_resident ?checked ~mode ~prec pattern cfg dims ~steps g =
+let run_resident ~mode ~prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
-  let out, stats =
-    Blocking.run_cfg ?checked (Run_config.make ~mode ()) em ~machine ~steps g
-  in
+  let out, stats = Blocking.run_cfg (Run_config.make ~mode ()) em ~machine ~steps g in
   (out, machine.Gpu.Machine.counters, stats)
 
 (* Always through [run_sharded], even at shards = 1 — that is exactly
    what its exposure in the .mli is for. *)
-let run_sharded ?pool ?(domains = 1) ?checked ~shards ~mode ~prec pattern cfg dims
-    ~steps g =
+let run_sharded ?pool ?(domains = 1) ~shards ~mode ~prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
   let out, stats =
-    Blocking.run_sharded ?pool ?checked
+    Blocking.run_sharded ?pool
       (Run_config.make ~mode ~domains ~shards ())
       em ~machine ~steps g
   in
@@ -186,26 +183,20 @@ let arb_shard_case_in mode =
          (p, rad, bt, bs, sizes, prec, steps, hs, mode))
        gen_shard_case)
 
-(* Each cell of the matrix pins the mode and the path on both sides:
-   [Direct] on the default (streaming) path, [Direct] forced onto the
-   checked compiled plan, and [Partial_sums] on the default path, where
-   its grouped-sum lowering streams on the generic kernel. *)
-let shard_prop ~shards ~checked
-    (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) =
+(* Each cell of the matrix pins the mode on both sides: [Direct], and
+   [Partial_sums], whose grouped-sum lowering streams on the generic
+   kernel. *)
+let shard_prop ~shards (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) =
   let cfg = Config.make ~hs ~bt ~bs () in
   if not (Config.valid ~rad ~max_threads:1024 cfg) then true
   else begin
     let g = Stencil.Grid.init_random ~prec sizes in
-    let res, res_c, _ =
-      run_resident ~checked ~mode ~prec pattern cfg sizes ~steps g
-    in
-    let sh, sh_c, _ =
-      run_sharded ~checked ~shards ~mode ~prec pattern cfg sizes ~steps g
-    in
+    let res, res_c, _ = run_resident ~mode ~prec pattern cfg sizes ~steps g in
+    let sh, sh_c, _ = run_sharded ~shards ~mode ~prec pattern cfg sizes ~steps g in
     Stencil.Grid.max_abs_diff res sh = 0.0
     (* shards = 1 *is* the resident schedule, counters and all; at
        shards > 1 the counters include redundant ghost compute and are
-       checked against the checked path separately. *)
+       compared with the closed form separately. *)
     && (shards > 1 || Gpu.Counters.equal res_c sh_c)
   end
 
@@ -213,37 +204,32 @@ let prop_matrix =
   List.concat_map
     (fun shards ->
       List.map
-        (fun (vname, mode, checked) ->
+        (fun (vname, mode) ->
           QCheck.Test.make
             ~name:
               (Fmt.str "sharded = resident (bitwise), shards=%d %s" shards vname)
             ~count:200 (arb_shard_case_in mode)
-            (shard_prop ~shards ~checked))
-        [
-          ("direct", Blocking.Direct, false);
-          ("direct checked", Blocking.Direct, true);
-          ("partial-sums", Blocking.Partial_sums, false);
-        ])
+            (shard_prop ~shards))
+        [ ("direct", Blocking.Direct); ("partial-sums", Blocking.Partial_sums) ])
     [ 1; 2; 4 ]
 
-(* Counters at shards > 1: the redundant ghost compute is
-   deterministic, so the streaming and the checked compiled path agree
-   field for field. *)
-let prop_counters_checked_equal =
+(* Counters at shards > 1, in both modes and precisions: each shard
+   advances every temporal chunk over its own extent, so the merged
+   counters are the sum of the closed forms of [shard_layout]'s shard
+   models, redundant ghost compute included. *)
+let prop_counters_closed_form =
   QCheck.Test.make
-    ~name:"shards=4: checked and streaming counters agree field for field"
+    ~name:"shards=4: merged counters equal the closed form summed over shard_layout"
     ~count:200 arb_shard_case
     (fun (pattern, rad, bt, bs, sizes, prec, steps, hs, mode) ->
       let cfg = Config.make ~hs ~bt ~bs () in
       if not (Config.valid ~rad ~max_threads:1024 cfg) then true
       else begin
         let g = Stencil.Grid.init_random ~prec sizes in
-        let a, a_c, _ =
-          run_sharded ~checked:true ~shards:4 ~mode ~prec pattern cfg sizes
-            ~steps g
-        in
-        let b, b_c, _ = run_sharded ~shards:4 ~mode ~prec pattern cfg sizes ~steps g in
-        Stencil.Grid.max_abs_diff a b = 0.0 && Gpu.Counters.equal a_c b_c
+        let _, c, _ = run_sharded ~shards:4 ~mode ~prec pattern cfg sizes ~steps g in
+        Gpu.Counters.equal
+          (Cell_oracle.closed_form ~shards:4 (Execmodel.make pattern cfg sizes) ~steps)
+          c
       end)
 
 (* Pool execution: fanning the shards over worker domains must change
@@ -447,7 +433,7 @@ let () =
       ( "differential",
         List.map QCheck_alcotest.to_alcotest prop_matrix
         @ [
-            QCheck_alcotest.to_alcotest prop_counters_checked_equal;
+            QCheck_alcotest.to_alcotest prop_counters_closed_form;
             QCheck_alcotest.to_alcotest prop_pool_invariant;
             Alcotest.test_case "fixed cases with counters" `Quick test_fixed_cases;
           ] );

@@ -1,8 +1,9 @@
 (* Differential harness for the sliding-window streaming executor.
 
    The production streaming path (Stream_exec) must be *bit-identical*
-   to the checked compiled plan ([Blocking.run_cfg ~checked:true]) —
-   same grid word for word, same simulated counters field for field —
+   to its oracles — the grid word for word to the reference sweep in
+   [Direct] mode (the per-cell sweeps of test/cell_oracle.ml too), the
+   simulated counters field for field to the §5 closed form —
    across every kernel shape it specializes (fused 3/5/7/9-point,
    chunked wide, folded symmetric pairs, mixed scaled/bare terms) and
    the generic row-program kernel of non-linear forms, both
@@ -13,7 +14,8 @@
    regressing to the generic kernel is a failure, not a slowdown),
    reference-executor equality for the symmetric-folded form in
    [Direct] mode, golden-bit regressions for
-   a folded stencil in both precisions, and assertions on the
+   a folded stencil in both precisions, a per-thread mask oracle for
+   the box-derived block geometry, and assertions on the
    streaming_dispatch_* counters and the plan_cache_size gauge.
 
    Set AN5D_PREC=f32|f64 to pin every randomized case to one storage
@@ -262,15 +264,17 @@ let test_no_spurious_folding () =
   Alcotest.(check string) "expanded stays unfolded" "fused3pt" (kname expanded)
 
 (* ------------------------------------------------------------------ *)
-(* Blocked differential: streaming vs the checked compiled plan        *)
+(* Blocked differential: streaming vs the reference and the closed form *)
 (* ------------------------------------------------------------------ *)
 
-let run_blocked ?checked ?domains ~mode ~shards ~prec pattern cfg dims ~steps g =
+(* The run's grid and counters, and the closed-form counters they must
+   equal. *)
+let run_blocked ?domains ~mode ~shards ~prec pattern cfg dims ~steps g =
   let em = Execmodel.make pattern cfg dims in
   let machine = Gpu.Machine.create ~prec Gpu.Device.v100 in
   let rc = Run_config.make ~mode ?domains ~shards () in
-  let out, _ = Blocking.run_cfg ?checked rc em ~machine ~steps g in
-  (out, machine.Gpu.Machine.counters)
+  let out, _ = Blocking.run_cfg rc em ~machine ~steps g in
+  (out, machine.Gpu.Machine.counters, Cell_oracle.closed_form ~shards em ~steps)
 
 (* The shape matrix: fused star arities, chunked/term-major boxes,
    folded symmetric forms and the [zoo] of pass widths and term shapes,
@@ -344,31 +348,30 @@ let stream_prop mode (pattern, rad, bt, bs, hs, sizes, prec, steps, shards) =
   if not (Config.valid ~rad ~max_threads:1024 cfg) then true
   else begin
     let g = Stencil.Grid.init_random ~prec sizes in
-    let stm, stm_c = run_blocked ~mode ~shards ~prec pattern cfg sizes ~steps g in
-    let com, com_c =
-      run_blocked ~checked:true ~mode ~shards ~prec pattern cfg sizes ~steps g
+    let stm, stm_c, closed = run_blocked ~mode ~shards ~prec pattern cfg sizes ~steps g in
+    let oracle =
+      match mode with
+      | Blocking.Direct -> Cell_oracle.run pattern ~steps g
+      | Blocking.Partial_sums -> Cell_oracle.run_partial_sums pattern ~steps g
     in
-    Stencil.Grid.digest stm = Stencil.Grid.digest com
-    && Gpu.Counters.equal stm_c com_c
-    && (mode = Blocking.Direct
-       || Stencil.Grid.digest (Cell_oracle.run_partial_sums pattern ~steps g)
-          = Stencil.Grid.digest stm)
+    Stencil.Grid.digest oracle = Stencil.Grid.digest stm && Gpu.Counters.equal closed stm_c
   end
 
-let prop_streaming_vs_compiled =
+(* [Direct] mode against the per-cell sweep of the source expression,
+   which shares no lowering with the executor. *)
+let prop_streaming_vs_cells =
   QCheck.Test.make
-    ~name:"blocked: streaming = checked compiled plan (grid digests and counters)"
+    ~name:"blocked: streaming = per-cell oracle (grid digests, closed-form counters)"
     ~count:200 arb_stream_case
     (stream_prop Blocking.Direct)
 
 (* [Partial_sums] streams its lowering, §4.1's grouped sum as a row
-   program, on the generic kernel: it must match the forced checked
-   path (which folds per-group closures) and the per-cell grouped sum
-   of test/cell_oracle.ml exactly. *)
+   program, on the generic kernel: it must match the per-cell grouped
+   sum of test/cell_oracle.ml exactly. *)
 let prop_streaming_psum =
   QCheck.Test.make
-    ~name:"blocked partial-sums: streaming = compiled = per-cell oracle" ~count:60
-    arb_stream_case
+    ~name:"blocked partial-sums: streaming = per-cell oracle, closed-form counters"
+    ~count:60 arb_stream_case
     (stream_prop Blocking.Partial_sums)
 
 (* Every specialized kernel shape in [Direct] mode, resident and
@@ -381,7 +384,7 @@ let prop_streaming_vs_reference =
       if not (Config.valid ~rad ~max_threads:1024 cfg) then true
       else begin
         let g = Stencil.Grid.init_random ~prec sizes in
-        let stm, _ =
+        let stm, _, _ =
           run_blocked ~mode:Blocking.Direct ~shards ~prec pattern cfg sizes
             ~steps g
         in
@@ -390,10 +393,10 @@ let prop_streaming_vs_reference =
       end)
 
 (* Every non-linear form on the generic kernel, in [Direct] mode:
-   streaming, the checked compiled plan (the closure tree, cell by
-   cell) and the reference sweep (the row program, row by row) agree
-   bit for bit, and streaming and checked counters field for field,
-   over non-square tiles, stream division, shards and domains. *)
+   streaming and the reference sweep (the row program, row by row)
+   agree bit for bit, and the counters equal the closed form field for
+   field, over non-square tiles, stream division, shards and
+   domains. *)
 let gen_nonlinear_case =
   QCheck.Gen.(
     let* pattern = oneofl nonlinear_zoo in
@@ -438,7 +441,7 @@ let arb_nonlinear_case =
 
 let prop_nonlinear =
   QCheck.Test.make
-    ~name:"non-linear: streaming = checked compiled plan = reference (digests, counters)"
+    ~name:"non-linear: streaming = reference (digests), closed-form counters"
     ~count:120 arb_nonlinear_case
     (fun (pattern, bt, bs, hs, sizes, prec, steps, shards, domains) ->
       let cfg = Config.make ~hs ~bt ~bs () in
@@ -446,21 +449,17 @@ let prop_nonlinear =
       then true
       else begin
         let g = Stencil.Grid.init_random ~prec sizes in
-        let run ?checked () =
-          run_blocked ?checked ~domains ~mode:Blocking.Direct ~shards ~prec pattern cfg
-            sizes ~steps g
+        let stm, stm_c, closed =
+          run_blocked ~domains ~mode:Blocking.Direct ~shards ~prec pattern cfg sizes ~steps
+            g
         in
-        let stm, stm_c = run () in
-        let com, com_c = run ~checked:true () in
-        let ref_ = Stencil.Reference.run pattern ~steps g in
-        Stencil.Grid.digest stm = Stencil.Grid.digest com
-        && Stencil.Grid.digest stm = Stencil.Grid.digest ref_
-        && Gpu.Counters.equal stm_c com_c
+        Stencil.Grid.digest stm = Stencil.Grid.digest (Stencil.Reference.run pattern ~steps g)
+        && Gpu.Counters.equal closed stm_c
       end)
 
-(* Fixed cases through every specialized kernel, against the checked
-   path and the reference sweep, with counters spelled out via
-   Alcotest so a failure names the diverging field. *)
+(* Fixed cases through every specialized kernel, against the reference
+   sweep and the closed form, with counters spelled out via Alcotest so
+   a failure names the diverging field. *)
 let test_fixed_shapes () =
   List.iter
     (fun (pattern, rad, bt, bs, dims) ->
@@ -478,20 +477,14 @@ let test_fixed_shapes () =
               Alcotest.(check bool) (name ^ " cfg valid") true
                 (Config.valid ~rad ~max_threads:1024 cfg);
               let g = Stencil.Grid.init_random ~prec dims in
-              let stm, stm_c =
+              let stm, stm_c, closed =
                 run_blocked ~mode:Blocking.Direct ~shards ~prec pattern cfg dims
                   ~steps:5 g
               in
-              let com, com_c =
-                run_blocked ~checked:true ~mode:Blocking.Direct ~shards ~prec
-                  pattern cfg dims ~steps:5 g
-              in
-              Alcotest.(check string) (name ^ " grid") (Stencil.Grid.digest com)
-                (Stencil.Grid.digest stm);
               Alcotest.(check string) (name ^ " reference")
                 (Stencil.Grid.digest (Stencil.Reference.run pattern ~steps:5 g))
                 (Stencil.Grid.digest stm);
-              Alcotest.check counters_t (name ^ " counters") com_c stm_c)
+              Alcotest.check counters_t (name ^ " counters") closed stm_c)
             [ 1; 4 ])
         [ Stencil.Grid.F64; Stencil.Grid.F32 ])
     ([
@@ -520,29 +513,30 @@ let test_fixed_shapes () =
 (* ------------------------------------------------------------------ *)
 
 (* The symmetric fold extends into the CPU reference's linear rows: in
-   [Direct] mode the reference sweep, the streaming path and the
-   checked compiled plan must agree bitwise on a folded stencil, or the
-   fold changed the rounding somewhere. *)
+   [Direct] mode the reference sweep and the streaming path, resident
+   and sharded, must agree bitwise on a folded stencil, or the fold
+   changed the rounding somewhere. *)
 let test_reference_folded () =
   let dims = [| 17; 13 |] in
   let cfg = Config.make ~bt:2 ~bs:[| 8 |] () in
   List.iter
     (fun (pattern, prec) ->
       let g = Stencil.Grid.init_random ~prec dims in
-      let run ?checked () =
-        fst
-          (run_blocked ?checked ~mode:Blocking.Direct ~shards:1 ~prec pattern cfg
-             dims ~steps:4 g)
+      let run shards =
+        let out, _, _ =
+          run_blocked ~mode:Blocking.Direct ~shards ~prec pattern cfg dims ~steps:4 g
+        in
+        out
       in
       let ref_ = Stencil.Reference.run pattern ~steps:4 g in
       let name =
         Fmt.str "%s %s" pattern.Stencil.Pattern.name
           (Stencil.Grid.precision_to_string prec)
       in
-      Alcotest.(check string) (name ^ " streaming") (Stencil.Grid.digest ref_)
-        (Stencil.Grid.digest (run ()));
-      Alcotest.(check string) (name ^ " checked") (Stencil.Grid.digest ref_)
-        (Stencil.Grid.digest (run ~checked:true ())))
+      Alcotest.(check string) (name ^ " resident") (Stencil.Grid.digest ref_)
+        (Stencil.Grid.digest (run 1));
+      Alcotest.(check string) (name ^ " sharded") (Stencil.Grid.digest ref_)
+        (Stencil.Grid.digest (run 2)))
     [
       (sym5, Stencil.Grid.F64);
       (sym5, Stencil.Grid.F32);
@@ -608,7 +602,7 @@ let test_golden prec path () =
 (* ------------------------------------------------------------------ *)
 
 (* [Stream_exec.block_runs] derives a block's runs from box arithmetic;
-   [Blocking.make_block_state], [Plan.valid] and [Plan.store_ok] give the
+   [thread_masks] below, [Plan.valid] and the compute region give the
    same masks thread by thread. Over random geometries of 1-3 blocked
    dimensions — radii 1-4, every degree up to bt, grid sizes drawn
    freely so the compute width rarely divides them (partial blocks,
@@ -665,6 +659,27 @@ let mask_runs ~n_thr ~row keep =
   done;
   List.rev !acc
 
+(* The per-thread oracle of block [id]: from each thread's global
+   coordinates, its in-grid and in-plane interior masks, its in-plane
+   grid offset and its compute-region (store) mask. *)
+let thread_masks (plan : Plan.t) ~degree id =
+  let dims = plan.Plan.em.Execmodel.dims and geo = plan.Plan.geo in
+  let origin = Plan.block_origin plan ~degree id in
+  let global t = Array.mapi (fun d o -> o + geo.Plan.coords.(t).(d)) origin in
+  let inside margin t =
+    Array.for_all Fun.id
+      (Array.mapi (fun d g -> g >= margin && g < dims.(d + 1) - margin) (global t))
+  in
+  let base t =
+    Array.fold_left ( + ) 0
+      (Array.mapi (fun d g -> g * plan.Plan.gstrides.(d + 1)) (global t))
+  in
+  let compute t =
+    let h = plan.Plan.halo_w in
+    Array.for_all2 (fun u w -> u >= h && u < h + w) geo.Plan.coords.(t) plan.Plan.compute_w
+  in
+  (inside 0, inside plan.Plan.rad, base, fun t -> inside 0 t && compute t)
+
 let prop_box_runs =
   QCheck.Test.make ~name:"block runs from boxes = per-thread masks" ~count:300 arb_geometry
     (fun (rad, bt, degree, bs, hs, dims) ->
@@ -673,20 +688,7 @@ let prop_box_runs =
       let plan = Plan.get em ~degree ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
       let n_thr = plan.Plan.n_thr and row = bs.(Array.length bs - 1) in
       let runs = mask_runs ~n_thr ~row in
-      (* a [s; e; base] triple list, checking every thread's base *)
-      let io_runs (st : Blocking.block_state) keep =
-        let rec go = function
-          | s :: e :: rest ->
-              for t = s to e - 1 do
-                if st.Blocking.base.(t) <> st.Blocking.base.(s) + t - s then
-                  QCheck.Test.fail_reportf "thread %d base %d not contiguous from %d" t
-                    st.Blocking.base.(t) s
-              done;
-              s :: e :: st.Blocking.base.(s) :: go rest
-          | _ -> []
-        in
-        go (runs keep)
-      in
+      let count keep = List.length (List.filter keep (List.init n_thr Fun.id)) in
       let same what expected got =
         if expected <> Array.to_list got then
           QCheck.Test.fail_reportf "%s: expected [%a], got [%a]" what
@@ -697,24 +699,36 @@ let prop_box_runs =
       in
       for id = 0 to (plan.Plan.spatial_blocks * plan.Plan.n_sb) - 1 do
         let g = Stream_exec.block_runs plan ~degree id in
-        let st = Blocking.make_block_state plan ~degree id in
+        let in_grid, interior, base, store = thread_masks plan ~degree id in
+        (* a [s; e; base] triple list, checking every thread's base *)
+        let io_runs keep =
+          let rec go = function
+            | s :: e :: rest ->
+                for t = s to e - 1 do
+                  if base t <> base s + t - s then
+                    QCheck.Test.fail_reportf "thread %d base %d not contiguous from %d" t
+                      (base t) s
+                done;
+                s :: e :: base s :: go rest
+            | _ -> []
+          in
+          go (runs keep)
+        in
         let where what = Printf.sprintf "block %d %s" id what in
-        same (where "load") (io_runs st (fun t -> st.Blocking.in_grid.(t))) g.Stream_exec.load;
-        same (where "store")
-          (io_runs st (fun t -> st.Blocking.in_grid.(t) && plan.Plan.store_ok.(t)))
-          g.Stream_exec.store;
+        same (where "load") (io_runs in_grid) g.Stream_exec.load;
+        same (where "store") (io_runs store) g.Stream_exec.store;
         Array.iteri
           (fun lev { Stream_exec.act; cpy } ->
             let valid t = Plan.valid plan ~tstep:(lev + 1) t in
             same (where (Printf.sprintf "act %d" (lev + 1)))
-              (runs (fun t -> valid t && st.Blocking.inplane_interior.(t)))
+              (runs (fun t -> valid t && interior t))
               act;
             same (where (Printf.sprintf "cpy %d" (lev + 1)))
-              (runs (fun t -> valid t && not st.Blocking.inplane_interior.(t)))
+              (runs (fun t -> valid t && not (interior t)))
               cpy)
           g.Stream_exec.levels;
         same (where "counts and stream block")
-          [ st.Blocking.n_in_grid; st.Blocking.n_interior; st.Blocking.n_store; st.Blocking.sb; degree ]
+          [ count in_grid; count interior; count store; id / plan.Plan.spatial_blocks; degree ]
           [|
             g.Stream_exec.n_in_grid;
             g.Stream_exec.n_interior;
@@ -928,7 +942,7 @@ let () =
         ] );
       ( "differential",
         [
-          QCheck_alcotest.to_alcotest prop_streaming_vs_compiled;
+          QCheck_alcotest.to_alcotest prop_streaming_vs_cells;
           QCheck_alcotest.to_alcotest prop_streaming_psum;
           QCheck_alcotest.to_alcotest prop_streaming_vs_reference;
           QCheck_alcotest.to_alcotest prop_nonlinear;

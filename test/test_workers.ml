@@ -1,7 +1,9 @@
 (* Multi-process shard workers (An5d_serve.Workers): the worker
    differential — {1,2,4}-worker runs in both modes bit-identical (grids, counters
-   and launch stats) to the in-process sharded path, and in grids and
-   counters to the checked compiled plan, and an awkward-extent run
+   and launch stats) to the in-process sharded path, whose grid equals
+   the reference sweep (the per-cell grouped sum in [Partial_sums]
+   mode) and whose counters equal the §5 closed form summed over the
+   shard models, and an awkward-extent run
    whose shards are narrower than the halo — plus halo-cadence
    accounting, the task/counters JSON codecs, and the fault-injection
    matrix (mid-chunk SIGKILL death, handshake timeout, a hello with
@@ -67,19 +69,19 @@ let in_process ~prec ~run =
   Framework.simulate_cfg ~cfg:(Run_config.with_workers 1 run) ~device ~steps
     job grid
 
-(* The oracle side of the differential: the same in-process sharded
-   run forced onto the checked compiled plan. *)
-let checked_in_process ~prec ~run =
+(* The oracle side of the differential: the run's grid from the
+   reference sweep (the per-cell grouped sum in [Partial_sums] mode),
+   its counters from the closed form over the shard models. *)
+let oracle ~prec ~run =
   let job = Framework.compile ~config ~prec source in
   let grid =
     Stencil.Grid.init_random ~prec:job.Framework.prec ~seed job.Framework.dims
   in
-  let machine = Gpu.Machine.create ~prec:job.Framework.prec device in
-  let result, _ =
-    Blocking.run_cfg ~checked:true run (Framework.execmodel job) ~machine ~steps
-      grid
-  in
-  (result, machine.Gpu.Machine.counters)
+  let pattern = Framework.pattern job in
+  ( (match run.Run_config.mode with
+    | Run_config.Direct -> Stencil.Reference.run pattern ~steps grid
+    | Run_config.Partial_sums -> Cell_oracle.run_partial_sums pattern ~steps grid),
+    Cell_oracle.closed_form ~shards:run.Run_config.shards (Framework.execmodel job) ~steps )
 
 let check_outcome (base : Framework.outcome) (out : Framework.outcome) =
   Alcotest.(check string)
@@ -224,11 +226,11 @@ let test_differential ~mode nw () =
     (fun prec ->
       let run = Run_config.make ~mode ~shards ~workers:nw ~verify:true () in
       let base = in_process ~prec ~run in
-      let oracle, oracle_c = checked_in_process ~prec ~run in
+      let expect, expect_c = oracle ~prec ~run in
       Alcotest.(check string)
-        "in-process grid = checked plan" (Stencil.Grid.digest oracle)
+        "in-process grid = oracle" (Stencil.Grid.digest expect)
         (Stencil.Grid.digest base.Framework.result);
-      Alcotest.check counters_t "in-process counters = checked plan" oracle_c
+      Alcotest.check counters_t "in-process counters = closed form" expect_c
         base.Framework.counters;
       with_registry nw @@ fun reg ->
       let before = Metrics.snapshot () in
