@@ -39,21 +39,6 @@ let bench name =
   | Some b -> b
   | None -> failwith ("unknown benchmark " ^ name)
 
-(* Seconds per run, amortized: doubles the repeat count until one
-   timed batch exceeds the floor. *)
-let time_run f =
-  let floor = if !Exp_common.quick then 0.02 else 0.3 in
-  ignore (f ());
-  let rec go reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= floor then dt /. float reps else go (reps * 2)
-  in
-  go 1
-
 (* The floors below were set from seven full runs of this experiment
    on a 2-vCPU shared host, before the executor lost its second,
    checked compiled path (CHANGES.md lists every run); each sits about a
@@ -107,19 +92,21 @@ let secs f =
   Unix.gettimeofday () -. t0
 
 (* [rounds ()] paired rounds of two timed sides doing the same work,
-   after one warm-up call of each: per round, [b]'s seconds over [a]'s
-   — [a]'s rate over [b]'s — timing [a] first in even rounds and [b]
-   first in odd ones. *)
-let paired (a : unit -> float) (b : unit -> float) =
+   after one warm-up call of each: per round, [a]'s seconds and [b]'s,
+   timing [a] first in even rounds and [b] first in odd ones. *)
+let paired_secs (a : unit -> float) (b : unit -> float) =
   ignore (a ());
   ignore (b ());
   List.init (rounds ()) (fun i ->
       if i mod 2 = 0 then
         let ta = a () in
-        b () /. ta
+        (ta, b ())
       else
         let tb = b () in
-        tb /. a ())
+        (a (), tb))
+
+(* Per paired round, [b]'s seconds over [a]'s — [a]'s rate over [b]'s. *)
+let paired a b = List.map (fun (ta, tb) -> tb /. ta) (paired_secs a b)
 
 let median xs =
   let a = Array.of_list xs in
@@ -217,17 +204,20 @@ let floor_of c =
   | Run_config.Direct, true -> generic_floor ()
   | Run_config.Direct, false -> streaming_floor ()
 
-(* Per blocked case: streaming and reference cells/s, each amortized
-   over a timed batch, and the paired [blocked_over_reference] rounds. *)
+(* Per blocked case: the paired [blocked_over_reference] rounds, and
+   streaming and reference cells/s, each over the median of its own
+   seconds in those same rounds — so the two rates and the ratio come
+   from one set of runs. *)
 type measured = { case : case; fast : float; slow : float; ratios : float list }
 
 let measure c =
-  let cps f = float c.cells /. time_run f in
+  let rounds = paired_secs (fun () -> secs c.run) (fun () -> secs c.reference) in
+  let cps side = float c.cells /. median (List.map side rounds) in
   {
     case = c;
-    fast = cps c.run;
-    slow = cps c.reference;
-    ratios = paired (fun () -> secs c.run) (fun () -> secs c.reference);
+    fast = cps fst;
+    slow = cps snd;
+    ratios = List.map (fun (ts, tr) -> tr /. ts) rounds;
   }
 
 (* The f32-over-f64 streaming split on the [Direct] blocked pairs, one

@@ -229,9 +229,6 @@ let block_origin (plan : t) ~degree:b block_id =
   done;
   origin
 
-let reg_file (plan : t) ~degree:b =
-  Array.init (b + 1) (fun _ -> Array.init plan.p (fun _ -> Array.make plan.n_thr 0.0))
-
 let valid (plan : t) ~tstep t = valid_at plan.em plan.geo ~tstep t
 
 (* ------------------------------------------------------------------ *)

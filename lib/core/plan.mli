@@ -83,10 +83,6 @@ val block_origin : t -> degree:int -> int -> int array
     [block_id] ([block_id mod spatial_blocks]) is read in mixed radix
     over [blocks_per_dim], dimension 0 most significant. *)
 
-val reg_file : t -> degree:int -> float array array array
-(** A block's fixed register file, [.(tstep).(slot).(thread)] for
-    [tstep <= degree], zeroed. *)
-
 val valid : t -> tstep:int -> int -> bool
 (** [valid plan ~tstep t]: thread [t]'s block-local coordinate in every
     blocked dimension lies in [[tstep*rad, bs_d - tstep*rad)]

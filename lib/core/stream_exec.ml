@@ -4,11 +4,16 @@
     AN5D's headline mechanism (§3–§4.2) is streaming-dimension register
     reuse: each loaded value shifts through a fixed register window so a
     grid word is read once, not [2*rad + 1] times. This module is the
-    host-side realization of that dataflow on top of {!Plan}: per
-    time-step level it keeps a circular window of [p = 2*rad + 1]
-    source-plane references that advances one plane per streaming step —
-    rotate [p - 1] references, bind only the incoming plane — instead of
-    rebuilding the whole [plane_ptr] table per plane. On top of the
+    host-side realization of that dataflow on top of {!Plan}. Like
+    AN5D's fixed register file of [p = 2*rad + 1] sub-plane slots per
+    time-step (§4.1, Fig 3b), each level keeps one flat [float array]
+    of [p * n_thr] words, slot [k] at offset [k * n_thr]
+    ([register_file]); the slots change roles by index and no value
+    moves. Per level a window of [p] int slot offsets advances one
+    plane per streaming step — shift [p - 1] ints, compute only the
+    incoming one — and every kernel, plane load and store, boundary
+    blit and [cpy] run addresses the one array at [window offset +
+    thread delta] (or the target's slot offset plus [t]). On top of the
     window the inner loop is chosen once per block from the lowering
     ([kernel_of] for a linear form, named by [kernel_name]), as AN5D
     generates one fully unrolled CALC sequence per stencil
@@ -31,7 +36,7 @@
     - no linear form ([generic]): the lowering's row program
       ({!Stencil.Sexpr.program}), one loop per instruction over the
       level's runs ([run_generic]). A load copies nothing — the row
-      reads the offset's window plane at its thread delta
+      reads the level's file at the offset's window slot plus its thread delta
       ({!Plan.off_delta}) — and an operation writes its row's own
       plane, the last one the stored value (the destination plane, or
       the f32 scratch). Each
@@ -53,6 +58,20 @@
     pass after the loop instead of in the store read 1.40–1.59 on
     j2d5pt in a prototype, no better than the per-cell flag tests: the
     division stays in the loop.
+
+    One array per level, against one [float array] per slot: a pass
+    hoists its terms' absolute offsets [w.(tp.(q)) + td.(q)] into
+    locals before the cell loop, so a scaled term costs one address
+    computation and one [mulsd] from memory (six instructions, the
+    reference's operand form) where a per-slot plane cost a reload of
+    its delta too (eight, with a plane pointer spilled). The f32
+    widening copies (plane loads and the [q32] read-back, [widen]) read
+    four values into distinct locals per step. Streaming time over
+    reference time at perfbench [solve]'s cases
+    ([streaming_over_reference], two full [bench/main.exe throughput]
+    runs per side on a 2-vCPU shared host), per-slot planes → one
+    array per level: j2d5pt 1.36–1.37 → 1.17–1.49; star2d4r 1.34–1.50
+    → 1.10–1.23; j3d27pt 96³ f32 1.52–1.66 → 1.11–1.20.
 
     Each level computes only the threads whose value can reach a store
     (§4.1's valid width [bS - 2*T*rad] at level [T], see
@@ -207,6 +226,15 @@ let block_runs (plan : Plan.t) ~degree:b block_id =
     n_store = Poly.Box.volume stored;
   }
 
+(* A block's register file: per time-step level [0..degree], one flat
+   array of [p * n_thr] words, slot [k] at offset [k * n_thr] and
+   thread [t] of that slot at [k * n_thr + t] (AN5D's fixed register
+   file of [2*rad + 1] sub-planes per time-step, §4.1). Slots change
+   roles by index as the stream advances; no value moves. Zeroed, so a
+   level-0 slot's out-of-grid threads read 0.0. *)
+let register_file (plan : Plan.t) ~degree:b =
+  Array.init (b + 1) (fun _ -> Array.make (plan.Plan.p * plan.Plan.n_thr) 0.0)
+
 (* Validate the unsafe-index contract once per block, before any
    unchecked access (the production-side "index oracle"; the fuzz suite
    re-proves the same bounds independently):
@@ -217,12 +245,17 @@ let block_runs (plan : Plan.t) ~degree:b block_id =
      or [-1]), and the term-major tables have one entry per term, or,
      for the generic kernel, [off_delta] one per offset (the row
      program's row numbers and offset indices index plain arrays);
+   - the register file has one level per time-step [0..degree], each
+     at least [p * n_thr] words, so slot [k < p] spans
+     [[k*n_thr, (k+1)*n_thr)];
    - runs x deltas: every run [[s, e)] of every level lies in
      [[0, n_thr)], and for every delta [d] the block's kernel reads
      through — each term delta (and mirror delta of a folded pair) of
      a linear form, each per-offset delta of the generic kernel's
      loads — [s + d >= 0] and [e - 1 + d < n_thr], so each neighbor
-     read [t + d] of a computed thread stays inside the tile;
+     read [t + d] of a computed thread stays inside its slot. In the
+     flat file a read past a slot's end lands in the next slot, not
+     outside the array, so this clause is the only guard;
    - plane I/O runs: the compute region [[halo_w, halo_w + compute_w_d)]
      lies inside the tile in every blocked dimension, so every load
      run (tile ∩ grid) and store run (compute region ∩ grid) lies
@@ -238,13 +271,19 @@ let block_runs (plan : Plan.t) ~degree:b block_id =
    A violation raises instead of reading out of bounds; it cannot occur
    for plans built by {!Plan.get} (offsets are bounded by the pattern
    radius and the deltas are checked against the clamped
-   {!Plan.neighbor_thread} for every valid thread), which the raise documents. *)
-let validate_unsafe_contract (plan : Plan.t) (g : block_runs) =
+   {!Plan.neighbor_thread} for every valid thread) and the file
+   {!execute_block} builds, which the raise documents. *)
+let validate_unsafe_contract (plan : Plan.t) (g : block_runs) (file : float array array) =
   let fail what = invalid_arg ("Stream_exec.validate_unsafe_contract: " ^ what) in
   let n_off = plan.Plan.n_off and n_thr = plan.Plan.n_thr and p = plan.Plan.p in
   Array.iter
     (fun e -> if e < 0 || e >= p then fail "plane slot out of range")
     plan.Plan.plane_e;
+  if Array.length file <> Array.length g.levels + 1 then
+    fail "register file is not one level per time-step";
+  Array.iter
+    (fun level -> if Array.length level < p * n_thr then fail "register file level shorter than p * n_thr")
+    file;
   (* The neighbor deltas the block's kernel reads a computed thread's
      operands through. *)
   let deltas =
@@ -315,6 +354,29 @@ let validate_unsafe_contract (plan : Plan.t) (g : block_runs) =
   check_io g.load;
   check_io g.store
 
+type f32buf = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* [n] single-precision words from [src] at [so] widened into [dst] at
+   [d_o]. Four reads land in distinct locals per step: a widening load
+   writes only the low half of its register, so reads that all land in
+   one register would wait on each other. The callers' contracts bound
+   both ranges. *)
+let widen (src : f32buf) so (dst : float array) d_o n =
+  for i = 0 to (n / 4) - 1 do
+    let k = 4 * i in
+    let v0 = Bigarray.Array1.unsafe_get src (so + k)
+    and v1 = Bigarray.Array1.unsafe_get src (so + k + 1)
+    and v2 = Bigarray.Array1.unsafe_get src (so + k + 2)
+    and v3 = Bigarray.Array1.unsafe_get src (so + k + 3) in
+    Array.unsafe_set dst (d_o + k) v0;
+    Array.unsafe_set dst (d_o + k + 1) v1;
+    Array.unsafe_set dst (d_o + k + 2) v2;
+    Array.unsafe_set dst (d_o + k + 3) v3
+  done;
+  for k = n land lnot 3 to n - 1 do
+    Array.unsafe_set dst (d_o + k) (Bigarray.Array1.unsafe_get src (so + k))
+  done
+
 (* Plane load/store closures, monomorphic per precision: the buffer
    constructor is matched once per block, so inside each closure the
    element kind is statically known and bigarray access compiles to
@@ -322,41 +384,40 @@ let validate_unsafe_contract (plan : Plan.t) (g : block_runs) =
    [[s, e)] with base [base] reads or writes grid word
    [base + t - s + i*stride0], which the contract above and the
    buffer-size check here keep in [[0, size)] for [0 <= i < l] (every
-   call site). Loads land in [reg_file.(0).(i mod p)]; a level-0 plane
+   call site). Loads land in slot [i mod p] of level 0; a level-0 slot
    is written by loads alone and starts zeroed, so its out-of-grid
-   threads stay 0.0. Stores read [reg_file.(degree).(j mod p)];
+   threads stay 0.0. Stores read slot [j mod p] of level [degree];
    counters tick the per-plane global-memory traffic. *)
 let plane_io (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
-    ~(dst : Stencil.Grid.t) (g : block_runs) (reg_file : float array array array) counters =
-  let p = plan.Plan.p in
+    ~(dst : Stencil.Grid.t) (g : block_runs) (file : float array array) counters =
+  let p = plan.Plan.p and n_thr = plan.Plan.n_thr in
   let stride0 = plan.Plan.gstrides.(0) in
   let size = plan.Plan.l * stride0 in
   let { load; store; n_in_grid; n_store; _ } = g in
   let n_load = Array.length load / 3 and n_st = Array.length store / 3 in
+  let inputs = file.(0) and outputs = file.(b) in
   let check_dim n = if n < size then invalid_arg "Stream_exec.plane_io: grid smaller than the plan's" in
   match (src.Stencil.Grid.buf, dst.Stencil.Grid.buf) with
   | Stencil.Grid.B64 sba, Stencil.Grid.B64 dba ->
       check_dim (Bigarray.Array1.dim sba);
       check_dim (Bigarray.Array1.dim dba);
       ( (fun i ->
-          let dst_plane = reg_file.(0).(i mod p) in
-          let poff = i * stride0 in
+          let slot = (i mod p) * n_thr and poff = i * stride0 in
           for r = 0 to n_load - 1 do
             let s = Array.unsafe_get load (3 * r) in
             let off = Array.unsafe_get load ((3 * r) + 2) + poff - s in
             for t = s to Array.unsafe_get load ((3 * r) + 1) - 1 do
-              Array.unsafe_set dst_plane t (Bigarray.Array1.unsafe_get sba (off + t))
+              Array.unsafe_set inputs (slot + t) (Bigarray.Array1.unsafe_get sba (off + t))
             done
           done;
           Gpu.Counters.add_gm_reads counters n_in_grid),
         fun j ->
-          let src_plane = reg_file.(b).(j mod p) in
-          let poff = j * stride0 in
+          let slot = (j mod p) * n_thr and poff = j * stride0 in
           for r = 0 to n_st - 1 do
             let s = Array.unsafe_get store (3 * r) in
             let off = Array.unsafe_get store ((3 * r) + 2) + poff - s in
             for t = s to Array.unsafe_get store ((3 * r) + 1) - 1 do
-              Bigarray.Array1.unsafe_set dba (off + t) (Array.unsafe_get src_plane t)
+              Bigarray.Array1.unsafe_set dba (off + t) (Array.unsafe_get outputs (slot + t))
             done
           done;
           Gpu.Counters.add_gm_writes counters n_store )
@@ -364,24 +425,22 @@ let plane_io (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
       check_dim (Bigarray.Array1.dim sba);
       check_dim (Bigarray.Array1.dim dba);
       ( (fun i ->
-          let dst_plane = reg_file.(0).(i mod p) in
-          let poff = i * stride0 in
+          let slot = (i mod p) * n_thr and poff = i * stride0 in
           for r = 0 to n_load - 1 do
             let s = Array.unsafe_get load (3 * r) in
-            let off = Array.unsafe_get load ((3 * r) + 2) + poff - s in
-            for t = s to Array.unsafe_get load ((3 * r) + 1) - 1 do
-              Array.unsafe_set dst_plane t (Bigarray.Array1.unsafe_get sba (off + t))
-            done
+            widen sba
+              (Array.unsafe_get load ((3 * r) + 2) + poff)
+              inputs (slot + s)
+              (Array.unsafe_get load ((3 * r) + 1) - s)
           done;
           Gpu.Counters.add_gm_reads counters n_in_grid),
         fun j ->
-          let src_plane = reg_file.(b).(j mod p) in
-          let poff = j * stride0 in
+          let slot = (j mod p) * n_thr and poff = j * stride0 in
           for r = 0 to n_st - 1 do
             let s = Array.unsafe_get store (3 * r) in
             let off = Array.unsafe_get store ((3 * r) + 2) + poff - s in
             for t = s to Array.unsafe_get store ((3 * r) + 1) - 1 do
-              Bigarray.Array1.unsafe_set dba (off + t) (Array.unsafe_get src_plane t)
+              Bigarray.Array1.unsafe_set dba (off + t) (Array.unsafe_get outputs (slot + t))
             done
           done;
           Gpu.Counters.add_gm_writes counters n_store )
@@ -390,6 +449,13 @@ let plane_io (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* Every kernel reads one level's flat file [src] through the window
+   [w], the [p] slot offsets of the source planes at streaming deltas
+   [-rad..rad] of the target plane: term [q]'s neighbor of thread [t]
+   sits at [w.(tp.(q)) + td.(q) + t]. It writes the level above at
+   [dst.(doff + t)], [doff] the target's slot offset, or the f32
+   scratch [q32] at [t]. *)
 
 (* A block's kernel (see the header): [Folded] for a form with a folded
    pair, else [Chunks] of passes over [chunk] consecutive terms at most.
@@ -416,13 +482,12 @@ type kernel = Chunks of pass array | Folded
    read it unboxed. *)
 type post = { dv : float }
 
-type f32buf = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 (* A block's kernel operands. The term tables are padded to
    [n_terms + chunk - 1] entries with copies of the last term, so every
-   pass hoists nine plane slots and coefficients whatever its arity;
+   pass hoists nine offsets and coefficients whatever its arity;
    [chain] reads a cell only through the first [k]. [tp2]/[td2] (the
-   mirror reads of folded pairs) are read by [folded_loop] alone. *)
+   mirror reads of folded pairs) and the per-plane absolute offsets
+   [ab]/[ab2] are used by [folded_loop] alone. *)
 type operands = {
   tp : int array;
   td : int array;
@@ -430,6 +495,8 @@ type operands = {
   ts : bool array;
   tp2 : int array;
   td2 : int array;
+  ab : int array;
+  ab2 : int array;
   n_terms : int;
   post : post;
   accs : float array;
@@ -475,29 +542,36 @@ let kernel_name (low : Stencil.Sexpr.lowered) =
           n
           (match shape_of lf 0 n with Scaled -> "" | Bare -> "_bare" | Mixed -> "_mixed")
 
+(* Term [v] or [c * v], [v] read at [b + t]. The read stays the
+   multiply's operand, so the scaled form loads straight into [mulsd]. *)
+let[@inline] term ~s c (src : float array) b t =
+  if s then c *. Array.unsafe_get src (b + t) else Array.unsafe_get src (b + t)
+
 (* One pass over the threads of [runs]: the left-to-right chain of
    terms [q, q + k), started from term [q] when [first] and from the
    accumulator plane otherwise, ended in the accumulator plane
    ([to_acc]) or divided ([div]) and stored into [q32] ([f32]) or
-   [dst]. Term [i] adds [c_i *. v_i] when [s_i] and [v_i] otherwise,
-   [v_i] the neighbor of thread [t] at [t + td.(q + i)] in window slot
-   [tp.(q + i)]. The deltas are read per use rather than hoisted: that
-   leaves the registers to the plane slots, which measured faster.
-   Every labeled argument is a literal at each call site below, and
-   ocamlopt folds the tests on them once this body is inlined, so the
-   loop over a run is branch-free (save [Mixed]). *)
+   [dst] at [doff]. Term [i] adds [c_i *. v_i] when [s_i] and [v_i]
+   otherwise, [v_i] read from [src] at the term's absolute offset
+   [b_i = w.(tp.(q + i)) + td.(q + i)], hoisted before the cell loop,
+   plus [t]. Every labeled argument is a literal at each call site
+   below, and ocamlopt folds the tests on them once this body is
+   inlined, so the loop over a run is branch-free (save [Mixed]). The
+   body binds no local function: ocamlopt without flambda does not
+   inline a body that does (scripts/check_inline.sh). *)
 let[@inline] chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc ~f32 ~div
-    (o : operands) q (w : float array array) (dst : float array) (runs : int array) =
+    (o : operands) q (src : float array) (w : int array) (dst : float array) doff
+    (runs : int array) =
   let tp = o.tp and td = o.td and tc = o.tc in
-  let a0 = Array.unsafe_get w (Array.unsafe_get tp q)
-  and a1 = Array.unsafe_get w (Array.unsafe_get tp (q + 1))
-  and a2 = Array.unsafe_get w (Array.unsafe_get tp (q + 2))
-  and a3 = Array.unsafe_get w (Array.unsafe_get tp (q + 3))
-  and a4 = Array.unsafe_get w (Array.unsafe_get tp (q + 4))
-  and a5 = Array.unsafe_get w (Array.unsafe_get tp (q + 5))
-  and a6 = Array.unsafe_get w (Array.unsafe_get tp (q + 6))
-  and a7 = Array.unsafe_get w (Array.unsafe_get tp (q + 7))
-  and a8 = Array.unsafe_get w (Array.unsafe_get tp (q + 8)) in
+  let b0 = Array.unsafe_get w (Array.unsafe_get tp q) + Array.unsafe_get td q
+  and b1 = Array.unsafe_get w (Array.unsafe_get tp (q + 1)) + Array.unsafe_get td (q + 1)
+  and b2 = Array.unsafe_get w (Array.unsafe_get tp (q + 2)) + Array.unsafe_get td (q + 2)
+  and b3 = Array.unsafe_get w (Array.unsafe_get tp (q + 3)) + Array.unsafe_get td (q + 3)
+  and b4 = Array.unsafe_get w (Array.unsafe_get tp (q + 4)) + Array.unsafe_get td (q + 4)
+  and b5 = Array.unsafe_get w (Array.unsafe_get tp (q + 5)) + Array.unsafe_get td (q + 5)
+  and b6 = Array.unsafe_get w (Array.unsafe_get tp (q + 6)) + Array.unsafe_get td (q + 6)
+  and b7 = Array.unsafe_get w (Array.unsafe_get tp (q + 7)) + Array.unsafe_get td (q + 7)
+  and b8 = Array.unsafe_get w (Array.unsafe_get tp (q + 8)) + Array.unsafe_get td (q + 8) in
   let c0 = Array.unsafe_get tc q and c1 = Array.unsafe_get tc (q + 1)
   and c2 = Array.unsafe_get tc (q + 2) and c3 = Array.unsafe_get tc (q + 3)
   and c4 = Array.unsafe_get tc (q + 4) and c5 = Array.unsafe_get tc (q + 5)
@@ -506,61 +580,20 @@ let[@inline] chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc ~f32 ~d
   let accs = o.accs and q32 = o.q32 and dv = o.post.dv in
   for r = 0 to (Array.length runs / 2) - 1 do
     for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-      let v = Array.unsafe_get a0 (t + Array.unsafe_get td q) in
-      let x = if s0 then c0 *. v else v in
+      let x = term ~s:s0 c0 src b0 t in
       let x = if first then x else Array.unsafe_get accs t +. x in
-      let x =
-        if k > 1 then
-          let v = Array.unsafe_get a1 (t + Array.unsafe_get td (q + 1)) in
-          x +. if s1 then c1 *. v else v
-        else x
-      in
-      let x =
-        if k > 2 then
-          let v = Array.unsafe_get a2 (t + Array.unsafe_get td (q + 2)) in
-          x +. if s2 then c2 *. v else v
-        else x
-      in
-      let x =
-        if k > 3 then
-          let v = Array.unsafe_get a3 (t + Array.unsafe_get td (q + 3)) in
-          x +. if s3 then c3 *. v else v
-        else x
-      in
-      let x =
-        if k > 4 then
-          let v = Array.unsafe_get a4 (t + Array.unsafe_get td (q + 4)) in
-          x +. if s4 then c4 *. v else v
-        else x
-      in
-      let x =
-        if k > 5 then
-          let v = Array.unsafe_get a5 (t + Array.unsafe_get td (q + 5)) in
-          x +. if s5 then c5 *. v else v
-        else x
-      in
-      let x =
-        if k > 6 then
-          let v = Array.unsafe_get a6 (t + Array.unsafe_get td (q + 6)) in
-          x +. if s6 then c6 *. v else v
-        else x
-      in
-      let x =
-        if k > 7 then
-          let v = Array.unsafe_get a7 (t + Array.unsafe_get td (q + 7)) in
-          x +. if s7 then c7 *. v else v
-        else x
-      in
-      let x =
-        if k > 8 then
-          let v = Array.unsafe_get a8 (t + Array.unsafe_get td (q + 8)) in
-          x +. if s8 then c8 *. v else v
-        else x
-      in
+      let x = if k > 1 then x +. term ~s:s1 c1 src b1 t else x in
+      let x = if k > 2 then x +. term ~s:s2 c2 src b2 t else x in
+      let x = if k > 3 then x +. term ~s:s3 c3 src b3 t else x in
+      let x = if k > 4 then x +. term ~s:s4 c4 src b4 t else x in
+      let x = if k > 5 then x +. term ~s:s5 c5 src b5 t else x in
+      let x = if k > 6 then x +. term ~s:s6 c6 src b6 t else x in
+      let x = if k > 7 then x +. term ~s:s7 c7 src b7 t else x in
+      let x = if k > 8 then x +. term ~s:s8 c8 src b8 t else x in
       if to_acc then Array.unsafe_set accs t x
       else
         let x = if div then x /. dv else x in
-        if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set dst t x
+        if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set dst (doff + t) x
     done
   done
 
@@ -568,112 +601,118 @@ let[@inline] chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc ~f32 ~d
    the literal arguments of [chain]: one match per pass and plane,
    outside the cell loop. A pass that ends in the accumulator is always
    [chunk] wide, so [run_pass] instantiates it only at [k = 9]. *)
-let[@inline] chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc final o q w dst
-    runs =
+let[@inline] chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc final o q src w
+    dst doff runs =
   if to_acc then
     chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:true ~f32:false ~div:false o
-      q w dst runs
+      q src w dst doff runs
   else
     match final with
     | F64 ->
         chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:false ~f32:false
-          ~div:false o q w dst runs
+          ~div:false o q src w dst doff runs
     | F64_div ->
         chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:false ~f32:false
-          ~div:true o q w dst runs
+          ~div:true o q src w dst doff runs
     | F32 ->
         chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:false ~f32:true
-          ~div:false o q w dst runs
+          ~div:false o q src w dst doff runs
     | F32_div ->
         chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc:false ~f32:true
-          ~div:true o q w dst runs
+          ~div:true o q src w dst doff runs
 
-let[@inline] chain_first ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~to_acc (ps : pass) final o w
-    dst runs =
+let[@inline] chain_first ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~to_acc (ps : pass) final o src
+    w dst doff runs =
   if ps.first then
-    chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first:true ~to_acc final o ps.q w dst
-      runs
+    chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first:true ~to_acc final o ps.q src w
+      dst doff runs
   else
-    chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first:false ~to_acc final o ps.q w dst
-      runs
+    chain_out ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first:false ~to_acc final o ps.q src w
+      dst doff runs
 
-let[@inline] chain_shape ~k ~to_acc (ps : pass) final (o : operands) w dst runs =
+let[@inline] chain_shape ~k ~to_acc (ps : pass) final (o : operands) src w dst doff runs =
   match ps.shape with
   | Scaled ->
       chain_first ~k ~s0:true ~s1:true ~s2:true ~s3:true ~s4:true ~s5:true ~s6:true
-        ~s7:true ~s8:true ~to_acc ps final o w dst runs
+        ~s7:true ~s8:true ~to_acc ps final o src w dst doff runs
   | Bare ->
       chain_first ~k ~s0:false ~s1:false ~s2:false ~s3:false ~s4:false ~s5:false
-        ~s6:false ~s7:false ~s8:false ~to_acc ps final o w dst runs
+        ~s6:false ~s7:false ~s8:false ~to_acc ps final o src w dst doff runs
   | Mixed ->
       let ts = o.ts and q = ps.q in
       chain_first ~k ~s0:(Array.unsafe_get ts q) ~s1:(Array.unsafe_get ts (q + 1))
         ~s2:(Array.unsafe_get ts (q + 2)) ~s3:(Array.unsafe_get ts (q + 3))
         ~s4:(Array.unsafe_get ts (q + 4)) ~s5:(Array.unsafe_get ts (q + 5))
         ~s6:(Array.unsafe_get ts (q + 6)) ~s7:(Array.unsafe_get ts (q + 7))
-        ~s8:(Array.unsafe_get ts (q + 8)) ~to_acc ps final o w dst runs
+        ~s8:(Array.unsafe_get ts (q + 8)) ~to_acc ps final o src w dst doff runs
 
-let run_pass (o : operands) final (ps : pass) w dst runs =
-  if ps.to_acc then chain_shape ~k:9 ~to_acc:true ps final o w dst runs
+let run_pass (o : operands) final (ps : pass) src w dst doff runs =
+  if ps.to_acc then chain_shape ~k:9 ~to_acc:true ps final o src w dst doff runs
   else
     match ps.k with
-    | 1 -> chain_shape ~k:1 ~to_acc:false ps final o w dst runs
-    | 2 -> chain_shape ~k:2 ~to_acc:false ps final o w dst runs
-    | 3 -> chain_shape ~k:3 ~to_acc:false ps final o w dst runs
-    | 4 -> chain_shape ~k:4 ~to_acc:false ps final o w dst runs
-    | 5 -> chain_shape ~k:5 ~to_acc:false ps final o w dst runs
-    | 6 -> chain_shape ~k:6 ~to_acc:false ps final o w dst runs
-    | 7 -> chain_shape ~k:7 ~to_acc:false ps final o w dst runs
-    | 8 -> chain_shape ~k:8 ~to_acc:false ps final o w dst runs
-    | _ -> chain_shape ~k:9 ~to_acc:false ps final o w dst runs
+    | 1 -> chain_shape ~k:1 ~to_acc:false ps final o src w dst doff runs
+    | 2 -> chain_shape ~k:2 ~to_acc:false ps final o src w dst doff runs
+    | 3 -> chain_shape ~k:3 ~to_acc:false ps final o src w dst doff runs
+    | 4 -> chain_shape ~k:4 ~to_acc:false ps final o src w dst doff runs
+    | 5 -> chain_shape ~k:5 ~to_acc:false ps final o src w dst doff runs
+    | 6 -> chain_shape ~k:6 ~to_acc:false ps final o src w dst doff runs
+    | 7 -> chain_shape ~k:7 ~to_acc:false ps final o src w dst doff runs
+    | 8 -> chain_shape ~k:8 ~to_acc:false ps final o src w dst doff runs
+    | _ -> chain_shape ~k:9 ~to_acc:false ps final o src w dst doff runs
 
-(* Term [q] of a folded form at thread [t]: the mirror read of a pair
-   is added before the scaling — the shape of the source tree, so
+(* Term [q] of a folded form at thread [t], read at the absolute
+   offsets [folded_loop] hoisted: the mirror read of a pair is added
+   before the scaling — the shape of the source tree, so
    rounding-identical. *)
-let[@inline] folded_term (o : operands) (w : float array array) t q =
+let[@inline] folded_term (o : operands) (src : float array) t q =
+  let v = Array.unsafe_get src (Array.unsafe_get o.ab q + t) in
   let v =
-    Array.unsafe_get
-      (Array.unsafe_get w (Array.unsafe_get o.tp q))
-      (t + Array.unsafe_get o.td q)
-  in
-  let p2 = Array.unsafe_get o.tp2 q in
-  let v =
-    if p2 >= 0 then
-      v +. Array.unsafe_get (Array.unsafe_get w p2) (t + Array.unsafe_get o.td2 q)
+    if Array.unsafe_get o.tp2 q >= 0 then
+      v +. Array.unsafe_get src (Array.unsafe_get o.ab2 q + t)
     else v
   in
   if Array.unsafe_get o.ts q then Array.unsafe_get o.tc q *. v else v
 
-(* The term-major loop of folded forms, one instantiation per store. *)
-let[@inline] folded_loop ~f32 ~div (o : operands) w (dst : float array) (runs : int array) =
+(* The term-major loop of folded forms, one instantiation per store. It
+   first hoists each term's absolute offsets for this window into
+   [ab]/[ab2]. *)
+let[@inline] folded_loop ~f32 ~div (o : operands) (src : float array) (w : int array)
+    (dst : float array) doff (runs : int array) =
   let n_terms = o.n_terms and q32 = o.q32 and dv = o.post.dv in
+  for q = 0 to n_terms - 1 do
+    Array.unsafe_set o.ab q
+      (Array.unsafe_get w (Array.unsafe_get o.tp q) + Array.unsafe_get o.td q);
+    let p2 = Array.unsafe_get o.tp2 q in
+    if p2 >= 0 then
+      Array.unsafe_set o.ab2 q (Array.unsafe_get w p2 + Array.unsafe_get o.td2 q)
+  done;
   for r = 0 to (Array.length runs / 2) - 1 do
     for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-      let acc = ref (folded_term o w t 0) in
+      let acc = ref (folded_term o src t 0) in
       for q = 1 to n_terms - 1 do
-        acc := !acc +. folded_term o w t q
+        acc := !acc +. folded_term o src t q
       done;
       let x = if div then !acc /. dv else !acc in
-      if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set dst t x
+      if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set dst (doff + t) x
     done
   done
 
-let run_folded (o : operands) final w dst runs =
+let run_folded (o : operands) final src w dst doff runs =
   match final with
-  | F64 -> folded_loop ~f32:false ~div:false o w dst runs
-  | F64_div -> folded_loop ~f32:false ~div:true o w dst runs
-  | F32 -> folded_loop ~f32:true ~div:false o w dst runs
-  | F32_div -> folded_loop ~f32:true ~div:true o w dst runs
+  | F64 -> folded_loop ~f32:false ~div:false o src w dst doff runs
+  | F64_div -> folded_loop ~f32:false ~div:true o src w dst doff runs
+  | F32 -> folded_loop ~f32:true ~div:false o src w dst doff runs
+  | F32_div -> folded_loop ~f32:true ~div:true o src w dst doff runs
 
 (* The generic kernel: the lowering's row program
    ({!Stencil.Sexpr.program}) over the threads of [runs], one loop per
    instruction. Row [r]'s value for thread [t] sits at
-   [at.(r).(t + at_d.(r))]: after a load, in the window plane of the
-   offset at its thread delta (a load copies nothing); after an
-   operation, in the row's own plane at [t]. The last instruction, when
-   it is an operation ([direct]), stores its value itself: into the
-   level's destination plane, or into [q32] for an f32 block; otherwise
-   a store pass moves the result there. *)
+   [at.(r).(t + at_d.(r))]: after a load, in the level's file at the
+   offset's window slot plus its thread delta (a load copies nothing);
+   after an operation, in the row's own plane at [t]. The last
+   instruction, when it is an operation ([direct]), stores its value
+   itself: into the level's destination slot, or into [q32] for an f32
+   block; otherwise a store pass moves the result there. *)
 type generic = {
   instrs : Stencil.Sexpr.instr array;
   result : Stencil.Sexpr.operand;
@@ -689,40 +728,40 @@ type generic = {
 let[@inline] arith ~op x y =
   if op = 0 then x +. y else if op = 1 then x -. y else if op = 2 then x *. y else x /. y
 
-let[@inline] store ~f32 (d : float array) (q32 : f32buf) t x =
-  if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set d t x
+let[@inline] store ~f32 (d : float array) doff (q32 : f32buf) t x =
+  if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set d (doff + t) x
 
-let[@inline] g_rr ~op ~f32 (a : float array) da (b : float array) db d q32
+let[@inline] g_rr ~op ~f32 (a : float array) da (b : float array) db d doff q32
     (runs : int array) =
   for r = 0 to (Array.length runs / 2) - 1 do
     for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-      store ~f32 d q32 t
+      store ~f32 d doff q32 t
         (arith ~op (Array.unsafe_get a (t + da)) (Array.unsafe_get b (t + db)))
     done
   done
 
-let[@inline] g_rs ~op ~f32 (a : float array) da (c : float) d q32 (runs : int array) =
+let[@inline] g_rs ~op ~f32 (a : float array) da (c : float) d doff q32 (runs : int array) =
   for r = 0 to (Array.length runs / 2) - 1 do
     for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-      store ~f32 d q32 t (arith ~op (Array.unsafe_get a (t + da)) c)
+      store ~f32 d doff q32 t (arith ~op (Array.unsafe_get a (t + da)) c)
     done
   done
 
-let[@inline] g_sr ~op ~f32 (c : float) (b : float array) db d q32 (runs : int array) =
+let[@inline] g_sr ~op ~f32 (c : float) (b : float array) db d doff q32 (runs : int array) =
   for r = 0 to (Array.length runs / 2) - 1 do
     for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
-      store ~f32 d q32 t (arith ~op c (Array.unsafe_get b (t + db)))
+      store ~f32 d doff q32 t (arith ~op c (Array.unsafe_get b (t + db)))
     done
   done
 
 (* [op]: 0 negates, 1 takes the square root, 2 rounds to the nearest
    single (the f32 storage rounding of a partial sum) by the hardware
    double->single->double round trip through [q32]. *)
-let[@inline] g_un ~op ~f32 (a : float array) da d (q32 : f32buf) (runs : int array) =
+let[@inline] g_un ~op ~f32 (a : float array) da d doff (q32 : f32buf) (runs : int array) =
   for r = 0 to (Array.length runs / 2) - 1 do
     for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
       let x = Array.unsafe_get a (t + da) in
-      store ~f32 d q32 t
+      store ~f32 d doff q32 t
         (if op = 0 then -.x
          else if op = 1 then sqrt x
          else begin
@@ -732,57 +771,57 @@ let[@inline] g_un ~op ~f32 (a : float array) da d (q32 : f32buf) (runs : int arr
     done
   done
 
-let[@inline] g_binary ~f32 op a b (g : generic) d q32 runs =
+let[@inline] g_binary ~f32 op a b (g : generic) d doff q32 runs =
   match (a, b) with
   | Stencil.Sexpr.Row a, Stencil.Sexpr.Row b -> (
       let pa = g.at.(a) and da = g.at_d.(a) and pb = g.at.(b) and db = g.at_d.(b) in
       match op with
-      | Stencil.Sexpr.Op_add -> g_rr ~op:0 ~f32 pa da pb db d q32 runs
-      | Stencil.Sexpr.Op_sub -> g_rr ~op:1 ~f32 pa da pb db d q32 runs
-      | Stencil.Sexpr.Op_mul -> g_rr ~op:2 ~f32 pa da pb db d q32 runs
-      | Stencil.Sexpr.Op_div -> g_rr ~op:3 ~f32 pa da pb db d q32 runs)
+      | Stencil.Sexpr.Op_add -> g_rr ~op:0 ~f32 pa da pb db d doff q32 runs
+      | Stencil.Sexpr.Op_sub -> g_rr ~op:1 ~f32 pa da pb db d doff q32 runs
+      | Stencil.Sexpr.Op_mul -> g_rr ~op:2 ~f32 pa da pb db d doff q32 runs
+      | Stencil.Sexpr.Op_div -> g_rr ~op:3 ~f32 pa da pb db d doff q32 runs)
   | Stencil.Sexpr.Row a, Stencil.Sexpr.Scalar c -> (
       let pa = g.at.(a) and da = g.at_d.(a) in
       match op with
-      | Stencil.Sexpr.Op_add -> g_rs ~op:0 ~f32 pa da c d q32 runs
-      | Stencil.Sexpr.Op_sub -> g_rs ~op:1 ~f32 pa da c d q32 runs
-      | Stencil.Sexpr.Op_mul -> g_rs ~op:2 ~f32 pa da c d q32 runs
-      | Stencil.Sexpr.Op_div -> g_rs ~op:3 ~f32 pa da c d q32 runs)
+      | Stencil.Sexpr.Op_add -> g_rs ~op:0 ~f32 pa da c d doff q32 runs
+      | Stencil.Sexpr.Op_sub -> g_rs ~op:1 ~f32 pa da c d doff q32 runs
+      | Stencil.Sexpr.Op_mul -> g_rs ~op:2 ~f32 pa da c d doff q32 runs
+      | Stencil.Sexpr.Op_div -> g_rs ~op:3 ~f32 pa da c d doff q32 runs)
   | Stencil.Sexpr.Scalar c, Stencil.Sexpr.Row b -> (
       let pb = g.at.(b) and db = g.at_d.(b) in
       match op with
-      | Stencil.Sexpr.Op_add -> g_sr ~op:0 ~f32 c pb db d q32 runs
-      | Stencil.Sexpr.Op_sub -> g_sr ~op:1 ~f32 c pb db d q32 runs
-      | Stencil.Sexpr.Op_mul -> g_sr ~op:2 ~f32 c pb db d q32 runs
-      | Stencil.Sexpr.Op_div -> g_sr ~op:3 ~f32 c pb db d q32 runs)
+      | Stencil.Sexpr.Op_add -> g_sr ~op:0 ~f32 c pb db d doff q32 runs
+      | Stencil.Sexpr.Op_sub -> g_sr ~op:1 ~f32 c pb db d doff q32 runs
+      | Stencil.Sexpr.Op_mul -> g_sr ~op:2 ~f32 c pb db d doff q32 runs
+      | Stencil.Sexpr.Op_div -> g_sr ~op:3 ~f32 c pb db d doff q32 runs)
   | Stencil.Sexpr.Scalar _, Stencil.Sexpr.Scalar _ ->
       invalid_arg "Stream_exec: row program operation on two scalars"
 
-let[@inline] g_unary ~f32 op (g : generic) a d q32 runs =
+let[@inline] g_unary ~f32 op (g : generic) a d doff q32 runs =
   match op with
-  | Stencil.Sexpr.Op_neg -> g_un ~op:0 ~f32 g.at.(a) g.at_d.(a) d q32 runs
-  | Stencil.Sexpr.Op_sqrt -> g_un ~op:1 ~f32 g.at.(a) g.at_d.(a) d q32 runs
-  | Stencil.Sexpr.Op_round_single -> g_un ~op:2 ~f32 g.at.(a) g.at_d.(a) d q32 runs
+  | Stencil.Sexpr.Op_neg -> g_un ~op:0 ~f32 g.at.(a) g.at_d.(a) d doff q32 runs
+  | Stencil.Sexpr.Op_sqrt -> g_un ~op:1 ~f32 g.at.(a) g.at_d.(a) d doff q32 runs
+  | Stencil.Sexpr.Op_round_single -> g_un ~op:2 ~f32 g.at.(a) g.at_d.(a) d doff q32 runs
 
-let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (w : float array array)
-    (dst : float array) (runs : int array) =
+let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (src : float array)
+    (w : int array) (dst : float array) doff (runs : int array) =
   let n = Array.length g.instrs in
   for i = 0 to n - 1 do
     let last = g.direct && i = n - 1 in
     match Array.unsafe_get g.instrs i with
     | Stencil.Sexpr.Load { dst = r; off } ->
-        g.at.(r) <- w.(plan.Plan.plane_e.(off));
-        g.at_d.(r) <- plan.Plan.off_delta.(off)
+        g.at.(r) <- src;
+        g.at_d.(r) <- w.(plan.Plan.plane_e.(off)) + plan.Plan.off_delta.(off)
     | Stencil.Sexpr.Unary { op; dst = r; a } ->
-        if not last then g_unary ~f32:false op g a g.planes.(r) q32 runs
-        else if f32 then g_unary ~f32:true op g a dst q32 runs
-        else g_unary ~f32:false op g a dst q32 runs;
+        if not last then g_unary ~f32:false op g a g.planes.(r) 0 q32 runs
+        else if f32 then g_unary ~f32:true op g a dst doff q32 runs
+        else g_unary ~f32:false op g a dst doff q32 runs;
         g.at.(r) <- g.planes.(r);
         g.at_d.(r) <- 0
     | Stencil.Sexpr.Binary { op; dst = r; a; b } ->
-        if not last then g_binary ~f32:false op a b g g.planes.(r) q32 runs
-        else if f32 then g_binary ~f32:true op a b g dst q32 runs
-        else g_binary ~f32:false op a b g dst q32 runs;
+        if not last then g_binary ~f32:false op a b g g.planes.(r) 0 q32 runs
+        else if f32 then g_binary ~f32:true op a b g dst doff q32 runs
+        else g_binary ~f32:false op a b g dst doff q32 runs;
         g.at.(r) <- g.planes.(r);
         g.at_d.(r) <- 0
   done;
@@ -797,7 +836,7 @@ let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (w : float arr
     for r = 0 to (Array.length runs / 2) - 1 do
       for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
         if f32 then Bigarray.Array1.unsafe_set q32 t (value t)
-        else Array.unsafe_set dst t (value t)
+        else Array.unsafe_set dst (doff + t) (value t)
       done
     done
   end
@@ -805,19 +844,20 @@ let run_generic (plan : Plan.t) (g : generic) (q32 : f32buf) ~f32 (w : float arr
 (* Validate-then-unsafe contract (scripts/check_unsafe.sh): every
    unchecked access below is covered by [validate_unsafe_contract],
    called once per block before the sweep. Specifically:
-   - window rotation indexes [wins.(lev)] and [reg_file.(lev)] with
-     [e < p] and [(j ± rad) mod p < p];
+   - the windows hold slot offsets [k * n_thr], [k < p], and every
+     level of [file] holds at least [p * n_thr] words;
    - kernels index [w] with validated [t_plane]/[t_plane2] slots (the
-     padded tables repeat the last validated term), and the planes with
-     [t + d] for [t] in a validated run and [d] a validated term delta
-     (runs x deltas: [0 <= s + d], [e - 1 + d < n_thr]), and
-     [dst_plane]/[q32]/[accs] with [t] in a run;
+     padded tables repeat the last validated term), and a level's file
+     at [w.(slot) + t + d] for [t] in a validated run and [d] a
+     validated term delta (runs x deltas: [0 <= s + d], [e - 1 + d <
+     n_thr], so the read stays in the slot), and the destination level
+     at [doff + t], [q32] and [accs] at [t], for [t] in a run;
    - the generic kernel reads a row at [t + d], [d] a validated
-     [off_delta] after a load into a validated [plane_e] slot and [0]
-     after an operation into the row's own [n_thr] plane, and writes
-     the row's plane, [dst_plane] or [q32] at [t] (a single-rounding
-     row also reads [q32] back), for [t] in a run, [q32] spanning the
-     tile for every f32 block and every generic one;
+     [off_delta] plus a validated [plane_e] slot's offset after a load,
+     and [0] after an operation into the row's own [n_thr] plane, and
+     writes the row's plane, the destination slot or [q32] at [t] (a
+     single-rounding row also reads [q32] back), for [t] in a run,
+     [q32] spanning the tile for every f32 block and every generic one;
    - plane I/O goes through [plane_io]: the compute region lies inside
      the tile, so its load and store runs each lie within one tile row,
      with both end offsets in [[0, stride0)] (the same contract), and
@@ -837,9 +877,9 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
   in
   let counters = ctx.Gpu.Machine.machine.Gpu.Machine.counters in
   let g = block_runs plan ~degree:b ctx.Gpu.Machine.block_id in
-  validate_unsafe_contract plan g;
+  let file = register_file plan ~degree:b in
+  validate_unsafe_contract plan g file;
   let levels = g.levels in
-  let reg_file = Plan.reg_file plan ~degree:b in
   let s0, s1 = Execmodel.stream_range plan.Plan.em g.sb in
   (* Whole-plane f32 quantization scratch: computed values land here
      first and are read back after the kernel, keeping the hardware
@@ -850,9 +890,10 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
       (if is_f32 || plan.Plan.low.Stencil.Sexpr.low_linear = None then n_thr else 1)
   in
-  (* The block's kernel over a positioned window [w], writing the
-     level's destination plane (or [q32]) for the threads of a run. *)
-  let kernel : float array array -> float array -> int array -> unit =
+  (* The block's kernel over one level's file and a positioned window,
+     writing the level above at a slot offset (or [q32]) for the
+     threads of a run. *)
+  let kernel : float array -> int array -> float array -> int -> int array -> unit =
     match plan.Plan.low.Stencil.Sexpr.low_linear with
     | None ->
         let prog = plan.Plan.low.Stencil.Sexpr.low_program in
@@ -890,6 +931,8 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
             ts = pad lf.Stencil.Sexpr.lt_scaled;
             tp2 = plan.Plan.t_plane2;
             td2 = plan.Plan.t_delta2;
+            ab = Array.make n_terms 0;
+            ab2 = Array.make n_terms 0;
             n_terms;
             post = { dv = div };
             accs =
@@ -901,26 +944,26 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
         in
         (match kernel with
         | Chunks passes ->
-            fun w dst act ->
+            fun src w dst doff act ->
               for i = 0 to Array.length passes - 1 do
-                run_pass o final (Array.unsafe_get passes i) w dst act
+                run_pass o final (Array.unsafe_get passes i) src w dst doff act
               done
         | Folded -> run_folded o final)
   in
-  let load_plane, store_plane = plane_io plan ~degree:b ~src ~dst g reg_file counters in
+  let load_plane, store_plane = plane_io plan ~degree:b ~src ~dst g file counters in
   (* ---------------------------------------------------------------- *)
-  (* The sliding windows: per time-step level, [p] references into that
-     level's register planes, positioned so [wins.(lev).(e)] is the
-     source plane at streaming delta [e - rad] of the last computed
-     target [wlast.(lev)]. Advancing to the next plane rotates [p - 1]
-     references and binds only the incoming one; a discontinuity (the
+  (* The sliding windows: per time-step level, [p] slot offsets into
+     that level's file, positioned so [wins.(lev).(e)] is the offset of
+     the source plane at streaming delta [e - rad] of the last computed
+     target [wlast.(lev)]. Advancing to the next plane shifts [p - 1]
+     ints and computes only the incoming one; a discontinuity (the
      first interior plane of a block) refills the window. *)
   (* ---------------------------------------------------------------- *)
-  let wins = Array.init b (fun lev -> Array.make p reg_file.(lev).(0)) in
+  let wins = Array.init b (fun _ -> Array.make p 0) in
   let wlast = Array.make b min_int in
   let compute_plane tstep j =
-    let dst_plane = reg_file.(tstep).(j mod p) in
-    let src_planes = reg_file.(tstep - 1) in
+    let dst_file = file.(tstep) and doff = (j mod p) * n_thr in
+    let src_file = file.(tstep - 1) in
     (* The counters model the GPU, which computes every thread of the
        tile, skipped or not: they stay the §5 closed form's. *)
     Gpu.Counters.add_sm_writes counters sm_writes_per_plane;
@@ -928,33 +971,34 @@ let execute_block (plan : Plan.t) ~degree:b ~(src : Stencil.Grid.t)
     Gpu.Counters.add_sm_reads counters (sm_reads_per_cell * g.n_in_grid);
     if j < rad || j >= l - rad then
       (* Stream-boundary plane: propagate the previous time-step (§4.1). *)
-      Array.blit src_planes.(j mod p) 0 dst_plane 0 n_thr
+      Array.blit src_file doff dst_file doff n_thr
     else begin
       let lev = tstep - 1 in
       let w = wins.(lev) in
       let { act; cpy } = levels.(lev) in
       (* [j >= rad] here, so [j - rad + e >= 0] and plain [mod] is safe. *)
       if wlast.(lev) = j - 1 then begin
-        Array.blit w 1 w 0 (p - 1);
-        Array.unsafe_set w (p - 1) (Array.unsafe_get src_planes ((j + rad) mod p))
+        for e = 0 to p - 2 do
+          Array.unsafe_set w e (Array.unsafe_get w (e + 1))
+        done;
+        Array.unsafe_set w (p - 1) (((j + rad) mod p) * n_thr)
       end
       else
         for e = 0 to p - 1 do
-          w.(e) <- src_planes.((j - rad + e) mod p)
+          w.(e) <- ((j - rad + e) mod p) * n_thr
         done;
       wlast.(lev) <- j;
-      kernel w dst_plane act;
+      kernel src_file w dst_file doff act;
       if is_f32 then
         for r = 0 to (Array.length act / 2) - 1 do
-          for t = Array.unsafe_get act (2 * r)
-              to Array.unsafe_get act ((2 * r) + 1) - 1 do
-            Array.unsafe_set dst_plane t (Bigarray.Array1.unsafe_get q32 t)
-          done
+          let s = Array.unsafe_get act (2 * r) in
+          widen q32 s dst_file (doff + s) (Array.unsafe_get act ((2 * r) + 1) - s)
         done;
       let center = Array.unsafe_get w rad in
       for r = 0 to (Array.length cpy / 2) - 1 do
         let lo = Array.unsafe_get cpy (2 * r) in
-        Array.blit center lo dst_plane lo (Array.unsafe_get cpy ((2 * r) + 1) - lo)
+        Array.blit src_file (center + lo) dst_file (doff + lo)
+          (Array.unsafe_get cpy ((2 * r) + 1) - lo)
       done;
       Gpu.Counters.add_ops_n counters ops g.n_interior;
       Gpu.Counters.add_cells_updated counters g.n_interior

@@ -2,12 +2,16 @@
     {!Blocking.kernel_call}.
 
     The host-side realization of AN5D's streaming-dimension register
-    reuse (§3–§4.2) on top of {!Plan}: per time-step level a circular
-    window of [p = 2*rad + 1] source-plane references advances one
-    plane per streaming step — rotate [p - 1] references, bind only the
-    incoming plane — instead of rebuilding the whole plane-pointer
-    table per plane. The inner loop over the positioned window is
-    chosen once per block from the lowering ({!kernel_name}):
+    reuse (§3–§4.2) on top of {!Plan}. As in AN5D's fixed register file
+    (§4.1, Fig 3b), each time-step level keeps [p = 2*rad + 1] plane
+    slots, here one flat [float array] of [p * n_thr] words with slot
+    [k] at offset [k * n_thr]. The slots change roles by index; no value
+    moves. Per level a window of [p] int slot offsets advances one plane
+    per streaming step (shift [p - 1] ints, compute the incoming one),
+    and every kernel reads the level's one array at [window offset +
+    thread delta], each pass hoisting its terms' absolute offsets
+    before the cell loop. The inner loop is chosen once per block from
+    the lowering ({!kernel_name}):
 
     - no folded pair — passes of up to nine consecutive terms, each a
       fully unrolled loop whose arity, term shape (all scaled, all
@@ -55,17 +59,21 @@
     and per-level runs, the grid offset of each load and store run and
     the thread counts by box intersection, in O(rows), with no
     per-thread array; a plane load or store is one tight copy loop per
-    run. The block's register planes start zeroed, so out-of-grid
+    run. The block's register file starts zeroed, so out-of-grid
     threads of a loaded plane read 0.0.
 
     {b Unsafe runs x deltas contract} (see [scripts/check_unsafe.sh]):
-    all unchecked indexing below — the window rotation into the fixed
-    register file, the kernels' reads at [t + delta], the plane I/O
-    copies — is covered by a contract this module validates once per
-    block before the sweep: every term-major table entry indexes its
-    target in range; every run [[s, e)] lies in the tile and, for every
-    delta [d] the kernel reads through (term, mirror or per-offset),
-    [s + d >= 0] and [e - 1 + d < n_thr]; the compute region
+    all unchecked indexing below — the kernels' reads at [slot offset +
+    t + delta], the plane I/O copies, the f32 read-back — is covered by
+    a contract this module validates once per block before the sweep
+    ({!validate_unsafe_contract}): every term-major table entry indexes
+    its target in range; each level of the register file holds at least
+    [p * n_thr] words; every run [[s, e)] lies in the tile and, for
+    every delta [d] the kernel reads through (term, mirror or
+    per-offset), [s + d >= 0] and [e - 1 + d < n_thr], so a read stays
+    inside its slot (in the flat file a read past a slot's end would
+    land in the next slot, so this clause is the only guard); the
+    compute region
     [[halo_w, halo_w + compute_w_d)] lies inside the tile in every
     blocked dimension, so every load and store run lies within one
     tile row; the innermost grid stride is 1, and the in-plane
@@ -124,6 +132,14 @@ val block_runs : Plan.t -> degree:int -> int -> block_runs
 (** [block_runs plan ~degree block_id]: the block's masks, offsets and
     counts as runs; test/test_streaming.ml compares them with masks
     built thread by thread. *)
+
+val validate_unsafe_contract : Plan.t -> block_runs -> float array array -> unit
+(** [validate_unsafe_contract plan runs file]: the per-block check
+    {!execute_block} makes before any unchecked access, against the
+    block's runs and its register file ([file.(tstep)] the flat
+    [p * n_thr] slots of level [tstep], for [tstep <= degree]). Raises
+    [Invalid_argument "Stream_exec.validate_unsafe_contract: <clause>"]
+    naming the violated clause. *)
 
 val kernel_name : Stencil.Sexpr.lowered -> string
 (** The streaming kernel {!execute_block} runs for this lowering:

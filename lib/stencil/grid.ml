@@ -344,32 +344,33 @@ let interior ~rad g : Poly.Box.t = Poly.Box.shrink rad (domain g)
 (* Comparisons                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* [max_abs_diff] in one plain loop per element kind: [Float.max]
+   tests the sign bit through a C call and the checked accessors test
+   bounds, which together cost more than the comparison. The buffers
+   hold [size_of_dims dims] words each (every constructor checks it),
+   so equal dims bound both reads. [m] is the largest [|x - y|] so far
+   (>= +0); a NaN difference fails [d > m] and is caught by [d <> d]. *)
 let max_abs_diff a b =
   if a.dims <> b.dims then invalid_arg "Grid.max_abs_diff: dimension mismatch";
-  match (a.buf, b.buf) with
+  let m = ref 0.0 and nan = ref false in
+  (match (a.buf, b.buf) with
   | B64 x, B64 y ->
-      let m = ref 0.0 in
       for i = 0 to Bigarray.Array1.dim x - 1 do
-        m :=
-          Float.max !m
-            (Float.abs (Bigarray.Array1.get x i -. Bigarray.Array1.get y i))
-      done;
-      !m
+        let d = Float.abs (Bigarray.Array1.unsafe_get x i -. Bigarray.Array1.unsafe_get y i) in
+        if d > !m then m := d else if d <> d then nan := true
+      done
   | B32 x, B32 y ->
-      let m = ref 0.0 in
       for i = 0 to Bigarray.Array1.dim x - 1 do
-        m :=
-          Float.max !m
-            (Float.abs (Bigarray.Array1.get x i -. Bigarray.Array1.get y i))
-      done;
-      !m
+        let d = Float.abs (Bigarray.Array1.unsafe_get x i -. Bigarray.Array1.unsafe_get y i) in
+        if d > !m then m := d else if d <> d then nan := true
+      done
   | _ ->
       (* mixed precision: values widen to float either way *)
-      let m = ref 0.0 in
       for i = 0 to size a - 1 do
-        m := Float.max !m (Float.abs (get_lin a i -. get_lin b i))
-      done;
-      !m
+        let d = Float.abs (get_lin a i -. get_lin b i) in
+        if d > !m then m := d else if d <> d then nan := true
+      done);
+  if !nan then Float.nan else !m
 
 let equal ?(tol = 0.0) a b = a.dims = b.dims && max_abs_diff a b <= tol
 

@@ -152,9 +152,10 @@ val interior : rad:int -> t -> Poly.Box.t
     cells a stencil sweep updates (§4.1 boundary handling). *)
 
 val max_abs_diff : t -> t -> float
-(** Largest [|a - b|] over all cells, each value widened to float; NaN
-    once any cell's difference is NaN ([Float.max]). Same-precision
-    pairs take a loop monomorphic in the element kind.
+(** Largest [|a - b|] over all cells (at least [+0.]), each value
+    widened to float; NaN once any cell's difference is NaN (the result
+    of folding [Float.max] from [0.]). Same-precision pairs take one
+    plain loop monomorphic in the element kind, with no C call.
     @raise Invalid_argument on dimension mismatch. *)
 
 val equal : ?tol:float -> t -> t -> bool

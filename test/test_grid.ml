@@ -86,6 +86,63 @@ let test_max_abs_diff_f32 () =
       same (Fmt.str "mixed NaN at %d = fold" pos) (fold a64 c) (Grid.max_abs_diff a64 c))
     [ 0; 17; Grid.size b - 1 ]
 
+(* [max_abs_diff] against the implementation it replaced, kept here as
+   the oracle: a fold of [Float.max] from [0.] over the checked reader.
+   Bits must match on ordinary cells and on signed zeros (the result is
+   [+0.], never [-0.]), and both must be NaN once any difference is:
+   NaN in the first, a middle or the last cell, of either grid or both,
+   in each precision and mixed. *)
+let test_max_abs_diff_oracle () =
+  let oracle a b =
+    let m = ref 0.0 in
+    for i = 0 to Grid.size a - 1 do
+      m := Float.max !m (Float.abs (Grid.get_lin a i -. Grid.get_lin b i))
+    done;
+    !m
+  in
+  let same name a b =
+    let expect = oracle a b and got = Grid.max_abs_diff a b in
+    Alcotest.(check bool) name true
+      (Int64.equal (Int64.bits_of_float expect) (Int64.bits_of_float got)
+      || (Float.is_nan expect && Float.is_nan got))
+  in
+  let dims = [| 5; 4; 6 |] in
+  let grid prec seed = Grid.init_random ~prec ~seed dims in
+  let with_cell g pos v =
+    let g = Grid.copy g in
+    Grid.set_lin g pos v;
+    g
+  in
+  let precs = [ ("f64", Grid.F64); ("f32", Grid.F32) ] in
+  List.iter
+    (fun (na, pa) ->
+      List.iter
+        (fun (nb, pb) ->
+          let a = grid pa 5 and b = grid pb 6 in
+          let case what = Fmt.str "%s vs %s: %s" na nb what in
+          same (case "random") a b;
+          same (case "identical values") a (with_cell a 0 (Grid.get_lin a 0));
+          List.iter
+            (fun pos ->
+              let an = with_cell a pos Float.nan and bn = with_cell b pos Float.nan in
+              same (case (Fmt.str "NaN in a at %d" pos)) an b;
+              same (case (Fmt.str "NaN in b at %d" pos)) a bn;
+              same (case (Fmt.str "NaN in both at %d" pos)) an bn;
+              Alcotest.(check bool) (case (Fmt.str "NaN at %d is NaN" pos)) true
+                (Float.is_nan (Grid.max_abs_diff a bn)))
+            [ 0; Grid.size a / 2; Grid.size a - 1 ];
+          (* signed zeros: every difference is a zero of either sign *)
+          let pos0 = Grid.create ~prec:pa dims and neg = Grid.create ~prec:pb dims in
+          for i = 0 to Grid.size neg - 1 do
+            Grid.set_lin neg i (-0.0)
+          done;
+          same (case "+0 vs -0") pos0 neg;
+          same (case "-0 vs +0") neg pos0;
+          Alcotest.(check bool) (case "zero result is +0") false
+            (Float.sign_bit (Grid.max_abs_diff neg pos0)))
+        precs)
+    precs
+
 let test_interior () =
   let g = Grid.create [| 10; 8 |] in
   Alcotest.(check int) "interior volume" (8 * 6) (Poly.Box.volume (Grid.interior ~rad:1 g));
@@ -249,6 +306,7 @@ let () =
           Alcotest.test_case "random planes invalid" `Quick test_random_planes_invalid;
           Alcotest.test_case "comparisons" `Quick test_comparisons;
           Alcotest.test_case "max_abs_diff f32 arm" `Quick test_max_abs_diff_f32;
+          Alcotest.test_case "max_abs_diff = Float.max fold" `Quick test_max_abs_diff_oracle;
           Alcotest.test_case "interior" `Quick test_interior;
           Alcotest.test_case "invalid" `Quick test_invalid;
         ] );

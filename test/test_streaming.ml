@@ -849,6 +849,63 @@ let test_unsafe_contract () =
   Alcotest.(check (option string)) "compute region past a middle dimension"
     (contract "compute region leaves the tile")
     (refusal4 (overhang plan4 1));
+  (* The register file is one flat array of [p * n_thr] words per
+     level, so a delta that crosses a slot boundary by one word stays
+     inside the array — it would read the neighbouring slot — and the
+     runs x deltas clause alone refuses it. Over every block of the
+     call, [first] is the lowest start of a block's first computed run
+     and [last] the highest end of a block's last one: a delta of
+     [-first - 1] crosses only from a first run's start, one of
+     [n_thr - last + 1] only from a last run's end, and both are
+     shorter than a slot. One term (or offset) carries it. *)
+  let crossing plan =
+    let first = ref max_int and last = ref min_int and runs = ref max_int in
+    for id = 0 to (plan.Plan.spatial_blocks * plan.Plan.n_sb) - 1 do
+      let act = (Stream_exec.block_runs plan ~degree:1 id).Stream_exec.levels.(0).Stream_exec.act in
+      first := min !first act.(0);
+      last := max !last act.(Array.length act - 1);
+      runs := min !runs (Array.length act / 2)
+    done;
+    Alcotest.(check bool) "several runs per level" true (!runs > 2);
+    let n_thr = plan.Plan.n_thr in
+    let d_first = - !first - 1 and d_last = n_thr - !last + 1 in
+    Alcotest.(check bool) "crossing deltas stay within a slot's length" true
+      (abs d_first < n_thr && abs d_last < n_thr);
+    [ ("first", d_first); ("last", d_last) ]
+  in
+  let forge d a = Array.mapi (fun q x -> if q = 0 then d else x) a in
+  List.iter
+    (fun (which, d) ->
+      Alcotest.(check (option string))
+        (Fmt.str "term delta crosses a slot from the %s run" which)
+        (contract "neighbor delta leaves the tile")
+        (refusal3 { plan3 with Plan.t_delta = forge d plan3.Plan.t_delta }))
+    (crossing plan3);
+  let emg3 = Execmodel.make div_cell_3d (Config.make ~bt:1 ~bs:[| 6; 6 |] ()) [| 5; 8; 8 |] in
+  let plang3 = Plan.get emg3 ~degree:1 ~prec:Stencil.Grid.F64 ~mode:Run_config.Direct in
+  Alcotest.(check (option string)) "well-formed 3-D generic plan runs" None (refusal3 plang3);
+  List.iter
+    (fun (which, d) ->
+      Alcotest.(check (option string))
+        (Fmt.str "offset delta crosses a slot from the %s run" which)
+        (contract "neighbor delta leaves the tile")
+        (refusal3 { plang3 with Plan.off_delta = forge d plang3.Plan.off_delta }))
+    (crossing plang3);
+  (* Each level of the file must hold all [p] slots. *)
+  let words = plan3.Plan.p * plan3.Plan.n_thr in
+  let file_refusal file =
+    match Stream_exec.validate_unsafe_contract plan3 (Stream_exec.block_runs plan3 ~degree:1 0) file with
+    | () -> None
+    | exception Invalid_argument m -> Some m
+  in
+  Alcotest.(check (option string)) "full register file accepted" None
+    (file_refusal [| Array.make words 0.0; Array.make words 0.0 |]);
+  Alcotest.(check (option string)) "register file level one word short"
+    (contract "register file level shorter than p * n_thr")
+    (file_refusal [| Array.make words 0.0; Array.make (words - 1) 0.0 |]);
+  Alcotest.(check (option string)) "register file missing a level"
+    (contract "register file is not one level per time-step")
+    (file_refusal [| Array.make words 0.0 |]);
   Alcotest.(check bool) "precision mismatch" true
     (refused ~dst:(Stencil.Grid.create ~prec:Stencil.Grid.F32 dims) plan)
 
