@@ -30,7 +30,12 @@
    cases of perfbench's [solve] workload at solve's sizes: the
    single-lane streaming executor's time over the reference sweep's,
    the median of paired rounds with the IQR beside it — the number the
-   streaming executor must bring down to reach the reference's rate. *)
+   streaming executor must bring down to reach the reference's rate.
+   A change that speeds both executors alike leaves that ratio flat,
+   so the likewise ungated [streaming_over_c] holds the streaming side
+   to a fixed yardstick, the artifact's C loop on [reference_over_c]'s
+   stencils and sizes in f64 under a solve-style blocking: the
+   single-lane streaming executor's time over the C loop's, paired. *)
 
 open An5d_core
 
@@ -239,28 +244,44 @@ let splits cases =
       else None)
     cases
 
-(* The stencils of [reference_over_c], f64 at the blocked cases' sizes
-   and twice their steps. *)
+(* The stencils of [reference_over_c] and [streaming_over_c], f64 at
+   the blocked cases' sizes and twice their steps, with the blocking
+   perfbench's [solve] workload runs them under (bt 4 and 256-thread
+   rows in 2-D, bt 2 and 32x32 tiles in 3-D; quarter and half tiles in
+   quick mode's small grids). *)
 let c_cases () =
   let q = !Exp_common.quick in
   let d2 = if q then [| 128; 128 |] else [| 512; 512 |] in
   let d3 = if q then [| 24; 24; 24 |] else [| 64; 64; 64 |] in
-  [ ("j2d5pt", d2, 16); ("star2d4r", d2, 16); ("j3d27pt", d3, 8) ]
+  let cfg2 = Config.make ~bt:4 ~bs:[| (if q then 64 else 256) |] () in
+  let cfg3 = Config.make ~bt:2 ~bs:(if q then [| 16; 16 |] else [| 32; 32 |]) () in
+  [ ("j2d5pt", d2, 16, cfg2); ("star2d4r", d2, 16, cfg2); ("j3d27pt", d3, 8, cfg3) ]
 
 let have_cc () = Sys.command "command -v cc >/dev/null 2>&1" = 0
 
-(* Per [c_cases] stencil, the reference sweep's cells/s over the
-   artifact's CPU reference loop on the same job: the C program is built
-   once ({!Artifact.build_cpu_reference}) and each round runs it as
-   [EXE STEPS time], which prints the seconds of its loop alone; the
-   OCaml side is one [Reference.run] of the job's pattern. *)
-let reference_over_c () =
+(* Per [c_cases] stencil, against the artifact's CPU reference loop on
+   the same job: the C program is built once
+   ({!Artifact.build_cpu_reference}) and each round runs it as [EXE
+   STEPS time], which prints the seconds of its loop alone. Two sets of
+   paired rounds: the reference sweep's cells/s over the C loop's (one
+   [Reference.run] of the job's pattern), and the single-lane streaming
+   executor's time over the C loop's ([Blocking.run_cfg
+   Run_config.default] under the case's blocking). *)
+type c_ratios = {
+  c_name : string;
+  c_dims : int array;
+  c_steps : int;
+  ref_over_c : float list;
+  stream_over_c : float list;
+}
+
+let against_c () =
   let dir = Filename.temp_dir "an5d" "cref" in
   Fun.protect
     ~finally:(fun () -> Sys.rmdir dir)
     (fun () ->
       List.map
-        (fun (name, dims, steps) ->
+        (fun (name, dims, steps, cfg) ->
           let job =
             Framework.compile ~dims ~prec:Stencil.Grid.F64
               ~config:(Config.make ~bt:1 ~bs:(Array.make (Array.length dims - 1) 16) ())
@@ -283,7 +304,20 @@ let reference_over_c () =
               let pattern = Framework.pattern job in
               let g = Stencil.Grid.init_random dims in
               let sweep () = secs (fun () -> ignore (Stencil.Reference.run pattern ~steps g)) in
-              (name, dims, steps, paired sweep c_secs)))
+              let em = Execmodel.make pattern cfg dims in
+              let stream () =
+                secs (fun () ->
+                    let machine = Gpu.Machine.create ~prec:Stencil.Grid.F64 Gpu.Device.v100 in
+                    ignore (Blocking.run_cfg Run_config.default em ~machine ~steps g))
+              in
+              let ref_over_c = paired sweep c_secs in
+              {
+                c_name = name;
+                c_dims = dims;
+                c_steps = steps;
+                ref_over_c;
+                stream_over_c = paired c_secs stream;
+              }))
         (c_cases ()))
 
 (* The three cases of perfbench's [solve] workload (wl_solve.ml), at
@@ -347,7 +381,20 @@ let case_json m =
        ]
       @ ratio_json ~key:"blocked_over_reference" m.ratios))
 
+(* The geometric mean over [c_ratios] of one side's paired medians. *)
+let c_geomean side c_ratios = geomean (List.map (fun c -> median (side c)) c_ratios)
+
 let json_of_results results splits c_ratios solve =
+  let against_c_json ~key side =
+    Obs.Json.(
+      Arr
+        (List.map
+           (fun c ->
+             Obj
+               ([ ("name", Str c.c_name); ("dims", of_int_array c.c_dims); ("steps", Int c.c_steps) ]
+               @ ratio_json ~key (side c)))
+           c_ratios))
+  in
   (* The metrics registry snapshot records how much simulated work
      produced these numbers (kernel launches, chunks, global-memory
      traffic, per-shape streaming_dispatch_* counts) alongside the
@@ -368,20 +415,12 @@ let json_of_results results splits c_ratios solve =
                (fun (name, ratios) ->
                  Obj (("name", Str name) :: ratio_json ~key:"f32_over_f64" ratios))
                splits) );
-        ( "reference_over_c",
-          Arr
-            (List.map
-               (fun (name, dims, steps, ratios) ->
-                 Obj
-                   ([ ("name", Str name); ("dims", of_int_array dims); ("steps", Int steps) ]
-                   @ ratio_json ~key:"reference_over_c" ratios))
-               c_ratios) );
+        ("reference_over_c", against_c_json ~key:"reference_over_c" (fun c -> c.ref_over_c));
         ( "reference_over_c_geomean",
           match c_ratios with
           | [] -> Null
-          | _ ->
-              Output.sig_float ~digits:4
-                (geomean (List.map (fun (_, _, _, r) -> median r) c_ratios)) );
+          | _ -> Output.sig_float ~digits:4 (c_geomean (fun c -> c.ref_over_c) c_ratios) );
+        ("streaming_over_c", against_c_json ~key:"streaming_over_c" (fun c -> c.stream_over_c));
         ( "streaming_over_reference",
           Arr
             (List.map
@@ -427,7 +466,7 @@ let enforce_floors results splits c_ratios =
              name ratio (split_floor ())))
     splits;
   if c_ratios <> [] then begin
-    let gm = geomean (List.map (fun (_, _, _, r) -> median r) c_ratios) in
+    let gm = c_geomean (fun c -> c.ref_over_c) c_ratios in
     if gm < reference_floor () then
       failwith
         (Printf.sprintf
@@ -461,21 +500,24 @@ let run () =
         (median ratios) (iqr ratios))
     splits;
   let c_ratios =
-    if have_cc () then reference_over_c ()
+    if have_cc () then against_c ()
     else if !Exp_common.quick then begin
-      Fmt.pr "reference/C skipped: no C compiler (cc) on PATH@.";
+      Fmt.pr "reference/C and streaming/C skipped: no C compiler (cc) on PATH@.";
       []
     end
     else failwith "reference_over_c needs a C compiler (cc) on PATH in full mode"
   in
   List.iter
-    (fun (name, _, _, ratios) ->
-      Fmt.pr "reference/C %s (paired median): %.3fx, IQR %.3f@." name (median ratios)
-        (iqr ratios))
+    (fun c ->
+      Fmt.pr "reference/C %s (paired median): %.3fx, IQR %.3f@." c.c_name
+        (median c.ref_over_c) (iqr c.ref_over_c);
+      Fmt.pr "streaming/C %s (paired median time ratio): %.3f, IQR %.3f@." c.c_name
+        (median c.stream_over_c) (iqr c.stream_over_c))
     c_ratios;
   if c_ratios <> [] then
-    Fmt.pr "reference/C geometric mean: %.3fx@."
-      (geomean (List.map (fun (_, _, _, r) -> median r) c_ratios));
+    Fmt.pr "reference/C geometric mean: %.3fx; streaming/C time, geometric mean: %.3f@."
+      (c_geomean (fun c -> c.ref_over_c) c_ratios)
+      (c_geomean (fun c -> c.stream_over_c) c_ratios);
   let solve = streaming_over_reference () in
   List.iter
     (fun (name, _, _, _, ratios) ->

@@ -30,7 +30,11 @@
       literals once the [@inline] body is inlined at each call site, so
       the loop over a run's cells tests no flag; only a [Mixed] pass
       keeps a per-term test of the scale flag, since splitting it by
-      shape would add passes;
+      shape would add passes. The loop takes a run's threads four at a
+      time, as a warp issues one instruction for consecutive threads:
+      each term's index is computed once and serves four reads one word
+      apart, each thread keeping its own chain, and the last
+      [(e - s) mod 4] threads take the one-thread body;
     - a folded pair ([c * (a + b)], §4.2): the pair-aware term-major
       loop ([foldedNpt]), one instantiation per post-op and precision;
     - no linear form ([generic]): the lowering's row program
@@ -58,6 +62,18 @@
     pass after the loop instead of in the store read 1.40–1.59 on
     j2d5pt in a prototype, no better than the per-cell flag tests: the
     division stays in the loop.
+
+    Four threads per iteration, against one: a scaled term costs one
+    index computation per four threads and, per thread, the
+    [movapd]/[mulsd]/[addsd] of its arithmetic, where one thread per
+    iteration paid three more instructions per term to form [b + t]
+    (the stores and the accumulator plane likewise fold the lane into
+    the displacement), at the price of this module's text growing from
+    242 to 446 KB. Single-lane M cells/s at perfbench [solve]'s cases,
+    best of 5 by user CPU time over five alternating rounds on a 2-vCPU
+    shared host, one thread → four per iteration: j2d5pt 1024² f64
+    223–282 → 211–343; star2d4r 93–104 → 135–156; j3d27pt 96³ f32
+    42–64 → 70–95.
 
     One array per level, against one [float array] per slot: a pass
     hoists its terms' absolute offsets [w.(tp.(q)) + td.(q)] into
@@ -547,6 +563,22 @@ let kernel_name (low : Stencil.Sexpr.lowered) =
 let[@inline] term ~s c (src : float array) b t =
   if s then c *. Array.unsafe_get src (b + t) else Array.unsafe_get src (b + t)
 
+(* [x] plus term [j] of a pass of arity [k], read at [b + t]; [x]
+   itself when the pass has no term [j]. *)
+let[@inline] add ~(k : int) ~(j : int) ~s c (src : float array) b t x =
+  if k > j then x +. term ~s c src b t else x
+
+(* Cell [t + l]'s chain leaves the pass: into the accumulator plane
+   ([to_acc]), or divided ([div]) and stored into [q32] ([f32]) or
+   [dst] at [d + l], [d = doff + t]. The lane [l] is a literal, so it
+   folds into each access's displacement. *)
+let[@inline] put ~to_acc ~f32 ~div (accs : float array) (q32 : f32buf) dv
+    (dst : float array) d t l x =
+  if to_acc then Array.unsafe_set accs (t + l) x
+  else
+    let x = if div then x /. dv else x in
+    if f32 then Bigarray.Array1.unsafe_set q32 (t + l) x else Array.unsafe_set dst (d + l) x
+
 (* One pass over the threads of [runs]: the left-to-right chain of
    terms [q, q + k), started from term [q] when [first] and from the
    accumulator plane otherwise, ended in the accumulator plane
@@ -554,10 +586,18 @@ let[@inline] term ~s c (src : float array) b t =
    [dst] at [doff]. Term [i] adds [c_i *. v_i] when [s_i] and [v_i]
    otherwise, [v_i] read from [src] at the term's absolute offset
    [b_i = w.(tp.(q + i)) + td.(q + i)], hoisted before the cell loop,
-   plus [t]. Every labeled argument is a literal at each call site
+   plus [t].
+
+   A run's cells go four at a time, as a warp issues one instruction
+   for consecutive threads (§4.1–4.2): term [i]'s index [b_i + t] is
+   bound once and the four lanes read it at displacements of one word,
+   each lane carrying its own chain through the terms in order, so
+   every cell performs the same IEEE operations as alone and the bits
+   do not change. The last [(e - s) mod 4] threads of a run take the
+   one-cell body. Every labeled argument is a literal at each call site
    below, and ocamlopt folds the tests on them once this body is
-   inlined, so the loop over a run is branch-free (save [Mixed]). The
-   body binds no local function: ocamlopt without flambda does not
+   inlined, so the loops over a run are branch-free (save [Mixed]).
+   The body binds no local function: ocamlopt without flambda does not
    inline a body that does (scripts/check_inline.sh). *)
 let[@inline] chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc ~f32 ~div
     (o : operands) q (src : float array) (w : int array) (dst : float array) doff
@@ -579,21 +619,58 @@ let[@inline] chain ~k ~s0 ~s1 ~s2 ~s3 ~s4 ~s5 ~s6 ~s7 ~s8 ~first ~to_acc ~f32 ~d
   and c8 = Array.unsafe_get tc (q + 8) in
   let accs = o.accs and q32 = o.q32 and dv = o.post.dv in
   for r = 0 to (Array.length runs / 2) - 1 do
-    for t = Array.unsafe_get runs (2 * r) to Array.unsafe_get runs ((2 * r) + 1) - 1 do
+    let s = Array.unsafe_get runs (2 * r) and e = Array.unsafe_get runs ((2 * r) + 1) in
+    for g = 0 to ((e - s) lsr 2) - 1 do
+      let t = s + (4 * g) in
+      let i = b0 + t in
+      let x0 = term ~s:s0 c0 src i 0 and x1 = term ~s:s0 c0 src i 1
+      and x2 = term ~s:s0 c0 src i 2 and x3 = term ~s:s0 c0 src i 3 in
+      let x0 = if first then x0 else Array.unsafe_get accs t +. x0
+      and x1 = if first then x1 else Array.unsafe_get accs (t + 1) +. x1
+      and x2 = if first then x2 else Array.unsafe_get accs (t + 2) +. x2
+      and x3 = if first then x3 else Array.unsafe_get accs (t + 3) +. x3 in
+      let i = b1 + t in
+      let x0 = add ~k ~j:1 ~s:s1 c1 src i 0 x0 and x1 = add ~k ~j:1 ~s:s1 c1 src i 1 x1
+      and x2 = add ~k ~j:1 ~s:s1 c1 src i 2 x2 and x3 = add ~k ~j:1 ~s:s1 c1 src i 3 x3 in
+      let i = b2 + t in
+      let x0 = add ~k ~j:2 ~s:s2 c2 src i 0 x0 and x1 = add ~k ~j:2 ~s:s2 c2 src i 1 x1
+      and x2 = add ~k ~j:2 ~s:s2 c2 src i 2 x2 and x3 = add ~k ~j:2 ~s:s2 c2 src i 3 x3 in
+      let i = b3 + t in
+      let x0 = add ~k ~j:3 ~s:s3 c3 src i 0 x0 and x1 = add ~k ~j:3 ~s:s3 c3 src i 1 x1
+      and x2 = add ~k ~j:3 ~s:s3 c3 src i 2 x2 and x3 = add ~k ~j:3 ~s:s3 c3 src i 3 x3 in
+      let i = b4 + t in
+      let x0 = add ~k ~j:4 ~s:s4 c4 src i 0 x0 and x1 = add ~k ~j:4 ~s:s4 c4 src i 1 x1
+      and x2 = add ~k ~j:4 ~s:s4 c4 src i 2 x2 and x3 = add ~k ~j:4 ~s:s4 c4 src i 3 x3 in
+      let i = b5 + t in
+      let x0 = add ~k ~j:5 ~s:s5 c5 src i 0 x0 and x1 = add ~k ~j:5 ~s:s5 c5 src i 1 x1
+      and x2 = add ~k ~j:5 ~s:s5 c5 src i 2 x2 and x3 = add ~k ~j:5 ~s:s5 c5 src i 3 x3 in
+      let i = b6 + t in
+      let x0 = add ~k ~j:6 ~s:s6 c6 src i 0 x0 and x1 = add ~k ~j:6 ~s:s6 c6 src i 1 x1
+      and x2 = add ~k ~j:6 ~s:s6 c6 src i 2 x2 and x3 = add ~k ~j:6 ~s:s6 c6 src i 3 x3 in
+      let i = b7 + t in
+      let x0 = add ~k ~j:7 ~s:s7 c7 src i 0 x0 and x1 = add ~k ~j:7 ~s:s7 c7 src i 1 x1
+      and x2 = add ~k ~j:7 ~s:s7 c7 src i 2 x2 and x3 = add ~k ~j:7 ~s:s7 c7 src i 3 x3 in
+      let i = b8 + t in
+      let x0 = add ~k ~j:8 ~s:s8 c8 src i 0 x0 and x1 = add ~k ~j:8 ~s:s8 c8 src i 1 x1
+      and x2 = add ~k ~j:8 ~s:s8 c8 src i 2 x2 and x3 = add ~k ~j:8 ~s:s8 c8 src i 3 x3 in
+      let d = doff + t in
+      put ~to_acc ~f32 ~div accs q32 dv dst d t 0 x0;
+      put ~to_acc ~f32 ~div accs q32 dv dst d t 1 x1;
+      put ~to_acc ~f32 ~div accs q32 dv dst d t 2 x2;
+      put ~to_acc ~f32 ~div accs q32 dv dst d t 3 x3
+    done;
+    for t = e - ((e - s) land 3) to e - 1 do
       let x = term ~s:s0 c0 src b0 t in
       let x = if first then x else Array.unsafe_get accs t +. x in
-      let x = if k > 1 then x +. term ~s:s1 c1 src b1 t else x in
-      let x = if k > 2 then x +. term ~s:s2 c2 src b2 t else x in
-      let x = if k > 3 then x +. term ~s:s3 c3 src b3 t else x in
-      let x = if k > 4 then x +. term ~s:s4 c4 src b4 t else x in
-      let x = if k > 5 then x +. term ~s:s5 c5 src b5 t else x in
-      let x = if k > 6 then x +. term ~s:s6 c6 src b6 t else x in
-      let x = if k > 7 then x +. term ~s:s7 c7 src b7 t else x in
-      let x = if k > 8 then x +. term ~s:s8 c8 src b8 t else x in
-      if to_acc then Array.unsafe_set accs t x
-      else
-        let x = if div then x /. dv else x in
-        if f32 then Bigarray.Array1.unsafe_set q32 t x else Array.unsafe_set dst (doff + t) x
+      let x = add ~k ~j:1 ~s:s1 c1 src b1 t x in
+      let x = add ~k ~j:2 ~s:s2 c2 src b2 t x in
+      let x = add ~k ~j:3 ~s:s3 c3 src b3 t x in
+      let x = add ~k ~j:4 ~s:s4 c4 src b4 t x in
+      let x = add ~k ~j:5 ~s:s5 c5 src b5 t x in
+      let x = add ~k ~j:6 ~s:s6 c6 src b6 t x in
+      let x = add ~k ~j:7 ~s:s7 c7 src b7 t x in
+      let x = add ~k ~j:8 ~s:s8 c8 src b8 t x in
+      put ~to_acc ~f32 ~div accs q32 dv dst (doff + t) t 0 x
     done
   done
 

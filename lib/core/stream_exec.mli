@@ -18,7 +18,13 @@
       bare, mixed), chain start and store (accumulator plane, or the
       [Post_div]/none post-op into the f64 plane or the f32 scratch)
       are compile-time literals, so the loop over a run's cells tests
-      no flag (a mixed pass keeps its per-term scale test). A form of
+      no flag (a mixed pass keeps its per-term scale test). The loop
+      takes four consecutive threads per iteration, as a warp issues
+      one instruction for consecutive threads: each term's index is
+      computed once and read at four displacements one word apart,
+      every thread keeps its own left-to-right chain (so its bits do
+      not change), and the last [(e - s) mod 4] threads of a run take
+      the one-thread body. A form of
       at most nine terms is one pass straight to the stored value; a
       wider one (j3d27pt, star2d4r) carries its chain through a
       per-thread accumulator plane, its last pass as wide as the tail;

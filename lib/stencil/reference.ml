@@ -19,7 +19,12 @@
     per row, from one inlined chain body per precision whose arity,
     start, finish and post-op are literals at each call site, so the
     loop over a row's cells tests no flag (as the paper generates one
-    unrolled CALC sequence per stencil, §4.1–4.2). Any other
+    unrolled CALC sequence per stencil, §4.1–4.2). That loop takes four
+    cells per iteration, as a warp issues one instruction for
+    consecutive threads: each term's index is computed once and read
+    at four displacements one word apart, each cell carrying its own
+    chain, and the last [width mod 4] cells of a row take the one-cell
+    body. Any other
     expression runs the lowering's row program ({!Sexpr.program}) one
     interior row at a time, one loop per instruction over float64 rows
     owned by the lane; each cell performs the same IEEE operations on
@@ -74,9 +79,10 @@ type pass =
   | Bare_pair of int  (** bare reads [q] and [q + 1], never first *)
   | Store
 
-(* Terms per chunk: the width of the streaming executor's wide kernel,
-   as many as a row keeps in registers with its slots and coefficients
-   hoisted. *)
+(* Terms per chunk: the width of the streaming executor's wide kernel.
+   Not all of a chunk's operands fit in registers: the nine-term f64
+   loops keep their coefficients in registers but reload each term's
+   row offset from the stack, once per four cells (objdump -d). *)
 let chunk = 9
 
 let passes_of (lf : Sexpr.linear_form) =
@@ -225,73 +231,192 @@ let[@inline] slot ~k (tdelta : int array) q i =
 let[@inline] coef ~k (tcoef : float array) q i =
   if k > i then Array.unsafe_get tcoef (q + i) else 0.0
 
+(* [x] plus term [i] of a chunk of arity [k], [c *. v] with [v] read at
+   [b + j]; [x] itself when the chunk has no term [i]. *)
+let[@inline] mac64 ~(k : int) ~(i : int) c (s : Grid.f64buf) b j x =
+  if k > i then x +. (c *. A1.unsafe_get s (b + j)) else x
+
+(* Cell [j + l]'s chain leaves the chunk: into the accumulator row, or
+   when [last] divided ([div]) and stored into [d] at [o + l],
+   [o = lo + j]. The lane [l] is a literal, so it folds into each
+   access's displacement. *)
+let[@inline] put64 ~last ~div dv acc (d : Grid.f64buf) o j l x =
+  if not last then FA.unsafe_set acc (j + l) x
+  else A1.unsafe_set d (o + l) (if div then x /. dv else x)
+
 (* One chunk pass over the interior cells [lo, lo + width) of a row:
    the left-to-right chain of plain terms [q, q + k), started from
    [c_q*v_q] when [first] and from the accumulator row otherwise, ended
    in the accumulator row or, when [last], divided ([div]) and stored
-   into [d]. Every labelled argument is a literal at each call site of
-   [chunk_f64], and ocamlopt folds the tests on them once this body is
-   inlined there, so the loop over a row tests no flag and holds one
-   basic block. *)
+   into [d]. The cells go four at a time: term [i]'s index [b_i + j] is
+   bound once and the four lanes read it at displacements of one word,
+   each carrying its own chain through the terms in order, so every
+   cell performs the same IEEE operations as alone. The last [width
+   mod 4] cells take the one-cell body. Every labelled argument is a
+   literal at each call site of [chunk_f64], and ocamlopt folds the
+   tests on them once this body is inlined there, so the loops over a
+   row test no flag. *)
 let[@inline] chain_f64 ~k ~first ~last ~div (ch : chunks) (s : Grid.f64buf)
     (d : Grid.f64buf) acc lo q =
-  let td = ch.tdelta and tc = ch.tcoef and dv = ch.post.dv in
+  let td = ch.tdelta and tc = ch.tcoef and dv = ch.post.dv and width = ch.width in
   let b0 = lo + slot ~k td q 0 and b1 = lo + slot ~k td q 1 and b2 = lo + slot ~k td q 2
   and b3 = lo + slot ~k td q 3 and b4 = lo + slot ~k td q 4 and b5 = lo + slot ~k td q 5
   and b6 = lo + slot ~k td q 6 and b7 = lo + slot ~k td q 7 and b8 = lo + slot ~k td q 8 in
   let c0 = coef ~k tc q 0 and c1 = coef ~k tc q 1 and c2 = coef ~k tc q 2
   and c3 = coef ~k tc q 3 and c4 = coef ~k tc q 4 and c5 = coef ~k tc q 5
   and c6 = coef ~k tc q 6 and c7 = coef ~k tc q 7 and c8 = coef ~k tc q 8 in
-  for j = 0 to ch.width - 1 do
+  for g = 0 to (width lsr 2) - 1 do
+    let j = 4 * g in
+    let i = b0 + j in
+    let x0 = c0 *. A1.unsafe_get s i and x1 = c0 *. A1.unsafe_get s (i + 1)
+    and x2 = c0 *. A1.unsafe_get s (i + 2) and x3 = c0 *. A1.unsafe_get s (i + 3) in
+    let x0 = if first then x0 else FA.unsafe_get acc j +. x0
+    and x1 = if first then x1 else FA.unsafe_get acc (j + 1) +. x1
+    and x2 = if first then x2 else FA.unsafe_get acc (j + 2) +. x2
+    and x3 = if first then x3 else FA.unsafe_get acc (j + 3) +. x3 in
+    let i = b1 + j in
+    let x0 = mac64 ~k ~i:1 c1 s i 0 x0 and x1 = mac64 ~k ~i:1 c1 s i 1 x1
+    and x2 = mac64 ~k ~i:1 c1 s i 2 x2 and x3 = mac64 ~k ~i:1 c1 s i 3 x3 in
+    let i = b2 + j in
+    let x0 = mac64 ~k ~i:2 c2 s i 0 x0 and x1 = mac64 ~k ~i:2 c2 s i 1 x1
+    and x2 = mac64 ~k ~i:2 c2 s i 2 x2 and x3 = mac64 ~k ~i:2 c2 s i 3 x3 in
+    let i = b3 + j in
+    let x0 = mac64 ~k ~i:3 c3 s i 0 x0 and x1 = mac64 ~k ~i:3 c3 s i 1 x1
+    and x2 = mac64 ~k ~i:3 c3 s i 2 x2 and x3 = mac64 ~k ~i:3 c3 s i 3 x3 in
+    let i = b4 + j in
+    let x0 = mac64 ~k ~i:4 c4 s i 0 x0 and x1 = mac64 ~k ~i:4 c4 s i 1 x1
+    and x2 = mac64 ~k ~i:4 c4 s i 2 x2 and x3 = mac64 ~k ~i:4 c4 s i 3 x3 in
+    let i = b5 + j in
+    let x0 = mac64 ~k ~i:5 c5 s i 0 x0 and x1 = mac64 ~k ~i:5 c5 s i 1 x1
+    and x2 = mac64 ~k ~i:5 c5 s i 2 x2 and x3 = mac64 ~k ~i:5 c5 s i 3 x3 in
+    let i = b6 + j in
+    let x0 = mac64 ~k ~i:6 c6 s i 0 x0 and x1 = mac64 ~k ~i:6 c6 s i 1 x1
+    and x2 = mac64 ~k ~i:6 c6 s i 2 x2 and x3 = mac64 ~k ~i:6 c6 s i 3 x3 in
+    let i = b7 + j in
+    let x0 = mac64 ~k ~i:7 c7 s i 0 x0 and x1 = mac64 ~k ~i:7 c7 s i 1 x1
+    and x2 = mac64 ~k ~i:7 c7 s i 2 x2 and x3 = mac64 ~k ~i:7 c7 s i 3 x3 in
+    let i = b8 + j in
+    let x0 = mac64 ~k ~i:8 c8 s i 0 x0 and x1 = mac64 ~k ~i:8 c8 s i 1 x1
+    and x2 = mac64 ~k ~i:8 c8 s i 2 x2 and x3 = mac64 ~k ~i:8 c8 s i 3 x3 in
+    let o = lo + j in
+    put64 ~last ~div dv acc d o j 0 x0;
+    put64 ~last ~div dv acc d o j 1 x1;
+    put64 ~last ~div dv acc d o j 2 x2;
+    put64 ~last ~div dv acc d o j 3 x3
+  done;
+  for j = width land lnot 3 to width - 1 do
     let x = c0 *. A1.unsafe_get s (b0 + j) in
     let x = if first then x else FA.unsafe_get acc j +. x in
-    let x = if k > 1 then x +. (c1 *. A1.unsafe_get s (b1 + j)) else x in
-    let x = if k > 2 then x +. (c2 *. A1.unsafe_get s (b2 + j)) else x in
-    let x = if k > 3 then x +. (c3 *. A1.unsafe_get s (b3 + j)) else x in
-    let x = if k > 4 then x +. (c4 *. A1.unsafe_get s (b4 + j)) else x in
-    let x = if k > 5 then x +. (c5 *. A1.unsafe_get s (b5 + j)) else x in
-    let x = if k > 6 then x +. (c6 *. A1.unsafe_get s (b6 + j)) else x in
-    let x = if k > 7 then x +. (c7 *. A1.unsafe_get s (b7 + j)) else x in
-    let x = if k > 8 then x +. (c8 *. A1.unsafe_get s (b8 + j)) else x in
-    if not last then FA.unsafe_set acc j x
-    else A1.unsafe_set d (lo + j) (if div then x /. dv else x)
+    let x = mac64 ~k ~i:1 c1 s b1 j x in
+    let x = mac64 ~k ~i:2 c2 s b2 j x in
+    let x = mac64 ~k ~i:3 c3 s b3 j x in
+    let x = mac64 ~k ~i:4 c4 s b4 j x in
+    let x = mac64 ~k ~i:5 c5 s b5 j x in
+    let x = mac64 ~k ~i:6 c6 s b6 j x in
+    let x = mac64 ~k ~i:7 c7 s b7 j x in
+    let x = mac64 ~k ~i:8 c8 s b8 j x in
+    put64 ~last ~div dv acc d (lo + j) j 0 x
   done
 
+(* Term [i]'s operand read widened from [s] at [b + j] when a chunk of
+   arity [k] has the term, else [0.0]; and [x] plus [c *. v] for it. *)
+let[@inline] ld32 ~(k : int) ~(i : int) (s : Grid.f32buf) b j =
+  if k > i then A1.unsafe_get s (b + j) else 0.0
+
+let[@inline] mac ~(k : int) ~(i : int) c v x = if k > i then x +. (c *. v) else x
+
+(* [put64] into an f32 row: the store is the chain's only rounding. *)
+let[@inline] put32 ~last ~div dv acc (d : Grid.f32buf) o j l x =
+  if not last then FA.unsafe_set acc (j + l) x
+  else A1.unsafe_set d (o + l) (if div then x /. dv else x)
+
 (* [chain_f64] over single-precision buffers: reads widen exactly and
-   the store is the only rounding. It reads all its operands into
-   distinct locals before the first multiply: a widening load only
-   writes the low half of its register, so reads that all land in one
-   register would wait on each other. *)
+   the store is the only rounding. The cells go four at a time, as in
+   [chain_f64], but a widening load only writes the low half of its
+   register, so it waits on whatever last wrote that register: each
+   term's four loads land in distinct locals and are issued before the
+   previous term's multiplies, one term ahead of the arithmetic. The
+   one-cell tail ([width mod 4] cells) reads all its operands into
+   distinct locals before the first multiply. *)
 let[@inline] chain_f32 ~k ~first ~last ~div (ch : chunks) (s : Grid.f32buf)
     (d : Grid.f32buf) acc lo q =
-  let td = ch.tdelta and tc = ch.tcoef and dv = ch.post.dv in
+  let td = ch.tdelta and tc = ch.tcoef and dv = ch.post.dv and width = ch.width in
   let b0 = lo + slot ~k td q 0 and b1 = lo + slot ~k td q 1 and b2 = lo + slot ~k td q 2
   and b3 = lo + slot ~k td q 3 and b4 = lo + slot ~k td q 4 and b5 = lo + slot ~k td q 5
   and b6 = lo + slot ~k td q 6 and b7 = lo + slot ~k td q 7 and b8 = lo + slot ~k td q 8 in
   let c0 = coef ~k tc q 0 and c1 = coef ~k tc q 1 and c2 = coef ~k tc q 2
   and c3 = coef ~k tc q 3 and c4 = coef ~k tc q 4 and c5 = coef ~k tc q 5
   and c6 = coef ~k tc q 6 and c7 = coef ~k tc q 7 and c8 = coef ~k tc q 8 in
-  for j = 0 to ch.width - 1 do
+  for g = 0 to (width lsr 2) - 1 do
+    let j = 4 * g in
+    let i = b0 + j in
+    let u0 = A1.unsafe_get s i and u1 = A1.unsafe_get s (i + 1)
+    and u2 = A1.unsafe_get s (i + 2) and u3 = A1.unsafe_get s (i + 3) in
+    let i = b1 + j in
+    let v0 = ld32 ~k ~i:1 s i 0 and v1 = ld32 ~k ~i:1 s i 1
+    and v2 = ld32 ~k ~i:1 s i 2 and v3 = ld32 ~k ~i:1 s i 3 in
+    let x0 = if first then c0 *. u0 else FA.unsafe_get acc j +. (c0 *. u0)
+    and x1 = if first then c0 *. u1 else FA.unsafe_get acc (j + 1) +. (c0 *. u1)
+    and x2 = if first then c0 *. u2 else FA.unsafe_get acc (j + 2) +. (c0 *. u2)
+    and x3 = if first then c0 *. u3 else FA.unsafe_get acc (j + 3) +. (c0 *. u3) in
+    let i = b2 + j in
+    let u0 = ld32 ~k ~i:2 s i 0 and u1 = ld32 ~k ~i:2 s i 1
+    and u2 = ld32 ~k ~i:2 s i 2 and u3 = ld32 ~k ~i:2 s i 3 in
+    let x0 = mac ~k ~i:1 c1 v0 x0 and x1 = mac ~k ~i:1 c1 v1 x1
+    and x2 = mac ~k ~i:1 c1 v2 x2 and x3 = mac ~k ~i:1 c1 v3 x3 in
+    let i = b3 + j in
+    let v0 = ld32 ~k ~i:3 s i 0 and v1 = ld32 ~k ~i:3 s i 1
+    and v2 = ld32 ~k ~i:3 s i 2 and v3 = ld32 ~k ~i:3 s i 3 in
+    let x0 = mac ~k ~i:2 c2 u0 x0 and x1 = mac ~k ~i:2 c2 u1 x1
+    and x2 = mac ~k ~i:2 c2 u2 x2 and x3 = mac ~k ~i:2 c2 u3 x3 in
+    let i = b4 + j in
+    let u0 = ld32 ~k ~i:4 s i 0 and u1 = ld32 ~k ~i:4 s i 1
+    and u2 = ld32 ~k ~i:4 s i 2 and u3 = ld32 ~k ~i:4 s i 3 in
+    let x0 = mac ~k ~i:3 c3 v0 x0 and x1 = mac ~k ~i:3 c3 v1 x1
+    and x2 = mac ~k ~i:3 c3 v2 x2 and x3 = mac ~k ~i:3 c3 v3 x3 in
+    let i = b5 + j in
+    let v0 = ld32 ~k ~i:5 s i 0 and v1 = ld32 ~k ~i:5 s i 1
+    and v2 = ld32 ~k ~i:5 s i 2 and v3 = ld32 ~k ~i:5 s i 3 in
+    let x0 = mac ~k ~i:4 c4 u0 x0 and x1 = mac ~k ~i:4 c4 u1 x1
+    and x2 = mac ~k ~i:4 c4 u2 x2 and x3 = mac ~k ~i:4 c4 u3 x3 in
+    let i = b6 + j in
+    let u0 = ld32 ~k ~i:6 s i 0 and u1 = ld32 ~k ~i:6 s i 1
+    and u2 = ld32 ~k ~i:6 s i 2 and u3 = ld32 ~k ~i:6 s i 3 in
+    let x0 = mac ~k ~i:5 c5 v0 x0 and x1 = mac ~k ~i:5 c5 v1 x1
+    and x2 = mac ~k ~i:5 c5 v2 x2 and x3 = mac ~k ~i:5 c5 v3 x3 in
+    let i = b7 + j in
+    let v0 = ld32 ~k ~i:7 s i 0 and v1 = ld32 ~k ~i:7 s i 1
+    and v2 = ld32 ~k ~i:7 s i 2 and v3 = ld32 ~k ~i:7 s i 3 in
+    let x0 = mac ~k ~i:6 c6 u0 x0 and x1 = mac ~k ~i:6 c6 u1 x1
+    and x2 = mac ~k ~i:6 c6 u2 x2 and x3 = mac ~k ~i:6 c6 u3 x3 in
+    let i = b8 + j in
+    let u0 = ld32 ~k ~i:8 s i 0 and u1 = ld32 ~k ~i:8 s i 1
+    and u2 = ld32 ~k ~i:8 s i 2 and u3 = ld32 ~k ~i:8 s i 3 in
+    let x0 = mac ~k ~i:7 c7 v0 x0 and x1 = mac ~k ~i:7 c7 v1 x1
+    and x2 = mac ~k ~i:7 c7 v2 x2 and x3 = mac ~k ~i:7 c7 v3 x3 in
+    let x0 = mac ~k ~i:8 c8 u0 x0 and x1 = mac ~k ~i:8 c8 u1 x1
+    and x2 = mac ~k ~i:8 c8 u2 x2 and x3 = mac ~k ~i:8 c8 u3 x3 in
+    let o = lo + j in
+    put32 ~last ~div dv acc d o j 0 x0;
+    put32 ~last ~div dv acc d o j 1 x1;
+    put32 ~last ~div dv acc d o j 2 x2;
+    put32 ~last ~div dv acc d o j 3 x3
+  done;
+  for j = width land lnot 3 to width - 1 do
     let v0 = A1.unsafe_get s (b0 + j) in
-    let v1 = if k > 1 then A1.unsafe_get s (b1 + j) else 0.0 in
-    let v2 = if k > 2 then A1.unsafe_get s (b2 + j) else 0.0 in
-    let v3 = if k > 3 then A1.unsafe_get s (b3 + j) else 0.0 in
-    let v4 = if k > 4 then A1.unsafe_get s (b4 + j) else 0.0 in
-    let v5 = if k > 5 then A1.unsafe_get s (b5 + j) else 0.0 in
-    let v6 = if k > 6 then A1.unsafe_get s (b6 + j) else 0.0 in
-    let v7 = if k > 7 then A1.unsafe_get s (b7 + j) else 0.0 in
-    let v8 = if k > 8 then A1.unsafe_get s (b8 + j) else 0.0 in
+    let v1 = ld32 ~k ~i:1 s b1 j and v2 = ld32 ~k ~i:2 s b2 j and v3 = ld32 ~k ~i:3 s b3 j
+    and v4 = ld32 ~k ~i:4 s b4 j and v5 = ld32 ~k ~i:5 s b5 j and v6 = ld32 ~k ~i:6 s b6 j
+    and v7 = ld32 ~k ~i:7 s b7 j and v8 = ld32 ~k ~i:8 s b8 j in
     let x = if first then c0 *. v0 else FA.unsafe_get acc j +. (c0 *. v0) in
-    let x = if k > 1 then x +. (c1 *. v1) else x in
-    let x = if k > 2 then x +. (c2 *. v2) else x in
-    let x = if k > 3 then x +. (c3 *. v3) else x in
-    let x = if k > 4 then x +. (c4 *. v4) else x in
-    let x = if k > 5 then x +. (c5 *. v5) else x in
-    let x = if k > 6 then x +. (c6 *. v6) else x in
-    let x = if k > 7 then x +. (c7 *. v7) else x in
-    let x = if k > 8 then x +. (c8 *. v8) else x in
-    if not last then FA.unsafe_set acc j x
-    else A1.unsafe_set d (lo + j) (if div then x /. dv else x)
+    let x = mac ~k ~i:1 c1 v1 x in
+    let x = mac ~k ~i:2 c2 v2 x in
+    let x = mac ~k ~i:3 c3 v3 x in
+    let x = mac ~k ~i:4 c4 v4 x in
+    let x = mac ~k ~i:5 c5 v5 x in
+    let x = mac ~k ~i:6 c6 v6 x in
+    let x = mac ~k ~i:7 c7 v7 x in
+    let x = mac ~k ~i:8 c8 v8 x in
+    put32 ~last ~div dv acc d (lo + j) j 0 x
   done
 
 (* The dispatch from a chunk pass's fields to the literal arguments of
@@ -359,8 +484,9 @@ let check_step pattern ~(src : Grid.t) ~(dst : Grid.t) =
    value is [post (((t0 + t1) + t2) + ...)], each term [t_q] one of
    [v], [c*v], [a+b], [c*(a+b)]. A chunk pass reads its up to nine
    plain terms with slots and coefficients hoisted into locals and
-   continues the chain in a register: from [c0*v0] when it is first,
-   from the accumulator row otherwise, adding [c_i*v_i] left to right.
+   continues the chain in a register per cell, four cells at a time:
+   from [c0*v0] when it is first, from the accumulator row otherwise,
+   adding [c_i*v_i] left to right.
    Other passes add their one term (or two bare reads, as
    [(acc + v_q) + v_{q+1}]) to the accumulator row. The last pass
    divides and stores. Each cell thus performs the same IEEE operations

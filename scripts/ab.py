@@ -26,9 +26,9 @@ won, the metric's bound and a verdict:
                gain over fewer than 10 pairs
     level      anything else
 
-It also prints where Stream_exec's code starts in each binary of each
-side, modulo 64 bytes, since placement alone moves some workloads by
-several percent.
+It also prints where Stream_exec's and Reference's code start in each
+binary of each side, modulo 64 bytes, since placement alone moves some
+workloads by several percent.
 """
 
 import argparse
@@ -43,7 +43,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BINARIES = ["_build/default/perfbench/perfbench.exe", "_build/default/bin/an5d.exe"]
-SYMBOL = "camlAn5d_core__Stream_exec.code_begin"
+SYMBOLS = ["camlAn5d_core__Stream_exec.code_begin", "camlStencil__Reference.code_begin"]
 
 
 def git(*args, **kw):
@@ -75,13 +75,15 @@ def build(side):
 
 
 def placement(side):
+    """Per binary, per symbol of SYMBOLS: its address modulo 64."""
     out = {}
     for b in BINARIES:
         nm = subprocess.run(["nm", os.path.join(side, b)], stdout=subprocess.PIPE,
                             text=True, check=False).stdout
-        addr = next((int(line.split()[0], 16) for line in nm.splitlines()
-                     if line.endswith(" " + SYMBOL)), None)
-        out[os.path.basename(b)] = None if addr is None else addr % 64
+        addrs = {line.split()[-1]: int(line.split()[0], 16) for line in nm.splitlines()
+                 if line.split()[-1:] and line.split()[-1] in SYMBOLS}
+        out[os.path.basename(b)] = {
+            sym: (addrs[sym] % 64 if sym in addrs else None) for sym in SYMBOLS}
     return out
 
 
@@ -146,8 +148,9 @@ def main():
         where = {name: placement(path) for name, path in sides.items()}
         run = {name: spread_run(name, path) for name, path in sides.items()}
         for name in sides:
-            print(f"{name}: {SYMBOL} mod 64: " + ", ".join(
-                f"{b} {v}" for b, v in where[name].items()), flush=True)
+            for sym in SYMBOLS:
+                print(f"{name}: {sym} mod 64: " + ", ".join(
+                    f"{b} {v[sym]}" for b, v in where[name].items()), flush=True)
         runs = []
         for i in range(args.pairs):
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]

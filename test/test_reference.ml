@@ -216,7 +216,12 @@ let chunk_passes ~plain ~tail =
    equal to the per-cell oracle. Together they instantiate every chunk
    loop of the sweep — each arity 1 to 9, starting the sum or not,
    ending in the accumulator row or storing with or without the
-   division — which the test checks instead of leaving it to chance. *)
+   division — which the test checks instead of leaving it to chance.
+   Each form runs on interior rows 13 - 2*rad wide and 1, 2, 3, 4, 5
+   and 7 wide: a chunk loop takes its cells four at a time and the
+   last [width mod 4] alone, so the widths cover a row
+   with no quad, a quad alone and a quad plus each tail length, and
+   the check counts every loop at every remainder. *)
 let test_kernel_shapes () =
   let offs = Array.of_list (Shape.box_offsets ~dims:2 ~rad:3) in
   let bare = Sexpr.Cell offs.(Array.length offs - 1) in
@@ -241,25 +246,35 @@ let test_kernel_shapes () =
                   (Array.init (plain + Bool.to_int tail) (fun q -> q < plain))
                   lf.Sexpr.lt_scaled
             | None -> Alcotest.fail (p.Pattern.name ^ ": no linear form"));
+            let rad = p.Pattern.radius in
             List.iter
-              (fun prec ->
-                let g = Grid.init_random ~prec ~seed:7 [| 11; 13 |] in
+              (fun (prec, cols) ->
+                let g = Grid.init_random ~prec ~seed:7 [| 11; cols |] in
                 let expect = Grid.digest (Cell_oracle.run p ~steps:2 g) in
-                let name = Fmt.str "%s %s" p.Pattern.name (Grid.precision_to_string prec) in
+                let name =
+                  Fmt.str "%s %s %d cols" p.Pattern.name (Grid.precision_to_string prec) cols
+                in
                 Alcotest.(check string) name expect (Grid.digest (Reference.run p ~steps:2 g));
                 Alcotest.(check string) (name ^ " par") expect
                   (Grid.digest (Reference.run ~par p ~steps:2 g));
                 List.iter
                   (fun (k, first, last) ->
-                    Hashtbl.replace seen (k, first, last, last && div, prec) ())
+                    Hashtbl.replace seen
+                      (k, first, last, last && div, prec, (cols - (2 * rad)) mod 4)
+                      ())
                   (chunk_passes ~plain ~tail))
-              [ Grid.F64; Grid.F32 ])
+              (List.concat_map
+                 (fun prec ->
+                   List.map
+                     (fun cols -> (prec, cols))
+                     (13 :: List.map (fun w -> w + (2 * rad)) [ 1; 2; 3; 4; 5; 7 ]))
+                 [ Grid.F64; Grid.F32 ]))
           [ false; true ])
       [ false; true ]
   done;
   (* Per precision: 9 arities x (first or not) x (accumulate, store,
-     store divided). *)
-  Alcotest.(check int) "chunk loops run" (2 * 9 * 2 * 3) (Hashtbl.length seen)
+     store divided) x the four remainders [width mod 4]. *)
+  Alcotest.(check int) "chunk loops run" (2 * 9 * 2 * 3 * 4) (Hashtbl.length seen)
 
 (* --- scratch ownership: concurrent calls in one domain --- *)
 

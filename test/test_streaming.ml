@@ -508,6 +508,68 @@ let test_fixed_shapes () =
           [ case p; case (with_div p) ])
         (zoo @ List.filter (fun p -> p.Stencil.Pattern.dims = 2) nonlinear_zoo))
 
+(* Runs of every length through the four-thread bodies: a pass takes a
+   run's threads four at a time and the last [(e - s) mod 4] alone, so
+   tiles whose act runs are 1 to 5 threads long cover a run with no
+   quad, a quad alone and a quad plus one tail thread, with a tail of
+   each length on the way. One time-step per block ([bt 1]) leaves a
+   compute region [w] threads wide per tile row: every interior
+   block's act run is that long (the grid's edge clips the outer
+   ones), which the test checks through {!Stream_exec.block_runs}
+   before it runs the fused, wide, bare,
+   mixed and divided forms in both precisions against the reference
+   sweep and the closed form. *)
+let test_run_lengths () =
+  List.iter
+    (fun pattern ->
+      let rad = pattern.Stencil.Pattern.radius in
+      for w = 1 to 5 do
+        let cfg = Config.make ~bt:1 ~bs:[| w + (2 * rad) |] () in
+        let dims = [| (4 * rad) + 6; (3 * w) + (2 * rad) |] in
+        let name prec =
+          Fmt.str "%s (%s) %s act runs of %d" pattern.Stencil.Pattern.name (kname pattern)
+            (Stencil.Grid.precision_to_string prec)
+            w
+        in
+        let plan =
+          Plan.get (Execmodel.make pattern cfg dims) ~degree:1 ~prec:Stencil.Grid.F64
+            ~mode:Run_config.Direct
+        in
+        let lengths = ref [] in
+        for id = 0 to (plan.Plan.spatial_blocks * plan.Plan.n_sb) - 1 do
+          Array.iter
+            (fun { Stream_exec.act; _ } ->
+              for r = 0 to (Array.length act / 2) - 1 do
+                lengths := (act.((2 * r) + 1) - act.(2 * r)) :: !lengths
+              done)
+            (Stream_exec.block_runs plan ~degree:1 id).Stream_exec.levels
+        done;
+        Alcotest.(check int)
+          (name Stencil.Grid.F64 ^ ": longest act run")
+          w
+          (List.fold_left max 0 !lengths);
+        List.iter
+          (fun prec ->
+            let g = Stencil.Grid.init_random ~prec dims in
+            let stm, stm_c, closed =
+              run_blocked ~mode:Blocking.Direct ~shards:1 ~prec pattern cfg dims ~steps:3 g
+            in
+            Alcotest.(check string) (name prec ^ " reference")
+              (Stencil.Grid.digest (Stencil.Reference.run pattern ~steps:3 g))
+              (Stencil.Grid.digest stm);
+            Alcotest.check counters_t (name prec ^ " counters") closed stm_c)
+          [ Stencil.Grid.F64; Stencil.Grid.F32 ]
+      done)
+    [
+      star ~dims:2 1;
+      with_div (star ~dims:2 1);
+      star ~dims:2 4;
+      with_div (zoo_named "box2d2r-12");
+      with_div (zoo_named "bare5");
+      zoo_named "mixed9";
+      zoo_named "mixed25";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Reference executors on the folded form                              *)
 (* ------------------------------------------------------------------ *)
@@ -1004,6 +1066,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_streaming_vs_reference;
           QCheck_alcotest.to_alcotest prop_nonlinear;
           Alcotest.test_case "fixed kernel matrix" `Quick test_fixed_shapes;
+          Alcotest.test_case "act runs of 1 to 5 threads" `Quick test_run_lengths;
         ] );
       ( "reference folded",
         [ Alcotest.test_case "reference = both paths" `Quick test_reference_folded ] );
